@@ -1,7 +1,7 @@
 """Command-line entry points: run, compare, gradcheck.
 
-Exit codes: 0 success, 2 configuration error, 3 missing prerequisite
-artifact, 4 provider failure. Progress goes to stderr; the comparison
+Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
+prerequisite artifact, 4 provider failure. Progress goes to stderr; the comparison
 table is the only stdout payload, so it pipes cleanly.
 """
 

@@ -68,57 +68,28 @@ class PipelineConfig:
 
     def effective_dict(self) -> dict:
         """Plain-data view used for manifest hashing; no resolved secrets."""
+        emb, chat = self.embedding, self.genq.provider
         return {
             "corpus": {"path": str(self.corpus_path), "format": self.corpus_format},
             "seed": self.seed,
             "embedding": {
-                "kind": self.embedding.kind,
-                "model_name": self.embedding.model_name,
-                "dim": self.embedding.dim,
-                "endpoint": self.embedding.endpoint,
-                "batch_size": self.embedding.batch_size,
-                "max_input_chars": self.embedding.max_input_chars,
+                **_fields(emb, "kind", "model_name", "dim", "endpoint", "batch_size"),
+                **_fields(emb, "max_input_chars", "max_parallel_requests"),
                 "auth_token_env": self.embedding_auth_env,
-                "max_parallel_requests": self.embedding.max_parallel_requests,
             },
             "chat": {
-                "kind": self.genq.provider.kind,
-                "model_name": self.genq.provider.model_name,
-                "endpoint": self.genq.provider.endpoint,
+                **_fields(chat, "kind", "model_name", "endpoint", "timeout"),
+                **_fields(chat, "max_parallel_requests"),
                 "auth_token_env": self.chat_auth_env,
-                "timeout": self.genq.provider.timeout,
-                "max_parallel_requests": self.genq.provider.max_parallel_requests,
             },
-            "clustering": {
-                "r": self.clustering.r,
-                "k_max": self.clustering.k_max,
-                "max_iters": self.clustering.max_iters,
-                "tol": self.clustering.tol,
-                "n_init": self.clustering.n_init,
-            },
-            "kpt": {
-                "strategy": self.kpt_strategy,
-                "s": self.kpt.s,
-                "first_rows_k": self.kpt.first_rows_k,
-            },
-            "genq": {
-                "n_q": self.genq.n_q,
-                "temperature": self.genq.temperature,
-                "max_tokens": self.genq.max_tokens,
-                "lang": self.genq.lang,
-                "max_retries": self.genq.max_retries,
-            },
-            "mining": {"strategy": self.mining.strategy, "h": self.mining.h},
+            "clustering": _fields(self.clustering, "r", "k_max", "max_iters", "tol", "n_init"),
+            "kpt": {"strategy": self.kpt_strategy, **_fields(self.kpt, "s", "first_rows_k")},
+            "genq": _fields(self.genq, "n_q", "temperature", "max_tokens", "lang", "max_retries"),
+            "mining": _fields(self.mining, "strategy", "h"),
             "train": {
                 "enabled": self.train_enabled,
-                "tau": self.train.tau,
-                "epochs": self.train.epochs,
-                "accumulation_steps": self.train.accumulation_steps,
-                "learning_rate": self.train.learning_rate,
-                "adam_beta1": self.train.adam_beta1,
-                "adam_beta2": self.train.adam_beta2,
-                "adam_eps": self.train.adam_eps,
-                "shuffle": self.train.shuffle,
+                **_fields(self.train, "tau", "epochs", "accumulation_steps", "learning_rate"),
+                **_fields(self.train, "adam_beta1", "adam_beta2", "adam_eps", "shuffle"),
             },
             "retrieval": {"mode": self.retrieval_mode, "fusion": self.fusion},
             "eval": {
@@ -147,6 +118,10 @@ _STAGE_SECTIONS: dict[str, tuple[str, ...]] = {
     "index": ("retrieval", "train", "eval", "embedding"),
     "eval": ("eval", "retrieval", "embedding"),
 }
+
+
+def _fields(obj: Any, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _expect_mapping(obj: Any, path: str) -> dict:
@@ -189,10 +164,22 @@ class _Section:
             )
         return value
 
+    def section(self, key: str) -> "_Section":
+        return _Section(_expect_mapping(self.take(key, dict, {}), key), key)
+
     def finish(self) -> None:
         if self.raw:
             stray = sorted(self.raw)[0]
             raise ConfigError(f"{self.path}.{stray}: unknown key")
+
+    def build(self, cls: type, **kwargs: Any) -> Any:
+        """cls(**kwargs) with its ValueError named by this section, which then ends."""
+        try:
+            obj = cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+        self.finish()
+        return obj
 
 
 def _apply_overrides(data: dict, overrides: list[str]) -> None:
@@ -234,7 +221,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     base = config_path.parent.resolve()
 
     top = _Section(data, "config")
-    corpus = _Section(_expect_mapping(top.take("corpus", dict, {}), "corpus"), "corpus")
+    corpus = top.section("corpus")
     corpus_path = corpus.take("path", Path, None)
     if corpus_path is None:
         raise ConfigError("corpus.path: required")
@@ -247,110 +234,89 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     cache_dir = _resolve(base, top.take("cache_dir", Path, workspace / "embed_cache"))
     seed = top.take("seed", int, 0)
 
-    emb = _Section(_expect_mapping(top.take("embedding", dict, {}), "embedding"), "embedding")
+    emb = top.section("embedding")
     emb_auth_env = emb.take("auth_token_env", str, "")
-    try:
-        embedding = ProviderConfig(
-            kind=emb.take("kind", str, "mock"),
-            model_name=emb.take("model_name", str, "mock-embedder"),
-            dim=emb.take("dim", int, 64),
-            endpoint=emb.take("endpoint", str, ""),
-            batch_size=emb.take("batch_size", int, 32),
-            max_input_chars=emb.take("max_input_chars", int, 8192),
-            auth_token=os.environ.get(emb_auth_env) if emb_auth_env else None,
-            max_parallel_requests=emb.take("max_parallel_requests", int, 8),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"embedding: {exc}") from exc
-    emb.finish()
+    embedding = emb.build(
+        ProviderConfig,
+        kind=emb.take("kind", str, "mock"),
+        model_name=emb.take("model_name", str, "mock-embedder"),
+        dim=emb.take("dim", int, 64),
+        endpoint=emb.take("endpoint", str, ""),
+        batch_size=emb.take("batch_size", int, 32),
+        max_input_chars=emb.take("max_input_chars", int, 8192),
+        auth_token=os.environ.get(emb_auth_env) if emb_auth_env else None,
+        max_parallel_requests=emb.take("max_parallel_requests", int, 8),
+    )
 
-    chat_raw = _Section(_expect_mapping(top.take("chat", dict, {}), "chat"), "chat")
+    chat_raw = top.section("chat")
     chat_auth_env = chat_raw.take("auth_token_env", str, "")
-    try:
-        chat = ChatConfig(
-            kind=chat_raw.take("kind", str, "mock"),
-            model_name=chat_raw.take("model_name", str, "mock-chat"),
-            endpoint=chat_raw.take("endpoint", str, ""),
-            auth_token=os.environ.get(chat_auth_env) if chat_auth_env else None,
-            timeout=chat_raw.take("timeout", float, 120.0),
-            max_parallel_requests=chat_raw.take("max_parallel_requests", int, 4),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"chat: {exc}") from exc
-    chat_raw.finish()
+    chat = chat_raw.build(
+        ChatConfig,
+        kind=chat_raw.take("kind", str, "mock"),
+        model_name=chat_raw.take("model_name", str, "mock-chat"),
+        endpoint=chat_raw.take("endpoint", str, ""),
+        auth_token=os.environ.get(chat_auth_env) if chat_auth_env else None,
+        timeout=chat_raw.take("timeout", float, 120.0),
+        max_parallel_requests=chat_raw.take("max_parallel_requests", int, 4),
+    )
 
-    clu = _Section(_expect_mapping(top.take("clustering", dict, {}), "clustering"), "clustering")
-    try:
-        clustering = ClusteringConfig(
-            r=clu.take("r", int, 10),
-            k_max=clu.take("k_max", int, 5),
-            max_iters=clu.take("max_iters", int, 100),
-            tol=clu.take("tol", float, 1e-6),
-            seed=seed,
-            n_init=clu.take("n_init", int, 10),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"clustering: {exc}") from exc
-    clu.finish()
+    clu = top.section("clustering")
+    clustering = clu.build(
+        ClusteringConfig,
+        r=clu.take("r", int, 10),
+        k_max=clu.take("k_max", int, 5),
+        max_iters=clu.take("max_iters", int, 100),
+        tol=clu.take("tol", float, 1e-6),
+        seed=seed,
+        n_init=clu.take("n_init", int, 10),
+    )
 
-    kpt_raw = _Section(_expect_mapping(top.take("kpt", dict, {}), "kpt"), "kpt")
+    kpt_raw = top.section("kpt")
     kpt_strategy = kpt_raw.take("strategy", str, "kpt_random")
     if kpt_strategy not in STRATEGIES:
         raise ConfigError(f"kpt.strategy: must be one of {STRATEGIES}")
-    try:
-        kpt_cfg = KptConfig(
-            s=kpt_raw.take("s", int, 5),
-            first_rows_k=kpt_raw.take("first_rows_k", int, 10),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"kpt: {exc}") from exc
-    kpt_raw.finish()
+    kpt_cfg = kpt_raw.build(
+        KptConfig,
+        s=kpt_raw.take("s", int, 5),
+        first_rows_k=kpt_raw.take("first_rows_k", int, 10),
+        seed=seed,
+    )
 
-    gen_raw = _Section(_expect_mapping(top.take("genq", dict, {}), "genq"), "genq")
-    try:
-        genq = GenConfig(
-            n_q=gen_raw.take("n_q", int, 5),
-            temperature=gen_raw.take("temperature", float, 0.4),
-            max_tokens=gen_raw.take("max_tokens", int, 1024),
-            lang=gen_raw.take("lang", str, "en"),
-            max_retries=gen_raw.take("max_retries", int, 3),
-            provider=chat,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"genq: {exc}") from exc
-    gen_raw.finish()
+    gen_raw = top.section("genq")
+    genq = gen_raw.build(
+        GenConfig,
+        n_q=gen_raw.take("n_q", int, 5),
+        temperature=gen_raw.take("temperature", float, 0.4),
+        max_tokens=gen_raw.take("max_tokens", int, 1024),
+        lang=gen_raw.take("lang", str, "en"),
+        max_retries=gen_raw.take("max_retries", int, 3),
+        provider=chat,
+    )
 
-    mine_raw = _Section(_expect_mapping(top.take("mining", dict, {}), "mining"), "mining")
-    try:
-        mining = MiningConfig(
-            h=mine_raw.take("h", int, 8),
-            strategy=mine_raw.take("strategy", str, "hard"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mining: {exc}") from exc
-    mine_raw.finish()
+    mine_raw = top.section("mining")
+    mining = mine_raw.build(
+        MiningConfig,
+        h=mine_raw.take("h", int, 8),
+        strategy=mine_raw.take("strategy", str, "hard"),
+        seed=seed,
+    )
 
-    train_raw = _Section(_expect_mapping(top.take("train", dict, {}), "train"), "train")
+    train_raw = top.section("train")
     train_enabled = train_raw.take("enabled", bool, True)
-    try:
-        train_cfg = TrainConfig(
-            tau=train_raw.take("tau", float, 0.01),
-            epochs=train_raw.take("epochs", int, 2),
-            accumulation_steps=train_raw.take("accumulation_steps", int, 32),
-            learning_rate=train_raw.take("learning_rate", float, 1e-3),
-            adam_beta1=train_raw.take("adam_beta1", float, 0.9),
-            adam_beta2=train_raw.take("adam_beta2", float, 0.999),
-            adam_eps=train_raw.take("adam_eps", float, 1e-8),
-            seed=seed,
-            shuffle=train_raw.take("shuffle", bool, True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-    train_raw.finish()
+    train_cfg = train_raw.build(
+        TrainConfig,
+        tau=train_raw.take("tau", float, 0.01),
+        epochs=train_raw.take("epochs", int, 2),
+        accumulation_steps=train_raw.take("accumulation_steps", int, 32),
+        learning_rate=train_raw.take("learning_rate", float, 1e-3),
+        adam_beta1=train_raw.take("adam_beta1", float, 0.9),
+        adam_beta2=train_raw.take("adam_beta2", float, 0.999),
+        adam_eps=train_raw.take("adam_eps", float, 1e-8),
+        seed=seed,
+        shuffle=train_raw.take("shuffle", bool, True),
+    )
 
-    ret_raw = _Section(_expect_mapping(top.take("retrieval", dict, {}), "retrieval"), "retrieval")
+    ret_raw = top.section("retrieval")
     retrieval_mode = ret_raw.take("mode", str, "pt_only")
     if retrieval_mode not in REPRESENTATION_MODES:
         raise ConfigError(f"retrieval.mode: must be one of {REPRESENTATION_MODES}")
@@ -359,20 +325,17 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         raise ConfigError(f"retrieval.fusion: must be one of {FUSIONS}")
     ret_raw.finish()
 
-    eval_raw = _Section(_expect_mapping(top.take("eval", dict, {}), "eval"), "eval")
+    eval_raw = top.section("eval")
     gold_path = eval_raw.take("gold_path", Path, None)
     ks_raw = eval_raw.take("ks", list, [1, 5, 10])
     if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks_raw):
         raise ConfigError("eval.ks: must be a list of integers")
-    try:
-        eval_cfg = EvalConfig(
-            gold_path=_resolve(base, gold_path) if gold_path else None,
-            holdout_per_pt=eval_raw.take("holdout_per_pt", int, 1),
-            ks=tuple(ks_raw),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"eval: {exc}") from exc
-    eval_raw.finish()
+    eval_cfg = eval_raw.build(
+        EvalConfig,
+        gold_path=_resolve(base, gold_path) if gold_path else None,
+        holdout_per_pt=eval_raw.take("holdout_per_pt", int, 1),
+        ks=tuple(ks_raw),
+    )
     top.finish()
 
     return PipelineConfig(

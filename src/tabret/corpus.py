@@ -200,16 +200,14 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     return Corpus(corpus_id=p.stem, tables=tables)
 
 
+def table_to_record(t: Table) -> dict:
+    """The JSONL corpus object of a table; metadata only when present."""
+    rec: dict = {"table_id": t.table_id, "header": t.header, "rows": [i.cells for i in t.instances]}
+    return {**rec, "metadata": t.metadata} if t.metadata else rec
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus as JSONL; inverse of load_corpus for the jsonl format."""
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for t in corpus.tables:
-            obj: dict = {
-                "table_id": t.table_id,
-                "header": t.header,
-                "rows": [inst.cells for inst in t.instances],
-            }
-            if t.metadata:
-                obj["metadata"] = t.metadata
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(table_to_record(t), ensure_ascii=False) + "\n")

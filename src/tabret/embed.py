@@ -6,23 +6,26 @@ hashes character 3-grams (tests and offline runs). All vectors leave
 this module L2-normalized, so downstream cosine similarity is a plain
 dot product. The cache is content-addressed by (model_name, text) and
 stores raw float64 bytes, so hits are bitwise-identical to the original
-response.
+response; each record ends in the 8-byte fsio.checksum trailer.
+The mock sums integer-valued float64 counts, exact in any order, so a
+batch sharing one gram memo is bitwise-identical to mock_embed per text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import os
 import re
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .fsio import crc64
+from .fsio import ARTIFACT_FORMAT, CHECKSUM_SIZE, ArtifactError, append_jsonl, checksum, read_log
 from .httpjson import ProviderError, post_json
 
 PROVIDER_KINDS = ("http", "mock")
@@ -50,7 +53,7 @@ class ProviderConfig:
             raise ValueError("http provider requires an endpoint")
 
 
-class CacheCorruptionError(RuntimeError):
+class CacheCorruptionError(ArtifactError):
     """A cached embedding record failed its checksum."""
 
 
@@ -75,22 +78,27 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def mock_embed(text: str, dim: int) -> np.ndarray:
+def mock_embed(text: str, dim: int, memo: dict[str, int] | None = None) -> np.ndarray:
     """Deterministic local embedding: hash character 3-grams into dim buckets.
 
     Bucket and sign come from SHA-256 of the gram, so the result is
     identical across processes and machines. Texts shorter than 3 chars
     hash as a single gram; the empty text (and an accumulation that
-    cancels to zero) maps to the unit basis vector e1.
+    cancels to zero) maps to the unit basis vector e1. memo caches each
+    gram's slot (its bucket, plus dim when the sign is negative) and may
+    be shared by calls at the same dim.
     """
     if dim < 8:
         raise ValueError(f"mock embedding dim must be >= 8, got {dim}")
-    acc = np.zeros(dim, dtype=np.float64)
+    if memo is None:
+        memo = {}
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else ([text] if text else [])
-    for gram in grams:
+    for gram in set(grams).difference(memo):
         digest = hashlib.sha256(gram.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:8], "big") % dim
-        acc[bucket] += 1.0 if digest[8] & 1 else -1.0
+        memo[gram] = bucket if digest[8] & 1 else bucket + dim
+    counts = np.bincount([memo[gram] for gram in grams], minlength=2 * dim)
+    acc = (counts[:dim] - counts[dim:]).astype(np.float64)
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:
         out = np.zeros(dim, dtype=np.float64)
@@ -103,9 +111,12 @@ class EmbeddingCache:
     """Append-only binary store of normalized vectors, one pair of files per model.
 
     Record layout in the .bin file: u32 dim, dim little-endian f64 values,
-    u64 CRC-64 of the preceding bytes. The .idx.jsonl sidecar maps the
-    SHA-256 of (model_name, text) to the record's byte offset. Reads are
-    lock-free; writes are serialized on an in-process lock.
+    then the checksum trailer of the preceding bytes. The .idx.jsonl
+    sidecar maps the SHA-256 of (model_name, text) to the record's byte
+    offset. Both file names carry ARTIFACT_FORMAT, so a cache written in
+    an older layout is ignored rather than misread. Reads are lock-free;
+    writes are serialized on an in-process lock, and each batch is one
+    append to each file, the .bin first.
     """
 
     def __init__(self, cache_dir: str | Path, model_name: str) -> None:
@@ -113,17 +124,14 @@ class EmbeddingCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_name)
         tag = hashlib.sha256(model_name.encode("utf-8")).hexdigest()[:8]
-        self.bin_path = self.cache_dir / f"{slug}-{tag}.bin"
-        self.idx_path = self.cache_dir / f"{slug}-{tag}.idx.jsonl"
+        stem = f"{slug}-{tag}.v{ARTIFACT_FORMAT}"
+        self.bin_path = self.cache_dir / f"{stem}.bin"
+        self.idx_path = self.cache_dir / f"{stem}.idx.jsonl"
         self.model_name = model_name
-        self._offsets: dict[str, int] = {}
         self._lock = threading.Lock()
-        if self.idx_path.exists():
-            with self.idx_path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = json.loads(line)
-                        self._offsets[rec["key"]] = rec["offset"]
+        self._offsets: dict[str, int] = {
+            rec["key"]: rec["offset"] for rec in read_log(self.idx_path)
+        }
 
     def key(self, text: str) -> str:
         return hashlib.sha256(f"{self.model_name}\x1f{text}".encode("utf-8")).hexdigest()
@@ -135,33 +143,39 @@ class EmbeddingCache:
         with self.bin_path.open("rb") as fh:
             fh.seek(offset)
             head = fh.read(4)
-            if len(head) < 4:
-                raise CacheCorruptionError(f"{self.bin_path}: truncated record at {offset}")
-            (dim,) = struct.unpack("<I", head)
-            payload = fh.read(8 * dim)
-            tail = fh.read(8)
-            if len(payload) < 8 * dim or len(tail) < 8:
-                raise CacheCorruptionError(f"{self.bin_path}: truncated record at {offset}")
-            (stored_crc,) = struct.unpack("<Q", tail)
-        if crc64(head + payload) != stored_crc:
-            raise CacheCorruptionError(f"{self.bin_path}: checksum mismatch at offset {offset}")
-        return np.frombuffer(payload, dtype="<f8").copy()
+            dim = struct.unpack("<I", head)[0] if len(head) == 4 else 0
+            size = 8 * dim + CHECKSUM_SIZE
+            # a corrupt dim must not turn into a huge read
+            fits = len(head) == 4 and offset + 4 + size <= os.fstat(fh.fileno()).st_size
+            rest = fh.read(size) if fits else b""
+        if not fits:
+            raise CacheCorruptionError(self.bin_path, f"truncated record at {offset}")
+        if checksum(head + rest[:-CHECKSUM_SIZE]) != rest[-CHECKSUM_SIZE:]:
+            raise CacheCorruptionError(self.bin_path, f"checksum mismatch at offset {offset}")
+        return np.frombuffer(rest, dtype="<f8", count=dim).copy()
 
     def put(self, text: str, vector: np.ndarray) -> None:
-        key = self.key(text)
-        record = struct.pack("<I", vector.shape[0]) + np.ascontiguousarray(
-            vector, dtype="<f8"
-        ).tobytes()
-        record += struct.pack("<Q", crc64(record))
+        self.put_many([text], [vector])
+
+    def put_many(self, texts: list[str], vectors: list[np.ndarray]) -> None:
+        """Cache the vectors of the texts not cached yet."""
         with self._lock:
-            if key in self._offsets:
-                return
+            added: dict[str, int] = {}
+            blob = bytearray()
             with self.bin_path.open("ab") as fh:
-                offset = fh.tell()
-                fh.write(record)
-            with self.idx_path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"key": key, "offset": offset}) + "\n")
-            self._offsets[key] = offset
+                start = fh.tell()
+                for text, vector in zip(texts, vectors):
+                    key = self.key(text)
+                    if key not in self._offsets and key not in added:
+                        added[key] = start + len(blob)
+                        record = struct.pack("<I", len(vector)) + np.ascontiguousarray(
+                            vector, dtype="<f8"
+                        ).tobytes()
+                        blob += record + checksum(record)
+                fh.write(blob)
+            if added:
+                append_jsonl(self.idx_path, ({"key": k, "offset": o} for k, o in added.items()))
+                self._offsets.update(added)
 
 
 def _http_embed_batch(cfg: ProviderConfig, texts: list[str]) -> list[np.ndarray]:
@@ -212,27 +226,52 @@ def embed_texts(
             if hit is not None:
                 if hit.shape != (cfg.dim,):
                     raise CacheCorruptionError(
-                        f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
+                        cache.bin_path, f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
                     )
                 vectors[i] = hit
                 continue
         misses.setdefault(text, []).append(i)
 
     unique = list(misses)
-    if unique:
-        batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]
-        if cfg.kind == "mock":
-            results = [[mock_embed(t, cfg.dim) for t in batch] for batch in batches]
-        elif len(batches) == 1:
-            results = [_http_embed_batch(cfg, batches[0])]
-        else:
-            workers = max(1, min(cfg.max_parallel_requests, len(batches)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda b: _http_embed_batch(cfg, b), batches))
-        for batch, vecs in zip(batches, results):
-            for text, vec in zip(batch, vecs):
-                if cache is not None:
-                    cache.put(text, vec)
-                for i in misses[text]:
-                    vectors[i] = vec
+    batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]
+    failure: ProviderError | None = None
+    for batch, result in zip(batches, _embed_batches(cfg, batches)):
+        if isinstance(result, ProviderError):
+            failure = failure or result
+            continue
+        if cache is not None:
+            cache.put_many(batch, result)
+        for text, vec in zip(batch, result):
+            for i in misses[text]:
+                vectors[i] = vec
+    if failure is not None:
+        raise failure
     return np.stack(vectors)  # type: ignore[arg-type]
+
+
+def _embed_batches(
+    cfg: ProviderConfig, batches: list[list[str]]
+) -> Iterator[list[np.ndarray] | ProviderError]:
+    """Each batch's vectors, or the error that batch raised, in batch order.
+
+    The caller caches each batch as it arrives, so a failed request loses
+    only its own batch. The mock hashes each distinct gram once per call.
+    """
+    if cfg.kind == "mock":
+        memo: dict[str, int] = {}
+        for batch in batches:
+            yield [mock_embed(t, cfg.dim, memo) for t in batch]
+    elif len(batches) == 1:
+        # a thread pool costs more than the one request it would overlap
+        yield _http_batch_or_error(cfg, batches[0])
+    else:
+        workers = max(1, min(cfg.max_parallel_requests, len(batches)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(lambda batch: _http_batch_or_error(cfg, batch), batches)
+
+
+def _http_batch_or_error(cfg: ProviderConfig, batch: list[str]) -> list[np.ndarray] | ProviderError:
+    try:
+        return _http_embed_batch(cfg, batch)
+    except ProviderError as exc:
+        return exc

@@ -5,43 +5,42 @@ directory, fsync, os.replace) so an interrupted stage never leaves a
 truncated file behind. The manifest records, per completed stage, the
 hashes of its config slice and of its input and output files; a stage
 whose recorded hashes all still match is skipped on re-run.
+
+Binary containers (matrices here, the adapter, cache records) end in
+checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
+appended and compared as raw bytes. Manifest entries carry
+ARTIFACT_FORMAT, so artifacts of an older layout are rebuilt.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
-# CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout all-ones), as used
-# by xz and liblzma. Table-driven; stdlib has crc32 only.
-_CRC64_POLY = 0xC96C5795D7870F42
-
-_CRC64_TABLE: list[int] = []
-for _i in range(256):
-    _c = _i
-    for _ in range(8):
-        _c = (_c >> 1) ^ _CRC64_POLY if _c & 1 else _c >> 1
-    _CRC64_TABLE.append(_c)
-del _i, _c
+# 1: CRC-64/XZ trailers; 2: BLAKE2b-64 trailers
+ARTIFACT_FORMAT = 2
+CHECKSUM_SIZE = 8
 
 
-def crc64(data: bytes, value: int = 0) -> int:
-    """CRC-64/XZ of data; pass a previous value to continue a running CRC."""
-    crc = value ^ 0xFFFFFFFFFFFFFFFF
-    for b in data:
-        crc = (crc >> 8) ^ _CRC64_TABLE[(crc ^ b) & 0xFF]
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+class ArtifactError(ValueError):
+    """A binary artifact is truncated, corrupt, or in another layout."""
+
+    def __init__(self, path: str | Path, problem: str) -> None:
+        super().__init__(f"{path}: {problem}")
+        self.path = Path(path)
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def checksum(data: bytes | memoryview) -> bytes:
+    """The 8-byte trailer of a binary container holding data."""
+    return hashlib.blake2b(data, digest_size=CHECKSUM_SIZE).digest()
 
 
 def sha256_file(path: str | Path) -> str:
@@ -55,7 +54,7 @@ def sha256_file(path: str | Path) -> str:
 def sha256_json(obj: Any) -> str:
     """Hash of a canonical JSON rendering (sorted keys, no whitespace)."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return sha256_bytes(payload.encode("utf-8"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -81,51 +80,92 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _jsonl(records: Iterable[dict]) -> str:
+    opts: dict = {"sort_keys": True, "separators": (", ", ": "), "ensure_ascii": False}
+    return "".join(json.dumps(rec, **opts) + "\n" for rec in records)
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Atomically write records as JSON Lines (one compact object per line)."""
-    lines = [
-        json.dumps(rec, sort_keys=True, separators=(", ", ": "), ensure_ascii=False)
-        for rec in records
-    ]
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    """Atomically write records as JSON Lines, keys sorted."""
+    atomic_write_text(path, _jsonl(records))
+
+
+def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[dict]:
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{line_no}: expected a JSON object")
+        yield obj
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object")
-            yield obj
+        yield from _parse_jsonl(path, fh)
+
+
+def read_log(p: Path) -> list[dict]:
+    """Records of an append-only JSON Lines log; a missing log has none.
+
+    A kill during an append can leave the last line unterminated. That
+    line is kept and terminated if it parses, and dropped otherwise; the
+    file is repaired either way, so the next append starts a line of its
+    own. A bad line anywhere else still raises ValueError.
+    """
+    if not p.exists():
+        return []
+    data = p.read_bytes()
+    end = data.rfind(b"\n") + 1
+    records = list(_parse_jsonl(p, data[:end].decode("utf-8").split("\n")))
+    if end < len(data):
+        try:
+            records.extend(_parse_jsonl(p, [data[end:].decode("utf-8")]))
+            tail = data[end:] + b"\n"
+        except ValueError:
+            tail = b""
+        with p.open("r+b") as fh:
+            fh.seek(end)
+            fh.write(tail)
+            fh.truncate()
+    return records
+
+
+def append_jsonl(path: str | Path, records: Iterable[dict], sync: bool = False) -> None:
+    """Append records to a log in one write, optionally fsynced."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_jsonl(records))
+        if sync:
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 class Manifest:
     """Append-only record of completed stages keyed by content hashes.
 
-    One JSON object per line: {"stage", "config_hash", "input_hashes",
-    "output_hashes", "wall_time_s"}; hash maps go path -> sha256, with
-    paths stored relative to the workspace when inside it and absolute
-    otherwise (external corpus or gold files). The last entry for a
-    stage wins. A stage is a cache hit when its config hash matches and
-    every recorded input and output file still hashes the same.
+    One JSON object per line: {"stage", "artifact_format", "config_hash",
+    "input_hashes", "output_hashes", "wall_time_s"}; hash maps go path ->
+    sha256, with paths stored relative to the workspace when inside it
+    and absolute otherwise (external corpus or gold files). The last
+    entry for a stage wins. A stage is a cache hit when its entry has the
+    current ARTIFACT_FORMAT, its config hash matches, and every recorded
+    input and output file still hashes the same.
     """
 
     def __init__(self, workspace: str | Path) -> None:
         self.workspace = Path(workspace)
         self.path = self.workspace / "manifest.jsonl"
         self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            for obj in read_jsonl(self.path):
-                stage = obj.get("stage")
-                if isinstance(stage, str):
-                    self._entries[stage] = obj
+        for obj in read_log(self.path):
+            stage = obj.get("stage")
+            if isinstance(stage, str):
+                self._entries[stage] = obj
 
-    def _key(self, p: str | Path) -> str:
+    def key(self, p: str | Path) -> str:
+        """Workspace-relative path inside the workspace, absolute outside."""
         p = Path(p)
         try:
             return str(p.resolve().relative_to(self.workspace.resolve()))
@@ -142,21 +182,23 @@ class Manifest:
     ) -> None:
         entry = {
             "stage": stage,
+            "artifact_format": ARTIFACT_FORMAT,
             "config_hash": config_hash,
-            "input_hashes": {self._key(p): sha256_file(p) for p in input_paths},
-            "output_hashes": {self._key(p): sha256_file(p) for p in output_paths},
+            "input_hashes": {self.key(p): sha256_file(p) for p in input_paths},
+            "output_hashes": {self.key(p): sha256_file(p) for p in output_paths},
             "wall_time_s": round(wall_time_s, 3),
         }
         self._entries[stage] = entry
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, separators=(", ", ": ")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self.path, [entry], sync=True)
 
     def is_fresh(self, stage: str, config_hash: str) -> bool:
         """True when the stage's recorded hashes all match the files on disk."""
         entry = self._entries.get(stage)
-        if entry is None or entry.get("config_hash") != config_hash:
+        if (
+            entry is None
+            or entry.get("artifact_format") != ARTIFACT_FORMAT
+            or entry.get("config_hash") != config_hash
+        ):
             return False
         for section in ("input_hashes", "output_hashes"):
             hashes = entry.get(section)
@@ -170,52 +212,48 @@ class Manifest:
 
 
 def write_matrix_bin(path: str | Path, matrix: np.ndarray) -> None:
-    """u32 row count, u32 dim, row-major little-endian f64, trailing CRC-64."""
+    """u32 row count, u32 dim, row-major little-endian f64, checksum trailer."""
     m = np.ascontiguousarray(matrix, dtype="<f8")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     blob = struct.pack("<II", m.shape[0], m.shape[1]) + m.tobytes()
-    atomic_write_bytes(path, blob + struct.pack("<Q", crc64(blob)))
+    atomic_write_bytes(path, blob + checksum(blob))
 
 
-def read_matrix_bin(path: str | Path) -> np.ndarray:
+def read_matrix_bin(path: str | Path, error: type[ArtifactError] = ArtifactError) -> np.ndarray:
+    """Inverse of write_matrix_bin; a damaged file raises error."""
     blob = Path(path).read_bytes()
-    if len(blob) < 16:
-        raise ValueError(f"{path}: truncated matrix file")
-    payload, tail = blob[:-8], blob[-8:]
-    if crc64(payload) != struct.unpack("<Q", tail)[0]:
-        raise ValueError(f"{path}: checksum mismatch (truncated or corrupt)")
+    if len(blob) < 8 + CHECKSUM_SIZE:
+        raise error(path, "truncated matrix file")
+    payload = memoryview(blob)[:-CHECKSUM_SIZE]
+    if checksum(payload) != blob[-CHECKSUM_SIZE:]:
+        raise error(path, "checksum mismatch (truncated or corrupt)")
     count, dim = struct.unpack_from("<II", payload)
-    data = np.frombuffer(payload[8:], dtype="<f8")
-    if data.size != count * dim:
-        raise ValueError(f"{path}: payload size does not match header")
-    return data.reshape(count, dim).copy()
+    if len(payload) != 8 + 8 * count * dim:
+        raise error(path, "payload size does not match header")
+    return np.frombuffer(payload, dtype="<f8", offset=8).reshape(count, dim).copy()
 
 
 class WorkspaceLock:
-    """Exclusive advisory lock on a workspace directory via O_EXCL lock file."""
+    """Exclusive flock on the workspace's .lock file. The kernel drops it
+    when the holder exits, so a killed run leaves no stale lock."""
 
     def __init__(self, workspace: str | Path) -> None:
         self.lock_path = Path(workspace) / ".lock"
-        self._fd: int | None = None
+        self._fh: IO[str] | None = None
 
     def __enter__(self) -> "WorkspaceLock":
         self.lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fh = self.lock_path.open("a")
         try:
-            self._fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"workspace is locked by another run (remove {self.lock_path} "
-                "if no other process is active)"
-            ) from None
-        os.write(self._fd, str(os.getpid()).encode())
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise RuntimeError(f"workspace is locked by another run ({self.lock_path})") from None
+        self._fh = fh
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            os.unlink(self.lock_path)
-        except OSError:
-            pass
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None

@@ -114,23 +114,14 @@ def build_kpts(
     return out
 
 
+# the persisted fields; embedding is not one of them
+_RECORD_FIELDS = ("pt_id", "table_id", "strategy", "cluster_index", "row_indices", "text")
+
+
 def kpt_to_record(pt: PartialTable) -> dict:
-    return {
-        "pt_id": pt.pt_id,
-        "table_id": pt.table_id,
-        "strategy": pt.strategy,
-        "cluster_index": pt.cluster_index,
-        "row_indices": pt.row_indices,
-        "text": pt.text,
-    }
+    return {name: getattr(pt, name) for name in _RECORD_FIELDS}
 
 
 def kpt_from_record(rec: dict) -> PartialTable:
-    return PartialTable(
-        pt_id=rec["pt_id"],
-        table_id=rec["table_id"],
-        strategy=rec["strategy"],
-        cluster_index=rec["cluster_index"],
-        row_indices=[int(i) for i in rec["row_indices"]],
-        text=rec["text"],
-    )
+    values = {name: rec[name] for name in _RECORD_FIELDS}
+    return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})

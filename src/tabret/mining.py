@@ -11,7 +11,7 @@ embeddings, never the adapter.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -105,18 +105,10 @@ def mine_all(
 
 
 def triple_to_record(t: TrainingTriple) -> dict:
-    return {
-        "query_id": t.query_id,
-        "positive_pt_id": t.positive_pt_id,
-        "negative_pt_ids": list(t.negative_pt_ids),
-        "strategy": t.strategy,
-    }
+    return asdict(t)
 
 
 def triple_from_record(rec: dict) -> TrainingTriple:
     return TrainingTriple(
-        query_id=rec["query_id"],
-        positive_pt_id=rec["positive_pt_id"],
-        negative_pt_ids=tuple(rec["negative_pt_ids"]),
-        strategy=rec["strategy"],
+        rec["query_id"], rec["positive_pt_id"], tuple(rec["negative_pt_ids"]), rec["strategy"]
     )

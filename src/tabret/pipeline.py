@@ -22,9 +22,10 @@ import numpy as np
 
 from .cluster import ClusterAssignment, cluster_table
 from .config import PipelineConfig, variant_config
-from .corpus import Corpus, CorpusFormatError, load_corpus, serialize_instance
+from .corpus import CorpusFormatError, load_corpus, serialize_instance, table_to_record
 from .embed import EmbeddingCache, embed_texts
 from .fsio import (
+    ArtifactError,
     Manifest,
     WorkspaceLock,
     atomic_write_text,
@@ -139,6 +140,13 @@ def _run_one(cfg: PipelineConfig, stage: str, manifest: Manifest, log: Log) -> S
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except (CorpusFormatError, FileNotFoundError) as exc:
         raise StageError(2, f"stage '{stage}': {exc}") from exc
+    except ArtifactError as exc:
+        producer = _PRODUCER.get(manifest.key(exc.path))
+        remedy = (
+            f"rerun stage '{producer}'" if producer
+            else f"remove the embedding cache {exc.path.parent} and rerun stage '{stage}'"
+        )
+        raise StageError(3, f"stage '{stage}': {exc}; {remedy}") from exc
     wall = time.monotonic() - started
     manifest.record(stage, config_hash, inputs, outputs, wall)
     log(f"[{stage}] done in {wall:.2f}s")
@@ -147,10 +155,6 @@ def _run_one(cfg: PipelineConfig, stage: str, manifest: Manifest, log: Log) -> S
 
 def _cache(cfg: PipelineConfig) -> EmbeddingCache:
     return EmbeddingCache(cfg.cache_dir, cfg.embedding.model_name)
-
-
-def _load_corpus_artifact(ws: Path) -> Corpus:
-    return load_corpus(ws / "corpus.jsonl", "jsonl")
 
 
 def _load_pts(ws: Path) -> list[PartialTable]:
@@ -192,16 +196,7 @@ def split_queries(
 
 def _stage_ingest(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
-    records = []
-    for t in corpus.tables:
-        rec: dict = {
-            "table_id": t.table_id,
-            "header": t.header,
-            "rows": [inst.cells for inst in t.instances],
-        }
-        if t.metadata:
-            rec["metadata"] = t.metadata
-        records.append(rec)
+    records = [table_to_record(t) for t in corpus.tables]
     out = ws / "corpus.jsonl"
     write_jsonl(out, records)
     log(f"[ingest] {len(records)} tables")
@@ -209,7 +204,7 @@ def _stage_ingest(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
 
 
 def _stage_embed(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
-    corpus = _load_corpus_artifact(ws)
+    corpus = load_corpus(ws / "corpus.jsonl")
     texts, rows = [], []
     for t in corpus.tables:
         for i in range(len(t.instances)):
@@ -225,7 +220,7 @@ def _stage_embed(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
 
 
 def _stage_cluster(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
-    corpus = _load_corpus_artifact(ws)
+    corpus = load_corpus(ws / "corpus.jsonl")
     matrix = read_matrix_bin(ws / "instance_embeddings.bin")
     rows = list(read_jsonl(ws / "instance_embeddings.jsonl"))
     if len(rows) != len(matrix):
@@ -272,7 +267,7 @@ def _assignment_from_record(rec: dict) -> ClusterAssignment:
 
 
 def _stage_kpt(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
-    corpus = _load_corpus_artifact(ws)
+    corpus = load_corpus(ws / "corpus.jsonl")
     assignments = {
         rec["table_id"]: _assignment_from_record(rec)
         for rec in read_jsonl(ws / "clusters.jsonl")

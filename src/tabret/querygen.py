@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .httpjson import ProviderError, post_json
 from .kpt import PartialTable
@@ -146,17 +146,7 @@ def extract_questions(text: str) -> list[str] | None:
 
 
 def _unescape_field(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append("\n" if nxt == "n" else nxt)
-            i += 2
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), text, flags=re.S)
 
 
 def mock_chat_response(prompt: str) -> str:
@@ -294,20 +284,8 @@ def _generate_or_none(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery] 
 
 
 def query_to_record(q: SyntheticQuery) -> dict:
-    return {
-        "query_id": q.query_id,
-        "pt_id": q.pt_id,
-        "table_id": q.table_id,
-        "text": q.text,
-        "lang": q.lang,
-    }
+    return asdict(q)
 
 
 def query_from_record(rec: dict) -> SyntheticQuery:
-    return SyntheticQuery(
-        query_id=rec["query_id"],
-        pt_id=rec["pt_id"],
-        table_id=rec["table_id"],
-        text=rec["text"],
-        lang=rec["lang"],
-    )
+    return SyntheticQuery(**{f.name: rec[f.name] for f in fields(SyntheticQuery)})

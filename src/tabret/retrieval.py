@@ -4,7 +4,8 @@ The index is an in-memory matrix of unit vectors, one row per partial
 table. A query scores every row by dot product; a table's score is the
 max over its rows (one strongly matching cluster is enough to retrieve
 the table), with mean fusion available as an option. Ties rank by
-table_id so reports are reproducible.
+table_id so reports are reproducible. A saved index keeps its vectors in
+an fsio matrix container, whose 8-byte BLAKE2b trailer a load verifies.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .embed import EmbeddingCache, ProviderConfig, embed_texts
 from .fsio import (
+    ArtifactError,
     atomic_write_bytes,
     read_jsonl,
     read_matrix_bin,
@@ -31,7 +33,7 @@ REPRESENTATION_MODES = ("pt_only", "pt_plus_queries")
 FUSIONS = ("max", "mean")
 
 
-class IndexFormatError(ValueError):
+class IndexFormatError(ArtifactError):
     """A persisted index fails validation on load."""
 
 
@@ -167,7 +169,7 @@ def evaluate(
 
 
 def save_index(index: RetrievalIndex, directory: str | Path) -> None:
-    """entries.jsonl + vectors.bin (count, dim, f64 rows, CRC-64) + meta.json."""
+    """entries.jsonl + vectors.bin (count, dim, f64 rows, checksum) + meta.json."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_jsonl(
@@ -187,12 +189,11 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 def load_index(directory: str | Path, adapter: Adapter | None = None) -> RetrievalIndex:
     d = Path(directory)
     entries = list(read_jsonl(d / "entries.jsonl"))
-    try:
-        vectors = read_matrix_bin(d / "vectors.bin")
-    except ValueError as exc:
-        raise IndexFormatError(str(exc)) from exc
+    vectors = read_matrix_bin(d / "vectors.bin", IndexFormatError)
     if len(vectors) != len(entries):
-        raise IndexFormatError(f"{d}: entries.jsonl and vectors.bin disagree on count")
+        raise IndexFormatError(
+            d / "entries.jsonl", "entries.jsonl and vectors.bin disagree on count"
+        )
     meta = json.loads((d / "meta.json").read_text())
     return RetrievalIndex(
         pt_ids=[e["pt_id"] for e in entries],

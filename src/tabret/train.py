@@ -13,6 +13,10 @@ keeps losses like 4e-18 exact instead of rounding them to zero at
 tau = 0.01. Gradients are analytic, including the normalization map
 (projection onto the unit sphere's tangent), and are verified against
 central finite differences by gradient_check.
+
+adapter.bin holds the magic, u32 version, u32 dim and row-major f64 W,
+then the 8-byte BLAKE2b trailer of fsio.checksum. Version 2 marks that
+trailer; version 1 files (CRC-64 trailer) are rejected and rebuilt.
 """
 
 from __future__ import annotations
@@ -23,18 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fsio import atomic_write_bytes, crc64
+from .fsio import CHECKSUM_SIZE, ArtifactError, atomic_write_bytes, checksum
 from .mining import TrainingTriple
 
 ADAPTER_MAGIC = b"CGPTADPT"
-ADAPTER_VERSION = 1
+ADAPTER_VERSION = 2
 
 
 class TrainError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
 
-class AdapterFormatError(ValueError):
+class AdapterFormatError(ArtifactError):
     """An adapter file is corrupt or has the wrong shape."""
 
 
@@ -322,30 +326,30 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def save_adapter(adapter: Adapter, path: str) -> None:
-    """Binary layout: magic, u32 version, u32 dim, row-major f64 W, u64 CRC."""
+    """Binary layout: magic, u32 version, u32 dim, row-major f64 W, checksum trailer."""
     payload = (
         ADAPTER_MAGIC
         + struct.pack("<II", adapter.version, adapter.dim)
         + np.ascontiguousarray(adapter.W, dtype="<f8").tobytes()
     )
-    atomic_write_bytes(path, payload + struct.pack("<Q", crc64(payload)))
+    atomic_write_bytes(path, payload + checksum(payload))
 
 
 def load_adapter(path: str, expected_dim: int | None = None) -> Adapter:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(ADAPTER_MAGIC) + 8 + 8 or not blob.startswith(ADAPTER_MAGIC):
-        raise AdapterFormatError(f"{path}: not an adapter file")
-    payload, tail = blob[:-8], blob[-8:]
-    if crc64(payload) != struct.unpack("<Q", tail)[0]:
-        raise AdapterFormatError(f"{path}: checksum mismatch (truncated or corrupt)")
+    if len(blob) < len(ADAPTER_MAGIC) + 8 + CHECKSUM_SIZE or not blob.startswith(ADAPTER_MAGIC):
+        raise AdapterFormatError(path, "not an adapter file")
+    payload = memoryview(blob)[:-CHECKSUM_SIZE]
+    if checksum(payload) != blob[-CHECKSUM_SIZE:]:
+        raise AdapterFormatError(path, "checksum mismatch (truncated or corrupt)")
     version, dim = struct.unpack_from("<II", payload, len(ADAPTER_MAGIC))
     if version != ADAPTER_VERSION:
-        raise AdapterFormatError(f"{path}: unsupported adapter version {version}")
+        raise AdapterFormatError(path, f"unsupported adapter version {version}")
     data = payload[len(ADAPTER_MAGIC) + 8 :]
     if len(data) != 8 * dim * dim:
-        raise AdapterFormatError(f"{path}: payload size does not match dim {dim}")
+        raise AdapterFormatError(path, f"payload size does not match dim {dim}")
     if expected_dim is not None and dim != expected_dim:
-        raise AdapterFormatError(f"{path}: adapter dim {dim} != provider dim {expected_dim}")
+        raise AdapterFormatError(path, f"adapter dim {dim} != provider dim {expected_dim}")
     w = np.frombuffer(data, dtype="<f8").reshape(dim, dim).copy()
     return Adapter(W=w, version=version)

@@ -69,6 +69,25 @@ class TestRunCommand:
         assert code == 3
         assert "run stage 'ingest' first" in capsys.readouterr().err
 
+    def test_torn_manifest_line_then_run_exits_zero(self, project):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        with (project / "ws" / "manifest.jsonl").open("a") as fh:
+            fh.write('{"stage": "ev')
+        assert main(["run", "--config", config]) == 0
+
+    def test_corrupt_adapter_exits_3(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        adapter = project / "ws" / "adapter.bin"
+        raw = bytearray(adapter.read_bytes())
+        raw[20] ^= 0x01
+        adapter.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--stage", "eval"]) == 3
+        err = capsys.readouterr().err
+        assert "checksum mismatch" in err and "rerun stage 'train'" in err
+
     def test_provider_failure_exits_4(self, project, capsys, monkeypatch):
         import tabret.embed as embed_module
         from tabret.httpjson import ProviderError

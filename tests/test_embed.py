@@ -1,6 +1,9 @@
 """Embedding providers, normalization, and the content-addressed cache."""
 
+import hashlib
+import itertools
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import tabret.embed as embed_mod
 from tabret.embed import (
+    ARTIFACT_FORMAT,
     CacheCorruptionError,
     EmbeddingCache,
     ProviderConfig,
@@ -17,9 +21,23 @@ from tabret.embed import (
     mock_embed,
     normalize,
 )
+from tabret.fsio import checksum
 from tabret.httpjson import ProviderError
 
 GOLDEN = Path(__file__).parent / "data" / "golden_mock_alice_dim64.json"
+
+
+def reference_mock_embed(text, dim):
+    """The per-gram loop mock_embed is defined by, one SHA-256 per gram."""
+    acc = np.zeros(dim)
+    grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else ([text] if text else [])
+    for gram in grams:
+        digest = hashlib.sha256(gram.encode("utf-8")).digest()
+        acc[int.from_bytes(digest[:8], "big") % dim] += 1.0 if digest[8] & 1 else -1.0
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        acc[0] = norm = 1.0
+    return acc / norm
 
 
 def mock_cfg(dim=64, **kw):
@@ -116,6 +134,19 @@ class TestEmbedTextsMock:
         with pytest.raises(ValueError, match="at least one"):
             embed_texts(mock_cfg(), [], None)
 
+    # a small alphabet repeats grams across texts and cancels some to zero
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ab c:\u00e9", max_size=40), min_size=1, max_size=12),
+        st.sampled_from([8, 13, 64]),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_batch_bitwise_equal_to_per_text_mock_embed(self, texts, dim, batch_size):
+        out = embed_texts(mock_cfg(dim=dim, batch_size=batch_size), texts, None)
+        for row, text in zip(out, texts):
+            assert row.tobytes() == mock_embed(text, dim).tobytes()
+            assert row.tobytes() == reference_mock_embed(text, dim).tobytes()
+
 
 class TestCache:
     def test_put_get_round_trip(self, tmp_path, rng):
@@ -158,6 +189,67 @@ class TestCache:
         with pytest.raises(CacheCorruptionError):
             fresh.get("t")
 
+    def _one_record(self, tmp_path):
+        cache = EmbeddingCache(tmp_path, "m1")
+        cache.put("t", np.array([0.6, 0.8]))
+        return cache.bin_path
+
+    def test_record_layout_and_trailer(self, tmp_path):
+        raw = self._one_record(tmp_path).read_bytes()
+        assert len(raw) == 4 + 8 * 2 + 8
+        assert raw[-8:] == checksum(raw[:-8])
+
+    def test_every_single_byte_flip_rejected(self, tmp_path):
+        path = self._one_record(tmp_path)
+        raw = path.read_bytes()
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CacheCorruptionError):
+                EmbeddingCache(tmp_path, "m1").get("t")
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
+        path = self._one_record(tmp_path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(CacheCorruptionError, match="truncated"):
+            EmbeddingCache(tmp_path, "m1").get("t")
+
+    def test_put_many_skips_cached_and_repeated_texts(self, tmp_path, rng):
+        cache = EmbeddingCache(tmp_path, "m1")
+        a, b = normalize(rng.normal(size=4)), normalize(rng.normal(size=4))
+        cache.put("a", a)
+        cache.put_many(["a", "b", "b"], [b, b, a])
+        assert cache.bin_path.stat().st_size == 2 * (4 + 8 * 4 + 8)
+        assert len(cache.idx_path.read_text().splitlines()) == 2
+        fresh = EmbeddingCache(tmp_path, "m1")
+        np.testing.assert_array_equal(fresh.get("a"), a)
+        np.testing.assert_array_equal(fresh.get("b"), b)
+
+    def test_torn_index_line_dropped(self, tmp_path, rng):
+        # fault injection: a kill in the middle of the index append
+        cache = EmbeddingCache(tmp_path, "m1")
+        v, w = normalize(rng.normal(size=8)), normalize(rng.normal(size=8))
+        cache.put("t", v)
+        with cache.idx_path.open("a") as fh:
+            fh.write('{"key": "ab')
+        reopened = EmbeddingCache(tmp_path, "m1")
+        np.testing.assert_array_equal(reopened.get("t"), v)
+        reopened.put("u", w)
+        again = EmbeddingCache(tmp_path, "m1")
+        np.testing.assert_array_equal(again.get("t"), v)
+        np.testing.assert_array_equal(again.get("u"), w)
+
+    def test_cache_of_an_older_format_is_ignored(self, tmp_path):
+        cache = EmbeddingCache(tmp_path, "m1")
+        assert cache.bin_path.name.endswith(f".v{ARTIFACT_FORMAT}.bin")
+        # a format-1 cache (CRC-64 trailers) under the names it used
+        old = lambda p: p.with_name(p.name.replace(f".v{ARTIFACT_FORMAT}", ""))
+        old(cache.bin_path).write_bytes(b"\x02\x00\x00\x00" + bytes(24))
+        old(cache.idx_path).write_text(json.dumps({"key": cache.key("t"), "offset": 0}) + "\n")
+        assert EmbeddingCache(tmp_path, "m1").get("t") is None
+
     def test_embed_texts_populates_and_reuses_cache(self, tmp_path, monkeypatch):
         cfg = mock_cfg()
         cache = EmbeddingCache(tmp_path, cfg.model_name)
@@ -173,14 +265,21 @@ class TestCache:
 class FakeHttp:
     """Supplies an OpenAI-style embeddings endpoint; records calls."""
 
-    def __init__(self, dim=8, fail_times=0, scramble_order=False):
+    def __init__(self, dim=8, fail_times=0, scramble_order=False, fail_on=()):
         self.dim = dim
         self.calls = []
         self.fail_times = fail_times
         self.scramble_order = scramble_order
+        # 1-based numbers of the requests that fail, and their inputs
+        self.fail_on = set(fail_on)
+        self.failed_inputs = []
+        self._numbers = itertools.count(1)
 
     def __call__(self, url, payload, headers=None, timeout=60):
         self.calls.append((url, json.loads(json.dumps(payload)), headers))
+        if next(self._numbers) in self.fail_on:
+            self.failed_inputs.append(payload["input"])
+            raise ProviderError("simulated transport failure")
         if self.fail_times > 0:
             self.fail_times -= 1
             raise ProviderError("simulated transport failure")
@@ -244,6 +343,50 @@ class TestHttpProvider:
         embed_texts(self.http_cfg(), ["a"], None)
         _, _, headers = fake.calls[0]
         assert not headers or "Authorization" not in headers
+
+
+class TestHttpBatchPersistence:
+    def http_cfg(self, workers):
+        return ProviderConfig(
+            kind="http", model_name="remote-model", dim=8, endpoint="http://fake.test",
+            batch_size=2, max_parallel_requests=workers,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_request_keeps_other_batches_and_rerun_sends_only_it(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # fault injection: the 3rd of 4 batch requests fails
+        cfg = self.http_cfg(workers)
+        texts = [f"text {'x' * i}" for i in range(8)]
+        failing = FakeHttp(dim=8, fail_on={3})
+        monkeypatch.setattr(embed_mod, "post_json", failing)
+        with pytest.raises(ProviderError, match="simulated"):
+            embed_texts(cfg, texts, EmbeddingCache(tmp_path, cfg.model_name))
+        assert len(failing.calls) == 4 and len(failing.failed_inputs) == 1
+
+        rerun = FakeHttp(dim=8)
+        monkeypatch.setattr(embed_mod, "post_json", rerun)
+        out = embed_texts(cfg, texts, EmbeddingCache(tmp_path, cfg.model_name))
+        assert [payload["input"] for _, payload, _ in rerun.calls] == failing.failed_inputs
+        np.testing.assert_array_equal(out, embed_texts(cfg, texts, None))
+
+    def test_cache_bytes_do_not_depend_on_request_order(self, tmp_path, monkeypatch):
+        texts = [f"text {'x' * i}" for i in range(9)]
+        fake = FakeHttp(dim=8)
+
+        def first_batch_answers_last(url, payload, headers=None, timeout=60):
+            if payload["input"][0] == texts[0]:
+                time.sleep(0.05)
+            return fake(url, payload, headers, timeout)
+
+        monkeypatch.setattr(embed_mod, "post_json", first_batch_answers_last)
+        files = []
+        for workers in (1, 4):
+            cache = EmbeddingCache(tmp_path / str(workers), "remote-model")
+            embed_texts(self.http_cfg(workers), texts, cache)
+            files.append((cache.bin_path.read_bytes(), cache.idx_path.read_bytes()))
+        assert files[0] == files[1]
 
 
 class TestProviderConfig:

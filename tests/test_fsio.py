@@ -1,4 +1,4 @@
-"""Checksums, atomic writes, JSONL, binary matrices, manifest, lock."""
+"""Checksums, atomic writes, JSONL and logs, binary matrices, manifest, lock."""
 
 import json
 import os
@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabret.fsio import (
+    ARTIFACT_FORMAT,
+    ArtifactError,
     Manifest,
     WorkspaceLock,
     atomic_write_bytes,
     atomic_write_text,
-    crc64,
+    checksum,
     read_jsonl,
+    read_log,
     read_matrix_bin,
     sha256_json,
     write_jsonl,
@@ -21,30 +24,16 @@ from tabret.fsio import (
 )
 
 
-class TestCrc64:
+class TestChecksum:
     def test_check_value(self):
-        # published check value for CRC-64/XZ
-        assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-
-    def test_empty_is_zero(self):
-        assert crc64(b"") == 0
-
-    def test_streaming_equals_one_shot(self):
-        data = b"hello world, hello checksums"
-        running = crc64(data[:7])
-        running = crc64(data[7:], running)
-        assert running == crc64(data)
-
-    @given(st.binary(max_size=200), st.integers(min_value=0, max_value=199))
-    def test_streaming_split_anywhere(self, data, cut):
-        cut = min(cut, len(data))
-        assert crc64(data[cut:], crc64(data[:cut])) == crc64(data)
+        # pins the trailer: BLAKE2b at digest_size 8, raw bytes
+        assert checksum(b"123456789").hex() == "7e73edbfe1aa9531"
 
     def test_detects_single_bit_flip(self):
         data = bytearray(b"some stable artifact bytes")
-        reference = crc64(bytes(data))
+        reference = checksum(bytes(data))
         data[5] ^= 0x20
-        assert crc64(bytes(data)) != reference
+        assert checksum(bytes(data)) != reference
 
 
 class TestAtomicWrites:
@@ -109,6 +98,33 @@ class TestMatrixBin:
         with pytest.raises(ValueError):
             read_matrix_bin(p)
 
+    def test_layout_and_trailer(self, tmp_path):
+        p = tmp_path / "m.bin"
+        m = np.arange(6, dtype=np.float64).reshape(2, 3)
+        write_matrix_bin(p, m)
+        raw = p.read_bytes()
+        assert len(raw) == 16 + 8 * m.size
+        assert raw[-8:] == checksum(raw[:-8])
+
+    def test_every_single_byte_flip_rejected(self, tmp_path, rng):
+        p = tmp_path / "m.bin"
+        write_matrix_bin(p, rng.normal(size=(2, 3)))
+        raw = p.read_bytes()
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            p.write_bytes(bytes(flipped))
+            with pytest.raises(ArtifactError, match="checksum"):
+                read_matrix_bin(p)
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, rng, cut):
+        p = tmp_path / "m.bin"
+        write_matrix_bin(p, rng.normal(size=(2, 3)))
+        p.write_bytes(p.read_bytes()[:-cut])
+        with pytest.raises(ArtifactError):
+            read_matrix_bin(p)
+
 
 class TestManifest:
     def _touch(self, path, text):
@@ -165,6 +181,72 @@ class TestManifest:
     def test_unknown_stage_not_fresh(self, tmp_path):
         assert not Manifest(tmp_path).is_fresh("embed", "whatever")
 
+    def _recorded(self, tmp_path):
+        src = self._touch(tmp_path / "in.txt", "input")
+        out = self._touch(tmp_path / "out.txt", "output")
+        Manifest(tmp_path).record("embed", "cfg123", [src], [out], 0.5)
+        return tmp_path / "manifest.jsonl"
+
+    def test_entry_records_artifact_format(self, tmp_path):
+        entry = json.loads(self._recorded(tmp_path).read_text())
+        assert entry["artifact_format"] == ARTIFACT_FORMAT
+
+    @pytest.mark.parametrize("stored", [None, ARTIFACT_FORMAT - 1])
+    def test_entry_of_another_format_is_stale(self, tmp_path, stored):
+        # a workspace written under an older artifact layout rebuilds
+        path = self._recorded(tmp_path)
+        entry = json.loads(path.read_text())
+        if stored is None:
+            del entry["artifact_format"]
+        else:
+            entry["artifact_format"] = stored
+        path.write_text(json.dumps(entry) + "\n")
+        assert not Manifest(tmp_path).is_fresh("embed", "cfg123")
+
+    def test_torn_final_line_dropped_and_next_record_readable(self, tmp_path):
+        # fault injection: a kill in the middle of record()'s append
+        path = self._recorded(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"stage": "ev')
+        man = Manifest(tmp_path)
+        assert man.is_fresh("embed", "cfg123")
+        out = self._touch(tmp_path / "report.txt", "r")
+        man.record("eval", "cfgE", [], [out], 0.1)
+        reloaded = Manifest(tmp_path)
+        assert reloaded.is_fresh("embed", "cfg123") and reloaded.is_fresh("eval", "cfgE")
+
+    def test_bad_line_before_the_last_still_raises(self, tmp_path):
+        path = self._recorded(tmp_path)
+        good = path.read_text()
+        path.write_text('{"stage": "ev\n' + good)
+        with pytest.raises(ValueError, match=":1"):
+            Manifest(tmp_path)
+
+
+class TestReadLog:
+    def test_missing_log_is_empty(self, tmp_path):
+        assert read_log(tmp_path / "absent.jsonl") == []
+
+    def test_unterminated_last_line_that_parses_is_kept_and_terminated(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"a": 1}\n{"a": 2}')
+        assert read_log(p) == [{"a": 1}, {"a": 2}]
+        assert p.read_text() == '{"a": 1}\n{"a": 2}\n'
+
+    # torn JSON, a torn UTF-8 sequence, and a JSON value that is not an object
+    @pytest.mark.parametrize("tail", [b'{"a": ', b"[1, 2", b"\xe2\x82", b"7"])
+    def test_torn_last_line_is_dropped_and_cut(self, tmp_path, tail):
+        p = tmp_path / "log.jsonl"
+        p.write_bytes(b'{"a": 1}\n' + tail)
+        assert read_log(p) == [{"a": 1}]
+        assert p.read_text() == '{"a": 1}\n'
+
+    def test_terminated_bad_last_line_raises(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"a": 1}\n{"a": \n')
+        with pytest.raises(ValueError, match=":2"):
+            read_log(p)
+
 
 class TestWorkspaceLock:
     def test_exclusive(self, tmp_path):
@@ -175,6 +257,12 @@ class TestWorkspaceLock:
     def test_released_on_exit(self, tmp_path):
         with WorkspaceLock(tmp_path):
             pass
+        with WorkspaceLock(tmp_path):
+            pass
+
+    def test_lock_file_left_by_a_killed_run_does_not_block(self, tmp_path):
+        # the kernel drops a dead holder's flock; only the file remains
+        (tmp_path / ".lock").write_text("12345")
         with WorkspaceLock(tmp_path):
             pass
 

@@ -215,6 +215,74 @@ class TestRunPipeline:
         assert exc_info.value.exit_code == 2
 
 
+def _flip_byte(path: Path, at: int) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[at] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+class TestDamagedWorkspace:
+    """Fault injection: torn logs, corrupt artifacts, older formats."""
+
+    @pytest.mark.parametrize(
+        "artifact, stage, producer",
+        [
+            ("instance_embeddings.bin", "cluster", "embed"),
+            ("adapter.bin", "index", "train"),
+            ("adapter.bin", "eval", "train"),
+            ("index/vectors.bin", "eval", "index"),
+        ],
+    )
+    def test_corrupt_artifact_exits_3_naming_the_stage_to_rerun(
+        self, pipeline_cfg, artifact, stage, producer
+    ):
+        run_pipeline(pipeline_cfg, "all")
+        path = pipeline_cfg.workspace / artifact
+        _flip_byte(path, path.stat().st_size // 2)
+        with pytest.raises(StageError, match=f"; rerun stage '{producer}'$") as exc_info:
+            run_pipeline(pipeline_cfg, stage)
+        assert exc_info.value.exit_code == 3
+        # the remedy restores the exact bytes, so the stage is fresh again
+        assert [r.status for r in run_pipeline(pipeline_cfg, producer)] == ["ran"]
+        assert [r.status for r in run_pipeline(pipeline_cfg, stage)] == ["fresh"]
+
+    def test_corrupt_cache_record_exits_3_naming_the_cache(self, pipeline_cfg):
+        run_pipeline(pipeline_cfg, "all")
+        (cache_bin,) = pipeline_cfg.cache_dir.glob("*.bin")
+        # records are 4 + 8 * 32 + 8 bytes long: this hits every one
+        for at in range(10, cache_bin.stat().st_size, 100):
+            _flip_byte(cache_bin, at)
+        (pipeline_cfg.workspace / "index" / "vectors.bin").unlink()
+        with pytest.raises(StageError, match="remove the embedding cache") as exc_info:
+            run_pipeline(pipeline_cfg, "index")
+        assert exc_info.value.exit_code == 3
+
+    def test_torn_manifest_line_keeps_the_workspace_usable(self, pipeline_cfg):
+        run_pipeline(pipeline_cfg, "all")
+        manifest = pipeline_cfg.workspace / "manifest.jsonl"
+        with manifest.open("a") as fh:
+            fh.write('{"stage": "ev')
+        assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
+        (pipeline_cfg.workspace / "report.json").unlink()
+        assert run_pipeline(pipeline_cfg, "eval")[0].status == "ran"
+        assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
+
+    def test_workspace_of_an_older_format_rebuilds(self, pipeline_cfg):
+        run_pipeline(pipeline_cfg, "all")
+        ws = pipeline_cfg.workspace
+        # format-1 manifest entries carry no artifact_format, and format-1
+        # binaries end in a trailer the current reader rejects
+        manifest = ws / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for entry in entries:
+            del entry["artifact_format"]
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        for name in ("instance_embeddings.bin", "adapter.bin", "index/vectors.bin"):
+            _flip_byte(ws / name, -1)
+        results = run_pipeline(pipeline_cfg, "all")
+        assert all(r.status == "ran" for r in results)
+
+
 class TestHoldoutHygiene:
     def test_heldout_queries_never_enter_mining(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")

@@ -1,14 +1,18 @@
 """Contrastive training: loss against a high-precision oracle, exact
 gradients against finite differences, optimizer behavior, adapter I/O."""
 
+import struct
+
 import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from tabret.fsio import checksum
 from tabret.mining import TrainingTriple
 from tabret.train import (
     ADAPTER_MAGIC,
+    ADAPTER_VERSION,
     Adapter,
     AdapterFormatError,
     TrainConfig,
@@ -351,31 +355,44 @@ class TestAdapterIO:
         with pytest.raises(AdapterFormatError):
             load_adapter(str(path))
 
+    def test_every_single_byte_flip_rejected(self, tmp_path):
+        path = tmp_path / "adapter.bin"
+        save_adapter(Adapter(W=np.arange(4.0).reshape(2, 2)), str(path))
+        blob = path.read_bytes()
+        for i in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[i] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(AdapterFormatError):
+                load_adapter(str(path))
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
+        path = tmp_path / "adapter.bin"
+        save_adapter(Adapter.identity(2), str(path))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(AdapterFormatError):
+            load_adapter(str(path))
+
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
         # rebuild the container by hand with a bumped version field
-        import struct
-
-        from tabret.fsio import crc64
-
         w = np.eye(3)
         payload = (
             ADAPTER_MAGIC + struct.pack("<II", 99, 3) + w.astype("<f8").tobytes()
         )
-        path.write_bytes(payload + struct.pack("<Q", crc64(payload)))
+        path.write_bytes(payload + checksum(payload))
         with pytest.raises(AdapterFormatError, match="version 99"):
             load_adapter(str(path))
 
     def test_payload_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
-        import struct
-
-        from tabret.fsio import crc64
-
         # claims dim 3 but carries a 2x2 matrix
         payload = (
-            ADAPTER_MAGIC + struct.pack("<II", 1, 3) + np.eye(2).astype("<f8").tobytes()
+            ADAPTER_MAGIC
+            + struct.pack("<II", ADAPTER_VERSION, 3)
+            + np.eye(2).astype("<f8").tobytes()
         )
-        path.write_bytes(payload + struct.pack("<Q", crc64(payload)))
+        path.write_bytes(payload + checksum(payload))
         with pytest.raises(AdapterFormatError, match="size"):
             load_adapter(str(path))
