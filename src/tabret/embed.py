@@ -18,6 +18,7 @@ import os
 import re
 import struct
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,9 +115,12 @@ class EmbeddingCache:
     then the checksum trailer of the preceding bytes. The .idx.jsonl
     sidecar maps the SHA-256 of (model_name, text) to the record's byte
     offset. Both file names carry ARTIFACT_FORMAT, so a cache written in
-    an older layout is ignored rather than misread. Reads are lock-free;
-    writes are serialized on an in-process lock, and each batch is one
-    append to each file, the .bin first.
+    an older layout is never misread; opening the cache deletes the
+    model's pair from before the format was named (<slug>-<tag>.bin and
+    .idx.jsonl), which nothing can read any more. A hit is one pread on a
+    descriptor opened on first use, sized by the last good record. Writes
+    are serialized on an in-process lock, and each batch is one append to
+    each file, the .bin first.
     """
 
     def __init__(self, cache_dir: str | Path, model_name: str) -> None:
@@ -124,11 +128,15 @@ class EmbeddingCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_name)
         tag = hashlib.sha256(model_name.encode("utf-8")).hexdigest()[:8]
+        for unversioned in (f"{slug}-{tag}.bin", f"{slug}-{tag}.idx.jsonl"):
+            (self.cache_dir / unversioned).unlink(missing_ok=True)
         stem = f"{slug}-{tag}.v{ARTIFACT_FORMAT}"
         self.bin_path = self.cache_dir / f"{stem}.bin"
         self.idx_path = self.cache_dir / f"{stem}.idx.jsonl"
         self.model_name = model_name
         self._lock = threading.Lock()
+        self._fd: int | None = None
+        self._record_size = 4
         self._offsets: dict[str, int] = {
             rec["key"]: rec["offset"] for rec in read_log(self.idx_path)
         }
@@ -140,19 +148,27 @@ class EmbeddingCache:
         offset = self._offsets.get(self.key(text))
         if offset is None:
             return None
-        with self.bin_path.open("rb") as fh:
-            fh.seek(offset)
-            head = fh.read(4)
-            dim = struct.unpack("<I", head)[0] if len(head) == 4 else 0
-            size = 8 * dim + CHECKSUM_SIZE
+        fd = self._reader()
+        record = os.pread(fd, self._record_size, offset)
+        dim = struct.unpack_from("<I", record)[0] if len(record) >= 4 else 0
+        size = 4 + 8 * dim + CHECKSUM_SIZE
+        if len(record) < size:
             # a corrupt dim must not turn into a huge read
-            fits = len(head) == 4 and offset + 4 + size <= os.fstat(fh.fileno()).st_size
-            rest = fh.read(size) if fits else b""
-        if not fits:
-            raise CacheCorruptionError(self.bin_path, f"truncated record at {offset}")
-        if checksum(head + rest[:-CHECKSUM_SIZE]) != rest[-CHECKSUM_SIZE:]:
+            if len(record) < 4 or offset + size > os.fstat(fd).st_size:
+                raise CacheCorruptionError(self.bin_path, f"truncated record at {offset}")
+            record = os.pread(fd, size, offset)
+        record = record[:size]
+        if len(record) < size or checksum(record[:-CHECKSUM_SIZE]) != record[-CHECKSUM_SIZE:]:
             raise CacheCorruptionError(self.bin_path, f"checksum mismatch at offset {offset}")
-        return np.frombuffer(rest, dtype="<f8", count=dim).copy()
+        self._record_size = size
+        return np.frombuffer(record, dtype="<f8", count=dim, offset=4).copy()
+
+    def _reader(self) -> int:
+        with self._lock:
+            if self._fd is None:
+                self._fd = os.open(self.bin_path, os.O_RDONLY)
+                weakref.finalize(self, os.close, self._fd)
+            return self._fd
 
     def put(self, text: str, vector: np.ndarray) -> None:
         self.put_many([text], [vector])

@@ -10,7 +10,7 @@ a header line plus its rows in original order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class PartialTable:
     cluster_index: int | None
     row_indices: list[int]
     text: str
-    embedding: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -114,14 +113,10 @@ def build_kpts(
     return out
 
 
-# the persisted fields; embedding is not one of them
-_RECORD_FIELDS = ("pt_id", "table_id", "strategy", "cluster_index", "row_indices", "text")
-
-
 def kpt_to_record(pt: PartialTable) -> dict:
-    return {name: getattr(pt, name) for name in _RECORD_FIELDS}
+    return asdict(pt)
 
 
 def kpt_from_record(rec: dict) -> PartialTable:
-    values = {name: rec[name] for name in _RECORD_FIELDS}
+    values = {f.name: rec[f.name] for f in fields(PartialTable)}
     return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})

@@ -310,10 +310,8 @@ def _stage_mine(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
         raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
     cache = _cache(cfg)
     pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache)
-    for pt, vec in zip(pts, pt_vecs):
-        pt.embedding = vec
     q_vecs = embed_texts(cfg.embedding, [q.text for q in training], cache)
-    triples, skipped = mine_all(training, q_vecs, pts, cfg.mining)
+    triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
     for query_id in skipped:
         log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
     out = ws / "triples.jsonl"

@@ -212,7 +212,6 @@ def test_mining_matches_independent_brute_force():
                 row_indices=[c],
                 text=text,
             )
-            pt.embedding = mock_embed(text, dim)
             pts.append(pt)
         queries.append(
             SyntheticQuery(
@@ -235,8 +234,12 @@ def test_mining_matches_independent_brute_force():
         )
     )
     q_vecs = np.stack([mock_embed(q.text, dim) for q in queries])
+    pt_vecs = {pt.pt_id: mock_embed(pt.text, dim) for pt in pts}
     h = 8
-    triples, skipped = mine_all(queries, q_vecs, pts, MiningConfig(h=h, strategy="hard"))
+    triples, skipped = mine_all(
+        queries, q_vecs, pts, MiningConfig(h=h, strategy="hard"),
+        np.stack([pt_vecs[pt.pt_id] for pt in pts]),
+    )
     assert skipped == []
 
     # brute force: rebuild every triple with scalar dots and an explicit
@@ -245,7 +248,7 @@ def test_mining_matches_independent_brute_force():
     for i in sorted(range(len(queries)), key=lambda i: queries[i].query_id):
         q = queries[i]
         scored = sorted(
-            (-float(np.dot(pt.embedding, q_vecs[i])), pt.pt_id, pt)
+            (-float(np.dot(pt_vecs[pt.pt_id], q_vecs[i])), pt.pt_id, pt)
             for pt in pts
             if pt.table_id != q.table_id
         )
@@ -254,7 +257,7 @@ def test_mining_matches_independent_brute_force():
         window = scored[: h + 1]
         for (s_a, _, pt_a), (s_b, _, pt_b) in zip(window, window[1:]):
             assert s_b - s_a > 1e-9 or np.array_equal(
-                pt_a.embedding, pt_b.embedding
+                pt_vecs[pt_a.pt_id], pt_vecs[pt_b.pt_id]
             ), f"{q.query_id}: ranking is numerically unstable"
         expected.append(
             (q.query_id, q.pt_id, tuple(pid for _, pid, _ in scored[:h]))

@@ -250,6 +250,47 @@ class TestCache:
         old(cache.idx_path).write_text(json.dumps({"key": cache.key("t"), "offset": 0}) + "\n")
         assert EmbeddingCache(tmp_path, "m1").get("t") is None
 
+    def test_opening_removes_only_its_own_older_format_pair(self, tmp_path):
+        cache = EmbeddingCache(tmp_path, "m1")
+        old = lambda p: p.with_name(p.name.replace(f".v{ARTIFACT_FORMAT}", ""))
+        stale = [old(cache.bin_path), old(cache.idx_path)]
+        other_model = EmbeddingCache(tmp_path, "m2")
+        kept = [
+            old(other_model.bin_path),
+            old(other_model.idx_path),
+            tmp_path / "notes.txt",
+            cache.bin_path.with_name(old(cache.bin_path).name + ".bak"),
+        ]
+        cache.put("t", np.array([0.6, 0.8]))
+        for path in stale + kept:
+            path.write_bytes(b"older bytes")
+        reopened = EmbeddingCache(tmp_path, "m1")
+        assert [p.exists() for p in stale] == [False, False]
+        assert all(p.read_bytes() == b"older bytes" for p in kept)
+        np.testing.assert_array_equal(reopened.get("t"), [0.6, 0.8])
+
+    def test_hits_of_mixed_dims_and_records_appended_after_a_hit(self, tmp_path):
+        # the record size a hit reads first comes from the previous hit,
+        # so a longer or shorter record next must still read exactly
+        cache = EmbeddingCache(tmp_path, "m1")
+        short, long = np.array([0.6, 0.8]), normalize(np.arange(1.0, 9.0))
+        cache.put("short", short)
+        np.testing.assert_array_equal(cache.get("short"), short)
+        cache.put("long", long)
+        np.testing.assert_array_equal(cache.get("long"), long)
+        np.testing.assert_array_equal(cache.get("short"), short)
+        np.testing.assert_array_equal(cache.get("long"), long)
+
+    def test_corrupt_dim_after_a_hit_is_not_a_huge_read(self, tmp_path):
+        cache = EmbeddingCache(tmp_path, "m1")
+        cache.put_many(["a", "b"], [np.array([0.6, 0.8]), np.array([0.8, 0.6])])
+        np.testing.assert_array_equal(cache.get("a"), [0.6, 0.8])
+        raw = bytearray(cache.bin_path.read_bytes())
+        raw[28:32] = b"\xff\xff\xff\x7f"  # record b's dim field
+        cache.bin_path.write_bytes(bytes(raw))
+        with pytest.raises(CacheCorruptionError, match="truncated"):
+            cache.get("b")
+
     def test_embed_texts_populates_and_reuses_cache(self, tmp_path, monkeypatch):
         cfg = mock_cfg()
         cache = EmbeddingCache(tmp_path, cfg.model_name)

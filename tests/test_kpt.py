@@ -257,7 +257,7 @@ class TestRecordRoundTrip:
             )
             for pt in pts:
                 back = kpt_from_record(kpt_to_record(pt))
-                assert back == pt  # embedding excluded from comparison by design
+                assert back == pt
 
     def test_record_is_json_plain(self, tiny_table):
         import json

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabret.embed import mock_embed
 from tabret.kpt import PartialTable
 from tabret.mining import (
+    Candidates,
     MiningConfig,
     MiningError,
     TrainingTriple,
@@ -20,17 +23,22 @@ DIM = 32
 
 
 def make_pt(table: int, chunk: int, text: str | None = None) -> PartialTable:
-    text = text or f"table {table} chunk {chunk} with assorted inventory words"
-    pt = PartialTable(
+    return PartialTable(
         pt_id=f"t{table:02d}#kpt_random#{chunk}",
         table_id=f"t{table:02d}",
         strategy="kpt_random",
         cluster_index=chunk,
         row_indices=[chunk],
-        text=text,
+        text=text or f"table {table} chunk {chunk} with assorted inventory words",
     )
-    pt.embedding = mock_embed(text, DIM)
-    return pt
+
+
+def vecs(pts: list[PartialTable]) -> np.ndarray:
+    return np.stack([mock_embed(pt.text, DIM) for pt in pts])
+
+
+def pool(pts: list[PartialTable]) -> Candidates:
+    return Candidates(pts, vecs(pts))
 
 
 def make_query(table: int, chunk: int = 0, ordinal: int = 0) -> SyntheticQuery:
@@ -48,14 +56,16 @@ def corpus_pts() -> list[PartialTable]:
     return [make_pt(t, c) for t in range(8) for c in range(2)]
 
 
-def brute_force_hard(query, q_vec, all_pts, h) -> list[str]:
+def brute_force_hard(query, q_vec, all_pts, h, all_vecs=None) -> list[str]:
     """Independent re-derivation: per-candidate scalar dot products,
     explicit sort on (descending score, ascending id), then cut."""
+    if all_vecs is None:
+        all_vecs = vecs(all_pts)
     ranked = []
-    for pt in all_pts:
+    for pt, vec in zip(all_pts, all_vecs):
         if pt.table_id == query.table_id:
             continue
-        ranked.append((-float(np.dot(pt.embedding, q_vec)), pt.pt_id))
+        ranked.append((-float(np.dot(vec, q_vec)), pt.pt_id))
     ranked.sort()
     return [pt_id for _, pt_id in ranked[: min(h, len(ranked))]]
 
@@ -66,15 +76,39 @@ class TestHardMining:
         for table in range(8):
             query = make_query(table)
             q_vec = mock_embed(query.text, DIM)
-            triple = mine_negatives(query, q_vec, corpus_pts, cfg)
+            triple = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
             assert list(triple.negative_pt_ids) == brute_force_hard(
                 query, q_vec, corpus_pts, cfg.h
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_random_pools(self, data):
+        # small integer vectors: every dot product is exact in any order,
+        # and a pool of few distinct vectors makes exact ties common
+        dim = data.draw(st.integers(1, 4))
+        entry = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        palette = data.draw(st.lists(entry, min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=30))
+        pts, rows = [], []
+        for chunk, (table, colour) in enumerate(picks):
+            pts.append(make_pt(table, chunk))
+            rows.append(palette[colour % len(palette)])
+        pt_vecs = np.array(rows, dtype=np.float64)
+        q_vec = np.array(data.draw(entry), dtype=np.float64)
+        query = make_query(data.draw(st.integers(0, 6)))
+        h = data.draw(st.integers(1, 12))
+        expected = brute_force_hard(query, q_vec, pts, h, pt_vecs)
+        triples, skipped = mine_all([query], q_vec[None], pts, MiningConfig(h=h), pt_vecs)
+        if expected:
+            assert list(triples[0].negative_pt_ids) == expected
+        else:
+            assert skipped == [query.query_id]
+
     def test_never_selects_own_table(self, corpus_pts):
         cfg = MiningConfig(h=100, strategy="hard")
         query = make_query(3)
-        triple = mine_negatives(query, mock_embed(query.text, DIM), corpus_pts, cfg)
+        triple = mine_negatives(query, mock_embed(query.text, DIM), pool(corpus_pts), cfg)
         assert all(not pt_id.startswith("t03#") for pt_id in triple.negative_pt_ids)
         # own table has 2 of the 16 chunks; everything else is taken
         assert len(triple.negative_pt_ids) == 14
@@ -82,7 +116,7 @@ class TestHardMining:
     def test_h_clamps_to_candidate_count(self, corpus_pts):
         query = make_query(0)
         q_vec = mock_embed(query.text, DIM)
-        triple = mine_negatives(query, q_vec, corpus_pts, MiningConfig(h=999))
+        triple = mine_negatives(query, q_vec, pool(corpus_pts), MiningConfig(h=999))
         assert len(triple.negative_pt_ids) == 14
 
     def test_exact_score_ties_break_by_pt_id(self):
@@ -97,22 +131,22 @@ class TestHardMining:
             make_pt(9, 0),
         ]
         query = make_query(9)
-        triple = mine_negatives(query, mock_embed(shared, DIM), pts, MiningConfig(h=2))
+        triple = mine_negatives(query, mock_embed(shared, DIM), pool(pts), MiningConfig(h=2))
         assert list(triple.negative_pt_ids) == ["t02#kpt_random#0", "t05#kpt_random#0"]
 
     def test_insensitive_to_candidate_list_order(self, corpus_pts, rng):
         cfg = MiningConfig(h=6)
         query = make_query(1)
         q_vec = mock_embed(query.text, DIM)
-        baseline = mine_negatives(query, q_vec, corpus_pts, cfg)
+        baseline = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
         shuffled = list(corpus_pts)
         rng.shuffle(shuffled)
-        assert mine_negatives(query, q_vec, shuffled, cfg) == baseline
+        assert mine_negatives(query, q_vec, pool(shuffled), cfg) == baseline
 
     def test_triple_fields(self, corpus_pts):
         query = make_query(4, chunk=1, ordinal=2)
         q_vec = mock_embed(query.text, DIM)
-        triple = mine_negatives(query, q_vec, corpus_pts, MiningConfig(h=3))
+        triple = mine_negatives(query, q_vec, pool(corpus_pts), MiningConfig(h=3))
         assert triple.query_id == "t04#kpt_random#1#q2"
         assert triple.positive_pt_id == "t04#kpt_random#1"
         assert triple.strategy == "hard"
@@ -123,8 +157,8 @@ class TestRandomMining:
         cfg = MiningConfig(h=5, strategy="random", seed=11)
         query = make_query(2)
         q_vec = mock_embed(query.text, DIM)
-        a = mine_negatives(query, q_vec, corpus_pts, cfg)
-        b = mine_negatives(query, q_vec, corpus_pts, cfg)
+        a = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
+        b = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
         assert a == b
 
     def test_seed_changes_draw(self, corpus_pts):
@@ -132,7 +166,7 @@ class TestRandomMining:
         q_vec = mock_embed(query.text, DIM)
         draws = {
             mine_negatives(
-                query, q_vec, corpus_pts, MiningConfig(h=5, strategy="random", seed=s)
+                query, q_vec, pool(corpus_pts), MiningConfig(h=5, strategy="random", seed=s)
             ).negative_pt_ids
             for s in range(6)
         }
@@ -144,7 +178,7 @@ class TestRandomMining:
             mine_negatives(
                 make_query(2, ordinal=i),
                 mock_embed("same text", DIM),
-                corpus_pts,
+                pool(corpus_pts),
                 cfg,
             ).negative_pt_ids
             for i in range(6)
@@ -154,7 +188,7 @@ class TestRandomMining:
     def test_ignores_similarity_but_respects_eligibility(self, corpus_pts):
         cfg = MiningConfig(h=100, strategy="random", seed=3)
         query = make_query(6)
-        triple = mine_negatives(query, mock_embed(query.text, DIM), corpus_pts, cfg)
+        triple = mine_negatives(query, mock_embed(query.text, DIM), pool(corpus_pts), cfg)
         assert len(triple.negative_pt_ids) == 14
         assert len(set(triple.negative_pt_ids)) == 14
         assert all(not pt_id.startswith("t06#") for pt_id in triple.negative_pt_ids)
@@ -165,10 +199,10 @@ class TestRandomMining:
         cfg = MiningConfig(h=4, strategy="random", seed=9)
         query = make_query(1)
         q_vec = mock_embed(query.text, DIM)
-        baseline = mine_negatives(query, q_vec, corpus_pts, cfg)
+        baseline = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
         shuffled = list(corpus_pts)
         rng.shuffle(shuffled)
-        assert mine_negatives(query, q_vec, shuffled, cfg) == baseline
+        assert mine_negatives(query, q_vec, pool(shuffled), cfg) == baseline
 
 
 class TestEligibility:
@@ -176,44 +210,43 @@ class TestEligibility:
         pts = [make_pt(1, 0), make_pt(1, 1)]
         query = make_query(1)
         with pytest.raises(MiningError, match="t01"):
-            mine_negatives(query, mock_embed(query.text, DIM), pts, MiningConfig())
+            mine_negatives(query, mock_embed(query.text, DIM), pool(pts), MiningConfig())
 
 
 class TestMineAll:
     def test_sorted_by_query_id_and_aligned(self, corpus_pts):
         queries = [make_query(t, ordinal=o) for t in (5, 1, 3) for o in (1, 0)]
-        vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
-        triples, skipped = mine_all(queries, vecs, corpus_pts, MiningConfig(h=4))
+        q_vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
+        triples, skipped = mine_all(queries, q_vecs, corpus_pts, MiningConfig(h=4), vecs(corpus_pts))
         assert skipped == []
         assert [t.query_id for t in triples] == sorted(q.query_id for q in queries)
         # each triple matches mining its own query directly
-        by_id = {q.query_id: (q, v) for q, v in zip(queries, vecs)}
+        by_id = {q.query_id: (q, v) for q, v in zip(queries, q_vecs)}
         for triple in triples:
             q, v = by_id[triple.query_id]
-            assert triple == mine_negatives(q, v, corpus_pts, MiningConfig(h=4))
+            assert triple == mine_negatives(q, v, pool(corpus_pts), MiningConfig(h=4))
 
     def test_skips_queries_without_candidates(self):
         # the pool holds only the query's own table, so there is nothing
         # eligible and the query lands in the skip list instead of failing
         query = make_query(9)
-        vecs = np.stack([mock_embed(query.text, DIM)])
-        triples, skipped = mine_all([query], vecs, [make_pt(9, 0)], MiningConfig(h=2))
+        q_vecs = np.stack([mock_embed(query.text, DIM)])
+        only_own = [make_pt(9, 0)]
+        triples, skipped = mine_all([query], q_vecs, only_own, MiningConfig(h=2), vecs(only_own))
         assert triples == []
         assert skipped == ["t09#kpt_random#0#q0"]
 
     def test_misaligned_vectors_rejected(self, corpus_pts):
         queries = [make_query(0)]
-        vecs = np.zeros((2, DIM))
-        with pytest.raises(ValueError, match="align"):
-            mine_all(queries, vecs, corpus_pts, MiningConfig())
+        q_vecs = np.zeros((2, DIM))
+        with pytest.raises(ValueError, match="query_vecs must align"):
+            mine_all(queries, q_vecs, corpus_pts, MiningConfig(), vecs(corpus_pts))
 
-    def test_missing_embedding_rejected(self, corpus_pts):
-        bare = make_pt(7, 1)
-        bare.embedding = None
+    def test_misaligned_pt_vecs_rejected(self, corpus_pts):
         queries = [make_query(0)]
-        vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
-        with pytest.raises(ValueError, match="no embedding"):
-            mine_all(queries, vecs, corpus_pts + [bare], MiningConfig())
+        q_vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
+        with pytest.raises(ValueError, match="pt_vecs must align"):
+            mine_all(queries, q_vecs, corpus_pts, MiningConfig(), vecs(corpus_pts)[:-1])
 
 
 class TestConfigValidation:

@@ -1,7 +1,13 @@
 """Retrieval index: fusion rules, hand-counted recall, persistence."""
 
+import functools
+import operator
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tabret.retrieval as retrieval
 from tabret.embed import ProviderConfig, mock_embed
@@ -45,6 +51,76 @@ def hand_index(rows: list[tuple[str, str, list[float]]], fusion: str = "max"):
     )
 
 
+def ranked(index: RetrievalIndex, q_vec: np.ndarray) -> list[tuple[str, float]]:
+    """rank_tables as (table_id, fused score) pairs, best first."""
+    order, fused = rank_tables(index, q_vec)
+    return [(index.tables[i], float(fused[i])) for i in order]
+
+
+def reference_rank_tables(index: RetrievalIndex, q_vec: np.ndarray) -> list[tuple[str, float]]:
+    """The dict-based ranker that rank_tables replaced, kept as the oracle.
+
+    Mean fusion folds each table's scores left to right, which is what
+    sum() does up to Python 3.11 (3.12's sum compensates).
+    """
+    scores = np.dot(index.vectors, q_vec)
+    table_scores: dict[str, list[float]] = {}
+    for table_id, score in zip(index.table_ids, scores):
+        table_scores.setdefault(table_id, []).append(float(score))
+    if index.fusion == "max":
+        fused = {t: max(v) for t, v in table_scores.items()}
+    else:
+        fused = {t: functools.reduce(operator.add, v, 0.0) / len(v) for t, v in table_scores.items()}
+    return sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+TABLE_NAMES = ["a", "a!", "a#b", "b", "b-1", "c", "c10", "c9", "z", "Z"]
+
+
+@st.composite
+def random_index(draw):
+    """1-9 partial tables per table, rows interleaved across tables, each
+    vector drawn from a small pool so tables share vectors and tie exactly."""
+    dim = draw(st.integers(2, 5))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, width=64)
+    pool = draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    tables = draw(st.lists(st.sampled_from(TABLE_NAMES), min_size=1, max_size=8, unique=True))
+    rows = [
+        (table, pool[pick])
+        for table in tables
+        for pick in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9))
+    ]
+    rows = draw(st.permutations(rows))
+    index = RetrievalIndex(
+        pt_ids=[f"{t}#kpt_random#{i}" for i, (t, _) in enumerate(rows)],
+        table_ids=[t for t, _ in rows],
+        vectors=np.array([v for _, v in rows], dtype=np.float64),
+        fusion=draw(st.sampled_from(["max", "mean"])),
+    )
+    queries = draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    return index, np.array(queries, dtype=np.float64)
+
+
+class TestAgainstReferenceRanker:
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_index(), data=st.data())
+    def test_search_and_evaluate_match_the_dict_ranker(self, case, data):
+        index, q_vecs = case
+        texts = [f"query {i}" for i in range(len(q_vecs))]
+        by_text = dict(zip(texts, q_vecs))
+        fake_embed = lambda provider, batch, cache=None: np.array([by_text[t] for t in batch])
+        with mock.patch.object(retrieval, "embed_texts", fake_embed):
+            gold = []
+            for text, q_vec in zip(texts, q_vecs):
+                expected = reference_rank_tables(index, q_vec)
+                assert ranked(index, q_vec) == expected
+                top_k = data.draw(st.integers(1, len(index.tables)))
+                assert search(index, text, MOCK, top_k=top_k) == expected[:top_k]
+                gold += [(text, t, rank) for rank, (t, _) in enumerate(expected, start=1)]
+            report = evaluate(index, [(text, t) for text, t, _ in gold], MOCK)
+        assert report.ranks == [rank for _, _, rank in gold]
+
+
 class TestFusion:
     # table A holds two orthogonal chunks, table B one diagonal chunk;
     # for q = e1 the fusions disagree: max sees A's perfect chunk (1.0
@@ -56,13 +132,13 @@ class TestFusion:
     ]
 
     def test_max_fusion_rewards_best_chunk(self):
-        ranking = rank_tables(hand_index(self.rows, "max"), np.array([1.0, 0.0]))
+        ranking = ranked(hand_index(self.rows, "max"), np.array([1.0, 0.0]))
         assert [t for t, _ in ranking] == ["A", "B"]
         assert ranking[0][1] == pytest.approx(1.0)
         assert ranking[1][1] == pytest.approx(np.sqrt(0.5))
 
     def test_mean_fusion_averages_chunks(self):
-        ranking = rank_tables(hand_index(self.rows, "mean"), np.array([1.0, 0.0]))
+        ranking = ranked(hand_index(self.rows, "mean"), np.array([1.0, 0.0]))
         assert [t for t, _ in ranking] == ["B", "A"]
         assert dict(ranking)["A"] == pytest.approx(0.5)
 
@@ -72,11 +148,11 @@ class TestFusion:
             ("alpha#kpt_random#0", "alpha", [1.0, 0.0]),
             ("mid#kpt_random#0", "mid", [0.5, 0.5]),
         ]
-        ranking = rank_tables(hand_index(rows), np.array([1.0, 0.0]))
+        ranking = ranked(hand_index(rows), np.array([1.0, 0.0]))
         assert [t for t, _ in ranking] == ["alpha", "zeta", "mid"]
 
     def test_ranking_covers_every_table_once(self):
-        ranking = rank_tables(hand_index(self.rows), np.array([0.3, 0.7]))
+        ranking = ranked(hand_index(self.rows), np.array([0.3, 0.7]))
         assert sorted(t for t, _ in ranking) == ["A", "B"]
 
 
@@ -204,7 +280,7 @@ class TestBuildIndexAndSearch:
         index = build_index(pts, None, MOCK, adapter=adapter)
         got = search(index, "some probe text", MOCK)
         q_vec = adapter_apply(adapter, mock_embed("some probe text", 32))
-        assert got == rank_tables(index, q_vec)
+        assert got == ranked(index, q_vec)[:10]
 
     def test_identity_adapter_matches_no_adapter(self):
         pts = [make_pt(f"t{i}#kpt_random#0", f"t{i}", f"h\nh: item {i}") for i in range(4)]
