@@ -21,7 +21,6 @@ class ClusteringConfig:
     r: int = 10
     k_max: int = 5
     max_iters: int = 100
-    tol: float = 1e-6
     seed: int = 0
     n_init: int = 10
 
@@ -32,8 +31,6 @@ class ClusteringConfig:
             raise ValueError("k_max must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         if self.n_init < 1:
             raise ValueError("n_init must be >= 1")
 

@@ -82,7 +82,7 @@ class PipelineConfig:
                 **_fields(chat, "max_parallel_requests"),
                 "auth_token_env": self.chat_auth_env,
             },
-            "clustering": _fields(self.clustering, "r", "k_max", "max_iters", "tol", "n_init"),
+            "clustering": _fields(self.clustering, "r", "k_max", "max_iters", "n_init"),
             "kpt": {"strategy": self.kpt_strategy, **_fields(self.kpt, "s", "first_rows_k")},
             "genq": _fields(self.genq, "n_q", "temperature", "max_tokens", "lang", "max_retries"),
             "mining": _fields(self.mining, "strategy", "h"),
@@ -266,7 +266,6 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         r=clu.take("r", int, 10),
         k_max=clu.take("k_max", int, 5),
         max_iters=clu.take("max_iters", int, 100),
-        tol=clu.take("tol", float, 1e-6),
         seed=seed,
         n_init=clu.take("n_init", int, 10),
     )

@@ -67,18 +67,6 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for the zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def mock_embed(text: str, dim: int, memo: dict[str, int] | None = None) -> np.ndarray:
     """Deterministic local embedding: hash character 3-grams into dim buckets.
 

@@ -4,7 +4,9 @@ Every artifact write goes through atomic_write_* (temp file in the same
 directory, fsync, os.replace) so an interrupted stage never leaves a
 truncated file behind. The manifest records, per completed stage, the
 hashes of its config slice and of its input and output files; a stage
-whose recorded hashes all still match is skipped on re-run.
+whose recorded hashes all still match is skipped on re-run. A pipeline
+run's manifest memoizes each file's SHA-256 for that run, so a file read
+by several stages is hashed once; outputs are hashed again as written.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -153,11 +155,19 @@ class Manifest:
     entry for a stage wins. A stage is a cache hit when its entry has the
     current ARTIFACT_FORMAT, its config hash matches, and every recorded
     input and output file still hashes the same.
+
+    With memoize, each file is hashed at most once for the manifest's
+    lifetime, except that record hashes again the outputs its stage has
+    just written. That is sound only while no file changes other than
+    through recorded outputs, so a pipeline run builds one such manifest
+    under the workspace lock and drops it when the run ends. Without
+    memoize, every call hashes the files anew.
     """
 
-    def __init__(self, workspace: str | Path) -> None:
+    def __init__(self, workspace: str | Path, memoize: bool = False) -> None:
         self.workspace = Path(workspace)
         self.path = self.workspace / "manifest.jsonl"
+        self._digests: dict[str, str] | None = {} if memoize else None
         self._entries: dict[str, dict] = {}
         for obj in read_log(self.path):
             stage = obj.get("stage")
@@ -184,8 +194,8 @@ class Manifest:
             "stage": stage,
             "artifact_format": ARTIFACT_FORMAT,
             "config_hash": config_hash,
-            "input_hashes": {self.key(p): sha256_file(p) for p in input_paths},
-            "output_hashes": {self.key(p): sha256_file(p) for p in output_paths},
+            "input_hashes": {k: self._digest(k) for k in map(self.key, input_paths)},
+            "output_hashes": {k: self._digest(k, rehash=True) for k in map(self.key, output_paths)},
             "wall_time_s": round(wall_time_s, 3),
         }
         self._entries[stage] = entry
@@ -205,10 +215,21 @@ class Manifest:
             if not isinstance(hashes, dict):
                 return False
             for key, digest in hashes.items():
-                f = Path(key) if Path(key).is_absolute() else self.workspace / key
-                if not f.exists() or sha256_file(f) != digest:
+                try:
+                    if self._digest(key) != digest:
+                        return False
+                except FileNotFoundError:
                     return False
         return True
+
+    def _digest(self, key: str, rehash: bool = False) -> str:
+        """SHA-256 of the file under key, from the memo unless rehash."""
+        if self._digests is not None and not rehash and key in self._digests:
+            return self._digests[key]
+        digest = sha256_file(self.workspace / key)  # an absolute key stays absolute
+        if self._digests is not None:
+            self._digests[key] = digest
+        return digest
 
 
 def write_matrix_bin(path: str | Path, matrix: np.ndarray) -> None:

@@ -1,9 +1,12 @@
 """Shared HTTP JSON client for embedding and chat providers.
 
 Retries are limited to transient failures: transport errors, HTTP 429,
-and HTTP 5xx, with fixed backoff 0.5s / 1s / 2s between the three
-attempts. Client errors other than 429 fail immediately since retrying
-a malformed request cannot succeed.
+and HTTP 5xx, with fixed backoff 0.5s / 1s / 2s between the four
+attempts. After a 429 or 503 whose Retry-After header gives
+delta-seconds, the wait is max(backoff, min(Retry-After, timeout)); an
+HTTP-date or unparsable value keeps the fixed backoff. Client errors
+other than 429 fail immediately since retrying a malformed request
+cannot succeed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ def post_json(
 ) -> Any:
     """POST payload as JSON, return the decoded JSON response body."""
     last_error = ""
-    for attempt, backoff in enumerate((*RETRY_BACKOFF_S, None)):
+    for backoff in (*RETRY_BACKOFF_S, None):
+        retry_after = 0.0
         try:
             resp = requests.post(url, json=payload, headers=headers or {}, timeout=timeout)
         except requests.RequestException as exc:
@@ -43,9 +47,17 @@ def post_json(
             body = resp.text[:500]
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}: {body}"
+                if resp.status_code in (429, 503):
+                    retry_after = min(_delta_seconds(resp.headers.get("Retry-After", "")), timeout)
             else:
                 raise ProviderError(f"{url}: HTTP {resp.status_code}: {body}")
         if backoff is None:
             break
-        _sleep(backoff)
+        _sleep(max(backoff, retry_after))
     raise ProviderError(f"{url}: giving up after {len(RETRY_BACKOFF_S) + 1} attempts; {last_error}")
+
+
+def _delta_seconds(value: str) -> float:
+    """A Retry-After value in delta-seconds; 0 for an HTTP-date or junk."""
+    value = value.strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0

@@ -2,7 +2,10 @@
 
 Each stage reads the previous stage's artifact, writes its own
 atomically, and records content hashes in the manifest; a stage whose
-config slice and file hashes are unchanged is a no-op on re-run. When
+config slice and file hashes are unchanged is a no-op on re-run. One
+run hashes each workspace file at most once (plus once more for each
+output a stage writes) and opens the embedding cache at most once, on
+the first stage that embeds, sharing it with every later stage. When
 no external gold file is configured, evaluation holds out the last
 synthetic queries of each partial table: those never enter mining,
 training, or pt_plus_queries representations, and are scored with their
@@ -11,6 +14,7 @@ source table as gold.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -75,6 +79,10 @@ class StageResult:
 
 
 Log = Callable[[str], None]
+# the run's embedding cache, opened by the first call
+CacheOpener = Callable[[], EmbeddingCache]
+# a stage's (input paths, output paths), recorded in the manifest
+StageFiles = tuple[list, list]
 
 
 def _quiet(_: str) -> None:
@@ -110,18 +118,21 @@ def run_pipeline(
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     results = []
     with WorkspaceLock(cfg.workspace):
-        manifest = Manifest(cfg.workspace)
+        manifest = Manifest(cfg.workspace, memoize=True)
+        cache = functools.cache(lambda: EmbeddingCache(cfg.cache_dir, cfg.embedding.model_name))
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
             if stage == "all" and st in ("mine", "train") and not cfg.train_enabled:
                 log(f"[{st}] skipped (train.enabled is false)")
                 results.append(StageResult(st, "skipped", 0.0))
                 continue
-            results.append(_run_one(cfg, st, manifest, log))
+            results.append(_run_one(cfg, st, manifest, cache, log))
     return results
 
 
-def _run_one(cfg: PipelineConfig, stage: str, manifest: Manifest, log: Log) -> StageResult:
+def _run_one(
+    cfg: PipelineConfig, stage: str, manifest: Manifest, cache: CacheOpener, log: Log
+) -> StageResult:
     ws = cfg.workspace
     for name in _requires(cfg, stage):
         if not (ws / name).exists():
@@ -135,7 +146,7 @@ def _run_one(cfg: PipelineConfig, stage: str, manifest: Manifest, log: Log) -> S
         return StageResult(stage, "fresh", 0.0)
     started = time.monotonic()
     try:
-        inputs, outputs = _STAGE_FNS[stage](cfg, ws, log)
+        inputs, outputs = _STAGE_FNS[stage](cfg, ws, cache, log)
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except (CorpusFormatError, FileNotFoundError) as exc:
@@ -151,10 +162,6 @@ def _run_one(cfg: PipelineConfig, stage: str, manifest: Manifest, log: Log) -> S
     manifest.record(stage, config_hash, inputs, outputs, wall)
     log(f"[{stage}] done in {wall:.2f}s")
     return StageResult(stage, "ran", wall)
-
-
-def _cache(cfg: PipelineConfig) -> EmbeddingCache:
-    return EmbeddingCache(cfg.cache_dir, cfg.embedding.model_name)
 
 
 def _load_pts(ws: Path) -> list[PartialTable]:
@@ -194,7 +201,7 @@ def split_queries(
     return training, heldout
 
 
-def _stage_ingest(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_ingest(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
     records = [table_to_record(t) for t in corpus.tables]
     out = ws / "corpus.jsonl"
@@ -203,14 +210,14 @@ def _stage_ingest(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
     return [cfg.corpus_path], [out]
 
 
-def _stage_embed(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_embed(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     texts, rows = [], []
     for t in corpus.tables:
         for i in range(len(t.instances)):
             texts.append(serialize_instance(t, i))
             rows.append({"table_id": t.table_id, "row_index": i})
-    vectors = embed_texts(cfg.embedding, texts, _cache(cfg))
+    vectors = embed_texts(cfg.embedding, texts, cache())
     out_bin = ws / "instance_embeddings.bin"
     out_idx = ws / "instance_embeddings.jsonl"
     write_matrix_bin(out_bin, vectors)
@@ -219,7 +226,7 @@ def _stage_embed(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
     return [ws / "corpus.jsonl"], [out_bin, out_idx]
 
 
-def _stage_cluster(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_cluster(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     matrix = read_matrix_bin(ws / "instance_embeddings.bin")
     rows = list(read_jsonl(ws / "instance_embeddings.jsonl"))
@@ -266,7 +273,7 @@ def _assignment_from_record(rec: dict) -> ClusterAssignment:
     )
 
 
-def _stage_kpt(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_kpt(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     assignments = {
         rec["table_id"]: _assignment_from_record(rec)
@@ -285,7 +292,7 @@ def _stage_kpt(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
     return [ws / "corpus.jsonl", ws / "clusters.jsonl"], [out]
 
 
-def _stage_genq(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_genq(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     pts = _load_pts(ws)
     queries, skipped = generate_all(pts, cfg.genq)
     for pt_id in skipped:
@@ -303,14 +310,13 @@ def _train_split(cfg: PipelineConfig, queries: list[SyntheticQuery]) -> list[Syn
     return training
 
 
-def _stage_mine(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_mine(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     pts = _load_pts(ws)
     training = _train_split(cfg, _load_queries(ws))
     if not training:
         raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
-    cache = _cache(cfg)
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache)
-    q_vecs = embed_texts(cfg.embedding, [q.text for q in training], cache)
+    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
+    q_vecs = embed_texts(cfg.embedding, [q.text for q in training], cache())
     triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
     for query_id in skipped:
         log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
@@ -320,18 +326,17 @@ def _stage_mine(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
     return [ws / "kpts.jsonl", ws / "queries.jsonl"], [out]
 
 
-def _stage_train(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_train(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     triples = [triple_from_record(rec) for rec in read_jsonl(ws / "triples.jsonl")]
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
     pts = _load_pts(ws)
     queries = {q.query_id: q for q in _load_queries(ws)}
-    cache = _cache(cfg)
     vectors: dict[str, np.ndarray] = {}
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache)
+    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
     vectors.update({pt.pt_id: v for pt, v in zip(pts, pt_vecs)})
     needed_qids = sorted({t.query_id for t in triples})
-    q_vecs = embed_texts(cfg.embedding, [queries[qid].text for qid in needed_qids], cache)
+    q_vecs = embed_texts(cfg.embedding, [queries[qid].text for qid in needed_qids], cache())
     vectors.update(dict(zip(needed_qids, q_vecs)))
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
@@ -363,7 +368,7 @@ def _maybe_adapter(cfg: PipelineConfig, ws: Path) -> Adapter | None:
     return load_adapter(str(ws / "adapter.bin"), expected_dim=cfg.embedding.dim)
 
 
-def _stage_index(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_index(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     pts = _load_pts(ws)
     training = _train_split(cfg, _load_queries(ws))
     queries_by_pt: dict[str, list[SyntheticQuery]] = {}
@@ -374,7 +379,7 @@ def _stage_index(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
         pts,
         queries_by_pt,
         cfg.embedding,
-        cache=_cache(cfg),
+        cache=cache(),
         adapter=adapter,
         mode=cfg.retrieval_mode,
         fusion=cfg.fusion,
@@ -399,7 +404,7 @@ def _gold_pairs(cfg: PipelineConfig, ws: Path) -> tuple[list[tuple[str, str]], l
     return [(q.text, q.table_id) for q in heldout], [ws / "queries.jsonl"]
 
 
-def _stage_eval(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
+def _stage_eval(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
     adapter = _maybe_adapter(cfg, ws)
     index = load_index(ws / "index", adapter=adapter)
     gold, extra_inputs = _gold_pairs(cfg, ws)
@@ -407,7 +412,7 @@ def _stage_eval(cfg: PipelineConfig, ws: Path, log: Log) -> tuple[list, list]:
         raise StageError(
             2, "no evaluation queries: set eval.gold_path or eval.holdout_per_pt >= 1"
         )
-    report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=_cache(cfg))
+    report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=cache())
     out = ws / "report.json"
     atomic_write_text(out, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
     recalls = " ".join(f"R@{k}={v}" for k, v in sorted(report.recall.items()))

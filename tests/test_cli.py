@@ -62,6 +62,14 @@ class TestRunCommand:
         assert code == 2
         assert "mining" in capsys.readouterr().err
 
+    def test_removed_clustering_tol_exits_2(self, project, capsys):
+        config = project / "config.yaml"
+        body = config.read_text().replace("  n_init: 2\n", "  n_init: 2\n  tol: 1.0e-6\n")
+        assert "tol:" in body
+        config.write_text(body)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "clustering.tol: unknown key" in capsys.readouterr().err
+
     def test_missing_prerequisite_exits_3(self, project, capsys):
         code = main(
             ["run", "--config", str(project / "config.yaml"), "--stage", "cluster"]

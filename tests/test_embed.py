@@ -16,7 +16,6 @@ from tabret.embed import (
     CacheCorruptionError,
     EmbeddingCache,
     ProviderConfig,
-    cosine,
     embed_texts,
     mock_embed,
     normalize,
@@ -52,30 +51,6 @@ class TestNormalizeCosine:
     def test_normalize_zero_rejected(self):
         with pytest.raises(ValueError):
             normalize(np.zeros(4))
-
-    def test_cosine_identity(self, rng):
-        v = rng.normal(size=8)
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
-
-    def test_cosine_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_cosine_closed_form(self):
-        # cos of 45 degrees = 1/sqrt(2)
-        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        assert got == pytest.approx(0.7071067811865475, abs=1e-9)
-
-    def test_cosine_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine(np.ones(3), np.ones(4))
-
-    @given(st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=30)
-    def test_cosine_symmetric_and_bounded(self, seed):
-        r = np.random.default_rng(seed)
-        a, b = r.normal(size=12), r.normal(size=12)
-        assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
-        assert -1.0 - 1e-12 <= cosine(a, b) <= 1.0 + 1e-12
 
 
 class TestMockEmbed:

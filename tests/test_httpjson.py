@@ -10,10 +10,11 @@ URL = "http://provider.invalid/v1/embeddings"
 
 
 class Reply:
-    def __init__(self, status_code: int, body=None, text: str = ""):
+    def __init__(self, status_code: int, body=None, text: str = "", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -39,9 +40,9 @@ def sleeps():
     return []
 
 
-def run(monkeypatch, sleeps, script):
+def run(monkeypatch, sleeps, script, timeout=60.0):
     monkeypatch.setattr(httpjson.requests, "post", script)
-    return post_json(URL, {"input": ["x"]}, _sleep=sleeps.append)
+    return post_json(URL, {"input": ["x"]}, timeout=timeout, _sleep=sleeps.append)
 
 
 def test_transient_failures_back_off_then_return_the_200_body(monkeypatch, sleeps):
@@ -76,3 +77,42 @@ def test_four_transient_failures_give_up(monkeypatch, sleeps):
         run(monkeypatch, sleeps, script)
     assert sleeps == [0.5, 1.0, 2.0]
     assert script.steps == []
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, waited",
+    [
+        (429, "3", 3.0),
+        (503, "4", 4.0),
+        (429, " 2 ", 2.0),
+        (503, "0", 0.5),  # never shorter than the fixed backoff
+        (429, "90", 5.0),  # capped at the request timeout
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # HTTP-date
+        (503, "1.5", 0.5),  # not delta-seconds
+        (429, "-4", 0.5),
+        (429, "soon", 0.5),
+        (429, "", 0.5),
+        (500, "9", 0.5),  # only 429 and 503 ask the client to wait
+        (502, "9", 0.5),
+    ],
+)
+def test_retry_after_lengthens_the_first_backoff(monkeypatch, sleeps, status, retry_after, waited):
+    script = Script(
+        Reply(status, text="busy", headers={"Retry-After": retry_after}),
+        Reply(200, body={"ok": True}),
+    )
+    assert run(monkeypatch, sleeps, script, timeout=5.0) == {"ok": True}
+    assert sleeps == [waited]
+
+
+def test_retry_after_applies_per_attempt(monkeypatch, sleeps):
+    script = Script(
+        Reply(429, text="a", headers={"Retry-After": "4"}),
+        Reply(503, text="b"),
+        Reply(429, text="c", headers={"Retry-After": "1"}),
+        Reply(503, text="d", headers={"Retry-After": "7"}),
+    )
+    with pytest.raises(ProviderError, match="giving up after 4 attempts; HTTP 503: d"):
+        run(monkeypatch, sleeps, script)
+    # the last attempt's Retry-After is not slept: nothing follows it
+    assert sleeps == [4.0, 1.0, 2.0]

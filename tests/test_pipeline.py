@@ -1,12 +1,17 @@
 """Stage orchestration: sequencing, caching, holdout hygiene, compare."""
 
 import json
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import tabret.fsio as fsio
+import tabret.pipeline as pipeline_mod
 from tabret.config import load_config
-from tabret.fsio import read_jsonl, write_jsonl
+from tabret.embed import EmbeddingCache
+from tabret.fsio import read_jsonl, sha256_json, write_jsonl
 from tabret.pipeline import (
     STAGES,
     StageError,
@@ -281,6 +286,168 @@ class TestDamagedWorkspace:
             _flip_byte(ws / name, -1)
         results = run_pipeline(pipeline_cfg, "all")
         assert all(r.status == "ran" for r in results)
+
+
+    def test_workspace_hashed_with_clustering_tol_reruns_only_cluster(self, pipeline_cfg):
+        # clustering.tol was removed: a workspace built while it was still
+        # hashed into the cluster stage's config reruns that stage once,
+        # and the identical clusters.jsonl keeps every later stage fresh
+        run_pipeline(pipeline_cfg, "all")
+        ws = pipeline_cfg.workspace
+        effective = pipeline_cfg.effective_dict()
+        old_hash = sha256_json(
+            {
+                "clustering": {**effective["clustering"], "tol": 1e-6},
+                "seed": effective["seed"],
+                "embedding": effective["embedding"],
+            }
+        )
+        assert old_hash != pipeline_cfg.stage_config_hash("cluster")
+        manifest = ws / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        for entry in entries:
+            if entry["stage"] == "cluster":
+                entry["config_hash"] = old_hash
+        manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        clusters = (ws / "clusters.jsonl").read_bytes()
+        results = {r.stage: r.status for r in run_pipeline(pipeline_cfg, "all")}
+        assert results == {st: ("ran" if st == "cluster" else "fresh") for st in STAGES}
+        assert (ws / "clusters.jsonl").read_bytes() == clusters
+        assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
+
+
+def _latest_manifest_paths(ws: Path) -> set[Path]:
+    """Every file named by the latest manifest entry of each stage."""
+    latest = {}
+    for line in (ws / "manifest.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        latest[entry["stage"]] = entry
+    return {
+        ws / key  # an absolute key stays absolute
+        for entry in latest.values()
+        for section in ("input_hashes", "output_hashes")
+        for key in entry[section]
+    }
+
+
+@pytest.fixture
+def hashed(monkeypatch) -> Counter:
+    """Counts fsio.sha256_file calls per resolved path."""
+    calls: Counter = Counter()
+    real = fsio.sha256_file
+
+    def counting(path):
+        calls[Path(path).resolve()] += 1
+        return real(path)
+
+    monkeypatch.setattr(fsio, "sha256_file", counting)
+    return calls
+
+
+@pytest.fixture
+def caches(monkeypatch) -> list:
+    """Every EmbeddingCache the pipeline opens, in order."""
+    opened = []
+
+    class Recorded(EmbeddingCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(pipeline_mod, "EmbeddingCache", Recorded)
+    return opened
+
+
+class TestOneReadPerRun:
+    """A run hashes each file once and opens the embedding cache once."""
+
+    def test_cold_build_hashes_every_input_and_output_once(self, pipeline_cfg, hashed):
+        run_pipeline(pipeline_cfg, "all")
+        paths = {p.resolve() for p in _latest_manifest_paths(pipeline_cfg.workspace)}
+        assert pipeline_cfg.corpus_path.resolve() in paths
+        assert hashed == Counter({p: 1 for p in paths})
+
+    def test_noop_run_hashes_each_manifest_path_once(self, pipeline_cfg, hashed):
+        run_pipeline(pipeline_cfg, "all")
+        hashed.clear()
+        assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
+        paths = {p.resolve() for p in _latest_manifest_paths(pipeline_cfg.workspace)}
+        assert hashed == Counter({p: 1 for p in paths})
+
+    def test_same_size_edit_with_restored_mtime_is_caught(self, pipeline_cfg):
+        # fault injection: a size/mtime check would call this file fresh
+        run_pipeline(pipeline_cfg, "all")
+        path = pipeline_cfg.workspace / "kpts.jsonl"
+        original = path.read_bytes()
+        before = os.stat(path)
+        raw = bytearray(original)
+        at = raw.index(b"model", raw.index(b'"text": "')) + 4  # the "l" of "model"
+        raw[at] = ord("X")
+        path.write_bytes(bytes(raw))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        json.loads(raw.splitlines()[0])
+        for stage in ("genq", "mine", "train", "index"):
+            assert [r.status for r in run_pipeline(pipeline_cfg, stage)] == ["ran"], stage
+
+    def test_same_size_edit_of_an_output_reruns_its_producer(self, pipeline_cfg):
+        # kpt hashes its damaged output before rerunning; genq must then
+        # compare against the rewritten file, not that earlier digest
+        run_pipeline(pipeline_cfg, "all")
+        path = pipeline_cfg.workspace / "kpts.jsonl"
+        original = path.read_bytes()
+        before = os.stat(path)
+        path.write_bytes(original.replace(b"model", b"modeX", 1))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        results = {r.stage: r.status for r in run_pipeline(pipeline_cfg, "all")}
+        # kpt restores the exact bytes, so everything downstream stays fresh
+        assert results == {st: ("ran" if st == "kpt" else "fresh") for st in STAGES}
+        assert path.read_bytes() == original
+
+    def test_one_embedding_cache_per_run(self, pipeline_cfg, caches, monkeypatch):
+        stage_of_call = []
+        for stage, fn in list(pipeline_mod._STAGE_FNS.items()):
+            def traced(*args, _stage=stage, _fn=fn):
+                stage_of_call.append(_stage)
+                return _fn(*args)
+
+            monkeypatch.setitem(pipeline_mod._STAGE_FNS, stage, traced)
+        hits: dict[str, list[bool]] = {}
+        put_by: dict[str, str] = {}
+        real_get, real_put_many = EmbeddingCache.get, EmbeddingCache.put_many
+
+        def get(self, text):
+            vec = real_get(self, text)
+            hits.setdefault(stage_of_call[-1], []).append(vec is not None)
+            return vec
+
+        def put_many(self, texts, vectors):
+            for text in texts:
+                put_by.setdefault(text, stage_of_call[-1])
+            return real_put_many(self, texts, vectors)
+
+        monkeypatch.setattr(EmbeddingCache, "get", get)
+        monkeypatch.setattr(EmbeddingCache, "put_many", put_many)
+
+        run_pipeline(pipeline_cfg, "all")
+        assert len(caches) == 1
+        assert set(put_by.values()) == {"embed", "mine", "eval"}
+        # vectors put by an earlier stage are hits from the same cache
+        assert hits["embed"] == [False] * len(hits["embed"])
+        assert all(hits["train"]) and all(hits["index"])
+        assert len(hits["train"]) > 0 and len(hits["index"]) > 0
+
+        caches.clear()
+        run_pipeline(pipeline_cfg, "all")
+        assert caches == []  # a no-op run opens no cache
+
+    def test_reindex_opens_the_cache_once(self, pipeline_cfg, tmp_path, caches):
+        run_pipeline(pipeline_cfg, "all")
+        caches.clear()
+        changed = load_config(tmp_path / "config.yaml", overrides=["retrieval.fusion=mean"])
+        run_pipeline(changed, "all")
+        assert len(caches) == 1
 
 
 class TestHoldoutHygiene:
