@@ -14,6 +14,7 @@ batch sharing one gram memo is bitwise-identical to mock_embed per text.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import struct
@@ -198,12 +199,24 @@ def _http_embed_batch(cfg: ProviderConfig, texts: list[str]) -> list[np.ndarray]
         emb = item.get("embedding")
         if not isinstance(idx, int) or not 0 <= idx < len(texts) or not isinstance(emb, list):
             raise ProviderError(f"{url}: malformed embedding item {item!r:.200}")
-        vec = np.asarray(emb, dtype=np.float64)
+        try:
+            vec = np.asarray(emb, dtype=np.float64)
+        except ValueError:  # a string or a nested list among the numbers
+            raise ProviderError(f"{url}: malformed embedding item {item!r:.200}") from None
         if vec.shape != (cfg.dim,):
             raise ProviderError(
                 f"{url}: embedding dimension {vec.shape[0]} does not match configured dim {cfg.dim}"
             )
-        out[idx] = normalize(vec)
+        # JSON parsing accepts NaN and Infinity; a NaN vector would be
+        # cached and reach every later stage
+        if not np.isfinite(vec).all():
+            raise ProviderError(f"{url}: embedding {idx} has a non-finite value")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(vec))
+        # a zero norm, or one that overflows, leaves no unit vector
+        if not 0.0 < norm < math.inf:
+            raise ProviderError(f"{url}: embedding {idx} has norm {norm} and cannot be normalized")
+        out[idx] = vec / norm
     if any(v is None for v in out):
         raise ProviderError(f"{url}: response is missing indices")
     return out  # type: ignore[return-value]

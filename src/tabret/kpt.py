@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cluster import ClusterAssignment
+from .cluster import ClusterLabels
 from .corpus import Table, serialize_partial_table
 
 STRATEGIES = ("kpt_random", "cb_centroid", "s_single", "first_rows")
@@ -78,7 +78,7 @@ def _make_pt(
 
 def build_kpts(
     table: Table,
-    assignment: ClusterAssignment | None,
+    assignment: ClusterLabels | None,
     cfg: KptConfig,
     strategy: str,
 ) -> list[PartialTable]:

@@ -5,11 +5,13 @@ atomically, and records content hashes in the manifest; a stage whose
 config slice and file hashes are unchanged is a no-op on re-run. One
 run hashes each workspace file at most once (plus once more for each
 output a stage writes) and opens the embedding cache at most once, on
-the first stage that embeds, sharing it with every later stage. When
-no external gold file is configured, evaluation holds out the last
-synthetic queries of each partial table: those never enter mining,
-training, or pt_plus_queries representations, and are scored with their
-source table as gold.
+the first stage that embeds, sharing it with every later stage. It
+likewise parses and splits queries.jsonl at most once, on the first
+stage that reads it; genq, which writes that file, runs before all of
+them. When no external gold file is configured, evaluation holds out
+the last synthetic queries of each partial table: those never enter
+mining, training, or pt_plus_queries representations, and are scored
+with their source table as gold.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cluster import ClusterAssignment, cluster_table
+from .cluster import ClusterLabels, cluster_table
 from .config import PipelineConfig, variant_config
 from .corpus import CorpusFormatError, load_corpus, serialize_instance, table_to_record
 from .embed import EmbeddingCache, embed_texts
@@ -81,6 +83,21 @@ class StageResult:
 Log = Callable[[str], None]
 # the run's embedding cache, opened by the first call
 CacheOpener = Callable[[], EmbeddingCache]
+
+
+@dataclass(frozen=True)
+class QuerySplit:
+    """queries.jsonl as one run reads it."""
+
+    queries: list[SyntheticQuery]
+    # what mine, train and index see: the queries outside the held-out set
+    training: list[SyntheticQuery]
+    # scored by eval when no gold file is configured
+    heldout: list[SyntheticQuery]
+
+
+# the run's QuerySplit, parsed by the first call
+QueryLoader = Callable[[], QuerySplit]
 # a stage's (input paths, output paths), recorded in the manifest
 StageFiles = tuple[list, list]
 
@@ -120,18 +137,24 @@ def run_pipeline(
     with WorkspaceLock(cfg.workspace):
         manifest = Manifest(cfg.workspace, memoize=True)
         cache = functools.cache(lambda: EmbeddingCache(cfg.cache_dir, cfg.embedding.model_name))
+        queries = functools.cache(lambda: _load_queries(cfg))
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
             if stage == "all" and st in ("mine", "train") and not cfg.train_enabled:
                 log(f"[{st}] skipped (train.enabled is false)")
                 results.append(StageResult(st, "skipped", 0.0))
                 continue
-            results.append(_run_one(cfg, st, manifest, cache, log))
+            results.append(_run_one(cfg, st, manifest, cache, queries, log))
     return results
 
 
 def _run_one(
-    cfg: PipelineConfig, stage: str, manifest: Manifest, cache: CacheOpener, log: Log
+    cfg: PipelineConfig,
+    stage: str,
+    manifest: Manifest,
+    cache: CacheOpener,
+    queries: QueryLoader,
+    log: Log,
 ) -> StageResult:
     ws = cfg.workspace
     for name in _requires(cfg, stage):
@@ -146,7 +169,7 @@ def _run_one(
         return StageResult(stage, "fresh", 0.0)
     started = time.monotonic()
     try:
-        inputs, outputs = _STAGE_FNS[stage](cfg, ws, cache, log)
+        inputs, outputs = _STAGE_FNS[stage](cfg, ws, cache, queries, log)
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except (CorpusFormatError, FileNotFoundError) as exc:
@@ -168,8 +191,12 @@ def _load_pts(ws: Path) -> list[PartialTable]:
     return [kpt_from_record(rec) for rec in read_jsonl(ws / "kpts.jsonl")]
 
 
-def _load_queries(ws: Path) -> list[SyntheticQuery]:
-    return [query_from_record(rec) for rec in read_jsonl(ws / "queries.jsonl")]
+def _load_queries(cfg: PipelineConfig) -> QuerySplit:
+    parsed = [query_from_record(rec) for rec in read_jsonl(cfg.workspace / "queries.jsonl")]
+    if cfg.eval.gold_path is not None:
+        return QuerySplit(parsed, parsed, [])
+    training, heldout = split_queries(parsed, cfg.eval.holdout_per_pt)
+    return QuerySplit(parsed, training, heldout)
 
 
 def _query_ordinal(query_id: str) -> int:
@@ -201,7 +228,9 @@ def split_queries(
     return training, heldout
 
 
-def _stage_ingest(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_ingest(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
     records = [table_to_record(t) for t in corpus.tables]
     out = ws / "corpus.jsonl"
@@ -210,7 +239,9 @@ def _stage_ingest(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -
     return [cfg.corpus_path], [out]
 
 
-def _stage_embed(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_embed(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     texts, rows = [], []
     for t in corpus.tables:
@@ -226,7 +257,9 @@ def _stage_embed(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) ->
     return [ws / "corpus.jsonl"], [out_bin, out_idx]
 
 
-def _stage_cluster(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_cluster(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     matrix = read_matrix_bin(ws / "instance_embeddings.bin")
     rows = list(read_jsonl(ws / "instance_embeddings.jsonl"))
@@ -258,25 +291,20 @@ def _stage_cluster(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) 
     return [ws / "corpus.jsonl", ws / "instance_embeddings.bin"], [out]
 
 
-def _assignment_from_record(rec: dict) -> ClusterAssignment:
-    labels = np.asarray(rec["labels"], dtype=np.intp)
-    k = int(rec["k"])
-    return ClusterAssignment(
-        k=k,
-        labels=labels,
-        # centroids are not persisted; partial-table construction never reads them
-        centroids=np.zeros((k, 0)),
-        inertia=float(rec["inertia"]),
-        iterations_run=int(rec["iterations_run"]),
-        inertia_history=[float(x) for x in rec["inertia_history"]],
+def _labels_from_record(rec: dict) -> ClusterLabels:
+    return ClusterLabels(
+        k=int(rec["k"]),
+        labels=np.asarray(rec["labels"], dtype=np.intp),
         point_distances=np.asarray(rec["point_distances"], dtype=np.float64),
     )
 
 
-def _stage_kpt(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_kpt(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     corpus = load_corpus(ws / "corpus.jsonl")
     assignments = {
-        rec["table_id"]: _assignment_from_record(rec)
+        rec["table_id"]: _labels_from_record(rec)
         for rec in read_jsonl(ws / "clusters.jsonl")
     }
     records = []
@@ -292,27 +320,24 @@ def _stage_kpt(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> S
     return [ws / "corpus.jsonl", ws / "clusters.jsonl"], [out]
 
 
-def _stage_genq(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_genq(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     pts = _load_pts(ws)
-    queries, skipped = generate_all(pts, cfg.genq)
+    generated, skipped = generate_all(pts, cfg.genq)
     for pt_id in skipped:
         log(f"[genq] warning: no usable queries for {pt_id}, skipped")
     out = ws / "queries.jsonl"
-    write_jsonl(out, [query_to_record(q) for q in queries])
-    log(f"[genq] {len(queries)} queries over {len(pts) - len(skipped)} partial tables")
+    write_jsonl(out, [query_to_record(q) for q in generated])
+    log(f"[genq] {len(generated)} queries over {len(pts) - len(skipped)} partial tables")
     return [ws / "kpts.jsonl"], [out]
 
 
-def _train_split(cfg: PipelineConfig, queries: list[SyntheticQuery]) -> list[SyntheticQuery]:
-    if cfg.eval.gold_path is not None:
-        return queries
-    training, _ = split_queries(queries, cfg.eval.holdout_per_pt)
-    return training
-
-
-def _stage_mine(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_mine(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     pts = _load_pts(ws)
-    training = _train_split(cfg, _load_queries(ws))
+    training = queries().training
     if not training:
         raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
     pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
@@ -326,17 +351,19 @@ def _stage_mine(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> 
     return [ws / "kpts.jsonl", ws / "queries.jsonl"], [out]
 
 
-def _stage_train(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_train(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     triples = [triple_from_record(rec) for rec in read_jsonl(ws / "triples.jsonl")]
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
     pts = _load_pts(ws)
-    queries = {q.query_id: q for q in _load_queries(ws)}
+    by_id = {q.query_id: q for q in queries().queries}
     vectors: dict[str, np.ndarray] = {}
     pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
     vectors.update({pt.pt_id: v for pt, v in zip(pts, pt_vecs)})
     needed_qids = sorted({t.query_id for t in triples})
-    q_vecs = embed_texts(cfg.embedding, [queries[qid].text for qid in needed_qids], cache())
+    q_vecs = embed_texts(cfg.embedding, [by_id[qid].text for qid in needed_qids], cache())
     vectors.update(dict(zip(needed_qids, q_vecs)))
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
@@ -368,11 +395,12 @@ def _maybe_adapter(cfg: PipelineConfig, ws: Path) -> Adapter | None:
     return load_adapter(str(ws / "adapter.bin"), expected_dim=cfg.embedding.dim)
 
 
-def _stage_index(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_index(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     pts = _load_pts(ws)
-    training = _train_split(cfg, _load_queries(ws))
     queries_by_pt: dict[str, list[SyntheticQuery]] = {}
-    for q in training:
+    for q in queries().training:
         queries_by_pt.setdefault(q.pt_id, []).append(q)
     adapter = _maybe_adapter(cfg, ws)
     index = build_index(
@@ -392,7 +420,9 @@ def _stage_index(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) ->
     return inputs, [ws / "index" / n for n in ("entries.jsonl", "vectors.bin", "meta.json")]
 
 
-def _gold_pairs(cfg: PipelineConfig, ws: Path) -> tuple[list[tuple[str, str]], list[Path]]:
+def _gold_pairs(
+    cfg: PipelineConfig, ws: Path, queries: QueryLoader
+) -> tuple[list[tuple[str, str]], list[Path]]:
     if cfg.eval.gold_path is not None:
         pairs = []
         for rec in read_jsonl(cfg.eval.gold_path):
@@ -400,14 +430,15 @@ def _gold_pairs(cfg: PipelineConfig, ws: Path) -> tuple[list[tuple[str, str]], l
                 raise StageError(2, f"{cfg.eval.gold_path}: gold rows need query and gold_table_id")
             pairs.append((str(rec["query"]), str(rec["gold_table_id"])))
         return pairs, [cfg.eval.gold_path]
-    _, heldout = split_queries(_load_queries(ws), cfg.eval.holdout_per_pt)
-    return [(q.text, q.table_id) for q in heldout], [ws / "queries.jsonl"]
+    return [(q.text, q.table_id) for q in queries().heldout], [ws / "queries.jsonl"]
 
 
-def _stage_eval(cfg: PipelineConfig, ws: Path, cache: CacheOpener, log: Log) -> StageFiles:
+def _stage_eval(
+    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
+) -> StageFiles:
     adapter = _maybe_adapter(cfg, ws)
     index = load_index(ws / "index", adapter=adapter)
-    gold, extra_inputs = _gold_pairs(cfg, ws)
+    gold, extra_inputs = _gold_pairs(cfg, ws, queries)
     if not gold:
         raise StageError(
             2, "no evaluation queries: set eval.gold_path or eval.holdout_per_pt >= 1"

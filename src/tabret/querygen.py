@@ -114,6 +114,10 @@ class SyntheticQuery:
     lang: str
 
 
+# read once: dataclasses.fields costs more than building the query
+_QUERY_FIELDS = tuple(f.name for f in fields(SyntheticQuery))
+
+
 def render_prompt(pt: PartialTable, cfg: GenConfig) -> str:
     """Fill the template slots in one pass; inserted text is kept verbatim."""
     if not pt.text:
@@ -288,4 +292,4 @@ def query_to_record(q: SyntheticQuery) -> dict:
 
 
 def query_from_record(rec: dict) -> SyntheticQuery:
-    return SyntheticQuery(**{f.name: rec[f.name] for f in fields(SyntheticQuery)})
+    return SyntheticQuery(**{name: rec[name] for name in _QUERY_FIELDS})

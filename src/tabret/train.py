@@ -14,6 +14,30 @@ tau = 0.01. Gradients are analytic, including the normalization map
 (projection onto the unit sphere's tangent), and are verified against
 central finite differences by gradient_check.
 
+loss_and_grad works on whole arrays in the order of operations of a
+loop with one np.outer per term (tests/test_train.py keeps that loop as
+its oracle), so gradients and the adapter keep their bits. Checked on
+numpy 2.4 with OpenBLAS 0.3.31:
+
+- The tangent projections take all h + 2 dot products with one stacked
+  np.matmul of (h+2, 1, d) by (h+2, d, 1). Each product has the bits of
+  np.dot of the two rows; einsum sums in a different order.
+- The h + 2 outer products form one (h+2, d, d) array, summed by
+  np.add.reduce(axis=0, initial=-0.0): for d >= 2 it adds the terms one
+  at a time in order, starting from -0.0, which leaves the first term's
+  bits as they are. Without initial, numpy starts from +0.0 and loses
+  the sign of an entry whose terms are all -0.0. With d == 1 numpy adds
+  pairwise, but every term is then a signed zero (the tangent of a
+  1-vector is 0), whose sum does not depend on the order.
+- mean_loss runs the forward pass only.
+
+Batching a whole accumulation window stays out of scope: stacking B
+triples turns the per-triple products negs @ W.T and n_hat @ q_hat into
+one larger BLAS product, and OpenBLAS blocks a larger product
+differently, which changes the last bits of its rows (V @ W.T against
+per-row W @ v differed in 41410 of 51200 entries, 800 x 64, one
+thread). The adapter would no longer be byte-identical.
+
 adapter.bin holds the magic, u32 version, u32 dim and row-major f64 W,
 then the 8-byte BLAKE2b trailer of fsio.checksum. Version 2 marks that
 trailer; version 1 files (CRC-64 trailer) are rejected and rebuilt.
@@ -140,9 +164,29 @@ def _normalize_with_grad(a: np.ndarray) -> tuple[np.ndarray, float]:
     return a / n, n
 
 
-def _tangent_backprop(g_hat: np.ndarray, a_hat: np.ndarray, norm: float) -> np.ndarray:
-    """Pull a gradient w.r.t. the unit vector back through v -> v/||v||."""
-    return (g_hat - np.dot(g_hat, a_hat) * a_hat) / norm
+def _forward(
+    W: np.ndarray, q: np.ndarray, pos: np.ndarray, negs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adapted unit vectors as rows [q, pos, negs...], the norms they
+    were divided by, and the similarities [s+, s-...]."""
+    q_hat, q_norm = _normalize_with_grad(W @ q)
+    p_hat, p_norm = _normalize_with_grad(W @ pos)
+    n_raw = negs @ W.T
+    n_norms = np.linalg.norm(n_raw, axis=1)
+    if np.any(n_norms == 0.0):
+        raise TrainError("adapted negative collapsed to zero")
+    n_hat = n_raw / n_norms[:, None]
+    sims = np.concatenate(([np.dot(q_hat, p_hat)], n_hat @ q_hat))
+    hats = np.vstack([q_hat, p_hat, n_hat])
+    norms = np.concatenate(([q_norm, p_norm], n_norms))
+    return hats, norms, sims
+
+
+def _triple_loss(
+    W: np.ndarray, q: np.ndarray, pos: np.ndarray, negs: np.ndarray, tau: float
+) -> float:
+    """The loss of loss_and_grad, without the gradient."""
+    return _loss_from_sims(_forward(W, q, pos, negs)[2], tau)
 
 
 def loss_and_grad(
@@ -157,30 +201,25 @@ def loss_and_grad(
     q, pos and rows of negs are base unit vectors; both sides go through
     the same W and renormalization before the similarities.
     """
-    q_hat, q_norm = _normalize_with_grad(W @ q)
-    p_hat, p_norm = _normalize_with_grad(W @ pos)
+    hats, norms, sims = _forward(W, q, pos, negs)
     if len(negs) == 0:
         return 0.0, np.zeros_like(W)
-    n_raw = negs @ W.T
-    n_norms = np.linalg.norm(n_raw, axis=1)
-    if np.any(n_norms == 0.0):
-        raise TrainError("adapted negative collapsed to zero")
-    n_hat = n_raw / n_norms[:, None]
-
-    sims = np.concatenate(([np.dot(q_hat, p_hat)], n_hat @ q_hat))
     loss = _loss_from_sims(sims, tau)
     probs = _softmax(sims / tau)
     # dL/ds: positive gets (p0 - 1)/tau, negative i gets pi/tau
     ds = probs / tau
     ds[0] -= 1.0 / tau
 
-    g_q_hat = ds[0] * p_hat + n_hat.T @ ds[1:]
-    dW = np.outer(_tangent_backprop(g_q_hat, q_hat, q_norm), q)
-    dW += np.outer(_tangent_backprop(ds[0] * q_hat, p_hat, p_norm), pos)
-    for i in range(len(negs)):
-        g_n = _tangent_backprop(ds[1 + i] * q_hat, n_hat[i], float(n_norms[i]))
-        dW += np.outer(g_n, negs[i])
-    return loss, dW
+    q_hat, p_hat, n_hat = hats[0], hats[1], hats[2:]
+    # gradient w.r.t. each unit vector, rows in the order of hats
+    g_hat = np.vstack([ds[0] * p_hat + n_hat.T @ ds[1:], ds[0] * q_hat, ds[1:, None] * q_hat])
+    # pull each row back through v -> v/||v|| (projection onto the tangent)
+    dots = np.matmul(g_hat[:, None, :], hats[:, :, None])[:, 0, 0]
+    g_raw = (g_hat - dots[:, None] * hats) / norms[:, None]
+    inputs = np.vstack([q, pos, negs])
+    # one outer product per row of inputs, summed first to last from -0.0
+    # (the additive identity), so the first term keeps its bits
+    return loss, np.add.reduce(g_raw[:, :, None] * inputs[:, None, :], axis=0, initial=-0.0)
 
 
 class _Adam:
@@ -222,9 +261,7 @@ def mean_loss(
         raise ValueError("no triples to evaluate")
     total = 0.0
     for t in triples:
-        q, pos, negs = _triple_vectors(t, vectors)
-        loss, _ = loss_and_grad(W, q, pos, negs, tau)
-        total += loss
+        total += _triple_loss(W, *_triple_vectors(t, vectors), tau)
     return total / len(triples)
 
 
@@ -313,8 +350,8 @@ def gradient_check(
                 w_plus[i, j] += step
                 w_minus = w.copy()
                 w_minus[i, j] -= step
-                lp, _ = loss_and_grad(w_plus, q, pos, negs, tau)
-                lm, _ = loss_and_grad(w_minus, q, pos, negs, tau)
+                lp = _triple_loss(w_plus, q, pos, negs, tau)
+                lm = _triple_loss(w_minus, q, pos, negs, tau)
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

@@ -119,6 +119,34 @@ class TestRunCommand:
         assert "provider failure" in capsys.readouterr().err
 
 
+    def test_non_finite_embedding_exits_4_and_caches_nothing(self, project, capsys, monkeypatch):
+        import tabret.embed as embed_module
+
+        def nan_vectors(url, body, headers=None, timeout=None):
+            # a provider whose JSON says NaN (at the config's dim 32),
+            # parsed as a response would be
+            data = [{"index": i, "embedding": [float("nan")] * 32} for i in range(len(body["input"]))]
+            return json.loads(json.dumps({"data": data}))
+
+        monkeypatch.setattr(embed_module, "post_json", nan_vectors)
+        code = main(
+            [
+                "run",
+                "--config",
+                str(project / "config.yaml"),
+                "--set",
+                "embedding.kind=http",
+                "--set",
+                "embedding.endpoint=http://nan.test",
+            ]
+        )
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+        indexes = list((project / "ws").rglob("*.idx.jsonl"))
+        assert all(p.read_text() == "" for p in indexes)
+        assert not (project / "ws" / "instance_embeddings.bin").exists()
+
+
 class TestCompareCommand:
     def test_table_on_stdout(self, project, capsys):
         code = main(

@@ -281,7 +281,7 @@ class TestCache:
 class FakeHttp:
     """Supplies an OpenAI-style embeddings endpoint; records calls."""
 
-    def __init__(self, dim=8, fail_times=0, scramble_order=False, fail_on=()):
+    def __init__(self, dim=8, fail_times=0, scramble_order=False, fail_on=(), corrupt_on=None):
         self.dim = dim
         self.calls = []
         self.fail_times = fail_times
@@ -289,11 +289,15 @@ class FakeHttp:
         # 1-based numbers of the requests that fail, and their inputs
         self.fail_on = set(fail_on)
         self.failed_inputs = []
+        # 1-based request number -> function rewriting each raw embedding
+        # of that response
+        self.corrupt_on = corrupt_on or {}
         self._numbers = itertools.count(1)
 
     def __call__(self, url, payload, headers=None, timeout=60):
         self.calls.append((url, json.loads(json.dumps(payload)), headers))
-        if next(self._numbers) in self.fail_on:
+        number = next(self._numbers)
+        if number in self.fail_on:
             self.failed_inputs.append(payload["input"])
             raise ProviderError("simulated transport failure")
         if self.fail_times > 0:
@@ -303,10 +307,15 @@ class FakeHttp:
         indices = list(range(len(payload["input"])))
         if self.scramble_order:
             indices = indices[::-1]
+        corrupt = self.corrupt_on.get(number)
         for i in indices:
             raw = [float(len(payload["input"][i]) + j) for j in range(self.dim)]
-            data.append({"index": i, "embedding": raw})
-        return {"data": data}
+            data.append({"index": i, "embedding": corrupt(raw) if corrupt else raw})
+        if corrupt:
+            self.failed_inputs.append(payload["input"])
+        # through JSON text, as a real response: json emits and parses NaN
+        # and Infinity
+        return json.loads(json.dumps({"data": data}))
 
 
 class TestHttpProvider:
@@ -386,6 +395,41 @@ class TestHttpBatchPersistence:
         out = embed_texts(cfg, texts, EmbeddingCache(tmp_path, cfg.model_name))
         assert [payload["input"] for _, payload, _ in rerun.calls] == failing.failed_inputs
         np.testing.assert_array_equal(out, embed_texts(cfg, texts, None))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda raw: [float("nan")] + raw[1:], "non-finite"),
+            (lambda raw: raw[:-1] + [float("inf")], "non-finite"),
+            (lambda raw: [float("-inf")] + raw[1:], "non-finite"),
+            (lambda raw: [None] + raw[1:], "non-finite"),
+            (lambda raw: ["x"] + raw[1:], "malformed"),
+            (lambda raw: [raw] + raw[1:], "malformed"),
+            (lambda raw: [0.0] * len(raw), "norm 0.0"),
+            (lambda raw: [1e200] * len(raw), "norm inf"),
+        ],
+    )
+    def test_bad_vector_fails_its_batch_and_caches_nothing_of_it(
+        self, tmp_path, monkeypatch, corrupt, message
+    ):
+        # fault injection: the 2nd of 3 batch responses carries a bad vector
+        cfg = self.http_cfg(workers=1)
+        texts = [f"text {'x' * i}" for i in range(6)]
+        poisoned = FakeHttp(dim=8, corrupt_on={2: corrupt})
+        monkeypatch.setattr(embed_mod, "post_json", poisoned)
+        with pytest.raises(ProviderError, match=message):
+            embed_texts(cfg, texts, EmbeddingCache(tmp_path, cfg.model_name))
+        cache = EmbeddingCache(tmp_path, cfg.model_name)
+        bad = set(poisoned.failed_inputs[0])
+        assert bad == set(texts[2:4])
+        for text in texts:
+            assert (cache.get(text) is None) == (text in bad)
+
+        rerun = FakeHttp(dim=8)
+        monkeypatch.setattr(embed_mod, "post_json", rerun)
+        out = embed_texts(cfg, texts, cache)
+        assert [payload["input"] for _, payload, _ in rerun.calls] == poisoned.failed_inputs
+        assert np.isfinite(out).all()
 
     def test_cache_bytes_do_not_depend_on_request_order(self, tmp_path, monkeypatch):
         texts = [f"text {'x' * i}" for i in range(9)]

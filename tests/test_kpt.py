@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tabret.cluster import ClusterAssignment, ClusteringConfig, kmeans
+from tabret.cluster import ClusterLabels, ClusteringConfig, kmeans
 from tabret.corpus import serialize_partial_table
 from tabret.kpt import (
     STRATEGIES,
@@ -17,20 +17,16 @@ from tabret.kpt import (
 from conftest import make_table
 
 
-def make_assignment(labels, point_distances=None, k=None) -> ClusterAssignment:
-    """Hand-built assignment: build_kpts only consults k, labels, and
-    point_distances, so the rest can be placeholders."""
+def make_assignment(labels, point_distances=None, k=None) -> ClusterLabels:
+    """Hand-built labels: build_kpts only consults k, labels, and
+    point_distances."""
     labels = np.asarray(labels, dtype=np.int64)
     k = int(labels.max()) + 1 if k is None else k
     if point_distances is None:
         point_distances = np.zeros(len(labels))
-    return ClusterAssignment(
+    return ClusterLabels(
         k=k,
         labels=labels,
-        centroids=np.zeros((k, 2)),
-        inertia=0.0,
-        iterations_run=0,
-        inertia_history=[0.0],
         point_distances=np.asarray(point_distances, dtype=np.float64),
     )
 

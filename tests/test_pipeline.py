@@ -449,6 +449,37 @@ class TestOneReadPerRun:
         run_pipeline(changed, "all")
         assert len(caches) == 1
 
+    def test_queries_are_parsed_and_split_once_per_run(self, pipeline_cfg, tmp_path, monkeypatch):
+        reads: Counter = Counter()
+        splits = []
+        real_read, real_split = pipeline_mod.read_jsonl, pipeline_mod.split_queries
+
+        def counting_read(path):
+            reads[Path(path).name] += 1
+            return real_read(path)
+
+        def counting_split(queries, holdout_per_pt):
+            splits.append(len(queries))
+            return real_split(queries, holdout_per_pt)
+
+        monkeypatch.setattr(pipeline_mod, "read_jsonl", counting_read)
+        monkeypatch.setattr(pipeline_mod, "split_queries", counting_split)
+        # cold build: mine, train, index and eval all read the queries
+        run_pipeline(pipeline_cfg, "all")
+        assert reads["queries.jsonl"] == 1 and len(splits) == 1
+        # a re-index run reruns index and eval only
+        reads.clear()
+        splits.clear()
+        changed = load_config(tmp_path / "config.yaml", overrides=["retrieval.fusion=mean"])
+        results = run_pipeline(changed, "all")
+        assert [r.stage for r in results if r.status == "ran"] == ["index", "eval"]
+        assert reads["queries.jsonl"] == 1 and len(splits) == 1
+        # a no-op run parses nothing
+        reads.clear()
+        splits.clear()
+        run_pipeline(changed, "all")
+        assert reads["queries.jsonl"] == 0 and splits == []
+
 
 class TestHoldoutHygiene:
     def test_heldout_queries_never_enter_mining(self, pipeline_cfg):

@@ -6,8 +6,11 @@ import struct
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import tabret.train as train_mod
 from tabret.fsio import checksum
 from tabret.mining import TrainingTriple
 from tabret.train import (
@@ -181,6 +184,104 @@ class TestLossAndGrad:
 
     def test_library_gradient_check_is_tight(self):
         assert gradient_check(dim=6, n_triples=3, seed=11) < 1e-4
+
+
+def reference_loss_and_grad(W, q, pos, negs, tau):
+    """loss_and_grad as one np.outer per term, added in order: the
+    query's term, the positive's, then one per negative."""
+
+    def unit_and_norm(a):
+        n = float(np.linalg.norm(a))
+        return a / n, n
+
+    def tangent(g_hat, a_hat, norm):
+        return (g_hat - np.dot(g_hat, a_hat) * a_hat) / norm
+
+    q_hat, q_norm = unit_and_norm(W @ q)
+    p_hat, p_norm = unit_and_norm(W @ pos)
+    if len(negs) == 0:
+        return 0.0, np.zeros_like(W)
+    n_raw = negs @ W.T
+    n_norms = np.linalg.norm(n_raw, axis=1)
+    n_hat = n_raw / n_norms[:, None]
+    sims = np.concatenate(([np.dot(q_hat, p_hat)], n_hat @ q_hat))
+    z = sims / tau
+    m = float(np.max(z))
+    if z[0] == m:
+        loss = float(np.log1p(np.sum(np.exp(z[1:] - m))))
+    else:
+        loss = float(m - z[0] + np.log(np.sum(np.exp(z - m))))
+    e = np.exp(z - np.max(z))
+    ds = (e / e.sum()) / tau
+    ds[0] -= 1.0 / tau
+    g_q_hat = ds[0] * p_hat + n_hat.T @ ds[1:]
+    dW = np.outer(tangent(g_q_hat, q_hat, q_norm), q)
+    dW += np.outer(tangent(ds[0] * q_hat, p_hat, p_norm), pos)
+    for i in range(len(negs)):
+        dW += np.outer(tangent(ds[1 + i] * q_hat, n_hat[i], float(n_norms[i])), negs[i])
+    return loss, dW
+
+
+@st.composite
+def triples_and_adapters(draw):
+    """One triple of unit vectors with 0 to 12 negatives, an adapter near
+    (or at) the identity, and a temperature."""
+    d = draw(st.integers(1, 17))
+    h = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, pos = random_unit(rng, d), random_unit(rng, d)
+    negs = np.array([random_unit(rng, d) for _ in range(h)]).reshape(h, d)
+    if d > 1 and draw(st.booleans()):
+        # a coordinate that is a signed zero in every vector: each gradient
+        # entry in its column is a sum of signed zeros
+        col, zero = draw(st.integers(0, d - 1)), draw(st.sampled_from([0.0, -0.0]))
+        q[col] = pos[col] = zero
+        negs[:, col] = zero
+    scale = draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
+    w = np.eye(d) + scale * rng.normal(size=(d, d))
+    tau = draw(st.sampled_from([0.01, 0.07, 0.5, 1.0]))
+    return w, q, pos, negs, tau
+
+
+class TestMatchesPerNegativeReference:
+    """The stacked gradient and the loss-only path keep the reference's
+    bits: same loss, same gradient bytes, same mean loss."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples_and_adapters())
+    def test_loss_and_gradient_bytes(self, problem):
+        w, q, pos, negs, tau = problem
+        loss, grad = loss_and_grad(w, q, pos, negs, tau)
+        ref_loss, ref_grad = reference_loss_and_grad(w, q, pos, negs, tau)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dim, negs_per_triple", [(8, 4), (7, 11), (33, 1), (1, 3)])
+    def test_mean_loss_equals_the_reference_mean(self, dim, negs_per_triple):
+        triples, vectors = toy_problem(n=14, dim=dim, negs_per_triple=negs_per_triple)
+        w = np.eye(dim) + 0.2 * np.random.default_rng(dim).normal(size=(dim, dim))
+        total = 0.0
+        for t in triples:
+            negs = np.stack([vectors[n] for n in t.negative_pt_ids])
+            total += reference_loss_and_grad(
+                w, vectors[t.query_id], vectors[t.positive_pt_id], negs, 0.1
+            )[0]
+        assert mean_loss(triples, vectors, w, 0.1) == total / len(triples)
+
+    def test_one_gradient_per_triple_per_epoch(self, monkeypatch):
+        # mean_loss (initial and final) takes the loss-only path
+        calls = []
+        real = train_mod.loss_and_grad
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(train_mod, "loss_and_grad", counting)
+        triples, vectors = toy_problem(n=10)
+        cfg = TrainConfig(tau=0.1, epochs=3, accumulation_steps=4, seed=2)
+        _, report = train(triples, vectors, cfg)
+        assert len(calls) == cfg.epochs * len(triples) == report.triples_seen
 
 
 def toy_problem(n: int = 12, dim: int = 8, negs_per_triple: int = 4):
