@@ -67,12 +67,6 @@ class Corpus:
                 raise CorpusFormatError(f"duplicate table_id {t.table_id!r}")
             seen.add(t.table_id)
 
-    def table(self, table_id: str) -> Table:
-        for t in self.tables:
-            if t.table_id == table_id:
-                return t
-        raise KeyError(table_id)
-
 
 def escape_field(text: str) -> str:
     """Escape backslash, pipe, and newline so joining with " | " is injective."""

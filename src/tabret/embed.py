@@ -195,6 +195,8 @@ def _http_embed_batch(cfg: ProviderConfig, texts: list[str]) -> list[np.ndarray]
         )
     out: list[np.ndarray | None] = [None] * len(texts)
     for item in data:
+        if not isinstance(item, dict):
+            raise ProviderError(f"{url}: malformed embedding item {item!r:.200}")
         idx = item.get("index")
         emb = item.get("embedding")
         if not isinstance(idx, int) or not 0 <= idx < len(texts) or not isinstance(emb, list):

@@ -156,18 +156,17 @@ class Manifest:
     current ARTIFACT_FORMAT, its config hash matches, and every recorded
     input and output file still hashes the same.
 
-    With memoize, each file is hashed at most once for the manifest's
-    lifetime, except that record hashes again the outputs its stage has
-    just written. That is sound only while no file changes other than
-    through recorded outputs, so a pipeline run builds one such manifest
-    under the workspace lock and drops it when the run ends. Without
-    memoize, every call hashes the files anew.
+    Each file is hashed at most once for the manifest's lifetime, except
+    that record hashes again the outputs its stage has just written. That
+    is sound only while no file changes other than through recorded
+    outputs, so a pipeline run builds its own manifest under the
+    workspace lock and drops it when the run ends.
     """
 
-    def __init__(self, workspace: str | Path, memoize: bool = False) -> None:
+    def __init__(self, workspace: str | Path) -> None:
         self.workspace = Path(workspace)
         self.path = self.workspace / "manifest.jsonl"
-        self._digests: dict[str, str] | None = {} if memoize else None
+        self._digests: dict[str, str] = {}
         self._entries: dict[str, dict] = {}
         for obj in read_log(self.path):
             stage = obj.get("stage")
@@ -224,11 +223,10 @@ class Manifest:
 
     def _digest(self, key: str, rehash: bool = False) -> str:
         """SHA-256 of the file under key, from the memo unless rehash."""
-        if self._digests is not None and not rehash and key in self._digests:
+        if not rehash and key in self._digests:
             return self._digests[key]
         digest = sha256_file(self.workspace / key)  # an absolute key stays absolute
-        if self._digests is not None:
-            self._digests[key] = digest
+        self._digests[key] = digest
         return digest
 
 

@@ -33,7 +33,7 @@ class KptConfig:
             raise ValueError("first_rows_k must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartialTable:
     pt_id: str
     table_id: str
@@ -49,6 +49,10 @@ class PartialTable:
             raise ValueError(f"{self.pt_id}: row_indices must be strictly ascending")
         if self.strategy == "s_single" and len(self.row_indices) != 1:
             raise ValueError(f"{self.pt_id}: s_single must select exactly one row")
+
+
+# read once: dataclasses.fields costs more than building the partial table
+_PT_FIELDS = tuple(f.name for f in fields(PartialTable))
 
 
 def _pt_id(table_id: str, strategy: str, cluster_index: int | None) -> str:
@@ -118,5 +122,5 @@ def kpt_to_record(pt: PartialTable) -> dict:
 
 
 def kpt_from_record(rec: dict) -> PartialTable:
-    values = {f.name: rec[f.name] for f in fields(PartialTable)}
+    values = {name: rec[name] for name in _PT_FIELDS}
     return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})

@@ -2,14 +2,16 @@
 
 Each stage reads the previous stage's artifact, writes its own
 atomically, and records content hashes in the manifest; a stage whose
-config slice and file hashes are unchanged is a no-op on re-run. One
-run hashes each workspace file at most once (plus once more for each
-output a stage writes) and opens the embedding cache at most once, on
-the first stage that embeds, sharing it with every later stage. It
-likewise parses and splits queries.jsonl at most once, on the first
-stage that reads it; genq, which writes that file, runs before all of
-them. When no external gold file is configured, evaluation holds out
-the last synthetic queries of each partial table: those never enter
+config slice and file hashes are unchanged is a no-op on re-run.
+stage_files is the one place that declares what each stage reads and
+writes: a run checks a stage's inputs against it, maps a damaged file
+back to the stage that writes it, and records exactly those files in the
+manifest. One run hashes each workspace file at most once (plus once
+more for each output a stage writes). The stages of one run share a
+_Run, which opens the embedding cache and reads kpts.jsonl,
+queries.jsonl and adapter.bin at most once each, on the first stage that
+needs them. When no external gold file is configured, evaluation holds
+out the last synthetic queries of each partial table: those never enter
 mining, training, or pt_plus_queries representations, and are scored
 with their source table as gold.
 """
@@ -50,19 +52,7 @@ from .train import train as train_adapter
 
 STAGES = ("ingest", "embed", "cluster", "kpt", "genq", "mine", "train", "index", "eval")
 
-_PRODUCER = {
-    "corpus.jsonl": "ingest",
-    "instance_embeddings.bin": "embed",
-    "instance_embeddings.jsonl": "embed",
-    "clusters.jsonl": "cluster",
-    "kpts.jsonl": "kpt",
-    "queries.jsonl": "genq",
-    "triples.jsonl": "mine",
-    "adapter.bin": "train",
-    "index/entries.jsonl": "index",
-    "index/vectors.bin": "index",
-    "index/meta.json": "index",
-}
+_INDEX_FILES = ("index/entries.jsonl", "index/vectors.bin", "index/meta.json")
 
 
 class StageError(RuntimeError):
@@ -81,8 +71,50 @@ class StageResult:
 
 
 Log = Callable[[str], None]
-# the run's embedding cache, opened by the first call
-CacheOpener = Callable[[], EmbeddingCache]
+
+
+def _quiet(_: str) -> None:
+    pass
+
+
+def stage_files(cfg: PipelineConfig, stage: str) -> tuple[list[Path], list[Path]]:
+    """(inputs, outputs) of a stage: what it reads and writes, and so
+    what freshness checks and the manifest records.
+
+    An input that no stage writes comes from outside the workspace: the
+    corpus file for ingest and a configured gold file for eval.
+    """
+    adapter = ["adapter.bin"] if cfg.train_enabled else []
+    heldout = ["queries.jsonl"] if cfg.eval.gold_path is None else []
+    inputs, outputs = {
+        "ingest": ([], ["corpus.jsonl"]),
+        "embed": (["corpus.jsonl"], ["instance_embeddings.bin", "instance_embeddings.jsonl"]),
+        "cluster": (
+            ["corpus.jsonl", "instance_embeddings.bin", "instance_embeddings.jsonl"],
+            ["clusters.jsonl"],
+        ),
+        "kpt": (["corpus.jsonl", "clusters.jsonl"], ["kpts.jsonl"]),
+        "genq": (["kpts.jsonl"], ["queries.jsonl"]),
+        "mine": (["kpts.jsonl", "queries.jsonl"], ["triples.jsonl"]),
+        "train": (
+            ["triples.jsonl", "kpts.jsonl", "queries.jsonl"],
+            ["adapter.bin", "train_report.json", "train_log.jsonl"],
+        ),
+        "index": (["kpts.jsonl", "queries.jsonl", *adapter], _INDEX_FILES),
+        "eval": ([*_INDEX_FILES, *adapter, *heldout], ["report.json"]),
+    }[stage]
+    ws = cfg.workspace
+    in_paths = [ws / name for name in inputs]
+    if stage == "ingest":
+        in_paths.append(cfg.corpus_path)
+    elif stage == "eval" and cfg.eval.gold_path is not None:
+        in_paths.append(cfg.eval.gold_path)
+    return in_paths, [ws / name for name in outputs]
+
+
+def _producer(cfg: PipelineConfig, path: Path) -> str | None:
+    """The stage that writes path, or None for a file from outside."""
+    return next((st for st in STAGES if path in stage_files(cfg, st)[1]), None)
 
 
 @dataclass(frozen=True)
@@ -96,34 +128,40 @@ class QuerySplit:
     heldout: list[SyntheticQuery]
 
 
-# the run's QuerySplit, parsed by the first call
-QueryLoader = Callable[[], QuerySplit]
-# a stage's (input paths, output paths), recorded in the manifest
-StageFiles = tuple[list, list]
+@dataclass
+class _Run:
+    """What the stages of one run share: the config, the log, the
+    embedding cache and the artifacts that several stages read, each
+    loaded on first use and kept until the run ends. The stage that
+    writes such an artifact runs before every stage that reads it."""
 
+    cfg: PipelineConfig
+    log: Log
 
-def _quiet(_: str) -> None:
-    pass
+    @property
+    def ws(self) -> Path:
+        return self.cfg.workspace
 
+    @functools.cached_property
+    def cache(self) -> EmbeddingCache:
+        return EmbeddingCache(self.cfg.cache_dir, self.cfg.embedding.model_name)
 
-def _requires(cfg: PipelineConfig, stage: str) -> tuple[str, ...]:
-    base: dict[str, tuple[str, ...]] = {
-        "ingest": (),
-        "embed": ("corpus.jsonl",),
-        "cluster": ("corpus.jsonl", "instance_embeddings.bin", "instance_embeddings.jsonl"),
-        "kpt": ("corpus.jsonl", "clusters.jsonl"),
-        "genq": ("kpts.jsonl",),
-        "mine": ("kpts.jsonl", "queries.jsonl"),
-        "train": ("triples.jsonl", "kpts.jsonl", "queries.jsonl"),
-        "index": ("kpts.jsonl", "queries.jsonl"),
-        "eval": ("index/entries.jsonl", "index/vectors.bin", "index/meta.json"),
-    }
-    need = base[stage]
-    if stage in ("index", "eval") and cfg.train_enabled:
-        need = need + ("adapter.bin",)
-    if stage == "eval" and cfg.eval.gold_path is None:
-        need = need + ("queries.jsonl",)
-    return need
+    @functools.cached_property
+    def pts(self) -> list[PartialTable]:
+        return [kpt_from_record(rec) for rec in read_jsonl(self.ws / "kpts.jsonl")]
+
+    @functools.cached_property
+    def queries(self) -> QuerySplit:
+        parsed = [query_from_record(rec) for rec in read_jsonl(self.ws / "queries.jsonl")]
+        if self.cfg.eval.gold_path is not None:
+            return QuerySplit(parsed, parsed, [])
+        return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
+
+    @functools.cached_property
+    def adapter(self) -> Adapter | None:
+        if not self.cfg.train_enabled:
+            return None
+        return load_adapter(str(self.ws / "adapter.bin"), expected_dim=self.cfg.embedding.dim)
 
 
 def run_pipeline(
@@ -135,47 +173,43 @@ def run_pipeline(
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     results = []
     with WorkspaceLock(cfg.workspace):
-        manifest = Manifest(cfg.workspace, memoize=True)
-        cache = functools.cache(lambda: EmbeddingCache(cfg.cache_dir, cfg.embedding.model_name))
-        queries = functools.cache(lambda: _load_queries(cfg))
+        manifest = Manifest(cfg.workspace)
+        run = _Run(cfg, log)
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
             if stage == "all" and st in ("mine", "train") and not cfg.train_enabled:
                 log(f"[{st}] skipped (train.enabled is false)")
                 results.append(StageResult(st, "skipped", 0.0))
                 continue
-            results.append(_run_one(cfg, st, manifest, cache, queries, log))
+            results.append(_run_one(run, st, manifest))
     return results
 
 
-def _run_one(
-    cfg: PipelineConfig,
-    stage: str,
-    manifest: Manifest,
-    cache: CacheOpener,
-    queries: QueryLoader,
-    log: Log,
-) -> StageResult:
-    ws = cfg.workspace
-    for name in _requires(cfg, stage):
-        if not (ws / name).exists():
-            producer = _PRODUCER[name]
-            raise StageError(
-                3, f"stage '{stage}': missing {name}; run stage '{producer}' first"
-            )
+def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
+    cfg = run.cfg
+    inputs, outputs = stage_files(cfg, stage)
+    for path in inputs:
+        if not path.exists():
+            producer = _producer(cfg, path)
+            if producer is not None:
+                raise StageError(
+                    3,
+                    f"stage '{stage}': missing {manifest.key(path)}; "
+                    f"run stage '{producer}' first",
+                )
     config_hash = cfg.stage_config_hash(stage)
     if manifest.is_fresh(stage, config_hash):
-        log(f"[{stage}] fresh (cache hit), nothing to do")
+        run.log(f"[{stage}] fresh (cache hit), nothing to do")
         return StageResult(stage, "fresh", 0.0)
     started = time.monotonic()
     try:
-        inputs, outputs = _STAGE_FNS[stage](cfg, ws, cache, queries, log)
+        _STAGE_FNS[stage](run)
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except (CorpusFormatError, FileNotFoundError) as exc:
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
-        producer = _PRODUCER.get(manifest.key(exc.path))
+        producer = _producer(cfg, exc.path)
         remedy = (
             f"rerun stage '{producer}'" if producer
             else f"remove the embedding cache {exc.path.parent} and rerun stage '{stage}'"
@@ -183,20 +217,8 @@ def _run_one(
         raise StageError(3, f"stage '{stage}': {exc}; {remedy}") from exc
     wall = time.monotonic() - started
     manifest.record(stage, config_hash, inputs, outputs, wall)
-    log(f"[{stage}] done in {wall:.2f}s")
+    run.log(f"[{stage}] done in {wall:.2f}s")
     return StageResult(stage, "ran", wall)
-
-
-def _load_pts(ws: Path) -> list[PartialTable]:
-    return [kpt_from_record(rec) for rec in read_jsonl(ws / "kpts.jsonl")]
-
-
-def _load_queries(cfg: PipelineConfig) -> QuerySplit:
-    parsed = [query_from_record(rec) for rec in read_jsonl(cfg.workspace / "queries.jsonl")]
-    if cfg.eval.gold_path is not None:
-        return QuerySplit(parsed, parsed, [])
-    training, heldout = split_queries(parsed, cfg.eval.holdout_per_pt)
-    return QuerySplit(parsed, training, heldout)
 
 
 def _query_ordinal(query_id: str) -> int:
@@ -228,41 +250,30 @@ def split_queries(
     return training, heldout
 
 
-def _stage_ingest(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    corpus = load_corpus(cfg.corpus_path, cfg.corpus_format)
+def _stage_ingest(run: _Run) -> None:
+    corpus = load_corpus(run.cfg.corpus_path, run.cfg.corpus_format)
     records = [table_to_record(t) for t in corpus.tables]
-    out = ws / "corpus.jsonl"
-    write_jsonl(out, records)
-    log(f"[ingest] {len(records)} tables")
-    return [cfg.corpus_path], [out]
+    write_jsonl(run.ws / "corpus.jsonl", records)
+    run.log(f"[ingest] {len(records)} tables")
 
 
-def _stage_embed(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    corpus = load_corpus(ws / "corpus.jsonl")
+def _stage_embed(run: _Run) -> None:
+    corpus = load_corpus(run.ws / "corpus.jsonl")
     texts, rows = [], []
     for t in corpus.tables:
         for i in range(len(t.instances)):
             texts.append(serialize_instance(t, i))
             rows.append({"table_id": t.table_id, "row_index": i})
-    vectors = embed_texts(cfg.embedding, texts, cache())
-    out_bin = ws / "instance_embeddings.bin"
-    out_idx = ws / "instance_embeddings.jsonl"
-    write_matrix_bin(out_bin, vectors)
-    write_jsonl(out_idx, rows)
-    log(f"[embed] {len(texts)} instances at dim {cfg.embedding.dim}")
-    return [ws / "corpus.jsonl"], [out_bin, out_idx]
+    vectors = embed_texts(run.cfg.embedding, texts, run.cache)
+    write_matrix_bin(run.ws / "instance_embeddings.bin", vectors)
+    write_jsonl(run.ws / "instance_embeddings.jsonl", rows)
+    run.log(f"[embed] {len(texts)} instances at dim {run.cfg.embedding.dim}")
 
 
-def _stage_cluster(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    corpus = load_corpus(ws / "corpus.jsonl")
-    matrix = read_matrix_bin(ws / "instance_embeddings.bin")
-    rows = list(read_jsonl(ws / "instance_embeddings.jsonl"))
+def _stage_cluster(run: _Run) -> None:
+    corpus = load_corpus(run.ws / "corpus.jsonl")
+    matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
+    rows = list(read_jsonl(run.ws / "instance_embeddings.jsonl"))
     if len(rows) != len(matrix):
         raise StageError(3, "instance embeddings sidecar and matrix disagree; rerun 'embed'")
     offsets: dict[str, list[int]] = {}
@@ -273,7 +284,7 @@ def _stage_cluster(
         idx = offsets.get(t.table_id)
         if not idx or len(idx) != len(t.instances):
             raise StageError(3, f"embeddings missing for table {t.table_id!r}; rerun 'embed'")
-        assignment = cluster_table(matrix[idx], cfg.clustering)
+        assignment = cluster_table(matrix[idx], run.cfg.clustering)
         records.append(
             {
                 "table_id": t.table_id,
@@ -285,10 +296,8 @@ def _stage_cluster(
                 "inertia_history": assignment.inertia_history,
             }
         )
-    out = ws / "clusters.jsonl"
-    write_jsonl(out, records)
-    log(f"[cluster] {len(records)} tables clustered")
-    return [ws / "corpus.jsonl", ws / "instance_embeddings.bin"], [out]
+    write_jsonl(run.ws / "clusters.jsonl", records)
+    run.log(f"[cluster] {len(records)} tables clustered")
 
 
 def _labels_from_record(rec: dict) -> ClusterLabels:
@@ -299,13 +308,12 @@ def _labels_from_record(rec: dict) -> ClusterLabels:
     )
 
 
-def _stage_kpt(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    corpus = load_corpus(ws / "corpus.jsonl")
+def _stage_kpt(run: _Run) -> None:
+    cfg = run.cfg
+    corpus = load_corpus(run.ws / "corpus.jsonl")
     assignments = {
         rec["table_id"]: _labels_from_record(rec)
-        for rec in read_jsonl(ws / "clusters.jsonl")
+        for rec in read_jsonl(run.ws / "clusters.jsonl")
     }
     records = []
     for t in corpus.tables:
@@ -314,56 +322,45 @@ def _stage_kpt(
             raise StageError(3, f"no clustering for table {t.table_id!r}; rerun 'cluster'")
         for pt in build_kpts(t, assignment, cfg.kpt, cfg.kpt_strategy):
             records.append(kpt_to_record(pt))
-    out = ws / "kpts.jsonl"
-    write_jsonl(out, records)
-    log(f"[kpt] {len(records)} partial tables ({cfg.kpt_strategy})")
-    return [ws / "corpus.jsonl", ws / "clusters.jsonl"], [out]
+    write_jsonl(run.ws / "kpts.jsonl", records)
+    run.log(f"[kpt] {len(records)} partial tables ({cfg.kpt_strategy})")
 
 
-def _stage_genq(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    pts = _load_pts(ws)
-    generated, skipped = generate_all(pts, cfg.genq)
+def _stage_genq(run: _Run) -> None:
+    pts = run.pts
+    generated, skipped = generate_all(pts, run.cfg.genq)
     for pt_id in skipped:
-        log(f"[genq] warning: no usable queries for {pt_id}, skipped")
-    out = ws / "queries.jsonl"
-    write_jsonl(out, [query_to_record(q) for q in generated])
-    log(f"[genq] {len(generated)} queries over {len(pts) - len(skipped)} partial tables")
-    return [ws / "kpts.jsonl"], [out]
+        run.log(f"[genq] warning: no usable queries for {pt_id}, skipped")
+    write_jsonl(run.ws / "queries.jsonl", [query_to_record(q) for q in generated])
+    run.log(f"[genq] {len(generated)} queries over {len(pts) - len(skipped)} partial tables")
 
 
-def _stage_mine(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    pts = _load_pts(ws)
-    training = queries().training
+def _stage_mine(run: _Run) -> None:
+    cfg, pts = run.cfg, run.pts
+    training = run.queries.training
     if not training:
         raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
-    q_vecs = embed_texts(cfg.embedding, [q.text for q in training], cache())
+    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], run.cache)
+    q_vecs = embed_texts(cfg.embedding, [q.text for q in training], run.cache)
     triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
     for query_id in skipped:
-        log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
-    out = ws / "triples.jsonl"
-    write_jsonl(out, [triple_to_record(t) for t in triples])
-    log(f"[mine] {len(triples)} triples ({cfg.mining.strategy}, h={cfg.mining.h})")
-    return [ws / "kpts.jsonl", ws / "queries.jsonl"], [out]
+        run.log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
+    write_jsonl(run.ws / "triples.jsonl", [triple_to_record(t) for t in triples])
+    run.log(f"[mine] {len(triples)} triples ({cfg.mining.strategy}, h={cfg.mining.h})")
 
 
-def _stage_train(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
+def _stage_train(run: _Run) -> None:
+    cfg, ws = run.cfg, run.ws
     triples = [triple_from_record(rec) for rec in read_jsonl(ws / "triples.jsonl")]
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
-    pts = _load_pts(ws)
-    by_id = {q.query_id: q for q in queries().queries}
+    pts = run.pts
+    by_id = {q.query_id: q for q in run.queries.queries}
     vectors: dict[str, np.ndarray] = {}
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], cache())
+    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], run.cache)
     vectors.update({pt.pt_id: v for pt, v in zip(pts, pt_vecs)})
     needed_qids = sorted({t.query_id for t in triples})
-    q_vecs = embed_texts(cfg.embedding, [by_id[qid].text for qid in needed_qids], cache())
+    q_vecs = embed_texts(cfg.embedding, [by_id[qid].text for qid in needed_qids], run.cache)
     vectors.update(dict(zip(needed_qids, q_vecs)))
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
@@ -379,79 +376,56 @@ def _stage_train(
         ws / "train_report.json", json.dumps(report_json, sort_keys=True, indent=2) + "\n"
     )
     write_jsonl(ws / "train_log.jsonl", report.log)
-    log(
+    run.log(
         f"[train] mean loss {report.initial_loss:.4f} -> {report.final_loss:.4f} "
         f"over {report.steps} steps"
     )
-    return (
-        [ws / "triples.jsonl", ws / "kpts.jsonl", ws / "queries.jsonl"],
-        [ws / "adapter.bin", ws / "train_report.json", ws / "train_log.jsonl"],
-    )
 
 
-def _maybe_adapter(cfg: PipelineConfig, ws: Path) -> Adapter | None:
-    if not cfg.train_enabled:
-        return None
-    return load_adapter(str(ws / "adapter.bin"), expected_dim=cfg.embedding.dim)
-
-
-def _stage_index(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    pts = _load_pts(ws)
+def _stage_index(run: _Run) -> None:
+    cfg, pts = run.cfg, run.pts
     queries_by_pt: dict[str, list[SyntheticQuery]] = {}
-    for q in queries().training:
+    for q in run.queries.training:
         queries_by_pt.setdefault(q.pt_id, []).append(q)
-    adapter = _maybe_adapter(cfg, ws)
     index = build_index(
         pts,
         queries_by_pt,
         cfg.embedding,
-        cache=cache(),
-        adapter=adapter,
+        cache=run.cache,
+        adapter=run.adapter,
         mode=cfg.retrieval_mode,
         fusion=cfg.fusion,
     )
-    save_index(index, ws / "index")
-    inputs = [ws / "kpts.jsonl", ws / "queries.jsonl"]
-    if adapter is not None:
-        inputs.append(ws / "adapter.bin")
-    log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval_mode}, {cfg.fusion} fusion)")
-    return inputs, [ws / "index" / n for n in ("entries.jsonl", "vectors.bin", "meta.json")]
+    save_index(index, run.ws / "index")
+    run.log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval_mode}, {cfg.fusion} fusion)")
 
 
-def _gold_pairs(
-    cfg: PipelineConfig, ws: Path, queries: QueryLoader
-) -> tuple[list[tuple[str, str]], list[Path]]:
-    if cfg.eval.gold_path is not None:
-        pairs = []
-        for rec in read_jsonl(cfg.eval.gold_path):
-            if "query" not in rec or "gold_table_id" not in rec:
-                raise StageError(2, f"{cfg.eval.gold_path}: gold rows need query and gold_table_id")
-            pairs.append((str(rec["query"]), str(rec["gold_table_id"])))
-        return pairs, [cfg.eval.gold_path]
-    return [(q.text, q.table_id) for q in queries().heldout], [ws / "queries.jsonl"]
+def _gold_pairs(run: _Run) -> list[tuple[str, str]]:
+    gold_path = run.cfg.eval.gold_path
+    if gold_path is None:
+        return [(q.text, q.table_id) for q in run.queries.heldout]
+    pairs = []
+    for rec in read_jsonl(gold_path):
+        if "query" not in rec or "gold_table_id" not in rec:
+            raise StageError(2, f"{gold_path}: gold rows need query and gold_table_id")
+        pairs.append((str(rec["query"]), str(rec["gold_table_id"])))
+    return pairs
 
 
-def _stage_eval(
-    cfg: PipelineConfig, ws: Path, cache: CacheOpener, queries: QueryLoader, log: Log
-) -> StageFiles:
-    adapter = _maybe_adapter(cfg, ws)
-    index = load_index(ws / "index", adapter=adapter)
-    gold, extra_inputs = _gold_pairs(cfg, ws, queries)
+def _stage_eval(run: _Run) -> None:
+    cfg = run.cfg
+    index = load_index(run.ws / "index", adapter=run.adapter)
+    gold = _gold_pairs(run)
     if not gold:
         raise StageError(
             2, "no evaluation queries: set eval.gold_path or eval.holdout_per_pt >= 1"
         )
-    report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=cache())
-    out = ws / "report.json"
-    atomic_write_text(out, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+    report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=run.cache)
+    atomic_write_text(
+        run.ws / "report.json", json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    )
     recalls = " ".join(f"R@{k}={v}" for k, v in sorted(report.recall.items()))
-    log(f"[eval] {report.query_count} queries: {recalls}")
-    inputs = [ws / "index" / n for n in ("entries.jsonl", "vectors.bin", "meta.json")]
-    if adapter is not None:
-        inputs.append(ws / "adapter.bin")
-    return inputs + extra_inputs, [out]
+    run.log(f"[eval] {report.query_count} queries: {recalls}")
 
 
 _STAGE_FNS = {

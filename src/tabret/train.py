@@ -46,7 +46,6 @@ trailer; version 1 files (CRC-64 trailer) are rejected and rebuilt.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,6 @@ class TrainConfig:
 @dataclass
 class Adapter:
     W: np.ndarray
-    version: int = ADAPTER_VERSION
 
     @property
     def dim(self) -> int:
@@ -108,7 +106,6 @@ class TrainReport:
     epoch_mean_losses: list[float]
     steps: int
     triples_seen: int
-    wall_time_s: float
     log: list[dict] = field(default_factory=list, repr=False)
 
 
@@ -284,7 +281,6 @@ def train(
         raise ValueError(f"mixed embedding dims in vector store: {sorted(dims)}")
     d = dims.pop()
 
-    start = time.monotonic()
     w = np.eye(d, dtype=np.float64)
     initial_loss = mean_loss(triples, vectors, w, cfg.tau)
     optimizer = _Adam((d, d), cfg)
@@ -326,7 +322,6 @@ def train(
         epoch_mean_losses=epoch_means,
         steps=optimizer.t,
         triples_seen=cfg.epochs * len(triples),
-        wall_time_s=time.monotonic() - start,
         log=log,
     )
     return Adapter(W=w), report
@@ -366,7 +361,7 @@ def save_adapter(adapter: Adapter, path: str) -> None:
     """Binary layout: magic, u32 version, u32 dim, row-major f64 W, checksum trailer."""
     payload = (
         ADAPTER_MAGIC
-        + struct.pack("<II", adapter.version, adapter.dim)
+        + struct.pack("<II", ADAPTER_VERSION, adapter.dim)
         + np.ascontiguousarray(adapter.W, dtype="<f8").tobytes()
     )
     atomic_write_bytes(path, payload + checksum(payload))
@@ -389,4 +384,4 @@ def load_adapter(path: str, expected_dim: int | None = None) -> Adapter:
     if expected_dim is not None and dim != expected_dim:
         raise AdapterFormatError(path, f"adapter dim {dim} != provider dim {expected_dim}")
     w = np.frombuffer(data, dtype="<f8").reshape(dim, dim).copy()
-    return Adapter(W=w, version=version)
+    return Adapter(W=w)

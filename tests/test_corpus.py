@@ -45,11 +45,6 @@ class TestModel:
         with pytest.raises(ValueError, match="same"):
             Corpus(corpus_id="c", tables=[t, make_table("same", [["2"]])])
 
-    def test_corpus_lookup(self, tiny_corpus):
-        assert tiny_corpus.table("inv_b").table_id == "inv_b"
-        with pytest.raises(KeyError):
-            tiny_corpus.table("nope")
-
 
 class TestEscaping:
     def test_known_escapes(self):
@@ -116,11 +111,10 @@ class TestRoundTrip:
         write_corpus(tiny_corpus, path)
         loaded = load_corpus(path, "jsonl")
         assert [t.table_id for t in loaded.tables] == ["inv_a", "inv_b"]
-        t = loaded.table("inv_a")
+        t = {t.table_id: t for t in loaded.tables}["inv_a"]
+        original = {t.table_id: t for t in tiny_corpus.tables}["inv_a"]
         assert t.header == ["sku", "name", "qty"]
-        assert [i.cells for i in t.instances] == [
-            i.cells for i in tiny_corpus.table("inv_a").instances
-        ]
+        assert [i.cells for i in t.instances] == [i.cells for i in original.instances]
 
     @given(
         st.lists(
@@ -134,7 +128,9 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "c.jsonl"
         write_corpus(corpus, path)
         loaded = load_corpus(path)
-        assert [i.cells for i in loaded.table("t0").instances] == rows
+        (t,) = loaded.tables
+        assert t.table_id == "t0"
+        assert [i.cells for i in t.instances] == rows
 
     def test_csv_dir_loading(self, tmp_path):
         (tmp_path / "beta.csv").write_text("h1,h2\nx,y\n")
@@ -142,7 +138,7 @@ class TestRoundTrip:
         corpus = load_corpus(tmp_path, "csv-dir")
         # sorted by file stem
         assert [t.table_id for t in corpus.tables] == ["alpha", "beta"]
-        assert corpus.table("alpha").instances[1].cells == ["c", "d"]
+        assert corpus.tables[0].instances[1].cells == ["c", "d"]
 
     def test_metadata_preserved(self, tmp_path):
         t = Table(
@@ -153,7 +149,8 @@ class TestRoundTrip:
         )
         path = tmp_path / "c.jsonl"
         write_corpus(Corpus(corpus_id="c", tables=[t]), path)
-        assert load_corpus(path).table("t").metadata == {"family": "alloy"}
+        (loaded,) = load_corpus(path).tables
+        assert loaded.metadata == {"family": "alloy"}
 
 
 class TestLoadErrors:

@@ -281,7 +281,9 @@ class TestCache:
 class FakeHttp:
     """Supplies an OpenAI-style embeddings endpoint; records calls."""
 
-    def __init__(self, dim=8, fail_times=0, scramble_order=False, fail_on=(), corrupt_on=None):
+    def __init__(
+        self, dim=8, fail_times=0, scramble_order=False, fail_on=(), corrupt_on=None, item_on=None
+    ):
         self.dim = dim
         self.calls = []
         self.fail_times = fail_times
@@ -292,6 +294,9 @@ class FakeHttp:
         # 1-based request number -> function rewriting each raw embedding
         # of that response
         self.corrupt_on = corrupt_on or {}
+        # 1-based request number -> function rewriting each data item of
+        # that response
+        self.item_on = item_on or {}
         self._numbers = itertools.count(1)
 
     def __call__(self, url, payload, headers=None, timeout=60):
@@ -308,10 +313,12 @@ class FakeHttp:
         if self.scramble_order:
             indices = indices[::-1]
         corrupt = self.corrupt_on.get(number)
+        rewrite = self.item_on.get(number)
         for i in indices:
             raw = [float(len(payload["input"][i]) + j) for j in range(self.dim)]
-            data.append({"index": i, "embedding": corrupt(raw) if corrupt else raw})
-        if corrupt:
+            item = {"index": i, "embedding": corrupt(raw) if corrupt else raw}
+            data.append(rewrite(item) if rewrite else item)
+        if corrupt or rewrite:
             self.failed_inputs.append(payload["input"])
         # through JSON text, as a real response: json emits and parses NaN
         # and Infinity
@@ -413,9 +420,24 @@ class TestHttpBatchPersistence:
         self, tmp_path, monkeypatch, corrupt, message
     ):
         # fault injection: the 2nd of 3 batch responses carries a bad vector
+        self.assert_bad_batch_fails_alone(
+            tmp_path, monkeypatch, FakeHttp(dim=8, corrupt_on={2: corrupt}), message
+        )
+
+    @pytest.mark.parametrize(
+        "rewrite", [lambda item: item["embedding"], lambda item: "x"], ids=["list", "string"]
+    )
+    def test_item_that_is_not_an_object_fails_its_batch(self, tmp_path, monkeypatch, rewrite):
+        # fault injection: the 2nd of 3 batch responses holds bare values
+        self.assert_bad_batch_fails_alone(
+            tmp_path, monkeypatch, FakeHttp(dim=8, item_on={2: rewrite}), "malformed"
+        )
+
+    def assert_bad_batch_fails_alone(self, tmp_path, monkeypatch, poisoned, message):
+        """The poisoned batch raises ProviderError and caches nothing; a
+        rerun requests exactly that batch again."""
         cfg = self.http_cfg(workers=1)
         texts = [f"text {'x' * i}" for i in range(6)]
-        poisoned = FakeHttp(dim=8, corrupt_on={2: corrupt})
         monkeypatch.setattr(embed_mod, "post_json", poisoned)
         with pytest.raises(ProviderError, match=message):
             embed_texts(cfg, texts, EmbeddingCache(tmp_path, cfg.model_name))

@@ -152,7 +152,7 @@ class TestManifest:
         man = Manifest(tmp_path)
         man.record("embed", "cfg123", [src], [out], 0.5)
         src.write_text("different input")
-        assert not man.is_fresh("embed", "cfg123")
+        assert not Manifest(tmp_path).is_fresh("embed", "cfg123")
 
     def test_stale_when_output_deleted(self, tmp_path):
         src = self._touch(tmp_path / "in.txt", "input")
@@ -160,7 +160,7 @@ class TestManifest:
         man = Manifest(tmp_path)
         man.record("embed", "cfg123", [src], [out], 0.5)
         out.unlink()
-        assert not man.is_fresh("embed", "cfg123")
+        assert not Manifest(tmp_path).is_fresh("embed", "cfg123")
 
     def test_latest_record_wins(self, tmp_path):
         src = self._touch(tmp_path / "in.txt", "v1")
@@ -168,6 +168,7 @@ class TestManifest:
         man = Manifest(tmp_path)
         man.record("embed", "cfgA", [src], [out], 0.1)
         src.write_text("v2")
+        man = Manifest(tmp_path)
         man.record("embed", "cfgB", [src], [out], 0.1)
         assert man.is_fresh("embed", "cfgB")
         assert not man.is_fresh("embed", "cfgA")

@@ -20,6 +20,7 @@ from tabret.pipeline import (
     run_compare,
     run_pipeline,
     split_queries,
+    stage_files,
 )
 from tabret.querygen import SyntheticQuery
 
@@ -315,6 +316,81 @@ class TestDamagedWorkspace:
         assert (ws / "clusters.jsonl").read_bytes() == clusters
         assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
 
+# the stage that writes each workspace file, stated apart from stage_files
+PRODUCERS = {
+    "corpus.jsonl": "ingest",
+    "instance_embeddings.bin": "embed",
+    "instance_embeddings.jsonl": "embed",
+    "clusters.jsonl": "cluster",
+    "kpts.jsonl": "kpt",
+    "queries.jsonl": "genq",
+    "triples.jsonl": "mine",
+    "adapter.bin": "train",
+    "index/entries.jsonl": "index",
+    "index/vectors.bin": "index",
+    "index/meta.json": "index",
+}
+
+
+@pytest.fixture(scope="class")
+def built_cfg(tmp_path_factory):
+    """One cold-built workspace shared by a class's tests, which must
+    leave its files as they found them."""
+    root = tmp_path_factory.mktemp("built")
+    write_tiny_corpus(root / "corpus.jsonl")
+    (root / "config.yaml").write_text(CONFIG_BODY, encoding="utf-8")
+    cfg = load_config(root / "config.yaml")
+    run_pipeline(cfg, "all")
+    return cfg
+
+
+class TestStageFiles:
+    """stage_files is the one declaration of what each stage reads and writes."""
+
+    @pytest.mark.parametrize(
+        "overrides", [[], ["train.enabled=false"], ["eval.gold_path=gold.jsonl"]],
+        ids=["train-on", "train-off", "gold"],
+    )
+    def test_manifest_records_exactly_the_declared_files(self, pipeline_cfg, tmp_path, overrides):
+        write_jsonl(tmp_path / "gold.jsonl", [{"query": "part 0 model 1", "gold_table_id": "t00"}])
+        cfg = load_config(tmp_path / "config.yaml", overrides=overrides)
+        ran = [r.stage for r in run_pipeline(cfg, "all") if r.status == "ran"]
+        manifest_lines = (cfg.workspace / "manifest.jsonl").read_text().splitlines()
+        entries = [json.loads(line) for line in manifest_lines]
+        assert [e["stage"] for e in entries] == ran
+        manifest = fsio.Manifest(cfg.workspace)
+        for entry in entries:
+            inputs, outputs = stage_files(cfg, entry["stage"])
+            assert set(entry["input_hashes"]) == {manifest.key(p) for p in inputs}
+            assert set(entry["output_hashes"]) == {manifest.key(p) for p in outputs}
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_missing_produced_input_exits_3_naming_its_producer(self, built_cfg, stage):
+        ws = built_cfg.workspace
+        inputs, _ = stage_files(built_cfg, stage)
+        produced = [p for p in inputs if p.is_relative_to(ws)]
+        assert bool(produced) == (stage != "ingest")
+        for path in produced:
+            name = path.relative_to(ws).as_posix()
+            path.rename(path.with_name(path.name + ".bak"))
+            try:
+                with pytest.raises(
+                    StageError, match=f"missing {name}; run stage '{PRODUCERS[name]}' first"
+                ) as exc_info:
+                    run_pipeline(built_cfg, stage)
+            finally:
+                path.with_name(path.name + ".bak").rename(path)
+            assert exc_info.value.exit_code == 3
+        assert [r.status for r in run_pipeline(built_cfg, stage)] == ["fresh"]
+
+    def test_reordered_embedding_sidecar_reruns_cluster(self, pipeline_cfg):
+        run_pipeline(pipeline_cfg, "all")
+        sidecar = pipeline_cfg.workspace / "instance_embeddings.jsonl"
+        lines = sidecar.read_text().splitlines(keepends=True)
+        lines[0], lines[1] = lines[1], lines[0]
+        sidecar.write_text("".join(lines))
+        assert [r.status for r in run_pipeline(pipeline_cfg, "cluster")] == ["ran"]
+
 
 def _latest_manifest_paths(ws: Path) -> set[Path]:
     """Every file named by the latest manifest entry of each stage."""
@@ -479,6 +555,23 @@ class TestOneReadPerRun:
         splits.clear()
         run_pipeline(changed, "all")
         assert reads["queries.jsonl"] == 0 and splits == []
+
+    def test_partial_tables_are_parsed_once_per_run(self, pipeline_cfg, monkeypatch):
+        parsed = []
+        real = pipeline_mod.kpt_from_record
+
+        def counting(rec):
+            parsed.append(rec["pt_id"])
+            return real(rec)
+
+        monkeypatch.setattr(pipeline_mod, "kpt_from_record", counting)
+        # cold build: genq, mine, train and index all read the partial tables
+        run_pipeline(pipeline_cfg, "all")
+        pt_ids = [rec["pt_id"] for rec in read_jsonl(pipeline_cfg.workspace / "kpts.jsonl")]
+        assert parsed == pt_ids
+        parsed.clear()
+        run_pipeline(pipeline_cfg, "all")
+        assert parsed == []
 
 
 class TestHoldoutHygiene:
