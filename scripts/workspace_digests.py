@@ -1,0 +1,74 @@
+"""SHA-256 of every workspace file after each kind of run, as JSON.
+
+    python3 scripts/workspace_digests.py SRC WORKDIR [--seeds 1 2]
+
+SRC is a tabret checkout; its ``src/`` and ``perfbench/`` are imported,
+so two checkouts (say a parent commit and a change) can be compared with
+one ``diff`` of the two outputs. For the demo config and for each
+benchmark workload (``perfbench/bench.py``'s ``WORKLOADS`` and
+``write_inputs``, mock provider) at each seed, it runs a cold build, a
+no-op run, a re-index with ``retrieval.fusion=mean`` and one back to
+``max``, and after each run records the digest of every file in the
+workspace, embedding cache included, except ``manifest.jsonl``, which
+holds wall times. Everything it writes lives under WORKDIR, which must
+not exist yet. BLAS runs on one thread unless the environment says
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+RUNS = (("cold", []), ("noop", []), ("fusion-mean", ["retrieval.fusion=mean"]),
+        ("fusion-max", ["retrieval.fusion=max"]))
+
+
+def digests(workspace: Path) -> dict[str, str]:
+    return {
+        path.relative_to(workspace).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workspace.rglob("*"))
+        if path.is_file() and path.name != "manifest.jsonl"
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="tabret checkout to run")
+    parser.add_argument("workdir", type=Path, help="new directory for inputs and workspaces")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+    src, workdir = args.src.resolve(), args.workdir.resolve()
+    sys.path[:0] = [str(src / "src"), str(src / "perfbench")]
+    import bench
+    from tabret import config, pipeline
+
+    workdir.mkdir(parents=True)
+    configs = {"demo": src / "data" / "demo" / "config.yaml"}
+    for name, w in bench.WORKLOADS.items():
+        for seed in args.seeds:
+            inputs = workdir / "inputs" / f"{name}-{seed}"
+            configs[f"{name}-{seed}"] = bench.write_inputs(w, seed, inputs, None)
+
+    out: dict[str, dict[str, str]] = {}
+    for label, path in configs.items():
+        # a relative workspace would resolve against the config's directory
+        workspace = workdir / "workspaces" / label
+        for run, overrides in RUNS:
+            cfg = config.load_config(path, [f"workspace={workspace}", *overrides])
+            pipeline.run_pipeline(cfg, "all")
+            out[f"{label}/{run}"] = digests(workspace)
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

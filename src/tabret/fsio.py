@@ -33,10 +33,18 @@ CHECKSUM_SIZE = 8
 
 
 class ArtifactError(ValueError):
-    """A binary artifact is truncated, corrupt, or in another layout."""
+    """An artifact is truncated, corrupt, or in another layout."""
 
     def __init__(self, path: str | Path, problem: str) -> None:
         super().__init__(f"{path}: {problem}")
+        self.path = Path(path)
+
+
+class JsonLinesError(ArtifactError):
+    """A line of a JSON Lines file is not one JSON object."""
+
+    def __init__(self, path: str | Path, line_no: int, problem: str) -> None:
+        super().__init__(f"{path}:{line_no}", problem)
         self.path = Path(path)
 
 
@@ -92,6 +100,15 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     atomic_write_text(path, _jsonl(records))
 
 
+def _text(path: str | Path, data: bytes) -> str:
+    """data decoded as UTF-8; a bad byte names its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise JsonLinesError(path, line_no, f"invalid UTF-8: {exc.reason}") from exc
+
+
 def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[dict]:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -99,15 +116,19 @@ def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[dict]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            raise JsonLinesError(path, line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{line_no}: expected a JSON object")
+            raise JsonLinesError(path, line_no, "expected a JSON object")
         yield obj
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from _parse_jsonl(path, fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from _parse_jsonl(path, fh)
+    except UnicodeDecodeError:
+        _text(path, Path(path).read_bytes())  # raises, naming the bad line
+        raise
 
 
 def read_log(p: Path) -> list[dict]:
@@ -116,18 +137,18 @@ def read_log(p: Path) -> list[dict]:
     A kill during an append can leave the last line unterminated. That
     line is kept and terminated if it parses, and dropped otherwise; the
     file is repaired either way, so the next append starts a line of its
-    own. A bad line anywhere else still raises ValueError.
+    own. A bad line anywhere else still raises JsonLinesError.
     """
     if not p.exists():
         return []
     data = p.read_bytes()
     end = data.rfind(b"\n") + 1
-    records = list(_parse_jsonl(p, data[:end].decode("utf-8").split("\n")))
+    records = list(_parse_jsonl(p, _text(p, data[:end]).split("\n")))
     if end < len(data):
         try:
-            records.extend(_parse_jsonl(p, [data[end:].decode("utf-8")]))
+            records.extend(_parse_jsonl(p, [_text(p, data[end:])]))
             tail = data[end:] + b"\n"
-        except ValueError:
+        except JsonLinesError:
             tail = b""
         with p.open("r+b") as fh:
             fh.seek(end)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cluster import ClusterLabels, cluster_table
+from .cluster import ClusterLabels, cluster_tables
 from .config import PipelineConfig, variant_config
 from .corpus import CorpusFormatError, load_corpus, serialize_instance, table_to_record
 from .embed import EmbeddingCache, embed_texts
@@ -173,7 +173,10 @@ def run_pipeline(
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     results = []
     with WorkspaceLock(cfg.workspace):
-        manifest = Manifest(cfg.workspace)
+        try:
+            manifest = Manifest(cfg.workspace)
+        except ArtifactError as exc:
+            raise StageError(3, f"{exc}; remove {exc.path} and rerun") from exc
         run = _Run(cfg, log)
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
@@ -210,6 +213,8 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = _producer(cfg, exc.path)
+        if producer is None and exc.path in inputs:  # the corpus or a gold file
+            raise StageError(2, f"stage '{stage}': {exc}") from exc
         remedy = (
             f"rerun stage '{producer}'" if producer
             else f"remove the embedding cache {exc.path.parent} and rerun stage '{stage}'"
@@ -279,23 +284,27 @@ def _stage_cluster(run: _Run) -> None:
     offsets: dict[str, list[int]] = {}
     for i, rec in enumerate(rows):
         offsets.setdefault(rec["table_id"], []).append(i)
-    records = []
+    tables = []
     for t in corpus.tables:
         idx = offsets.get(t.table_id)
         if not idx or len(idx) != len(t.instances):
             raise StageError(3, f"embeddings missing for table {t.table_id!r}; rerun 'embed'")
-        assignment = cluster_table(matrix[idx], run.cfg.clustering)
-        records.append(
-            {
-                "table_id": t.table_id,
-                "k": assignment.k,
-                "labels": [int(x) for x in assignment.labels],
-                "point_distances": [float(x) for x in assignment.point_distances],
-                "inertia": assignment.inertia,
-                "iterations_run": assignment.iterations_run,
-                "inertia_history": assignment.inertia_history,
-            }
-        )
+        # embed writes a table's rows together, so this is usually a view
+        contiguous = idx[-1] - idx[0] + 1 == len(idx)
+        tables.append(matrix[idx[0] : idx[-1] + 1] if contiguous else matrix[idx])
+    assignments = cluster_tables(tables, run.cfg.clustering)
+    records = [
+        {
+            "table_id": t.table_id,
+            "k": a.k,
+            "labels": [int(x) for x in a.labels],
+            "point_distances": [float(x) for x in a.point_distances],
+            "inertia": a.inertia,
+            "iterations_run": a.iterations_run,
+            "inertia_history": a.inertia_history,
+        }
+        for t, a in zip(corpus.tables, assignments)
+    ]
     write_jsonl(run.ws / "clusters.jsonl", records)
     run.log(f"[cluster] {len(records)} tables clustered")
 

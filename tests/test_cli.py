@@ -147,6 +147,79 @@ class TestRunCommand:
         assert not (project / "ws" / "instance_embeddings.bin").exists()
 
 
+def _cut_middle_line(path: Path) -> int:
+    """Cut the middle line of a JSON Lines file in half; return its number."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) >= 3
+    mid = len(lines) // 2
+    lines[mid] = lines[mid][: len(lines[mid]) // 2] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return mid + 1
+
+
+class TestBadJsonLines:
+    """A bad line in any JSON Lines file ends the run with an exit code and
+    the file's path and line, never a traceback."""
+
+    def test_bad_partial_table_line_exits_3_naming_kpt(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        line = _cut_middle_line(project / "ws" / "kpts.jsonl")
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--stage", "genq"]) == 3
+        err = capsys.readouterr().err
+        assert f"kpts.jsonl:{line}: invalid JSON" in err and "rerun stage 'kpt'" in err
+
+    def test_non_utf8_partial_table_line_exits_3_naming_kpt(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        kpts = project / "ws" / "kpts.jsonl"
+        raw = bytearray(kpts.read_bytes())
+        raw[raw.index(b"\n") + 5] = 0xFF  # inside line 2
+        kpts.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--stage", "genq"]) == 3
+        err = capsys.readouterr().err
+        assert "kpts.jsonl:2: invalid UTF-8" in err and "rerun stage 'kpt'" in err
+
+    def test_bad_manifest_line_exits_3_until_the_manifest_is_removed(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        manifest = project / "ws" / "manifest.jsonl"
+        line = _cut_middle_line(manifest)
+        capsys.readouterr()
+        assert main(["run", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert f"manifest.jsonl:{line}:" in err and f"remove {manifest} and rerun" in err
+        manifest.unlink()
+        assert main(["run", "--config", config]) == 0
+
+    def test_bad_cache_index_line_exits_3_until_the_cache_is_removed(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        (index,) = (project / "ws").rglob("*.idx.jsonl")
+        line = _cut_middle_line(index)
+        capsys.readouterr()
+        flip = ["run", "--config", config, "--set", "retrieval.fusion=mean"]
+        assert main(flip) == 3
+        err = capsys.readouterr().err
+        assert f".idx.jsonl:{line}:" in err
+        assert f"remove the embedding cache {index.parent} and rerun stage 'index'" in err
+        for path in index.parent.iterdir():
+            path.unlink()
+        assert main(flip) == 0
+
+    def test_bad_gold_line_exits_2(self, project, capsys):
+        gold = project / "gold.jsonl"
+        gold.write_text(
+            '{"query": "part 0 model 1", "gold_table_id": "t00"}\n["t03"]\n', encoding="utf-8"
+        )
+        code = main(["run", "--config", str(project / "config.yaml"),
+                     "--set", "eval.gold_path=gold.jsonl"])
+        assert code == 2
+        assert "gold.jsonl:2: expected a JSON object" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_table_on_stdout(self, project, capsys):
         code = main(

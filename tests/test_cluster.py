@@ -1,6 +1,9 @@
 """K-means with the adaptive cluster count: invariants and small oracles."""
 
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,14 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tabret.cluster as cluster_mod
+from tabret import pipeline, synthdata
 from tabret.cluster import (
     ClusterAssignment,
     ClusteringConfig,
     _repair_empty,
     adaptive_k,
     cluster_table,
+    cluster_tables,
     kmeans,
 )
+from tabret.config import load_config
+from tabret.corpus import write_corpus
 
 
 # The per-restart k-means that kmeans runs in lockstep: one restart at a
@@ -248,8 +255,8 @@ class TestLockstepMatchesReference:
         totals = []
         real_init = cluster_mod._kmeanspp_init
 
-        def spy(x, k, rngs):
-            seeds = real_init(x, k, rngs)
+        def spy(*args):
+            seeds = real_init(*args)
             totals.extend(len({tuple(c) for c in run}) for run in seeds)
             return seeds
 
@@ -334,3 +341,160 @@ class TestClusterTable:
         assignment = cluster_table(rng.normal(size=(3, 4)), cfg)
         assert assignment.k <= 3
         assert np.bincount(assignment.labels, minlength=assignment.k).min() >= 1
+
+
+def _points(rng, n, d, distinct, grid):
+    """n rows drawn from `distinct` base rows, on a coarse signed grid or
+    normal."""
+    if grid:
+        base = rng.integers(-2, 3, size=(distinct, d)).astype(np.float64)
+        base *= rng.choice([-1.0, 1.0], size=(distinct, d))
+    else:
+        base = rng.normal(size=(distinct, d))
+    return base[rng.integers(0, distinct, size=n)]
+
+
+@st.composite
+def table_mixes(draw):
+    """Tables of several (n, d) shapes in shuffled order, a config whose
+    adaptive k can reach n, and a slab bound that may cut a group into
+    several chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for n, d in draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), max_size=4)):
+        for _ in range(draw(st.integers(1, 4))):
+            distinct = draw(st.integers(1, n))
+            tables.append(_points(rng, n, d, distinct, draw(st.booleans())))
+    cfg = ClusteringConfig(
+        r=draw(st.integers(1, 6)),
+        k_max=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_init=draw(st.integers(1, 4)),
+        max_iters=draw(st.integers(1, 8)),
+    )
+    slab = draw(st.sampled_from([1, 2048, cluster_mod.SLAB_BYTES]))
+    return draw(st.permutations(tables)), cfg, slab
+
+
+def _reference_table(x, cfg):
+    """cluster_table through the per-restart oracle."""
+    if len(x) == 1:
+        return ClusterAssignment(
+            k=1, labels=np.zeros(1, dtype=np.intp), centroids=x.copy(), inertia=0.0,
+            iterations_run=0, inertia_history=[0.0], point_distances=np.zeros(1),
+        )
+    return reference_kmeans(x, adaptive_k(len(x), cfg), cfg)
+
+
+_GRID = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0], [2.0, -1.0], [0.0, 1.0]])
+
+
+class TestClusterTables:
+    """cluster_tables clusters each group of same-shape tables in lockstep
+    and gives every table the bits of the per-restart oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(table_mixes())
+    @example((  # one-row tables, d = 1, k = n and a group cut into chunks
+        [np.array([[0.5]]), np.arange(6.0)[:, None], np.array([[1.0, 2.0]]),
+         np.arange(6.0)[::-1, None], np.ones((6, 1))],
+        ClusteringConfig(r=1, k_max=6, seed=3, n_init=2), 1,
+    ))
+    @example((  # duplicate rows take the zero-mass seeding fallback
+        [_GRID, _GRID[::-1], np.ones((5, 2))], ClusteringConfig(r=1, k_max=3, seed=4), 2048,
+    ))
+    def test_mixed_shapes_match_the_per_table_oracle(self, mix):
+        tables, cfg, slab = mix
+        with mock.patch.object(cluster_mod, "SLAB_BYTES", slab):
+            got = cluster_tables(tables, cfg)
+        assert len(got) == len(tables)
+        for x, a in zip(tables, got):
+            assert_same_bits(a, _reference_table(x, cfg))
+
+    def test_group_spans_several_chunks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        tables = [rng.normal(size=(9, 4)) for _ in range(7)]
+        cfg = ClusteringConfig(r=3, seed=2, n_init=3)
+        # three tables' slab fits, four do not
+        monkeypatch.setattr(cluster_mod, "SLAB_BYTES", 3 * cfg.n_init * 9 * 4 * 8 + 100)
+        sizes = []
+        real_chunk = cluster_mod._kmeans_chunk
+
+        def spy(chunk, *args):
+            sizes.append(len(chunk))
+            return real_chunk(chunk, *args)
+
+        monkeypatch.setattr(cluster_mod, "_kmeans_chunk", spy)
+        got = cluster_tables(tables, cfg)
+        assert sizes == [3, 3, 1]
+        for x, a in zip(tables, got):
+            assert_same_bits(a, reference_kmeans(x, 3, cfg))
+
+    def test_seed_generators_built_once_per_shape(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        tables = [rng.normal(size=(12, 4)) for _ in range(10)]
+        tables += [rng.normal(size=(30, 4)) for _ in range(5)]
+        tables += [rng.normal(size=(1, 4)) for _ in range(3)]
+        tables += [rng.normal(size=(12, 2)) for _ in range(2)]  # same (n, k), other d
+        cfg = ClusteringConfig(seed=9, n_init=4)
+        built = []
+        real_rng = np.random.default_rng
+
+        def counting(*args):
+            built.append(args)
+            return real_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cluster_tables(tables, cfg)
+        assert len(built) <= cfg.n_init * 2  # (n, k) = (12, 2) and (30, 3)
+
+    def test_peak_allocation_stays_within_a_fixed_bound_of_the_per_table_loop(self):
+        # Chunks of four 12-row tables: each chunk's 245 KB difference slab
+        # is the largest array, against one table's 61 KB in the loop, so
+        # the peak is 1.45x the loop's (737 KB against 507 KB, numpy 2.4.6).
+        # Building a whole group, or repeating each table per restart,
+        # would break the bound.
+        rng = np.random.default_rng(0)
+        tables = [rng.normal(size=(12, 64)) for _ in range(150)]
+        cfg = ClusteringConfig(seed=1)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak(lambda: cluster_tables(tables, cfg))
+        per_table = peak(lambda: [cluster_table(x, cfg) for x in tables])
+        assert batched <= 1.5 * per_table
+
+    def test_cluster_stage_peak_allocation_stays_near_the_per_table_loop(
+        self, tmp_path, monkeypatch
+    ):
+        write_corpus(synthdata.build_corpus(150, 12, 15, 1), tmp_path / "corpus.jsonl")
+        (tmp_path / "config.yaml").write_text(json.dumps({
+            "corpus": {"path": "corpus.jsonl"}, "workspace": "ws", "seed": 1,
+            "embedding": {"kind": "mock", "model_name": "mock-64", "dim": 64},
+        }))
+        cfg = load_config(tmp_path / "config.yaml")
+        pipeline.run_pipeline(cfg, "ingest")
+        pipeline.run_pipeline(cfg, "embed")
+        run = pipeline._Run(cfg, lambda _: None)
+
+        def stage_peak():
+            tracemalloc.start()
+            try:
+                pipeline._stage_cluster(run)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stage_peak()  # first-call allocations land outside both measurements
+        batched = stage_peak()
+        monkeypatch.setattr(
+            pipeline, "cluster_tables", lambda ms, c: [cluster_table(m, c) for m in ms]
+        )
+        per_table = stage_peak()
+        assert batched <= 1.1 * per_table

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from tabret.fsio import (
     ARTIFACT_FORMAT,
     ArtifactError,
+    JsonLinesError,
     Manifest,
     WorkspaceLock,
     atomic_write_bytes,
@@ -64,6 +65,14 @@ class TestJsonl:
         p = tmp_path / "r.jsonl"
         p.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(ValueError, match=":2"):
+            list(read_jsonl(p))
+
+    def test_bad_byte_names_its_line_past_the_first_read(self, tmp_path):
+        # the text reader decodes ahead of the line it yields
+        p = tmp_path / "r.jsonl"
+        good = b'{"ok": 1}\n' * 3000
+        p.write_bytes(good + b'{"bad": "\xff"}\n' + good)
+        with pytest.raises(JsonLinesError, match=":3001: invalid UTF-8"):
             list(read_jsonl(p))
 
 
