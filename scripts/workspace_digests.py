@@ -9,10 +9,15 @@ benchmark workload (``perfbench/bench.py``'s ``WORKLOADS`` and
 ``write_inputs``, mock provider) at each seed, it runs a cold build, a
 no-op run, a re-index with ``retrieval.fusion=mean`` and one back to
 ``max``, and after each run records the digest of every file in the
-workspace, embedding cache included, except ``manifest.jsonl``, which
-holds wall times. Everything it writes lives under WORKDIR, which must
-not exist yet. BLAS runs on one thread unless the environment says
-otherwise.
+workspace, embedding cache included. ``manifest.jsonl`` holds wall
+times, so in its place each of its entries is recorded, in order, as
+its stage and the digest of the entry without ``wall_time_s``, under the
+run's key plus ``/manifest``. Everything it writes lives under WORKDIR,
+which must not exist yet; the demo config and corpus are copied there
+too. The ingest config hash and the corpus's manifest key hold the
+corpus's absolute path, so two outputs compare equal only when both
+runs used the same WORKDIR path (remove it between the runs). BLAS runs
+on one thread unless the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -39,6 +45,16 @@ def digests(workspace: Path) -> dict[str, str]:
     }
 
 
+def manifest_entries(workspace: Path) -> list[str]:
+    lines = (workspace / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    out = []
+    for entry in map(json.loads, lines):
+        entry.pop("wall_time_s", None)
+        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        out.append(f"{entry['stage']} {hashlib.sha256(canonical.encode()).hexdigest()}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="tabret checkout to run")
@@ -51,13 +67,17 @@ def main(argv: list[str] | None = None) -> int:
     from tabret import config, pipeline
 
     workdir.mkdir(parents=True)
-    configs = {"demo": src / "data" / "demo" / "config.yaml"}
+    demo = workdir / "inputs" / "demo"
+    demo.mkdir(parents=True)
+    for name in ("config.yaml", "corpus.jsonl"):
+        shutil.copy(src / "data" / "demo" / name, demo)
+    configs = {"demo": demo / "config.yaml"}
     for name, w in bench.WORKLOADS.items():
         for seed in args.seeds:
             inputs = workdir / "inputs" / f"{name}-{seed}"
             configs[f"{name}-{seed}"] = bench.write_inputs(w, seed, inputs, None)
 
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, dict[str, str] | list[str]] = {}
     for label, path in configs.items():
         # a relative workspace would resolve against the config's directory
         workspace = workdir / "workspaces" / label
@@ -65,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = config.load_config(path, [f"workspace={workspace}", *overrides])
             pipeline.run_pipeline(cfg, "all")
             out[f"{label}/{run}"] = digests(workspace)
+            out[f"{label}/{run}/manifest"] = manifest_entries(workspace)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

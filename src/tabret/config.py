@@ -6,12 +6,17 @@ config file's directory. Auth tokens never live in the file: a section
 names an environment variable (auth_token_env) and the value is read
 from the environment at load time. Config hashes for the stage manifest
 are computed over the effective settings with secrets excluded.
+
+Each section's dataclass declares its settings once: its int, float,
+str and bool fields are the section's keys, types and defaults, loaded
+and hashed from the same field list.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -68,33 +73,21 @@ class PipelineConfig:
 
     def effective_dict(self) -> dict:
         """Plain-data view used for manifest hashing; no resolved secrets."""
-        emb, chat = self.embedding, self.genq.provider
+        gold_path = self.eval.gold_path
         return {
             "corpus": {"path": str(self.corpus_path), "format": self.corpus_format},
             "seed": self.seed,
-            "embedding": {
-                **_fields(emb, "kind", "model_name", "dim", "endpoint", "batch_size"),
-                **_fields(emb, "max_input_chars", "max_parallel_requests"),
-                "auth_token_env": self.embedding_auth_env,
-            },
-            "chat": {
-                **_fields(chat, "kind", "model_name", "endpoint", "timeout"),
-                **_fields(chat, "max_parallel_requests"),
-                "auth_token_env": self.chat_auth_env,
-            },
-            "clustering": _fields(self.clustering, "r", "k_max", "max_iters", "n_init"),
-            "kpt": {"strategy": self.kpt_strategy, **_fields(self.kpt, "s", "first_rows_k")},
-            "genq": _fields(self.genq, "n_q", "temperature", "max_tokens", "lang", "max_retries"),
-            "mining": _fields(self.mining, "strategy", "h"),
-            "train": {
-                "enabled": self.train_enabled,
-                **_fields(self.train, "tau", "epochs", "accumulation_steps", "learning_rate"),
-                **_fields(self.train, "adam_beta1", "adam_beta2", "adam_eps", "shuffle"),
-            },
+            "embedding": {**_values(self.embedding), "auth_token_env": self.embedding_auth_env},
+            "chat": {**_values(self.genq.provider), "auth_token_env": self.chat_auth_env},
+            "clustering": _values(self.clustering),
+            "kpt": {"strategy": self.kpt_strategy, **_values(self.kpt)},
+            "genq": _values(self.genq),
+            "mining": _values(self.mining),
+            "train": {"enabled": self.train_enabled, **_values(self.train)},
             "retrieval": {"mode": self.retrieval_mode, "fusion": self.fusion},
             "eval": {
-                "gold_path": str(self.eval.gold_path) if self.eval.gold_path else None,
-                "holdout_per_pt": self.eval.holdout_per_pt,
+                **_values(self.eval),
+                "gold_path": str(gold_path) if gold_path else None,
                 "ks": list(self.eval.ks),
             },
         }
@@ -120,8 +113,22 @@ _STAGE_SECTIONS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _fields(obj: Any, *names: str) -> dict:
-    return {name: getattr(obj, name) for name in names}
+# annotations are strings under `from __future__ import annotations`
+_SCALARS = {kind.__name__: kind for kind in (int, float, str, bool)}
+
+
+@functools.cache
+def _settings(cls: type) -> tuple[tuple[str, type, Any], ...]:
+    """(key, type, default) of each int, float, str or bool field of a section
+    dataclass; other fields (secrets, paths, nested sections) are given."""
+    return tuple(
+        (f.name, _SCALARS[f.type], f.default) for f in fields(cls) if f.type in _SCALARS
+    )
+
+
+def _values(section: Any) -> dict:
+    """A section's settings as hashed: all but the seed, which is hashed once."""
+    return {key: getattr(section, key) for key, _, _ in _settings(type(section)) if key != "seed"}
 
 
 def _expect_mapping(obj: Any, path: str) -> dict:
@@ -143,6 +150,8 @@ class _Section:
         if key not in self.raw:
             return default
         value = self.raw.pop(key)
+        if value is None and default is None:
+            return None
         if kind is dict and value is None:
             return {}
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -164,6 +173,12 @@ class _Section:
             )
         return value
 
+    def choose(self, key: str, choices: tuple[str, ...], default: str) -> str:
+        value = self.take(key, str, default)
+        if value not in choices:
+            raise ConfigError(f"{self.path}.{key}: must be one of {choices}")
+        return value
+
     def section(self, key: str) -> "_Section":
         return _Section(_expect_mapping(self.take(key, dict, {}), key), key)
 
@@ -172,10 +187,14 @@ class _Section:
             stray = sorted(self.raw)[0]
             raise ConfigError(f"{self.path}.{stray}: unknown key")
 
-    def build(self, cls: type, **kwargs: Any) -> Any:
-        """cls(**kwargs) with its ValueError named by this section, which then ends."""
+    def build(self, cls: type, **given: Any) -> Any:
+        """cls from the given values and its other settings taken from this
+        section, with its ValueError named by this section, which then ends."""
+        for key, kind, default in _settings(cls):
+            if key not in given:
+                given[key] = self.take(key, kind, default)
         try:
-            obj = cls(**kwargs)
+            obj = cls(**given)
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
         self.finish()
@@ -207,6 +226,10 @@ def _resolve(base: Path, p: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
+def _token(env_name: str) -> str | None:
+    return os.environ.get(env_name) if env_name else None
+
+
 def load_config(path: str | Path, overrides: list[str] | None = None) -> PipelineConfig:
     config_path = Path(path)
     if not config_path.exists():
@@ -225,9 +248,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     corpus_path = corpus.take("path", Path, None)
     if corpus_path is None:
         raise ConfigError("corpus.path: required")
-    corpus_format = corpus.take("format", str, "jsonl")
-    if corpus_format not in CORPUS_FORMATS:
-        raise ConfigError(f"corpus.format: must be one of {CORPUS_FORMATS}")
+    corpus_format = corpus.choose("format", CORPUS_FORMATS, "jsonl")
     corpus.finish()
 
     workspace = _resolve(base, top.take("workspace", Path, Path("workspace")))
@@ -236,104 +257,37 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
 
     emb = top.section("embedding")
     emb_auth_env = emb.take("auth_token_env", str, "")
-    embedding = emb.build(
-        ProviderConfig,
-        kind=emb.take("kind", str, "mock"),
-        model_name=emb.take("model_name", str, "mock-embedder"),
-        dim=emb.take("dim", int, 64),
-        endpoint=emb.take("endpoint", str, ""),
-        batch_size=emb.take("batch_size", int, 32),
-        max_input_chars=emb.take("max_input_chars", int, 8192),
-        auth_token=os.environ.get(emb_auth_env) if emb_auth_env else None,
-        max_parallel_requests=emb.take("max_parallel_requests", int, 8),
-    )
+    embedding = emb.build(ProviderConfig, auth_token=_token(emb_auth_env))
 
     chat_raw = top.section("chat")
     chat_auth_env = chat_raw.take("auth_token_env", str, "")
-    chat = chat_raw.build(
-        ChatConfig,
-        kind=chat_raw.take("kind", str, "mock"),
-        model_name=chat_raw.take("model_name", str, "mock-chat"),
-        endpoint=chat_raw.take("endpoint", str, ""),
-        auth_token=os.environ.get(chat_auth_env) if chat_auth_env else None,
-        timeout=chat_raw.take("timeout", float, 120.0),
-        max_parallel_requests=chat_raw.take("max_parallel_requests", int, 4),
-    )
+    chat = chat_raw.build(ChatConfig, auth_token=_token(chat_auth_env))
 
-    clu = top.section("clustering")
-    clustering = clu.build(
-        ClusteringConfig,
-        r=clu.take("r", int, 10),
-        k_max=clu.take("k_max", int, 5),
-        max_iters=clu.take("max_iters", int, 100),
-        seed=seed,
-        n_init=clu.take("n_init", int, 10),
-    )
+    clustering = top.section("clustering").build(ClusteringConfig, seed=seed)
 
     kpt_raw = top.section("kpt")
-    kpt_strategy = kpt_raw.take("strategy", str, "kpt_random")
-    if kpt_strategy not in STRATEGIES:
-        raise ConfigError(f"kpt.strategy: must be one of {STRATEGIES}")
-    kpt_cfg = kpt_raw.build(
-        KptConfig,
-        s=kpt_raw.take("s", int, 5),
-        first_rows_k=kpt_raw.take("first_rows_k", int, 10),
-        seed=seed,
-    )
+    kpt_strategy = kpt_raw.choose("strategy", STRATEGIES, "kpt_random")
+    kpt_cfg = kpt_raw.build(KptConfig, seed=seed)
 
-    gen_raw = top.section("genq")
-    genq = gen_raw.build(
-        GenConfig,
-        n_q=gen_raw.take("n_q", int, 5),
-        temperature=gen_raw.take("temperature", float, 0.4),
-        max_tokens=gen_raw.take("max_tokens", int, 1024),
-        lang=gen_raw.take("lang", str, "en"),
-        max_retries=gen_raw.take("max_retries", int, 3),
-        provider=chat,
-    )
-
-    mine_raw = top.section("mining")
-    mining = mine_raw.build(
-        MiningConfig,
-        h=mine_raw.take("h", int, 8),
-        strategy=mine_raw.take("strategy", str, "hard"),
-        seed=seed,
-    )
+    genq = top.section("genq").build(GenConfig, provider=chat)
+    mining = top.section("mining").build(MiningConfig, seed=seed)
 
     train_raw = top.section("train")
     train_enabled = train_raw.take("enabled", bool, True)
-    train_cfg = train_raw.build(
-        TrainConfig,
-        tau=train_raw.take("tau", float, 0.01),
-        epochs=train_raw.take("epochs", int, 2),
-        accumulation_steps=train_raw.take("accumulation_steps", int, 32),
-        learning_rate=train_raw.take("learning_rate", float, 1e-3),
-        adam_beta1=train_raw.take("adam_beta1", float, 0.9),
-        adam_beta2=train_raw.take("adam_beta2", float, 0.999),
-        adam_eps=train_raw.take("adam_eps", float, 1e-8),
-        seed=seed,
-        shuffle=train_raw.take("shuffle", bool, True),
-    )
+    train_cfg = train_raw.build(TrainConfig, seed=seed)
 
     ret_raw = top.section("retrieval")
-    retrieval_mode = ret_raw.take("mode", str, "pt_only")
-    if retrieval_mode not in REPRESENTATION_MODES:
-        raise ConfigError(f"retrieval.mode: must be one of {REPRESENTATION_MODES}")
-    fusion = ret_raw.take("fusion", str, "max")
-    if fusion not in FUSIONS:
-        raise ConfigError(f"retrieval.fusion: must be one of {FUSIONS}")
+    retrieval_mode = ret_raw.choose("mode", REPRESENTATION_MODES, "pt_only")
+    fusion = ret_raw.choose("fusion", FUSIONS, "max")
     ret_raw.finish()
 
     eval_raw = top.section("eval")
     gold_path = eval_raw.take("gold_path", Path, None)
-    ks_raw = eval_raw.take("ks", list, [1, 5, 10])
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks_raw):
+    ks = eval_raw.take("ks", list, EvalConfig.ks)
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks):
         raise ConfigError("eval.ks: must be a list of integers")
     eval_cfg = eval_raw.build(
-        EvalConfig,
-        gold_path=_resolve(base, gold_path) if gold_path else None,
-        holdout_per_pt=eval_raw.take("holdout_per_pt", int, 1),
-        ks=tuple(ks_raw),
+        EvalConfig, gold_path=_resolve(base, gold_path) if gold_path else None, ks=tuple(ks)
     )
     top.finish()
 

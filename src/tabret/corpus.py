@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .fsio import JsonLinesError, read_numbered_jsonl
+
 CORPUS_FORMATS = ("jsonl", "csv-dir")
 
 
@@ -101,10 +103,7 @@ def serialize_partial_table(table: Table, row_indices: Iterable[int]) -> str:
     return "\n".join(lines)
 
 
-def _parse_jsonl_table(obj: object, source: str, line_no: int) -> Table:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{source}:{line_no}: expected a JSON object")
-
+def _parse_jsonl_table(obj: dict, source: str, line_no: int) -> Table:
     def fail(field: str, msg: str) -> CorpusFormatError:
         return CorpusFormatError(f"{source}:{line_no}: field {field!r}: {msg}")
 
@@ -137,14 +136,8 @@ def _parse_jsonl_table(obj: object, source: str, line_no: int) -> Table:
 def _load_jsonl(path: Path) -> list[Table]:
     tables = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    try:
+        for line_no, obj in read_numbered_jsonl(path):
             table = _parse_jsonl_table(obj, str(path), line_no)
             if table.table_id in seen:
                 raise CorpusFormatError(
@@ -152,15 +145,19 @@ def _load_jsonl(path: Path) -> list[Table]:
                 )
             seen.add(table.table_id)
             tables.append(table)
+    except JsonLinesError as exc:
+        raise CorpusFormatError(str(exc)) from exc
     return tables
 
 
 def _load_csv_dir(path: Path) -> list[Table]:
     tables = []
     for csv_path in sorted(path.glob("*.csv")):
-        with csv_path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        try:
+            with csv_path.open("r", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{csv_path}: invalid UTF-8: {exc.reason}") from exc
         if not rows:
             raise CorpusFormatError(f"{csv_path}: empty file, expected a header row")
         header = rows[0]

@@ -35,9 +35,9 @@ PROVIDER_KINDS = ("http", "mock")
 
 @dataclass(frozen=True)
 class ProviderConfig:
-    kind: str
-    model_name: str
-    dim: int
+    kind: str = "mock"
+    model_name: str = "mock-embedder"
+    dim: int = 64
     endpoint: str = ""
     batch_size: int = 32
     max_input_chars: int = 8192

@@ -109,7 +109,7 @@ def _text(path: str | Path, data: bytes) -> str:
         raise JsonLinesError(path, line_no, f"invalid UTF-8: {exc.reason}") from exc
 
 
-def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[dict]:
+def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -119,16 +119,21 @@ def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[dict]:
             raise JsonLinesError(path, line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise JsonLinesError(path, line_no, "expected a JSON object")
-        yield obj
+        yield line_no, obj
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) of each non-blank line of a JSON Lines file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield from _parse_jsonl(path, fh)
     except UnicodeDecodeError:
         _text(path, Path(path).read_bytes())  # raises, naming the bad line
         raise
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    return (rec for _, rec in read_numbered_jsonl(path))
 
 
 def read_log(p: Path) -> list[dict]:
@@ -143,10 +148,10 @@ def read_log(p: Path) -> list[dict]:
         return []
     data = p.read_bytes()
     end = data.rfind(b"\n") + 1
-    records = list(_parse_jsonl(p, _text(p, data[:end]).split("\n")))
+    records = [rec for _, rec in _parse_jsonl(p, _text(p, data[:end]).split("\n"))]
     if end < len(data):
         try:
-            records.extend(_parse_jsonl(p, [_text(p, data[end:])]))
+            records.extend(rec for _, rec in _parse_jsonl(p, [_text(p, data[end:])]))
             tail = data[end:] + b"\n"
         except JsonLinesError:
             tail = b""

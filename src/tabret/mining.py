@@ -29,6 +29,9 @@ from .kpt import PartialTable
 from .querygen import SyntheticQuery
 
 
+MINING_STRATEGIES = ("hard", "random")
+
+
 class MiningError(ValueError):
     """A query has no eligible negative candidates."""
 
@@ -42,8 +45,10 @@ class MiningConfig:
     def __post_init__(self) -> None:
         if self.h < 1:
             raise ValueError("h must be >= 1")
-        if self.strategy not in ("hard", "random"):
-            raise ValueError(f"mining strategy must be 'hard' or 'random', got {self.strategy!r}")
+        if self.strategy not in MINING_STRATEGIES:
+            raise ValueError(
+                f"mining strategy must be one of {MINING_STRATEGIES}, got {self.strategy!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ writes: a run checks a stage's inputs against it, maps a damaged file
 back to the stage that writes it, and records exactly those files in the
 manifest. One run hashes each workspace file at most once (plus once
 more for each output a stage writes). The stages of one run share a
-_Run, which opens the embedding cache and reads kpts.jsonl,
-queries.jsonl and adapter.bin at most once each, on the first stage that
-needs them. When no external gold file is configured, evaluation holds
-out the last synthetic queries of each partial table: those never enter
-mining, training, or pt_plus_queries representations, and are scored
-with their source table as gold.
+_Run, which opens the embedding cache and reads corpus.jsonl,
+kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
+first stage that needs them. When no external gold file is configured,
+evaluation holds out the last synthetic queries of each partial table:
+those never enter mining, training, or pt_plus_queries representations,
+and are scored with their source table as gold.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .cluster import ClusterLabels, cluster_tables
 from .config import PipelineConfig, variant_config
-from .corpus import CorpusFormatError, load_corpus, serialize_instance, table_to_record
+from .corpus import Corpus, CorpusFormatError, load_corpus, serialize_instance, table_to_record
 from .embed import EmbeddingCache, embed_texts
 from .fsio import (
     ArtifactError,
@@ -44,7 +44,7 @@ from .fsio import (
 )
 from .httpjson import ProviderError
 from .kpt import STRATEGIES, build_kpts, kpt_from_record, kpt_to_record, PartialTable
-from .mining import mine_all, triple_from_record, triple_to_record
+from .mining import MINING_STRATEGIES, mine_all, triple_from_record, triple_to_record
 from .querygen import SyntheticQuery, generate_all, query_from_record, query_to_record
 from .retrieval import build_index, evaluate, load_index, save_index
 from .train import Adapter, load_adapter, save_adapter
@@ -145,6 +145,10 @@ class _Run:
     @functools.cached_property
     def cache(self) -> EmbeddingCache:
         return EmbeddingCache(self.cfg.cache_dir, self.cfg.embedding.model_name)
+
+    @functools.cached_property
+    def corpus(self) -> Corpus:
+        return load_corpus(self.ws / "corpus.jsonl")
 
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
@@ -263,9 +267,8 @@ def _stage_ingest(run: _Run) -> None:
 
 
 def _stage_embed(run: _Run) -> None:
-    corpus = load_corpus(run.ws / "corpus.jsonl")
     texts, rows = [], []
-    for t in corpus.tables:
+    for t in run.corpus.tables:
         for i in range(len(t.instances)):
             texts.append(serialize_instance(t, i))
             rows.append({"table_id": t.table_id, "row_index": i})
@@ -276,7 +279,7 @@ def _stage_embed(run: _Run) -> None:
 
 
 def _stage_cluster(run: _Run) -> None:
-    corpus = load_corpus(run.ws / "corpus.jsonl")
+    corpus = run.corpus
     matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
     rows = list(read_jsonl(run.ws / "instance_embeddings.jsonl"))
     if len(rows) != len(matrix):
@@ -319,13 +322,12 @@ def _labels_from_record(rec: dict) -> ClusterLabels:
 
 def _stage_kpt(run: _Run) -> None:
     cfg = run.cfg
-    corpus = load_corpus(run.ws / "corpus.jsonl")
     assignments = {
         rec["table_id"]: _labels_from_record(rec)
         for rec in read_jsonl(run.ws / "clusters.jsonl")
     }
     records = []
-    for t in corpus.tables:
+    for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
         if assignment is None and cfg.kpt_strategy != "first_rows":
             raise StageError(3, f"no clustering for table {t.table_id!r}; rerun 'cluster'")
@@ -480,7 +482,7 @@ def parse_variants(spec: str, cfg: PipelineConfig) -> list[Variant]:
         mining_strategy = cfg.mining.strategy
         use_adapter = cfg.train_enabled
         for part in parts[1:]:
-            if part in ("hard", "random"):
+            if part in MINING_STRATEGIES:
                 mining_strategy = part
             elif part == "adapter":
                 use_adapter = True

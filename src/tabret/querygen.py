@@ -15,6 +15,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
+from .embed import PROVIDER_KINDS
 from .httpjson import ProviderError, post_json
 from .kpt import PartialTable
 
@@ -83,8 +84,10 @@ class ChatConfig:
     max_parallel_requests: int = 4
 
     def __post_init__(self) -> None:
-        if self.kind not in ("http", "mock"):
-            raise ValueError(f"chat provider kind must be 'http' or 'mock', got {self.kind!r}")
+        if self.kind not in PROVIDER_KINDS:
+            raise ValueError(
+                f"chat provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}"
+            )
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http chat provider requires an endpoint")
 

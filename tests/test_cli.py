@@ -219,6 +219,24 @@ class TestBadJsonLines:
         assert code == 2
         assert "gold.jsonl:2: expected a JSON object" in capsys.readouterr().err
 
+    def test_non_utf8_jsonl_corpus_exits_2_naming_file_and_line(self, project, capsys):
+        corpus = project / "corpus.jsonl"
+        raw = bytearray(corpus.read_bytes())
+        raw[raw.index(b"\n") + 5] = 0xFF  # inside line 2
+        corpus.write_bytes(bytes(raw))
+        code = main(["run", "--config", str(project / "config.yaml"), "--stage", "ingest"])
+        assert code == 2
+        assert f"{corpus}:2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_csv_corpus_exits_2_naming_file(self, project, capsys):
+        tables = project / "tables"
+        tables.mkdir()
+        (tables / "parts.csv").write_bytes(b"sku,name\na-01,b\xffolt\n")
+        code = main(["run", "--config", str(project / "config.yaml"), "--stage", "ingest",
+                     "--set", "corpus.path=tables", "--set", "corpus.format=csv-dir"])
+        assert code == 2
+        assert f"{tables / 'parts.csv'}: invalid UTF-8" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_table_on_stdout(self, project, capsys):

@@ -1,10 +1,14 @@
 """Config loading: strict validation, overrides, env-only secrets."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from tabret.config import ConfigError, load_config, variant_config
+from tabret.pipeline import STAGES
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path: Path, body: str) -> Path:
@@ -118,6 +122,22 @@ class TestStrictness:
     def test_eval_ks_must_be_ints(self, tmp_path):
         body = MINIMAL + "eval:\n  ks: [1, five]\n"
         with pytest.raises(ConfigError, match="eval.ks"):
+            load_config(write_config(tmp_path, body))
+
+
+class TestNullDefaults:
+    def test_null_gold_path_in_file(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL + "eval:\n  gold_path: null\n"))
+        assert cfg.eval.gold_path is None
+
+    def test_null_gold_path_override(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL + "eval:\n  gold_path: gold.jsonl\n")
+        cfg = load_config(path, overrides=["eval.gold_path=null"])
+        assert cfg.eval.gold_path is None
+
+    def test_null_stays_an_error_where_the_default_is_not_null(self, tmp_path):
+        body = MINIMAL + "clustering:\n  r: null\n"
+        with pytest.raises(ConfigError, match="clustering.r: expected int"):
             load_config(write_config(tmp_path, body))
 
 
@@ -240,6 +260,118 @@ class TestStageHashes:
         b = load_config(write_config(tmp_path, MINIMAL + "seed: 2\n"))
         assert a.stage_config_hash("kpt") != b.stage_config_hash("kpt")
         assert a.stage_config_hash("embed") == b.stage_config_hash("embed")
+
+
+# every key set, each to a value other than its default; the paths are
+# absolute so that the ingest hash does not depend on where the test runs
+ALL_KEYS = """\
+corpus:
+  path: /corpus/tables
+  format: csv-dir
+workspace: /runs/ws
+cache_dir: /runs/cache
+seed: 11
+embedding:
+  kind: http
+  model_name: e5-small
+  dim: 384
+  endpoint: http://embed.invalid
+  batch_size: 16
+  max_input_chars: 4096
+  auth_token_env: EMBED_TOKEN
+  max_parallel_requests: 2
+chat:
+  kind: http
+  model_name: qwen-chat
+  endpoint: http://chat.invalid
+  auth_token_env: CHAT_TOKEN
+  timeout: 30.5
+  max_parallel_requests: 3
+clustering:
+  r: 7
+  k_max: 4
+  max_iters: 50
+  n_init: 3
+kpt:
+  strategy: cb_centroid
+  s: 3
+  first_rows_k: 6
+genq:
+  n_q: 4
+  temperature: 0.7
+  max_tokens: 512
+  lang: de
+  max_retries: 2
+mining:
+  strategy: random
+  h: 5
+train:
+  enabled: false
+  tau: 0.05
+  epochs: 3
+  accumulation_steps: 8
+  learning_rate: 2.0e-3
+  adam_beta1: 0.8
+  adam_beta2: 0.99
+  adam_eps: 1.0e-7
+  shuffle: false
+retrieval:
+  mode: pt_plus_queries
+  fusion: mean
+eval:
+  gold_path: /gold/gold.jsonl
+  holdout_per_pt: 2
+  ks: [1, 3]
+"""
+
+# A changed hash makes every existing workspace rebuild its stages, so a
+# change here must be deliberate. The demo's ingest hash includes the
+# absolute corpus path of the checkout and is left out.
+DEMO_HASHES = {
+    "embed": "c28606ec96d801f29baccf6e07391db9190105700df56adc39508bed83f90a56",
+    "cluster": "d3d071e8f29969c041491843645dd2f3dfb9095068e80c44e0261bba0d0a4fca",
+    "kpt": "a072bb85de1ee263f2c83b5fcf103b9bd9d63110f65955050164064c262c8733",
+    "genq": "dd7c78f5a9436777fc3c886623228bea8ce873d508550b41ca642bb0e3d4f31a",
+    "mine": "43085ee092af429eee990cb7b2fc88f85c8f82a2fa60a8676e5b5da199dc7ac2",
+    "train": "a470dc25bad13fe054a6b0920a892b6d4d6ba4f1fb86472fbb85c98ee4972b56",
+    "index": "dfd8391052e69c10a8dceed6face848ce8a9dc638e8d32e2b740d0770f9ed6af",
+    "eval": "c38b6eecb7dd8f6db032324870e13ed3a7b7d631e7992f75e2b788df81014340",
+}
+ALL_KEYS_HASHES = {
+    "ingest": "d6b4fce1888a88aa662d75be1fa2cd7386f821436436fbcc2694def2617472a1",
+    "embed": "703f106c061f3d9fe87b0c9b925a9b4c9da59e223049b8f8964564bacccc614b",
+    "cluster": "3e89d5082a53d1c83dcec5d909988036a1332ca4b53b5351d59d82b18703b65c",
+    "kpt": "49bec53d05cacf625ca92f3849304b09561c1453bb3ce92f5d4854f7ff6e2e72",
+    "genq": "c3bf05ef29a40920bbf6ef0387de7046dd0be4b5013ddfb3383bdedd0398fd41",
+    "mine": "c5a6192d349292c51a8151194a2842253eaa1c78cef7f245e09dee3fee71e15d",
+    "train": "f64a81e4d5daf19f5c395b50ebd2582d777d063f61638256929d6f29c87f0123",
+    "index": "445ca98eed5e82e1072ca1790ea4a555c8cc4eb863d0d20940dca5ddf9660922",
+    "eval": "e1ce78d5e083550ea693fe7a3dd64571f70183461523ea39e2d71b9445248eaf",
+}
+
+
+class TestGoldenStageHashes:
+    def test_demo_config(self):
+        cfg = load_config(REPO / "data" / "demo" / "config.yaml")
+        assert {st: cfg.stage_config_hash(st) for st in STAGES[1:]} == DEMO_HASHES
+
+    def test_every_key_set(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, ALL_KEYS))
+        assert {st: cfg.stage_config_hash(st) for st in STAGES} == ALL_KEYS_HASHES
+
+
+class TestReadme:
+    def test_configuration_block_shows_the_defaults(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        # the cache_dir default is a placeholder; it lives under the workspace
+        body = "".join(
+            line for line in block.splitlines(keepends=True) if not line.startswith("cache_dir:")
+        )
+        documented = load_config(write_config(tmp_path, body))
+        minimal = load_config(write_config(tmp_path, MINIMAL))
+        assert documented.effective_dict() == minimal.effective_dict()
 
 
 class TestVariantConfig:

@@ -573,6 +573,22 @@ class TestOneReadPerRun:
         run_pipeline(pipeline_cfg, "all")
         assert parsed == []
 
+    def test_workspace_corpus_is_parsed_once_per_run(self, pipeline_cfg, monkeypatch):
+        loads = []
+        real = pipeline_mod.load_corpus
+
+        def counting(path, *args):
+            loads.append(Path(path))
+            return real(path, *args)
+
+        monkeypatch.setattr(pipeline_mod, "load_corpus", counting)
+        # cold build: ingest reads the source; embed, cluster and kpt share one parse
+        run_pipeline(pipeline_cfg, "all")
+        assert loads == [pipeline_cfg.corpus_path, pipeline_cfg.workspace / "corpus.jsonl"]
+        loads.clear()
+        run_pipeline(pipeline_cfg, "all")
+        assert loads == []
+
 
 class TestHoldoutHygiene:
     def test_heldout_queries_never_enter_mining(self, pipeline_cfg):
