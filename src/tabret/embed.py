@@ -20,15 +20,13 @@ import re
 import struct
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .fsio import ARTIFACT_FORMAT, CHECKSUM_SIZE, ArtifactError, append_jsonl, checksum, read_log
-from .httpjson import ProviderError, post_json
+from .httpjson import ProviderError, fan_out, post_json
 
 PROVIDER_KINDS = ("http", "mock")
 
@@ -51,6 +49,10 @@ class ProviderConfig:
             raise ValueError("provider dim must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_input_chars < 1:
+            raise ValueError("max_input_chars must be >= 1")
+        if self.max_parallel_requests < 1:
+            raise ValueError("max_parallel_requests must be >= 1")
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http provider requires an endpoint")
 
@@ -253,8 +255,14 @@ def embed_texts(
 
     unique = list(misses)
     batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]
+    if cfg.kind == "mock":
+        memo: dict[str, int] = {}  # each distinct gram is hashed once per call
+        results = ([mock_embed(t, cfg.dim, memo) for t in batch] for batch in batches)
+    else:
+        results = fan_out(lambda b: _http_embed_batch(cfg, b), batches, cfg.max_parallel_requests)
+    # each batch is cached as it arrives, so a failed request loses only its own
     failure: ProviderError | None = None
-    for batch, result in zip(batches, _embed_batches(cfg, batches)):
+    for batch, result in zip(batches, results):
         if isinstance(result, ProviderError):
             failure = failure or result
             continue
@@ -266,31 +274,3 @@ def embed_texts(
     if failure is not None:
         raise failure
     return np.stack(vectors)  # type: ignore[arg-type]
-
-
-def _embed_batches(
-    cfg: ProviderConfig, batches: list[list[str]]
-) -> Iterator[list[np.ndarray] | ProviderError]:
-    """Each batch's vectors, or the error that batch raised, in batch order.
-
-    The caller caches each batch as it arrives, so a failed request loses
-    only its own batch. The mock hashes each distinct gram once per call.
-    """
-    if cfg.kind == "mock":
-        memo: dict[str, int] = {}
-        for batch in batches:
-            yield [mock_embed(t, cfg.dim, memo) for t in batch]
-    elif len(batches) == 1:
-        # a thread pool costs more than the one request it would overlap
-        yield _http_batch_or_error(cfg, batches[0])
-    else:
-        workers = max(1, min(cfg.max_parallel_requests, len(batches)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda batch: _http_batch_or_error(cfg, batch), batches)
-
-
-def _http_batch_or_error(cfg: ProviderConfig, batch: list[str]) -> list[np.ndarray] | ProviderError:
-    try:
-        return _http_embed_batch(cfg, batch)
-    except ProviderError as exc:
-        return exc

@@ -6,15 +6,19 @@ attempts. After a 429 or 503 whose Retry-After header gives
 delta-seconds, the wait is max(backoff, min(Retry-After, timeout)); an
 HTTP-date or unparsable value keeps the fixed backoff. Client errors
 other than 429 fail immediately since retrying a malformed request
-cannot succeed.
+cannot succeed. fan_out sends many requests: one runs inline, more run
+on min(workers, n) threads, with results in input order.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
-from typing import Any
-
-import requests
+import urllib.error
+import urllib.request
+from concurrent import futures
+from typing import Any, Callable, Iterator, Sequence
 
 RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 
@@ -31,26 +35,33 @@ def post_json(
     _sleep=time.sleep,
 ) -> Any:
     """POST payload as JSON, return the decoded JSON response body."""
+    data = json.dumps(payload, allow_nan=False).encode("utf-8")
+    request = urllib.request.Request(url, data, {"Content-Type": "application/json", **(headers or {})})
     last_error = ""
     for backoff in (*RETRY_BACKOFF_S, None):
         retry_after = 0.0
         try:
-            resp = requests.post(url, json=payload, headers=headers or {}, timeout=timeout)
-        except requests.RequestException as exc:
+            try:
+                reply = urllib.request.urlopen(request, timeout=timeout)
+            except urllib.error.HTTPError as exc:
+                reply = exc  # a status outside 2xx still carries headers and a body
+            with reply:
+                status, content = reply.status, reply.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"transport error: {exc}"
         else:
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    return resp.json()
+                    return json.loads(content)
                 except ValueError as exc:
                     raise ProviderError(f"{url}: non-JSON 200 response: {exc}") from exc
-            body = resp.text[:500]
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}: {body}"
-                if resp.status_code in (429, 503):
-                    retry_after = min(_delta_seconds(resp.headers.get("Retry-After", "")), timeout)
+            body = content.decode("utf-8", "replace")[:500]
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}: {body}"
+                if status in (429, 503):
+                    retry_after = min(_delta_seconds(reply.headers.get("Retry-After", "")), timeout)
             else:
-                raise ProviderError(f"{url}: HTTP {resp.status_code}: {body}")
+                raise ProviderError(f"{url}: HTTP {status}: {body}")
         if backoff is None:
             break
         _sleep(max(backoff, retry_after))
@@ -61,3 +72,19 @@ def _delta_seconds(value: str) -> float:
     """A Retry-After value in delta-seconds; 0 for an HTTP-date or junk."""
     value = value.strip()
     return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
+def fan_out(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """fn(item), or the ProviderError it raised, for each item in input
+    order. Closing the iterator early cancels the calls not yet started."""
+    def attempt(item):
+        try:
+            return fn(item)
+        except ProviderError as exc:
+            return exc
+
+    if workers == 1 or len(items) <= 1:  # a pool costs more than the one call it would overlap
+        yield from map(attempt, items)
+        return
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(attempt, items)

@@ -214,6 +214,9 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except (CorpusFormatError, FileNotFoundError) as exc:
+        if isinstance(exc, CorpusFormatError) and stage != "ingest":
+            # only ingest reads the source corpus; later stages read its copy
+            raise StageError(3, f"stage '{stage}': {exc}; rerun stage 'ingest'") from exc
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = _producer(cfg, exc.path)

@@ -11,12 +11,13 @@ runs and tests.
 from __future__ import annotations
 
 import json
+import math
 import re
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 
 from .embed import PROVIDER_KINDS
-from .httpjson import ProviderError, post_json
+from .httpjson import ProviderError, fan_out, post_json
 from .kpt import PartialTable
 
 # Single user-message prompt. The blank-line layout is part of the
@@ -90,6 +91,10 @@ class ChatConfig:
             )
         if self.kind == "http" and not self.endpoint:
             raise ValueError("http chat provider requires an endpoint")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("timeout must be a positive number of seconds")
+        if self.max_parallel_requests < 1:
+            raise ValueError("max_parallel_requests must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -261,25 +266,22 @@ def generate_all(
     """Generate for every partial table; returns (queries, skipped pt_ids).
 
     Output is canonical: partial tables sorted by pt_id, queries in
-    ordinal order, regardless of worker completion order.
+    ordinal order, regardless of worker completion order. The first
+    ProviderError in that order is raised; requests not yet sent are dropped.
     """
     ordered = sorted(pts, key=lambda p: p.pt_id)
-    results: dict[str, list[SyntheticQuery] | None] = {}
-    if cfg.provider.kind == "http" and len(ordered) > 1:
-        workers = max(1, min(cfg.provider.max_parallel_requests, len(ordered)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = pool.map(lambda p: _generate_or_none(p, cfg), ordered)
-            results = {pt.pt_id: out for pt, out in zip(ordered, outs)}
-    else:
-        results = {pt.pt_id: _generate_or_none(pt, cfg) for pt in ordered}
+    # the mock answers at once: only an http provider is worth a pool
+    workers = cfg.provider.max_parallel_requests if cfg.provider.kind == "http" else 1
     queries: list[SyntheticQuery] = []
     skipped: list[str] = []
-    for pt in ordered:
-        out = results[pt.pt_id]
-        if out is None:
-            skipped.append(pt.pt_id)
-        else:
-            queries.extend(out)
+    with closing(fan_out(lambda pt: _generate_or_none(pt, cfg), ordered, workers)) as results:
+        for pt, out in zip(ordered, results):
+            if isinstance(out, ProviderError):
+                raise out
+            if out is None:
+                skipped.append(pt.pt_id)
+            else:
+                queries.extend(out)
     return queries, skipped
 
 

@@ -62,6 +62,26 @@ class TestRunCommand:
         assert code == 2
         assert "mining" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("chat.timeout=0", "chat: timeout must be a positive number of seconds"),
+            ("chat.timeout=-1.5", "chat: timeout must be a positive number of seconds"),
+            ("chat.timeout=.inf", "chat: timeout must be a positive number of seconds"),
+            ("embedding.max_input_chars=0", "embedding: max_input_chars must be >= 1"),
+            ("embedding.max_input_chars=-4", "embedding: max_input_chars must be >= 1"),
+            ("embedding.max_parallel_requests=0", "embedding: max_parallel_requests must be >= 1"),
+            ("chat.max_parallel_requests=0", "chat: max_parallel_requests must be >= 1"),
+        ],
+    )
+    def test_provider_setting_that_breaks_a_run_exits_2_at_load(
+        self, project, capsys, setting, message
+    ):
+        code = main(["run", "--config", str(project / "config.yaml"), "--set", setting])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (project / "ws").exists()
+
     def test_removed_clustering_tol_exits_2(self, project, capsys):
         config = project / "config.yaml"
         body = config.read_text().replace("  n_init: 2\n", "  n_init: 2\n  tol: 1.0e-6\n")
@@ -169,6 +189,24 @@ class TestBadJsonLines:
         assert main(["run", "--config", config, "--stage", "genq"]) == 3
         err = capsys.readouterr().err
         assert f"kpts.jsonl:{line}: invalid JSON" in err and "rerun stage 'kpt'" in err
+
+    def test_bad_workspace_corpus_line_exits_3_naming_ingest(self, project, capsys):
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config, "--stage", "ingest"]) == 0
+        line = _cut_middle_line(project / "ws" / "corpus.jsonl")
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--stage", "embed"]) == 3
+        err = capsys.readouterr().err
+        assert f"corpus.jsonl:{line}: invalid JSON" in err and "rerun stage 'ingest'" in err
+        assert main(["run", "--config", config, "--stage", "ingest"]) == 0
+        assert main(["run", "--config", config, "--stage", "embed"]) == 0
+
+    def test_bad_source_corpus_line_still_exits_2(self, project, capsys):
+        line = _cut_middle_line(project / "corpus.jsonl")
+        code = main(["run", "--config", str(project / "config.yaml"), "--stage", "ingest"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"corpus.jsonl:{line}: invalid JSON" in err and "rerun" not in err
 
     def test_non_utf8_partial_table_line_exits_3_naming_kpt(self, project, capsys):
         config = str(project / "config.yaml")

@@ -1,0 +1,44 @@
+"""The runtime dependencies in pyproject.toml are exactly what the package imports."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import tabret
+
+PACKAGE = Path(tabret.__file__).parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+# distribution name -> the top-level module it installs
+IMPORT_NAMES = {"numpy": "numpy", "PyYAML": "yaml"}
+
+
+def _runtime_dependencies() -> set[str]:
+    block = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+
+
+def _third_party_imports() -> set[str]:
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"tabret"}
+
+
+def test_third_party_imports_are_the_runtime_dependencies():
+    deps = _runtime_dependencies()
+    assert deps == set(IMPORT_NAMES), "a dependency was added or dropped; update IMPORT_NAMES"
+    assert _third_party_imports() == {IMPORT_NAMES[d] for d in deps}
+
+
+def test_cli_import_does_not_load_requests():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    check = "import sys, tabret.cli; assert 'requests' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)

@@ -355,6 +355,21 @@ class TestHttpProvider:
         # two distinct questions per chunk satisfy n_q=2 on the first call
         assert len(fake.calls) == 4
 
+    def test_generate_all_raises_the_first_provider_error_and_stops(self, monkeypatch):
+        fake = FakeChatHttp()
+
+        def fail_on_second(url, body, headers=None, timeout=None):
+            if len(fake.calls) == 1:
+                fake.calls.append(body)
+                raise ProviderError("chat is down")
+            return fake(url, body, headers, timeout)
+
+        monkeypatch.setattr(querygen, "post_json", fail_on_second)
+        pts = [make_pt(pt_id=f"t{i}#first_rows#f", table_id=f"t{i}") for i in range(4)]
+        with pytest.raises(ProviderError, match="chat is down"):
+            generate_all(pts, http_cfg(max_parallel_requests=1))
+        assert len(fake.calls) == 2  # one worker: nothing is sent after the failure
+
 
 class TestConfigValidation:
     def test_unknown_chat_kind(self):
