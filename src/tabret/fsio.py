@@ -226,26 +226,39 @@ class Manifest:
         self._entries[stage] = entry
         append_jsonl(self.path, [entry], sync=True)
 
+    def _entry(self, stage: str, config_hash: str) -> dict:
+        """The stage's last entry if made in this format under config_hash, else {}."""
+        entry = self._entries.get(stage, {})
+        current = (entry.get("artifact_format"), entry.get("config_hash"))
+        return entry if current == (ARTIFACT_FORMAT, config_hash) else {}
+
     def is_fresh(self, stage: str, config_hash: str) -> bool:
         """True when the stage's recorded hashes all match the files on disk."""
-        entry = self._entries.get(stage)
-        if (
-            entry is None
-            or entry.get("artifact_format") != ARTIFACT_FORMAT
-            or entry.get("config_hash") != config_hash
-        ):
-            return False
-        for section in ("input_hashes", "output_hashes"):
-            hashes = entry.get(section)
-            if not isinstance(hashes, dict):
-                return False
-            for key, digest in hashes.items():
-                try:
-                    if self._digest(key) != digest:
-                        return False
-                except FileNotFoundError:
-                    return False
-        return True
+        entry = self._entry(stage, config_hash)
+        sections = (entry.get("input_hashes"), entry.get("output_hashes"))
+        return all(isinstance(s, dict) for s in sections) and all(
+            self._now(key) == digest for s in sections for key, digest in s.items()
+        )
+
+    def is_outdated(self, stage: str, config_hash: str) -> bool:
+        """True when the stage's outputs were made under other settings or
+        from an input since rewritten: one that now hashes as the stage
+        that writes it recorded it, or that changed if no stage writes it.
+        A damaged or missing input is left to the stage that reads it."""
+        hashes = self._entry(stage, config_hash).get("input_hashes")
+        return not isinstance(hashes, dict) or any(
+            self._now(key) not in (None, digest) and self._written(key) in (None, self._now(key))
+            for key, digest in hashes.items()
+        )
+
+    def _written(self, key: str) -> str | None:
+        """key's digest as recorded by the stage that writes it."""
+        outputs = (entry.get("output_hashes") for entry in self._entries.values())
+        return next((out[key] for out in outputs if isinstance(out, dict) and key in out), None)
+
+    def _now(self, key: str) -> str | None:
+        """The file's digest, or None when it is missing."""
+        return self._digest(key) if (self.workspace / key).exists() else None
 
     def _digest(self, key: str, rehash: bool = False) -> str:
         """SHA-256 of the file under key, from the memo unless rehash."""

@@ -88,11 +88,8 @@ def stage_files(cfg: PipelineConfig, stage: str) -> tuple[list[Path], list[Path]
     heldout = ["queries.jsonl"] if cfg.eval.gold_path is None else []
     inputs, outputs = {
         "ingest": ([], ["corpus.jsonl"]),
-        "embed": (["corpus.jsonl"], ["instance_embeddings.bin", "instance_embeddings.jsonl"]),
-        "cluster": (
-            ["corpus.jsonl", "instance_embeddings.bin", "instance_embeddings.jsonl"],
-            ["clusters.jsonl"],
-        ),
+        "embed": (["corpus.jsonl"], ["instance_embeddings.bin"]),
+        "cluster": (["corpus.jsonl", "instance_embeddings.bin"], ["clusters.jsonl"]),
         "kpt": (["corpus.jsonl", "clusters.jsonl"], ["kpts.jsonl"]),
         "genq": (["kpts.jsonl"], ["queries.jsonl"]),
         "mine": (["kpts.jsonl", "queries.jsonl"], ["triples.jsonl"]),
@@ -208,6 +205,11 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     if manifest.is_fresh(stage, config_hash):
         run.log(f"[{stage}] fresh (cache hit), nothing to do")
         return StageResult(stage, "fresh", 0.0)
+    for path in inputs:
+        producer = _producer(cfg, path)
+        if producer and manifest.is_outdated(producer, cfg.stage_config_hash(producer)):
+            raise StageError(3, f"stage '{stage}': {manifest.key(path)} was made from older "
+                             f"inputs or settings; run stage '{producer}' first")
     started = time.monotonic()
     try:
         _STAGE_FNS[stage](run)
@@ -270,34 +272,19 @@ def _stage_ingest(run: _Run) -> None:
 
 
 def _stage_embed(run: _Run) -> None:
-    texts, rows = [], []
-    for t in run.corpus.tables:
-        for i in range(len(t.instances)):
-            texts.append(serialize_instance(t, i))
-            rows.append({"table_id": t.table_id, "row_index": i})
+    texts = [serialize_instance(t, i) for t in run.corpus.tables for i in range(len(t.instances))]
     vectors = embed_texts(run.cfg.embedding, texts, run.cache)
     write_matrix_bin(run.ws / "instance_embeddings.bin", vectors)
-    write_jsonl(run.ws / "instance_embeddings.jsonl", rows)
     run.log(f"[embed] {len(texts)} instances at dim {run.cfg.embedding.dim}")
 
 
 def _stage_cluster(run: _Run) -> None:
-    corpus = run.corpus
     matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
-    rows = list(read_jsonl(run.ws / "instance_embeddings.jsonl"))
-    if len(rows) != len(matrix):
-        raise StageError(3, "instance embeddings sidecar and matrix disagree; rerun 'embed'")
-    offsets: dict[str, list[int]] = {}
-    for i, rec in enumerate(rows):
-        offsets.setdefault(rec["table_id"], []).append(i)
-    tables = []
-    for t in corpus.tables:
-        idx = offsets.get(t.table_id)
-        if not idx or len(idx) != len(t.instances):
-            raise StageError(3, f"embeddings missing for table {t.table_id!r}; rerun 'embed'")
-        # embed writes a table's rows together, so this is usually a view
-        contiguous = idx[-1] - idx[0] + 1 == len(idx)
-        tables.append(matrix[idx[0] : idx[-1] + 1] if contiguous else matrix[idx])
+    counts = [len(t.instances) for t in run.corpus.tables]
+    if sum(counts) != len(matrix):
+        raise StageError(3, "instance_embeddings.bin and corpus.jsonl disagree; rerun 'embed'")
+    # embed writes each table's rows together, in corpus order
+    tables = [matrix[end - n : end] for n, end in zip(counts, np.cumsum(counts))]
     assignments = cluster_tables(tables, run.cfg.clustering)
     records = [
         {
@@ -309,7 +296,7 @@ def _stage_cluster(run: _Run) -> None:
             "iterations_run": a.iterations_run,
             "inertia_history": a.inertia_history,
         }
-        for t, a in zip(corpus.tables, assignments)
+        for t, a in zip(run.corpus.tables, assignments)
     ]
     write_jsonl(run.ws / "clusters.jsonl", records)
     run.log(f"[cluster] {len(records)} tables clustered")

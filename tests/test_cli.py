@@ -1,6 +1,7 @@
 """CLI surface: exit codes, command plumbing, output channels."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,110 @@ class TestBadJsonLines:
                      "--set", "corpus.path=tables", "--set", "corpus.format=csv-dir"])
         assert code == 2
         assert f"{tables / 'parts.csv'}: invalid UTF-8" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def demo_built(tmp_path_factory) -> Path:
+    """The demo project, built once; tests run it on copies of its workspace."""
+    root = tmp_path_factory.mktemp("demo")
+    for name in ("config.yaml", "corpus.jsonl"):
+        shutil.copy(REPO / "data" / "demo" / name, root)
+    assert main(["run", "--config", str(root / "config.yaml")]) == 0
+    return root
+
+
+@pytest.fixture
+def demo(demo_built, tmp_path):
+    """Runs tabret on a fresh copy of the built demo workspace."""
+    workspace = tmp_path / "workspace"
+    shutil.copytree(demo_built / "workspace", workspace)
+
+    def run(*args: str) -> int:
+        config = str(demo_built / "config.yaml")
+        return main(["run", "--config", config, "--set", f"workspace={workspace}", *args])
+
+    run.workspace = workspace
+    return run
+
+
+def _demo_tables() -> list[dict]:
+    return [json.loads(line) for line in (REPO / "data" / "demo" / "corpus.jsonl").open()]
+
+
+def _write_corpus(path: Path, tables: list[dict]) -> str:
+    path.write_text("".join(json.dumps(t) + "\n" for t in tables), encoding="utf-8")
+    return f"corpus.path={path}"
+
+
+class TestOutdatedInputs:
+    """A single-stage run whose input was made from older inputs or settings
+    exits 3, naming the stage to run first."""
+
+    @staticmethod
+    def assert_outdated(capsys, run, stage: str, artifact: str, producer: str, *args: str):
+        capsys.readouterr()
+        assert run("--stage", stage, *args) == 3
+        err = capsys.readouterr().err
+        assert (
+            f"stage '{stage}': {artifact} was made from older inputs or settings; "
+            f"run stage '{producer}' first"
+        ) in err
+
+    def test_train_after_regenerated_queries_names_mine(self, demo, capsys):
+        assert demo("--stage", "genq", "--set", "genq.n_q=3") == 0
+        self.assert_outdated(
+            capsys, demo, "train", "triples.jsonl", "mine", "--set", "genq.n_q=3"
+        )
+
+    def test_kpt_after_ingesting_a_shorter_table_names_cluster(self, demo, capsys, tmp_path):
+        tables = _demo_tables()
+        tables[0]["rows"] = tables[0]["rows"][:-3]
+        corpus = _write_corpus(tmp_path / "shorter.jsonl", tables)
+        assert demo("--stage", "ingest", "--set", corpus) == 0
+        self.assert_outdated(capsys, demo, "kpt", "clusters.jsonl", "cluster", "--set", corpus)
+
+    def test_eval_after_rebuilding_partial_tables_names_index(self, demo, capsys, tmp_path):
+        tables = [{**t, "table_id": "z" + t["table_id"]} for t in _demo_tables()]
+        corpus = _write_corpus(tmp_path / "renamed.jsonl", tables)
+        for stage in ("ingest", "embed", "cluster", "kpt", "genq"):
+            assert demo("--stage", stage, "--set", corpus) == 0, stage
+        self.assert_outdated(
+            capsys, demo, "eval", "index/entries.jsonl", "index", "--set", corpus
+        )
+
+    def test_cluster_after_renaming_a_table_names_embed(self, demo, capsys, tmp_path):
+        # every row count is kept, so only the manifest can tell
+        tables = _demo_tables()
+        tables[1]["table_id"] = "renamed"
+        corpus = _write_corpus(tmp_path / "renamed.jsonl", tables)
+        assert demo("--stage", "ingest", "--set", corpus) == 0
+        self.assert_outdated(
+            capsys, demo, "cluster", "instance_embeddings.bin", "embed", "--set", corpus
+        )
+        assert demo("--stage", "embed", "--set", corpus) == 0
+        assert demo("--stage", "cluster", "--set", corpus) == 0
+
+    def test_eval_under_other_index_settings_names_index(self, demo, capsys):
+        self.assert_outdated(
+            capsys, demo, "eval", "index/entries.jsonl", "index", "--set", "retrieval.fusion=mean"
+        )
+        assert demo("--stage", "index", "--set", "retrieval.fusion=mean") == 0
+        assert demo("--stage", "eval", "--set", "retrieval.fusion=mean") == 0
+
+    def test_damaged_input_is_left_to_its_reader(self, demo, capsys):
+        # kpts.jsonl no longer hashes as kpt recorded it: damage, not a rewrite
+        kpts = demo.workspace / "kpts.jsonl"
+        kpts.write_text(kpts.read_text().replace('"text": "', '"text": "X', 1))
+        capsys.readouterr()
+        assert demo("--stage", "mine") == 0
+        assert "was made from older" not in capsys.readouterr().err
+
+    def test_noop_and_full_runs_are_unaffected(self, demo, capsys):
+        assert demo() == 0
+        assert "[eval] fresh" in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -233,6 +233,50 @@ class TestManifest:
             Manifest(tmp_path)
 
 
+class TestIsOutdated:
+    """A stage's outputs are outdated when made under other settings or from
+    an input rewritten since; a damaged or missing input is not a rewrite."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        # source.txt (no writer) -> ingest -> a.txt -> embed -> b.txt
+        (tmp_path / "source.txt").write_text("s1")
+        (tmp_path / "a.txt").write_text("a1")
+        (tmp_path / "b.txt").write_text("b1")
+        man = Manifest(tmp_path)
+        man.record("ingest", "cfgI", [tmp_path / "source.txt"], [tmp_path / "a.txt"], 0.1)
+        man.record("embed", "cfgE", [tmp_path / "a.txt"], [tmp_path / "b.txt"], 0.1)
+        return tmp_path
+
+    def test_current_stage_is_not_outdated(self, chain):
+        man = Manifest(chain)
+        assert not man.is_outdated("ingest", "cfgI") and not man.is_outdated("embed", "cfgE")
+
+    def test_missing_entry_or_other_settings_is_outdated(self, chain):
+        man = Manifest(chain)
+        assert man.is_outdated("cluster", "cfgC") and man.is_outdated("embed", "other")
+
+    def test_input_rewritten_by_its_writer_is_outdated(self, chain):
+        (chain / "a.txt").write_text("a2")
+        man = Manifest(chain)
+        man.record("ingest", "cfgI", [chain / "source.txt"], [chain / "a.txt"], 0.1)
+        assert man.is_outdated("embed", "cfgE")
+
+    def test_damaged_input_is_not_outdated(self, chain):
+        (chain / "a.txt").write_text("a2")  # not what ingest recorded
+        assert not Manifest(chain).is_outdated("embed", "cfgE")
+
+    def test_changed_input_without_a_writer_is_outdated(self, chain):
+        (chain / "source.txt").write_text("s2")
+        assert Manifest(chain).is_outdated("ingest", "cfgI")
+
+    def test_missing_input_is_not_outdated(self, chain):
+        (chain / "source.txt").unlink()
+        (chain / "a.txt").unlink()
+        man = Manifest(chain)
+        assert not man.is_outdated("ingest", "cfgI") and not man.is_outdated("embed", "cfgE")
+
+
 class TestReadLog:
     def test_missing_log_is_empty(self, tmp_path):
         assert read_log(tmp_path / "absent.jsonl") == []

@@ -142,7 +142,6 @@ class TestRunPipeline:
         for name in (
             "corpus.jsonl",
             "instance_embeddings.bin",
-            "instance_embeddings.jsonl",
             "clusters.jsonl",
             "kpts.jsonl",
             "queries.jsonl",
@@ -320,7 +319,6 @@ class TestDamagedWorkspace:
 PRODUCERS = {
     "corpus.jsonl": "ingest",
     "instance_embeddings.bin": "embed",
-    "instance_embeddings.jsonl": "embed",
     "clusters.jsonl": "cluster",
     "kpts.jsonl": "kpt",
     "queries.jsonl": "genq",
@@ -382,14 +380,6 @@ class TestStageFiles:
                 path.with_name(path.name + ".bak").rename(path)
             assert exc_info.value.exit_code == 3
         assert [r.status for r in run_pipeline(built_cfg, stage)] == ["fresh"]
-
-    def test_reordered_embedding_sidecar_reruns_cluster(self, pipeline_cfg):
-        run_pipeline(pipeline_cfg, "all")
-        sidecar = pipeline_cfg.workspace / "instance_embeddings.jsonl"
-        lines = sidecar.read_text().splitlines(keepends=True)
-        lines[0], lines[1] = lines[1], lines[0]
-        sidecar.write_text("".join(lines))
-        assert [r.status for r in run_pipeline(pipeline_cfg, "cluster")] == ["ran"]
 
 
 def _latest_manifest_paths(ws: Path) -> set[Path]:
