@@ -12,9 +12,11 @@ no-op run, a re-index with ``retrieval.fusion=mean`` and one back to
 workspace, embedding cache included. ``manifest.jsonl`` holds wall
 times, so in its place each of its entries is recorded, in order, as
 its stage and the digest of the entry without ``wall_time_s``, under the
-run's key plus ``/manifest``. Everything it writes lives under WORKDIR,
-which must not exist yet; the demo config and corpus are copied there
-too. The ingest config hash and the corpus's manifest key hold the
+run's key plus ``/manifest``. Each stage's status in the run (ran, fresh
+or skipped) goes under the run's key plus ``/stages``, so the same diff
+shows whether the two checkouts ran the same stages. Everything it
+writes lives under WORKDIR, which must not exist yet; the demo config
+and corpus are copied there too. The ingest config hash and the corpus's manifest key hold the
 corpus's absolute path, so two outputs compare equal only when both
 runs used the same WORKDIR path (remove it between the runs). BLAS runs
 on one thread unless the environment says otherwise.
@@ -83,8 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         workspace = workdir / "workspaces" / label
         for run, overrides in RUNS:
             cfg = config.load_config(path, [f"workspace={workspace}", *overrides])
-            pipeline.run_pipeline(cfg, "all")
+            results = pipeline.run_pipeline(cfg, "all")
             out[f"{label}/{run}"] = digests(workspace)
+            out[f"{label}/{run}/stages"] = [f"{r.stage} {r.status}" for r in results]
             out[f"{label}/{run}/manifest"] = manifest_entries(workspace)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
