@@ -17,13 +17,17 @@ ARTIFACT_FORMAT, so artifacts of an older layout are rebuilt.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
+import itertools
 import json
+import operator
 import os
 import struct
 import tempfile
+import typing
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -134,6 +138,51 @@ def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     return (rec for _, rec in read_numbered_jsonl(path))
+
+
+@functools.cache
+def _types(kind: Any) -> frozenset[type]:
+    """The types a parsed JSON value of kind may have: a bool is no number,
+    an int is also a float, and list[T] or tuple[T, ...] is a JSON array."""
+    origin = typing.get_origin(kind)
+    if origin in (list, tuple):
+        return frozenset({list})
+    if origin is not None:  # a union such as int | None
+        return frozenset().union(*map(_types, typing.get_args(kind)))
+    return frozenset({int, float} if kind is float else {kind})
+
+
+def _all_of(kind: Any, values: list) -> bool:
+    """True when every value is of kind, the items of an array included."""
+    if not set(map(type, values)) <= _types(kind):
+        return False
+    if typing.get_origin(kind) in (list, tuple):
+        return _all_of(typing.get_args(kind)[0], list(itertools.chain.from_iterable(values)))
+    return True
+
+
+def typed_records(
+    path: str | Path, records: Iterable[dict], fields: Mapping[str, Any]
+) -> list[dict]:
+    """records, as read from the JSON Lines file at path, checked to hold
+    each of fields (name -> type, as a dataclass's type hints give them)
+    field by field over all records at once; a missing or ill-typed field
+    raises JsonLinesError naming its line."""
+    records = list(records)
+    for name, kind in fields.items():
+        try:
+            if _all_of(kind, list(map(operator.itemgetter(name), records))):
+                continue
+        except KeyError:
+            pass
+        i = next(
+            i for i, rec in enumerate(records) if name not in rec or not _all_of(kind, [rec[name]])
+        )
+        shown = kind.__name__ if typing.get_origin(kind) is None else str(kind)
+        problem = f"expected {shown}" if name in records[i] else "missing"
+        line_no = next(n for j, (n, _) in enumerate(read_numbered_jsonl(path)) if j == i)
+        raise JsonLinesError(path, line_no, f"field {name!r}: {problem}")
+    return records
 
 
 def read_log(p: Path) -> list[dict]:

@@ -10,7 +10,8 @@ a header line plus its rows in original order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class PartialTable:
             raise ValueError(f"{self.pt_id}: s_single must select exactly one row")
 
 
-# read once: dataclasses.fields costs more than building the partial table
-_PT_FIELDS = tuple(f.name for f in fields(PartialTable))
+# a record's fields and their types, read once
+PT_FIELDS = typing.get_type_hints(PartialTable)
 
 
 def _pt_id(table_id: str, strategy: str, cluster_index: int | None) -> str:
@@ -122,5 +123,5 @@ def kpt_to_record(pt: PartialTable) -> dict:
 
 
 def kpt_from_record(rec: dict) -> PartialTable:
-    values = {name: rec[name] for name in _PT_FIELDS}
+    values = {name: rec[name] for name in PT_FIELDS}
     return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})

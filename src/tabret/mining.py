@@ -21,6 +21,7 @@ less two rows, and 32963 of 40000 between a gemm and per-query gemvs.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ class TrainingTriple:
     positive_pt_id: str
     negative_pt_ids: tuple[str, ...]
     strategy: str
+
+
+# a record's fields and their types, read once
+TRIPLE_FIELDS = typing.get_type_hints(TrainingTriple)
 
 
 def _query_rng(seed: int, query_id: str) -> np.random.Generator:

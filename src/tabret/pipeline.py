@@ -6,7 +6,10 @@ config slice and file hashes are unchanged is a no-op on re-run.
 stage_files is the one place that declares what each stage reads and
 writes: a run checks a stage's inputs against it, maps a damaged file
 back to the stage that writes it, and records exactly those files in the
-manifest. One run hashes each workspace file at most once (plus once
+manifest. Before a stage runs, the manifest also vouches for its inputs:
+each one another stage writes must come from that writer's current
+settings and current inputs, or the run names the writer to run first
+(see _run_one). One run hashes each workspace file at most once (plus once
 more for each output a stage writes). The stages of one run share a
 _Run, which opens the embedding cache and reads corpus.jsonl,
 kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
@@ -39,13 +42,27 @@ from .fsio import (
     atomic_write_text,
     read_jsonl,
     read_matrix_bin,
+    read_numbered_jsonl,
+    typed_records,
     write_jsonl,
     write_matrix_bin,
 )
 from .httpjson import ProviderError
-from .kpt import STRATEGIES, build_kpts, kpt_from_record, kpt_to_record, PartialTable
-from .mining import MINING_STRATEGIES, mine_all, triple_from_record, triple_to_record
-from .querygen import SyntheticQuery, generate_all, query_from_record, query_to_record
+from .kpt import PT_FIELDS, STRATEGIES, build_kpts, kpt_from_record, kpt_to_record, PartialTable
+from .mining import (
+    MINING_STRATEGIES,
+    TRIPLE_FIELDS,
+    mine_all,
+    triple_from_record,
+    triple_to_record,
+)
+from .querygen import (
+    QUERY_FIELDS,
+    SyntheticQuery,
+    generate_all,
+    query_from_record,
+    query_to_record,
+)
 from .retrieval import build_index, evaluate, load_index, save_index
 from .train import Adapter, load_adapter, save_adapter
 from .train import train as train_adapter
@@ -53,6 +70,8 @@ from .train import train as train_adapter
 STAGES = ("ingest", "embed", "cluster", "kpt", "genq", "mine", "train", "index", "eval")
 
 _INDEX_FILES = ("index/entries.jsonl", "index/vectors.bin", "index/meta.json")
+
+_CLUSTER_FIELDS = {"table_id": str, "k": int, "labels": list[int], "point_distances": list[float]}
 
 
 class StageError(RuntimeError):
@@ -147,13 +166,17 @@ class _Run:
     def corpus(self) -> Corpus:
         return load_corpus(self.ws / "corpus.jsonl")
 
+    def records(self, name: str, fields: dict) -> list[dict]:
+        """The workspace file's records, each checked to hold fields."""
+        return typed_records(self.ws / name, read_jsonl(self.ws / name), fields)
+
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
-        return [kpt_from_record(rec) for rec in read_jsonl(self.ws / "kpts.jsonl")]
+        return [kpt_from_record(rec) for rec in self.records("kpts.jsonl", PT_FIELDS)]
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
-        parsed = [query_from_record(rec) for rec in read_jsonl(self.ws / "queries.jsonl")]
+        parsed = [query_from_record(rec) for rec in self.records("queries.jsonl", QUERY_FIELDS)]
         if self.cfg.eval.gold_path is not None:
             return QuerySplit(parsed, parsed, [])
         return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
@@ -190,6 +213,17 @@ def run_pipeline(
 
 
 def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
+    """Run the stage unless it is fresh, and record it in the manifest.
+
+    A missing input that a stage P writes exits 3 naming P. So does, once
+    the stage is found not fresh, an input whose writer P is outdated:
+    P's last entry is missing, of another format or config hash, or lists
+    an input since rewritten (see Manifest.is_outdated). One level
+    suffices: P's entry ties P's outputs to P's inputs, so inputs that
+    each come from a current writer also agree with each other. A file
+    that no longer hashes as its writer recorded it was damaged outside
+    the pipeline; the stage that reads it reports it, naming the writer.
+    """
     cfg = run.cfg
     inputs, outputs = stage_files(cfg, stage)
     for path in inputs:
@@ -314,7 +348,7 @@ def _stage_kpt(run: _Run) -> None:
     cfg = run.cfg
     assignments = {
         rec["table_id"]: _labels_from_record(rec)
-        for rec in read_jsonl(run.ws / "clusters.jsonl")
+        for rec in run.records("clusters.jsonl", _CLUSTER_FIELDS)
     }
     records = []
     for t in run.corpus.tables:
@@ -352,7 +386,7 @@ def _stage_mine(run: _Run) -> None:
 
 def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
-    triples = [triple_from_record(rec) for rec in read_jsonl(ws / "triples.jsonl")]
+    triples = [triple_from_record(rec) for rec in run.records("triples.jsonl", TRIPLE_FIELDS)]
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
     pts = run.pts
@@ -401,22 +435,30 @@ def _stage_index(run: _Run) -> None:
     run.log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval_mode}, {cfg.fusion} fusion)")
 
 
-def _gold_pairs(run: _Run) -> list[tuple[str, str]]:
+def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
+    """(query, gold table id) pairs: the held-out queries, or the rows of
+    the gold file, each naming one of the index's tables."""
     gold_path = run.cfg.eval.gold_path
     if gold_path is None:
         return [(q.text, q.table_id) for q in run.queries.heldout]
-    pairs = []
-    for rec in read_jsonl(gold_path):
+    known, pairs = set(tables), []
+    for line_no, rec in read_numbered_jsonl(gold_path):
+        where = f"{gold_path}:{line_no}"
         if "query" not in rec or "gold_table_id" not in rec:
-            raise StageError(2, f"{gold_path}: gold rows need query and gold_table_id")
-        pairs.append((str(rec["query"]), str(rec["gold_table_id"])))
+            raise StageError(2, f"{where}: gold rows need query and gold_table_id")
+        query, table_id = rec["query"], rec["gold_table_id"]
+        if not isinstance(query, str) or not isinstance(table_id, str):
+            raise StageError(2, f"{where}: query and gold_table_id must be strings")
+        if table_id not in known:
+            raise StageError(2, f"{where}: gold table id {table_id!r} is not in the index")
+        pairs.append((query, table_id))
     return pairs
 
 
 def _stage_eval(run: _Run) -> None:
     cfg = run.cfg
     index = load_index(run.ws / "index", adapter=run.adapter)
-    gold = _gold_pairs(run)
+    gold = _gold_pairs(run, index.tables)
     if not gold:
         raise StageError(
             2, "no evaluation queries: set eval.gold_path or eval.holdout_per_pt >= 1"

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
+import typing
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .embed import PROVIDER_KINDS
 from .httpjson import ProviderError, fan_out, post_json
@@ -111,6 +112,8 @@ class GenConfig:
             raise ValueError("n_q must be >= 1")
         if not 0 <= self.temperature <= 2:
             raise ValueError("temperature must be in [0, 2]")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ class SyntheticQuery:
     lang: str
 
 
-# read once: dataclasses.fields costs more than building the query
-_QUERY_FIELDS = tuple(f.name for f in fields(SyntheticQuery))
+# a record's fields and their types, read once
+QUERY_FIELDS = typing.get_type_hints(SyntheticQuery)
 
 
 def render_prompt(pt: PartialTable, cfg: GenConfig) -> str:
@@ -237,7 +240,7 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
     prompt = render_prompt(pt, cfg)
     best: list[str] = []
     previous_response = None
-    for _ in range(max(1, cfg.max_retries)):
+    for _ in range(cfg.max_retries):
         response = chat_complete(cfg, prompt)
         raw = extract_questions(response)
         questions = _postprocess(raw or [], cfg.n_q)
@@ -297,4 +300,4 @@ def query_to_record(q: SyntheticQuery) -> dict:
 
 
 def query_from_record(rec: dict) -> SyntheticQuery:
-    return SyntheticQuery(**{name: rec[name] for name in _QUERY_FIELDS})
+    return SyntheticQuery(**{name: rec[name] for name in QUERY_FIELDS})

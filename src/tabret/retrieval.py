@@ -32,6 +32,7 @@ from .fsio import (
     atomic_write_bytes,
     read_jsonl,
     read_matrix_bin,
+    typed_records,
     write_jsonl,
     write_matrix_bin,
 )
@@ -45,6 +46,9 @@ FUSIONS = ("max", "mean")
 
 class IndexFormatError(ArtifactError):
     """A persisted index fails validation on load."""
+
+
+_ENTRY_FIELDS = {"pt_id": str, "table_id": str}
 
 
 @dataclass
@@ -219,13 +223,17 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 
 def load_index(directory: str | Path, adapter: Adapter | None = None) -> RetrievalIndex:
     d = Path(directory)
-    entries = list(read_jsonl(d / "entries.jsonl"))
+    entries_path = d / "entries.jsonl"
+    entries = typed_records(entries_path, read_jsonl(entries_path), _ENTRY_FIELDS)
     vectors = read_matrix_bin(d / "vectors.bin", IndexFormatError)
     if len(vectors) != len(entries):
-        raise IndexFormatError(
-            d / "entries.jsonl", "entries.jsonl and vectors.bin disagree on count"
-        )
-    meta = json.loads((d / "meta.json").read_text())
+        raise IndexFormatError(entries_path, "entries.jsonl and vectors.bin disagree on count")
+    try:
+        meta = json.loads((d / "meta.json").read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise IndexFormatError(d / "meta.json", f"invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise IndexFormatError(d / "meta.json", "expected a JSON object")
     return RetrievalIndex(
         pt_ids=[e["pt_id"] for e in entries],
         table_ids=[e["table_id"] for e in entries],

@@ -83,6 +83,14 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (project / "ws").exists()
 
+    def test_max_retries_below_one_exits_2_naming_genq(self, project, capsys):
+        code = main(
+            ["run", "--config", str(project / "config.yaml"), "--set", "genq.max_retries=0"]
+        )
+        assert code == 2
+        assert "genq: max_retries must be >= 1" in capsys.readouterr().err
+        assert not (project / "ws").exists()
+
     def test_removed_clustering_tol_exits_2(self, project, capsys):
         config = project / "config.yaml"
         body = config.read_text().replace("  n_init: 2\n", "  n_init: 2\n  tol: 1.0e-6\n")
@@ -379,6 +387,71 @@ class TestOutdatedInputs:
     def test_noop_and_full_runs_are_unaffected(self, demo, capsys):
         assert demo() == 0
         assert "[eval] fresh" in capsys.readouterr().err
+
+
+def _replace_line(path: Path, line_no: int, edit) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line_no - 1] = json.dumps(edit(json.loads(lines[line_no - 1]))) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestDamagedRecords:
+    """A workspace record that parses but lacks a field, or holds one of
+    the wrong type, exits 3 naming its file, its line and the stage to rerun."""
+
+    @pytest.mark.parametrize(
+        "name, field, value, stage, producer",
+        [
+            ("kpts.jsonl", "row_indices", ["1"], "genq", "kpt"),
+            ("queries.jsonl", "text", None, "mine", "genq"),
+            ("triples.jsonl", "negative_pt_ids", "table_01#kpt_random#0", "train", "mine"),
+            ("clusters.jsonl", "k", 2.0, "kpt", "cluster"),
+            ("index/entries.jsonl", "table_id", 7, "eval", "index"),
+        ],
+    )
+    def test_ill_typed_field_exits_3(self, demo, capsys, name, field, value, stage, producer):
+        _replace_line(demo.workspace / name, 2, lambda rec: {**rec, field: value})
+        capsys.readouterr()
+        assert demo("--stage", stage) == 3
+        err = capsys.readouterr().err
+        assert f"{name}:2: field {field!r}: expected " in err
+        assert err.rstrip().endswith(f"; rerun stage '{producer}'")
+
+    def test_partial_table_without_table_id_exits_3_naming_kpt(self, demo, capsys):
+        _replace_line(demo.workspace / "kpts.jsonl", 4, lambda rec: {"pt_id": "x"})
+        capsys.readouterr()
+        assert demo("--stage", "genq") == 3
+        err = capsys.readouterr().err
+        assert "kpts.jsonl:4: field 'table_id': missing; rerun stage 'kpt'" in err
+
+    @pytest.mark.parametrize("body", ["{not json", "[1, 2]"])
+    def test_index_meta_that_is_no_json_object_exits_3_naming_index(self, demo, capsys, body):
+        (demo.workspace / "index" / "meta.json").write_text(body)
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert "meta.json: " in err and err.rstrip().endswith("; rerun stage 'index'")
+
+
+class TestGoldFile:
+    """A gold file the index cannot score exits 2, naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ({"query": "what is in stock", "gold_table_id": "no_such_table"},
+             "gold table id 'no_such_table' is not in the index"),
+            ({"query": ["x"], "gold_table_id": "table_00"},
+             "query and gold_table_id must be strings"),
+        ],
+    )
+    def test_unusable_gold_row_exits_2(self, demo, capsys, tmp_path, row, problem):
+        gold = tmp_path / "gold.jsonl"
+        good = {"query": "alloy valve assembly", "gold_table_id": "table_00"}
+        gold.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert demo("--set", f"eval.gold_path={gold}") == 2
+        assert f"{gold}:2: {problem}" in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tabret.fsio import (
     read_log,
     read_matrix_bin,
     sha256_json,
+    typed_records,
     write_jsonl,
     write_matrix_bin,
 )
@@ -74,6 +76,44 @@ class TestJsonl:
         p.write_bytes(good + b'{"bad": "\xff"}\n' + good)
         with pytest.raises(JsonLinesError, match=":3001: invalid UTF-8"):
             list(read_jsonl(p))
+
+
+class TestTypedRecords:
+    FIELDS = {"id": str, "n": int, "x": float, "c": int | None, "rows": list[int],
+              "ids": tuple[str, ...]}
+    GOOD = {"id": "a", "n": 1, "x": 2, "c": None, "rows": [1, 2], "ids": ["p"], "extra": True}
+
+    def _read(self, tmp_path, *records):
+        p = tmp_path / "r.jsonl"
+        # a blank line keeps line numbers apart from record positions
+        p.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records))
+        return typed_records(p, read_jsonl(p), self.FIELDS)
+
+    def test_well_typed_records_pass_through(self, tmp_path):
+        other = {**self.GOOD, "x": 0.5, "c": 3, "rows": []}
+        assert self._read(tmp_path, self.GOOD, other) == [self.GOOD, other]
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("id", 1, "expected str"),
+            ("n", True, "expected int"),
+            ("n", 1.0, "expected int"),
+            ("x", "2", "expected float"),
+            ("c", "3", "expected int | None"),
+            ("rows", [1, "2"], "expected list[int]"),
+            ("rows", None, "expected list[int]"),
+            ("ids", "p", "expected tuple[str, ...]"),
+        ],
+    )
+    def test_ill_typed_field_names_its_line(self, tmp_path, field, value, problem):
+        with pytest.raises(JsonLinesError, match=rf":3: field '{field}': {re.escape(problem)}$"):
+            self._read(tmp_path, self.GOOD, {**self.GOOD, field: value})
+
+    def test_missing_field_names_its_line(self, tmp_path):
+        bad = {k: v for k, v in self.GOOD.items() if k != "c"}
+        with pytest.raises(JsonLinesError, match=r":4: field 'c': missing$"):
+            self._read(tmp_path, self.GOOD, self.GOOD, bad)
 
 
 class TestMatrixBin:

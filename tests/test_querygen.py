@@ -234,6 +234,23 @@ class TestGenerateQueries:
         with pytest.raises(QueryGenError, match="inv_a#first_rows#f"):
             generate_queries(make_pt(), GenConfig(n_q=5, max_retries=3))
 
+    @pytest.mark.parametrize("max_retries", [0, -2])
+    def test_max_retries_below_one_rejected(self, max_retries):
+        with pytest.raises(ValueError, match="max_retries must be >= 1"):
+            GenConfig(max_retries=max_retries)
+
+    def test_one_attempt_sends_one_request(self, monkeypatch):
+        calls = []
+
+        def fake(cfg, prompt):
+            calls.append(prompt)
+            return "no json here"
+
+        monkeypatch.setattr(querygen, "chat_complete", fake)
+        with pytest.raises(QueryGenError, match="after 1 attempts"):
+            generate_queries(make_pt(), GenConfig(n_q=5, max_retries=1))
+        assert len(calls) == 1
+
 
 class TestGenerateAll:
     def test_canonical_order_and_skips(self, monkeypatch):
