@@ -128,11 +128,6 @@ def stage_files(cfg: PipelineConfig, stage: str) -> tuple[list[Path], list[Path]
     return in_paths, [ws / name for name in outputs]
 
 
-def _producer(cfg: PipelineConfig, path: Path) -> str | None:
-    """The stage that writes path, or None for a file from outside."""
-    return next((st for st in STAGES if path in stage_files(cfg, st)[1]), None)
-
-
 @dataclass(frozen=True)
 class QuerySplit:
     """queries.jsonl as one run reads it."""
@@ -157,6 +152,11 @@ class _Run:
     @property
     def ws(self) -> Path:
         return self.cfg.workspace
+
+    @functools.cached_property
+    def writers(self) -> dict[Path, str]:
+        """The stage that writes each workspace file; a file from outside has none."""
+        return {path: st for st in STAGES for path in stage_files(self.cfg, st)[1]}
 
     @functools.cached_property
     def cache(self) -> EmbeddingCache:
@@ -228,7 +228,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     inputs, outputs = stage_files(cfg, stage)
     for path in inputs:
         if not path.exists():
-            producer = _producer(cfg, path)
+            producer = run.writers.get(path)
             if producer is not None:
                 raise StageError(
                     3,
@@ -240,7 +240,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         run.log(f"[{stage}] fresh (cache hit), nothing to do")
         return StageResult(stage, "fresh", 0.0)
     for path in inputs:
-        producer = _producer(cfg, path)
+        producer = run.writers.get(path)
         if producer and manifest.is_outdated(producer, cfg.stage_config_hash(producer)):
             raise StageError(3, f"stage '{stage}': {manifest.key(path)} was made from older "
                              f"inputs or settings; run stage '{producer}' first")
@@ -255,7 +255,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
             raise StageError(3, f"stage '{stage}': {exc}; rerun stage 'ingest'") from exc
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
-        producer = _producer(cfg, exc.path)
+        producer = run.writers.get(exc.path)
         if producer is None and exc.path in inputs:  # the corpus or a gold file
             raise StageError(2, f"stage '{stage}': {exc}") from exc
         remedy = (
