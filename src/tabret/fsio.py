@@ -25,9 +25,8 @@ import operator
 import os
 import struct
 import tempfile
-import typing
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -144,11 +143,11 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
 def _types(kind: Any) -> frozenset[type]:
     """The types a parsed JSON value of kind may have: a bool is no number,
     an int is also a float, and list[T] or tuple[T, ...] is a JSON array."""
-    origin = typing.get_origin(kind)
+    origin = get_origin(kind)
     if origin in (list, tuple):
         return frozenset({list})
     if origin is not None:  # a union such as int | None
-        return frozenset().union(*map(_types, typing.get_args(kind)))
+        return frozenset().union(*map(_types, get_args(kind)))
     return frozenset({int, float} if kind is float else {kind})
 
 
@@ -156,8 +155,8 @@ def _all_of(kind: Any, values: list) -> bool:
     """True when every value is of kind, the items of an array included."""
     if not set(map(type, values)) <= _types(kind):
         return False
-    if typing.get_origin(kind) in (list, tuple):
-        return _all_of(typing.get_args(kind)[0], list(itertools.chain.from_iterable(values)))
+    if get_origin(kind) in (list, tuple):
+        return _all_of(get_args(kind)[0], list(itertools.chain.from_iterable(values)))
     return True
 
 
@@ -175,12 +174,12 @@ def typed_records(
                 continue
         except KeyError:
             pass
-        i = next(
+        bad = next(
             i for i, rec in enumerate(records) if name not in rec or not _all_of(kind, [rec[name]])
         )
-        shown = kind.__name__ if typing.get_origin(kind) is None else str(kind)
-        problem = f"expected {shown}" if name in records[i] else "missing"
-        line_no = next(n for j, (n, _) in enumerate(read_numbered_jsonl(path)) if j == i)
+        shown = kind.__name__ if get_origin(kind) is None else str(kind)
+        problem = f"expected {shown}" if name in records[bad] else "missing"
+        line_no = next(n for i, (n, _) in enumerate(read_numbered_jsonl(path)) if i == bad)
         raise JsonLinesError(path, line_no, f"field {name!r}: {problem}")
     return records
 
@@ -307,7 +306,10 @@ class Manifest:
 
     def _now(self, key: str) -> str | None:
         """The file's digest, or None when it is missing."""
-        return self._digest(key) if (self.workspace / key).exists() else None
+        try:
+            return self._digest(key)
+        except FileNotFoundError:
+            return None
 
     def _digest(self, key: str, rehash: bool = False) -> str:
         """SHA-256 of the file under key, from the memo unless rehash."""

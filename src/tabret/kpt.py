@@ -10,8 +10,8 @@ a header line plus its rows in original order.
 from __future__ import annotations
 
 import hashlib
-import typing
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class PartialTable:
 
 
 # a record's fields and their types, read once
-PT_FIELDS = typing.get_type_hints(PartialTable)
+PT_FIELDS = get_type_hints(PartialTable)
 
 
 def _pt_id(table_id: str, strategy: str, cluster_index: int | None) -> str:

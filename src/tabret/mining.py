@@ -21,8 +21,8 @@ less two rows, and 32963 of 40000 between a gemm and per-query gemvs.
 from __future__ import annotations
 
 import hashlib
-import typing
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class TrainingTriple:
 
 
 # a record's fields and their types, read once
-TRIPLE_FIELDS = typing.get_type_hints(TrainingTriple)
+TRIPLE_FIELDS = get_type_hints(TrainingTriple)
 
 
 def _query_rng(seed: int, query_id: str) -> np.random.Generator:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
-import typing
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 from .embed import PROVIDER_KINDS
 from .httpjson import ProviderError, fan_out, post_json
@@ -126,7 +126,7 @@ class SyntheticQuery:
 
 
 # a record's fields and their types, read once
-QUERY_FIELDS = typing.get_type_hints(SyntheticQuery)
+QUERY_FIELDS = get_type_hints(SyntheticQuery)
 
 
 def render_prompt(pt: PartialTable, cfg: GenConfig) -> str:
