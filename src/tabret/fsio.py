@@ -7,6 +7,9 @@ hashes of its config slice and of its input and output files; a stage
 whose recorded hashes all still match is skipped on re-run. A pipeline
 run's manifest memoizes each file's SHA-256 for that run, so a file read
 by several stages is hashed once; outputs are hashed again as written.
+A digest computed to decide freshness is kept with the file's stat stamp
+on a stamp line of the manifest, and a later run reuses it unhashed while
+the stamp still matches (see Manifest).
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -26,13 +29,15 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, get_args, get_origin
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar, get_args, get_origin
 
 import numpy as np
 
 # 1: CRC-64/XZ trailers; 2: BLAKE2b-64 trailers
 ARTIFACT_FORMAT = 2
 CHECKSUM_SIZE = 8
+
+T = TypeVar("T")  # what parsed_records makes of each record
 
 
 class ArtifactError(ValueError):
@@ -179,8 +184,42 @@ def typed_records(
         )
         shown = kind.__name__ if get_origin(kind) is None else str(kind)
         problem = f"expected {shown}" if name in records[bad] else "missing"
-        line_no = next(n for i, (n, _) in enumerate(read_numbered_jsonl(path)) if i == bad)
-        raise JsonLinesError(path, line_no, f"field {name!r}: {problem}")
+        raise JsonLinesError(path, _line_no(path, bad), f"field {name!r}: {problem}")
+    return records
+
+
+def parsed_records(
+    path: str | Path, records: Iterable[dict], parse: Callable[[dict], T]
+) -> list[T]:
+    """parse of each record, as read from the JSON Lines file at path; a
+    ValueError from parse (a record holding an invalid value) raises
+    JsonLinesError naming its line."""
+    out = []
+    for i, rec in enumerate(records):
+        try:
+            out.append(parse(rec))
+        except ValueError as exc:
+            raise JsonLinesError(path, _line_no(path, i), str(exc)) from exc
+    return out
+
+
+def _line_no(path: str | Path, index: int) -> int:
+    """The line number of the index-th record of a JSON Lines file."""
+    return next(n for i, (n, _) in enumerate(read_numbered_jsonl(path)) if i == index)
+
+
+def _parse_lines(path: str | Path, text: str) -> list[dict]:
+    """The records of text's non-blank lines, parsed in one json.loads; the
+    per-line parser runs only when that fails, to name the bad line. Each
+    line must give one object, so a line holding two values is rejected."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    try:
+        # a raw newline is invalid inside a JSON string, so none spans lines
+        records = json.loads("[" + ",\n".join(lines) + "]")
+    except json.JSONDecodeError:
+        records = None
+    if records is None or len(records) != len(lines) or not set(map(type, records)) <= {dict}:
+        return [rec for _, rec in _parse_jsonl(path, text.split("\n"))]
     return records
 
 
@@ -196,7 +235,7 @@ def read_log(p: Path) -> list[dict]:
         return []
     data = p.read_bytes()
     end = data.rfind(b"\n") + 1
-    records = [rec for _, rec in _parse_jsonl(p, _text(p, data[:end]).split("\n"))]
+    records = _parse_lines(p, _text(p, data[:end]))
     if end < len(data):
         try:
             records.extend(rec for _, rec in _parse_jsonl(p, [_text(p, data[end:])]))
@@ -219,6 +258,27 @@ def append_jsonl(path: str | Path, records: Iterable[dict], sync: bool = False) 
             os.fsync(fh.fileno())
 
 
+# a stat stamp's fields, in the order of its tuple
+_STAMP_FIELDS = ("ino", "size", "mtime_ns", "ctime_ns")
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _stamped_digest(record: Any, reference_ns: Any) -> tuple[tuple, str] | None:
+    """(stamp, digest) of a stamp record, or None when the record is
+    ill-typed or its file changed at or after reference_ns."""
+    try:
+        stamp = tuple(record[name] for name in _STAMP_FIELDS)
+        digest = record["sha256"]
+    except (KeyError, TypeError):
+        return None
+    if not all(type(v) is int for v in (*stamp, reference_ns)) or not isinstance(digest, str):
+        return None
+    return (stamp, digest) if max(stamp[2], stamp[3]) < reference_ns else None
+
+
 class Manifest:
     """Append-only record of completed stages keyed by content hashes.
 
@@ -230,22 +290,49 @@ class Manifest:
     current ARTIFACT_FORMAT, its config hash matches, and every recorded
     input and output file still hashes the same.
 
-    Each file is hashed at most once for the manifest's lifetime, except
-    that record hashes again the outputs its stage has just written. That
-    is sound only while no file changes other than through recorded
-    outputs, so a pipeline run builds its own manifest under the
-    workspace lock and drops it when the run ends.
+    One manifest hashes each file at most once, except that record
+    hashes again the outputs its stage has just written. That is sound
+    only while no file changes other than through recorded outputs, so a
+    pipeline run builds its own manifest under the workspace lock and
+    drops it when the run ends.
+
+    Stat stamps let later runs skip most of that hashing, as git's index
+    does. A digest computed for a freshness verdict is kept with the
+    file's stamp (st_ino, st_size, st_mtime_ns, st_ctime_ns), taken just
+    before the file is read, and save_stamps appends a run's stamps as one
+    line, {"reference_ns", "stamps": {path: {"ino", "size", "mtime_ns",
+    "ctime_ns", "sha256"}}}; later lines win. A later run, in any process,
+    reuses that digest without reading the file while the file's stamp
+    still matches. reference_ns is the filesystem's time before the run's
+    first stat (the lock's mtime just after touching it), and a stamp is
+    kept and trusted only when its mtime and ctime are both below it. A
+    change after the stat then leaves a later ctime, even one within the
+    same timestamp tick or with the old mtime put back by os.utime, which
+    sets the ctime. A file on another filesystem, whose clock may differ,
+    gets no stamp; an ill-typed or racy stamp record is ignored, and the
+    file hashed. Cold builds decide no freshness by hashing, so they write
+    no stamp line, and a run that finds every stamp matching writes none.
     """
 
-    def __init__(self, workspace: str | Path) -> None:
+    def __init__(self, workspace: str | Path, clock: os.stat_result | None = None) -> None:
+        """clock is the workspace lock's status just after touching it
+        (WorkspaceLock.touch); without it stamps are trusted but not taken."""
         self.workspace = Path(workspace)
         self.path = self.workspace / "manifest.jsonl"
+        self._clock = clock
         self._digests: dict[str, str] = {}
         self._entries: dict[str, dict] = {}
+        # key -> (stamp, digest) from the stamp lines, None when unusable
+        self._stamps: dict[str, tuple[tuple, str] | None] = {}
+        # the stamps taken since the last save_stamps
+        self._taken: dict[str, tuple[tuple, str]] = {}
         for obj in read_log(self.path):
-            stage = obj.get("stage")
+            stage, stamps = obj.get("stage"), obj.get("stamps")
             if isinstance(stage, str):
                 self._entries[stage] = obj
+            elif isinstance(stamps, dict):
+                reference = obj.get("reference_ns")
+                self._stamps.update((k, _stamped_digest(v, reference)) for k, v in stamps.items())
 
     def key(self, p: str | Path) -> str:
         """Workspace-relative path inside the workspace, absolute outside."""
@@ -273,6 +360,18 @@ class Manifest:
         }
         self._entries[stage] = entry
         append_jsonl(self.path, [entry], sync=True)
+
+    def save_stamps(self) -> None:
+        """Append the stamps taken since the last call as one line, if any."""
+        if not self._taken:
+            return
+        stamps = {
+            key: {**dict(zip(_STAMP_FIELDS, stamp)), "sha256": digest}
+            for key, (stamp, digest) in self._taken.items()
+        }
+        append_jsonl(self.path, [{"reference_ns": self._clock.st_mtime_ns, "stamps": stamps}])
+        self._stamps.update(self._taken)
+        self._taken = {}
 
     def _entry(self, stage: str, config_hash: str) -> dict:
         """The stage's last entry if made in this format under config_hash, else {}."""
@@ -305,17 +404,41 @@ class Manifest:
         return next((out[key] for out in outputs if isinstance(out, dict) and key in out), None)
 
     def _now(self, key: str) -> str | None:
-        """The file's digest, or None when it is missing."""
+        """The file's digest, or None when it is missing: from the memo,
+        from a stamp that still matches, or hashed after a stat and, when
+        the file last changed before the run began, stamped."""
+        if key in self._digests:
+            return self._digests[key]
+        path = self.workspace / key  # an absolute key stays absolute
         try:
-            return self._digest(key)
+            st = os.stat(path)
+            now = _stamp(st)
+            stamp, digest = self._stamps.get(key) or (None, None)
+            if stamp != now:
+                digest = sha256_file(path)
+                if self._settled(st):
+                    self._taken[key] = (now, digest)
         except FileNotFoundError:
             return None
+        self._digests[key] = digest
+        return digest
+
+    def _settled(self, st: os.stat_result) -> bool:
+        """True when the file of st last changed before the run began, by
+        the clock of the workspace's filesystem."""
+        clock = self._clock
+        return (
+            clock is not None
+            and st.st_dev == clock.st_dev
+            and max(st.st_mtime_ns, st.st_ctime_ns) < clock.st_mtime_ns
+        )
 
     def _digest(self, key: str, rehash: bool = False) -> str:
         """SHA-256 of the file under key, from the memo unless rehash."""
         if not rehash and key in self._digests:
             return self._digests[key]
-        digest = sha256_file(self.workspace / key)  # an absolute key stays absolute
+        self._taken.pop(key, None)  # a stamp of the file before it was rewritten
+        digest = sha256_file(self.workspace / key)
         self._digests[key] = digest
         return digest
 
@@ -361,6 +484,12 @@ class WorkspaceLock:
             raise RuntimeError(f"workspace is locked by another run ({self.lock_path})") from None
         self._fh = fh
         return self
+
+    def touch(self) -> os.stat_result:
+        """The lock file's status after setting its times to now, read
+        from the clock of the workspace's filesystem."""
+        os.utime(self._fh.fileno())
+        return os.fstat(self._fh.fileno())
 
     def __exit__(self, *exc_info: object) -> None:
         if self._fh is not None:

@@ -10,8 +10,10 @@ manifest. Before a stage runs, the manifest also vouches for its inputs:
 each one another stage writes must come from that writer's current
 settings and current inputs, or the run names the writer to run first
 (see _run_one). One run hashes each workspace file at most once (plus once
-more for each output a stage writes). The stages of one run share a
-_Run, which opens the embedding cache and reads corpus.jsonl,
+more for each output a stage writes), and none whose stat stamp is as an
+earlier run recorded it; a run that ends without an error saves the
+stamps it took (see fsio.Manifest). The stages of one run share a _Run,
+which opens the embedding cache and reads corpus.jsonl,
 kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
 first stage that needs them. When no external gold file is configured,
 evaluation holds out the last synthetic queries of each partial table:
@@ -27,7 +29,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .fsio import (
     Manifest,
     WorkspaceLock,
     atomic_write_text,
+    parsed_records,
     read_jsonl,
     read_matrix_bin,
     read_numbered_jsonl,
@@ -90,6 +93,7 @@ class StageResult:
 
 
 Log = Callable[[str], None]
+T = TypeVar("T")
 
 
 def _quiet(_: str) -> None:
@@ -166,17 +170,19 @@ class _Run:
     def corpus(self) -> Corpus:
         return load_corpus(self.ws / "corpus.jsonl")
 
-    def records(self, name: str, fields: dict) -> list[dict]:
-        """The workspace file's records, each checked to hold fields."""
-        return typed_records(self.ws / name, read_jsonl(self.ws / name), fields)
+    def records(self, name: str, fields: dict, parse: Callable[[dict], T]) -> list[T]:
+        """parse of each of the workspace file's records, each first checked
+        to hold fields; a bad record raises JsonLinesError naming its line."""
+        path = self.ws / name
+        return parsed_records(path, typed_records(path, read_jsonl(path), fields), parse)
 
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
-        return [kpt_from_record(rec) for rec in self.records("kpts.jsonl", PT_FIELDS)]
+        return self.records("kpts.jsonl", PT_FIELDS, kpt_from_record)
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
-        parsed = [query_from_record(rec) for rec in self.records("queries.jsonl", QUERY_FIELDS)]
+        parsed = self.records("queries.jsonl", QUERY_FIELDS, query_from_record)
         if self.cfg.eval.gold_path is not None:
             return QuerySplit(parsed, parsed, [])
         return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
@@ -196,9 +202,9 @@ def run_pipeline(
         raise StageError(2, f"unknown stage {stage!r}; expected one of {STAGES} or 'all'")
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     results = []
-    with WorkspaceLock(cfg.workspace):
+    with WorkspaceLock(cfg.workspace) as lock:
         try:
-            manifest = Manifest(cfg.workspace)
+            manifest = Manifest(cfg.workspace, lock.touch())
         except ArtifactError as exc:
             raise StageError(3, f"{exc}; remove {exc.path} and rerun") from exc
         run = _Run(cfg, log)
@@ -209,6 +215,7 @@ def run_pipeline(
                 results.append(StageResult(st, "skipped", 0.0))
                 continue
             results.append(_run_one(run, st, manifest))
+        manifest.save_stamps()
     return results
 
 
@@ -336,20 +343,28 @@ def _stage_cluster(run: _Run) -> None:
     run.log(f"[cluster] {len(records)} tables clustered")
 
 
-def _labels_from_record(rec: dict) -> ClusterLabels:
-    return ClusterLabels(
-        k=int(rec["k"]),
-        labels=np.asarray(rec["labels"], dtype=np.intp),
-        point_distances=np.asarray(rec["point_distances"], dtype=np.float64),
-    )
+def _labels_from_record(rec: dict, rows: dict[str, int]) -> tuple[str, ClusterLabels]:
+    """(table id, clustering) of a clusters.jsonl record, given each corpus
+    table's row count; one that does not label each row with a cluster in
+    range(k) raises ValueError."""
+    table_id, k = rec["table_id"], rec["k"]
+    labels = np.asarray(rec["labels"], dtype=np.intp)
+    distances = np.asarray(rec["point_distances"], dtype=np.float64)
+    m = rows.get(table_id, len(labels))
+    if not len(labels) == len(distances) == m:
+        raise ValueError(f"table {table_id!r} has {m} rows, but {len(labels)} labels "
+                         f"and {len(distances)} point distances")
+    if k < 1 or np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"table {table_id!r}: labels must lie in range(k) for k = {k}")
+    return table_id, ClusterLabels(k=k, labels=labels, point_distances=distances)
 
 
 def _stage_kpt(run: _Run) -> None:
     cfg = run.cfg
-    assignments = {
-        rec["table_id"]: _labels_from_record(rec)
-        for rec in run.records("clusters.jsonl", _CLUSTER_FIELDS)
-    }
+    rows = {t.table_id: len(t.instances) for t in run.corpus.tables}
+    assignments = dict(run.records(
+        "clusters.jsonl", _CLUSTER_FIELDS, functools.partial(_labels_from_record, rows=rows)
+    ))
     records = []
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
@@ -386,7 +401,7 @@ def _stage_mine(run: _Run) -> None:
 
 def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
-    triples = [triple_from_record(rec) for rec in run.records("triples.jsonl", TRIPLE_FIELDS)]
+    triples = run.records("triples.jsonl", TRIPLE_FIELDS, triple_from_record)
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
     pts = run.pts

@@ -234,11 +234,17 @@ def load_index(directory: str | Path, adapter: Adapter | None = None) -> Retriev
         raise IndexFormatError(d / "meta.json", f"invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise IndexFormatError(d / "meta.json", "expected a JSON object")
-    return RetrievalIndex(
-        pt_ids=[e["pt_id"] for e in entries],
-        table_ids=[e["table_id"] for e in entries],
-        vectors=vectors,
-        adapter=adapter,
-        representation_mode=meta.get("representation_mode", "pt_only"),
-        fusion=meta.get("fusion", "max"),
-    )
+    pt_ids = [e["pt_id"] for e in entries]
+    try:
+        return RetrievalIndex(
+            pt_ids=pt_ids,
+            table_ids=[e["table_id"] for e in entries],
+            vectors=vectors,
+            adapter=adapter,
+            representation_mode=meta.get("representation_mode", "pt_only"),
+            fusion=meta.get("fusion", "max"),
+        )
+    except ValueError as exc:
+        # the counts agree, so a repeated pt_id or a setting of meta.json is at fault
+        bad = entries_path if len(set(pt_ids)) != len(pt_ids) else d / "meta.json"
+        raise IndexFormatError(bad, str(exc)) from exc

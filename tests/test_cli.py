@@ -424,6 +424,43 @@ class TestDamagedRecords:
         err = capsys.readouterr().err
         assert "kpts.jsonl:4: field 'table_id': missing; rerun stage 'kpt'" in err
 
+    @pytest.mark.parametrize(
+        "name, edit, stage, problem, producer",
+        [
+            ("kpts.jsonl", lambda rec: {**rec, "strategy": "bogus"}, "genq",
+             "unknown strategy 'bogus'", "kpt"),
+            ("clusters.jsonl", lambda rec: {**rec, "labels": rec["labels"][:-1]}, "kpt",
+             "labels and ", "cluster"),
+            ("clusters.jsonl", lambda rec: {**rec, "labels": [rec["k"]] * len(rec["labels"])},
+             "kpt", "labels must lie in range(k)", "cluster"),
+        ],
+        ids=["bogus-strategy", "labels-one-short", "label-out-of-range"],
+    )
+    def test_invalid_value_exits_3(self, demo, capsys, name, edit, stage, problem, producer):
+        _replace_line(demo.workspace / name, 2, edit)
+        capsys.readouterr()
+        assert demo("--stage", stage) == 3
+        err = capsys.readouterr().err
+        assert f"{name}:2: " in err and problem in err
+        assert err.rstrip().endswith(f"; rerun stage '{producer}'")
+
+    def test_index_meta_with_an_unknown_fusion_exits_3_naming_index(self, demo, capsys):
+        meta = demo.workspace / "index" / "meta.json"
+        meta.write_text(meta.read_text().replace('"fusion": "max"', '"fusion": "bogus"'))
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert "meta.json: unknown fusion 'bogus'; rerun stage 'index'" in err
+
+    def test_repeated_index_entry_exits_3_naming_index(self, demo, capsys):
+        entries = demo.workspace / "index" / "entries.jsonl"
+        first = json.loads(entries.read_text().splitlines()[0])
+        _replace_line(entries, 2, lambda rec: {**rec, "pt_id": first["pt_id"]})
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert "entries.jsonl: pt_id entries must be unique; rerun stage 'index'" in err
+
     @pytest.mark.parametrize("body", ["{not json", "[1, 2]"])
     def test_index_meta_that_is_no_json_object_exits_3_naming_index(self, demo, capsys, body):
         (demo.workspace / "index" / "meta.json").write_text(body)

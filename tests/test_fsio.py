@@ -3,11 +3,15 @@
 import json
 import os
 import re
+import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tabret.fsio as fsio
 from tabret.fsio import (
     ARTIFACT_FORMAT,
     ArtifactError,
@@ -317,6 +321,148 @@ class TestIsOutdated:
         assert not man.is_outdated("ingest", "cfgI") and not man.is_outdated("embed", "cfgE")
 
 
+def _settled_clock(ws):
+    """The lock's status after touching it, once the filesystem's clock is
+    past every change in ws."""
+    stats = [p.stat() for p in ws.iterdir()]
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
+    with WorkspaceLock(ws) as lock:
+        while (clock := lock.touch()).st_mtime_ns <= newest:
+            time.sleep(0.001)
+    return clock
+
+
+class TestStatStamps:
+    """A digest computed for a freshness verdict is stored with its file's
+    stat stamp, and reused unhashed while that stamp still holds."""
+
+    @pytest.fixture
+    def ws(self, tmp_path):
+        (tmp_path / "in.txt").write_text("input")
+        (tmp_path / "out.txt").write_text("output")
+        Manifest(tmp_path).record("embed", "cfg", [tmp_path / "in.txt"], [tmp_path / "out.txt"], 0.1)
+        return tmp_path
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = Counter()
+        real = fsio.sha256_file
+
+        def counting(path):
+            calls[os.path.basename(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(fsio, "sha256_file", counting)
+        return calls
+
+    @staticmethod
+    def stamp_lines(ws):
+        lines = map(json.loads, (ws / "manifest.jsonl").read_text().splitlines())
+        return [line for line in lines if "stamps" in line]
+
+    def stamp(self, ws):
+        """Check freshness under a settled clock and save the stamps."""
+        man = Manifest(ws, _settled_clock(ws))
+        assert man.is_fresh("embed", "cfg")
+        man.save_stamps()
+
+    def test_a_later_manifest_reuses_the_stamped_digests(self, ws, hashed):
+        self.stamp(ws)
+        (line,) = self.stamp_lines(ws)
+        assert set(line["stamps"]) == {"in.txt", "out.txt"}
+        st = (ws / "in.txt").stat()
+        assert line["stamps"]["in.txt"] == {
+            "ino": st.st_ino, "size": st.st_size, "mtime_ns": st.st_mtime_ns,
+            "ctime_ns": st.st_ctime_ns, "sha256": fsio.sha256_file(ws / "in.txt"),
+        }
+        assert max(st.st_mtime_ns, st.st_ctime_ns) < line["reference_ns"]
+        hashed.clear()
+        manifest = (ws / "manifest.jsonl").read_bytes()
+        man = Manifest(ws, _settled_clock(ws))
+        assert man.is_fresh("embed", "cfg")
+        man.save_stamps()
+        assert hashed == Counter()
+        assert (ws / "manifest.jsonl").read_bytes() == manifest
+
+    def test_record_and_a_manifest_without_a_clock_take_no_stamp(self, ws):
+        man = Manifest(ws, _settled_clock(ws))
+        man.record("ingest", "cfgI", [ws / "in.txt"], [ws / "out.txt"], 0.1)
+        man.save_stamps()
+        man = Manifest(ws)
+        assert man.is_fresh("embed", "cfg")
+        man.save_stamps()
+        assert self.stamp_lines(ws) == []
+
+    def test_file_changed_since_the_clock_gets_no_stamp(self, ws):
+        clock = _settled_clock(ws)
+        (ws / "in.txt").write_text("input")  # the same bytes, changed after the clock
+        man = Manifest(ws, clock)
+        assert man.is_fresh("embed", "cfg")
+        man.save_stamps()
+        (line,) = self.stamp_lines(ws)
+        assert set(line["stamps"]) == {"out.txt"}
+
+    def test_file_on_another_filesystem_gets_no_stamp(self, ws):
+        clock = _settled_clock(ws)
+        elsewhere = SimpleNamespace(st_dev=clock.st_dev + 1, st_mtime_ns=clock.st_mtime_ns)
+        man = Manifest(ws, elsewhere)
+        assert man.is_fresh("embed", "cfg")
+        man.save_stamps()
+        assert self.stamp_lines(ws) == []
+
+    def test_rewrite_with_the_old_size_and_mtime_is_rehashed(self, ws, hashed):
+        self.stamp(ws)
+        path = ws / "in.txt"
+        before = path.stat()
+        path.write_text("INPUT")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        hashed.clear()
+        assert not Manifest(ws).is_fresh("embed", "cfg")
+        assert hashed == Counter({"in.txt": 1})
+
+    def test_stamp_of_an_output_rewritten_by_record_is_dropped(self, ws):
+        man = Manifest(ws, _settled_clock(ws))
+        assert man.is_fresh("embed", "cfg")
+        (ws / "out.txt").write_text("output 2")
+        man.record("embed", "cfg", [ws / "in.txt"], [ws / "out.txt"], 0.1)
+        man.save_stamps()
+        (line,) = self.stamp_lines(ws)
+        assert set(line["stamps"]) == {"in.txt"}
+        assert Manifest(ws).is_fresh("embed", "cfg")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: {k: v for k, v in rec.items() if k != "ino"},
+            lambda rec: {**rec, "size": float(rec["size"])},
+            lambda rec: {**rec, "ctime_ns": str(rec["ctime_ns"])},
+            lambda rec: list(rec.values()),
+            lambda rec: "stamp",
+            lambda rec: None,
+        ],
+        ids=["missing-ino", "float-size", "str-ctime", "list", "string", "null"],
+    )
+    def test_unusable_stamp_record_is_ignored(self, ws, hashed, edit):
+        # a stamp that matches the file, under a wrong digest that would show if trusted
+        st = (ws / "in.txt").stat()
+        rec = {"ino": st.st_ino, "size": st.st_size, "mtime_ns": st.st_mtime_ns,
+               "ctime_ns": st.st_ctime_ns, "sha256": "0" * 64}
+        reference = _settled_clock(ws).st_mtime_ns
+        with (ws / "manifest.jsonl").open("a") as fh:
+            fh.write(json.dumps({"reference_ns": reference, "stamps": {"in.txt": edit(rec)}}) + "\n")
+        hashed.clear()
+        assert Manifest(ws).is_fresh("embed", "cfg")
+        assert hashed == Counter({"in.txt": 1, "out.txt": 1})
+
+    def test_later_unusable_stamp_record_outweighs_an_earlier_good_one(self, ws, hashed):
+        self.stamp(ws)
+        with (ws / "manifest.jsonl").open("a") as fh:
+            fh.write(json.dumps({"reference_ns": 1, "stamps": {"in.txt": "gone"}}) + "\n")
+        hashed.clear()
+        assert Manifest(ws).is_fresh("embed", "cfg")
+        assert hashed == Counter({"in.txt": 1})
+
+
 class TestReadLog:
     def test_missing_log_is_empty(self, tmp_path):
         assert read_log(tmp_path / "absent.jsonl") == []
@@ -340,6 +486,37 @@ class TestReadLog:
         p.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(ValueError, match=":2"):
             read_log(p)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"a": ', '{"a": {"a": 2}', "{}, {}", "{} {}", "[{}]", "7"],
+        ids=["bad-json", "torn-then-appended", "two-values", "two-objects", "array", "number"],
+    )
+    def test_bad_middle_line_raises_naming_it(self, tmp_path, bad):
+        p = tmp_path / "log.jsonl"
+        p.write_text(f'{{"a": 1}}\n{bad}\n{{"a": 3}}\n')
+        with pytest.raises(JsonLinesError, match=":2: "):
+            read_log(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
+        assert read_log(p) == [{"a": 1}, {"a": 2}]
+
+    def test_terminated_lines_are_parsed_in_one_call(self, tmp_path, monkeypatch):
+        p = tmp_path / "log.jsonl"
+        records = [{"i": i, "text": f"line {i}"} for i in range(100)]
+        write_jsonl(p, records)
+        calls = []
+        real = json.loads
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return real(text, *args, **kwargs)
+
+        monkeypatch.setattr(fsio.json, "loads", counting)
+        assert read_log(p) == records
+        assert len(calls) == 1
 
 
 class TestWorkspaceLock:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -387,13 +388,26 @@ def _latest_manifest_paths(ws: Path) -> set[Path]:
     latest = {}
     for line in (ws / "manifest.jsonl").read_text().splitlines():
         entry = json.loads(line)
-        latest[entry["stage"]] = entry
+        if "stage" in entry:  # not a stamp line
+            latest[entry["stage"]] = entry
     return {
         ws / key  # an absolute key stays absolute
         for entry in latest.values()
         for section in ("input_hashes", "output_hashes")
         for key in entry[section]
     }
+
+
+def _settle(ws: Path) -> None:
+    """Wait until the filesystem's clock is past every change in ws, so
+    that the next run can stamp each file it hashes."""
+    stats = [p.stat() for p in ws.rglob("*")]
+    newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
+    while True:
+        os.utime(ws / ".lock")
+        if (ws / ".lock").stat().st_mtime_ns > newest:
+            return
+        time.sleep(0.001)
 
 
 @pytest.fixture
@@ -433,12 +447,26 @@ class TestOneReadPerRun:
         assert pipeline_cfg.corpus_path.resolve() in paths
         assert hashed == Counter({p: 1 for p in paths})
 
-    def test_noop_run_hashes_each_manifest_path_once(self, pipeline_cfg, hashed):
+    def test_first_noop_hashes_each_manifest_path_once(self, pipeline_cfg, hashed):
+        # a cold build leaves no stamps, so the first no-op hashes everything
         run_pipeline(pipeline_cfg, "all")
+        lines = (pipeline_cfg.workspace / "manifest.jsonl").read_text().splitlines()
+        assert all("stage" in json.loads(line) for line in lines)
+        paths = {p.resolve() for p in _latest_manifest_paths(pipeline_cfg.workspace)}
         hashed.clear()
         assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
-        paths = {p.resolve() for p in _latest_manifest_paths(pipeline_cfg.workspace)}
         assert hashed == Counter({p: 1 for p in paths})
+
+    def test_second_noop_hashes_nothing_and_writes_nothing(self, pipeline_cfg, hashed):
+        run_pipeline(pipeline_cfg, "all")
+        _settle(pipeline_cfg.workspace)
+        run_pipeline(pipeline_cfg, "all")
+        manifest = pipeline_cfg.workspace / "manifest.jsonl"
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+        hashed.clear()
+        assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
+        assert hashed == Counter()
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
 
     def test_same_size_edit_with_restored_mtime_is_caught(self, pipeline_cfg):
         # fault injection: a size/mtime check would call this file fresh
@@ -578,6 +606,124 @@ class TestOneReadPerRun:
         loads.clear()
         run_pipeline(pipeline_cfg, "all")
         assert loads == []
+
+
+def _same_size_damage(path: Path) -> bytes:
+    """path's bytes with one letter of a partial table's text changed."""
+    return path.read_bytes().replace(b"model", b"modeX", 1)
+
+
+def _edit_stamp_line(ws: Path, edit) -> None:
+    """Let edit change the manifest's last line, a stamp line, in place."""
+    manifest = ws / "manifest.jsonl"
+    *entries, last = manifest.read_text().splitlines(keepends=True)
+    line = json.loads(last)
+    edit(line)
+    manifest.write_text("".join(entries) + json.dumps(line) + "\n")
+
+
+class TestStatStamps:
+    """Fault injection once a no-op has stamped every file: each change or
+    bad stamp still gives the statuses of a run that hashes everything."""
+
+    @pytest.fixture
+    def stamped(self, pipeline_cfg):
+        run_pipeline(pipeline_cfg, "all")
+        _settle(pipeline_cfg.workspace)
+        run_pipeline(pipeline_cfg, "all")
+        last = (pipeline_cfg.workspace / "manifest.jsonl").read_text().splitlines()[-1]
+        paths = _latest_manifest_paths(pipeline_cfg.workspace)
+        assert set(json.loads(last)["stamps"]) == {fsio.Manifest(pipeline_cfg.workspace).key(p)
+                                                   for p in paths}
+        return pipeline_cfg
+
+    @staticmethod
+    def assert_only_kpt_reruns(cfg, original: bytes) -> None:
+        # kpt restores the exact bytes, so everything downstream stays fresh
+        path = cfg.workspace / "kpts.jsonl"
+        assert path.read_bytes() != original
+        results = {r.stage: r.status for r in run_pipeline(cfg, "all")}
+        assert results == {st: ("ran" if st == "kpt" else "fresh") for st in STAGES}
+        assert path.read_bytes() == original
+
+    def test_same_size_rewrite_reruns_its_producer(self, stamped):
+        path = stamped.workspace / "kpts.jsonl"
+        original = path.read_bytes()
+        path.write_bytes(_same_size_damage(path))
+        self.assert_only_kpt_reruns(stamped, original)
+
+    def test_same_size_rewrite_with_restored_mtime_reruns_its_producer(self, stamped):
+        path = stamped.workspace / "kpts.jsonl"
+        original, before = path.read_bytes(), path.stat()
+        path.write_bytes(_same_size_damage(path))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns)
+        self.assert_only_kpt_reruns(stamped, original)
+
+    def test_file_swapped_in_by_rename_reruns_its_producer(self, stamped):
+        path = stamped.workspace / "kpts.jsonl"
+        original, before = path.read_bytes(), path.stat()
+        swap = path.with_name("kpts.swap")
+        swap.write_bytes(_same_size_damage(path))
+        os.utime(swap, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(swap, path)
+        assert path.stat().st_ino != before.st_ino
+        self.assert_only_kpt_reruns(stamped, original)
+
+    def test_stamp_taken_no_earlier_than_its_file_changed_is_rehashed(self, stamped, hashed):
+        # a wrong digest behind a matching stamp is caught: the stamp is racy
+        ws = stamped.workspace
+        ctime = (ws / "kpts.jsonl").stat().st_ctime_ns
+
+        def edit(line):
+            line["reference_ns"] = ctime
+            line["stamps"]["kpts.jsonl"]["sha256"] = "0" * 64
+
+        _edit_stamp_line(ws, edit)
+        assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
+        assert hashed[(ws / "kpts.jsonl").resolve()] == 1
+
+    def test_torn_stamp_line_is_dropped(self, stamped, hashed):
+        manifest = stamped.workspace / "manifest.jsonl"
+        good = manifest.read_text()
+        with manifest.open("a") as fh:
+            fh.write('{"reference_ns": 1, "stamps": {"kpts.jsonl": {"ino')
+        assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
+        assert manifest.read_text() == good
+        assert hashed == Counter()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: {k: v for k, v in rec.items() if k != "ctime_ns"},
+            lambda rec: {**rec, "size": float(rec["size"])},
+            lambda rec: {**rec, "ino": str(rec["ino"])},
+            lambda rec: {**rec, "mtime_ns": None},
+            lambda rec: {**rec, "sha256": 0},
+            lambda rec: list(rec.values()),
+        ],
+        ids=["missing-ctime", "float-size", "str-ino", "null-mtime", "int-digest", "list"],
+    )
+    def test_ill_typed_stamp_is_ignored_and_the_file_rehashed(self, stamped, hashed, edit):
+        ws = stamped.workspace
+
+        def bad_stamp(line):
+            # with a wrong digest, so that trusting the stamp would show
+            stamps = line["stamps"]
+            stamps["kpts.jsonl"] = edit({**stamps["kpts.jsonl"], "sha256": "0" * 64})
+
+        _edit_stamp_line(ws, bad_stamp)
+        assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
+        assert hashed == Counter({(ws / "kpts.jsonl").resolve(): 1})
+
+    def test_ill_typed_reference_is_ignored(self, stamped, hashed):
+        ws = stamped.workspace
+        _edit_stamp_line(ws, lambda line: line.update(reference_ns=str(line["reference_ns"])))
+        assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
+        paths = {p.resolve() for p in _latest_manifest_paths(ws)}
+        assert hashed == Counter({p: 1 for p in paths})
 
 
 class TestHoldoutHygiene:
