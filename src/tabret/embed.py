@@ -7,8 +7,22 @@ this module L2-normalized, so downstream cosine similarity is a plain
 dot product. The cache is content-addressed by (model_name, text) and
 stores raw float64 bytes, so hits are bitwise-identical to the original
 response; each record ends in the 8-byte fsio.checksum trailer.
-The mock sums integer-valued float64 counts, exact in any order, so a
-batch sharing one gram memo is bitwise-identical to mock_embed per text.
+
+embed_texts runs the mock over a whole batch of misses at once: the
+texts' code points (UTF-32) become one int64 key per gram, np.unique
+finds the distinct keys, only those are hashed (each once per call,
+through a key -> slot dict), and one np.bincount counts every text's
+grams. The vectors are bitwise-identical to mock_embed per text. The
+counts are integers, so any summation order gives the same float; the
+squared norm, taken as einsum("ij,ij->i"), is an integer below 2^53
+for any text of fewer than 2^26 grams (a text is clipped to
+max_input_chars), so it is exact and its square root is the one
+np.linalg.norm takes. The batch works in chunks of at
+most _CHUNK_CODE_POINTS code points (or one longer text), because its
+temporary arrays hold several int64s per code point: a bound on the
+text count would not bound them, since a partial table's text is many
+rows long. A single miss, as a search query is, takes mock_embed,
+which is cheaper than np.unique on one text.
 """
 
 from __future__ import annotations
@@ -70,26 +84,19 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def mock_embed(text: str, dim: int, memo: dict[str, int] | None = None) -> np.ndarray:
+def mock_embed(text: str, dim: int) -> np.ndarray:
     """Deterministic local embedding: hash character 3-grams into dim buckets.
 
     Bucket and sign come from SHA-256 of the gram, so the result is
     identical across processes and machines. Texts shorter than 3 chars
     hash as a single gram; the empty text (and an accumulation that
-    cancels to zero) maps to the unit basis vector e1. memo caches each
-    gram's slot (its bucket, plus dim when the sign is negative) and may
-    be shared by calls at the same dim.
+    cancels to zero) maps to the unit basis vector e1.
     """
     if dim < 8:
         raise ValueError(f"mock embedding dim must be >= 8, got {dim}")
-    if memo is None:
-        memo = {}
     grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else ([text] if text else [])
-    for gram in set(grams).difference(memo):
-        digest = hashlib.sha256(gram.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:8], "big") % dim
-        memo[gram] = bucket if digest[8] & 1 else bucket + dim
-    counts = np.bincount([memo[gram] for gram in grams], minlength=2 * dim)
+    slots = {gram: _slot(gram, dim) for gram in set(grams)}
+    counts = np.bincount([slots[gram] for gram in grams], minlength=2 * dim)
     acc = (counts[:dim] - counts[dim:]).astype(np.float64)
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:
@@ -97,6 +104,80 @@ def mock_embed(text: str, dim: int, memo: dict[str, int] | None = None) -> np.nd
         out[0] = 1.0
         return out
     return acc / norm
+
+
+def _slot(gram: str, dim: int) -> int:
+    """The gram's bucket, plus dim when its sign is negative."""
+    digest = hashlib.sha256(gram.encode("utf-8")).digest()
+    bucket = int.from_bytes(digest[:8], "big") % dim
+    return bucket if digest[8] & 1 else bucket + dim
+
+
+# A gram's key packs its code points 21 bits each, first to last. A text
+# of one or two characters is one gram; its key's first field, above
+# U+10FFFF, is _SHORT plus the length, then its first and last code point.
+_MASK = (1 << 21) - 1
+_SHORT = 0x110000
+# the most code points one chunk of the batch kernel takes, unless a
+# single text is longer
+_CHUNK_CODE_POINTS = 1 << 14
+
+
+def _gram(key: int) -> str:
+    first, mid, last = key >> 42, (key >> 21) & _MASK, key & _MASK
+    if first < _SHORT:
+        return chr(first) + chr(mid) + chr(last)
+    return (chr(mid) + chr(last))[: first - _SHORT]
+
+
+def _mock_vectors(texts: list[str], dim: int) -> np.ndarray:
+    """mock_embed of each text, as the rows of one array."""
+    if len(texts) == 1:
+        return mock_embed(texts[0], dim)[None]
+    if dim < 8:
+        raise ValueError(f"mock embedding dim must be >= 8, got {dim}")
+    out = np.empty((len(texts), dim), dtype=np.float64)
+    slots: dict[int, int] = {}  # each distinct gram is hashed once per call
+    begin = size = 0
+    for i, text in enumerate(texts):
+        if size and size + len(text) > _CHUNK_CODE_POINTS:
+            out[begin:i] = _mock_chunk(texts[begin:i], dim, slots)
+            begin, size = i, 0
+        size += len(text)
+    out[begin:] = _mock_chunk(texts[begin:], dim, slots)
+    return out
+
+
+def _mock_chunk(texts: list[str], dim: int, slots: dict[int, int]) -> np.ndarray:
+    """The batch kernel: mock_embed of each text, slots caching gram keys."""
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    ends = np.cumsum(lengths)
+    # a lone surrogate raises UnicodeEncodeError here, as in mock_embed
+    cps = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4").astype(np.int64)
+    # the 3-grams start where the text goes on for two more code points
+    starts = np.flatnonzero(np.arange(cps.size) + 2 < np.repeat(ends, lengths))
+    keys = cps[starts] << 42 | cps[starts + 1] << 21 | cps[starts + 2]
+    rows = np.repeat(np.arange(len(texts)), lengths)[starts]
+    short = np.flatnonzero((lengths == 1) | (lengths == 2))
+    if short.size:
+        first = ends[short] - lengths[short]
+        short_keys = (_SHORT + lengths[short]) << 42 | cps[first] << 21 | cps[ends[short] - 1]
+        keys = np.concatenate([keys, short_keys])
+        rows = np.concatenate([rows, short])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.tolist()
+    for key in distinct:
+        if key not in slots:
+            slots[key] = _slot(_gram(key), dim)
+    slot = np.array([slots[key] for key in distinct], dtype=np.int64)[inverse]
+    width = 2 * dim
+    counts = np.bincount(rows * width + slot, minlength=len(texts) * width)
+    counts = counts.reshape(len(texts), width)
+    acc = (counts[:, :dim] - counts[:, dim:]).astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+    zero = norms == 0.0  # the empty text, or grams that cancel: e1
+    acc[zero, 0] = norms[zero] = 1.0
+    return acc / norms[:, None]
 
 
 class EmbeddingCache:
@@ -256,8 +337,8 @@ def embed_texts(
     unique = list(misses)
     batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]
     if cfg.kind == "mock":
-        memo: dict[str, int] = {}  # each distinct gram is hashed once per call
-        results = ([mock_embed(t, cfg.dim, memo) for t in batch] for batch in batches)
+        rows = _mock_vectors(unique, cfg.dim) if unique else []
+        results = (rows[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size))
     else:
         results = fan_out(lambda b: _http_embed_batch(cfg, b), batches, cfg.max_parallel_requests)
     # each batch is cached as it arrives, so a failed request loses only its own

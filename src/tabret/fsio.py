@@ -9,7 +9,8 @@ run's manifest memoizes each file's SHA-256 for that run, so a file read
 by several stages is hashed once; outputs are hashed again as written.
 A digest computed to decide freshness is kept with the file's stat stamp
 on a stamp line of the manifest, and a later run reuses it unhashed while
-the stamp still matches (see Manifest).
+the stamp still matches (see Manifest). A run that leaves the manifest
+holding several times its live lines rewrites it as those lines.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -127,7 +128,19 @@ def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[tuple[int, 
             raise JsonLinesError(path, line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise JsonLinesError(path, line_no, "expected a JSON object")
+        if "\\u" in line:  # only an escape can make a lone surrogate
+            _check_text(path, line_no, obj)
         yield line_no, obj
+
+
+def _check_text(path: str | Path, line_no: int, obj: dict) -> None:
+    """Reject a record holding a lone surrogate (an unpaired \\ud800-\\udfff
+    escape), which is no Unicode text and which no UTF-8 file can hold."""
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        problem = f"lone surrogate {exc.object[exc.start]!a} is not Unicode text"
+        raise JsonLinesError(path, line_no, problem) from None
 
 
 def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -210,12 +223,13 @@ def _line_no(path: str | Path, index: int) -> int:
 
 def _parse_lines(path: str | Path, text: str) -> list[dict]:
     """The records of text's non-blank lines, parsed in one json.loads; the
-    per-line parser runs only when that fails, to name the bad line. Each
-    line must give one object, so a line holding two values is rejected."""
+    per-line parser runs only when that fails, or when an escape may hide a
+    lone surrogate, to name the bad line. Each line must give one object,
+    so a line holding two values is rejected."""
     lines = [line for line in text.split("\n") if line.strip()]
     try:
         # a raw newline is invalid inside a JSON string, so none spans lines
-        records = json.loads("[" + ",\n".join(lines) + "]")
+        records = None if "\\u" in text else json.loads("[" + ",\n".join(lines) + "]")
     except json.JSONDecodeError:
         records = None
     if records is None or len(records) != len(lines) or not set(map(type, records)) <= {dict}:
@@ -260,6 +274,9 @@ def append_jsonl(path: str | Path, records: Iterable[dict], sync: bool = False) 
 
 # a stat stamp's fields, in the order of its tuple
 _STAMP_FIELDS = ("ino", "size", "mtime_ns", "ctime_ns")
+# Manifest.compact rewrites a log holding more than this many times its
+# live lines; below it, each run only appends
+_COMPACT_FACTOR = 4
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -279,8 +296,20 @@ def _stamped_digest(record: Any, reference_ns: Any) -> tuple[tuple, str] | None:
     return (stamp, digest) if max(stamp[2], stamp[3]) < reference_ns else None
 
 
+def _stamp_line(reference_ns: int, stamps: Mapping[str, tuple[tuple, str]]) -> dict:
+    """The manifest line holding stamps (key -> (stamp, digest))."""
+    return {
+        "reference_ns": reference_ns,
+        "stamps": {
+            key: {**dict(zip(_STAMP_FIELDS, stamp)), "sha256": digest}
+            for key, (stamp, digest) in stamps.items()
+        },
+    }
+
+
 class Manifest:
-    """Append-only record of completed stages keyed by content hashes.
+    """Log of completed stages keyed by content hashes, appended to by each
+    run and compacted now and then (see compact).
 
     One JSON object per line: {"stage", "artifact_format", "config_hash",
     "input_hashes", "output_hashes", "wall_time_s"}; hash maps go path ->
@@ -312,6 +341,11 @@ class Manifest:
     gets no stamp; an ill-typed or racy stamp record is ignored, and the
     file hashed. Cold builds decide no freshness by hashing, so they write
     no stamp line, and a run that finds every stamp matching writes none.
+
+    Each re-run of a stage appends an entry, so the log grows with every
+    round of changed settings while its live lines (the last entry per
+    stage, and the stamps in force) stay few. compact rewrites it as
+    those lines once it holds more than _COMPACT_FACTOR times as many.
     """
 
     def __init__(self, workspace: str | Path, clock: os.stat_result | None = None) -> None:
@@ -326,13 +360,19 @@ class Manifest:
         self._stamps: dict[str, tuple[tuple, str] | None] = {}
         # the stamps taken since the last save_stamps
         self._taken: dict[str, tuple[tuple, str]] = {}
-        for obj in read_log(self.path):
+        # the latest reference_ns of a stamp line, and the log's line count
+        self._reference = 0
+        records = read_log(self.path)
+        self._lines = len(records)
+        for obj in records:
             stage, stamps = obj.get("stage"), obj.get("stamps")
             if isinstance(stage, str):
                 self._entries[stage] = obj
             elif isinstance(stamps, dict):
                 reference = obj.get("reference_ns")
                 self._stamps.update((k, _stamped_digest(v, reference)) for k, v in stamps.items())
+                if type(reference) is int:
+                    self._reference = max(self._reference, reference)
 
     def key(self, p: str | Path) -> str:
         """Workspace-relative path inside the workspace, absolute outside."""
@@ -360,18 +400,35 @@ class Manifest:
         }
         self._entries[stage] = entry
         append_jsonl(self.path, [entry], sync=True)
+        self._lines += 1
 
     def save_stamps(self) -> None:
         """Append the stamps taken since the last call as one line, if any."""
         if not self._taken:
             return
-        stamps = {
-            key: {**dict(zip(_STAMP_FIELDS, stamp)), "sha256": digest}
-            for key, (stamp, digest) in self._taken.items()
-        }
-        append_jsonl(self.path, [{"reference_ns": self._clock.st_mtime_ns, "stamps": stamps}])
+        reference = self._clock.st_mtime_ns
+        append_jsonl(self.path, [_stamp_line(reference, self._taken)])
         self._stamps.update(self._taken)
         self._taken = {}
+        self._reference = max(self._reference, reference)
+        self._lines += 1
+
+    def compact(self) -> None:
+        """Rewrite the log as its live lines once it holds more than
+        _COMPACT_FACTOR times as many: each stage's last entry, in the order
+        the stages first appear, then one line of the stamps in force. A
+        stamp kept passed the check against its own line's reference_ns,
+        so it passes against the merged line's, the latest of them. The
+        rewrite is atomic, and the caller holds the workspace lock.
+        Stamps taken since the last save_stamps are not written."""
+        stamps = {key: stamped for key, stamped in self._stamps.items() if stamped is not None}
+        if self._lines <= _COMPACT_FACTOR * max(len(self._entries) + bool(stamps), 1):
+            return
+        live = list(self._entries.values())
+        if stamps:
+            live.append(_stamp_line(self._reference, stamps))
+        atomic_write_text(self.path, _jsonl(live))
+        self._lines = len(live)
 
     def _entry(self, stage: str, config_hash: str) -> dict:
         """The stage's last entry if made in this format under config_hash, else {}."""

@@ -12,7 +12,8 @@ settings and current inputs, or the run names the writer to run first
 (see _run_one). One run hashes each workspace file at most once (plus once
 more for each output a stage writes), and none whose stat stamp is as an
 earlier run recorded it; a run that ends without an error saves the
-stamps it took (see fsio.Manifest). The stages of one run share a _Run,
+stamps it took and compacts the manifest once it has grown several times
+past its live lines (see fsio.Manifest). The stages of one run share a _Run,
 which opens the embedding cache and reads corpus.jsonl,
 kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
 first stage that needs them. When no external gold file is configured,
@@ -216,6 +217,7 @@ def run_pipeline(
                 continue
             results.append(_run_one(run, st, manifest))
         manifest.save_stamps()
+        manifest.compact()
     return results
 
 

@@ -235,7 +235,9 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
 
     Retries stop early when a response repeats verbatim (a deterministic
     provider cannot do better). Raises QueryGenError if every attempt
-    yields zero usable questions.
+    yields zero usable questions, and ProviderError if a question holds a
+    lone surrogate (a JSON escape such as "\\ud800" with no pair), which
+    is no Unicode text and could not be written to queries.jsonl.
     """
     prompt = render_prompt(pt, cfg)
     best: list[str] = []
@@ -244,6 +246,11 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
         response = chat_complete(cfg, prompt)
         raw = extract_questions(response)
         questions = _postprocess(raw or [], cfg.n_q)
+        try:
+            "".join(questions).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            raise ProviderError(f"{pt.pt_id}: chat reply holds a lone surrogate {char!a}") from None
         if len(questions) > len(best):
             best = questions
         if len(best) >= cfg.n_q or response == previous_response:

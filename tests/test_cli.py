@@ -275,6 +275,32 @@ class TestBadJsonLines:
         assert code == 2
         assert f"{corpus}:2: invalid UTF-8" in capsys.readouterr().err
 
+    def test_lone_surrogate_in_a_jsonl_corpus_exits_2_naming_file_and_line(self, project, capsys):
+        corpus = project / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        table = json.loads(lines[1])
+        table["rows"][0][0] = "bolt \ud800"
+        lines[1] = json.dumps(table) + "\n"  # ASCII, so the surrogate is a \ud800 escape
+        corpus.write_text("".join(lines), encoding="utf-8")
+        code = main(["run", "--config", str(project / "config.yaml"), "--stage", "ingest"])
+        assert code == 2
+        assert f"{corpus}:2: lone surrogate '\\ud800' is not Unicode text" in capsys.readouterr().err
+        assert not (project / "ws" / "corpus.jsonl").exists()
+
+    def test_lone_surrogate_in_a_chat_reply_exits_4(self, project, capsys, monkeypatch):
+        import tabret.querygen as querygen_module
+
+        def reply(url, body, headers=None, timeout=None):
+            content = json.dumps({"questions": ["Which part is \ud800?", "Which part is x?"]})
+            return json.loads(json.dumps({"choices": [{"message": {"content": content}}]}))
+
+        monkeypatch.setattr(querygen_module, "post_json", reply)
+        code = main(["run", "--config", str(project / "config.yaml"),
+                     "--set", "chat.kind=http", "--set", "chat.endpoint=http://chat.test"])
+        assert code == 4
+        assert "chat reply holds a lone surrogate '\\ud800'" in capsys.readouterr().err
+        assert not (project / "ws" / "queries.jsonl").exists()
+
     def test_non_utf8_csv_corpus_exits_2_naming_file(self, project, capsys):
         tables = project / "tables"
         tables.mkdir()

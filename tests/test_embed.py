@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tabret.embed as embed_mod
 from tabret.embed import (
@@ -87,6 +89,11 @@ class TestMockEmbed:
         np.testing.assert_array_equal(mock_embed("Name: Alice", 64), golden)
 
 
+# every code point but the surrogates, non-BMP ones and U+10FFFF among
+# them, with a small alphabet mixed in so that grams repeat and cancel
+ANY_CHAR = st.one_of(st.characters(), st.sampled_from("ab c:\u00e9\x00\U0001f600\U0010ffff"))
+
+
 class TestEmbedTextsMock:
     def test_identical_texts_identical_vectors(self, tmp_path):
         out = embed_texts(mock_cfg(), ["a", "a"], None)
@@ -109,18 +116,87 @@ class TestEmbedTextsMock:
         with pytest.raises(ValueError, match="at least one"):
             embed_texts(mock_cfg(), [], None)
 
-    # a small alphabet repeats grams across texts and cancels some to zero
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(st.text(alphabet="ab c:\u00e9", max_size=40), min_size=1, max_size=12),
+        st.lists(
+            st.one_of(st.text(ANY_CHAR, max_size=2), st.text(ANY_CHAR, max_size=30)),
+            min_size=1,
+            max_size=12,
+        ),
         st.sampled_from([8, 13, 64]),
         st.integers(min_value=1, max_value=5),
+        st.sampled_from([1, 2, 5, 40, 1 << 14]),
     )
-    def test_batch_bitwise_equal_to_per_text_mock_embed(self, texts, dim, batch_size):
-        out = embed_texts(mock_cfg(dim=dim, batch_size=batch_size), texts, None)
+    # short texts, repeated grams, and the top of the code space
+    @example(["", "a", "ab"], 64, 5, 1 << 14)
+    @example(["abab", "baba", "abc"], 8, 2, 1 << 14)
+    @example(["\U0010ffff", "x\U0010ffff\U0010ffffy", ""], 64, 1, 2)
+    @example(["aaaa", "aaa", "aa", "a"], 13, 3, 5)
+    def test_batch_bitwise_equal_to_per_text_mock_embed(self, texts, dim, batch_size, bound):
+        # a small bound makes texts straddle chunk boundaries, and a text
+        # longer than the bound a chunk of its own
+        with mock.patch.object(embed_mod, "_CHUNK_CODE_POINTS", bound):
+            out = embed_texts(mock_cfg(dim=dim, batch_size=batch_size), texts, None)
         for row, text in zip(out, texts):
             assert row.tobytes() == mock_embed(text, dim).tobytes()
             assert row.tobytes() == reference_mock_embed(text, dim).tobytes()
+
+
+class TestBatchKernel:
+    """Edge cases of embed_texts' mock path (the batch kernel)."""
+
+    def test_cancelling_grams_give_e1(self):
+        # a 4-character text whose two grams share a bucket with opposite
+        # signs sums to zero, which maps to e1
+        dim = 8
+        text = next(
+            "".join(p)
+            for p in itertools.product("abcd", repeat=4)
+            if abs(embed_mod._slot("".join(p[:3]), dim) - embed_mod._slot("".join(p[1:]), dim)) == dim
+        )
+        texts = [text, text[:3], "zz" + text]
+        out = embed_texts(mock_cfg(dim=dim), texts, None)
+        np.testing.assert_array_equal(out[0], np.eye(dim)[0])
+        for row, t in zip(out, texts):
+            assert row.tobytes() == reference_mock_embed(t, dim).tobytes()
+
+    @pytest.mark.parametrize(
+        "texts",
+        # a surrogate pair in a str is two lone surrogates, as in the oracle
+        [["ok text", "a\ud800b"], ["\udfff", "other"], ["\ud83d\ude00 pair", "x"], ["ab\ud800"]],
+    )
+    def test_lone_surrogate_raises_as_the_oracle_does(self, texts):
+        bad = next(t for t in texts if any("\ud800" <= c <= "\udfff" for c in t))
+        with pytest.raises(Exception) as oracle:
+            reference_mock_embed(bad, 64)
+        with pytest.raises(oracle.type):
+            embed_texts(mock_cfg(), texts, None)
+
+    def test_golden_vector_from_a_batch(self):
+        golden = np.array(json.loads(GOLDEN.read_text()))
+        out = embed_texts(mock_cfg(), ["Name: Bob", "Name: Alice", "Name: Carol"], None)
+        np.testing.assert_array_equal(out[1], golden)
+
+    def test_peak_allocation_stays_near_the_per_text_loop(self):
+        # 3600 rows of 160 characters, a tall build's row embedding. The
+        # kernel's temporaries hold several int64s per code point, so one
+        # chunk of the whole batch peaks at about 44 MB against 4.7 MB for
+        # the per-text loop (numpy 2.4.6); chunks of _CHUNK_CODE_POINTS
+        # keep it at about 5.3 MB. Removing the chunk bound (a bound of
+        # 2**30, say) fails this test.
+        texts = [(f"{i:05d} " + "abcdefghijklmnopqrstuvwxyz0123456789 |:" * 5)[:160] for i in range(3600)]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak(lambda: embed_texts(mock_cfg(), texts, None))
+        per_text = peak(lambda: np.stack([mock_embed(t, 64) for t in texts]))
+        assert batched <= 1.5 * per_text
 
 
 class TestCache:

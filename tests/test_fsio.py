@@ -3,8 +3,12 @@
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +84,14 @@ class TestJsonl:
         p.write_bytes(good + b'{"bad": "\xff"}\n' + good)
         with pytest.raises(JsonLinesError, match=":3001: invalid UTF-8"):
             list(read_jsonl(p))
+
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        p.write_text('{"ok": "\\ud83d\\ude00"}\n{"bad": ["x", "\\udfff"]}\n')
+        with pytest.raises(JsonLinesError, match=r":2: lone surrogate '\\udfff' is not Unicode text"):
+            list(read_jsonl(p))
+        p.write_text('{"ok": "\\ud83d\\ude00", "path": "C:\\\\u"}\n')
+        assert list(read_jsonl(p)) == [{"ok": "\U0001f600", "path": "C:\\u"}]
 
 
 class TestTypedRecords:
@@ -463,6 +475,85 @@ class TestStatStamps:
         assert hashed == Counter({"in.txt": 1})
 
 
+class TestCompaction:
+    """A manifest holding more than _COMPACT_FACTOR times its live lines is
+    rewritten as them, and gives the same verdicts."""
+
+    SETTINGS = [(stage, f"cfg{stage[0]}{r}") for stage in ("ingest", "embed", "cluster") for r in (0, 1)]
+
+    @pytest.fixture
+    def grown(self, tmp_path):
+        # source.txt -> ingest -> a.txt -> embed -> b.txt -> cluster -> c.txt;
+        # ingest and embed re-run under alternating settings, and a later
+        # run stamps what its freshness checks hash: 1 + 8 * 3 lines
+        ws = tmp_path
+        for name in ("source", "b", "c"):
+            (ws / f"{name}.txt").write_text(name)
+        Manifest(ws).record("cluster", "cfgc0", [ws / "b.txt"], [ws / "c.txt"], 0.1)
+        for r in range(8):
+            (ws / "a.txt").write_text(f"a{r % 2}")
+            (ws / "b.txt").write_text(f"b{r % 2}")
+            man = Manifest(ws)
+            man.record("ingest", f"cfgi{r % 2}", [ws / "source.txt"], [ws / "a.txt"], 0.1)
+            man.record("embed", f"cfge{r % 2}", [ws / "a.txt"], [ws / "b.txt"], 0.1)
+            man = Manifest(ws, _settled_clock(ws))
+            assert man.is_fresh("ingest", f"cfgi{r % 2}")  # source.txt is stamped once
+            assert man.is_fresh("embed", f"cfge{r % 2}")
+            assert not man.is_fresh("cluster", "cfgc0")
+            man.save_stamps()
+        return ws
+
+    @classmethod
+    def verdicts(cls, ws):
+        man = Manifest(ws)
+        return {s: (man.is_fresh(*s), man.is_outdated(*s)) for s in cls.SETTINGS}
+
+    def test_statuses_are_unchanged_after_compaction(self, grown, monkeypatch):
+        before = self.verdicts(grown)
+        lines = read_log(grown / "manifest.jsonl")
+        assert len(lines) == 1 + 8 * 3 > fsio._COMPACT_FACTOR * 4
+        Manifest(grown).compact()
+        compacted = read_log(grown / "manifest.jsonl")
+        assert [line.get("stage") for line in compacted] == ["cluster", "ingest", "embed", None]
+        assert compacted[:3] == [lines[0], lines[-3], lines[-2]]
+        assert set(compacted[3]["stamps"]) == {"source.txt", "a.txt", "b.txt"}
+        assert compacted[3]["reference_ns"] == max(line.get("reference_ns", 0) for line in lines)
+        hashed = Counter()
+        real = fsio.sha256_file
+        monkeypatch.setattr(fsio, "sha256_file", lambda p: hashed.update([p.name]) or real(p))
+        assert self.verdicts(grown) == before
+        # every stamp survives, the first line's too, so no file is read
+        assert not hashed
+
+    def test_a_log_below_the_bound_is_left_alone(self, grown):
+        Manifest(grown).compact()
+        compacted = (grown / "manifest.jsonl").read_bytes()
+        man = Manifest(grown)
+        man.record("embed", "cfge0", [grown / "a.txt"], [grown / "b.txt"], 0.1)
+        man.compact()
+        assert (grown / "manifest.jsonl").read_bytes().startswith(compacted)
+
+    def test_kill_between_the_write_and_the_rename_leaves_a_readable_manifest(self, grown):
+        before = self.verdicts(grown)
+        log = (grown / "manifest.jsonl").read_bytes()
+        kill_at_rename = (
+            "import os, signal, sys\n"
+            "import tabret.fsio as fsio\n"
+            "fsio.os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "fsio.Manifest(sys.argv[1]).compact()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fsio.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", kill_at_rename, str(grown)], env=env)
+        assert proc.returncode == -signal.SIGKILL
+        # the compacted log was written in full, but beside the manifest
+        (tmp,) = grown.glob(".manifest.jsonl.*.tmp")
+        assert len(read_log(tmp)) == 4
+        assert (grown / "manifest.jsonl").read_bytes() == log
+        assert self.verdicts(grown) == before
+        Manifest(grown).compact()
+        assert self.verdicts(grown) == before
+
+
 class TestReadLog:
     def test_missing_log_is_empty(self, tmp_path):
         assert read_log(tmp_path / "absent.jsonl") == []
@@ -497,6 +588,14 @@ class TestReadLog:
         p.write_text(f'{{"a": 1}}\n{bad}\n{{"a": 3}}\n')
         with pytest.raises(JsonLinesError, match=":2: "):
             read_log(p)
+
+    def test_lone_surrogate_escape_raises_naming_its_line(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"a": "\\ud83d\\ude00"}\n{"a": "\\ud800"}\n{"a": 3}\n')
+        with pytest.raises(JsonLinesError, match=r":2: lone surrogate"):
+            read_log(p)
+        p.write_text('{"a": "\\ud83d\\ude00"}\n{"a": 3}\n')
+        assert read_log(p) == [{"a": "\U0001f600"}, {"a": 3}]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         p = tmp_path / "log.jsonl"

@@ -164,6 +164,23 @@ class TestRunPipeline:
         results = run_pipeline(pipeline_cfg, "all")
         assert all(r.status == "fresh" for r in results)
 
+    def test_manifest_is_compacted_as_it_grows_and_statuses_hold(self, pipeline_cfg, tmp_path):
+        # each fusion toggle re-runs index and eval, appending two entries;
+        # the 9 entries and the stamp line are the live lines
+        run_pipeline(pipeline_cfg, "all")
+        manifest = pipeline_cfg.workspace / "manifest.jsonl"
+        logs = []
+        for fusion in ["mean", "max"] * 10:
+            cfg = load_config(tmp_path / "config.yaml", [f"retrieval.fusion={fusion}"])
+            statuses = [r.status for r in run_pipeline(cfg, "all")]
+            assert statuses == ["fresh"] * 7 + ["ran"] * 2
+            logs.append(fsio.read_log(manifest))
+            assert all(r.status == "fresh" for r in run_pipeline(cfg, "all"))
+        assert max(map(len, logs)) <= fsio._COMPACT_FACTOR * 10
+        compacted = min(logs, key=len)
+        assert len(compacted) < len(logs[0])
+        assert [line.get("stage") for line in compacted] == [*STAGES, None]
+
     def test_deleted_artifact_reruns_only_downstream(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
         (pipeline_cfg.workspace / "kpts.jsonl").unlink()

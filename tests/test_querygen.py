@@ -354,6 +354,28 @@ class TestHttpProvider:
         with pytest.raises(ProviderError, match="not a string"):
             generate_queries(make_pt(), http_cfg())
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # a JSON escape inside the reply text, as a model writes it
+            '{"questions": ["Which part is \\ud800?", "Which part is x?"]}',
+            # a surrogate in the reply text itself, from the response's JSON
+            '{"questions": ["Which part is x?", "Which part is \ud800?"]}',
+        ],
+    )
+    def test_lone_surrogate_in_a_question_is_provider_error(self, monkeypatch, content):
+        payload = {"choices": [{"message": {"content": content}}]}
+        monkeypatch.setattr(querygen, "post_json", FakeChatHttp(payload=payload))
+        with pytest.raises(ProviderError, match=r"lone surrogate '\\ud800'"):
+            generate_all([make_pt()], http_cfg())
+
+    def test_lone_surrogate_outside_the_questions_is_ignored(self, monkeypatch):
+        content = 'Sure \ud800: {"questions": ["Which part is x?", "Which part is y?"]}'
+        payload = {"choices": [{"message": {"content": content}}]}
+        monkeypatch.setattr(querygen, "post_json", FakeChatHttp(payload=payload))
+        queries = generate_queries(make_pt(), http_cfg())
+        assert [q.text for q in queries] == ["Which part is x?", "Which part is y?"]
+
     def test_generate_all_parallel_output_is_canonical(self, monkeypatch):
         fake = FakeChatHttp()
         monkeypatch.setattr(querygen, "post_json", fake)
