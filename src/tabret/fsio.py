@@ -95,6 +95,20 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def sweep_temp_files(directory: str | Path) -> None:
+    """Delete the .<name>.*.tmp files atomic_write_bytes leaves behind when
+    its process is killed between the write and the rename. Call it only
+    while holding the lock that every writer into directory holds."""
+    try:
+        entries = os.scandir(directory)
+    except FileNotFoundError:
+        return
+    with entries:
+        for entry in entries:
+            if entry.name.startswith(".") and entry.name.endswith(".tmp"):
+                os.unlink(entry.path)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 

@@ -10,7 +10,7 @@ a header line plus its rows in original order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -119,7 +119,7 @@ def build_kpts(
 
 
 def kpt_to_record(pt: PartialTable) -> dict:
-    return asdict(pt)
+    return dict(vars(pt))
 
 
 def kpt_from_record(rec: dict) -> PartialTable:

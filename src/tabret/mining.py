@@ -7,21 +7,23 @@ strategy draws h uniformly, for ablations. Similarity is a dot product
 because all vectors are unit-norm. Mining always uses the frozen base
 embeddings, never the adapter.
 
-The candidate matrix is stacked once per mine_all call. Each query then
-scores matrix[eligible] with one gemv, the rows in candidate-list order,
-and np.lexsort picks the top h by (-score, pt_id). A Q x P gemm, or one
-gemv over the full matrix with the query's own table masked afterwards,
-would be fewer calls but not the same bits: a row's dot product can change
-in its last bits with the row's position in the matrix a gemv is given,
-which reorders near-ties. On OpenBLAS 0.3.31 with 800 x 64 unit rows,
-79 of 39900 scores differed between the full matrix and the same matrix
-less two rows, and 32963 of 40000 between a gemm and per-query gemvs.
+The candidate matrix is stacked once per mine_all call, and its rows
+outside one source table, matrix[eligible] in candidate-list order, are
+gathered once per table. Each of that table's queries then scores them
+with one gemv, and np.lexsort picks the top h by (-score, pt_id). A
+Q x P gemm, or one gemv over the full matrix with the query's own table
+masked afterwards, would be fewer calls but not the same bits: a row's
+dot product can change in its last bits with the row's position in the
+matrix a gemv is given, which reorders near-ties. On OpenBLAS 0.3.31
+with 800 x 64 unit rows, 79 of 39900 scores differed between the full
+matrix and the same matrix less two rows, and 32963 of 40000 between a
+gemm and per-query gemvs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
@@ -88,6 +90,37 @@ class Candidates:
         self.id_rank[by_id] = np.arange(len(by_id))
 
 
+class _Pool:
+    """The candidates outside one source table: their rows, gathered
+    once, with their pt_ids and id ranks."""
+
+    def __init__(self, candidates: Candidates, table_id: str) -> None:
+        eligible = candidates.row_table != candidates.table_code.get(table_id, -1)
+        self.matrix = candidates.matrix[eligible]
+        self.pt_ids = candidates.pt_ids[eligible]
+        self.id_rank = candidates.id_rank[eligible]
+
+    def mine(self, query: SyntheticQuery, q_vec: np.ndarray, cfg: MiningConfig) -> TrainingTriple:
+        if not len(self.pt_ids):
+            raise MiningError(
+                f"{query.query_id}: no partial tables outside table {query.table_id!r}"
+            )
+        take = min(cfg.h, len(self.pt_ids))
+        if cfg.strategy == "hard":
+            scores = np.dot(self.matrix, q_vec)
+            chosen = self.pt_ids[np.lexsort((self.id_rank, -scores))[:take]]
+        else:
+            rng = _query_rng(cfg.seed, query.query_id)
+            by_id = self.pt_ids[np.argsort(self.id_rank)]
+            chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
+        return TrainingTriple(
+            query_id=query.query_id,
+            positive_pt_id=query.pt_id,
+            negative_pt_ids=tuple(chosen.tolist()),
+            strategy=cfg.strategy,
+        )
+
+
 def mine_negatives(
     query: SyntheticQuery,
     q_vec: np.ndarray,
@@ -95,24 +128,7 @@ def mine_negatives(
     cfg: MiningConfig,
 ) -> TrainingTriple:
     """Build one triple; negatives exclude the query's own table entirely."""
-    eligible = candidates.row_table != candidates.table_code.get(query.table_id, -1)
-    if not eligible.any():
-        raise MiningError(f"{query.query_id}: no partial tables outside table {query.table_id!r}")
-    take = min(cfg.h, int(eligible.sum()))
-    id_rank = candidates.id_rank[eligible]
-    if cfg.strategy == "hard":
-        scores = np.dot(candidates.matrix[eligible], q_vec)
-        chosen = candidates.pt_ids[eligible][np.lexsort((id_rank, -scores))[:take]]
-    else:
-        rng = _query_rng(cfg.seed, query.query_id)
-        pool = candidates.pt_ids[eligible][np.argsort(id_rank)]
-        chosen = pool[rng.choice(len(pool), size=take, replace=False)]
-    return TrainingTriple(
-        query_id=query.query_id,
-        positive_pt_id=query.pt_id,
-        negative_pt_ids=tuple(chosen.tolist()),
-        strategy=cfg.strategy,
-    )
+    return _Pool(candidates, query.table_id).mine(query, q_vec, cfg)
 
 
 def mine_all(
@@ -126,24 +142,31 @@ def mine_all(
 
     query_vecs rows align with queries and pt_vecs rows with pts. Queries
     without any eligible candidate are skipped, and their ids returned
-    alongside the triples.
+    alongside the triples. The queries are mined one source table at a
+    time, so each table's pool is gathered once and only one is held.
     """
     if len(queries) != len(query_vecs):
         raise ValueError("query_vecs must align with queries")
     candidates = Candidates(pts, pt_vecs)
-    triples = []
-    skipped = []
+    by_table: dict[str, list[int]] = {}
+    for i, query in enumerate(queries):
+        by_table.setdefault(query.table_id, []).append(i)
+    mined: list[TrainingTriple | None] = [None] * len(queries)
+    for table_id, members in by_table.items():
+        pool = _Pool(candidates, table_id)
+        for i in members:
+            try:
+                mined[i] = pool.mine(queries[i], query_vecs[i], cfg)
+            except MiningError:
+                pass
     order = sorted(range(len(queries)), key=lambda i: queries[i].query_id)
-    for i in order:
-        try:
-            triples.append(mine_negatives(queries[i], query_vecs[i], candidates, cfg))
-        except MiningError:
-            skipped.append(queries[i].query_id)
+    triples = [mined[i] for i in order if mined[i] is not None]
+    skipped = [queries[i].query_id for i in order if mined[i] is None]
     return triples, skipped
 
 
 def triple_to_record(t: TrainingTriple) -> dict:
-    return asdict(t)
+    return dict(vars(t))
 
 
 def triple_from_record(rec: dict) -> TrainingTriple:

@@ -47,6 +47,7 @@ from .fsio import (
     read_jsonl,
     read_matrix_bin,
     read_numbered_jsonl,
+    sweep_temp_files,
     typed_records,
     write_jsonl,
     write_matrix_bin,
@@ -153,10 +154,21 @@ class _Run:
 
     cfg: PipelineConfig
     log: Log
+    swept: bool = False
 
     @property
     def ws(self) -> Path:
         return self.cfg.workspace
+
+    def sweep(self) -> None:
+        """Delete, once per run, the temp files a killed run left half-way
+        through an atomic write. The embedding cache is left alone, as
+        variant runs share it under their own locks."""
+        if not self.swept:
+            for directory in (self.ws, self.ws / "index"):
+                if directory != self.cfg.cache_dir:
+                    sweep_temp_files(directory)
+            self.swept = True
 
     @functools.cached_property
     def writers(self) -> dict[Path, str]:
@@ -253,6 +265,8 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         if producer and manifest.is_outdated(producer, cfg.stage_config_hash(producer)):
             raise StageError(3, f"stage '{stage}': {manifest.key(path)} was made from older "
                              f"inputs or settings; run stage '{producer}' first")
+    # swept only by a run that runs a stage, so a no-op run pays nothing
+    run.sweep()
     started = time.monotonic()
     try:
         _STAGE_FNS[stage](run)
@@ -576,7 +590,9 @@ def run_compare(cfg: PipelineConfig, variants: list[Variant], log: Log = _quiet)
         rows.append(computed[variant])
     out = {"rows": rows}
     cfg.workspace.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(
-        cfg.workspace / "compare_report.json", json.dumps(out, sort_keys=True, indent=2) + "\n"
-    )
+    # under the lock, so a run's temp-file sweep cannot take this write's file
+    with WorkspaceLock(cfg.workspace):
+        atomic_write_text(
+            cfg.workspace / "compare_report.json", json.dumps(out, sort_keys=True, indent=2) + "\n"
+        )
     return out

@@ -14,7 +14,7 @@ import json
 import math
 import re
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .embed import PROVIDER_KINDS
@@ -303,7 +303,7 @@ def _generate_or_none(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery] 
 
 
 def query_to_record(q: SyntheticQuery) -> dict:
-    return asdict(q)
+    return dict(vars(q))
 
 
 def query_from_record(rec: dict) -> SyntheticQuery:

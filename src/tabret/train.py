@@ -14,21 +14,41 @@ tau = 0.01. Gradients are analytic, including the normalization map
 (projection onto the unit sphere's tangent), and are verified against
 central finite differences by gradient_check.
 
-loss_and_grad works on whole arrays in the order of operations of a
-loop with one np.outer per term (tests/test_train.py keeps that loop as
-its oracle), so gradients and the adapter keep their bits. Checked on
+train stacks every vector the triples name into one matrix once
+(stack_rows); each triple is an index array over it, and matrix[idx]
+is the (h+2, d) row block [q; pos; negs] that loss_and_grad and
+mean_loss take. loss_and_grad works on whole arrays in the order of
+operations of a loop with one np.outer per term (tests/test_train.py
+keeps that loop, and the train loop around it, as its oracles), so
+gradients and the adapter keep their bits. The per-triple BLAS calls
+are W @ q, W @ pos, negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in
+that loop; only the work around them is shaped for speed. Checked on
 numpy 2.4 with OpenBLAS 0.3.31:
 
+- _forward allocates the unit rows, norms and similarities once and
+  fills them in place; a BLAS product written through out= has the
+  bits of the same product returned in a new array.
+- Norms are numpy's own np.linalg.norm formulas: sqrt(v.dot(v)) for a
+  vector, sqrt(np.add.reduce(v * v, axis=1)) for rows.
+- One exp(z - max z) serves both the loss and the softmax; exp is
+  elementwise, so its slice [1:] has the bits of exp(z[1:] - max z).
 - The tangent projections take all h + 2 dot products with one stacked
   np.matmul of (h+2, 1, d) by (h+2, d, 1). Each product has the bits of
   np.dot of the two rows; einsum sums in a different order.
-- The h + 2 outer products form one (h+2, d, d) array, summed by
-  np.add.reduce(axis=0, initial=-0.0): for d >= 2 it adds the terms one
-  at a time in order, starting from -0.0, which leaves the first term's
-  bits as they are. Without initial, numpy starts from +0.0 and loses
-  the sign of an entry whose terms are all -0.0. With d == 1 numpy adds
-  pairwise, but every term is then a signed zero (the tangent of a
-  1-vector is 0), whose sum does not depend on the order.
+- For d >= 2 the h + 2 outer products are summed by
+  np.einsum("ia,ib->ab"), which adds the terms one at a time in row
+  order, but starting from +0.0: an entry whose terms are all -0.0
+  comes out +0.0 where the loop gives -0.0. Any other entry has the
+  loop's bits, since -0.0 + t == t and +0.0 + t == t for t != -0.0. So
+  whenever the einsum result holds an exact zero, the sum is taken
+  again as np.add.reduce over the (h+2, d, d) outer-product array with
+  initial=-0.0, which adds in the same order from the additive
+  identity. This fallback is rare on real embeddings: it needs a
+  coordinate that is zero in every vector of the triple.
+- For d == 1 einsum takes a contiguous dot path that sums in another
+  order, but there every term is a signed zero (the tangent of a
+  1-vector is 0), so the zero-entry fallback always takes the reduce
+  path instead.
 - mean_loss runs the forward pass only.
 
 Batching a whole accumulation window stays out of scope: stacking B
@@ -45,6 +65,7 @@ trailer; version 1 files (CRC-64 trailer) are rejected and rebuilt.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -136,87 +157,76 @@ def infonce_loss(
         return 0.0, np.array([s_pos])
     s_neg = np.dot(np.asarray(neg_vecs, dtype=np.float64), q_vec)
     sims = np.concatenate(([s_pos], s_neg))
-    loss = _loss_from_sims(sims, tau)
-    return loss, sims
+    return _loss_and_exp(sims, tau)[0], sims
 
 
-def _loss_from_sims(sims: np.ndarray, tau: float) -> float:
+def _loss_and_exp(sims: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """The loss, and exp(z - max z) of the logits z = sims / tau, which
+    the softmax of loss_and_grad reuses."""
     z = sims / tau
-    m = float(np.max(z))
+    m = float(z.max())
+    e = np.exp(z - m)
     if z[0] == m:
         # positive is the largest logit: log1p keeps sub-epsilon losses exact
-        return float(np.log1p(np.sum(np.exp(z[1:] - m))))
-    return float(m - z[0] + np.log(np.sum(np.exp(z - m))))
+        return float(np.log1p(e[1:].sum())), e
+    return float(m - z[0] + np.log(e.sum())), e
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
-
-
-def _normalize_with_grad(a: np.ndarray) -> tuple[np.ndarray, float]:
-    n = float(np.linalg.norm(a))
-    if n == 0.0:
-        raise TrainError("adapted vector collapsed to zero")
-    return a / n, n
-
-
-def _forward(
-    W: np.ndarray, q: np.ndarray, pos: np.ndarray, negs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adapted unit vectors as rows [q, pos, negs...], the norms they
+def _forward(W: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adapted unit vectors of rows [q, pos, negs...], the norms they
     were divided by, and the similarities [s+, s-...]."""
-    q_hat, q_norm = _normalize_with_grad(W @ q)
-    p_hat, p_norm = _normalize_with_grad(W @ pos)
-    n_raw = negs @ W.T
-    n_norms = np.linalg.norm(n_raw, axis=1)
-    if np.any(n_norms == 0.0):
-        raise TrainError("adapted negative collapsed to zero")
-    n_hat = n_raw / n_norms[:, None]
-    sims = np.concatenate(([np.dot(q_hat, p_hat)], n_hat @ q_hat))
-    hats = np.vstack([q_hat, p_hat, n_hat])
-    norms = np.concatenate(([q_norm, p_norm], n_norms))
+    hats = np.empty(rows.shape)
+    np.matmul(W, rows[0], out=hats[0])
+    np.matmul(W, rows[1], out=hats[1])
+    np.matmul(rows[2:], W.T, out=hats[2:])
+    norms = np.empty(len(rows))
+    norms[0] = math.sqrt(hats[0].dot(hats[0]))
+    norms[1] = math.sqrt(hats[1].dot(hats[1]))
+    np.sqrt(np.add.reduce(hats[2:] * hats[2:], axis=1), out=norms[2:])
+    if not norms.all():
+        raise TrainError("adapted vector collapsed to zero")
+    hats /= norms[:, None]
+    sims = np.empty(len(rows) - 1)
+    sims[0] = hats[0].dot(hats[1])
+    np.matmul(hats[2:], hats[0], out=sims[1:])
     return hats, norms, sims
 
 
-def _triple_loss(
-    W: np.ndarray, q: np.ndarray, pos: np.ndarray, negs: np.ndarray, tau: float
-) -> float:
+def _triple_loss(W: np.ndarray, rows: np.ndarray, tau: float) -> float:
     """The loss of loss_and_grad, without the gradient."""
-    return _loss_from_sims(_forward(W, q, pos, negs)[2], tau)
+    return _loss_and_exp(_forward(W, rows)[2], tau)[0]
 
 
-def loss_and_grad(
-    W: np.ndarray,
-    q: np.ndarray,
-    pos: np.ndarray,
-    negs: np.ndarray,
-    tau: float,
-) -> tuple[float, np.ndarray]:
+def loss_and_grad(W: np.ndarray, rows: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
     """InfoNCE loss and its exact gradient in W for one triple.
 
-    q, pos and rows of negs are base unit vectors; both sides go through
-    the same W and renormalization before the similarities.
+    rows stacks the triple's base unit vectors as [q; pos; negs]; both
+    sides go through the same W and renormalization before the
+    similarities.
     """
-    hats, norms, sims = _forward(W, q, pos, negs)
-    if len(negs) == 0:
+    hats, norms, sims = _forward(W, rows)
+    if len(rows) == 2:
         return 0.0, np.zeros_like(W)
-    loss = _loss_from_sims(sims, tau)
-    probs = _softmax(sims / tau)
+    loss, e = _loss_and_exp(sims, tau)
     # dL/ds: positive gets (p0 - 1)/tau, negative i gets pi/tau
-    ds = probs / tau
+    ds = e / e.sum()
+    ds /= tau
     ds[0] -= 1.0 / tau
 
     q_hat, p_hat, n_hat = hats[0], hats[1], hats[2:]
     # gradient w.r.t. each unit vector, rows in the order of hats
-    g_hat = np.vstack([ds[0] * p_hat + n_hat.T @ ds[1:], ds[0] * q_hat, ds[1:, None] * q_hat])
+    g = np.empty_like(hats)
+    np.multiply(ds[:, None], q_hat, out=g[1:])
+    g[0] = ds[0] * p_hat + n_hat.T @ ds[1:]
     # pull each row back through v -> v/||v|| (projection onto the tangent)
-    dots = np.matmul(g_hat[:, None, :], hats[:, :, None])[:, 0, 0]
-    g_raw = (g_hat - dots[:, None] * hats) / norms[:, None]
-    inputs = np.vstack([q, pos, negs])
-    # one outer product per row of inputs, summed first to last from -0.0
-    # (the additive identity), so the first term keeps its bits
-    return loss, np.add.reduce(g_raw[:, :, None] * inputs[:, None, :], axis=0, initial=-0.0)
+    dots = np.matmul(g[:, None, :], hats[:, :, None])[:, 0, 0]
+    g -= dots[:, None] * hats
+    g /= norms[:, None]
+    # one outer product per row, summed first to last (module docstring)
+    grad = np.einsum("ia,ib->ab", g, rows)
+    if grad.all():
+        return loss, grad
+    return loss, np.add.reduce(g[:, :, None] * rows[:, None, :], axis=0, initial=-0.0)
 
 
 class _Adam:
@@ -236,30 +246,32 @@ class _Adam:
         w -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
 
 
-def _triple_vectors(
-    triple: TrainingTriple, vectors: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    try:
-        q = vectors[triple.query_id]
-        pos = vectors[triple.positive_pt_id]
-        negs = np.stack([vectors[nid] for nid in triple.negative_pt_ids])
-    except KeyError as exc:
-        raise TrainError(f"{triple.query_id}: missing base embedding for {exc}") from None
-    return q, pos, negs
+def stack_rows(
+    triples: list[TrainingTriple], vectors: dict[str, np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every vector the triples name as the rows of one matrix, and per
+    triple the indices of its [q; pos; negs] rows in that matrix."""
+    row_of: dict[str, int] = {}
+    blocks = []
+    for t in triples:
+        ids = (t.query_id, t.positive_pt_id, *t.negative_pt_ids)
+        for vid in ids:
+            if vid not in vectors:
+                raise TrainError(f"{t.query_id}: missing base embedding for {vid!r}")
+        blocks.append(np.array([row_of.setdefault(vid, len(row_of)) for vid in ids]))
+    return np.stack([vectors[vid] for vid in row_of]), blocks
 
 
 def mean_loss(
-    triples: list[TrainingTriple],
-    vectors: dict[str, np.ndarray],
-    W: np.ndarray,
-    tau: float,
+    matrix: np.ndarray, blocks: list[np.ndarray], W: np.ndarray, tau: float
 ) -> float:
-    if not triples:
+    """Mean loss over the triples that stack_rows gave as matrix and blocks."""
+    if not blocks:
         raise ValueError("no triples to evaluate")
     total = 0.0
-    for t in triples:
-        total += _triple_loss(W, *_triple_vectors(t, vectors), tau)
-    return total / len(triples)
+    for idx in blocks:
+        total += _triple_loss(W, matrix[idx], tau)
+    return total / len(blocks)
 
 
 def train(
@@ -280,25 +292,24 @@ def train(
     if len(dims) != 1:
         raise ValueError(f"mixed embedding dims in vector store: {sorted(dims)}")
     d = dims.pop()
+    matrix, blocks = stack_rows(triples, vectors)
 
     w = np.eye(d, dtype=np.float64)
-    initial_loss = mean_loss(triples, vectors, w, cfg.tau)
+    initial_loss = mean_loss(matrix, blocks, w, cfg.tau)
     optimizer = _Adam((d, d), cfg)
     rng = np.random.default_rng(cfg.seed)
     epoch_means = []
     log: list[dict] = []
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(triples)) if cfg.shuffle else np.arange(len(triples))
+        order = rng.permutation(len(triples)) if cfg.shuffle else range(len(triples))
         epoch_total = 0.0
         grad_sum = np.zeros_like(w)
         window_losses: list[float] = []
         for pos_in_epoch, idx in enumerate(order):
-            t = triples[int(idx)]
-            q, pos, negs = _triple_vectors(t, vectors)
-            loss, grad = loss_and_grad(w, q, pos, negs, cfg.tau)
-            if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise TrainError(f"non-finite loss or gradient at triple {t.query_id}")
+            loss, grad = loss_and_grad(w, matrix[blocks[idx]], cfg.tau)
+            if not np.isfinite(loss) or not np.isfinite(grad).all():
+                raise TrainError(f"non-finite loss or gradient at triple {triples[idx].query_id}")
             epoch_total += loss
             grad_sum += grad
             window_losses.append(loss)
@@ -315,7 +326,7 @@ def train(
                 window_losses = []
         epoch_means.append(epoch_total / len(triples))
 
-    final_loss = mean_loss(triples, vectors, w, cfg.tau)
+    final_loss = mean_loss(matrix, blocks, w, cfg.tau)
     report = TrainReport(
         initial_loss=initial_loss,
         final_loss=final_loss,
@@ -334,19 +345,18 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_triples):
-        q = _unit(rng.normal(size=dim))
-        pos = _unit(rng.normal(size=dim))
-        negs = np.stack([_unit(rng.normal(size=dim)) for _ in range(3)])
+        # q, pos and three negatives
+        rows = np.stack([_unit(rng.normal(size=dim)) for _ in range(5)])
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-        _, grad = loss_and_grad(w, q, pos, negs, tau)
+        _, grad = loss_and_grad(w, rows, tau)
         for i in range(dim):
             for j in range(dim):
                 w_plus = w.copy()
                 w_plus[i, j] += step
                 w_minus = w.copy()
                 w_minus[i, j] -= step
-                lp = _triple_loss(w_plus, q, pos, negs, tau)
-                lm = _triple_loss(w_minus, q, pos, negs, tau)
+                lp = _triple_loss(w_plus, rows, tau)
+                lm = _triple_loss(w_minus, rows, tau)
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

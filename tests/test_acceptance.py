@@ -163,14 +163,15 @@ def test_adapter_gradient_matches_finite_differences():
         negs = rng.normal(size=(3, dim))
         negs /= np.linalg.norm(negs, axis=1)[:, None]
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-        _, grad = loss_and_grad(w, q, pos, negs, tau)
+        rows = np.vstack([q, pos, negs])
+        _, grad = loss_and_grad(w, rows, tau)
         for i in range(dim):
             for j in range(dim):
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += step
                 wm[i, j] -= step
-                lp, _ = loss_and_grad(wp, q, pos, negs, tau)
-                lm, _ = loss_and_grad(wm, q, pos, negs, tau)
+                lp, _ = loss_and_grad(wp, rows, tau)
+                lm, _ = loss_and_grad(wm, rows, tau)
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

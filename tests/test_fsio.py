@@ -29,6 +29,7 @@ from tabret.fsio import (
     read_log,
     read_matrix_bin,
     sha256_json,
+    sweep_temp_files,
     typed_records,
     write_jsonl,
     write_matrix_bin,
@@ -62,6 +63,15 @@ class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "data")
         assert sorted(q.name for q in tmp_path.iterdir()) == ["f.txt"]
+
+    def test_sweep_removes_only_temp_files_of_that_directory(self, tmp_path):
+        for name in (".f.txt.k2j4x9_a.tmp", "f.txt", ".lock", "sub/.g.bin.abc.tmp"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text("x")
+        sweep_temp_files(tmp_path)
+        assert sorted(q.name for q in tmp_path.iterdir()) == [".lock", "f.txt", "sub"]
+        assert (tmp_path / "sub" / ".g.bin.abc.tmp").exists()
+        sweep_temp_files(tmp_path / "absent")
 
 
 class TestJsonl:

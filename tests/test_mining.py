@@ -227,14 +227,16 @@ class TestMineAll:
             assert triple == mine_negatives(q, v, pool(corpus_pts), MiningConfig(h=4))
 
     def test_skips_queries_without_candidates(self):
-        # the pool holds only the query's own table, so there is nothing
-        # eligible and the query lands in the skip list instead of failing
-        query = make_query(9)
-        q_vecs = np.stack([mock_embed(query.text, DIM)])
+        # the pool holds only table 9, so its queries have nothing eligible
+        # and land in the skip list, in query_id order, instead of failing
+        queries = [make_query(9, ordinal=1), make_query(3), make_query(9, ordinal=0)]
+        q_vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
         only_own = [make_pt(9, 0)]
-        triples, skipped = mine_all([query], q_vecs, only_own, MiningConfig(h=2), vecs(only_own))
-        assert triples == []
-        assert skipped == ["t09#kpt_random#0#q0"]
+        triples, skipped = mine_all(queries, q_vecs, only_own, MiningConfig(h=2), vecs(only_own))
+        assert [(t.query_id, t.negative_pt_ids) for t in triples] == [
+            ("t03#kpt_random#0#q0", ("t09#kpt_random#0",))
+        ]
+        assert skipped == ["t09#kpt_random#0#q0", "t09#kpt_random#0#q1"]
 
     def test_misaligned_vectors_rejected(self, corpus_pts):
         queries = [make_query(0)]

@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -279,6 +282,36 @@ class TestDamagedWorkspace:
         with pytest.raises(StageError, match="remove the embedding cache") as exc_info:
             run_pipeline(pipeline_cfg, "index")
         assert exc_info.value.exit_code == 3
+
+    @pytest.mark.parametrize("target", ["instance_embeddings.bin", "index/vectors.bin"])
+    def test_temp_file_of_a_run_killed_at_the_rename_is_swept_by_the_next(
+        self, pipeline_cfg, tmp_path, target
+    ):
+        kill_at_rename = (
+            "import os, signal, sys\n"
+            "from tabret.config import load_config\n"
+            "from tabret.pipeline import run_pipeline\n"
+            "replace = os.replace\n"
+            "def kill_at(src, dst):\n"
+            "    if str(dst).endswith(sys.argv[2]):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    replace(src, dst)\n"
+            "os.replace = kill_at\n"
+            "run_pipeline(load_config(sys.argv[1]), 'all')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fsio.__file__).parents[1]))
+        config = str(tmp_path / "config.yaml")
+        proc = subprocess.run([sys.executable, "-c", kill_at_rename, config, target], env=env)
+        assert proc.returncode == -signal.SIGKILL
+        ws = pipeline_cfg.workspace
+        target_path = ws / target
+        # the artifact was written in full, but beside its final name
+        (tmp,) = target_path.parent.glob(f".{target_path.name}.*.tmp")
+        assert tmp.stat().st_size > 0 and not target_path.exists()
+        results = run_pipeline(pipeline_cfg, "all")
+        assert all(r.status in ("ran", "fresh") for r in results)
+        assert target_path.exists()
+        assert not list(ws.glob(".*.tmp")) + list((ws / "index").glob(".*.tmp"))
 
     def test_torn_manifest_line_keeps_the_workspace_usable(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")

@@ -27,6 +27,7 @@ from tabret.train import (
     loss_and_grad,
     mean_loss,
     save_adapter,
+    stack_rows,
     train,
 )
 
@@ -138,14 +139,15 @@ class TestLossAndGrad:
             pos = random_unit(rng, dim)
             negs = np.stack([random_unit(rng, dim) for _ in range(3)])
             w = np.eye(dim) + 0.2 * rng.normal(size=(dim, dim))
-            _, grad = loss_and_grad(w, q, pos, negs, tau=0.5)
+            rows = np.vstack([q, pos, negs])
+            _, grad = loss_and_grad(w, rows, tau=0.5)
             for i in range(dim):
                 for j in range(dim):
                     wp, wm = w.copy(), w.copy()
                     wp[i, j] += step
                     wm[i, j] -= step
-                    lp, _ = loss_and_grad(wp, q, pos, negs, 0.5)
-                    lm, _ = loss_and_grad(wm, q, pos, negs, 0.5)
+                    lp, _ = loss_and_grad(wp, rows, 0.5)
+                    lm, _ = loss_and_grad(wm, rows, 0.5)
                     numeric = (lp - lm) / (2 * step)
                     denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                     assert abs(grad[i, j] - numeric) / denom < 1e-4
@@ -155,7 +157,7 @@ class TestLossAndGrad:
         pos = random_unit(rng, 7)
         negs = np.stack([random_unit(rng, 7) for _ in range(4)])
         plain, _ = infonce_loss(q, pos, negs, 0.1)
-        through_w, _ = loss_and_grad(np.eye(7), q, pos, negs, 0.1)
+        through_w, _ = loss_and_grad(np.eye(7), np.vstack([q, pos, negs]), 0.1)
         assert through_w == pytest.approx(plain, rel=1e-12)
 
     def test_loss_invariant_under_matrix_rescale(self, rng):
@@ -165,14 +167,15 @@ class TestLossAndGrad:
         pos = random_unit(rng, 6)
         negs = np.stack([random_unit(rng, 6) for _ in range(3)])
         w = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
-        loss1, grad1 = loss_and_grad(w, q, pos, negs, 0.2)
-        loss3, grad3 = loss_and_grad(3.0 * w, q, pos, negs, 0.2)
+        rows = np.vstack([q, pos, negs])
+        loss1, grad1 = loss_and_grad(w, rows, 0.2)
+        loss3, grad3 = loss_and_grad(3.0 * w, rows, 0.2)
         assert loss3 == pytest.approx(loss1, rel=1e-12)
         np.testing.assert_allclose(grad3, grad1 / 3.0, rtol=1e-9, atol=1e-12)
 
     def test_no_negatives_zero_gradient(self):
         q = np.array([1.0, 0.0])
-        loss, grad = loss_and_grad(np.eye(2), q, q, np.zeros((0, 2)), 0.5)
+        loss, grad = loss_and_grad(np.eye(2), np.vstack([q, q]), 0.5)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
@@ -180,7 +183,7 @@ class TestLossAndGrad:
         q = np.array([1.0, 0.0])
         negs = np.array([[0.0, 1.0]])
         with pytest.raises(TrainError, match="zero"):
-            loss_and_grad(np.zeros((2, 2)), q, q, negs, 0.5)
+            loss_and_grad(np.zeros((2, 2)), np.vstack([q, q, negs]), 0.5)
 
     def test_library_gradient_check_is_tight(self):
         assert gradient_check(dim=6, n_triples=3, seed=11) < 1e-4
@@ -251,7 +254,7 @@ class TestMatchesPerNegativeReference:
     @given(triples_and_adapters())
     def test_loss_and_gradient_bytes(self, problem):
         w, q, pos, negs, tau = problem
-        loss, grad = loss_and_grad(w, q, pos, negs, tau)
+        loss, grad = loss_and_grad(w, np.vstack([q, pos, negs]), tau)
         ref_loss, ref_grad = reference_loss_and_grad(w, q, pos, negs, tau)
         assert loss == ref_loss
         assert grad.tobytes() == ref_grad.tobytes()
@@ -266,7 +269,7 @@ class TestMatchesPerNegativeReference:
             total += reference_loss_and_grad(
                 w, vectors[t.query_id], vectors[t.positive_pt_id], negs, 0.1
             )[0]
-        assert mean_loss(triples, vectors, w, 0.1) == total / len(triples)
+        assert mean_loss(*stack_rows(triples, vectors), w, 0.1) == total / len(triples)
 
     def test_one_gradient_per_triple_per_epoch(self, monkeypatch):
         # mean_loss (initial and final) takes the loss-only path
@@ -304,6 +307,105 @@ def toy_problem(n: int = 12, dim: int = 8, negs_per_triple: int = 4):
         for i in range(n)
     ]
     return triples, vectors
+
+
+def reference_train(triples, vectors, cfg):
+    """train as a loop over dict lookups, np.stack and
+    reference_loss_and_grad, with Adam written out: the oracle for the
+    row blocks. A triple without negatives gets an empty (0, d) stack,
+    where np.stack of no arrays would raise."""
+    d = len(next(iter(vectors.values())))
+
+    def loss_and_grad_of(t, w):
+        negs = [vectors[nid] for nid in t.negative_pt_ids]
+        negs = np.stack(negs) if negs else np.zeros((0, d))
+        return reference_loss_and_grad(
+            w, vectors[t.query_id], vectors[t.positive_pt_id], negs, cfg.tau
+        )
+
+    def mean(w):
+        total = 0.0
+        for t in triples:
+            total += loss_and_grad_of(t, w)[0]
+        return total / len(triples)
+
+    w = np.eye(d)
+    initial = mean(w)
+    m, v, steps = np.zeros((d, d)), np.zeros((d, d)), 0
+    rng = np.random.default_rng(cfg.seed)
+    epoch_means, log = [], []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(triples)) if cfg.shuffle else np.arange(len(triples))
+        epoch_total = 0.0
+        grad_sum = np.zeros_like(w)
+        window_losses = []
+        for pos_in_epoch, idx in enumerate(order):
+            loss, grad = loss_and_grad_of(triples[int(idx)], w)
+            epoch_total += loss
+            grad_sum += grad
+            window_losses.append(loss)
+            if len(window_losses) == cfg.accumulation_steps or pos_in_epoch == len(order) - 1:
+                g = grad_sum / len(window_losses)
+                steps += 1
+                m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
+                v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
+                m_hat = m / (1 - cfg.adam_beta1**steps)
+                v_hat = v / (1 - cfg.adam_beta2**steps)
+                w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                log.append(
+                    {"epoch": epoch, "step": steps, "loss": sum(window_losses) / len(window_losses)}
+                )
+                grad_sum = np.zeros_like(w)
+                window_losses = []
+        epoch_means.append(epoch_total / len(triples))
+    return w, initial, mean(w), epoch_means, log
+
+
+@st.composite
+def training_problems(draw):
+    """1 to 9 triples of dimension 1 to 17 with 0 to 12 negatives each,
+    drawn from a shared pool, and a training config."""
+    d = draw(st.integers(1, 17))
+    h = draw(st.integers(0, 12))
+    n_triples = draw(st.integers(1, 9))
+    n_pts = h + 1 + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = {f"q{i}": random_unit(rng, d) for i in range(n_triples)}
+    vectors.update({f"p{j}": random_unit(rng, d) for j in range(n_pts)})
+    if d > 1 and draw(st.booleans()):
+        # a coordinate that is a signed zero in every vector: every
+        # gradient entry in its column is a sum of signed zeros
+        col, zero = draw(st.integers(0, d - 1)), draw(st.sampled_from([0.0, -0.0]))
+        for vec in vectors.values():
+            vec[col] = zero
+    triples = []
+    for i in range(n_triples):
+        picks = rng.permutation(n_pts)[: h + 1]
+        negs = tuple(f"p{j}" for j in picks[1:])
+        triples.append(TrainingTriple(f"q{i}", f"p{picks[0]}", negs, "hard"))
+    cfg = TrainConfig(
+        tau=draw(st.sampled_from([0.01, 0.07, 0.5])),
+        epochs=draw(st.integers(0, 3)),
+        accumulation_steps=draw(st.sampled_from([1, 2, 3, 4, 32])),
+        learning_rate=draw(st.sampled_from([1e-3, 1e-2, 5e-2])),
+        seed=draw(st.integers(0, 2**16)),
+        shuffle=draw(st.booleans()),
+    )
+    return triples, vectors, cfg
+
+
+class TestTrainMatchesReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(training_problems())
+    def test_adapter_bytes_and_losses(self, problem):
+        triples, vectors, cfg = problem
+        adapter, report = train(triples, vectors, cfg)
+        w, initial, final, epoch_means, log = reference_train(triples, vectors, cfg)
+        assert adapter.W.tobytes() == w.tobytes()
+        assert report.initial_loss == initial
+        assert report.final_loss == final
+        assert report.epoch_mean_losses == epoch_means
+        assert report.log == log
 
 
 class TestTrain:
@@ -348,7 +450,7 @@ class TestTrain:
         cfg = TrainConfig(tau=0.1, epochs=1)
         _, report = train(triples, vectors, cfg)
         assert report.initial_loss == pytest.approx(
-            mean_loss(triples, vectors, np.eye(8), 0.1), rel=1e-12
+            mean_loss(*stack_rows(triples, vectors), np.eye(8), 0.1), rel=1e-12
         )
 
     def test_shuffle_off_processes_in_order(self):
