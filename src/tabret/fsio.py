@@ -27,6 +27,7 @@ import itertools
 import json
 import operator
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -132,6 +133,11 @@ def _text(path: str | Path, data: bytes) -> str:
         raise JsonLinesError(path, line_no, f"invalid UTF-8: {exc.reason}") from exc
 
 
+# the \\u escape of a surrogate code point, \\ud800 to \\udfff, which may be
+# unpaired; other escapes give Unicode text
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -167,8 +173,17 @@ def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         raise
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    return (rec for _, rec in read_numbered_jsonl(path))
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The records of a JSON Lines file, one object per non-blank line.
+
+    The whole file is decoded and parsed in one json.loads (see
+    _parse_lines); the per-line parser runs only to name a bad line. A
+    byte that is not UTF-8, a line that is not one JSON object (a cut
+    line, or one holding two values or an array) and a lone surrogate
+    escape each raise JsonLinesError naming their line. Lines may end in
+    \n, \r\n or \r, as in a file read in text mode.
+    """
+    return _parse_lines(path, _text(path, Path(path).read_bytes()))
 
 
 @functools.cache
@@ -240,10 +255,15 @@ def _parse_lines(path: str | Path, text: str) -> list[dict]:
     per-line parser runs only when that fails, or when an escape may hide a
     lone surrogate, to name the bad line. Each line must give one object,
     so a line holding two values is rejected."""
+    if "\r" in text:  # the line ends a text-mode read knows
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = [line for line in text.split("\n") if line.strip()]
     try:
         # a raw newline is invalid inside a JSON string, so none spans lines
-        records = None if "\\u" in text else json.loads("[" + ",\n".join(lines) + "]")
+        records = (
+            None if "\\" in text and _SURROGATE_ESCAPE.search(text)
+            else json.loads("[" + ",\n".join(lines) + "]")
+        )
     except json.JSONDecodeError:
         records = None
     if records is None or len(records) != len(lines) or not set(map(type, records)) <= {dict}:

@@ -16,10 +16,11 @@ stamps it took and compacts the manifest once it has grown several times
 past its live lines (see fsio.Manifest). The stages of one run share a _Run,
 which opens the embedding cache and reads corpus.jsonl,
 kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
-first stage that needs them. When no external gold file is configured,
-evaluation holds out the last synthetic queries of each partial table:
-those never enter mining, training, or pt_plus_queries representations,
-and are scored with their source table as gold.
+first stage that needs them; a run whose ingest ran keeps the corpus
+ingest parsed and reads no corpus.jsonl. When no external gold file is
+configured, evaluation holds out the last synthetic queries of each
+partial table: those never enter mining, training, or pt_plus_queries
+representations, and are scored with their source table as gold.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .querygen import (
     SyntheticQuery,
     generate_all,
     query_from_record,
+    query_ordinal,
     query_to_record,
 )
 from .retrieval import build_index, evaluate, load_index, save_index
@@ -181,6 +183,7 @@ class _Run:
 
     @functools.cached_property
     def corpus(self) -> Corpus:
+        """corpus.jsonl's tables, unless ingest set them in this run."""
         return load_corpus(self.ws / "corpus.jsonl")
 
     def records(self, name: str, fields: dict, parse: Callable[[dict], T]) -> list[T]:
@@ -292,10 +295,6 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     return StageResult(stage, "ran", wall)
 
 
-def _query_ordinal(query_id: str) -> int:
-    return int(query_id.rsplit("#q", 1)[1])
-
-
 def split_queries(
     queries: list[SyntheticQuery], holdout_per_pt: int
 ) -> tuple[list[SyntheticQuery], list[SyntheticQuery]]:
@@ -312,7 +311,7 @@ def split_queries(
         by_pt.setdefault(q.pt_id, []).append(q)
     training, heldout = [], []
     for pt_id in sorted(by_pt):
-        group = sorted(by_pt[pt_id], key=lambda q: _query_ordinal(q.query_id))
+        group = sorted(by_pt[pt_id], key=lambda q: query_ordinal(q.query_id))
         n_held = min(holdout_per_pt, len(group) - 1)
         start = int.from_bytes(hashlib.sha256(pt_id.encode("utf-8")).digest()[:8], "big")
         held_pos = {(start + j) % len(group) for j in range(n_held)}
@@ -325,6 +324,7 @@ def _stage_ingest(run: _Run) -> None:
     corpus = load_corpus(run.cfg.corpus_path, run.cfg.corpus_format)
     records = [table_to_record(t) for t in corpus.tables]
     write_jsonl(run.ws / "corpus.jsonl", records)
+    run.corpus = corpus  # the tables the copy parses back to
     run.log(f"[ingest] {len(records)} tables")
 
 
@@ -470,9 +470,15 @@ def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
     """(query, gold table id) pairs: the held-out queries, or the rows of
     the gold file, each naming one of the index's tables."""
     gold_path = run.cfg.eval.gold_path
+    known = set(tables)
     if gold_path is None:
+        for q in run.queries.heldout:
+            if q.table_id not in known:
+                raise StageError(3, f"stage 'eval': queries.jsonl: held-out query {q.query_id!r} "
+                                 f"names table {q.table_id!r}, which is not in the index; "
+                                 "rerun stage 'genq'")
         return [(q.text, q.table_id) for q in run.queries.heldout]
-    known, pairs = set(tables), []
+    pairs = []
     for line_no, rec in read_numbered_jsonl(gold_path):
         where = f"{gold_path}:{line_no}"
         if "query" not in rec or "gold_table_id" not in rec:

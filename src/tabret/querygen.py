@@ -306,5 +306,17 @@ def query_to_record(q: SyntheticQuery) -> dict:
     return dict(vars(q))
 
 
+def query_ordinal(query_id: str) -> int:
+    """The n of a query_id ending in #q<n>, as generate_queries names
+    queries; any other id raises ValueError."""
+    _, sep, ordinal = query_id.rpartition("#q")
+    if not sep or not (ordinal.isascii() and ordinal.isdigit()):
+        raise ValueError(f"query_id {query_id!r} does not end in #q<ordinal>")
+    return int(ordinal)
+
+
 def query_from_record(rec: dict) -> SyntheticQuery:
+    """The query of a queries.jsonl record; a query_id without its
+    ordinal raises ValueError."""
+    query_ordinal(rec["query_id"])
     return SyntheticQuery(**{name: rec[name] for name in QUERY_FIELDS})

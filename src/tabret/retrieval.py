@@ -16,6 +16,21 @@ np.add.reduceat does not add a group left to right (it differed from
 Python's sum in 9432 of 20000 random groups), so mean fusion adds the
 grid's rows one by one, the k-th score of every table at step k, which
 is sum(v)'s order. Max fusion takes the grid's column maxima.
+
+evaluate scores its queries in blocks of about _BLOCK_BYTES of scores,
+so memory stays bounded however many queries there are. Each query's
+gemv is the same np.dot(index.vectors, q) that search makes, written
+through out= into its row of the block: out= only names where BLAS
+stores the result, so every score keeps its bits. A block holds one
+pad column past the last row's score, -inf under max fusion and 0.0
+under mean, which the grid's padding points at, and fusion then runs
+over the whole block at once with the same elementwise operations as
+for one query. A gold table's rank is counted, not sorted: the tables
+scoring above it, plus the tables before it in table_id order that tie
+with it, plus one. argsort(-fused, kind="stable") puts the gold table
+at exactly that position, as every fused score is finite: a stable
+sort places first the entries that compare below it and then the equal
+ones that come earlier, in their original order.
 """
 
 from __future__ import annotations
@@ -42,6 +57,8 @@ from .train import Adapter, adapter_apply
 
 REPRESENTATION_MODES = ("pt_only", "pt_plus_queries")
 FUSIONS = ("max", "mean")
+# evaluate scores queries in blocks of about this many bytes of scores
+_BLOCK_BYTES = 1 << 18
 
 
 class IndexFormatError(ArtifactError):
@@ -125,7 +142,10 @@ def build_index(
     ]
     vectors = embed_texts(provider, texts, cache)
     if adapter is not None:
-        vectors = np.stack([adapter_apply(adapter, v) for v in vectors])
+        mapped = np.empty_like(vectors)
+        for i, v in enumerate(vectors):
+            mapped[i] = adapter_apply(adapter, v)
+        vectors = mapped
     return RetrievalIndex(
         pt_ids=[pt.pt_id for pt in ordered],
         table_ids=[pt.table_id for pt in ordered],
@@ -136,21 +156,38 @@ def build_index(
     )
 
 
+def _padded_scores(index: RetrievalIndex, *queries: int) -> np.ndarray:
+    """An uninitialised block of row scores, one query's along the last
+    axis, with one column past the last row holding the pad that fusion
+    gives the grid's padding."""
+    block = np.empty((*queries, len(index.pt_ids) + 1))
+    block[..., -1] = -np.inf if index.fusion == "max" else 0.0
+    return block
+
+
+def _fuse(index: RetrievalIndex, scores: np.ndarray) -> np.ndarray:
+    """Fused table scores from padded row scores: one query's vector, or a
+    block of them with one query per row."""
+    by_table = scores.take(index._grid, axis=-1)
+    if index.fusion == "max":
+        return by_table.max(axis=-2)
+    # left to right like sum(); a pad adds 0.0, which changes no sum
+    fused = np.zeros(by_table.shape[:-2] + by_table.shape[-1:])
+    for k in range(by_table.shape[-2]):
+        fused += by_table[..., k, :]
+    fused /= index._counts
+    return fused
+
+
 def rank_tables(index: RetrievalIndex, q_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank the tables for an embedded (and adapter-mapped) query vector.
 
     Returns positions into index.tables, best first, and the fused score
     of every position. The stable sort keeps equal scores in table_id order.
     """
-    scores = np.dot(index.vectors, q_vec)
-    if index.fusion == "max":
-        fused = np.append(scores, -np.inf)[index._grid].max(axis=0)
-    else:
-        # left to right like sum(); a pad adds 0.0, which changes no sum
-        fused = np.zeros(len(index.tables))
-        for column in np.append(scores, 0.0)[index._grid]:
-            fused += column
-        fused /= index._counts
+    scores = _padded_scores(index)
+    np.dot(index.vectors, q_vec, out=scores[:-1])
+    fused = _fuse(index, scores)
     return np.argsort(-fused, kind="stable"), fused
 
 
@@ -191,12 +228,21 @@ def evaluate(
         if gold_id not in position:
             raise ValueError(f"gold table id {gold_id!r} is not in the index")
     q_vecs = embed_texts(provider, [q for q, _ in gold], cache)
-    ranks = []
-    for (_, gold_id), q_vec in zip(gold, q_vecs):
-        if index.adapter is not None:
-            q_vec = adapter_apply(index.adapter, q_vec)
-        order, _ = rank_tables(index, q_vec)
-        ranks.append(int(np.flatnonzero(order == position[gold_id])[0]) + 1)
+    golds = np.array([position[gold_id] for _, gold_id in gold])
+    block = _padded_scores(index, max(1, _BLOCK_BYTES // (8 * (len(index.pt_ids) + 1))))
+    earlier = np.arange(len(index.tables))
+    ranks: list[int] = []
+    for start in range(0, len(gold), len(block)):
+        scores = block[: len(gold) - start]
+        for out, q_vec in zip(scores, q_vecs[start : start + len(scores)]):
+            if index.adapter is not None:
+                q_vec = adapter_apply(index.adapter, q_vec)
+            np.dot(index.vectors, q_vec, out=out[:-1])
+        fused = _fuse(index, scores)
+        at = golds[start : start + len(scores), None]
+        g = np.take_along_axis(fused, at, axis=1)
+        ahead = (fused > g) | ((fused == g) & (earlier < at))
+        ranks.extend((ahead.sum(axis=1) + 1).tolist())
     recall = {
         k: round(100.0 * sum(1 for r in ranks if r <= k) / len(ranks), 2) for k in ks
     }

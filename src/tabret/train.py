@@ -136,7 +136,8 @@ def adapter_apply(adapter: Adapter, v: np.ndarray) -> np.ndarray:
     if v.shape != (adapter.dim,):
         raise ValueError(f"vector dim {v.shape} does not match adapter dim {adapter.dim}")
     out = adapter.W @ v
-    n = float(np.linalg.norm(out))
+    # np.linalg.norm's own formula for a vector, without its dispatch
+    n = math.sqrt(out.dot(out))
     if n == 0.0:
         raise ValueError("adapter maps this vector to zero; cannot normalize")
     return out / n

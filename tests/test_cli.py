@@ -8,6 +8,7 @@ import pytest
 
 from tabret.cli import main
 
+from test_fsio import LINE_FAULTS, inject_fault
 from test_pipeline import CONFIG_BODY, write_tiny_corpus
 
 
@@ -459,8 +460,13 @@ class TestDamagedRecords:
              "labels and ", "cluster"),
             ("clusters.jsonl", lambda rec: {**rec, "labels": [rec["k"]] * len(rec["labels"])},
              "kpt", "labels must lie in range(k)", "cluster"),
+            ("queries.jsonl", lambda rec: {**rec, "query_id": rec["query_id"].replace("#q", "-q")},
+             "mine", "does not end in #q<ordinal>", "genq"),
+            ("queries.jsonl", lambda rec: {**rec, "query_id": rec["query_id"][:-1] + "x"},
+             "eval", "does not end in #q<ordinal>", "genq"),
         ],
-        ids=["bogus-strategy", "labels-one-short", "label-out-of-range"],
+        ids=["bogus-strategy", "labels-one-short", "label-out-of-range", "query-id-without-ordinal",
+             "query-ordinal-not-a-number"],
     )
     def test_invalid_value_exits_3(self, demo, capsys, name, edit, stage, problem, producer):
         _replace_line(demo.workspace / name, 2, edit)
@@ -468,6 +474,29 @@ class TestDamagedRecords:
         assert demo("--stage", stage) == 3
         err = capsys.readouterr().err
         assert f"{name}:2: " in err and problem in err
+        assert err.rstrip().endswith(f"; rerun stage '{producer}'")
+
+    def test_heldout_query_naming_no_indexed_table_exits_3_naming_genq(self, demo, capsys):
+        queries = demo.workspace / "queries.jsonl"
+        records = [json.loads(line) for line in queries.read_text().splitlines()]
+        queries.write_text("".join(json.dumps({**r, "table_id": "nope"}) + "\n" for r in records))
+        assert demo("--stage", "index") == 0
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert "stage 'eval': queries.jsonl: held-out query '" in err
+        assert "names table 'nope', which is not in the index; rerun stage 'genq'" in err
+
+    @pytest.mark.parametrize("fault", LINE_FAULTS)
+    @pytest.mark.parametrize(
+        "name, stage, producer", [("kpts.jsonl", "genq", "kpt"), ("queries.jsonl", "mine", "genq")]
+    )
+    def test_line_that_is_no_record_exits_3(self, demo, capsys, name, stage, producer, fault):
+        line = inject_fault(demo.workspace / name, fault)
+        capsys.readouterr()
+        assert demo("--stage", stage) == 3
+        err = capsys.readouterr().err
+        assert f"{name}:{line}: {LINE_FAULTS[fault][1]}" in err
         assert err.rstrip().endswith(f"; rerun stage '{producer}'")
 
     def test_index_meta_with_an_unknown_fusion_exits_3_naming_index(self, demo, capsys):

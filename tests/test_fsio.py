@@ -104,6 +104,60 @@ class TestJsonl:
         assert list(read_jsonl(p)) == [{"ok": "\U0001f600", "path": "C:\\u"}]
 
 
+# fault -> (edit of one line's bytes, what JsonLinesError says of it); a
+# cut line is the last line, left without its newline
+LINE_FAULTS = {
+    "bad-middle-line": (lambda line: line[: len(line) // 2], "invalid JSON"),
+    "two-values": (lambda line: line + b", {}", "invalid JSON"),
+    "array": (lambda line: b"[" + line + b"]", "expected a JSON object"),
+    "cut-last-line": (lambda line: line[: len(line) // 2], "invalid JSON"),
+    "not-utf8": (lambda line: line[:5] + b"\xff" + line[6:], "invalid UTF-8"),
+    "lone-surrogate": (lambda line: line.replace(b'": "', b'": "\\udfff', 1), "lone surrogate"),
+}
+
+
+def inject_fault(path: Path, fault: str) -> int:
+    """Damage one line of a JSON Lines file as LINE_FAULTS[fault] says;
+    return its line number."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = len(lines) - 1 if fault == "cut-last-line" else len(lines) // 2
+    edit, _ = LINE_FAULTS[fault]
+    lines[at] = edit(lines[at].rstrip(b"\n")) + (b"" if fault == "cut-last-line" else b"\n")
+    path.write_bytes(b"".join(lines))
+    return at + 1
+
+
+class TestReadJsonlFaults:
+    RECORDS = [{"i": i, "text": f"row {i}"} for i in range(5)]
+
+    @pytest.mark.parametrize("fault", LINE_FAULTS)
+    def test_fault_raises_naming_its_line(self, tmp_path, fault):
+        p = tmp_path / "r.jsonl"
+        write_jsonl(p, self.RECORDS)
+        line = inject_fault(p, fault)
+        with pytest.raises(JsonLinesError, match=f"r.jsonl:{line}: {LINE_FAULTS[fault][1]}"):
+            read_jsonl(p)
+
+    def test_crlf_and_cr_line_ends_parse_as_a_text_read_sees_them(self, tmp_path):
+        p = tmp_path / "r.jsonl"
+        p.write_bytes(b'{"i": 0}\r\n{"i": 1}\r\n\r\n{"i": 2}\r{"i": 3}\r\n')
+        assert read_jsonl(p) == [{"i": i} for i in range(4)]
+        p.write_bytes(b'{"i": 0}\r{"i": 1}\r\nnot json\r\n')
+        with pytest.raises(JsonLinesError, match=":3: invalid JSON"):
+            read_jsonl(p)
+
+    def test_a_file_is_parsed_in_one_call(self, tmp_path, monkeypatch):
+        # escapes that cannot be lone surrogates keep the one-call path
+        p = tmp_path / "r.jsonl"
+        records = [{"i": i, "text": f"line {i}\x01 C:\\udocs \U0001f600"} for i in range(100)]
+        write_jsonl(p, records)
+        calls = []
+        real = json.loads
+        monkeypatch.setattr(fsio.json, "loads", lambda text: calls.append(text) or real(text))
+        assert read_jsonl(p) == records
+        assert len(calls) == 1
+
+
 class TestTypedRecords:
     FIELDS = {"id": str, "n": int, "x": float, "c": int | None, "rows": list[int],
               "ids": tuple[str, ...]}

@@ -641,7 +641,8 @@ class TestOneReadPerRun:
         run_pipeline(pipeline_cfg, "all")
         assert parsed == []
 
-    def test_workspace_corpus_is_parsed_once_per_run(self, pipeline_cfg, monkeypatch):
+    @pytest.fixture
+    def corpus_loads(self, monkeypatch) -> list:
         loads = []
         real = pipeline_mod.load_corpus
 
@@ -650,12 +651,24 @@ class TestOneReadPerRun:
             return real(path, *args)
 
         monkeypatch.setattr(pipeline_mod, "load_corpus", counting)
-        # cold build: ingest reads the source; embed, cluster and kpt share one parse
+        return loads
+
+    def test_a_cold_build_parses_the_corpus_once(self, pipeline_cfg, corpus_loads):
+        # ingest parses the source; embed, cluster and kpt share its tables
         run_pipeline(pipeline_cfg, "all")
-        assert loads == [pipeline_cfg.corpus_path, pipeline_cfg.workspace / "corpus.jsonl"]
-        loads.clear()
+        assert corpus_loads == [pipeline_cfg.corpus_path]
+        corpus_loads.clear()
         run_pipeline(pipeline_cfg, "all")
-        assert loads == []
+        assert corpus_loads == []
+
+    def test_workspace_corpus_is_parsed_once_per_run(self, pipeline_cfg, tmp_path, corpus_loads):
+        run_pipeline(pipeline_cfg, "all")
+        corpus_loads.clear()
+        # ingest is fresh; cluster and kpt share one parse of the copy
+        changed = load_config(tmp_path / "config.yaml", overrides=["clustering.n_init=3"])
+        results = run_pipeline(changed, "all")
+        assert {"cluster", "kpt"} <= {r.stage for r in results if r.status == "ran"}
+        assert corpus_loads == [pipeline_cfg.workspace / "corpus.jsonl"]
 
 
 def _same_size_damage(path: Path) -> bytes:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tabret.retrieval as retrieval
@@ -119,6 +119,72 @@ class TestAgainstReferenceRanker:
                 gold += [(text, t, rank) for rank, (t, _) in enumerate(expected, start=1)]
             report = evaluate(index, [(text, t) for text, t, _ in gold], MOCK)
         assert report.ranks == [rank for _, _, rank in gold]
+
+
+def reference_evaluate(index, gold, provider, ks=(1, 5, 10), cache=None) -> EvalReport:
+    """The per-query evaluate that block scoring replaced, kept as the
+    oracle: a gold table's rank is its position in rank_tables's order."""
+    position = {t: i for i, t in enumerate(index.tables)}
+    q_vecs = retrieval.embed_texts(provider, [q for q, _ in gold], cache)
+    ranks = []
+    for (_, gold_id), q_vec in zip(gold, q_vecs):
+        if index.adapter is not None:
+            q_vec = adapter_apply(index.adapter, q_vec)
+        order, _ = rank_tables(index, q_vec)
+        ranks.append(int(np.flatnonzero(order == position[gold_id])[0]) + 1)
+    recall = {k: round(100.0 * sum(1 for r in ranks if r <= k) / len(ranks), 2) for k in ks}
+    return EvalReport(recall=recall, query_count=len(ranks), ranks=ranks)
+
+
+def maps_to_unit(adapter: Adapter, q_vec: np.ndarray) -> bool:
+    try:
+        adapter_apply(adapter, q_vec)
+    except ValueError:  # W q is zero, or its squared norm underflows
+        return False
+    return True
+
+
+class TestBlockEvaluateMatchesPerQueryRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_index(), data=st.data())
+    def test_ranks_and_recall_equal_the_oracle(self, case, data):
+        index, q_vecs = case
+        if data.draw(st.booleans(), label="adapter"):
+            dim = index.vectors.shape[1]
+            noise = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=dim * dim, max_size=dim * dim))
+            index.adapter = Adapter(W=np.eye(dim) + np.reshape(noise, (dim, dim)))
+            assume(all(map(functools.partial(maps_to_unit, index.adapter), q_vecs)))
+        # gold pairs may repeat a query or a table, and the pool makes ties
+        texts = [f"query {i}" for i in range(len(q_vecs))]
+        by_text = dict(zip(texts, q_vecs))
+        gold = data.draw(st.lists(
+            st.tuples(st.sampled_from(texts), st.sampled_from(index.tables)), min_size=1, max_size=9
+        ), label="gold")
+        # a block of per_block queries; 1 makes every block a single query
+        per_block = data.draw(st.integers(1, len(gold) + 1), label="per_block")
+        bytes_per_query = 8 * (len(index.pt_ids) + 1)
+        fake_embed = lambda provider, batch, cache=None: np.array([by_text[t] for t in batch])
+        with mock.patch.object(retrieval, "embed_texts", fake_embed):
+            want = reference_evaluate(index, gold, MOCK, ks=(1, 2, 3))
+            block_bytes = per_block * bytes_per_query + 7
+            with mock.patch.object(retrieval, "_BLOCK_BYTES", block_bytes):
+                got = evaluate(index, gold, MOCK, ks=(1, 2, 3))
+        assert got.ranks == want.ranks
+        assert got.recall == want.recall and got.query_count == want.query_count
+
+    def test_one_query_per_block_and_a_short_last_block(self, monkeypatch):
+        rows = [("a#kpt_random#0", "a", [1.0, 0.0]), ("b#kpt_random#0", "b", [0.0, 1.0]),
+                ("b#kpt_random#1", "b", [1.0, 0.0]), ("c#kpt_random#0", "c", [0.6, 0.8])]
+        queries = {"x": [1.0, 0.0], "y": [0.0, 1.0], "z": [0.6, 0.8]}
+        monkeypatch.setattr(retrieval, "embed_texts",
+                            lambda provider, texts, cache=None: np.array([queries[t] for t in texts]))
+        gold = [(q, t) for q in queries for t in ("a", "b", "c")]
+        for fusion in ("max", "mean"):
+            index = hand_index(rows, fusion)
+            want = reference_evaluate(index, gold, MOCK).ranks
+            for per_block in (1, 2, 4, 9, 100):
+                monkeypatch.setattr(retrieval, "_BLOCK_BYTES", per_block * 8 * 5)
+                assert evaluate(index, gold, MOCK).ranks == want, (fusion, per_block)
 
 
 class TestFusion:
