@@ -16,8 +16,7 @@ into chunks of whole tables whose (R, n, d) difference slab stays within
 SLAB_BYTES (256 KB), and a chunk holds at least one table, so a 150-row
 table at d = 64 forms a chunk of its own. The batching pays only where
 tables share a row count: where every table's row count differs, each
-group is one table and the call costs what a cluster_table loop does.
-kmeans and cluster_table are the one-table case of the same engine.
+group is one table and the call costs what one call per table does.
 Every restart gives the bits of running it alone (tests/test_cluster.py
 keeps that per-restart loop as its oracle), because of the following
 facts, checked on numpy 2.4.6 with OpenBLAS 0.3.31:
@@ -316,8 +315,12 @@ def _kmeans_chunk(
 def cluster_tables(
     matrices: Sequence[np.ndarray], cfg: ClusteringConfig
 ) -> list[ClusterAssignment]:
-    """cluster_table for every matrix, in order, with the tables of one
-    (n, d, k) shape clustered together in chunks of at most SLAB_BYTES."""
+    """Best of cfg.n_init Lloyd runs, deterministic in cfg.seed, for every
+    matrix in order, with k = adaptive_k of its row count; a one-row table
+    skips Lloyd. A single k-means++ start can settle in a poor local
+    minimum even on tiny inputs; restarts keep the final inertia near the
+    true optimum. The tables of one (n, d, k) shape are clustered
+    together in chunks of at most SLAB_BYTES."""
     xs = [np.asarray(m, dtype=np.float64) for m in matrices]
     out: list[ClusterAssignment | None] = [None] * len(xs)
     groups: dict[tuple[int, int, int], list[int]] = {}
@@ -339,26 +342,3 @@ def cluster_tables(
             for i, a in zip(part, _kmeans_chunk([xs[i] for i in part], k, cfg, draws[n, k])):
                 out[i] = a
     return out  # type: ignore[return-value]
-
-
-def kmeans(vectors: np.ndarray, k: int, cfg: ClusteringConfig) -> ClusterAssignment:
-    """Best of cfg.n_init Lloyd runs, deterministic in cfg.seed.
-
-    A single k-means++ start can settle in a poor local minimum even on
-    tiny inputs; restarts keep the final inertia near the true optimum.
-    This is the one-table case of cluster_tables' lockstep engine.
-    """
-    x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D array of vectors, got shape {x.shape}")
-    n = x.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds the number of vectors n={n}")
-    return _kmeans_chunk([x], k, cfg, _seed_draws(n, k, cfg))[0]
-
-
-def cluster_table(embeddings: np.ndarray, cfg: ClusteringConfig) -> ClusterAssignment:
-    """adaptive_k followed by kmeans; a one-row table skips Lloyd entirely."""
-    return cluster_tables([embeddings], cfg)[0]

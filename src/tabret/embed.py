@@ -75,15 +75,6 @@ class CacheCorruptionError(ArtifactError):
     """A cached embedding record failed its checksum."""
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||; rejects the zero vector."""
-    v = np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
-
-
 def mock_embed(text: str, dim: int) -> np.ndarray:
     """Deterministic local embedding: hash character 3-grams into dim buckets.
 
@@ -241,9 +232,6 @@ class EmbeddingCache:
                 self._fd = os.open(self.bin_path, os.O_RDONLY)
                 weakref.finalize(self, os.close, self._fd)
             return self._fd
-
-    def put(self, text: str, vector: np.ndarray) -> None:
-        self.put_many([text], [vector])
 
     def put_many(self, texts: list[str], vectors: list[np.ndarray]) -> None:
         """Cache the vectors of the texts not cached yet."""

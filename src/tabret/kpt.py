@@ -118,10 +118,6 @@ def build_kpts(
     return out
 
 
-def kpt_to_record(pt: PartialTable) -> dict:
-    return dict(vars(pt))
-
-
 def kpt_from_record(rec: dict) -> PartialTable:
     values = {name: rec[name] for name in PT_FIELDS}
     return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})

@@ -35,10 +35,6 @@ from .querygen import SyntheticQuery
 MINING_STRATEGIES = ("hard", "random")
 
 
-class MiningError(ValueError):
-    """A query has no eligible negative candidates."""
-
-
 @dataclass(frozen=True)
 class MiningConfig:
     h: int = 8
@@ -71,66 +67,6 @@ def _query_rng(seed: int, query_id: str) -> np.random.Generator:
     return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
 
 
-class Candidates:
-    """The partial tables a query may draw negatives from, stacked once.
-
-    matrix rows align with pts; row_table and id_rank give each row's
-    source table and its pt_id's position in sorted order as integers.
-    """
-
-    def __init__(self, pts: list[PartialTable], pt_vecs: np.ndarray) -> None:
-        if len(pts) != len(pt_vecs):
-            raise ValueError("pt_vecs must align with pts")
-        self.matrix = np.asarray(pt_vecs, dtype=np.float64)
-        self.pt_ids = np.array([pt.pt_id for pt in pts], dtype=object)
-        self.table_code = {t: i for i, t in enumerate(sorted({pt.table_id for pt in pts}))}
-        self.row_table = np.array([self.table_code[pt.table_id] for pt in pts], dtype=np.intp)
-        by_id = np.argsort(self.pt_ids, kind="stable")
-        self.id_rank = np.empty_like(by_id)
-        self.id_rank[by_id] = np.arange(len(by_id))
-
-
-class _Pool:
-    """The candidates outside one source table: their rows, gathered
-    once, with their pt_ids and id ranks."""
-
-    def __init__(self, candidates: Candidates, table_id: str) -> None:
-        eligible = candidates.row_table != candidates.table_code.get(table_id, -1)
-        self.matrix = candidates.matrix[eligible]
-        self.pt_ids = candidates.pt_ids[eligible]
-        self.id_rank = candidates.id_rank[eligible]
-
-    def mine(self, query: SyntheticQuery, q_vec: np.ndarray, cfg: MiningConfig) -> TrainingTriple:
-        if not len(self.pt_ids):
-            raise MiningError(
-                f"{query.query_id}: no partial tables outside table {query.table_id!r}"
-            )
-        take = min(cfg.h, len(self.pt_ids))
-        if cfg.strategy == "hard":
-            scores = np.dot(self.matrix, q_vec)
-            chosen = self.pt_ids[np.lexsort((self.id_rank, -scores))[:take]]
-        else:
-            rng = _query_rng(cfg.seed, query.query_id)
-            by_id = self.pt_ids[np.argsort(self.id_rank)]
-            chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
-        return TrainingTriple(
-            query_id=query.query_id,
-            positive_pt_id=query.pt_id,
-            negative_pt_ids=tuple(chosen.tolist()),
-            strategy=cfg.strategy,
-        )
-
-
-def mine_negatives(
-    query: SyntheticQuery,
-    q_vec: np.ndarray,
-    candidates: Candidates,
-    cfg: MiningConfig,
-) -> TrainingTriple:
-    """Build one triple; negatives exclude the query's own table entirely."""
-    return _Pool(candidates, query.table_id).mine(query, q_vec, cfg)
-
-
 def mine_all(
     queries: list[SyntheticQuery],
     query_vecs: np.ndarray,
@@ -140,33 +76,53 @@ def mine_all(
 ) -> tuple[list[TrainingTriple], list[str]]:
     """One triple per query with >= 1 eligible candidate, sorted by query_id.
 
-    query_vecs rows align with queries and pt_vecs rows with pts. Queries
+    query_vecs rows align with queries and pt_vecs rows with pts. A
+    query's negatives exclude its own source table entirely; queries
     without any eligible candidate are skipped, and their ids returned
     alongside the triples. The queries are mined one source table at a
     time, so each table's pool is gathered once and only one is held.
     """
     if len(queries) != len(query_vecs):
         raise ValueError("query_vecs must align with queries")
-    candidates = Candidates(pts, pt_vecs)
+    if len(pts) != len(pt_vecs):
+        raise ValueError("pt_vecs must align with pts")
+    matrix = np.asarray(pt_vecs, dtype=np.float64)
+    pt_ids = np.array([pt.pt_id for pt in pts], dtype=object)
+    # each row's source table, and its pt_id's position in sorted order
+    table_code: dict[str, int] = {}
+    row_table = np.array([table_code.setdefault(pt.table_id, len(table_code)) for pt in pts],
+                         dtype=np.intp)
+    id_rank = np.empty(len(pts), dtype=np.intp)
+    id_rank[np.argsort(pt_ids, kind="stable")] = np.arange(len(pts))
     by_table: dict[str, list[int]] = {}
     for i, query in enumerate(queries):
         by_table.setdefault(query.table_id, []).append(i)
-    mined: list[TrainingTriple | None] = [None] * len(queries)
+    mined: dict[int, TrainingTriple] = {}
     for table_id, members in by_table.items():
-        pool = _Pool(candidates, table_id)
+        eligible = row_table != table_code.get(table_id, -1)
+        if not eligible.any():
+            continue
+        pool, pool_ids, pool_rank = matrix[eligible], pt_ids[eligible], id_rank[eligible]
+        take = min(cfg.h, len(pool_ids))
         for i in members:
-            try:
-                mined[i] = pool.mine(queries[i], query_vecs[i], cfg)
-            except MiningError:
-                pass
+            query = queries[i]
+            if cfg.strategy == "hard":
+                scores = np.dot(pool, query_vecs[i])
+                chosen = pool_ids[np.lexsort((pool_rank, -scores))[:take]]
+            else:
+                rng = _query_rng(cfg.seed, query.query_id)
+                by_id = pool_ids[np.argsort(pool_rank)]
+                chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
+            mined[i] = TrainingTriple(
+                query_id=query.query_id,
+                positive_pt_id=query.pt_id,
+                negative_pt_ids=tuple(chosen.tolist()),
+                strategy=cfg.strategy,
+            )
     order = sorted(range(len(queries)), key=lambda i: queries[i].query_id)
-    triples = [mined[i] for i in order if mined[i] is not None]
-    skipped = [queries[i].query_id for i in order if mined[i] is None]
+    triples = [mined[i] for i in order if i in mined]
+    skipped = [queries[i].query_id for i in order if i not in mined]
     return triples, skipped
-
-
-def triple_to_record(t: TrainingTriple) -> dict:
-    return dict(vars(t))
 
 
 def triple_from_record(rec: dict) -> TrainingTriple:

@@ -17,7 +17,8 @@ past its live lines (see fsio.Manifest). The stages of one run share a _Run,
 which opens the embedding cache and reads corpus.jsonl,
 kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
 first stage that needs them; a run whose ingest ran keeps the corpus
-ingest parsed and reads no corpus.jsonl. When no external gold file is
+ingest parsed and reads no corpus.jsonl, and train takes the base
+vectors of the partial tables and training queries that mine looked up. When no external gold file is
 configured, evaluation holds out the last synthetic queries of each
 partial table: those never enter mining, training, or pt_plus_queries
 representations, and are scored with their source table as gold.
@@ -54,22 +55,9 @@ from .fsio import (
     write_matrix_bin,
 )
 from .httpjson import ProviderError
-from .kpt import PT_FIELDS, STRATEGIES, build_kpts, kpt_from_record, kpt_to_record, PartialTable
-from .mining import (
-    MINING_STRATEGIES,
-    TRIPLE_FIELDS,
-    mine_all,
-    triple_from_record,
-    triple_to_record,
-)
-from .querygen import (
-    QUERY_FIELDS,
-    SyntheticQuery,
-    generate_all,
-    query_from_record,
-    query_ordinal,
-    query_to_record,
-)
+from .kpt import PT_FIELDS, STRATEGIES, build_kpts, kpt_from_record, PartialTable
+from .mining import MINING_STRATEGIES, TRIPLE_FIELDS, TrainingTriple, mine_all, triple_from_record
+from .querygen import QUERY_FIELDS, SyntheticQuery, generate_all, query_from_record, query_ordinal
 from .retrieval import build_index, evaluate, load_index, save_index
 from .train import Adapter, load_adapter, save_adapter
 from .train import train as train_adapter
@@ -202,6 +190,14 @@ class _Run:
         if self.cfg.eval.gold_path is not None:
             return QuerySplit(parsed, parsed, [])
         return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
+
+    @functools.cached_property
+    def base_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The base embeddings of the partial tables and of the training
+        queries, each in its list's order; mine and train share them."""
+        cfg, cache = self.cfg.embedding, self.cache
+        return (embed_texts(cfg, [pt.text for pt in self.pts], cache),
+                embed_texts(cfg, [q.text for q in self.queries.training], cache))
 
     @functools.cached_property
     def adapter(self) -> Adapter | None:
@@ -387,7 +383,7 @@ def _stage_kpt(run: _Run) -> None:
         if assignment is None and cfg.kpt_strategy != "first_rows":
             raise StageError(3, f"no clustering for table {t.table_id!r}; rerun 'cluster'")
         for pt in build_kpts(t, assignment, cfg.kpt, cfg.kpt_strategy):
-            records.append(kpt_to_record(pt))
+            records.append(vars(pt))
     write_jsonl(run.ws / "kpts.jsonl", records)
     run.log(f"[kpt] {len(records)} partial tables ({cfg.kpt_strategy})")
 
@@ -397,7 +393,7 @@ def _stage_genq(run: _Run) -> None:
     generated, skipped = generate_all(pts, run.cfg.genq)
     for pt_id in skipped:
         run.log(f"[genq] warning: no usable queries for {pt_id}, skipped")
-    write_jsonl(run.ws / "queries.jsonl", [query_to_record(q) for q in generated])
+    write_jsonl(run.ws / "queries.jsonl", [vars(q) for q in generated])
     run.log(f"[genq] {len(generated)} queries over {len(pts) - len(skipped)} partial tables")
 
 
@@ -406,28 +402,37 @@ def _stage_mine(run: _Run) -> None:
     training = run.queries.training
     if not training:
         raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], run.cache)
-    q_vecs = embed_texts(cfg.embedding, [q.text for q in training], run.cache)
+    pt_vecs, q_vecs = run.base_vectors
     triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
     for query_id in skipped:
         run.log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
-    write_jsonl(run.ws / "triples.jsonl", [triple_to_record(t) for t in triples])
+    write_jsonl(run.ws / "triples.jsonl", [vars(t) for t in triples])
     run.log(f"[mine] {len(triples)} triples ({cfg.mining.strategy}, h={cfg.mining.h})")
+
+
+def _triple_from_record(rec: dict, queries: set[str], pts: set[str]) -> TrainingTriple:
+    """The triple of a triples.jsonl record; one whose query is not a
+    training query, or that names a partial table not in kpts.jsonl,
+    raises ValueError."""
+    triple = triple_from_record(rec)
+    if triple.query_id not in queries:
+        raise ValueError(f"query {triple.query_id!r} is not a training query of queries.jsonl")
+    for pt_id in (triple.positive_pt_id, *triple.negative_pt_ids):
+        if pt_id not in pts:
+            raise ValueError(f"partial table {pt_id!r} is not in kpts.jsonl")
+    return triple
 
 
 def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
-    triples = run.records("triples.jsonl", TRIPLE_FIELDS, triple_from_record)
+    pt_ids = [pt.pt_id for pt in run.pts]
+    query_ids = [q.query_id for q in run.queries.training]
+    triples = run.records("triples.jsonl", TRIPLE_FIELDS, functools.partial(
+        _triple_from_record, queries=set(query_ids), pts=set(pt_ids)))
     if not triples:
         raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
-    pts = run.pts
-    by_id = {q.query_id: q for q in run.queries.queries}
-    vectors: dict[str, np.ndarray] = {}
-    pt_vecs = embed_texts(cfg.embedding, [pt.text for pt in pts], run.cache)
-    vectors.update({pt.pt_id: v for pt, v in zip(pts, pt_vecs)})
-    needed_qids = sorted({t.query_id for t in triples})
-    q_vecs = embed_texts(cfg.embedding, [by_id[qid].text for qid in needed_qids], run.cache)
-    vectors.update(dict(zip(needed_qids, q_vecs)))
+    pt_vecs, q_vecs = run.base_vectors
+    vectors = dict(zip(pt_ids + query_ids, [*pt_vecs, *q_vecs]))
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
     save_adapter(adapter, str(ws / "adapter.bin"))

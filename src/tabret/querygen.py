@@ -302,10 +302,6 @@ def _generate_or_none(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery] 
         return None
 
 
-def query_to_record(q: SyntheticQuery) -> dict:
-    return dict(vars(q))
-
-
 def query_ordinal(query_id: str) -> int:
     """The n of a query_id ending in #q<n>, as generate_queries names
     queries; any other id raises ValueError."""

@@ -131,7 +131,7 @@ class TrainReport:
 
 
 def adapter_apply(adapter: Adapter, v: np.ndarray) -> np.ndarray:
-    """normalize(W v); identity W returns v up to normalization rounding."""
+    """W v / ||W v||; identity W returns v up to normalization rounding."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (adapter.dim,):
         raise ValueError(f"vector dim {v.shape} does not match adapter dim {adapter.dim}")

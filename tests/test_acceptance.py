@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 
 import tabret.embed
 import tabret.querygen
-from tabret.cluster import ClusteringConfig, adaptive_k, kmeans
+from tabret.cluster import ClusteringConfig, adaptive_k, cluster_tables
 from tabret.config import load_config
 from tabret.corpus import write_corpus
 from tabret.embed import mock_embed
@@ -70,7 +70,7 @@ def test_kmeans_invariants_and_tiny_optimality():
         d = int(rng.integers(1, 17))
         k = int(rng.integers(1, min(n, 6) + 1))
         x = rng.normal(size=(n, d))
-        result = kmeans(x, k, ClusteringConfig(seed=case))
+        result = cluster_tables([x], ClusteringConfig(r=1, k_max=k, seed=case))[0]
 
         hist = result.inertia_history
         assert all(hist[i + 1] <= hist[i] + 1e-9 for i in range(len(hist) - 1)), case
@@ -91,7 +91,7 @@ def test_kmeans_invariants_and_tiny_optimality():
         n = int(rng.integers(4, 9))
         d = int(rng.integers(1, 5))
         x = rng.normal(size=(n, d))
-        result = kmeans(x, 2, ClusteringConfig(seed=case))
+        result = cluster_tables([x], ClusteringConfig(r=1, k_max=2, seed=case))[0]
         optimum = exhaustive_two_cluster_optimum(x)
         assert result.inertia <= 1.05 * optimum + 1e-12, case
 

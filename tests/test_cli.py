@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from tabret.cli import main
+from tabret.config import load_config
+from tabret.pipeline import split_queries
+from tabret.querygen import query_from_record
 
 from test_fsio import LINE_FAULTS, inject_fault
 from test_pipeline import CONFIG_BODY, write_tiny_corpus
@@ -464,9 +467,17 @@ class TestDamagedRecords:
              "mine", "does not end in #q<ordinal>", "genq"),
             ("queries.jsonl", lambda rec: {**rec, "query_id": rec["query_id"][:-1] + "x"},
              "eval", "does not end in #q<ordinal>", "genq"),
+            ("triples.jsonl", lambda rec: {**rec, "query_id": "nope#q0"}, "train",
+             "query 'nope#q0' is not a training query of queries.jsonl", "mine"),
+            ("triples.jsonl", lambda rec: {**rec, "positive_pt_id": "nope#f"}, "train",
+             "partial table 'nope#f' is not in kpts.jsonl", "mine"),
+            ("triples.jsonl",
+             lambda rec: {**rec, "negative_pt_ids": [*rec["negative_pt_ids"][1:], "nope#f"]},
+             "train", "partial table 'nope#f' is not in kpts.jsonl", "mine"),
         ],
         ids=["bogus-strategy", "labels-one-short", "label-out-of-range", "query-id-without-ordinal",
-             "query-ordinal-not-a-number"],
+             "query-ordinal-not-a-number", "triple-of-an-unknown-query",
+             "triple-with-an-unknown-positive", "triple-with-an-unknown-negative"],
     )
     def test_invalid_value_exits_3(self, demo, capsys, name, edit, stage, problem, producer):
         _replace_line(demo.workspace / name, 2, edit)
@@ -486,6 +497,19 @@ class TestDamagedRecords:
         err = capsys.readouterr().err
         assert "stage 'eval': queries.jsonl: held-out query '" in err
         assert "names table 'nope', which is not in the index; rerun stage 'genq'" in err
+
+    def test_triple_of_a_heldout_query_exits_3_naming_mine(self, demo, demo_built, capsys):
+        # held-out queries must never feed training
+        lines = (demo.workspace / "queries.jsonl").read_text().splitlines()
+        holdout = load_config(demo_built / "config.yaml").eval.holdout_per_pt
+        _, heldout = split_queries([query_from_record(json.loads(x)) for x in lines], holdout)
+        held_id = heldout[0].query_id
+        _replace_line(demo.workspace / "triples.jsonl", 2, lambda rec: {**rec, "query_id": held_id})
+        capsys.readouterr()
+        assert demo("--stage", "train") == 3
+        err = capsys.readouterr().err
+        assert f"triples.jsonl:2: query {held_id!r} is not a training query of queries.jsonl" in err
+        assert err.rstrip().endswith("; rerun stage 'mine'")
 
     @pytest.mark.parametrize("fault", LINE_FAULTS)
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,17 +18,20 @@ from tabret.cluster import (
     ClusteringConfig,
     _repair_empty,
     adaptive_k,
-    cluster_table,
     cluster_tables,
-    kmeans,
 )
 from tabret.config import load_config
 from tabret.corpus import write_corpus
 
 
-# The per-restart k-means that kmeans runs in lockstep: one restart at a
-# time, one (n, k, d) difference tensor per assignment, and each centroid
-# the numpy mean of its members.
+def cluster_one(points, k, cfg):
+    """One table clustered by cluster_tables with k = min(n, k)."""
+    return cluster_tables([points], replace(cfg, r=1, k_max=k))[0]
+
+
+# The per-restart k-means that cluster_tables runs in lockstep: one
+# restart at a time, one (n, k, d) difference tensor per assignment, and
+# each centroid the numpy mean of its members.
 
 
 def _reference_assign(x, centroids):
@@ -88,6 +92,14 @@ def reference_restarts(x, k, cfg):
             )
         )
     return runs
+
+
+def reference_one_row(x):
+    """cluster_tables' fixed result for a one-row table: k = 1, no Lloyd."""
+    return ClusterAssignment(
+        k=1, labels=np.zeros(1, dtype=np.intp), centroids=x.copy(), inertia=0.0,
+        iterations_run=0, inertia_history=[0.0], point_distances=np.zeros(1),
+    )
 
 
 def reference_kmeans(vectors, k, cfg):
@@ -171,12 +183,12 @@ class TestKmeansInvariants:
             d = int(r.integers(1, 16))
             k = int(r.integers(1, min(n, 6) + 1))
             points = r.normal(size=(n, d))
-            assignment = kmeans(points, k, ClusteringConfig(seed=seed))
+            assignment = cluster_one(points, k, ClusteringConfig(seed=seed))
             self.check_invariants(points, assignment)
 
     def test_duplicate_points(self):
         points = np.ones((6, 3))
-        assignment = kmeans(points, 2, ClusteringConfig(seed=0))
+        assignment = cluster_one(points, 2, ClusteringConfig(seed=0))
         self.check_invariants(points, assignment)
         assert assignment.inertia == pytest.approx(0.0, abs=1e-12)
 
@@ -185,28 +197,24 @@ class TestKmeansInvariants:
             r = np.random.default_rng(1000 + seed)
             n = int(r.integers(3, 9))
             points = r.normal(size=(n, 2))
-            assignment = kmeans(points, 2, ClusteringConfig(seed=seed))
+            assignment = cluster_one(points, 2, ClusteringConfig(seed=seed))
             best = exhaustive_two_cluster_optimum(points)
             assert assignment.inertia <= 1.05 * best + 1e-12
 
     def test_deterministic_per_seed(self, rng):
         points = rng.normal(size=(20, 4))
-        a = kmeans(points, 3, ClusteringConfig(seed=9))
-        b = kmeans(points, 3, ClusteringConfig(seed=9))
+        a = cluster_one(points, 3, ClusteringConfig(seed=9))
+        b = cluster_one(points, 3, ClusteringConfig(seed=9))
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.centroids, b.centroids)
         assert a.inertia_history == b.inertia_history
-
-    def test_k_greater_than_points_rejected(self, rng):
-        with pytest.raises(ValueError):
-            kmeans(rng.normal(size=(2, 3)), 5, ClusteringConfig())
 
     def test_well_separated_blobs_recovered(self):
         r = np.random.default_rng(3)
         blob_a = r.normal(size=(10, 2)) * 0.05
         blob_b = r.normal(size=(10, 2)) * 0.05 + 100.0
         points = np.vstack([blob_a, blob_b])
-        assignment = kmeans(points, 2, ClusteringConfig(seed=0))
+        assignment = cluster_one(points, 2, ClusteringConfig(seed=0))
         labels = assignment.labels
         assert len(set(labels[:10])) == 1
         assert len(set(labels[10:])) == 1
@@ -237,15 +245,18 @@ def kmeans_problems(draw):
 
 
 class TestLockstepMatchesReference:
-    """kmeans runs the restarts of reference_kmeans in lockstep: every
-    label, distance, centroid and history entry has the same bits."""
+    """cluster_tables runs the restarts of reference_kmeans in lockstep:
+    every label, distance, centroid and history entry has the same bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(kmeans_problems())
     @example((np.ones((5, 3)), 3, ClusteringConfig(seed=1, n_init=3)))
+    @example((np.array([[0.5, -0.0]]), 1, ClusteringConfig(seed=2, n_init=2)))
     def test_random_problems(self, problem):
         points, k, cfg = problem
-        assert_same_bits(kmeans(points, k, cfg), reference_kmeans(points, k, cfg))
+        # a one-row table takes the k = 1 shortcut, not Lloyd
+        want = reference_one_row(points) if len(points) == 1 else reference_kmeans(points, k, cfg)
+        assert_same_bits(cluster_one(points, k, cfg), want)
 
     def test_duplicate_rows_take_the_zero_mass_seeding_fallback(self, monkeypatch):
         # two distinct rows and k = 3: after both are seeded the remaining
@@ -261,7 +272,7 @@ class TestLockstepMatchesReference:
             return seeds
 
         monkeypatch.setattr(cluster_mod, "_kmeanspp_init", spy)
-        got = kmeans(points, 3, cfg)
+        got = cluster_one(points, 3, cfg)
         assert totals and all(t == 2 for t in totals)  # a repeated seed in every restart
         assert_same_bits(got, reference_kmeans(points, 3, cfg))
 
@@ -276,7 +287,7 @@ class TestLockstepMatchesReference:
             real_repair(x, labels, centroids, d2)
 
         monkeypatch.setattr(cluster_mod, "_repair_empty", spy)
-        got = kmeans(points, 3, cfg)
+        got = cluster_one(points, 3, cfg)
         assert any(repaired)
         assert np.bincount(got.labels, minlength=3).min() == 1
         assert_same_bits(got, reference_kmeans(points, 3, cfg))
@@ -284,7 +295,7 @@ class TestLockstepMatchesReference:
     def test_k_equals_n(self, rng):
         points = rng.normal(size=(6, 4))
         cfg = ClusteringConfig(seed=2, n_init=4)
-        got = kmeans(points, 6, cfg)
+        got = cluster_one(points, 6, cfg)
         assert sorted(got.labels.tolist()) == list(range(6))
         assert_same_bits(got, reference_kmeans(points, 6, cfg))
 
@@ -293,12 +304,12 @@ class TestLockstepMatchesReference:
         # sum once a cluster has 9 or more members
         points = rng.normal(size=(60, 1))
         cfg = ClusteringConfig(seed=6, n_init=3)
-        assert_same_bits(kmeans(points, 2, cfg), reference_kmeans(points, 2, cfg))
+        assert_same_bits(cluster_one(points, 2, cfg), reference_kmeans(points, 2, cfg))
 
     def test_single_restart(self, rng):
         points = rng.normal(size=(30, 5))
         cfg = ClusteringConfig(seed=8, n_init=1)
-        assert_same_bits(kmeans(points, 4, cfg), reference_kmeans(points, 4, cfg))
+        assert_same_bits(cluster_one(points, 4, cfg), reference_kmeans(points, 4, cfg))
 
     def test_max_iters_cap_hit_by_some_restarts_only(self):
         # uncapped, the restarts converge after 3 to 11 iterations; capped
@@ -308,13 +319,13 @@ class TestLockstepMatchesReference:
         uncapped = [run.iterations_run for run in reference_restarts(points, 4, free)]
         assert min(uncapped) < 5 < max(uncapped)
         cfg = ClusteringConfig(seed=5, n_init=6, max_iters=5)
-        assert_same_bits(kmeans(points, 4, cfg), reference_kmeans(points, 4, cfg))
-        assert_same_bits(kmeans(points, 4, free), reference_kmeans(points, 4, free))
+        assert_same_bits(cluster_one(points, 4, cfg), reference_kmeans(points, 4, cfg))
+        assert_same_bits(cluster_one(points, 4, free), reference_kmeans(points, 4, free))
 
     def test_earliest_restart_wins_a_tie(self):
         # identical rows give every restart inertia 0
         points = np.ones((4, 2))
-        got = kmeans(points, 2, ClusteringConfig(seed=3, n_init=5))
+        got = cluster_one(points, 2, ClusteringConfig(seed=3, n_init=5))
         assert got.inertia_history == reference_restarts(
             points, 2, ClusteringConfig(seed=3, n_init=5)
         )[0].inertia_history
@@ -324,7 +335,7 @@ class TestLockstepMatchesReference:
 class TestClusterTable:
     def test_single_row_table(self):
         one = np.array([[0.6, 0.8]])
-        assignment = cluster_table(one, ClusteringConfig())
+        assignment = cluster_tables([one], ClusteringConfig())[0]
         assert assignment.k == 1
         assert list(assignment.labels) == [0]
         assert assignment.inertia == pytest.approx(0.0)
@@ -332,13 +343,13 @@ class TestClusterTable:
     def test_k_follows_adaptive_rule(self, rng):
         cfg = ClusteringConfig(r=10, k_max=5, seed=1)
         emb = rng.normal(size=(23, 8))
-        assignment = cluster_table(emb, cfg)
+        assignment = cluster_tables([emb], cfg)[0]
         assert assignment.k == 3  # ceil(23/10)
 
     def test_k_never_exceeds_rows(self, rng):
         # 3 rows with r=1 would ask for k_max clusters; must clamp to 3
         cfg = ClusteringConfig(r=1, k_max=5, seed=1)
-        assignment = cluster_table(rng.normal(size=(3, 4)), cfg)
+        assignment = cluster_tables([rng.normal(size=(3, 4))], cfg)[0]
         assert assignment.k <= 3
         assert np.bincount(assignment.labels, minlength=assignment.k).min() >= 1
 
@@ -377,12 +388,9 @@ def table_mixes(draw):
 
 
 def _reference_table(x, cfg):
-    """cluster_table through the per-restart oracle."""
+    """One table's clustering through the per-restart oracle."""
     if len(x) == 1:
-        return ClusterAssignment(
-            k=1, labels=np.zeros(1, dtype=np.intp), centroids=x.copy(), inertia=0.0,
-            iterations_run=0, inertia_history=[0.0], point_distances=np.zeros(1),
-        )
+        return reference_one_row(x)
     return reference_kmeans(x, adaptive_k(len(x), cfg), cfg)
 
 
@@ -467,7 +475,7 @@ class TestClusterTables:
                 tracemalloc.stop()
 
         batched = peak(lambda: cluster_tables(tables, cfg))
-        per_table = peak(lambda: [cluster_table(x, cfg) for x in tables])
+        per_table = peak(lambda: [cluster_tables([x], cfg)[0] for x in tables])
         assert batched <= 1.5 * per_table
 
     def test_cluster_stage_peak_allocation_stays_near_the_per_table_loop(
@@ -494,7 +502,7 @@ class TestClusterTables:
         stage_peak()  # first-call allocations land outside both measurements
         batched = stage_peak()
         monkeypatch.setattr(
-            pipeline, "cluster_tables", lambda ms, c: [cluster_table(m, c) for m in ms]
+            pipeline, "cluster_tables", lambda ms, c: [cluster_tables([m], c)[0] for m in ms]
         )
         per_table = stage_peak()
         assert batched <= 1.1 * per_table

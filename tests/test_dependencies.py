@@ -1,4 +1,5 @@
-"""The runtime dependencies in pyproject.toml are exactly what the package imports."""
+"""The runtime dependencies in pyproject.toml are exactly what the package
+imports, and every module-level function and class has a caller outside tests."""
 
 import ast
 import os
@@ -42,3 +43,38 @@ def test_cli_import_does_not_load_requests():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     check = "import sys, tabret.cli; assert 'requests' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+
+# module-level names no program references on purpose: the entry point of
+# the 240-digit loss oracle, which README documents for library use
+UNREFERENCED = {"infonce_loss"}
+
+
+def _names_referenced(paths) -> set[str]:
+    """Every name and attribute the files' code uses, imports included;
+    string constants do not count."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    return used
+
+
+def test_every_module_level_function_and_class_is_referenced():
+    root = PACKAGE.parents[1]
+    paths = [*PACKAGE.glob("*.py"), *(root / "perfbench").glob("*.py"),
+             *(root / "scripts").glob("*.py")]
+    used = _names_referenced(paths)
+    unreferenced = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used | UNREFERENCED
+    }
+    assert not unreferenced, "reached only from tests: delete them, or test through a caller"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tabret.cluster import ClusterLabels, ClusteringConfig, kmeans
+from tabret.cluster import ClusterLabels, ClusteringConfig, cluster_tables
 from tabret.corpus import serialize_partial_table
 from tabret.kpt import (
     STRATEGIES,
@@ -11,7 +11,6 @@ from tabret.kpt import (
     PartialTable,
     build_kpts,
     kpt_from_record,
-    kpt_to_record,
 )
 
 from conftest import make_table
@@ -252,14 +251,14 @@ class TestRecordRoundTrip:
                 strategy,
             )
             for pt in pts:
-                back = kpt_from_record(kpt_to_record(pt))
+                back = kpt_from_record(vars(pt))
                 assert back == pt
 
     def test_record_is_json_plain(self, tiny_table):
         import json
 
         (pt,) = build_kpts(tiny_table, None, KptConfig(), "first_rows")
-        text = json.dumps(kpt_to_record(pt))
+        text = json.dumps(vars(pt))
         assert json.loads(text)["pt_id"] == "inv_a#first_rows#f"
 
 
@@ -271,7 +270,7 @@ class TestWithRealClustering:
         high = rng.normal(8.0, 0.05, size=(6, 3))
         vectors = np.vstack([low, high])
         table = grid_table(m=12)
-        assignment = kmeans(vectors, 2, ClusteringConfig(seed=4))
+        assignment = cluster_tables([vectors], ClusteringConfig(r=1, k_max=2, seed=4))[0]
         for strategy in ("kpt_random", "cb_centroid", "s_single"):
             for pt in build_kpts(table, assignment, KptConfig(s=3, seed=4), strategy):
                 sides = {0 if i < 6 else 1 for i in pt.row_indices}

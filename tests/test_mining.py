@@ -7,16 +7,7 @@ from hypothesis import strategies as st
 
 from tabret.embed import mock_embed
 from tabret.kpt import PartialTable
-from tabret.mining import (
-    Candidates,
-    MiningConfig,
-    MiningError,
-    TrainingTriple,
-    mine_all,
-    mine_negatives,
-    triple_from_record,
-    triple_to_record,
-)
+from tabret.mining import MINING_STRATEGIES, MiningConfig, TrainingTriple, mine_all, triple_from_record
 from tabret.querygen import SyntheticQuery
 
 DIM = 32
@@ -37,8 +28,10 @@ def vecs(pts: list[PartialTable]) -> np.ndarray:
     return np.stack([mock_embed(pt.text, DIM) for pt in pts])
 
 
-def pool(pts: list[PartialTable]) -> Candidates:
-    return Candidates(pts, vecs(pts))
+def mine_one(query, q_vec, pts, cfg):
+    """The triple mine_all gives one query, or None when it skips it."""
+    triples, _ = mine_all([query], np.asarray(q_vec)[None], pts, cfg, vecs(pts))
+    return triples[0] if triples else None
 
 
 def make_query(table: int, chunk: int = 0, ordinal: int = 0) -> SyntheticQuery:
@@ -76,7 +69,7 @@ class TestHardMining:
         for table in range(8):
             query = make_query(table)
             q_vec = mock_embed(query.text, DIM)
-            triple = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
+            triple = mine_one(query, q_vec, corpus_pts, cfg)
             assert list(triple.negative_pt_ids) == brute_force_hard(
                 query, q_vec, corpus_pts, cfg.h
             )
@@ -108,7 +101,7 @@ class TestHardMining:
     def test_never_selects_own_table(self, corpus_pts):
         cfg = MiningConfig(h=100, strategy="hard")
         query = make_query(3)
-        triple = mine_negatives(query, mock_embed(query.text, DIM), pool(corpus_pts), cfg)
+        triple = mine_one(query, mock_embed(query.text, DIM), corpus_pts, cfg)
         assert all(not pt_id.startswith("t03#") for pt_id in triple.negative_pt_ids)
         # own table has 2 of the 16 chunks; everything else is taken
         assert len(triple.negative_pt_ids) == 14
@@ -116,7 +109,7 @@ class TestHardMining:
     def test_h_clamps_to_candidate_count(self, corpus_pts):
         query = make_query(0)
         q_vec = mock_embed(query.text, DIM)
-        triple = mine_negatives(query, q_vec, pool(corpus_pts), MiningConfig(h=999))
+        triple = mine_one(query, q_vec, corpus_pts, MiningConfig(h=999))
         assert len(triple.negative_pt_ids) == 14
 
     def test_exact_score_ties_break_by_pt_id(self):
@@ -131,22 +124,22 @@ class TestHardMining:
             make_pt(9, 0),
         ]
         query = make_query(9)
-        triple = mine_negatives(query, mock_embed(shared, DIM), pool(pts), MiningConfig(h=2))
+        triple = mine_one(query, mock_embed(shared, DIM), pts, MiningConfig(h=2))
         assert list(triple.negative_pt_ids) == ["t02#kpt_random#0", "t05#kpt_random#0"]
 
     def test_insensitive_to_candidate_list_order(self, corpus_pts, rng):
         cfg = MiningConfig(h=6)
         query = make_query(1)
         q_vec = mock_embed(query.text, DIM)
-        baseline = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
+        baseline = mine_one(query, q_vec, corpus_pts, cfg)
         shuffled = list(corpus_pts)
         rng.shuffle(shuffled)
-        assert mine_negatives(query, q_vec, pool(shuffled), cfg) == baseline
+        assert mine_one(query, q_vec, shuffled, cfg) == baseline
 
     def test_triple_fields(self, corpus_pts):
         query = make_query(4, chunk=1, ordinal=2)
         q_vec = mock_embed(query.text, DIM)
-        triple = mine_negatives(query, q_vec, pool(corpus_pts), MiningConfig(h=3))
+        triple = mine_one(query, q_vec, corpus_pts, MiningConfig(h=3))
         assert triple.query_id == "t04#kpt_random#1#q2"
         assert triple.positive_pt_id == "t04#kpt_random#1"
         assert triple.strategy == "hard"
@@ -157,16 +150,16 @@ class TestRandomMining:
         cfg = MiningConfig(h=5, strategy="random", seed=11)
         query = make_query(2)
         q_vec = mock_embed(query.text, DIM)
-        a = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
-        b = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
+        a = mine_one(query, q_vec, corpus_pts, cfg)
+        b = mine_one(query, q_vec, corpus_pts, cfg)
         assert a == b
 
     def test_seed_changes_draw(self, corpus_pts):
         query = make_query(2)
         q_vec = mock_embed(query.text, DIM)
         draws = {
-            mine_negatives(
-                query, q_vec, pool(corpus_pts), MiningConfig(h=5, strategy="random", seed=s)
+            mine_one(
+                query, q_vec, corpus_pts, MiningConfig(h=5, strategy="random", seed=s)
             ).negative_pt_ids
             for s in range(6)
         }
@@ -175,10 +168,10 @@ class TestRandomMining:
     def test_queries_get_independent_streams(self, corpus_pts):
         cfg = MiningConfig(h=5, strategy="random", seed=0)
         draws = {
-            mine_negatives(
+            mine_one(
                 make_query(2, ordinal=i),
                 mock_embed("same text", DIM),
-                pool(corpus_pts),
+                corpus_pts,
                 cfg,
             ).negative_pt_ids
             for i in range(6)
@@ -188,7 +181,7 @@ class TestRandomMining:
     def test_ignores_similarity_but_respects_eligibility(self, corpus_pts):
         cfg = MiningConfig(h=100, strategy="random", seed=3)
         query = make_query(6)
-        triple = mine_negatives(query, mock_embed(query.text, DIM), pool(corpus_pts), cfg)
+        triple = mine_one(query, mock_embed(query.text, DIM), corpus_pts, cfg)
         assert len(triple.negative_pt_ids) == 14
         assert len(set(triple.negative_pt_ids)) == 14
         assert all(not pt_id.startswith("t06#") for pt_id in triple.negative_pt_ids)
@@ -199,18 +192,20 @@ class TestRandomMining:
         cfg = MiningConfig(h=4, strategy="random", seed=9)
         query = make_query(1)
         q_vec = mock_embed(query.text, DIM)
-        baseline = mine_negatives(query, q_vec, pool(corpus_pts), cfg)
+        baseline = mine_one(query, q_vec, corpus_pts, cfg)
         shuffled = list(corpus_pts)
         rng.shuffle(shuffled)
-        assert mine_negatives(query, q_vec, pool(shuffled), cfg) == baseline
+        assert mine_one(query, q_vec, shuffled, cfg) == baseline
 
 
 class TestEligibility:
-    def test_no_candidates_raises(self):
+    @pytest.mark.parametrize("strategy", MINING_STRATEGIES)
+    def test_no_candidates_skips_the_query(self, strategy):
         pts = [make_pt(1, 0), make_pt(1, 1)]
         query = make_query(1)
-        with pytest.raises(MiningError, match="t01"):
-            mine_negatives(query, mock_embed(query.text, DIM), pool(pts), MiningConfig())
+        q_vecs = mock_embed(query.text, DIM)[None]
+        cfg = MiningConfig(strategy=strategy)
+        assert mine_all([query], q_vecs, pts, cfg, vecs(pts)) == ([], [query.query_id])
 
 
 class TestMineAll:
@@ -224,7 +219,7 @@ class TestMineAll:
         by_id = {q.query_id: (q, v) for q, v in zip(queries, q_vecs)}
         for triple in triples:
             q, v = by_id[triple.query_id]
-            assert triple == mine_negatives(q, v, pool(corpus_pts), MiningConfig(h=4))
+            assert triple == mine_one(q, v, corpus_pts, MiningConfig(h=4))
 
     def test_skips_queries_without_candidates(self):
         # the pool holds only table 9, so its queries have nothing eligible
@@ -270,4 +265,4 @@ class TestRecordRoundTrip:
             negative_pt_ids=("t01#kpt_random#0", "t02#kpt_random#1"),
             strategy="hard",
         )
-        assert triple_from_record(triple_to_record(triple)) == triple
+        assert triple_from_record(vars(triple)) == triple

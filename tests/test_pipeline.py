@@ -549,7 +549,7 @@ class TestOneReadPerRun:
         assert results == {st: ("ran" if st == "kpt" else "fresh") for st in STAGES}
         assert path.read_bytes() == original
 
-    def test_one_embedding_cache_per_run(self, pipeline_cfg, caches, monkeypatch):
+    def test_one_embedding_cache_per_run(self, pipeline_cfg, tmp_path, caches, monkeypatch):
         stage_of_call = []
         for stage, fn in list(pipeline_mod._STAGE_FNS.items()):
             def traced(*args, _stage=stage, _fn=fn):
@@ -579,12 +579,20 @@ class TestOneReadPerRun:
         assert set(put_by.values()) == {"embed", "mine", "eval"}
         # vectors put by an earlier stage are hits from the same cache
         assert hits["embed"] == [False] * len(hits["embed"])
-        assert all(hits["train"]) and all(hits["index"])
-        assert len(hits["train"]) > 0 and len(hits["index"]) > 0
+        assert all(hits["index"]) and len(hits["index"]) > 0
+        # train takes the base vectors mine looked up in the same run
+        assert "train" not in hits
 
         caches.clear()
         run_pipeline(pipeline_cfg, "all")
         assert caches == []  # a no-op run opens no cache
+
+        # a run whose mine is fresh looks them up once, in train
+        hits.clear()
+        more_epochs = load_config(tmp_path / "config.yaml", overrides=["train.epochs=2"])
+        assert [r.status for r in run_pipeline(more_epochs, "all")][5:7] == ["fresh", "ran"]
+        assert set(hits) == {"train", "index", "eval"}
+        assert all(hits["train"]) and len(hits["train"]) > 0
 
     def test_reindex_opens_the_cache_once(self, pipeline_cfg, tmp_path, caches):
         run_pipeline(pipeline_cfg, "all")

@@ -18,7 +18,6 @@ from tabret.querygen import (
     generate_queries,
     mock_chat_response,
     query_from_record,
-    query_to_record,
     render_prompt,
 )
 
@@ -443,4 +442,4 @@ class TestRecordRoundTrip:
             text="What is the value of sku for a-01?",
             lang="en",
         )
-        assert query_from_record(query_to_record(q)) == q
+        assert query_from_record(vars(q)) == q
