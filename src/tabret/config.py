@@ -4,8 +4,9 @@ Unknown keys are errors (they are almost always typos), every error
 names the offending field path, and relative paths resolve against the
 config file's directory. Auth tokens never live in the file: a section
 names an environment variable (auth_token_env) and the value is read
-from the environment at load time. Config hashes for the stage manifest
-are computed over the effective settings with secrets excluded.
+from the environment at load time. effective_dict gives the settings
+with secrets excluded, one entry per section, for the stage manifest's
+config hashes (which sections feed which stage is pipeline's to say).
 
 Each section's dataclass declares its settings once: its int, float,
 str and bool fields are the section's keys, types and defaults, loaded
@@ -25,7 +26,6 @@ import yaml
 from .cluster import ClusteringConfig
 from .corpus import CORPUS_FORMATS
 from .embed import ProviderConfig
-from .fsio import sha256_json
 from .kpt import STRATEGIES, KptConfig
 from .mining import MiningConfig
 from .querygen import ChatConfig, GenConfig
@@ -91,26 +91,6 @@ class PipelineConfig:
                 "ks": list(self.eval.ks),
             },
         }
-
-    def stage_config_hash(self, stage: str) -> str:
-        effective = self.effective_dict()
-        slices = _STAGE_SECTIONS[stage]
-        return sha256_json({name: effective[name] for name in slices})
-
-
-# sections whose settings feed each stage; a stage re-runs when any of
-# these change (upstream artifact changes are caught by input hashes)
-_STAGE_SECTIONS: dict[str, tuple[str, ...]] = {
-    "ingest": ("corpus",),
-    "embed": ("embedding",),
-    "cluster": ("clustering", "seed", "embedding"),
-    "kpt": ("kpt", "seed"),
-    "genq": ("genq", "chat"),
-    "mine": ("mining", "eval", "seed", "embedding"),
-    "train": ("train", "seed", "embedding"),
-    "index": ("retrieval", "train", "eval", "embedding"),
-    "eval": ("eval", "retrieval", "embedding"),
-}
 
 
 # annotations are strings under `from __future__ import annotations`

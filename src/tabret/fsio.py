@@ -46,7 +46,8 @@ class ArtifactError(ValueError):
     """An artifact is truncated, corrupt, or in another layout."""
 
     def __init__(self, path: str | Path, problem: str) -> None:
-        super().__init__(f"{path}: {problem}")
+        # a problem that names its place in the file, as a line's does, is whole
+        super().__init__(problem if problem.startswith(f"{path}:") else f"{path}: {problem}")
         self.path = Path(path)
 
 
@@ -54,8 +55,7 @@ class JsonLinesError(ArtifactError):
     """A line of a JSON Lines file is not one JSON object."""
 
     def __init__(self, path: str | Path, line_no: int, problem: str) -> None:
-        super().__init__(f"{path}:{line_no}", problem)
-        self.path = Path(path)
+        super().__init__(path, f"{path}:{line_no}: {problem}")
 
 
 def checksum(data: bytes | memoryview) -> bytes:

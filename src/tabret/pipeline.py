@@ -3,25 +3,27 @@
 Each stage reads the previous stage's artifact, writes its own
 atomically, and records content hashes in the manifest; a stage whose
 config slice and file hashes are unchanged is a no-op on re-run.
-stage_files is the one place that declares what each stage reads and
-writes: a run checks a stage's inputs against it, maps a damaged file
-back to the stage that writes it, and records exactly those files in the
-manifest. Before a stage runs, the manifest also vouches for its inputs:
-each one another stage writes must come from that writer's current
-settings and current inputs, or the run names the writer to run first
-(see _run_one). One run hashes each workspace file at most once (plus once
-more for each output a stage writes), and none whose stat stamp is as an
-earlier run recorded it; a run that ends without an error saves the
-stamps it took and compacts the manifest once it has grown several times
-past its live lines (see fsio.Manifest). The stages of one run share a _Run,
-which opens the embedding cache and reads corpus.jsonl,
-kpts.jsonl, queries.jsonl and adapter.bin at most once each, on the
-first stage that needs them; a run whose ingest ran keeps the corpus
-ingest parsed and reads no corpus.jsonl, and train takes the base
-vectors of the partial tables and training queries that mine looked up. When no external gold file is
-configured, evaluation holds out the last synthetic queries of each
-partial table: those never enter mining, training, or pt_plus_queries
-representations, and are scored with their source table as gold.
+_STAGE_TABLE declares each stage once: its function, the files it reads
+and writes and the config sections it hashes. A run resolves it once
+(plan_stages), checks each stage's inputs against it, records exactly
+those files in the manifest, and names the writer of a missing, outdated
+or damaged file as the stage to rerun. Before a stage runs, the manifest
+also vouches for its inputs: each one another stage writes must come
+from that writer's current settings and current inputs, or the run names
+the writer to run first (see _run_one). One run hashes each workspace
+file at most once (plus once more for each output a stage writes), and
+none whose stat stamp is as an earlier run recorded it; a run that ends
+without an error saves the stamps it took and compacts the manifest once
+it has grown several times past its live lines (see fsio.Manifest). The
+stages of one run share a _Run, which opens the embedding cache and
+reads corpus.jsonl, kpts.jsonl, queries.jsonl and adapter.bin at most
+once each, on the first stage that needs them; a run whose ingest ran
+keeps the corpus ingest parsed and reads no corpus.jsonl, and train
+takes the base vectors of the partial tables and training queries that
+mine looked up. When no external gold file is configured, evaluation
+holds out the last synthetic queries of each partial table: those never
+enter mining, training, or pt_plus_queries representations, and are
+scored with their source table as gold.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .fsio import (
     read_jsonl,
     read_matrix_bin,
     read_numbered_jsonl,
+    sha256_json,
     sweep_temp_files,
     typed_records,
     write_jsonl,
@@ -61,8 +64,6 @@ from .querygen import QUERY_FIELDS, SyntheticQuery, generate_all, query_from_rec
 from .retrieval import build_index, evaluate, load_index, save_index
 from .train import Adapter, load_adapter, save_adapter
 from .train import train as train_adapter
-
-STAGES = ("ingest", "embed", "cluster", "kpt", "genq", "mine", "train", "index", "eval")
 
 _INDEX_FILES = ("index/entries.jsonl", "index/vectors.bin", "index/meta.json")
 
@@ -92,36 +93,42 @@ def _quiet(_: str) -> None:
     pass
 
 
-def stage_files(cfg: PipelineConfig, stage: str) -> tuple[list[Path], list[Path]]:
-    """(inputs, outputs) of a stage: what it reads and writes, and so
-    what freshness checks and the manifest records.
+# inputs named by config key come from outside the workspace; with no
+# gold file, eval scores the held-out queries of queries.jsonl instead
+_SOURCE, _GOLD = "corpus.path", "eval.gold_path"
 
-    An input that no stage writes comes from outside the workspace: the
-    corpus file for ingest and a configured gold file for eval.
-    """
-    adapter = ["adapter.bin"] if cfg.train_enabled else []
-    heldout = ["queries.jsonl"] if cfg.eval.gold_path is None else []
-    inputs, outputs = {
-        "ingest": ([], ["corpus.jsonl"]),
-        "embed": (["corpus.jsonl"], ["instance_embeddings.bin"]),
-        "cluster": (["corpus.jsonl", "instance_embeddings.bin"], ["clusters.jsonl"]),
-        "kpt": (["corpus.jsonl", "clusters.jsonl"], ["kpts.jsonl"]),
-        "genq": (["kpts.jsonl"], ["queries.jsonl"]),
-        "mine": (["kpts.jsonl", "queries.jsonl"], ["triples.jsonl"]),
-        "train": (
-            ["triples.jsonl", "kpts.jsonl", "queries.jsonl"],
-            ["adapter.bin", "train_report.json", "train_log.jsonl"],
-        ),
-        "index": (["kpts.jsonl", "queries.jsonl", *adapter], _INDEX_FILES),
-        "eval": ([*_INDEX_FILES, *adapter, *heldout], ["report.json"]),
-    }[stage]
-    ws = cfg.workspace
-    in_paths = [ws / name for name in inputs]
-    if stage == "ingest":
-        in_paths.append(cfg.corpus_path)
-    elif stage == "eval" and cfg.eval.gold_path is not None:
-        in_paths.append(cfg.eval.gold_path)
-    return in_paths, [ws / name for name in outputs]
+
+@dataclass(frozen=True)
+class _Stage:
+    fn: Callable[[_Run], None]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    hashed: tuple[str, ...]  # the effective_dict sections whose change reruns it
+    trains: bool = False  # skipped by a full run with train.enabled false
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    """A stage's files and config hash under one run's config."""
+
+    inputs: list[Path]
+    outputs: list[Path]
+    config_hash: str
+
+
+def plan_stages(cfg: PipelineConfig) -> dict[str, StagePlan]:
+    """_STAGE_TABLE resolved under cfg; adapter.bin is an input only with training on."""
+    ws, effective = cfg.workspace, cfg.effective_dict()
+    where = {_SOURCE: cfg.corpus_path, _GOLD: cfg.eval.gold_path or ws / "queries.jsonl",
+             "adapter.bin": ws / "adapter.bin" if cfg.train_enabled else None}
+    return {
+        name: StagePlan(
+            inputs=[p for p in (where.get(f, ws / f) for f in st.reads) if p is not None],
+            outputs=[ws / f for f in st.writes],
+            config_hash=sha256_json({section: effective[section] for section in st.hashed}),
+        )
+        for name, st in _STAGE_TABLE.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -161,9 +168,13 @@ class _Run:
             self.swept = True
 
     @functools.cached_property
+    def plans(self) -> dict[str, StagePlan]:
+        return plan_stages(self.cfg)
+
+    @functools.cached_property
     def writers(self) -> dict[Path, str]:
         """The stage that writes each workspace file; a file from outside has none."""
-        return {path: st for st in STAGES for path in stage_files(self.cfg, st)[1]}
+        return {path: st for st, plan in self.plans.items() for path in plan.outputs}
 
     @functools.cached_property
     def cache(self) -> EmbeddingCache:
@@ -172,7 +183,10 @@ class _Run:
     @functools.cached_property
     def corpus(self) -> Corpus:
         """corpus.jsonl's tables, unless ingest set them in this run."""
-        return load_corpus(self.ws / "corpus.jsonl")
+        try:
+            return load_corpus(self.ws / "corpus.jsonl")
+        except CorpusFormatError as exc:  # damage to the copy ingest wrote
+            raise ArtifactError(self.ws / "corpus.jsonl", str(exc)) from exc
 
     def records(self, name: str, fields: dict, parse: Callable[[dict], T]) -> list[T]:
         """parse of each of the workspace file's records, each first checked
@@ -222,7 +236,7 @@ def run_pipeline(
         run = _Run(cfg, log)
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
-            if stage == "all" and st in ("mine", "train") and not cfg.train_enabled:
+            if stage == "all" and _STAGE_TABLE[st].trains and not cfg.train_enabled:
                 log(f"[{st}] skipped (train.enabled is false)")
                 results.append(StageResult(st, "skipped", 0.0))
                 continue
@@ -244,24 +258,18 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     that no longer hashes as its writer recorded it was damaged outside
     the pipeline; the stage that reads it reports it, naming the writer.
     """
-    cfg = run.cfg
-    inputs, outputs = stage_files(cfg, stage)
-    for path in inputs:
-        if not path.exists():
-            producer = run.writers.get(path)
-            if producer is not None:
-                raise StageError(
-                    3,
-                    f"stage '{stage}': missing {manifest.key(path)}; "
-                    f"run stage '{producer}' first",
-                )
-    config_hash = cfg.stage_config_hash(stage)
-    if manifest.is_fresh(stage, config_hash):
+    plan = run.plans[stage]
+    for path in plan.inputs:
+        producer = run.writers.get(path)
+        if producer and not path.exists():
+            raise StageError(3, f"stage '{stage}': missing {manifest.key(path)}; "
+                                f"run stage '{producer}' first")
+    if manifest.is_fresh(stage, plan.config_hash):
         run.log(f"[{stage}] fresh (cache hit), nothing to do")
         return StageResult(stage, "fresh", 0.0)
-    for path in inputs:
+    for path in plan.inputs:
         producer = run.writers.get(path)
-        if producer and manifest.is_outdated(producer, cfg.stage_config_hash(producer)):
+        if producer and manifest.is_outdated(producer, run.plans[producer].config_hash):
             raise StageError(3, f"stage '{stage}': {manifest.key(path)} was made from older "
                              f"inputs or settings; run stage '{producer}' first")
     # swept only by a run that runs a stage, so a no-op run pays nothing
@@ -269,16 +277,15 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
     started = time.monotonic()
     try:
         _STAGE_FNS[stage](run)
+    except StageError as exc:
+        raise StageError(exc.exit_code, f"stage '{stage}': {exc}") from exc
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
-    except (CorpusFormatError, FileNotFoundError) as exc:
-        if isinstance(exc, CorpusFormatError) and stage != "ingest":
-            # only ingest reads the source corpus; later stages read its copy
-            raise StageError(3, f"stage '{stage}': {exc}; rerun stage 'ingest'") from exc
+    except (CorpusFormatError, FileNotFoundError) as exc:  # the source corpus or a gold file
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = run.writers.get(exc.path)
-        if producer is None and exc.path in inputs:  # the corpus or a gold file
+        if producer is None and exc.path in plan.inputs:  # the corpus or a gold file
             raise StageError(2, f"stage '{stage}': {exc}") from exc
         remedy = (
             f"rerun stage '{producer}'" if producer
@@ -286,7 +293,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         )
         raise StageError(3, f"stage '{stage}': {exc}; {remedy}") from exc
     wall = time.monotonic() - started
-    manifest.record(stage, config_hash, inputs, outputs, wall)
+    manifest.record(stage, plan.config_hash, plan.inputs, plan.outputs, wall)
     run.log(f"[{stage}] done in {wall:.2f}s")
     return StageResult(stage, "ran", wall)
 
@@ -335,7 +342,8 @@ def _stage_cluster(run: _Run) -> None:
     matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
     counts = [len(t.instances) for t in run.corpus.tables]
     if sum(counts) != len(matrix):
-        raise StageError(3, "instance_embeddings.bin and corpus.jsonl disagree; rerun 'embed'")
+        raise ArtifactError(run.ws / "instance_embeddings.bin",
+                            f"{len(matrix)} rows, but corpus.jsonl has {sum(counts)}")
     # embed writes each table's rows together, in corpus order
     tables = [matrix[end - n : end] for n, end in zip(counts, np.cumsum(counts))]
     assignments = cluster_tables(tables, run.cfg.clustering)
@@ -381,7 +389,7 @@ def _stage_kpt(run: _Run) -> None:
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
         if assignment is None and cfg.kpt_strategy != "first_rows":
-            raise StageError(3, f"no clustering for table {t.table_id!r}; rerun 'cluster'")
+            raise ArtifactError(run.ws / "clusters.jsonl", f"no clustering of {t.table_id!r}")
         for pt in build_kpts(t, assignment, cfg.kpt, cfg.kpt_strategy):
             records.append(vars(pt))
     write_jsonl(run.ws / "kpts.jsonl", records)
@@ -391,6 +399,10 @@ def _stage_kpt(run: _Run) -> None:
 def _stage_genq(run: _Run) -> None:
     pts = run.pts
     generated, skipped = generate_all(pts, run.cfg.genq)
+    if not generated:
+        # recorded, an empty queries.jsonl would only send mine back here
+        raise StageError(4, f"the chat provider gave no usable questions for any of the "
+                            f"{len(pts)} partial tables")
     for pt_id in skipped:
         run.log(f"[genq] warning: no usable queries for {pt_id}, skipped")
     write_jsonl(run.ws / "queries.jsonl", [vars(q) for q in generated])
@@ -401,25 +413,40 @@ def _stage_mine(run: _Run) -> None:
     cfg, pts = run.cfg, run.pts
     training = run.queries.training
     if not training:
-        raise StageError(3, "queries.jsonl has no training queries; rerun 'genq'")
+        raise ArtifactError(run.ws / "queries.jsonl", "no training queries")
     pt_vecs, q_vecs = run.base_vectors
     triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
+    if not triples:
+        # a negative comes from another source table, so one table gives none
+        raise StageError(2, "no query has a partial table of another source table to take "
+                            "as a negative, so there is nothing to train on; set "
+                            "train.enabled=false or use a corpus of at least two tables")
     for query_id in skipped:
         run.log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
     write_jsonl(run.ws / "triples.jsonl", [vars(t) for t in triples])
     run.log(f"[mine] {len(triples)} triples ({cfg.mining.strategy}, h={cfg.mining.h})")
 
 
-def _triple_from_record(rec: dict, queries: set[str], pts: set[str]) -> TrainingTriple:
-    """The triple of a triples.jsonl record; one whose query is not a
-    training query, or that names a partial table not in kpts.jsonl,
-    raises ValueError."""
+def _triple_from_record(
+    rec: dict, queries: dict[str, SyntheticQuery], tables: dict[str, str]
+) -> TrainingTriple:
+    """The triple of a triples.jsonl record, given the training queries and
+    each partial table's source table; one that names an unknown id, or
+    whose positive or a negative is not one mine would pick, raises ValueError."""
     triple = triple_from_record(rec)
-    if triple.query_id not in queries:
+    query = queries.get(triple.query_id)
+    if query is None:
         raise ValueError(f"query {triple.query_id!r} is not a training query of queries.jsonl")
     for pt_id in (triple.positive_pt_id, *triple.negative_pt_ids):
-        if pt_id not in pts:
+        if pt_id not in tables:
             raise ValueError(f"partial table {pt_id!r} is not in kpts.jsonl")
+    if triple.positive_pt_id != query.pt_id:
+        raise ValueError(f"positive {triple.positive_pt_id!r} is not the partial table "
+                         f"{query.pt_id!r} of query {query.query_id!r}")
+    for pt_id in triple.negative_pt_ids:
+        if tables[pt_id] == query.table_id:
+            raise ValueError(f"negative {pt_id!r} comes from the query's own table "
+                             f"{query.table_id!r}")
     return triple
 
 
@@ -428,9 +455,10 @@ def _stage_train(run: _Run) -> None:
     pt_ids = [pt.pt_id for pt in run.pts]
     query_ids = [q.query_id for q in run.queries.training]
     triples = run.records("triples.jsonl", TRIPLE_FIELDS, functools.partial(
-        _triple_from_record, queries=set(query_ids), pts=set(pt_ids)))
+        _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
+        tables={pt.pt_id: pt.table_id for pt in run.pts}))
     if not triples:
-        raise StageError(3, "triples.jsonl is empty; rerun 'mine'")
+        raise ArtifactError(ws / "triples.jsonl", "no triples")
     pt_vecs, q_vecs = run.base_vectors
     vectors = dict(zip(pt_ids + query_ids, [*pt_vecs, *q_vecs]))
 
@@ -479,9 +507,8 @@ def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
     if gold_path is None:
         for q in run.queries.heldout:
             if q.table_id not in known:
-                raise StageError(3, f"stage 'eval': queries.jsonl: held-out query {q.query_id!r} "
-                                 f"names table {q.table_id!r}, which is not in the index; "
-                                 "rerun stage 'genq'")
+                raise ArtifactError(run.ws / "queries.jsonl", f"held-out query {q.query_id!r} "
+                                    f"names table {q.table_id!r}, which is not in the index")
         return [(q.text, q.table_id) for q in run.queries.heldout]
     pairs = []
     for line_no, rec in read_numbered_jsonl(gold_path):
@@ -513,17 +540,27 @@ def _stage_eval(run: _Run) -> None:
     run.log(f"[eval] {report.query_count} queries: {recalls}")
 
 
-_STAGE_FNS = {
-    "ingest": _stage_ingest,
-    "embed": _stage_embed,
-    "cluster": _stage_cluster,
-    "kpt": _stage_kpt,
-    "genq": _stage_genq,
-    "mine": _stage_mine,
-    "train": _stage_train,
-    "index": _stage_index,
-    "eval": _stage_eval,
+# stage: function, files read, files written, config sections hashed
+_STAGE_TABLE = {
+    "ingest": _Stage(_stage_ingest, (_SOURCE,), ("corpus.jsonl",), ("corpus",)),
+    "embed": _Stage(_stage_embed, ("corpus.jsonl",), ("instance_embeddings.bin",), ("embedding",)),
+    "cluster": _Stage(_stage_cluster, ("corpus.jsonl", "instance_embeddings.bin"),
+                      ("clusters.jsonl",), ("clustering", "seed", "embedding")),
+    "kpt": _Stage(_stage_kpt, ("corpus.jsonl", "clusters.jsonl"), ("kpts.jsonl",), ("kpt", "seed")),
+    "genq": _Stage(_stage_genq, ("kpts.jsonl",), ("queries.jsonl",), ("genq", "chat")),
+    "mine": _Stage(_stage_mine, ("kpts.jsonl", "queries.jsonl"), ("triples.jsonl",),
+                   ("mining", "eval", "seed", "embedding"), trains=True),
+    "train": _Stage(_stage_train, ("triples.jsonl", "kpts.jsonl", "queries.jsonl"),
+                    ("adapter.bin", "train_report.json", "train_log.jsonl"),
+                    ("train", "seed", "embedding"), trains=True),
+    "index": _Stage(_stage_index, ("kpts.jsonl", "queries.jsonl", "adapter.bin"), _INDEX_FILES,
+                    ("retrieval", "train", "eval", "embedding")),
+    "eval": _Stage(_stage_eval, (*_INDEX_FILES, "adapter.bin", _GOLD), ("report.json",),
+                   ("eval", "retrieval", "embedding")),
 }
+STAGES = tuple(_STAGE_TABLE)
+# looked up by _run_one at call time, so a wrapper set here takes effect
+_STAGE_FNS = {name: st.fn for name, st in _STAGE_TABLE.items()}
 
 
 @dataclass(frozen=True)

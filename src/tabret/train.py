@@ -115,10 +115,6 @@ class Adapter:
     def dim(self) -> int:
         return int(self.W.shape[0])
 
-    @classmethod
-    def identity(cls, dim: int) -> "Adapter":
-        return cls(W=np.eye(dim, dtype=np.float64))
-
 
 @dataclass
 class TrainReport:

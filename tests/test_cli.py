@@ -8,6 +8,7 @@ import pytest
 
 from tabret.cli import main
 from tabret.config import load_config
+from tabret.fsio import read_matrix_bin, write_matrix_bin
 from tabret.pipeline import split_queries
 from tabret.querygen import query_from_record
 
@@ -474,10 +475,18 @@ class TestDamagedRecords:
             ("triples.jsonl",
              lambda rec: {**rec, "negative_pt_ids": [*rec["negative_pt_ids"][1:], "nope#f"]},
              "train", "partial table 'nope#f' is not in kpts.jsonl", "mine"),
+            ("triples.jsonl", lambda rec: {**rec, "positive_pt_id": rec["negative_pt_ids"][0]},
+             "train", "is not the partial table ", "mine"),
+            ("triples.jsonl",
+             lambda rec: {**rec, "negative_pt_ids": [rec["positive_pt_id"],
+                                                     *rec["negative_pt_ids"][1:]]},
+             "train", "comes from the query's own table ", "mine"),
         ],
         ids=["bogus-strategy", "labels-one-short", "label-out-of-range", "query-id-without-ordinal",
              "query-ordinal-not-a-number", "triple-of-an-unknown-query",
-             "triple-with-an-unknown-positive", "triple-with-an-unknown-negative"],
+             "triple-with-an-unknown-positive", "triple-with-an-unknown-negative",
+             "triple-whose-positive-is-another-partial-table",
+             "triple-with-a-negative-from-the-query-table"],
     )
     def test_invalid_value_exits_3(self, demo, capsys, name, edit, stage, problem, producer):
         _replace_line(demo.workspace / name, 2, edit)
@@ -485,6 +494,30 @@ class TestDamagedRecords:
         assert demo("--stage", stage) == 3
         err = capsys.readouterr().err
         assert f"{name}:2: " in err and problem in err
+        assert err.rstrip().endswith(f"; rerun stage '{producer}'")
+
+    @pytest.mark.parametrize(
+        "name, damage, stage, problem, producer",
+        [
+            ("instance_embeddings.bin",
+             lambda path: write_matrix_bin(path, read_matrix_bin(path)[:-1]),
+             "cluster", "rows, but corpus.jsonl has ", "embed"),
+            ("clusters.jsonl",
+             lambda path: path.write_text("".join(path.read_text().splitlines(True)[1:])),
+             "kpt", "no clustering of 'table_00'", "cluster"),
+            ("triples.jsonl", lambda path: path.write_text(""), "train", "no triples", "mine"),
+        ],
+        ids=["instance-rows-disagree-with-the-corpus", "table-missing-from-clusters",
+             "emptied-triples"],
+    )
+    def test_file_that_disagrees_exits_3(self, demo, capsys, name, damage, stage, problem,
+                                         producer):
+        damage(demo.workspace / name)
+        capsys.readouterr()
+        assert demo("--stage", stage) == 3
+        err = capsys.readouterr().err
+        assert f"error: stage '{stage}': " in err
+        assert f"{name}: " in err and problem in err
         assert err.rstrip().endswith(f"; rerun stage '{producer}'")
 
     def test_heldout_query_naming_no_indexed_table_exits_3_naming_genq(self, demo, capsys):
@@ -495,7 +528,7 @@ class TestDamagedRecords:
         capsys.readouterr()
         assert demo("--stage", "eval") == 3
         err = capsys.readouterr().err
-        assert "stage 'eval': queries.jsonl: held-out query '" in err
+        assert "error: stage 'eval': " in err and "queries.jsonl: held-out query '" in err
         assert "names table 'nope', which is not in the index; rerun stage 'genq'" in err
 
     def test_triple_of_a_heldout_query_exits_3_naming_mine(self, demo, demo_built, capsys):
@@ -547,6 +580,37 @@ class TestDamagedRecords:
         assert demo("--stage", "eval") == 3
         err = capsys.readouterr().err
         assert "meta.json: " in err and err.rstrip().endswith("; rerun stage 'index'")
+
+
+class TestNothingToPassOn:
+    """A stage that would leave the next one nothing to read exits without
+    recording, so rerunning the stage the next one names cannot loop."""
+
+    def test_one_table_corpus_exits_2_naming_a_remedy(self, demo, capsys, tmp_path):
+        corpus = _write_corpus(tmp_path / "one.jsonl", _demo_tables()[:1])
+        for _ in range(2):
+            capsys.readouterr()
+            assert demo("--set", corpus) == 2
+            err = capsys.readouterr().err
+            assert "error: stage 'mine': no query has a partial table of another " in err
+            assert "set train.enabled=false or use a corpus of at least two tables" in err
+        assert demo("--set", corpus, "--set", "train.enabled=false") == 0
+
+    def test_genq_without_a_usable_question_exits_4(self, project, capsys, monkeypatch):
+        import tabret.querygen as querygen_module
+
+        def reply(url, body, headers=None, timeout=None):
+            return {"choices": [{"message": {"content": "no questions here"}}]}
+
+        monkeypatch.setattr(querygen_module, "post_json", reply)
+        args = ["run", "--config", str(project / "config.yaml"),
+                "--set", "chat.kind=http", "--set", "chat.endpoint=http://chat.test"]
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(args) == 4
+            err = capsys.readouterr().err
+            assert "stage 'genq': the chat provider gave no usable questions for any " in err
+        assert not (project / "ws" / "queries.jsonl").exists()
 
 
 class TestGoldFile:

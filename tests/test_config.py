@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tabret.config import ConfigError, load_config, variant_config
-from tabret.pipeline import STAGES
+from tabret.pipeline import STAGES, plan_stages
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -232,34 +232,40 @@ class TestSecrets:
         body = MINIMAL + "embedding:\n  auth_token_env: EMBED_TOKEN\n"
         path = write_config(tmp_path, body)
         monkeypatch.setenv("EMBED_TOKEN", "first-value")
-        h1 = load_config(path).stage_config_hash("embed")
+        h1 = hashes(load_config(path))["embed"]
         monkeypatch.setenv("EMBED_TOKEN", "rotated-value")
-        h2 = load_config(path).stage_config_hash("embed")
+        h2 = hashes(load_config(path))["embed"]
         assert h1 == h2
+
+
+def hashes(cfg) -> dict[str, str]:
+    """Each stage's manifest config hash under cfg."""
+    return {stage: plan.config_hash for stage, plan in plan_stages(cfg).items()}
 
 
 class TestStageHashes:
     def test_stable_across_loads(self, tmp_path):
         path = write_config(tmp_path, MINIMAL + "seed: 5\n")
-        a = load_config(path)
-        b = load_config(path)
-        for stage in ("ingest", "embed", "cluster", "kpt", "genq", "mine", "train", "index", "eval"):
-            assert a.stage_config_hash(stage) == b.stage_config_hash(stage)
+        a = hashes(load_config(path))
+        b = hashes(load_config(path))
+        assert list(a) == ["ingest", "embed", "cluster", "kpt", "genq", "mine", "train", "index",
+                           "eval"]
+        assert a == b
 
     def test_sensitive_to_owning_section_only(self, tmp_path):
-        base = load_config(write_config(tmp_path, MINIMAL))
-        changed = load_config(
+        base = hashes(load_config(write_config(tmp_path, MINIMAL)))
+        changed = hashes(load_config(
             write_config(tmp_path, MINIMAL + "clustering:\n  k_max: 3\n")
-        )
-        assert base.stage_config_hash("cluster") != changed.stage_config_hash("cluster")
+        ))
+        assert base["cluster"] != changed["cluster"]
         # a clustering change cannot invalidate embedding work
-        assert base.stage_config_hash("embed") == changed.stage_config_hash("embed")
+        assert base["embed"] == changed["embed"]
 
     def test_seed_invalidates_seeded_stages_not_embed(self, tmp_path):
-        a = load_config(write_config(tmp_path, MINIMAL + "seed: 1\n"))
-        b = load_config(write_config(tmp_path, MINIMAL + "seed: 2\n"))
-        assert a.stage_config_hash("kpt") != b.stage_config_hash("kpt")
-        assert a.stage_config_hash("embed") == b.stage_config_hash("embed")
+        a = hashes(load_config(write_config(tmp_path, MINIMAL + "seed: 1\n")))
+        b = hashes(load_config(write_config(tmp_path, MINIMAL + "seed: 2\n")))
+        assert a["kpt"] != b["kpt"]
+        assert a["embed"] == b["embed"]
 
 
 # every key set, each to a value other than its default; the paths are
@@ -353,11 +359,12 @@ ALL_KEYS_HASHES = {
 class TestGoldenStageHashes:
     def test_demo_config(self):
         cfg = load_config(REPO / "data" / "demo" / "config.yaml")
-        assert {st: cfg.stage_config_hash(st) for st in STAGES[1:]} == DEMO_HASHES
+        demo = hashes(cfg)
+        assert {st: demo[st] for st in STAGES[1:]} == DEMO_HASHES
 
     def test_every_key_set(self, tmp_path):
         cfg = load_config(write_config(tmp_path, ALL_KEYS))
-        assert {st: cfg.stage_config_hash(st) for st in STAGES} == ALL_KEYS_HASHES
+        assert hashes(cfg) == ALL_KEYS_HASHES
 
 
 class TestReadme:

@@ -1,5 +1,6 @@
 """The runtime dependencies in pyproject.toml are exactly what the package
-imports, and every module-level function and class has a caller outside tests."""
+imports, and every module-level function and class, and every method of
+such a class, has a caller outside tests."""
 
 import ast
 import os
@@ -65,16 +66,32 @@ def _names_referenced(paths) -> set[str]:
     return used
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(path: Path):
+    """(qualified name, bare name) of each module-level function and class
+    and of each method of a module-level class; dunders are called by
+    Python itself and left out."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, _DEFINITIONS):
+            continue
+        yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, _DEFINITIONS) and not member.name.startswith("__"):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
 def test_every_module_level_function_and_class_is_referenced():
     root = PACKAGE.parents[1]
     paths = [*PACKAGE.glob("*.py"), *(root / "perfbench").glob("*.py"),
              *(root / "scripts").glob("*.py")]
     used = _names_referenced(paths)
     unreferenced = {
-        f"{path.stem}.{node.name}"
+        qualified
         for path in PACKAGE.glob("*.py")
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used | UNREFERENCED
+        for qualified, name in _definitions(path)
+        if name not in used | UNREFERENCED
     }
     assert not unreferenced, "reached only from tests: delete them, or test through a caller"

@@ -13,7 +13,7 @@ import pytest
 
 import tabret.fsio as fsio
 import tabret.pipeline as pipeline_mod
-from tabret.config import load_config
+from tabret.config import PipelineConfig, load_config
 from tabret.embed import EmbeddingCache
 from tabret.fsio import read_jsonl, sha256_json, write_jsonl
 from tabret.pipeline import (
@@ -21,10 +21,10 @@ from tabret.pipeline import (
     StageError,
     Variant,
     parse_variants,
+    plan_stages,
     run_compare,
     run_pipeline,
     split_queries,
-    stage_files,
 )
 from tabret.querygen import SyntheticQuery
 
@@ -353,7 +353,7 @@ class TestDamagedWorkspace:
                 "embedding": effective["embedding"],
             }
         )
-        assert old_hash != pipeline_cfg.stage_config_hash("cluster")
+        assert old_hash != plan_stages(pipeline_cfg)["cluster"].config_hash
         manifest = ws / "manifest.jsonl"
         entries = [json.loads(line) for line in manifest.read_text().splitlines()]
         for entry in entries:
@@ -366,7 +366,7 @@ class TestDamagedWorkspace:
         assert (ws / "clusters.jsonl").read_bytes() == clusters
         assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
 
-# the stage that writes each workspace file, stated apart from stage_files
+# the stage that writes each workspace file, stated apart from plan_stages
 PRODUCERS = {
     "corpus.jsonl": "ingest",
     "instance_embeddings.bin": "embed",
@@ -394,7 +394,7 @@ def built_cfg(tmp_path_factory):
 
 
 class TestStageFiles:
-    """stage_files is the one declaration of what each stage reads and writes."""
+    """plan_stages gives what each stage reads and writes."""
 
     @pytest.mark.parametrize(
         "overrides", [[], ["train.enabled=false"], ["eval.gold_path=gold.jsonl"]],
@@ -408,16 +408,24 @@ class TestStageFiles:
         entries = [json.loads(line) for line in manifest_lines]
         assert [e["stage"] for e in entries] == ran
         manifest = fsio.Manifest(cfg.workspace)
+        plans = plan_stages(cfg)
         for entry in entries:
-            inputs, outputs = stage_files(cfg, entry["stage"])
-            assert set(entry["input_hashes"]) == {manifest.key(p) for p in inputs}
-            assert set(entry["output_hashes"]) == {manifest.key(p) for p in outputs}
+            plan = plans[entry["stage"]]
+            assert set(entry["input_hashes"]) == {manifest.key(p) for p in plan.inputs}
+            assert set(entry["output_hashes"]) == {manifest.key(p) for p in plan.outputs}
+
+    def test_a_run_reads_the_effective_settings_once(self, built_cfg, monkeypatch):
+        calls = []
+        real = PipelineConfig.effective_dict
+        monkeypatch.setattr(PipelineConfig, "effective_dict",
+                            lambda cfg: calls.append(cfg) or real(cfg))
+        assert {r.status for r in run_pipeline(built_cfg, "all")} == {"fresh"}
+        assert calls == [built_cfg]
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_missing_produced_input_exits_3_naming_its_producer(self, built_cfg, stage):
         ws = built_cfg.workspace
-        inputs, _ = stage_files(built_cfg, stage)
-        produced = [p for p in inputs if p.is_relative_to(ws)]
+        produced = [p for p in plan_stages(built_cfg)[stage].inputs if p.is_relative_to(ws)]
         assert bool(produced) == (stage != "ingest")
         for path in produced:
             name = path.relative_to(ws).as_posix()

@@ -351,7 +351,7 @@ class TestBuildIndexAndSearch:
     def test_identity_adapter_matches_no_adapter(self):
         pts = [make_pt(f"t{i}#kpt_random#0", f"t{i}", f"h\nh: item {i}") for i in range(4)]
         plain = build_index(pts, None, MOCK)
-        via_identity = build_index(pts, None, MOCK, adapter=Adapter.identity(32))
+        via_identity = build_index(pts, None, MOCK, adapter=Adapter(np.eye(32)))
         np.testing.assert_allclose(via_identity.vectors, plain.vectors, atol=1e-12)
 
 
@@ -432,7 +432,7 @@ class TestPersistence:
     def test_load_attaches_adapter(self, tmp_path):
         index = self.build()
         save_index(index, tmp_path / "index")
-        adapter = Adapter.identity(32)
+        adapter = Adapter(np.eye(32))
         back = load_index(tmp_path / "index", adapter=adapter)
         assert back.adapter is adapter
 

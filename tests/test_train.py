@@ -490,7 +490,7 @@ class TestTrain:
 class TestAdapterApply:
     def test_identity_returns_unit_input(self, rng):
         v = random_unit(rng, 16)
-        out = adapter_apply(Adapter.identity(16), v)
+        out = adapter_apply(Adapter(np.eye(16)), v)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_output_is_unit_norm(self, rng):
@@ -500,7 +500,7 @@ class TestAdapterApply:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dim"):
-            adapter_apply(Adapter.identity(4), np.ones(5))
+            adapter_apply(Adapter(np.eye(4)), np.ones(5))
 
     def test_zero_output_rejected(self):
         adapter = Adapter(W=np.zeros((3, 3)))
@@ -526,14 +526,14 @@ class TestAdapterIO:
 
     def test_expected_dim_enforced(self, tmp_path):
         path = tmp_path / "adapter.bin"
-        save_adapter(Adapter.identity(8), str(path))
+        save_adapter(Adapter(np.eye(8)), str(path))
         assert load_adapter(str(path), expected_dim=8).dim == 8
         with pytest.raises(AdapterFormatError, match="dim 8 != provider dim 16"):
             load_adapter(str(path), expected_dim=16)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
-        save_adapter(Adapter.identity(4), str(path))
+        save_adapter(Adapter(np.eye(4)), str(path))
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTADPT!"
         path.write_bytes(bytes(blob))
@@ -542,7 +542,7 @@ class TestAdapterIO:
 
     def test_bit_flip_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
-        save_adapter(Adapter.identity(4), str(path))
+        save_adapter(Adapter(np.eye(4)), str(path))
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -551,7 +551,7 @@ class TestAdapterIO:
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
-        save_adapter(Adapter.identity(4), str(path))
+        save_adapter(Adapter(np.eye(4)), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(AdapterFormatError):
@@ -571,7 +571,7 @@ class TestAdapterIO:
     @pytest.mark.parametrize("cut", range(1, 9))
     def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
         path = tmp_path / "adapter.bin"
-        save_adapter(Adapter.identity(2), str(path))
+        save_adapter(Adapter(np.eye(2)), str(path))
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(AdapterFormatError):
             load_adapter(str(path))
