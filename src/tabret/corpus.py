@@ -1,9 +1,17 @@
 """Table data model, corpus ingestion, and deterministic row serialization.
 
 A corpus is a set of tables; a table is a header plus ordered row
-instances. Serialization turns rows into the "col: value | col: value"
-form consumed by the embedding and prompting layers. The escaping rule
-makes serialization injective over distinct (header, cells) pairs.
+instances, at least one of them. Serialization turns rows into the
+"col: value | col: value" form consumed by the embedding and prompting
+layers. The escaping rule makes serialization injective over distinct
+(header, cells) pairs.
+
+A JSON Lines corpus is read by fsio.read_records, so a bad line or
+record, a table without rows among them, raises JsonLinesError naming
+the file and line. A directory of CSV files raises CorpusFormatError
+naming the file, as does a path of the wrong kind for its format. A
+corpus with no table raises ArtifactError: ingest would pass the
+clustering nothing to cluster.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .fsio import JsonLinesError, read_numbered_jsonl
+from .fsio import ArtifactError, read_records
 
 CORPUS_FORMATS = ("jsonl", "csv-dir")
+# the fields of a JSON Lines corpus record; "metadata" is optional
+_TABLE_FIELDS = {"table_id": str, "header": list[str], "rows": list[list[str]]}
 
 
 class CorpusFormatError(ValueError):
@@ -43,6 +53,8 @@ class Table:
     def __post_init__(self) -> None:
         if not self.header:
             raise CorpusFormatError(f"table {self.table_id!r}: header must be non-empty")
+        if not self.instances:
+            raise CorpusFormatError(f"table {self.table_id!r} has no rows")
         seen: set[int] = set()
         for inst in self.instances:
             if len(inst.cells) != len(self.header):
@@ -103,56 +115,32 @@ def serialize_partial_table(table: Table, row_indices: Iterable[int]) -> str:
     return "\n".join(lines)
 
 
-def _parse_jsonl_table(obj: dict, source: str, line_no: int) -> Table:
-    def fail(field: str, msg: str) -> CorpusFormatError:
-        return CorpusFormatError(f"{source}:{line_no}: field {field!r}: {msg}")
-
-    table_id = obj.get("table_id")
-    if not isinstance(table_id, str) or not table_id:
-        raise fail("table_id", "must be a non-empty string")
-    header = obj.get("header")
-    if not isinstance(header, list) or not header or not all(isinstance(c, str) for c in header):
-        raise fail("header", "must be a non-empty list of strings")
-    rows = obj.get("rows")
-    if not isinstance(rows, list):
-        raise fail("rows", "must be a list of rows")
-    instances = []
-    for r, cells in enumerate(rows):
-        if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
-            raise fail(f"rows[{r}]", "must be a list of strings")
-        if len(cells) != len(header):
-            raise fail(f"rows[{r}]", f"{len(cells)} cells under a {len(header)}-column header")
-        instances.append(Instance(row_index=r, cells=list(cells)))
-    metadata = obj.get("metadata")
-    if metadata is not None:
-        if not isinstance(metadata, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-        ):
-            raise fail("metadata", "must map strings to strings")
-        metadata = dict(metadata) or None
-    return Table(table_id=table_id, header=list(header), instances=instances, metadata=metadata)
-
-
 def _load_jsonl(path: Path) -> list[Table]:
-    tables = []
     seen: set[str] = set()
-    try:
-        for line_no, obj in read_numbered_jsonl(path):
-            table = _parse_jsonl_table(obj, str(path), line_no)
-            if table.table_id in seen:
-                raise CorpusFormatError(
-                    f"{path}:{line_no}: duplicate table_id {table.table_id!r}"
-                )
-            seen.add(table.table_id)
-            tables.append(table)
-    except JsonLinesError as exc:
-        raise CorpusFormatError(str(exc)) from exc
-    return tables
+
+    def parse(rec: dict) -> Table:
+        table_id, metadata = rec["table_id"], rec.get("metadata")
+        if not table_id:
+            raise ValueError("field 'table_id': must be non-empty")
+        if table_id in seen:
+            raise ValueError(f"duplicate table_id {table_id!r}")
+        seen.add(table_id)
+        # JSON object keys are strings
+        if metadata is not None and not (
+            isinstance(metadata, dict) and all(isinstance(v, str) for v in metadata.values())
+        ):
+            raise ValueError("field 'metadata': must map strings to strings")
+        instances = [Instance(row_index=r, cells=cells) for r, cells in enumerate(rec["rows"])]
+        return Table(table_id, rec["header"], instances, metadata or None)
+
+    return read_records(path, _TABLE_FIELDS, parse)
 
 
 def _load_csv_dir(path: Path) -> list[Table]:
     tables = []
     for csv_path in sorted(path.glob("*.csv")):
+        if not csv_path.is_file():
+            raise CorpusFormatError(f"{csv_path}: csv-dir format requires a file per table")
         try:
             with csv_path.open("r", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))
@@ -161,8 +149,6 @@ def _load_csv_dir(path: Path) -> list[Table]:
         if not rows:
             raise CorpusFormatError(f"{csv_path}: empty file, expected a header row")
         header = rows[0]
-        if not header:
-            raise CorpusFormatError(f"{csv_path}:1: field 'header': must be non-empty")
         instances = []
         for r, cells in enumerate(rows[1:]):
             if len(cells) != len(header):
@@ -170,8 +156,11 @@ def _load_csv_dir(path: Path) -> list[Table]:
                     f"{csv_path}:{r + 2}: {len(cells)} cells under a "
                     f"{len(header)}-column header"
                 )
-            instances.append(Instance(row_index=r, cells=[str(c) for c in cells]))
-        tables.append(Table(table_id=csv_path.stem, header=header, instances=instances))
+            instances.append(Instance(row_index=r, cells=cells))
+        try:
+            tables.append(Table(table_id=csv_path.stem, header=header, instances=instances))
+        except CorpusFormatError as exc:  # an empty header or no row
+            raise CorpusFormatError(f"{csv_path}: {exc}") from exc
     return tables
 
 
@@ -183,11 +172,15 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
     if not p.exists():
         raise FileNotFoundError(f"corpus path does not exist: {p}")
     if format == "jsonl":
+        if not p.is_file():
+            raise CorpusFormatError(f"{p}: jsonl format requires a file")
         tables = _load_jsonl(p)
     else:
         if not p.is_dir():
             raise CorpusFormatError(f"{p}: csv-dir format requires a directory")
         tables = _load_csv_dir(p)
+    if not tables:
+        raise ArtifactError(p, "holds no table")
     return Corpus(corpus_id=p.stem, tables=tables)
 
 

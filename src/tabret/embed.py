@@ -71,10 +71,6 @@ class ProviderConfig:
             raise ValueError("http provider requires an endpoint")
 
 
-class CacheCorruptionError(ArtifactError):
-    """A cached embedding record failed its checksum."""
-
-
 def mock_embed(text: str, dim: int) -> np.ndarray:
     """Deterministic local embedding: hash character 3-grams into dim buckets.
 
@@ -218,11 +214,11 @@ class EmbeddingCache:
         if len(record) < size:
             # a corrupt dim must not turn into a huge read
             if len(record) < 4 or offset + size > os.fstat(fd).st_size:
-                raise CacheCorruptionError(self.bin_path, f"truncated record at {offset}")
+                raise ArtifactError(self.bin_path, f"truncated record at {offset}")
             record = os.pread(fd, size, offset)
         record = record[:size]
         if len(record) < size or checksum(record[:-CHECKSUM_SIZE]) != record[-CHECKSUM_SIZE:]:
-            raise CacheCorruptionError(self.bin_path, f"checksum mismatch at offset {offset}")
+            raise ArtifactError(self.bin_path, f"checksum mismatch at offset {offset}")
         self._record_size = size
         return np.frombuffer(record, dtype="<f8", count=dim, offset=4).copy()
 
@@ -315,7 +311,7 @@ def embed_texts(
             hit = cache.get(text)
             if hit is not None:
                 if hit.shape != (cfg.dim,):
-                    raise CacheCorruptionError(
+                    raise ArtifactError(
                         cache.bin_path, f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
                     )
                 vectors[i] = hit

@@ -12,6 +12,14 @@ on a stamp line of the manifest, and a later run reuses it unhashed while
 the stamp still matches (see Manifest). A run that leaves the manifest
 holding several times its live lines rewrites it as those lines.
 
+Every JSON Lines input, workspace artifact or source file, is read by
+read_records: one parse of the whole file (read_jsonl), a type check of
+each declared field over all records, then a parse of each record into
+its object. Any bad line, record or value raises JsonLinesError naming
+the file and line. The two append-only logs, the manifest and the
+embedding cache's index, are read by read_log, which repairs a torn
+last line.
+
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
 appended and compared as raw bytes. Manifest entries carry
@@ -28,6 +36,7 @@ import json
 import operator
 import os
 import re
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -39,7 +48,7 @@ import numpy as np
 ARTIFACT_FORMAT = 2
 CHECKSUM_SIZE = 8
 
-T = TypeVar("T")  # what parsed_records makes of each record
+T = TypeVar("T")  # what read_records makes of each record
 
 
 class ArtifactError(ValueError):
@@ -64,7 +73,13 @@ def checksum(data: bytes | memoryview) -> bytes:
 
 
 def sha256_file(path: str | Path) -> str:
+    """SHA-256 of a file's bytes. A directory (a csv-dir corpus) hashes as
+    its sorted *.csv names, each followed by a NUL and its file's digest."""
     h = hashlib.sha256()
+    if os.path.isdir(path):
+        for p in sorted(Path(path).glob("*.csv")):
+            h.update(os.fsencode(p.name) + b"\0" + sha256_file(p).encode())
+        return h.hexdigest()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -163,16 +178,6 @@ def _check_text(path: str | Path, line_no: int, obj: dict) -> None:
         raise JsonLinesError(path, line_no, problem) from None
 
 
-def read_numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(line number, record) of each non-blank line of a JSON Lines file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from _parse_jsonl(path, fh)
-    except UnicodeDecodeError:
-        _text(path, Path(path).read_bytes())  # raises, naming the bad line
-        raise
-
-
 def read_jsonl(path: str | Path) -> list[dict]:
     """The records of a JSON Lines file, one object per non-blank line.
 
@@ -207,14 +212,18 @@ def _all_of(kind: Any, values: list) -> bool:
     return True
 
 
-def typed_records(
-    path: str | Path, records: Iterable[dict], fields: Mapping[str, Any]
-) -> list[dict]:
-    """records, as read from the JSON Lines file at path, checked to hold
-    each of fields (name -> type, as a dataclass's type hints give them)
-    field by field over all records at once; a missing or ill-typed field
-    raises JsonLinesError naming its line."""
-    records = list(records)
+def read_records(
+    path: str | Path, fields: Mapping[str, Any], parse: Callable[[dict], T]
+) -> list[T]:
+    """parse of each record of the JSON Lines file at path (see read_jsonl).
+
+    Each record is first checked to hold each of fields (name -> type, as
+    a dataclass's type hints give them), field by field over all records
+    at once. A missing or ill-typed field, or a ValueError from parse (a
+    record holding an invalid value), raises JsonLinesError naming its line.
+    """
+    # walked once per field; perfbench's traced read_jsonl gives an iterator
+    records = list(read_jsonl(path))
     for name, kind in fields.items():
         try:
             if _all_of(kind, list(map(operator.itemgetter(name), records))):
@@ -227,15 +236,6 @@ def typed_records(
         shown = kind.__name__ if get_origin(kind) is None else str(kind)
         problem = f"expected {shown}" if name in records[bad] else "missing"
         raise JsonLinesError(path, _line_no(path, bad), f"field {name!r}: {problem}")
-    return records
-
-
-def parsed_records(
-    path: str | Path, records: Iterable[dict], parse: Callable[[dict], T]
-) -> list[T]:
-    """parse of each record, as read from the JSON Lines file at path; a
-    ValueError from parse (a record holding an invalid value) raises
-    JsonLinesError naming its line."""
     out = []
     for i, rec in enumerate(records):
         try:
@@ -245,9 +245,18 @@ def parsed_records(
     return out
 
 
+def _lines(text: str) -> list[str]:
+    """text's lines, split at the line ends a text-mode read knows."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _line_no(path: str | Path, index: int) -> int:
-    """The line number of the index-th record of a JSON Lines file."""
-    return next(n for i, (n, _) in enumerate(read_numbered_jsonl(path)) if i == index)
+    """The line number of the index-th record of a JSON Lines file that
+    read_jsonl has read: its index-th non-blank line."""
+    lines = _lines(_text(path, Path(path).read_bytes()))
+    return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
 
 
 def _parse_lines(path: str | Path, text: str) -> list[dict]:
@@ -255,9 +264,8 @@ def _parse_lines(path: str | Path, text: str) -> list[dict]:
     per-line parser runs only when that fails, or when an escape may hide a
     lone surrogate, to name the bad line. Each line must give one object,
     so a line holding two values is rejected."""
-    if "\r" in text:  # the line ends a text-mode read knows
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line for line in text.split("\n") if line.strip()]
+    numbered = _lines(text)
+    lines = [line for line in numbered if line.strip()]
     try:
         # a raw newline is invalid inside a JSON string, so none spans lines
         records = (
@@ -267,7 +275,7 @@ def _parse_lines(path: str | Path, text: str) -> list[dict]:
     except json.JSONDecodeError:
         records = None
     if records is None or len(records) != len(lines) or not set(map(type, records)) <= {dict}:
-        return [rec for _, rec in _parse_jsonl(path, text.split("\n"))]
+        return [rec for _, rec in _parse_jsonl(path, numbered)]
     return records
 
 
@@ -372,9 +380,11 @@ class Manifest:
     change after the stat then leaves a later ctime, even one within the
     same timestamp tick or with the old mtime put back by os.utime, which
     sets the ctime. A file on another filesystem, whose clock may differ,
-    gets no stamp; an ill-typed or racy stamp record is ignored, and the
-    file hashed. Cold builds decide no freshness by hashing, so they write
-    no stamp line, and a run that finds every stamp matching writes none.
+    gets no stamp, and so does a directory, whose stamp stays as it was
+    when one of its files is rewritten in place; an ill-typed or racy
+    stamp record is ignored, and the file hashed. Cold builds decide no
+    freshness by hashing, so they write no stamp line, and a run that
+    finds every stamp matching writes none.
 
     Each re-run of a stage appends an entry, so the log grows with every
     round of changed settings while its live lines (the last entry per
@@ -507,7 +517,7 @@ class Manifest:
             stamp, digest = self._stamps.get(key) or (None, None)
             if stamp != now:
                 digest = sha256_file(path)
-                if self._settled(st):
+                if self._settled(st) and not stat.S_ISDIR(st.st_mode):
                     self._taken[key] = (now, digest)
         except FileNotFoundError:
             return None
@@ -543,17 +553,17 @@ def write_matrix_bin(path: str | Path, matrix: np.ndarray) -> None:
     atomic_write_bytes(path, blob + checksum(blob))
 
 
-def read_matrix_bin(path: str | Path, error: type[ArtifactError] = ArtifactError) -> np.ndarray:
-    """Inverse of write_matrix_bin; a damaged file raises error."""
+def read_matrix_bin(path: str | Path) -> np.ndarray:
+    """Inverse of write_matrix_bin; a damaged file raises ArtifactError."""
     blob = Path(path).read_bytes()
     if len(blob) < 8 + CHECKSUM_SIZE:
-        raise error(path, "truncated matrix file")
+        raise ArtifactError(path, "truncated matrix file")
     payload = memoryview(blob)[:-CHECKSUM_SIZE]
     if checksum(payload) != blob[-CHECKSUM_SIZE:]:
-        raise error(path, "checksum mismatch (truncated or corrupt)")
+        raise ArtifactError(path, "checksum mismatch (truncated or corrupt)")
     count, dim = struct.unpack_from("<II", payload)
     if len(payload) != 8 + 8 * count * dim:
-        raise error(path, "payload size does not match header")
+        raise ArtifactError(path, "payload size does not match header")
     return np.frombuffer(payload, dtype="<f8", offset=8).reshape(count, dim).copy()
 
 

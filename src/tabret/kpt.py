@@ -91,8 +91,6 @@ def build_kpts(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     m = len(table.instances)
-    if m == 0:
-        raise ValueError(f"table {table.table_id!r} has no rows")
 
     if strategy == "first_rows":
         return [_make_pt(table, strategy, None, list(range(min(cfg.first_rows_k, m))))]

@@ -24,6 +24,12 @@ mine looked up. When no external gold file is configured, evaluation
 holds out the last synthetic queries of each partial table: those never
 enter mining, training, or pt_plus_queries representations, and are
 scored with their source table as gold.
+
+Every JSON Lines file a stage reads, the source corpus and the gold file
+included, goes through fsio.read_records, so a bad line or record raises
+JsonLinesError naming the file and line. _run_one turns it into exit 2
+for the corpus or gold file, which no stage writes, and into exit 3
+naming the stage to rerun for a workspace file.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -47,13 +53,10 @@ from .fsio import (
     Manifest,
     WorkspaceLock,
     atomic_write_text,
-    parsed_records,
-    read_jsonl,
     read_matrix_bin,
-    read_numbered_jsonl,
+    read_records,
     sha256_json,
     sweep_temp_files,
-    typed_records,
     write_jsonl,
     write_matrix_bin,
 )
@@ -68,6 +71,7 @@ from .train import train as train_adapter
 _INDEX_FILES = ("index/entries.jsonl", "index/vectors.bin", "index/meta.json")
 
 _CLUSTER_FIELDS = {"table_id": str, "k": int, "labels": list[int], "point_distances": list[float]}
+_GOLD_FIELDS = {"query": str, "gold_table_id": str}
 
 
 class StageError(RuntimeError):
@@ -86,7 +90,6 @@ class StageResult:
 
 
 Log = Callable[[str], None]
-T = TypeVar("T")
 
 
 def _quiet(_: str) -> None:
@@ -183,24 +186,15 @@ class _Run:
     @functools.cached_property
     def corpus(self) -> Corpus:
         """corpus.jsonl's tables, unless ingest set them in this run."""
-        try:
-            return load_corpus(self.ws / "corpus.jsonl")
-        except CorpusFormatError as exc:  # damage to the copy ingest wrote
-            raise ArtifactError(self.ws / "corpus.jsonl", str(exc)) from exc
-
-    def records(self, name: str, fields: dict, parse: Callable[[dict], T]) -> list[T]:
-        """parse of each of the workspace file's records, each first checked
-        to hold fields; a bad record raises JsonLinesError naming its line."""
-        path = self.ws / name
-        return parsed_records(path, typed_records(path, read_jsonl(path), fields), parse)
+        return load_corpus(self.ws / "corpus.jsonl")
 
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
-        return self.records("kpts.jsonl", PT_FIELDS, kpt_from_record)
+        return read_records(self.ws / "kpts.jsonl", PT_FIELDS, kpt_from_record)
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
-        parsed = self.records("queries.jsonl", QUERY_FIELDS, query_from_record)
+        parsed = read_records(self.ws / "queries.jsonl", QUERY_FIELDS, query_from_record)
         if self.cfg.eval.gold_path is not None:
             return QuerySplit(parsed, parsed, [])
         return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
@@ -281,7 +275,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(exc.exit_code, f"stage '{stage}': {exc}") from exc
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
-    except (CorpusFormatError, FileNotFoundError) as exc:  # the source corpus or a gold file
+    except (CorpusFormatError, FileNotFoundError) as exc:  # the source corpus
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = run.writers.get(exc.path)
@@ -382,9 +376,8 @@ def _labels_from_record(rec: dict, rows: dict[str, int]) -> tuple[str, ClusterLa
 def _stage_kpt(run: _Run) -> None:
     cfg = run.cfg
     rows = {t.table_id: len(t.instances) for t in run.corpus.tables}
-    assignments = dict(run.records(
-        "clusters.jsonl", _CLUSTER_FIELDS, functools.partial(_labels_from_record, rows=rows)
-    ))
+    parse = functools.partial(_labels_from_record, rows=rows)
+    assignments = dict(read_records(run.ws / "clusters.jsonl", _CLUSTER_FIELDS, parse))
     records = []
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
@@ -454,7 +447,7 @@ def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
     pt_ids = [pt.pt_id for pt in run.pts]
     query_ids = [q.query_id for q in run.queries.training]
-    triples = run.records("triples.jsonl", TRIPLE_FIELDS, functools.partial(
+    triples = read_records(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
         _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
         tables={pt.pt_id: pt.table_id for pt in run.pts}))
     if not triples:
@@ -510,18 +503,15 @@ def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
                 raise ArtifactError(run.ws / "queries.jsonl", f"held-out query {q.query_id!r} "
                                     f"names table {q.table_id!r}, which is not in the index")
         return [(q.text, q.table_id) for q in run.queries.heldout]
-    pairs = []
-    for line_no, rec in read_numbered_jsonl(gold_path):
-        where = f"{gold_path}:{line_no}"
-        if "query" not in rec or "gold_table_id" not in rec:
-            raise StageError(2, f"{where}: gold rows need query and gold_table_id")
-        query, table_id = rec["query"], rec["gold_table_id"]
-        if not isinstance(query, str) or not isinstance(table_id, str):
-            raise StageError(2, f"{where}: query and gold_table_id must be strings")
-        if table_id not in known:
-            raise StageError(2, f"{where}: gold table id {table_id!r} is not in the index")
-        pairs.append((query, table_id))
-    return pairs
+    if not gold_path.is_file():
+        raise StageError(2, f"eval.gold_path {gold_path} is not a file")
+
+    def pair(rec: dict) -> tuple[str, str]:
+        if rec["gold_table_id"] not in known:
+            raise ValueError(f"gold table id {rec['gold_table_id']!r} is not in the index")
+        return rec["query"], rec["gold_table_id"]
+
+    return read_records(gold_path, _GOLD_FIELDS, pair)
 
 
 def _stage_eval(run: _Run) -> None:

@@ -36,6 +36,7 @@ ones that come earlier, in their original order.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,9 +46,8 @@ from .embed import EmbeddingCache, ProviderConfig, embed_texts
 from .fsio import (
     ArtifactError,
     atomic_write_bytes,
-    read_jsonl,
     read_matrix_bin,
-    typed_records,
+    read_records,
     write_jsonl,
     write_matrix_bin,
 )
@@ -59,10 +59,6 @@ REPRESENTATION_MODES = ("pt_only", "pt_plus_queries")
 FUSIONS = ("max", "mean")
 # evaluate scores queries in blocks of about this many bytes of scores
 _BLOCK_BYTES = 1 << 18
-
-
-class IndexFormatError(ArtifactError):
-    """A persisted index fails validation on load."""
 
 
 _ENTRY_FIELDS = {"pt_id": str, "table_id": str}
@@ -270,21 +266,21 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
 def load_index(directory: str | Path, adapter: Adapter | None = None) -> RetrievalIndex:
     d = Path(directory)
     entries_path = d / "entries.jsonl"
-    entries = typed_records(entries_path, read_jsonl(entries_path), _ENTRY_FIELDS)
-    vectors = read_matrix_bin(d / "vectors.bin", IndexFormatError)
+    entries = read_records(entries_path, _ENTRY_FIELDS, operator.itemgetter("pt_id", "table_id"))
+    vectors = read_matrix_bin(d / "vectors.bin")
     if len(vectors) != len(entries):
-        raise IndexFormatError(entries_path, "entries.jsonl and vectors.bin disagree on count")
+        raise ArtifactError(entries_path, "entries.jsonl and vectors.bin disagree on count")
     try:
         meta = json.loads((d / "meta.json").read_bytes())
     except ValueError as exc:  # bad JSON or bad UTF-8
-        raise IndexFormatError(d / "meta.json", f"invalid JSON: {exc}") from exc
+        raise ArtifactError(d / "meta.json", f"invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
-        raise IndexFormatError(d / "meta.json", "expected a JSON object")
-    pt_ids = [e["pt_id"] for e in entries]
+        raise ArtifactError(d / "meta.json", "expected a JSON object")
+    pt_ids = [pt_id for pt_id, _ in entries]
     try:
         return RetrievalIndex(
             pt_ids=pt_ids,
-            table_ids=[e["table_id"] for e in entries],
+            table_ids=[table_id for _, table_id in entries],
             vectors=vectors,
             adapter=adapter,
             representation_mode=meta.get("representation_mode", "pt_only"),
@@ -293,4 +289,4 @@ def load_index(directory: str | Path, adapter: Adapter | None = None) -> Retriev
     except ValueError as exc:
         # the counts agree, so a repeated pt_id or a setting of meta.json is at fault
         bad = entries_path if len(set(pt_ids)) != len(pt_ids) else d / "meta.json"
-        raise IndexFormatError(bad, str(exc)) from exc
+        raise ArtifactError(bad, str(exc)) from exc

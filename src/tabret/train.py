@@ -82,10 +82,6 @@ class TrainError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
 
-class AdapterFormatError(ArtifactError):
-    """An adapter file is corrupt or has the wrong shape."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     tau: float = 0.01
@@ -378,17 +374,17 @@ def load_adapter(path: str, expected_dim: int | None = None) -> Adapter:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(ADAPTER_MAGIC) + 8 + CHECKSUM_SIZE or not blob.startswith(ADAPTER_MAGIC):
-        raise AdapterFormatError(path, "not an adapter file")
+        raise ArtifactError(path, "not an adapter file")
     payload = memoryview(blob)[:-CHECKSUM_SIZE]
     if checksum(payload) != blob[-CHECKSUM_SIZE:]:
-        raise AdapterFormatError(path, "checksum mismatch (truncated or corrupt)")
+        raise ArtifactError(path, "checksum mismatch (truncated or corrupt)")
     version, dim = struct.unpack_from("<II", payload, len(ADAPTER_MAGIC))
     if version != ADAPTER_VERSION:
-        raise AdapterFormatError(path, f"unsupported adapter version {version}")
+        raise ArtifactError(path, f"unsupported adapter version {version}")
     data = payload[len(ADAPTER_MAGIC) + 8 :]
     if len(data) != 8 * dim * dim:
-        raise AdapterFormatError(path, f"payload size does not match dim {dim}")
+        raise ArtifactError(path, f"payload size does not match dim {dim}")
     if expected_dim is not None and dim != expected_dim:
-        raise AdapterFormatError(path, f"adapter dim {dim} != provider dim {expected_dim}")
+        raise ArtifactError(path, f"adapter dim {dim} != provider dim {expected_dim}")
     w = np.frombuffer(data, dtype="<f8").reshape(dim, dim).copy()
     return Adapter(W=w)

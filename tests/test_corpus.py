@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from tabret.corpus import (
     Corpus,
-    CorpusFormatError,
     Instance,
     Table,
     escape_field,
@@ -17,6 +16,7 @@ from tabret.corpus import (
     serialize_partial_table,
     write_corpus,
 )
+from tabret.fsio import JsonLinesError
 
 from conftest import make_table
 
@@ -25,6 +25,10 @@ class TestModel:
     def test_table_requires_header(self):
         with pytest.raises(ValueError):
             Table(table_id="t", header=[], instances=[], metadata={})
+
+    def test_table_requires_a_row(self):
+        with pytest.raises(ValueError, match="table 't' has no rows"):
+            Table(table_id="t", header=["a"], instances=[], metadata={})
 
     def test_cell_count_must_match_header(self):
         with pytest.raises(ValueError, match="3-column header"):
@@ -157,20 +161,20 @@ class TestLoadErrors:
     def test_missing_field_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"table_id": "t", "rows": [["1"]]}) + "\n")
-        with pytest.raises(CorpusFormatError, match=r"bad\.jsonl:1.*header"):
+        with pytest.raises(JsonLinesError, match=r"bad\.jsonl:1.*header"):
             load_corpus(path)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = {"table_id": "t", "header": ["a", "b"], "rows": [["1"]]}
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(JsonLinesError):
             load_corpus(path)
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{not json\n")
-        with pytest.raises(CorpusFormatError, match=":1"):
+        with pytest.raises(JsonLinesError, match=":1"):
             load_corpus(path)
 
     def test_unknown_format(self, tmp_path):

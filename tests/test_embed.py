@@ -15,13 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 import tabret.embed as embed_mod
 from tabret.embed import (
     ARTIFACT_FORMAT,
-    CacheCorruptionError,
     EmbeddingCache,
     ProviderConfig,
     embed_texts,
     mock_embed,
 )
-from tabret.fsio import checksum
+from tabret.fsio import ArtifactError, checksum
 from tabret.httpjson import ProviderError
 
 GOLDEN = Path(__file__).parent / "data" / "golden_mock_alice_dim64.json"
@@ -234,8 +233,9 @@ class TestCache:
         raw[6] ^= 0xFF
         bins[0].write_bytes(bytes(raw))
         fresh = EmbeddingCache(tmp_path, "m1")
-        with pytest.raises(CacheCorruptionError):
+        with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
             fresh.get("t")
+        assert exc_info.value.path == bins[0]
 
     def _one_record(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -254,15 +254,17 @@ class TestCache:
             flipped = bytearray(raw)
             flipped[i] ^= 0xFF
             path.write_bytes(bytes(flipped))
-            with pytest.raises(CacheCorruptionError):
+            with pytest.raises(ArtifactError, match="truncated|checksum mismatch") as exc_info:
                 EmbeddingCache(tmp_path, "m1").get("t")
+            assert exc_info.value.path == path
 
     @pytest.mark.parametrize("cut", range(1, 9))
     def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
         path = self._one_record(tmp_path)
         path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(CacheCorruptionError, match="truncated"):
+        with pytest.raises(ArtifactError, match="truncated") as exc_info:
             EmbeddingCache(tmp_path, "m1").get("t")
+        assert exc_info.value.path == path
 
     def test_put_many_skips_cached_and_repeated_texts(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -336,8 +338,9 @@ class TestCache:
         raw = bytearray(cache.bin_path.read_bytes())
         raw[28:32] = b"\xff\xff\xff\x7f"  # record b's dim field
         cache.bin_path.write_bytes(bytes(raw))
-        with pytest.raises(CacheCorruptionError, match="truncated"):
+        with pytest.raises(ArtifactError, match="truncated") as exc_info:
             cache.get("b")
+        assert exc_info.value.path == cache.bin_path
 
     def test_embed_texts_populates_and_reuses_cache(self, tmp_path, monkeypatch):
         cfg = mock_cfg()

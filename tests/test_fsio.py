@@ -28,9 +28,9 @@ from tabret.fsio import (
     read_jsonl,
     read_log,
     read_matrix_bin,
+    read_records,
     sha256_json,
     sweep_temp_files,
-    typed_records,
     write_jsonl,
     write_matrix_bin,
 )
@@ -159,6 +159,8 @@ class TestReadJsonlFaults:
 
 
 class TestTypedRecords:
+    """read_records' check of each record's fields, and of what parse makes of it."""
+
     FIELDS = {"id": str, "n": int, "x": float, "c": int | None, "rows": list[int],
               "ids": tuple[str, ...]}
     GOOD = {"id": "a", "n": 1, "x": 2, "c": None, "rows": [1, 2], "ids": ["p"], "extra": True}
@@ -167,7 +169,7 @@ class TestTypedRecords:
         p = tmp_path / "r.jsonl"
         # a blank line keeps line numbers apart from record positions
         p.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records))
-        return typed_records(p, read_jsonl(p), self.FIELDS)
+        return read_records(p, self.FIELDS, dict)
 
     def test_well_typed_records_pass_through(self, tmp_path):
         other = {**self.GOOD, "x": 0.5, "c": 3, "rows": []}
@@ -194,6 +196,18 @@ class TestTypedRecords:
         bad = {k: v for k, v in self.GOOD.items() if k != "c"}
         with pytest.raises(JsonLinesError, match=r":4: field 'c': missing$"):
             self._read(tmp_path, self.GOOD, self.GOOD, bad)
+
+    def test_value_error_from_parse_names_its_line(self, tmp_path):
+        def parse(rec):
+            if rec["n"] < 0:
+                raise ValueError("n must be >= 0")
+            return rec
+
+        p = tmp_path / "r.jsonl"
+        p.write_bytes(b'{"id": "a", "n": 1, "x": 0, "c": null, "rows": [], "ids": []}\r\n\r\n'
+                      b'{"id": "b", "n": -1, "x": 0, "c": 2, "rows": [], "ids": []}\r\n')
+        with pytest.raises(JsonLinesError, match=r"r\.jsonl:3: n must be >= 0$"):
+            read_records(p, self.FIELDS, parse)
 
 
 class TestMatrixBin:

@@ -224,12 +224,6 @@ class TestErrors:
         with pytest.raises(ValueError, match="unknown strategy"):
             build_kpts(tiny_table, None, KptConfig(), "best_rows")
 
-    def test_empty_table(self):
-        table = make_table("t", [["x"]])
-        table.instances.clear()
-        with pytest.raises(ValueError, match="no rows"):
-            build_kpts(table, None, KptConfig(), "first_rows")
-
     def test_cluster_strategy_without_assignment(self, tiny_table):
         with pytest.raises(ValueError, match="needs a cluster assignment"):
             build_kpts(tiny_table, None, KptConfig(), "kpt_random")

@@ -612,7 +612,7 @@ class TestOneReadPerRun:
     def test_queries_are_parsed_and_split_once_per_run(self, pipeline_cfg, tmp_path, monkeypatch):
         reads: Counter = Counter()
         splits = []
-        real_read, real_split = pipeline_mod.read_jsonl, pipeline_mod.split_queries
+        real_read, real_split = fsio.read_jsonl, pipeline_mod.split_queries
 
         def counting_read(path):
             reads[Path(path).name] += 1
@@ -622,7 +622,7 @@ class TestOneReadPerRun:
             splits.append(len(queries))
             return real_split(queries, holdout_per_pt)
 
-        monkeypatch.setattr(pipeline_mod, "read_jsonl", counting_read)
+        monkeypatch.setattr(fsio, "read_jsonl", counting_read)
         monkeypatch.setattr(pipeline_mod, "split_queries", counting_split)
         # cold build: mine, train, index and eval all read the queries
         run_pipeline(pipeline_cfg, "all")
@@ -863,7 +863,7 @@ class TestExternalGold:
         cfg = load_config(
             tmp_path / "config.yaml", overrides=["eval.gold_path=gold.jsonl"]
         )
-        with pytest.raises(StageError, match="gold rows need") as exc_info:
+        with pytest.raises(StageError, match="field 'query': missing") as exc_info:
             run_pipeline(cfg, "all")
         assert exc_info.value.exit_code == 2
 

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import tabret.retrieval as retrieval
 from tabret.embed import ProviderConfig, mock_embed
+from tabret.fsio import ArtifactError
 from tabret.kpt import PartialTable
 from tabret.querygen import SyntheticQuery
 from tabret.retrieval import (
     EvalReport,
-    IndexFormatError,
     RetrievalIndex,
     build_index,
     entry_text,
@@ -442,13 +442,15 @@ class TestPersistence:
         blob = bytearray((tmp_path / "index" / "vectors.bin").read_bytes())
         blob[-12] ^= 0x40
         (tmp_path / "index" / "vectors.bin").write_bytes(bytes(blob))
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
             load_index(tmp_path / "index")
+        assert exc_info.value.path == tmp_path / "index" / "vectors.bin"
 
     def test_count_mismatch_detected(self, tmp_path):
         index = self.build()
         save_index(index, tmp_path / "index")
         entries = (tmp_path / "index" / "entries.jsonl").read_text().splitlines()
         (tmp_path / "index" / "entries.jsonl").write_text("\n".join(entries[:-1]) + "\n")
-        with pytest.raises(IndexFormatError, match="disagree"):
+        with pytest.raises(ArtifactError, match="disagree on count") as exc_info:
             load_index(tmp_path / "index")
+        assert exc_info.value.path == tmp_path / "index" / "entries.jsonl"

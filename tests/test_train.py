@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import tabret.train as train_mod
-from tabret.fsio import checksum
+from tabret.fsio import ArtifactError, checksum
 from tabret.mining import TrainingTriple
 from tabret.train import (
     ADAPTER_MAGIC,
     ADAPTER_VERSION,
     Adapter,
-    AdapterFormatError,
     TrainConfig,
     TrainError,
     adapter_apply,
@@ -528,8 +527,9 @@ class TestAdapterIO:
         path = tmp_path / "adapter.bin"
         save_adapter(Adapter(np.eye(8)), str(path))
         assert load_adapter(str(path), expected_dim=8).dim == 8
-        with pytest.raises(AdapterFormatError, match="dim 8 != provider dim 16"):
+        with pytest.raises(ArtifactError, match="dim 8 != provider dim 16") as exc_info:
             load_adapter(str(path), expected_dim=16)
+        assert exc_info.value.path == path
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
@@ -537,8 +537,9 @@ class TestAdapterIO:
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTADPT!"
         path.write_bytes(bytes(blob))
-        with pytest.raises(AdapterFormatError, match="not an adapter"):
+        with pytest.raises(ArtifactError, match="not an adapter") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
 
     def test_bit_flip_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
@@ -546,16 +547,18 @@ class TestAdapterIO:
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(AdapterFormatError, match="checksum"):
+        with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
         save_adapter(Adapter(np.eye(4)), str(path))
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
-        with pytest.raises(AdapterFormatError):
+        with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
 
     def test_every_single_byte_flip_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
@@ -565,16 +568,18 @@ class TestAdapterIO:
             flipped = bytearray(blob)
             flipped[i] ^= 0xFF
             path.write_bytes(bytes(flipped))
-            with pytest.raises(AdapterFormatError):
+            with pytest.raises(ArtifactError, match="not an adapter|checksum mismatch") as exc_info:
                 load_adapter(str(path))
+            assert exc_info.value.path == path
 
     @pytest.mark.parametrize("cut", range(1, 9))
     def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
         path = tmp_path / "adapter.bin"
         save_adapter(Adapter(np.eye(2)), str(path))
         path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(AdapterFormatError):
+        with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
@@ -584,8 +589,9 @@ class TestAdapterIO:
             ADAPTER_MAGIC + struct.pack("<II", 99, 3) + w.astype("<f8").tobytes()
         )
         path.write_bytes(payload + checksum(payload))
-        with pytest.raises(AdapterFormatError, match="version 99"):
+        with pytest.raises(ArtifactError, match="version 99") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
 
     def test_payload_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "adapter.bin"
@@ -596,5 +602,6 @@ class TestAdapterIO:
             + np.eye(2).astype("<f8").tobytes()
         )
         path.write_bytes(payload + checksum(payload))
-        with pytest.raises(AdapterFormatError, match="size"):
+        with pytest.raises(ArtifactError, match="size") as exc_info:
             load_adapter(str(path))
+        assert exc_info.value.path == path
