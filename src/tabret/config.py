@@ -2,7 +2,8 @@
 
 Unknown keys are errors (they are almost always typos), every error
 names the offending field path, and relative paths resolve against the
-config file's directory. Auth tokens never live in the file: a section
+config file's directory; an input file's path (corpus.path,
+eval.gold_path) must not name a directory. Auth tokens never live in the file: a section
 names an environment variable (auth_token_env) and the value is read
 from the environment at load time. effective_dict gives the settings
 with secrets excluded, one entry per section, for the stage manifest's
@@ -24,7 +25,6 @@ from typing import Any
 import yaml
 
 from .cluster import ClusteringConfig
-from .corpus import CORPUS_FORMATS
 from .embed import ProviderConfig
 from .kpt import STRATEGIES, KptConfig
 from .mining import MiningConfig
@@ -53,7 +53,6 @@ class EvalConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     corpus_path: Path
-    corpus_format: str
     workspace: Path
     cache_dir: Path
     seed: int
@@ -75,7 +74,8 @@ class PipelineConfig:
         """Plain-data view used for manifest hashing; no resolved secrets."""
         gold_path = self.eval.gold_path
         return {
-            "corpus": {"path": str(self.corpus_path), "format": self.corpus_format},
+            # the one corpus format, kept in the hash so that built workspaces stay fresh
+            "corpus": {"path": str(self.corpus_path), "format": "jsonl"},
             "seed": self.seed,
             "embedding": {**_values(self.embedding), "auth_token_env": self.embedding_auth_env},
             "chat": {**_values(self.genq.provider), "auth_token_env": self.chat_auth_env},
@@ -206,6 +206,15 @@ def _resolve(base: Path, p: Path) -> Path:
     return p if p.is_absolute() else base / p
 
 
+def _file(base: Path, key: str, p: Path) -> Path:
+    """The resolved path of an input file, which need not exist yet; a
+    directory there is an error, so no stage hashes or reads one."""
+    path = _resolve(base, p)
+    if path.is_dir():
+        raise ConfigError(f"{key}: {path} is a directory, expected a file")
+    return path
+
+
 def _token(env_name: str) -> str | None:
     return os.environ.get(env_name) if env_name else None
 
@@ -228,7 +237,6 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     corpus_path = corpus.take("path", Path, None)
     if corpus_path is None:
         raise ConfigError("corpus.path: required")
-    corpus_format = corpus.choose("format", CORPUS_FORMATS, "jsonl")
     corpus.finish()
 
     workspace = _resolve(base, top.take("workspace", Path, Path("workspace")))
@@ -267,13 +275,13 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     if not all(isinstance(k, int) and not isinstance(k, bool) for k in ks):
         raise ConfigError("eval.ks: must be a list of integers")
     eval_cfg = eval_raw.build(
-        EvalConfig, gold_path=_resolve(base, gold_path) if gold_path else None, ks=tuple(ks)
+        EvalConfig, gold_path=_file(base, "eval.gold_path", gold_path) if gold_path else None,
+        ks=tuple(ks),
     )
     top.finish()
 
     return PipelineConfig(
-        corpus_path=_resolve(base, corpus_path),
-        corpus_format=corpus_format,
+        corpus_path=_file(base, "corpus.path", corpus_path),
         workspace=workspace,
         cache_dir=cache_dir,
         seed=seed,

@@ -6,17 +6,14 @@ instances, at least one of them. Serialization turns rows into the
 layers. The escaping rule makes serialization injective over distinct
 (header, cells) pairs.
 
-A JSON Lines corpus is read by fsio.read_records, so a bad line or
-record, a table without rows among them, raises JsonLinesError naming
-the file and line. A directory of CSV files raises CorpusFormatError
-naming the file, as does a path of the wrong kind for its format. A
-corpus with no table raises ArtifactError: ingest would pass the
-clustering nothing to cluster.
+A corpus is a JSON Lines file read by fsio.read_records, so a bad line
+or record, a table without rows among them, raises JsonLinesError naming
+the file and line. A corpus with no table raises ArtifactError: ingest
+would pass the clustering nothing to cluster.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +21,6 @@ from typing import Iterable
 
 from .fsio import ArtifactError, read_records
 
-CORPUS_FORMATS = ("jsonl", "csv-dir")
 # the fields of a JSON Lines corpus record; "metadata" is optional
 _TABLE_FIELDS = {"table_id": str, "header": list[str], "rows": list[list[str]]}
 
@@ -136,49 +132,12 @@ def _load_jsonl(path: Path) -> list[Table]:
     return read_records(path, _TABLE_FIELDS, parse)
 
 
-def _load_csv_dir(path: Path) -> list[Table]:
-    tables = []
-    for csv_path in sorted(path.glob("*.csv")):
-        if not csv_path.is_file():
-            raise CorpusFormatError(f"{csv_path}: csv-dir format requires a file per table")
-        try:
-            with csv_path.open("r", encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{csv_path}: invalid UTF-8: {exc.reason}") from exc
-        if not rows:
-            raise CorpusFormatError(f"{csv_path}: empty file, expected a header row")
-        header = rows[0]
-        instances = []
-        for r, cells in enumerate(rows[1:]):
-            if len(cells) != len(header):
-                raise CorpusFormatError(
-                    f"{csv_path}:{r + 2}: {len(cells)} cells under a "
-                    f"{len(header)}-column header"
-                )
-            instances.append(Instance(row_index=r, cells=cells))
-        try:
-            tables.append(Table(table_id=csv_path.stem, header=header, instances=instances))
-        except CorpusFormatError as exc:  # an empty header or no row
-            raise CorpusFormatError(f"{csv_path}: {exc}") from exc
-    return tables
-
-
-def load_corpus(path: str | Path, format: str = "jsonl") -> Corpus:
-    """Load a corpus from a JSONL file or a directory of per-table CSVs."""
-    if format not in CORPUS_FORMATS:
-        raise CorpusFormatError(f"unknown corpus format {format!r}; expected one of {CORPUS_FORMATS}")
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from a JSON Lines file of one table per line."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus path does not exist: {p}")
-    if format == "jsonl":
-        if not p.is_file():
-            raise CorpusFormatError(f"{p}: jsonl format requires a file")
-        tables = _load_jsonl(p)
-    else:
-        if not p.is_dir():
-            raise CorpusFormatError(f"{p}: csv-dir format requires a directory")
-        tables = _load_csv_dir(p)
+    tables = _load_jsonl(p)
     if not tables:
         raise ArtifactError(p, "holds no table")
     return Corpus(corpus_id=p.stem, tables=tables)
@@ -191,7 +150,7 @@ def table_to_record(t: Table) -> dict:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus as JSONL; inverse of load_corpus for the jsonl format."""
+    """Write the corpus as JSONL; inverse of load_corpus."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for t in corpus.tables:
             fh.write(json.dumps(table_to_record(t), ensure_ascii=False) + "\n")

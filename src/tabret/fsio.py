@@ -36,7 +36,6 @@ import json
 import operator
 import os
 import re
-import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -73,13 +72,7 @@ def checksum(data: bytes | memoryview) -> bytes:
 
 
 def sha256_file(path: str | Path) -> str:
-    """SHA-256 of a file's bytes. A directory (a csv-dir corpus) hashes as
-    its sorted *.csv names, each followed by a NUL and its file's digest."""
     h = hashlib.sha256()
-    if os.path.isdir(path):
-        for p in sorted(Path(path).glob("*.csv")):
-            h.update(os.fsencode(p.name) + b"\0" + sha256_file(p).encode())
-        return h.hexdigest()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
@@ -380,11 +373,9 @@ class Manifest:
     change after the stat then leaves a later ctime, even one within the
     same timestamp tick or with the old mtime put back by os.utime, which
     sets the ctime. A file on another filesystem, whose clock may differ,
-    gets no stamp, and so does a directory, whose stamp stays as it was
-    when one of its files is rewritten in place; an ill-typed or racy
-    stamp record is ignored, and the file hashed. Cold builds decide no
-    freshness by hashing, so they write no stamp line, and a run that
-    finds every stamp matching writes none.
+    gets no stamp; an ill-typed or racy stamp record is ignored, and the
+    file hashed. Cold builds decide no freshness by hashing, so they write
+    no stamp line, and a run that finds every stamp matching writes none.
 
     Each re-run of a stage appends an entry, so the log grows with every
     round of changed settings while its live lines (the last entry per
@@ -517,7 +508,7 @@ class Manifest:
             stamp, digest = self._stamps.get(key) or (None, None)
             if stamp != now:
                 digest = sha256_file(path)
-                if self._settled(st) and not stat.S_ISDIR(st.st_mode):
+                if self._settled(st):
                     self._taken[key] = (now, digest)
         except FileNotFoundError:
             return None

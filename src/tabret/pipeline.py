@@ -318,7 +318,7 @@ def split_queries(
 
 
 def _stage_ingest(run: _Run) -> None:
-    corpus = load_corpus(run.cfg.corpus_path, run.cfg.corpus_format)
+    corpus = load_corpus(run.cfg.corpus_path)
     records = [table_to_record(t) for t in corpus.tables]
     write_jsonl(run.ws / "corpus.jsonl", records)
     run.corpus = corpus  # the tables the copy parses back to
@@ -503,8 +503,6 @@ def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
                 raise ArtifactError(run.ws / "queries.jsonl", f"held-out query {q.query_id!r} "
                                     f"names table {q.table_id!r}, which is not in the index")
         return [(q.text, q.table_id) for q in run.queries.heldout]
-    if not gold_path.is_file():
-        raise StageError(2, f"eval.gold_path {gold_path} is not a file")
 
     def pair(rec: dict) -> tuple[str, str]:
         if rec["gold_table_id"] not in known:

@@ -9,7 +9,7 @@ import pytest
 from tabret.cli import main
 from tabret.config import load_config
 from tabret.fsio import read_matrix_bin, write_matrix_bin
-from tabret.pipeline import STAGES, split_queries
+from tabret.pipeline import split_queries
 from tabret.querygen import query_from_record
 
 from test_fsio import LINE_FAULTS, inject_fault
@@ -305,15 +305,6 @@ class TestBadJsonLines:
         assert code == 4
         assert "chat reply holds a lone surrogate '\\ud800'" in capsys.readouterr().err
         assert not (project / "ws" / "queries.jsonl").exists()
-
-    def test_non_utf8_csv_corpus_exits_2_naming_file(self, project, capsys):
-        tables = project / "tables"
-        tables.mkdir()
-        (tables / "parts.csv").write_bytes(b"sku,name\na-01,b\xffolt\n")
-        code = main(["run", "--config", str(project / "config.yaml"), "--stage", "ingest",
-                     "--set", "corpus.path=tables", "--set", "corpus.format=csv-dir"])
-        assert code == 2
-        assert f"{tables / 'parts.csv'}: invalid UTF-8" in capsys.readouterr().err
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -647,74 +638,29 @@ def _rowless_jsonl_table(tmp_path: Path) -> tuple[list[str], str]:
     return [setting], f"stage 'ingest': {path}:{len(tables)}: table 'empty_t' has no rows"
 
 
-def _rowless_csv_table(tmp_path: Path) -> tuple[list[str], str]:
-    tables = tmp_path / "tables"
-    tables.mkdir()
-    (tables / "alpha.csv").write_text("sku,name\na-01,bolt\na-02,washer\n", encoding="utf-8")
-    (tables / "empty_t.csv").write_text("sku,name\n", encoding="utf-8")
-    problem = f"stage 'ingest': {tables / 'empty_t.csv'}: table 'empty_t' has no rows"
-    return [f"corpus.path={tables}", "corpus.format=csv-dir"], problem
-
-
-def _directory_as_csv_table(tmp_path: Path) -> tuple[list[str], str]:
-    tables = tmp_path / "tables"
-    (tables / "beta.csv").mkdir(parents=True)
-    (tables / "alpha.csv").write_text("sku,name\na-01,bolt\n", encoding="utf-8")
-    problem = f"stage 'ingest': {tables / 'beta.csv'}: csv-dir format requires a file per table"
-    return [f"corpus.path={tables}", "corpus.format=csv-dir"], problem
-
-
 def _directory_as_corpus(tmp_path: Path) -> tuple[list[str], str]:
-    return [f"corpus.path={tmp_path}"], f"stage 'ingest': {tmp_path}: jsonl format requires a file"
+    return [f"corpus.path={tmp_path}"], f"corpus.path: {tmp_path} is a directory, expected a file"
 
 
 def _directory_as_gold(tmp_path: Path) -> tuple[list[str], str]:
-    return [f"eval.gold_path={tmp_path}"], f"stage 'eval': eval.gold_path {tmp_path} is not a file"
+    return [f"eval.gold_path={tmp_path}"], (
+        f"eval.gold_path: {tmp_path} is a directory, expected a file")
 
 
 class TestUnusableInput:
-    """A corpus or gold path that gives nothing to run on exits 2 at the
-    stage that reads it, naming the path (and, in a JSON Lines file, the line)."""
+    """A corpus or gold path that gives nothing to run on exits 2, naming
+    the path (and, in a JSON Lines file, the line): a directory when the
+    config loads, a file at the stage that reads it."""
 
     @pytest.mark.parametrize(
         "make_input",
-        [_empty_corpus, _rowless_jsonl_table, _rowless_csv_table, _directory_as_csv_table,
-         _directory_as_corpus, _directory_as_gold],
+        [_empty_corpus, _rowless_jsonl_table, _directory_as_corpus, _directory_as_gold],
     )
     def test_unusable_input_exits_2_naming_its_path(self, demo, capsys, tmp_path, make_input):
         settings, problem = make_input(tmp_path)
         capsys.readouterr()
         assert demo(*(arg for setting in settings for arg in ("--set", setting))) == 2
         assert problem in capsys.readouterr().err
-
-
-class TestCsvDirCorpus:
-    """A csv-dir corpus runs end to end; rewriting or adding one of its
-    files reruns ingest, though neither need change the directory's stamp."""
-
-    def test_build_noop_and_a_changed_file(self, project, capsys):
-        tables = project / "tables"
-        tables.mkdir()
-        for t in range(3):
-            rows = "".join(f"t{t}-r{i},part {t} model {i},aisle {i % 3}\n" for i in range(6))
-            (tables / f"t{t}.csv").write_text("sku,name,zone\n" + rows, encoding="utf-8")
-        args = ["run", "--config", str(project / "config.yaml"),
-                "--set", "corpus.path=tables", "--set", "corpus.format=csv-dir"]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        err = capsys.readouterr().err
-        assert [line.split("]")[0] for line in err.splitlines() if "fresh (cache hit)" in line] == [
-            f"[{stage}" for stage in STAGES]
-        path = tables / "t1.csv"
-        before = path.read_bytes()
-        path.write_bytes(before.replace(b"model 4", b"model 9"))  # in place, at the same size
-        assert path.stat().st_size == len(before)
-        assert main(args) == 0
-        assert "[ingest] done" in capsys.readouterr().err
-        (tables / "t3.csv").write_text("sku,name,zone\nt3-r0,gasket,aisle 1\n", encoding="utf-8")
-        assert main(args) == 0
-        assert "[ingest] 4 tables" in capsys.readouterr().err
 
 
 class TestCompareCommand:

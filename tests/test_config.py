@@ -23,7 +23,6 @@ MINIMAL = "corpus:\n  path: corpus.jsonl\n"
 class TestDefaults:
     def test_minimal_config_gets_documented_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        assert cfg.corpus_format == "jsonl"
         assert cfg.seed == 0
         assert cfg.embedding.kind == "mock"
         assert cfg.embedding.dim == 64
@@ -273,7 +272,6 @@ class TestStageHashes:
 ALL_KEYS = """\
 corpus:
   path: /corpus/tables
-  format: csv-dir
 workspace: /runs/ws
 cache_dir: /runs/cache
 seed: 11
@@ -344,7 +342,7 @@ DEMO_HASHES = {
     "eval": "c38b6eecb7dd8f6db032324870e13ed3a7b7d631e7992f75e2b788df81014340",
 }
 ALL_KEYS_HASHES = {
-    "ingest": "d6b4fce1888a88aa662d75be1fa2cd7386f821436436fbcc2694def2617472a1",
+    "ingest": "8cbddf2b124c69643f30ffe6907c89cbf999fe75677acac8297cbc7be1c085b2",
     "embed": "703f106c061f3d9fe87b0c9b925a9b4c9da59e223049b8f8964564bacccc614b",
     "cluster": "3e89d5082a53d1c83dcec5d909988036a1332ca4b53b5351d59d82b18703b65c",
     "kpt": "49bec53d05cacf625ca92f3849304b09561c1453bb3ce92f5d4854f7ff6e2e72",

@@ -113,7 +113,7 @@ class TestRoundTrip:
     def test_jsonl_round_trip(self, tmp_path, tiny_corpus):
         path = tmp_path / "corpus.jsonl"
         write_corpus(tiny_corpus, path)
-        loaded = load_corpus(path, "jsonl")
+        loaded = load_corpus(path)
         assert [t.table_id for t in loaded.tables] == ["inv_a", "inv_b"]
         t = {t.table_id: t for t in loaded.tables}["inv_a"]
         original = {t.table_id: t for t in tiny_corpus.tables}["inv_a"]
@@ -135,14 +135,6 @@ class TestRoundTrip:
         (t,) = loaded.tables
         assert t.table_id == "t0"
         assert [i.cells for i in t.instances] == rows
-
-    def test_csv_dir_loading(self, tmp_path):
-        (tmp_path / "beta.csv").write_text("h1,h2\nx,y\n")
-        (tmp_path / "alpha.csv").write_text("h1,h2\na,b\nc,d\n")
-        corpus = load_corpus(tmp_path, "csv-dir")
-        # sorted by file stem
-        assert [t.table_id for t in corpus.tables] == ["alpha", "beta"]
-        assert corpus.tables[0].instances[1].cells == ["c", "d"]
 
     def test_metadata_preserved(self, tmp_path):
         t = Table(
@@ -176,7 +168,3 @@ class TestLoadErrors:
         path.write_text("{not json\n")
         with pytest.raises(JsonLinesError, match=":1"):
             load_corpus(path)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            load_corpus(tmp_path / "x.jsonl", "parquet")
