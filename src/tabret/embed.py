@@ -6,7 +6,13 @@ hashes character 3-grams (tests and offline runs). All vectors leave
 this module L2-normalized, so downstream cosine similarity is a plain
 dot product. The cache is content-addressed by (model_name, text) and
 stores raw float64 bytes, so hits are bitwise-identical to the original
-response; each record ends in the 8-byte fsio.checksum trailer.
+response; each record ends in the 8-byte fsio.checksum trailer of its
+key's digest and its bytes. The index is a binary array of (digest,
+offset) entries, appended under an exclusive flock so that processes
+sharing a cache directory never interleave, and a format-2 cache (JSON
+index lines) is migrated when first opened (see EmbeddingCache).
+embed_texts looks up all its texts with one get_many, which reads each
+run of records lying end to end in the .bin with one pread.
 
 embed_texts runs the mock over a whole batch of misses at once: the
 texts' code points (UTF-32) become one int64 key per gram, np.unique
@@ -27,8 +33,11 @@ which is cheaper than np.unique on one text.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import math
+import operator
 import os
 import re
 import struct
@@ -36,13 +45,27 @@ import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .fsio import ARTIFACT_FORMAT, CHECKSUM_SIZE, ArtifactError, append_jsonl, checksum, read_log
+from .fsio import (
+    CHECKSUM_SIZE,
+    ArtifactError,
+    checksum,
+    read_log,
+    read_records,
+)
 from .httpjson import ProviderError, fan_out, post_json
 
 PROVIDER_KINDS = ("http", "mock")
+# the embedding cache's own layout, apart from fsio.ARTIFACT_FORMAT so that
+# changing it reruns no stage; 3: binary index, trailers covering the key
+CACHE_FORMAT = 3
+# one .idx entry: the key's SHA-256 digest, then its record's offset. V32
+# keeps every byte of the digest (S32 would strip trailing NULs).
+_ENTRY = np.dtype([("key", "V32"), ("offset", "<u8")])
+_DIM = struct.Struct("<I")  # a record's first field
 
 
 @dataclass(frozen=True)
@@ -168,18 +191,40 @@ def _mock_chunk(texts: list[str], dim: int, slots: dict[int, int]) -> np.ndarray
 
 
 class EmbeddingCache:
-    """Append-only binary store of normalized vectors, one pair of files per model.
+    """Append-only binary store of normalized vectors, one set of files per model.
 
     Record layout in the .bin file: u32 dim, dim little-endian f64 values,
-    then the checksum trailer of the preceding bytes. The .idx.jsonl
-    sidecar maps the SHA-256 of (model_name, text) to the record's byte
-    offset. Both file names carry ARTIFACT_FORMAT, so a cache written in
-    an older layout is never misread; opening the cache deletes the
-    model's pair from before the format was named (<slug>-<tag>.bin and
-    .idx.jsonl), which nothing can read any more. A hit is one pread on a
-    descriptor opened on first use, sized by the last good record. Writes
-    are serialized on an in-process lock, and each batch is one append to
-    each file, the .bin first.
+    then the checksum trailer of the key's 32-byte SHA-256 digest followed
+    by the record's preceding bytes. The trailer covers the key, as
+    Bitcask's records do, so an index entry that points at another key's
+    valid record is caught. The .idx file is an array of fixed 40-byte
+    entries (the digest, then the record's offset as a little-endian u64),
+    read with one np.frombuffer, like git's pack index; the last entry of
+    a key wins. Both file names carry CACHE_FORMAT, which is the cache's
+    own, so changing it rebuilds no workspace artifact.
+
+    Opening the cache migrates the model's format-2 pair (.v2.bin and
+    .v2.idx.jsonl, JSON index lines) into format 3: every record whose
+    key the .v3 index lacks is verified and appended with the keyed
+    trailer, as a batch is, and only then is the .v2 pair removed, index
+    first. A migration cut short is redone from the .v2 pair on the next
+    open, so no vector already paid for is lost: a kill before the .idx
+    append leaves unindexed .bin bytes, and one after it leaves nothing
+    to append. Opening also deletes the pair from before the format was
+    named (<slug>-<tag>.bin and .idx.jsonl), which nothing can read any
+    more.
+
+    Processes sharing a cache directory serialise on an exclusive flock of
+    the model's .lock file, held across the migration, the reading and
+    trimming of the index, and each batch's appends: one append to the
+    .bin, at its end as found under the lock, then one to the .idx. A
+    torn .idx tail, from a kill during an append, is cut back to a whole
+    entry under the lock; bytes a killed append left in the .bin are never
+    indexed. Threads of one process also share an in-process lock.
+
+    get_many serves a batch with one pread per run of records that are
+    contiguous in the .bin (sorted by offset and sized by the last good
+    record), so one text costs one key, one lookup and one pread.
     """
 
     def __init__(self, cache_dir: str | Path, model_name: str) -> None:
@@ -187,67 +232,188 @@ class EmbeddingCache:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         slug = re.sub(r"[^A-Za-z0-9._-]+", "_", model_name)
         tag = hashlib.sha256(model_name.encode("utf-8")).hexdigest()[:8]
-        for unversioned in (f"{slug}-{tag}.bin", f"{slug}-{tag}.idx.jsonl"):
+        stem = f"{slug}-{tag}"
+        for unversioned in (f"{stem}.bin", f"{stem}.idx.jsonl"):
             (self.cache_dir / unversioned).unlink(missing_ok=True)
-        stem = f"{slug}-{tag}.v{ARTIFACT_FORMAT}"
-        self.bin_path = self.cache_dir / f"{stem}.bin"
-        self.idx_path = self.cache_dir / f"{stem}.idx.jsonl"
+        self.bin_path = self.cache_dir / f"{stem}.v{CACHE_FORMAT}.bin"
+        self.idx_path = self.cache_dir / f"{stem}.v{CACHE_FORMAT}.idx"
+        self.lock_path = self.cache_dir / f"{stem}.lock"
+        # the format-2 pair, migrated on open
+        self._v2 = (self.cache_dir / f"{stem}.v2.bin", self.cache_dir / f"{stem}.v2.idx.jsonl")
         self.model_name = model_name
         self._lock = threading.Lock()
-        self._fd: int | None = None
         self._record_size = 4
-        self._offsets: dict[str, int] = {
-            rec["key"]: rec["offset"] for rec in read_log(self.idx_path)
-        }
+        self._offsets: dict[bytes, int] = {}
+        self._indexed = 0  # bytes of .idx read into _offsets
+        self._lock_fd = self._open(self.lock_path)
+        # kept open: the .bin is read with pread, and both files are appended to
+        self._bin_fd = self._open(self.bin_path)
+        self._idx_fd = self._open(self.idx_path)
+        with self._flock():
+            self._catch_up()
+            if self._v2[1].exists():
+                self._migrate()
+            self._v2[0].unlink(missing_ok=True)  # a .bin whose index is gone
 
-    def key(self, text: str) -> str:
-        return hashlib.sha256(f"{self.model_name}\x1f{text}".encode("utf-8")).hexdigest()
+    def key(self, text: str) -> bytes:
+        return hashlib.sha256(f"{self.model_name}\x1f{text}".encode("utf-8")).digest()
 
-    def get(self, text: str) -> np.ndarray | None:
-        offset = self._offsets.get(self.key(text))
-        if offset is None:
-            return None
-        fd = self._reader()
-        record = os.pread(fd, self._record_size, offset)
-        dim = struct.unpack_from("<I", record)[0] if len(record) >= 4 else 0
+    def _open(self, path: Path) -> int:
+        """A descriptor of path, created if missing, closed with the cache."""
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        weakref.finalize(self, os.close, fd)
+        return fd
+
+    @contextlib.contextmanager
+    def _flock(self) -> Iterator[None]:
+        fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+
+    def _catch_up(self) -> None:
+        """Read the .idx entries appended since the last read, cutting a
+        torn tail back to a whole entry. The caller holds the flock."""
+        size = os.fstat(self._idx_fd).st_size
+        whole = size - size % _ENTRY.itemsize
+        if whole != size:
+            os.ftruncate(self._idx_fd, whole)
+        if whole <= self._indexed:
+            return
+        entries = np.frombuffer(
+            os.pread(self._idx_fd, whole - self._indexed, self._indexed), _ENTRY
+        )
+        offsets = entries["offset"].tolist()
+        last = max(offsets)
+        if last + 4 + CHECKSUM_SIZE > os.fstat(self._bin_fd).st_size:  # no record fits
+            problem = f"an entry points at offset {last}, past the end of {self.bin_path.name}"
+            raise ArtifactError(self.idx_path, problem)
+        self._offsets.update(zip(entries["key"].tolist(), offsets))
+        self._indexed = whole
+
+    def _append(self, bodies: dict[bytes, bytes]) -> None:
+        """Append the records of bodies (key -> u32 dim and f64 values): one
+        write at the end of the .bin, then one to the .idx. The caller
+        holds the flock and has caught up with the .idx."""
+        if not bodies:
+            return
+        entries = np.empty(len(bodies), _ENTRY)
+        blob = bytearray()
+        start = os.fstat(self._bin_fd).st_size
+        for i, (key, body) in enumerate(bodies.items()):
+            entries[i] = key, start + len(blob)
+            blob += body + checksum(key + body)
+        _write_all(self._bin_fd, blob)
+        _write_all(self._idx_fd, entries.tobytes())
+        self._offsets.update(zip(bodies, entries["offset"].tolist()))
+        self._indexed += entries.nbytes
+
+    def _migrate(self) -> None:
+        """Append the format-2 pair's records that this format lacks, then
+        remove the pair. The caller holds the flock and has caught up."""
+        old_bin, old_idx = self._v2
+        read_log(old_idx)  # repairs a tail torn by a killed append
+        size = old_bin.stat().st_size if old_bin.exists() else 0
+
+        def parse(rec: dict) -> tuple[bytes, int]:
+            key, offset = rec["key"], rec["offset"]
+            if not 0 <= offset <= size - 4 - CHECKSUM_SIZE:
+                raise ValueError(f"offset {offset} is outside {old_bin.name} ({size} bytes)")
+            if not re.fullmatch(r"[0-9a-f]{64}", key):
+                raise ValueError(f"key {key!r:.80} is not a SHA-256 hex digest")
+            return bytes.fromhex(key), offset
+
+        located = dict(read_records(old_idx, {"key": str, "offset": int}, parse))
+        bodies: dict[bytes, bytes] = {}
+        if located:
+            with open(old_bin, "rb") as fh:
+                for key, offset in located.items():
+                    if key in self._offsets:
+                        continue
+                    fh.seek(offset)
+                    head = fh.read(4)
+                    dim = struct.unpack("<I", head)[0]
+                    if offset + 4 + 8 * dim + CHECKSUM_SIZE > size:
+                        raise ArtifactError(old_bin, f"truncated record at {offset}")
+                    body = head + fh.read(8 * dim)
+                    if checksum(body) != fh.read(CHECKSUM_SIZE):
+                        raise ArtifactError(old_bin, f"checksum mismatch at offset {offset}")
+                    bodies[key] = body
+        self._append(bodies)
+        old_idx.unlink()
+        old_bin.unlink(missing_ok=True)
+
+    def get_many(self, texts: list[str]) -> list[np.ndarray | None]:
+        """The cached vector of each text, or None where it has none.
+
+        Each distinct key is read once, its records in offset order, one
+        pread per run of records that lie end to end in the .bin.
+        """
+        if len(texts) == 1:  # a search query: one key, one lookup, one pread
+            key = self.key(texts[0])
+            offset = self._offsets.get(key)
+            if offset is None:
+                return [None]
+            record = os.pread(self._bin_fd, self._record_size, offset)
+            return [self._vector(key, offset, record, 0)]
+        keys = [self.key(text) for text in texts]
+        offsets = self._offsets
+        located = {k: offsets[k] for k in keys if k in offsets}
+        pending = sorted(located.items(), key=operator.itemgetter(1))
+        if not pending:
+            return [None] * len(keys)
+        found: dict[bytes, np.ndarray] = {}
+        at = 0
+        while at < len(pending):
+            size, first = self._record_size, pending[at][1]
+            end = at + 1
+            while end < len(pending) and pending[end][1] == pending[end - 1][1] + size:
+                end += 1
+            run = os.pread(self._bin_fd, pending[end - 1][1] + size - first, first)
+            for key, offset in pending[at:end]:
+                found[key] = self._vector(key, offset, run, offset - first)
+            at = end
+        return [found.get(key) for key in keys]
+
+    def _vector(self, key: bytes, offset: int, run: bytes, at: int) -> np.ndarray:
+        """The vector of key's record at offset, found at run[at:] if the
+        run holds all of it, else read alone."""
+        dim = _DIM.unpack_from(run, at)[0] if len(run) >= at + 4 else 0
         size = 4 + 8 * dim + CHECKSUM_SIZE
-        if len(record) < size:
+        if len(run) < at + size:
             # a corrupt dim must not turn into a huge read
-            if len(record) < 4 or offset + size > os.fstat(fd).st_size:
+            if len(run) < at + 4 or offset + size > os.fstat(self._bin_fd).st_size:
                 raise ArtifactError(self.bin_path, f"truncated record at {offset}")
-            record = os.pread(fd, size, offset)
-        record = record[:size]
-        if len(record) < size or checksum(record[:-CHECKSUM_SIZE]) != record[-CHECKSUM_SIZE:]:
+            run, at = os.pread(self._bin_fd, size, offset), 0
+            if len(run) < size:
+                raise ArtifactError(self.bin_path, f"truncated record at {offset}")
+        record = run[at : at + size]
+        if checksum(key + record[:-CHECKSUM_SIZE]) != record[-CHECKSUM_SIZE:]:
             raise ArtifactError(self.bin_path, f"checksum mismatch at offset {offset}")
         self._record_size = size
         return np.frombuffer(record, dtype="<f8", count=dim, offset=4).copy()
 
-    def _reader(self) -> int:
-        with self._lock:
-            if self._fd is None:
-                self._fd = os.open(self.bin_path, os.O_RDONLY)
-                weakref.finalize(self, os.close, self._fd)
-            return self._fd
-
     def put_many(self, texts: list[str], vectors: list[np.ndarray]) -> None:
-        """Cache the vectors of the texts not cached yet."""
-        with self._lock:
-            added: dict[str, int] = {}
-            blob = bytearray()
-            with self.bin_path.open("ab") as fh:
-                start = fh.tell()
-                for text, vector in zip(texts, vectors):
-                    key = self.key(text)
-                    if key not in self._offsets and key not in added:
-                        added[key] = start + len(blob)
-                        record = struct.pack("<I", len(vector)) + np.ascontiguousarray(
-                            vector, dtype="<f8"
-                        ).tobytes()
-                        blob += record + checksum(record)
-                fh.write(blob)
-            if added:
-                append_jsonl(self.idx_path, ({"key": k, "offset": o} for k, o in added.items()))
-                self._offsets.update(added)
+        """Cache the vectors of the texts not cached yet, by this process
+        or by another sharing the cache."""
+        with self._lock, self._flock():
+            self._catch_up()
+            bodies: dict[bytes, bytes] = {}
+            for text, vector in zip(texts, vectors):
+                key = self.key(text)
+                if key not in self._offsets and key not in bodies:
+                    bodies[key] = struct.pack("<I", len(vector)) + np.ascontiguousarray(
+                        vector, dtype="<f8"
+                    ).tobytes()
+            self._append(bodies)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """os.write until every byte of data is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def _http_embed_batch(cfg: ProviderConfig, texts: list[str]) -> list[np.ndarray]:
@@ -306,17 +472,16 @@ def embed_texts(
     clipped = [t[: cfg.max_input_chars] for t in texts]
     vectors: list[np.ndarray | None] = [None] * len(clipped)
     misses: dict[str, list[int]] = {}
-    for i, text in enumerate(clipped):
-        if cache is not None:
-            hit = cache.get(text)
-            if hit is not None:
-                if hit.shape != (cfg.dim,):
-                    raise ArtifactError(
-                        cache.bin_path, f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
-                    )
-                vectors[i] = hit
-                continue
-        misses.setdefault(text, []).append(i)
+    hits = cache.get_many(clipped) if cache is not None else [None] * len(clipped)
+    for i, (text, hit) in enumerate(zip(clipped, hits)):
+        if hit is None:
+            misses.setdefault(text, []).append(i)
+        elif hit.shape != (cfg.dim,):
+            raise ArtifactError(
+                cache.bin_path, f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
+            )
+        else:
+            vectors[i] = hit
 
     unique = list(misses)
     batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]

@@ -16,9 +16,9 @@ Every JSON Lines input, workspace artifact or source file, is read by
 read_records: one parse of the whole file (read_jsonl), a type check of
 each declared field over all records, then a parse of each record into
 its object. Any bad line, record or value raises JsonLinesError naming
-the file and line. The two append-only logs, the manifest and the
-embedding cache's index, are read by read_log, which repairs a torn
-last line.
+the file and line. The append-only manifest is read by read_log, which
+repairs a torn last line; so is a format-2 embedding cache index before
+its migration reads it through read_records.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,

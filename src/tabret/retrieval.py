@@ -17,6 +17,12 @@ Python's sum in 9432 of 20000 random groups), so mean fusion adds the
 grid's rows one by one, the k-th score of every table at step k, which
 is sum(v)'s order. Max fusion takes the grid's column maxima.
 
+build_index maps its rows, and evaluate its queries once before any
+block, through adapter_apply_rows: one stacked np.matmul whose products
+numpy hands to gemv and dot one row at a time, so every mapped vector
+has the bits of adapter_apply's W @ v and out.dot(out) (see train).
+search maps its one query with adapter_apply.
+
 evaluate scores its queries in blocks of about _BLOCK_BYTES of scores,
 so memory stays bounded however many queries there are. Each query's
 gemv is the same np.dot(index.vectors, q) that search makes, written
@@ -53,7 +59,7 @@ from .fsio import (
 )
 from .kpt import PartialTable
 from .querygen import SyntheticQuery
-from .train import Adapter, adapter_apply
+from .train import Adapter, adapter_apply, adapter_apply_rows
 
 REPRESENTATION_MODES = ("pt_only", "pt_plus_queries")
 FUSIONS = ("max", "mean")
@@ -138,10 +144,7 @@ def build_index(
     ]
     vectors = embed_texts(provider, texts, cache)
     if adapter is not None:
-        mapped = np.empty_like(vectors)
-        for i, v in enumerate(vectors):
-            mapped[i] = adapter_apply(adapter, v)
-        vectors = mapped
+        vectors = adapter_apply_rows(adapter, vectors)
     return RetrievalIndex(
         pt_ids=[pt.pt_id for pt in ordered],
         table_ids=[pt.table_id for pt in ordered],
@@ -224,6 +227,8 @@ def evaluate(
         if gold_id not in position:
             raise ValueError(f"gold table id {gold_id!r} is not in the index")
     q_vecs = embed_texts(provider, [q for q, _ in gold], cache)
+    if index.adapter is not None:
+        q_vecs = adapter_apply_rows(index.adapter, q_vecs)
     golds = np.array([position[gold_id] for _, gold_id in gold])
     block = _padded_scores(index, max(1, _BLOCK_BYTES // (8 * (len(index.pt_ids) + 1))))
     earlier = np.arange(len(index.tables))
@@ -231,8 +236,6 @@ def evaluate(
     for start in range(0, len(gold), len(block)):
         scores = block[: len(gold) - start]
         for out, q_vec in zip(scores, q_vecs[start : start + len(scores)]):
-            if index.adapter is not None:
-                q_vec = adapter_apply(index.adapter, q_vec)
             np.dot(index.vectors, q_vec, out=out[:-1])
         fused = _fuse(index, scores)
         at = golds[start : start + len(scores), None]

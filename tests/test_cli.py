@@ -176,8 +176,8 @@ class TestRunCommand:
         )
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
-        indexes = list((project / "ws").rglob("*.idx.jsonl"))
-        assert all(p.read_text() == "" for p in indexes)
+        indexes = list((project / "ws").rglob("*.idx"))
+        assert all(p.stat().st_size == 0 for p in indexes)
         assert not (project / "ws" / "instance_embeddings.bin").exists()
 
 
@@ -246,20 +246,47 @@ class TestBadJsonLines:
         manifest.unlink()
         assert main(["run", "--config", config]) == 0
 
-    def test_bad_cache_index_line_exits_3_until_the_cache_is_removed(self, project, capsys):
+    def test_cache_entry_past_the_bin_exits_3_until_the_cache_is_removed(self, project, capsys):
         config = str(project / "config.yaml")
         assert main(["run", "--config", config]) == 0
-        (index,) = (project / "ws").rglob("*.idx.jsonl")
-        line = _cut_middle_line(index)
+        (index,) = (project / "ws").rglob("*.v3.idx")
+        end = index.with_suffix(".bin").stat().st_size
+        with index.open("ab") as fh:
+            fh.write(bytes(32) + end.to_bytes(8, "little"))
         capsys.readouterr()
         flip = ["run", "--config", config, "--set", "retrieval.fusion=mean"]
         assert main(flip) == 3
         err = capsys.readouterr().err
-        assert f".idx.jsonl:{line}:" in err
+        assert f"{index}: an entry points at offset {end}, past the end" in err
         assert f"remove the embedding cache {index.parent} and rerun stage 'index'" in err
         for path in index.parent.iterdir():
             path.unlink()
         assert main(flip) == 0
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"key": "K"}', "field 'offset': missing"),
+            ('{"key": "K", "offset": "0"}', "field 'offset': expected int"),
+            ('{"key": "K", "offset": -5}', "offset -5 is outside"),
+            ('{"key": 3, "offset": 0}', "field 'key': expected str"),
+        ],
+    )
+    def test_bad_old_cache_index_line_exits_3(self, project, capsys, line, problem):
+        """A format-2 index line that the migration cannot take ends the run
+        with exit 3 and the remedy, never a traceback."""
+        config = str(project / "config.yaml")
+        assert main(["run", "--config", config]) == 0
+        (new_bin,) = (project / "ws").rglob("*.v3.bin")
+        stem = new_bin.name.removesuffix(".v3.bin")
+        old_idx = new_bin.with_name(f"{stem}.v2.idx.jsonl")
+        new_bin.with_name(f"{stem}.v2.bin").write_bytes(bytes(64))
+        old_idx.write_text(line.replace("K", "0" * 64) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--config", config, "--set", "retrieval.fusion=mean"]) == 3
+        err = capsys.readouterr().err
+        assert f"{old_idx}:1: {problem}" in err and "Traceback" not in err
+        assert f"remove the embedding cache {new_bin.parent} and rerun stage 'index'" in err
 
     def test_bad_gold_line_exits_2(self, project, capsys):
         gold = project / "gold.jsonl"

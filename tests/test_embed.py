@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
+import struct
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tabret.embed as embed_mod
 from tabret.embed import (
-    ARTIFACT_FORMAT,
+    CACHE_FORMAT,
     EmbeddingCache,
     ProviderConfig,
     embed_texts,
@@ -195,76 +198,132 @@ class TestBatchKernel:
         assert batched <= 1.5 * per_text
 
 
+def get(cache, text):
+    """The one-key read: get_many of a single text."""
+    return cache.get_many([text])[0]
+
+
+def v2_pair(cache, texts, vectors):
+    """Write a format-2 cache (unkeyed trailers, JSON index lines) holding
+    the vectors, under the names that format used beside cache's files."""
+    stem = cache.bin_path.name.removesuffix(f".v{CACHE_FORMAT}.bin")
+    old_bin, old_idx = cache.cache_dir / f"{stem}.v2.bin", cache.cache_dir / f"{stem}.v2.idx.jsonl"
+    blob, lines = bytearray(), []
+    for text, vector in zip(texts, vectors):
+        record = struct.pack("<I", len(vector)) + np.asarray(vector, dtype="<f8").tobytes()
+        lines.append(json.dumps({"key": cache.key(text).hex(), "offset": len(blob)}) + "\n")
+        blob += record + checksum(record)
+    old_bin.write_bytes(bytes(blob))
+    old_idx.write_text("".join(lines))
+    return old_bin, old_idx
+
+
+def shared_vector(text):
+    """The dim-512 vector the two-process test caches for text."""
+    seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
+    return np.random.default_rng(seed).normal(size=512)
+
+
+def put_rounds(cache_dir, name, rounds, start):
+    cache = EmbeddingCache(cache_dir, "shared")
+    start.wait()
+    for r in range(rounds):
+        texts = [f"{name} {r} {i}" for i in range(200)]
+        cache.put_many(texts, [shared_vector(t) for t in texts])
+
+
 class TestCache:
     def test_put_get_round_trip(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
         v = unit(rng.normal(size=32))
         cache.put_many(["some text"], [v])
-        got = cache.get("some text")
-        np.testing.assert_array_equal(got, v)
+        np.testing.assert_array_equal(get(cache, "some text"), v)
 
     def test_miss_returns_none(self, tmp_path):
-        assert EmbeddingCache(tmp_path, "m1").get("absent") is None
+        assert EmbeddingCache(tmp_path, "m1").get_many(["absent", "other"]) == [None, None]
 
     def test_model_names_are_isolated(self, tmp_path, rng):
         v = unit(rng.normal(size=8))
         EmbeddingCache(tmp_path, "m1").put_many(["t"], [v])
-        assert EmbeddingCache(tmp_path, "m2").get("t") is None
+        assert get(EmbeddingCache(tmp_path, "m2"), "t") is None
 
     def test_persists_across_instances(self, tmp_path, rng):
         v = unit(rng.normal(size=8))
         EmbeddingCache(tmp_path, "m1").put_many(["t"], [v])
-        got = EmbeddingCache(tmp_path, "m1").get("t")
-        np.testing.assert_array_equal(got, v)
+        np.testing.assert_array_equal(get(EmbeddingCache(tmp_path, "m1"), "t"), v)
 
     def test_put_idempotent(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
         v = unit(rng.normal(size=8))
         cache.put_many(["t"], [v])
         cache.put_many(["t"], [v])
-        np.testing.assert_array_equal(cache.get("t"), v)
+        np.testing.assert_array_equal(get(cache, "t"), v)
 
     def test_corruption_detected(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
         cache.put_many(["t"], [unit(rng.normal(size=8))])
-        bins = list(Path(tmp_path).glob("*.bin"))
-        assert bins
-        raw = bytearray(bins[0].read_bytes())
+        raw = bytearray(cache.bin_path.read_bytes())
         raw[6] ^= 0xFF
-        bins[0].write_bytes(bytes(raw))
+        cache.bin_path.write_bytes(bytes(raw))
         fresh = EmbeddingCache(tmp_path, "m1")
         with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
-            fresh.get("t")
-        assert exc_info.value.path == bins[0]
+            get(fresh, "t")
+        assert exc_info.value.path == cache.bin_path
 
     def _one_record(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
         cache.put_many(["t"], [np.array([0.6, 0.8])])
-        return cache.bin_path
+        return cache
 
     def test_record_layout_and_trailer(self, tmp_path):
-        raw = self._one_record(tmp_path).read_bytes()
+        cache = self._one_record(tmp_path)
+        raw = cache.bin_path.read_bytes()
+        assert cache.bin_path.name.endswith(f".v{CACHE_FORMAT}.bin")
         assert len(raw) == 4 + 8 * 2 + 8
-        assert raw[-8:] == checksum(raw[:-8])
+        # the trailer covers the key's digest, then the record's bytes
+        assert raw[-8:] == checksum(cache.key("t") + raw[:-8]) != checksum(raw[:-8])
+        assert cache.idx_path.read_bytes() == cache.key("t") + struct.pack("<Q", 0)
 
     def test_every_single_byte_flip_rejected(self, tmp_path):
-        path = self._one_record(tmp_path)
+        path = self._one_record(tmp_path).bin_path
         raw = path.read_bytes()
         for i in range(len(raw)):
             flipped = bytearray(raw)
             flipped[i] ^= 0xFF
             path.write_bytes(bytes(flipped))
             with pytest.raises(ArtifactError, match="truncated|checksum mismatch") as exc_info:
-                EmbeddingCache(tmp_path, "m1").get("t")
+                get(EmbeddingCache(tmp_path, "m1"), "t")
             assert exc_info.value.path == path
 
     @pytest.mark.parametrize("cut", range(1, 9))
     def test_truncation_by_up_to_a_trailer_rejected(self, tmp_path, cut):
-        path = self._one_record(tmp_path)
+        path = self._one_record(tmp_path).bin_path
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ArtifactError, match="truncated") as exc_info:
-            EmbeddingCache(tmp_path, "m1").get("t")
+            get(EmbeddingCache(tmp_path, "m1"), "t")
         assert exc_info.value.path == path
+
+    def test_valid_record_under_another_key_detected(self, tmp_path):
+        # fault injection: a misdirected offset lands on another text's
+        # record, whole and of the same dim, as interleaved appends left it
+        cache = EmbeddingCache(tmp_path, "m1")
+        cache.put_many(["a", "b"], [np.array([0.6, 0.8]), np.array([0.8, 0.6])])
+        idx = bytearray(cache.idx_path.read_bytes())
+        idx[32:40] = idx[72:80]  # a's entry now holds b's offset
+        cache.idx_path.write_bytes(bytes(idx))
+        reopened = EmbeddingCache(tmp_path, "m1")
+        np.testing.assert_array_equal(get(reopened, "b"), [0.8, 0.6])
+        with pytest.raises(ArtifactError, match="checksum mismatch at offset 28") as exc_info:
+            reopened.get_many(["b", "a"])
+        assert exc_info.value.path == cache.bin_path
+
+    def test_entry_past_the_end_of_the_bin_rejected_on_open(self, tmp_path):
+        cache = self._one_record(tmp_path)
+        with cache.idx_path.open("ab") as fh:
+            fh.write(cache.key("u") + struct.pack("<Q", 17))  # 28-byte .bin
+        with pytest.raises(ArtifactError, match="offset 17, past the end") as exc_info:
+            EmbeddingCache(tmp_path, "m1")
+        assert exc_info.value.path == cache.idx_path
 
     def test_put_many_skips_cached_and_repeated_texts(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -272,44 +331,61 @@ class TestCache:
         cache.put_many(["a"], [a])
         cache.put_many(["a", "b", "b"], [b, b, a])
         assert cache.bin_path.stat().st_size == 2 * (4 + 8 * 4 + 8)
-        assert len(cache.idx_path.read_text().splitlines()) == 2
+        assert cache.idx_path.stat().st_size == 2 * 40
         fresh = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(fresh.get("a"), a)
-        np.testing.assert_array_equal(fresh.get("b"), b)
+        np.testing.assert_array_equal(get(fresh, "a"), a)
+        np.testing.assert_array_equal(get(fresh, "b"), b)
 
-    def test_torn_index_line_dropped(self, tmp_path, rng):
+    def test_put_many_skips_texts_another_instance_cached(self, tmp_path, rng):
+        first, second = EmbeddingCache(tmp_path, "m1"), EmbeddingCache(tmp_path, "m1")
+        v = unit(rng.normal(size=4))
+        first.put_many(["t"], [v])
+        second.put_many(["t", "u"], [v, v])
+        assert second.idx_path.stat().st_size == 2 * 40
+        np.testing.assert_array_equal(get(second, "t"), v)
+
+    @pytest.mark.parametrize("torn", [1, 17, 39])
+    def test_torn_index_tail_trimmed(self, tmp_path, rng, torn):
         # fault injection: a kill in the middle of the index append
         cache = EmbeddingCache(tmp_path, "m1")
         v, w = unit(rng.normal(size=8)), unit(rng.normal(size=8))
         cache.put_many(["t"], [v])
-        with cache.idx_path.open("a") as fh:
-            fh.write('{"key": "ab')
+        with cache.idx_path.open("ab") as fh:
+            fh.write((cache.key("u") + struct.pack("<Q", 0))[:torn])
         reopened = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(reopened.get("t"), v)
+        assert cache.idx_path.stat().st_size == 40
+        np.testing.assert_array_equal(get(reopened, "t"), v)
+        assert get(reopened, "u") is None
         reopened.put_many(["u"], [w])
+        # the next append starts on an entry boundary
+        assert cache.idx_path.read_bytes()[40:] == cache.key("u") + struct.pack("<Q", 76)
         again = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(again.get("t"), v)
-        np.testing.assert_array_equal(again.get("u"), w)
+        np.testing.assert_array_equal(get(again, "t"), v)
+        np.testing.assert_array_equal(get(again, "u"), w)
 
     def test_cache_of_an_older_format_is_ignored(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
-        assert cache.bin_path.name.endswith(f".v{ARTIFACT_FORMAT}.bin")
+        stem = cache.bin_path.name.removesuffix(f".v{CACHE_FORMAT}.bin")
         # a format-1 cache (CRC-64 trailers) under the names it used
-        old = lambda p: p.with_name(p.name.replace(f".v{ARTIFACT_FORMAT}", ""))
-        old(cache.bin_path).write_bytes(b"\x02\x00\x00\x00" + bytes(24))
-        old(cache.idx_path).write_text(json.dumps({"key": cache.key("t"), "offset": 0}) + "\n")
-        assert EmbeddingCache(tmp_path, "m1").get("t") is None
+        (tmp_path / f"{stem}.bin").write_bytes(b"\x02\x00\x00\x00" + bytes(24))
+        (tmp_path / f"{stem}.idx.jsonl").write_text(
+            json.dumps({"key": cache.key("t").hex(), "offset": 0}) + "\n"
+        )
+        assert get(EmbeddingCache(tmp_path, "m1"), "t") is None
 
     def test_opening_removes_only_its_own_older_format_pair(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
-        old = lambda p: p.with_name(p.name.replace(f".v{ARTIFACT_FORMAT}", ""))
-        stale = [old(cache.bin_path), old(cache.idx_path)]
         other_model = EmbeddingCache(tmp_path, "m2")
+        stem, other = (
+            c.bin_path.name.removesuffix(f".v{CACHE_FORMAT}.bin") for c in (cache, other_model)
+        )
+        stale = [tmp_path / f"{stem}.bin", tmp_path / f"{stem}.idx.jsonl"]
         kept = [
-            old(other_model.bin_path),
-            old(other_model.idx_path),
+            tmp_path / f"{other}.bin",
+            tmp_path / f"{other}.idx.jsonl",
+            tmp_path / f"{other}.v2.bin",
             tmp_path / "notes.txt",
-            cache.bin_path.with_name(old(cache.bin_path).name + ".bak"),
+            tmp_path / f"{stem}.bin.bak",
         ]
         cache.put_many(["t"], [np.array([0.6, 0.8])])
         for path in stale + kept:
@@ -317,7 +393,7 @@ class TestCache:
         reopened = EmbeddingCache(tmp_path, "m1")
         assert [p.exists() for p in stale] == [False, False]
         assert all(p.read_bytes() == b"older bytes" for p in kept)
-        np.testing.assert_array_equal(reopened.get("t"), [0.6, 0.8])
+        np.testing.assert_array_equal(get(reopened, "t"), [0.6, 0.8])
 
     def test_hits_of_mixed_dims_and_records_appended_after_a_hit(self, tmp_path):
         # the record size a hit reads first comes from the previous hit,
@@ -325,22 +401,101 @@ class TestCache:
         cache = EmbeddingCache(tmp_path, "m1")
         short, long = np.array([0.6, 0.8]), unit(np.arange(1.0, 9.0))
         cache.put_many(["short"], [short])
-        np.testing.assert_array_equal(cache.get("short"), short)
+        np.testing.assert_array_equal(get(cache, "short"), short)
         cache.put_many(["long"], [long])
-        np.testing.assert_array_equal(cache.get("long"), long)
-        np.testing.assert_array_equal(cache.get("short"), short)
-        np.testing.assert_array_equal(cache.get("long"), long)
+        np.testing.assert_array_equal(get(cache, "long"), long)
+        np.testing.assert_array_equal(get(cache, "short"), short)
+        np.testing.assert_array_equal(get(cache, "long"), long)
+        got = cache.get_many(["long", "short", "long"])
+        for vec, want in zip(got, [long, short, long]):
+            np.testing.assert_array_equal(vec, want)
 
     def test_corrupt_dim_after_a_hit_is_not_a_huge_read(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
         cache.put_many(["a", "b"], [np.array([0.6, 0.8]), np.array([0.8, 0.6])])
-        np.testing.assert_array_equal(cache.get("a"), [0.6, 0.8])
+        np.testing.assert_array_equal(get(cache, "a"), [0.6, 0.8])
         raw = bytearray(cache.bin_path.read_bytes())
         raw[28:32] = b"\xff\xff\xff\x7f"  # record b's dim field
         cache.bin_path.write_bytes(bytes(raw))
-        with pytest.raises(ArtifactError, match="truncated") as exc_info:
-            cache.get("b")
-        assert exc_info.value.path == cache.bin_path
+        for texts in (["b"], ["a", "b"]):
+            with pytest.raises(ArtifactError, match="truncated") as exc_info:
+                cache.get_many(texts)
+            assert exc_info.value.path == cache.bin_path
+
+    def test_one_pread_per_contiguous_run(self, tmp_path, monkeypatch):
+        cache = EmbeddingCache(tmp_path, "m1")
+        texts = [f"text {i}" for i in range(10)]
+        cache.put_many(texts, [unit(np.arange(1.0, 9.0) + i) for i in range(10)])
+        get(cache, texts[0])  # learns the record size
+        reads = []
+        real_pread = embed_mod.os.pread
+
+        def pread(fd, size, offset):
+            reads.append((offset, size))
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(embed_mod.os, "pread", pread)
+        record = 4 + 8 * 8 + 8
+        cache.get_many(texts[::-1] + ["missing"] + texts[3:5])
+        assert reads == [(0, 10 * record)]
+        reads.clear()
+        cache.get_many([texts[6], texts[1], texts[2], "missing", texts[7], texts[1]])
+        assert reads == [(record, 2 * record), (6 * record, 2 * record)]
+        reads.clear()
+        get(cache, texts[9])
+        assert reads == [(9 * record, record)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layout=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([2, 3, 8])), max_size=24),
+        query=st.lists(st.integers(0, 14), max_size=30),
+        warm=st.booleans(),
+    )
+    def test_get_many_equals_one_key_reads(self, tmp_path_factory, layout, query, warm):
+        """Oracle: each key of a shuffled, repeated, partly missing batch over
+        records scattered among others gets the bits of its one-key read."""
+        path = tmp_path_factory.mktemp("cache")
+        cache = EmbeddingCache(path, "m1")
+        # each put is a batch of its own, with records of others between
+        for n, (text_no, dim) in enumerate(layout):
+            vector = unit(np.sin(np.arange(1.0, dim + 1.0) * (n + 1)))
+            cache.put_many([f"filler {n}", f"t{text_no}"], [vector[::-1].copy(), vector])
+        texts = [f"t{i}" for i in query]
+        if warm and layout:
+            get(cache, f"t{layout[-1][0]}")
+        batch = EmbeddingCache(path, "m1").get_many(texts) if not warm else cache.get_many(texts)
+        single = EmbeddingCache(path, "m1")
+        for text, vector in zip(texts, batch):
+            alone = get(single, text)
+            assert (vector is None) == (alone is None)
+            if vector is not None:
+                assert vector.tobytes() == alone.tobytes()
+
+    def test_concurrent_put_many_in_two_processes(self, tmp_path):
+        """Two processes each cache 12 batches of 200 texts at dim 512 at
+        the same time; every text then reads back its own vector. Without
+        the flock, a batch takes its offsets from where the .bin ended
+        before the other process appended, and its index points into the
+        other process's records."""
+        ctx = multiprocessing.get_context("spawn")
+        start = ctx.Barrier(2)
+        procs = [ctx.Process(target=put_rounds, args=(tmp_path, n, 12, start)) for n in "AB"]
+        try:
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=60)
+            assert [proc.exitcode for proc in procs] == [0, 0]
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        texts = [f"{n} {r} {i}" for n in "AB" for r in range(12) for i in range(200)]
+        cache = EmbeddingCache(tmp_path, "shared")
+        assert cache.idx_path.stat().st_size == 40 * len(texts)
+        got = cache.get_many(texts)
+        wrong = [t for t, v in zip(texts, got) if v is None or (v != shared_vector(t)).any()]
+        assert wrong == []
 
     def test_embed_texts_populates_and_reuses_cache(self, tmp_path, monkeypatch):
         cfg = mock_cfg()
@@ -352,6 +507,125 @@ class TestCache:
         )
         second = embed_texts(cfg, ["x", "y"], cache)
         np.testing.assert_array_equal(first, second)
+
+
+class TestMigration:
+    """A format-2 cache becomes a format-3 one on first open, losing nothing."""
+
+    def vectors(self, rng):
+        texts = [f"text {i}" for i in range(7)] + ["text 2"]
+        dims = [4, 4, 8, 4, 2, 8, 4, 4]
+        return texts, [unit(rng.normal(size=d)) for d in dims]
+
+    def assert_complete(self, tmp_path, texts, vectors):
+        cache = EmbeddingCache(tmp_path, "m1")
+        for text, want in dict(zip(texts, vectors)).items():
+            assert get(cache, text).tobytes() == np.asarray(want, dtype="<f8").tobytes()
+        assert cache.get_many(["not cached"]) == [None]
+        return cache
+
+    def test_migrated_vectors_are_bit_equal(self, tmp_path, rng):
+        texts, vectors = self.vectors(rng)
+        old = v2_pair(EmbeddingCache(tmp_path, "m1"), texts, vectors)
+        cache = self.assert_complete(tmp_path, texts, vectors)
+        assert [p.exists() for p in old] == [False, False]
+        # the later of the repeated text's lines wins, as in format 2
+        assert get(cache, "text 2").tobytes() == vectors[-1].tobytes()
+        assert cache.idx_path.stat().st_size == 40 * 7
+        migrated = EmbeddingCache(tmp_path / "fresh", "m1")
+        migrated.put_many(list(dict(zip(texts, vectors))), list(dict(zip(texts, vectors)).values()))
+        assert cache.bin_path.read_bytes() == migrated.bin_path.read_bytes()
+
+    def test_migration_keeps_what_the_new_format_already_holds(self, tmp_path, rng):
+        texts, vectors = self.vectors(rng)
+        cache = EmbeddingCache(tmp_path, "m1")
+        extra = unit(rng.normal(size=4))
+        cache.put_many(["newer"], [extra])
+        v2_pair(cache, texts, vectors)
+        self.assert_complete(tmp_path, texts + ["newer"], vectors + [extra])
+
+    def test_killed_after_the_bin_before_the_index(self, tmp_path, rng, monkeypatch):
+        # fault injection: the process dies once the .v3 .bin is written
+        texts, vectors = self.vectors(rng)
+        cache = EmbeddingCache(tmp_path, "m1")
+        old = v2_pair(cache, texts, vectors)
+        real_write, writes = os.write, []
+
+        def dies_on_the_second_write(fd, data):
+            writes.append(fd)
+            if len(writes) == 2:
+                raise KeyboardInterrupt("killed")
+            return real_write(fd, data)
+
+        monkeypatch.setattr(embed_mod.os, "write", dies_on_the_second_write)
+        with pytest.raises(KeyboardInterrupt):
+            EmbeddingCache(tmp_path, "m1")
+        monkeypatch.undo()
+        assert cache.bin_path.stat().st_size > 0 and cache.idx_path.stat().st_size == 0
+        assert all(p.exists() for p in old)
+        self.assert_complete(tmp_path, texts, vectors)
+        assert not any(p.exists() for p in old)
+
+    def test_killed_before_the_old_pair_is_removed(self, tmp_path, rng, monkeypatch):
+        # fault injection: the process dies once both .v3 files are written
+        texts, vectors = self.vectors(rng)
+        cache = EmbeddingCache(tmp_path, "m1")
+        old = v2_pair(cache, texts, vectors)
+        real_unlink = Path.unlink
+
+        def dies_on_the_old_pair(path, *args, **kwargs):
+            if path in old:
+                raise KeyboardInterrupt("killed")
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", dies_on_the_old_pair)
+        with pytest.raises(KeyboardInterrupt):
+            EmbeddingCache(tmp_path, "m1")
+        monkeypatch.undo()
+        written = (cache.bin_path.read_bytes(), cache.idx_path.read_bytes())
+        assert all(p.exists() for p in old)
+        self.assert_complete(tmp_path, texts, vectors)
+        # the rerun finds every key already migrated and appends nothing
+        assert (cache.bin_path.read_bytes(), cache.idx_path.read_bytes()) == written
+        assert not any(p.exists() for p in old)
+
+    def test_torn_old_index_tail_is_dropped(self, tmp_path, rng):
+        texts, vectors = self.vectors(rng)
+        _, old_idx = v2_pair(EmbeddingCache(tmp_path, "m1"), texts, vectors)
+        with old_idx.open("a") as fh:
+            fh.write('{"key": "ab')
+        self.assert_complete(tmp_path, texts, vectors)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ({"offset": 0}, "field 'key': missing"),
+            ({"key": "k"}, "field 'offset': missing"),
+            ({"key": 3, "offset": 0}, "field 'key': expected str"),
+            ({"key": "k", "offset": "0"}, "field 'offset': expected int"),
+            ({"key": "k", "offset": -5}, "offset -5 is outside"),
+            ({"key": "k", "offset": 45}, "offset 45 is outside"),
+            ({"key": "not hex", "offset": 0}, "is not a SHA-256 hex digest"),
+        ],
+    )
+    def test_bad_old_index_line_names_its_line(self, tmp_path, line, problem):
+        cache = EmbeddingCache(tmp_path, "m1")
+        _, old_idx = v2_pair(cache, ["t", "u"], [np.array([0.6, 0.8]), np.array([0.8, 0.6])])
+        line = {k: cache.key("t").hex() if v == "k" else v for k, v in line.items()}
+        with old_idx.open("a") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(ArtifactError, match=problem) as exc_info:
+            EmbeddingCache(tmp_path, "m1")
+        assert exc_info.value.path == old_idx and f"{old_idx}:3:" in str(exc_info.value)
+
+    def test_corrupt_old_record_rejected(self, tmp_path):
+        old_bin, _ = v2_pair(EmbeddingCache(tmp_path, "m1"), ["t"], [np.array([0.6, 0.8])])
+        raw = bytearray(old_bin.read_bytes())
+        raw[9] ^= 0x01
+        old_bin.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactError, match="checksum mismatch at offset 0") as exc_info:
+            EmbeddingCache(tmp_path, "m1")
+        assert exc_info.value.path == old_bin
 
 
 class FakeHttp:
@@ -521,7 +795,7 @@ class TestHttpBatchPersistence:
         bad = set(poisoned.failed_inputs[0])
         assert bad == set(texts[2:4])
         for text in texts:
-            assert (cache.get(text) is None) == (text in bad)
+            assert (get(cache, text) is None) == (text in bad)
 
         rerun = FakeHttp(dim=8)
         monkeypatch.setattr(embed_mod, "post_json", rerun)

@@ -567,19 +567,19 @@ class TestOneReadPerRun:
             monkeypatch.setitem(pipeline_mod._STAGE_FNS, stage, traced)
         hits: dict[str, list[bool]] = {}
         put_by: dict[str, str] = {}
-        real_get, real_put_many = EmbeddingCache.get, EmbeddingCache.put_many
+        real_get_many, real_put_many = EmbeddingCache.get_many, EmbeddingCache.put_many
 
-        def get(self, text):
-            vec = real_get(self, text)
-            hits.setdefault(stage_of_call[-1], []).append(vec is not None)
-            return vec
+        def get_many(self, texts):
+            vecs = real_get_many(self, texts)
+            hits.setdefault(stage_of_call[-1], []).extend(vec is not None for vec in vecs)
+            return vecs
 
         def put_many(self, texts, vectors):
             for text in texts:
                 put_by.setdefault(text, stage_of_call[-1])
             return real_put_many(self, texts, vectors)
 
-        monkeypatch.setattr(EmbeddingCache, "get", get)
+        monkeypatch.setattr(EmbeddingCache, "get_many", get_many)
         monkeypatch.setattr(EmbeddingCache, "put_many", put_many)
 
         run_pipeline(pipeline_cfg, "all")

@@ -20,6 +20,7 @@ from tabret.train import (
     TrainConfig,
     TrainError,
     adapter_apply,
+    adapter_apply_rows,
     gradient_check,
     infonce_loss,
     load_adapter,
@@ -505,6 +506,43 @@ class TestAdapterApply:
         adapter = Adapter(W=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="normalize"):
             adapter_apply(adapter, np.ones(3))
+
+
+class TestAdapterApplyRows:
+    """The stacked pass against the per-row loop, byte for byte."""
+
+    @pytest.mark.parametrize("dim", [8, 64, 1024])
+    @pytest.mark.parametrize("rows", [1, 800])
+    def test_equals_the_per_row_loop(self, rng, rows, dim):
+        adapter = Adapter(W=np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)))
+        vectors = np.stack([random_unit(rng, dim) for _ in range(rows)])
+        loop = np.stack([adapter_apply(adapter, v) for v in vectors])
+        assert adapter_apply_rows(adapter, vectors).tobytes() == loop.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 70)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    def test_equals_the_per_row_loop_on_random_shapes(self, shape, seed, scale):
+        rows, dim = shape
+        rng = np.random.default_rng(seed)
+        adapter = Adapter(W=scale * rng.normal(size=(dim, dim)))
+        vectors = rng.normal(size=(rows, dim))
+        loop = np.stack([adapter_apply(adapter, v) for v in vectors])
+        assert adapter_apply_rows(adapter, vectors).tobytes() == loop.tobytes()
+
+    def test_dim_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            adapter_apply_rows(Adapter(np.eye(4)), np.ones((2, 5)))
+        with pytest.raises(ValueError, match="dim"):
+            adapter_apply_rows(Adapter(np.eye(4)), np.ones(4))
+
+    def test_zero_output_rejected(self):
+        adapter = Adapter(W=np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="normalize"):
+            adapter_apply_rows(adapter, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 class TestAdapterIO:
