@@ -3,7 +3,8 @@
 Unknown keys are errors (they are almost always typos), every error
 names the offending field path, and relative paths resolve against the
 config file's directory; an input file's path (corpus.path,
-eval.gold_path) must not name a directory. Auth tokens never live in the file: a section
+eval.gold_path) must not name a directory, nor workspace or cache_dir a
+file. Auth tokens never live in the file: a section
 names an environment variable (auth_token_env) and the value is read
 from the environment at load time. effective_dict gives the settings
 with secrets excluded, one entry per section, for the stage manifest's
@@ -215,6 +216,16 @@ def _file(base: Path, key: str, p: Path) -> Path:
     return path
 
 
+def _directory(base: Path, key: str, p: Path) -> Path:
+    """The resolved path of a directory the run makes; a file there or at
+    its nearest existing parent is an error, so no stage fails to make it."""
+    path = _resolve(base, p)
+    existing = next(q for q in (path, *path.parents) if q.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{key}: {existing} is not a directory")
+    return path
+
+
 def _token(env_name: str) -> str | None:
     return os.environ.get(env_name) if env_name else None
 
@@ -239,8 +250,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         raise ConfigError("corpus.path: required")
     corpus.finish()
 
-    workspace = _resolve(base, top.take("workspace", Path, Path("workspace")))
-    cache_dir = _resolve(base, top.take("cache_dir", Path, workspace / "embed_cache"))
+    workspace = _directory(base, "workspace", top.take("workspace", Path, Path("workspace")))
+    cache_dir = _directory(base, "cache_dir", top.take("cache_dir", Path, workspace / "embed_cache"))
     seed = top.take("seed", int, 0)
 
     emb = top.section("embedding")

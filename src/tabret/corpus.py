@@ -67,7 +67,6 @@ class Table:
 
 @dataclass
 class Corpus:
-    corpus_id: str
     tables: list[Table]
 
     def __post_init__(self) -> None:
@@ -140,7 +139,7 @@ def load_corpus(path: str | Path) -> Corpus:
     tables = _load_jsonl(p)
     if not tables:
         raise ArtifactError(p, "holds no table")
-    return Corpus(corpus_id=p.stem, tables=tables)
+    return Corpus(tables=tables)
 
 
 def table_to_record(t: Table) -> dict:

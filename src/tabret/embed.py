@@ -84,6 +84,8 @@ class ProviderConfig:
             raise ValueError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
         if self.dim <= 0:
             raise ValueError("provider dim must be positive")
+        if self.kind == "mock" and self.dim < 8:
+            raise ValueError(f"mock embedding dim must be >= 8, got {self.dim}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_input_chars < 1:
@@ -144,8 +146,6 @@ def _mock_vectors(texts: list[str], dim: int) -> np.ndarray:
     """mock_embed of each text, as the rows of one array."""
     if len(texts) == 1:
         return mock_embed(texts[0], dim)[None]
-    if dim < 8:
-        raise ValueError(f"mock embedding dim must be >= 8, got {dim}")
     out = np.empty((len(texts), dim), dtype=np.float64)
     slots: dict[int, int] = {}  # each distinct gram is hashed once per call
     begin = size = 0

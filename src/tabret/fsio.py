@@ -13,12 +13,12 @@ the stamp still matches (see Manifest). A run that leaves the manifest
 holding several times its live lines rewrites it as those lines.
 
 Every JSON Lines input, workspace artifact or source file, is read by
-read_records: one parse of the whole file (read_jsonl), a type check of
-each declared field over all records, then a parse of each record into
-its object. Any bad line, record or value raises JsonLinesError naming
-the file and line. The append-only manifest is read by read_log, which
-repairs a torn last line; so is a format-2 embedding cache index before
-its migration reads it through read_records.
+read_records: read_jsonl decodes each line, which must hold one JSON
+object, each declared field is type-checked over all records, and each
+record is parsed into its object. Any bad line, record or value raises
+JsonLinesError naming the file and line. The append-only manifest is
+read by read_log, which repairs a torn last line; so is a format-2
+embedding cache index before its migration reads it through read_records.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -39,7 +39,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, TypeVar, get_args, get_origin
+from typing import IO, Any, Callable, Iterable, Mapping, TypeVar, get_args, get_origin
 
 import numpy as np
 
@@ -144,44 +144,51 @@ def _text(path: str | Path, data: bytes) -> str:
 # the \\u escape of a surrogate code point, \\ud800 to \\udfff, which may be
 # unpaired; other escapes give Unicode text
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# JSON's whitespace, which may stand before and after a line's value
+_space = re.compile(r"[ \t\n\r]*").match
+_decode = json.JSONDecoder().raw_decode
 
 
-def _parse_jsonl(path: str | Path, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def _parse_lines(path: str | Path, lines: Iterable[str]) -> list[dict]:
+    """The one JSON object of each non-blank line, as json.loads of the line
+    gives it, from one decode of the line (two when JSON whitespace starts
+    it); a bad line raises JsonLinesError naming it."""
+    records = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
+            try:
+                obj, end = _decode(line)
+            except json.JSONDecodeError:
+                if not line.strip():
+                    continue
+                obj, end = _decode(line, _space(line).end())
+            if end != len(line) and (end := _space(line, end).end()) != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
         except json.JSONDecodeError as exc:
             raise JsonLinesError(path, line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise JsonLinesError(path, line_no, "expected a JSON object")
-        if "\\u" in line:  # only an escape can make a lone surrogate
-            _check_text(path, line_no, obj)
-        yield line_no, obj
-
-
-def _check_text(path: str | Path, line_no: int, obj: dict) -> None:
-    """Reject a record holding a lone surrogate (an unpaired \\ud800-\\udfff
-    escape), which is no Unicode text and which no UTF-8 file can hold."""
-    try:
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        problem = f"lone surrogate {exc.object[exc.start]!a} is not Unicode text"
-        raise JsonLinesError(path, line_no, problem) from None
+        # one character is found by memchr, faster than "\\u" on long lines
+        if "\\" in line and _SURROGATE_ESCAPE.search(line):
+            try:  # a lone surrogate is no Unicode text, and no UTF-8 file holds one
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                problem = f"lone surrogate {exc.object[exc.start]!a} is not Unicode text"
+                raise JsonLinesError(path, line_no, problem) from None
+        records.append(obj)
+    return records
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """The records of a JSON Lines file, one object per non-blank line.
 
-    The whole file is decoded and parsed in one json.loads (see
-    _parse_lines); the per-line parser runs only to name a bad line. A
-    byte that is not UTF-8, a line that is not one JSON object (a cut
-    line, or one holding two values or an array) and a lone surrogate
+    Each line is decoded once and must hold exactly one JSON object (see
+    _parse_lines): a byte that is not UTF-8, a cut line, a record split
+    over two lines, a line of two values or an array, and a lone surrogate
     escape each raise JsonLinesError naming their line. Lines may end in
-    \n, \r\n or \r, as in a file read in text mode.
+    \\n, \\r\\n or \\r, as in a file read in text mode.
     """
-    return _parse_lines(path, _text(path, Path(path).read_bytes()))
+    return _parse_lines(path, _lines(_text(path, Path(path).read_bytes())))
 
 
 @functools.cache
@@ -252,26 +259,6 @@ def _line_no(path: str | Path, index: int) -> int:
     return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
 
 
-def _parse_lines(path: str | Path, text: str) -> list[dict]:
-    """The records of text's non-blank lines, parsed in one json.loads; the
-    per-line parser runs only when that fails, or when an escape may hide a
-    lone surrogate, to name the bad line. Each line must give one object,
-    so a line holding two values is rejected."""
-    numbered = _lines(text)
-    lines = [line for line in numbered if line.strip()]
-    try:
-        # a raw newline is invalid inside a JSON string, so none spans lines
-        records = (
-            None if "\\" in text and _SURROGATE_ESCAPE.search(text)
-            else json.loads("[" + ",\n".join(lines) + "]")
-        )
-    except json.JSONDecodeError:
-        records = None
-    if records is None or len(records) != len(lines) or not set(map(type, records)) <= {dict}:
-        return [rec for _, rec in _parse_jsonl(path, numbered)]
-    return records
-
-
 def read_log(p: Path) -> list[dict]:
     """Records of an append-only JSON Lines log; a missing log has none.
 
@@ -284,10 +271,10 @@ def read_log(p: Path) -> list[dict]:
         return []
     data = p.read_bytes()
     end = data.rfind(b"\n") + 1
-    records = _parse_lines(p, _text(p, data[:end]))
+    records = _parse_lines(p, _lines(_text(p, data[:end])))
     if end < len(data):
         try:
-            records.extend(rec for _, rec in _parse_jsonl(p, [_text(p, data[end:])]))
+            records.extend(_parse_lines(p, [_text(p, data[end:])]))
             tail = data[end:] + b"\n"
         except JsonLinesError:
             tail = b""

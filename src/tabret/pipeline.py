@@ -138,7 +138,6 @@ def plan_stages(cfg: PipelineConfig) -> dict[str, StagePlan]:
 class QuerySplit:
     """queries.jsonl as one run reads it."""
 
-    queries: list[SyntheticQuery]
     # what mine, train and index see: the queries outside the held-out set
     training: list[SyntheticQuery]
     # scored by eval when no gold file is configured
@@ -196,8 +195,8 @@ class _Run:
     def queries(self) -> QuerySplit:
         parsed = read_records(self.ws / "queries.jsonl", QUERY_FIELDS, query_from_record)
         if self.cfg.eval.gold_path is not None:
-            return QuerySplit(parsed, parsed, [])
-        return QuerySplit(parsed, *split_queries(parsed, self.cfg.eval.holdout_per_pt))
+            return QuerySplit(parsed, [])
+        return QuerySplit(*split_queries(parsed, self.cfg.eval.holdout_per_pt))
 
     @functools.cached_property
     def base_vectors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -122,7 +122,7 @@ def build_corpus(
             instances=instances,
             metadata={"family": family, "code": code},
         ))
-    return Corpus(corpus_id=f"synth-inventory-{seed}", tables=tables)
+    return Corpus(tables=tables)
 
 
 def main(argv: list[str] | None = None) -> int:

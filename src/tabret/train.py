@@ -107,8 +107,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        for name in ("tau", "learning_rate", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN included
+                raise ValueError(f"{name} must be a positive finite number")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.accumulation_steps < 1:

@@ -64,7 +64,7 @@ def tiny_corpus(tiny_table) -> Corpus:
         ],
         header=["sku", "name", "qty"],
     )
-    return Corpus(corpus_id="tiny", tables=[tiny_table, other])
+    return Corpus(tables=[tiny_table, other])
 
 
 @pytest.fixture

@@ -78,6 +78,17 @@ class TestRunCommand:
             ("embedding.max_input_chars=-4", "embedding: max_input_chars must be >= 1"),
             ("embedding.max_parallel_requests=0", "embedding: max_parallel_requests must be >= 1"),
             ("chat.max_parallel_requests=0", "chat: max_parallel_requests must be >= 1"),
+            ("embedding.dim=4", "embedding: mock embedding dim must be >= 8, got 4"),
+            ("train.learning_rate=.nan", "train: learning_rate must be a positive finite number"),
+            ("train.learning_rate=-0.5", "train: learning_rate must be a positive finite number"),
+            ("train.adam_eps=-1", "train: adam_eps must be a positive finite number"),
+            ("train.adam_beta1=1.0", "train: adam_beta1 and adam_beta2 must lie in [0, 1)"),
+            ("train.adam_beta2=-0.1", "train: adam_beta1 and adam_beta2 must lie in [0, 1)"),
+            ("train.tau=.inf", "train: tau must be a positive finite number"),
+            ("train.tau=.nan", "train: tau must be a positive finite number"),
+            ("workspace=corpus.jsonl", "corpus.jsonl is not a directory"),
+            ("workspace=corpus.jsonl/ws", "corpus.jsonl is not a directory"),
+            ("cache_dir=corpus.jsonl", "corpus.jsonl is not a directory"),
         ],
     )
     def test_provider_setting_that_breaks_a_run_exits_2_at_load(

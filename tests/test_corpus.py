@@ -47,7 +47,7 @@ class TestModel:
     def test_duplicate_table_id_rejected(self):
         t = make_table("same", [["1"]])
         with pytest.raises(ValueError, match="same"):
-            Corpus(corpus_id="c", tables=[t, make_table("same", [["2"]])])
+            Corpus(tables=[t, make_table("same", [["2"]])])
 
 
 class TestEscaping:
@@ -128,7 +128,7 @@ class TestRoundTrip:
         )
     )
     def test_jsonl_round_trip_arbitrary_cells(self, tmp_path_factory, rows):
-        corpus = Corpus(corpus_id="c", tables=[make_table("t0", rows)])
+        corpus = Corpus(tables=[make_table("t0", rows)])
         path = tmp_path_factory.mktemp("rt") / "c.jsonl"
         write_corpus(corpus, path)
         loaded = load_corpus(path)
@@ -144,7 +144,7 @@ class TestRoundTrip:
             metadata={"family": "alloy"},
         )
         path = tmp_path / "c.jsonl"
-        write_corpus(Corpus(corpus_id="c", tables=[t]), path)
+        write_corpus(Corpus(tables=[t]), path)
         (loaded,) = load_corpus(path).tables
         assert loaded.metadata == {"family": "alloy"}
 

@@ -833,3 +833,8 @@ class TestProviderConfig:
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind="mock", model_name="m", dim=0)
+
+    def test_mock_dim_below_eight_is_rejected_but_an_http_one_is_not(self):
+        with pytest.raises(ValueError, match="mock embedding dim must be >= 8, got 7"):
+            ProviderConfig(kind="mock", model_name="m", dim=7)
+        assert ProviderConfig(kind="http", model_name="m", dim=7, endpoint="http://x").dim == 7

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tabret.fsio as fsio
 from tabret.fsio import (
@@ -104,6 +104,43 @@ class TestJsonl:
         assert list(read_jsonl(p)) == [{"ok": "\U0001f600", "path": "C:\\u"}]
 
 
+# text holding `}, {`, control and non-BMP characters, which json.dumps
+# writes raw or as \\u escapes (a non-BMP one as a surrogate pair)
+TEXT = st.text(st.sampled_from(list('ab}{, :"\\\x01\t\u00e9\u2028\U0001f600')), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def object_lines(draw) -> str:
+    """One JSON object on one line, maybe with a surrogate escape, paired
+    or lone, written into a string of its own."""
+    obj = draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    escape = draw(st.sampled_from(["", "\\ud83d\\ude00", "\\udfff", "\\uD800", "x\\ud83d"]))
+    if escape:
+        line = line[:-1] + (", " if obj else "") + f'"s": "{escape}"}}'
+    return line
+
+
+# lines of a JSON Lines file: objects (with JSON whitespace around some),
+# two values on one line, fragments and other values, and blank lines
+SPACES = st.sampled_from(["", " ", "\t "])
+LINES = st.one_of(
+    object_lines(),
+    st.tuples(SPACES, object_lines(), SPACES).map("".join),
+    st.tuples(object_lines(), st.sampled_from([", ", " ", ""]),
+              object_lines() | JSON_VALUES.map(json.dumps)).map("".join),
+    st.sampled_from(['{"a": [1', "2]}", "}", '{"a": "\\x"}', "[{}]", "7", '"s"', "null", "not json"]),
+    st.sampled_from(["", " ", "\t", "\x0c"]),
+)
+
+
+SPLIT_RECORD = b'{"a": [1\n2]}\n{"b": 1}, {"c": 2}\n'
+
 # fault -> (edit of one line's bytes, what JsonLinesError says of it); a
 # cut line is the last line, left without its newline
 LINE_FAULTS = {
@@ -113,6 +150,9 @@ LINE_FAULTS = {
     "cut-last-line": (lambda line: line[: len(line) // 2], "invalid JSON"),
     "not-utf8": (lambda line: line[:5] + b"\xff" + line[6:], "invalid UTF-8"),
     "lone-surrogate": (lambda line: line.replace(b'": "', b'": "\\udfff', 1), "lone surrogate"),
+    # a record split over two lines, then a line of two values: as many
+    # values as lines, so only a per-line decode sees the split
+    "split-record": (lambda line: SPLIT_RECORD.rstrip(b"\n"), "invalid JSON"),
 }
 
 
@@ -146,16 +186,63 @@ class TestReadJsonlFaults:
         with pytest.raises(JsonLinesError, match=":3: invalid JSON"):
             read_jsonl(p)
 
-    def test_a_file_is_parsed_in_one_call(self, tmp_path, monkeypatch):
-        # escapes that cannot be lone surrogates keep the one-call path
+    def test_escapes_that_are_no_lone_surrogate_round_trip(self, tmp_path):
         p = tmp_path / "r.jsonl"
         records = [{"i": i, "text": f"line {i}\x01 C:\\udocs \U0001f600"} for i in range(100)]
         write_jsonl(p, records)
-        calls = []
-        real = json.loads
-        monkeypatch.setattr(fsio.json, "loads", lambda text: calls.append(text) or real(text))
         assert read_jsonl(p) == records
-        assert len(calls) == 1
+
+    # one bug shrunk at a time keeps a failing run to seconds, not minutes
+    @settings(deadline=None, report_multiple_bugs=False)
+    @example(pieces=[(line, "\n") for line in SPLIT_RECORD.decode().splitlines()], cut=False)
+    @given(pieces=st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+           cut=st.booleans())
+    def test_each_line_parses_as_json_loads_parses_it(self, tmp_path_factory, pieces, cut):
+        text = "".join(line + end for line, end in pieces)
+        data = (text[: len(text) - len(pieces[-1][1])] if pieces and cut else text).encode()
+        p = tmp_path_factory.getbasetemp() / "r.jsonl"  # each example writes it anew
+        p.write_bytes(data)
+        expected = per_line_oracle(p.read_text(encoding="utf-8"))
+        readers = [read_jsonl, lambda path: read_records(path, {}, dict)]
+        if data.endswith(b"\n") or not data:  # read_log repairs a last line without one
+            readers.append(read_log)
+        for read in readers:
+            if isinstance(expected, list):
+                assert read(p) == expected
+            else:
+                with pytest.raises(JsonLinesError, match=rf"r\.jsonl:{expected[0]}: {expected[1]}"):
+                    read(p)
+
+
+def lone_surrogate(value) -> bool:
+    """True when a parsed JSON value holds a surrogate code point, which
+    json.loads leaves only for an escape with no pair."""
+    if isinstance(value, str):
+        return any("\ud800" <= c <= "\udfff" for c in value)
+    if isinstance(value, dict):
+        return any(map(lone_surrogate, [*value, *value.values()]))
+    return isinstance(value, list) and any(map(lone_surrogate, value))
+
+
+def per_line_oracle(text: str) -> list[dict] | tuple[int, str]:
+    """What a JSON Lines reader must make of text, as a text-mode read
+    splits it: the records of its non-blank lines, each by json.loads, or
+    (line number, problem) of the first line that is no JSON object or
+    that holds a lone surrogate."""
+    records = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            return line_no, "invalid JSON"
+        if not isinstance(obj, dict):
+            return line_no, "expected a JSON object"
+        if lone_surrogate(obj):
+            return line_no, "lone surrogate"
+        records.append(obj)
+    return records
 
 
 class TestTypedRecords:
@@ -658,8 +745,9 @@ class TestReadLog:
 
     @pytest.mark.parametrize(
         "bad",
-        ['{"a": ', '{"a": {"a": 2}', "{}, {}", "{} {}", "[{}]", "7"],
-        ids=["bad-json", "torn-then-appended", "two-values", "two-objects", "array", "number"],
+        ['{"a": ', '{"a": {"a": 2}', "{}, {}", "{} {}", "[{}]", "7", SPLIT_RECORD.decode()],
+        ids=["bad-json", "torn-then-appended", "two-values", "two-objects", "array", "number",
+             "split-record"],
     )
     def test_bad_middle_line_raises_naming_it(self, tmp_path, bad):
         p = tmp_path / "log.jsonl"
@@ -680,20 +768,11 @@ class TestReadLog:
         p.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
         assert read_log(p) == [{"a": 1}, {"a": 2}]
 
-    def test_terminated_lines_are_parsed_in_one_call(self, tmp_path, monkeypatch):
+    def test_terminated_lines_round_trip(self, tmp_path):
         p = tmp_path / "log.jsonl"
         records = [{"i": i, "text": f"line {i}"} for i in range(100)]
         write_jsonl(p, records)
-        calls = []
-        real = json.loads
-
-        def counting(text, *args, **kwargs):
-            calls.append(text)
-            return real(text, *args, **kwargs)
-
-        monkeypatch.setattr(fsio.json, "loads", counting)
         assert read_log(p) == records
-        assert len(calls) == 1
 
 
 class TestWorkspaceLock:

@@ -480,7 +480,10 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tau": 0.0}, {"tau": -0.5}, {"epochs": -1}, {"accumulation_steps": 0}],
+        [{"tau": 0.0}, {"tau": -0.5}, {"tau": float("inf")}, {"tau": float("nan")},
+         {"epochs": -1}, {"accumulation_steps": 0}, {"learning_rate": 0.0},
+         {"learning_rate": float("nan")}, {"adam_eps": -1.0}, {"adam_eps": float("inf")},
+         {"adam_beta1": 1.0}, {"adam_beta1": -0.1}, {"adam_beta2": 1.0}],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
