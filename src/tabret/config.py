@@ -4,21 +4,22 @@ Unknown keys are errors (they are almost always typos), every error
 names the offending field path, and relative paths resolve against the
 config file's directory; an input file's path (corpus.path,
 eval.gold_path) must not name a directory, nor workspace or cache_dir a
-file. Auth tokens never live in the file: a section
-names an environment variable (auth_token_env) and the value is read
-from the environment at load time. effective_dict gives the settings
-with secrets excluded, one entry per section, for the stage manifest's
-config hashes (which sections feed which stage is pipeline's to say).
+file. Auth tokens never live in the file or in a config object: a
+provider section names an environment variable (auth_token_env), which
+httpjson reads when it sends a request. effective_dict gives the
+settings, one entry per section, for the stage manifest's config hashes
+(which sections feed which stage is pipeline's to say).
 
-Each section's dataclass declares its settings once: its int, float,
-str and bool fields are the section's keys, types and defaults, loaded
-and hashed from the same field list.
+Each section is one dataclass that declares its settings once: its int,
+float, str and bool fields are the section's keys, types and defaults,
+loaded and hashed from the same field list, and its __post_init__
+checks their values. Beyond those fields, corpus.path, train.enabled,
+eval.gold_path and eval.ks are read here.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -27,10 +28,10 @@ import yaml
 
 from .cluster import ClusteringConfig
 from .embed import ProviderConfig
-from .kpt import STRATEGIES, KptConfig
+from .kpt import KptConfig
 from .mining import MiningConfig
 from .querygen import ChatConfig, GenConfig
-from .retrieval import FUSIONS, REPRESENTATION_MODES
+from .retrieval import RetrievalConfig
 from .train import TrainConfig
 
 
@@ -58,34 +59,30 @@ class PipelineConfig:
     cache_dir: Path
     seed: int
     embedding: ProviderConfig
-    embedding_auth_env: str
-    chat_auth_env: str
     clustering: ClusteringConfig
     kpt: KptConfig
-    kpt_strategy: str
     genq: GenConfig
     mining: MiningConfig
     train: TrainConfig
     train_enabled: bool
-    retrieval_mode: str
-    fusion: str
+    retrieval: RetrievalConfig
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def effective_dict(self) -> dict:
-        """Plain-data view used for manifest hashing; no resolved secrets."""
+        """Plain-data view used for manifest hashing."""
         gold_path = self.eval.gold_path
         return {
             # the one corpus format, kept in the hash so that built workspaces stay fresh
             "corpus": {"path": str(self.corpus_path), "format": "jsonl"},
             "seed": self.seed,
-            "embedding": {**_values(self.embedding), "auth_token_env": self.embedding_auth_env},
-            "chat": {**_values(self.genq.provider), "auth_token_env": self.chat_auth_env},
+            "embedding": _values(self.embedding),
+            "chat": _values(self.genq.provider),
             "clustering": _values(self.clustering),
-            "kpt": {"strategy": self.kpt_strategy, **_values(self.kpt)},
+            "kpt": _values(self.kpt),
             "genq": _values(self.genq),
             "mining": _values(self.mining),
             "train": {"enabled": self.train_enabled, **_values(self.train)},
-            "retrieval": {"mode": self.retrieval_mode, "fusion": self.fusion},
+            "retrieval": _values(self.retrieval),
             "eval": {
                 **_values(self.eval),
                 "gold_path": str(gold_path) if gold_path else None,
@@ -101,7 +98,7 @@ _SCALARS = {kind.__name__: kind for kind in (int, float, str, bool)}
 @functools.cache
 def _settings(cls: type) -> tuple[tuple[str, type, Any], ...]:
     """(key, type, default) of each int, float, str or bool field of a section
-    dataclass; other fields (secrets, paths, nested sections) are given."""
+    dataclass; other fields (paths, lists, nested sections) are given."""
     return tuple(
         (f.name, _SCALARS[f.type], f.default) for f in fields(cls) if f.type in _SCALARS
     )
@@ -152,12 +149,6 @@ class _Section:
             raise ConfigError(
                 f"{self.path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
             )
-        return value
-
-    def choose(self, key: str, choices: tuple[str, ...], default: str) -> str:
-        value = self.take(key, str, default)
-        if value not in choices:
-            raise ConfigError(f"{self.path}.{key}: must be one of {choices}")
         return value
 
     def section(self, key: str) -> "_Section":
@@ -226,10 +217,6 @@ def _directory(base: Path, key: str, p: Path) -> Path:
     return path
 
 
-def _token(env_name: str) -> str | None:
-    return os.environ.get(env_name) if env_name else None
-
-
 def load_config(path: str | Path, overrides: list[str] | None = None) -> PipelineConfig:
     config_path = Path(path)
     if not config_path.exists():
@@ -254,20 +241,10 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     cache_dir = _directory(base, "cache_dir", top.take("cache_dir", Path, workspace / "embed_cache"))
     seed = top.take("seed", int, 0)
 
-    emb = top.section("embedding")
-    emb_auth_env = emb.take("auth_token_env", str, "")
-    embedding = emb.build(ProviderConfig, auth_token=_token(emb_auth_env))
-
-    chat_raw = top.section("chat")
-    chat_auth_env = chat_raw.take("auth_token_env", str, "")
-    chat = chat_raw.build(ChatConfig, auth_token=_token(chat_auth_env))
-
+    embedding = top.section("embedding").build(ProviderConfig)
+    chat = top.section("chat").build(ChatConfig)
     clustering = top.section("clustering").build(ClusteringConfig, seed=seed)
-
-    kpt_raw = top.section("kpt")
-    kpt_strategy = kpt_raw.choose("strategy", STRATEGIES, "kpt_random")
-    kpt_cfg = kpt_raw.build(KptConfig, seed=seed)
-
+    kpt_cfg = top.section("kpt").build(KptConfig, seed=seed)
     genq = top.section("genq").build(GenConfig, provider=chat)
     mining = top.section("mining").build(MiningConfig, seed=seed)
 
@@ -275,10 +252,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     train_enabled = train_raw.take("enabled", bool, True)
     train_cfg = train_raw.build(TrainConfig, seed=seed)
 
-    ret_raw = top.section("retrieval")
-    retrieval_mode = ret_raw.choose("mode", REPRESENTATION_MODES, "pt_only")
-    fusion = ret_raw.choose("fusion", FUSIONS, "max")
-    ret_raw.finish()
+    retrieval = top.section("retrieval").build(RetrievalConfig)
 
     eval_raw = top.section("eval")
     gold_path = eval_raw.take("gold_path", Path, None)
@@ -290,39 +264,28 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         ks=tuple(ks),
     )
     top.finish()
+    # split_queries keeps one query of each partial table for training
+    if gold_path is None and (genq.n_q < 2 or eval_cfg.holdout_per_pt < 1):
+        raise ConfigError("eval: no query to score; without eval.gold_path, eval needs "
+                          "genq.n_q >= 2 and eval.holdout_per_pt >= 1, as one question of "
+                          "each partial table stays in training")
 
     return PipelineConfig(
-        corpus_path=_file(base, "corpus.path", corpus_path),
-        workspace=workspace,
-        cache_dir=cache_dir,
-        seed=seed,
-        embedding=embedding,
-        embedding_auth_env=emb_auth_env,
-        chat_auth_env=chat_auth_env,
-        clustering=clustering,
-        kpt=kpt_cfg,
-        kpt_strategy=kpt_strategy,
-        genq=genq,
-        mining=mining,
-        train=train_cfg,
-        train_enabled=train_enabled,
-        retrieval_mode=retrieval_mode,
-        fusion=fusion,
-        eval=eval_cfg,
+        corpus_path=_file(base, "corpus.path", corpus_path), workspace=workspace,
+        cache_dir=cache_dir, seed=seed, embedding=embedding, clustering=clustering, kpt=kpt_cfg,
+        genq=genq, mining=mining, train=train_cfg, train_enabled=train_enabled,
+        retrieval=retrieval, eval=eval_cfg,
     )
 
 
 def variant_config(
-    cfg: PipelineConfig,
-    kpt_strategy: str,
-    mining_strategy: str,
-    use_adapter: bool,
+    cfg: PipelineConfig, kpt_strategy: str, mining_strategy: str, use_adapter: bool,
     workspace: Path,
 ) -> PipelineConfig:
     """Derive a comparison-variant config sharing the embedding cache."""
     return replace(
         cfg,
-        kpt_strategy=kpt_strategy,
+        kpt=replace(cfg.kpt, strategy=kpt_strategy),
         mining=replace(cfg.mining, strategy=mining_strategy),
         train_enabled=use_adapter,
         workspace=workspace,

@@ -56,7 +56,7 @@ from .fsio import (
     read_log,
     read_records,
 )
-from .httpjson import ProviderError, fan_out, post_json
+from .httpjson import ProviderError, auth_headers, fan_out, post_json
 
 PROVIDER_KINDS = ("http", "mock")
 # the embedding cache's own layout, apart from fsio.ARTIFACT_FORMAT so that
@@ -76,7 +76,7 @@ class ProviderConfig:
     endpoint: str = ""
     batch_size: int = 32
     max_input_chars: int = 8192
-    auth_token: str | None = None
+    auth_token_env: str = ""
     max_parallel_requests: int = 8
 
     def __post_init__(self) -> None:
@@ -418,8 +418,8 @@ def _write_all(fd: int, data: bytes) -> None:
 
 def _http_embed_batch(cfg: ProviderConfig, texts: list[str]) -> list[np.ndarray]:
     url = cfg.endpoint.rstrip("/") + "/v1/embeddings"
-    headers = {"Authorization": f"Bearer {cfg.auth_token}"} if cfg.auth_token else None
-    body = post_json(url, {"model": cfg.model_name, "input": texts}, headers=headers)
+    body = post_json(url, {"model": cfg.model_name, "input": texts},
+                     headers=auth_headers(cfg.auth_token_env))
     data = body.get("data") if isinstance(body, dict) else None
     if not isinstance(data, list) or len(data) != len(texts):
         raise ProviderError(

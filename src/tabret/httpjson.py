@@ -8,12 +8,17 @@ HTTP-date or unparsable value keeps the fixed backoff. Client errors
 other than 429 fail immediately since retrying a malformed request
 cannot succeed. fan_out sends many requests: one runs inline, more run
 on min(workers, n) threads, with results in input order.
+
+A provider's config names the environment variable that holds its
+bearer token, never the token: auth_headers reads the variable when a
+request is built, so no config object, manifest or log holds the value.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -25,6 +30,13 @@ RETRY_BACKOFF_S = (0.5, 1.0, 2.0)
 
 class ProviderError(RuntimeError):
     """An embedding or chat provider request failed after retries."""
+
+
+def auth_headers(token_env: str) -> dict[str, str] | None:
+    """The Authorization header for the bearer token in the environment
+    variable token_env, read now; None if none is named or it is unset."""
+    token = os.environ.get(token_env) if token_env else None
+    return {"Authorization": f"Bearer {token}"} if token else None
 
 
 def post_json(

@@ -1,6 +1,7 @@
 """Partial-table construction from per-table cluster assignments.
 
-Four strategies. kpt_random samples s rows per cluster (the main
+Four strategies, one of which KptConfig.strategy names and checks when
+the config is made. kpt_random samples s rows per cluster (the main
 method); cb_centroid keeps the s rows nearest each centroid; s_single
 keeps one nearest row per cluster; first_rows ignores clustering and
 takes the leading rows as a baseline. Every partial table serializes as
@@ -23,11 +24,14 @@ STRATEGIES = ("kpt_random", "cb_centroid", "s_single", "first_rows")
 
 @dataclass(frozen=True)
 class KptConfig:
+    strategy: str = "kpt_random"
     s: int = 5
     first_rows_k: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.s < 1:
             raise ValueError("s must be >= 1")
         if self.first_rows_k < 1:
@@ -82,15 +86,10 @@ def _make_pt(
 
 
 def build_kpts(
-    table: Table,
-    assignment: ClusterLabels | None,
-    cfg: KptConfig,
-    strategy: str,
+    table: Table, assignment: ClusterLabels | None, cfg: KptConfig
 ) -> list[PartialTable]:
-    """One partial table per cluster (or one total for first_rows)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    m = len(table.instances)
+    """One partial table per cluster under cfg.strategy (or one total for first_rows)."""
+    strategy, m = cfg.strategy, len(table.instances)
 
     if strategy == "first_rows":
         return [_make_pt(table, strategy, None, list(range(min(cfg.first_rows_k, m))))]

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cluster import ClusterLabels, cluster_tables
 from .config import PipelineConfig, variant_config
-from .corpus import Corpus, CorpusFormatError, load_corpus, serialize_instance, table_to_record
+from .corpus import Corpus, load_corpus, serialize_instance, table_to_record
 from .embed import EmbeddingCache, embed_texts
 from .fsio import (
     ArtifactError,
@@ -274,7 +274,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(exc.exit_code, f"stage '{stage}': {exc}") from exc
     except ProviderError as exc:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
-    except (CorpusFormatError, FileNotFoundError) as exc:  # the source corpus
+    except FileNotFoundError as exc:  # a missing source corpus
         raise StageError(2, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = run.writers.get(exc.path)
@@ -380,12 +380,12 @@ def _stage_kpt(run: _Run) -> None:
     records = []
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
-        if assignment is None and cfg.kpt_strategy != "first_rows":
+        if assignment is None and cfg.kpt.strategy != "first_rows":
             raise ArtifactError(run.ws / "clusters.jsonl", f"no clustering of {t.table_id!r}")
-        for pt in build_kpts(t, assignment, cfg.kpt, cfg.kpt_strategy):
+        for pt in build_kpts(t, assignment, cfg.kpt):
             records.append(vars(pt))
     write_jsonl(run.ws / "kpts.jsonl", records)
-    run.log(f"[kpt] {len(records)} partial tables ({cfg.kpt_strategy})")
+    run.log(f"[kpt] {len(records)} partial tables ({cfg.kpt.strategy})")
 
 
 def _stage_genq(run: _Run) -> None:
@@ -478,17 +478,13 @@ def _stage_index(run: _Run) -> None:
     queries_by_pt: dict[str, list[SyntheticQuery]] = {}
     for q in run.queries.training:
         queries_by_pt.setdefault(q.pt_id, []).append(q)
+    mode, fusion = cfg.retrieval.mode, cfg.retrieval.fusion
     index = build_index(
-        pts,
-        queries_by_pt,
-        cfg.embedding,
-        cache=run.cache,
-        adapter=run.adapter,
-        mode=cfg.retrieval_mode,
-        fusion=cfg.fusion,
+        pts, queries_by_pt, cfg.embedding, cache=run.cache, adapter=run.adapter,
+        mode=mode, fusion=fusion,
     )
     save_index(index, run.ws / "index")
-    run.log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval_mode}, {cfg.fusion} fusion)")
+    run.log(f"[index] {len(index.pt_ids)} entries ({mode}, {fusion} fusion)")
 
 
 def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
@@ -516,9 +512,9 @@ def _stage_eval(run: _Run) -> None:
     index = load_index(run.ws / "index", adapter=run.adapter)
     gold = _gold_pairs(run, index.tables)
     if not gold:
-        raise StageError(
-            2, "no evaluation queries: set eval.gold_path or eval.holdout_per_pt >= 1"
-        )
+        cause = (f"{cfg.eval.gold_path} holds none" if cfg.eval.gold_path else
+                 "each partial table has only one question, which training keeps")
+        raise StageError(2, f"no evaluation queries: {cause}")
     report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=run.cache)
     atomic_write_text(
         run.ws / "report.json", json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .embed import PROVIDER_KINDS
-from .httpjson import ProviderError, fan_out, post_json
+from .httpjson import ProviderError, auth_headers, fan_out, post_json
 from .kpt import PartialTable
 
 # Single user-message prompt. The blank-line layout is part of the
@@ -81,7 +81,7 @@ class ChatConfig:
     kind: str = "mock"
     model_name: str = "mock-chat"
     endpoint: str = ""
-    auth_token: str | None = None
+    auth_token_env: str = ""
     timeout: float = 120.0
     max_parallel_requests: int = 4
 
@@ -192,9 +192,6 @@ def chat_complete(cfg: GenConfig, prompt: str) -> str:
     if cfg.provider.kind == "mock":
         return mock_chat_response(prompt)
     url = cfg.provider.endpoint.rstrip("/") + "/v1/chat/completions"
-    headers = (
-        {"Authorization": f"Bearer {cfg.provider.auth_token}"} if cfg.provider.auth_token else None
-    )
     body = post_json(
         url,
         {
@@ -203,7 +200,7 @@ def chat_complete(cfg: GenConfig, prompt: str) -> str:
             "max_tokens": cfg.max_tokens,
             "messages": [{"role": "user", "content": prompt}],
         },
-        headers=headers,
+        headers=auth_headers(cfg.provider.auth_token_env),
         timeout=cfg.provider.timeout,
     )
     try:

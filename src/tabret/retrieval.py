@@ -4,8 +4,12 @@ The index is an in-memory matrix of unit vectors, one row per partial
 table. A query scores every row by dot product; a table's score is the
 max over its rows (one strongly matching cluster is enough to retrieve
 the table), with mean fusion available as an option. Ties rank by
-table_id so reports are reproducible. A saved index keeps its vectors in
-an fsio matrix container, whose 8-byte BLAKE2b trailer a load verifies.
+table_id so reports are reproducible. RetrievalConfig holds the two
+settings, the entry text's mode and the fusion, and checks them. A saved
+index keeps its vectors in an fsio matrix container, whose 8-byte
+BLAKE2b trailer a load verifies; a load also requires meta.json's dim to
+be the vectors' width and its has_adapter to match the adapter given, so
+no query is ranked in another space than the one the index was built in.
 
 An index groups its rows by table once, when it is built or loaded, so a
 query is one gemv over the whole matrix plus whole-array fusion. Two
@@ -70,6 +74,18 @@ _BLOCK_BYTES = 1 << 18
 _ENTRY_FIELDS = {"pt_id": str, "table_id": str}
 
 
+@dataclass(frozen=True)
+class RetrievalConfig:
+    mode: str = "pt_only"
+    fusion: str = "max"
+
+    def __post_init__(self) -> None:
+        if self.mode not in REPRESENTATION_MODES:
+            raise ValueError(f"mode must be one of {REPRESENTATION_MODES}, got {self.mode!r}")
+        if self.fusion not in FUSIONS:
+            raise ValueError(f"fusion must be one of {FUSIONS}, got {self.fusion!r}")
+
+
 @dataclass
 class RetrievalIndex:
     pt_ids: list[str]
@@ -90,10 +106,7 @@ class RetrievalIndex:
             raise ValueError("pt_ids, table_ids and vectors must align")
         if len(set(self.pt_ids)) != len(self.pt_ids):
             raise ValueError("pt_id entries must be unique")
-        if self.representation_mode not in REPRESENTATION_MODES:
-            raise ValueError(f"unknown representation mode {self.representation_mode!r}")
-        if self.fusion not in FUSIONS:
-            raise ValueError(f"unknown fusion {self.fusion!r}")
+        RetrievalConfig(self.representation_mode, self.fusion)  # raises on an unknown choice
         self.tables = sorted(set(self.table_ids))
         position = {t: i for i, t in enumerate(self.tables)}
         codes = np.array([position[t] for t in self.table_ids], dtype=np.intp)
@@ -279,6 +292,14 @@ def load_index(directory: str | Path, adapter: Adapter | None = None) -> Retriev
         raise ArtifactError(d / "meta.json", f"invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ArtifactError(d / "meta.json", "expected a JSON object")
+    # the index must be searched as it was built: through the same adapter
+    # or none, at the vectors' width
+    for key, given in (("has_adapter", adapter is not None), ("dim", vectors.shape[1])):
+        got = meta.get(key)
+        if type(got) is not type(given) or got != given:
+            found = json.dumps(got) if key in meta else "missing"
+            raise ArtifactError(d / "meta.json", f"{key} is {found}, expected "
+                                f"{json.dumps(given)} from the vectors and adapter loaded")
     pt_ids = [pt_id for pt_id, _ in entries]
     try:
         return RetrievalIndex(

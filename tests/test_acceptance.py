@@ -356,7 +356,7 @@ def test_pipeline_determinism(tmp_path, monkeypatch):
 
 @pytest.mark.criterion(8, "prompt rendered byte-exact from the template")
 def test_prompt_byte_exact(tiny_table):
-    (pt,) = build_kpts(tiny_table, None, KptConfig(first_rows_k=3), "first_rows")
+    (pt,) = build_kpts(tiny_table, None, KptConfig(first_rows_k=3, strategy="first_rows"))
     cfg = GenConfig(n_q=5, lang="en")
     rendered = render_prompt(pt, cfg)
     # independent substitution; the chunk goes in last so its own text

@@ -89,6 +89,8 @@ class TestRunCommand:
             ("workspace=corpus.jsonl", "corpus.jsonl is not a directory"),
             ("workspace=corpus.jsonl/ws", "corpus.jsonl is not a directory"),
             ("cache_dir=corpus.jsonl", "corpus.jsonl is not a directory"),
+            ("genq.n_q=1", "genq.n_q >= 2 and eval.holdout_per_pt >= 1"),
+            ("eval.holdout_per_pt=0", "genq.n_q >= 2 and eval.holdout_per_pt >= 1"),
         ],
     )
     def test_provider_setting_that_breaks_a_run_exits_2_at_load(
@@ -591,7 +593,27 @@ class TestDamagedRecords:
         capsys.readouterr()
         assert demo("--stage", "eval") == 3
         err = capsys.readouterr().err
-        assert "meta.json: unknown fusion 'bogus'; rerun stage 'index'" in err
+        assert "meta.json: fusion must be one of ('max', 'mean'), got 'bogus'; rerun stage " \
+               "'index'" in err
+
+    @pytest.mark.parametrize(
+        "old, new, problem",
+        [
+            ('"has_adapter": true', '"has_adapter": false', "has_adapter is false, expected true"),
+            ('"dim": 128', '"dim": 64', "dim is 64, expected 128"),
+        ],
+    )
+    def test_index_meta_that_disagrees_with_the_run_exits_3_naming_index(
+        self, demo, capsys, old, new, problem
+    ):
+        meta = demo.workspace / "index" / "meta.json"
+        assert old in meta.read_text()
+        meta.write_text(meta.read_text().replace(old, new))
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert f"error: stage 'eval': {meta}: {problem}" in err
+        assert err.rstrip().endswith("; rerun stage 'index'")
 
     def test_repeated_index_entry_exits_3_naming_index(self, demo, capsys):
         entries = demo.workspace / "index" / "entries.jsonl"
@@ -669,11 +691,37 @@ def _empty_corpus(tmp_path: Path) -> tuple[list[str], str]:
     return [f"corpus.path={path}"], f"stage 'ingest': {path}: holds no table"
 
 
+def _bad_last_table(tmp_path: Path, table: dict, problem: str) -> tuple[list[str], str]:
+    """The demo corpus with one more table, which ingest rejects at its line."""
+    path = tmp_path / "bad.jsonl"
+    tables = [*_demo_tables(), table]
+    return [_write_corpus(path, tables)], f"stage 'ingest': {path}:{len(tables)}: {problem}"
+
+
 def _rowless_jsonl_table(tmp_path: Path) -> tuple[list[str], str]:
-    path = tmp_path / "rowless.jsonl"
-    tables = [*_demo_tables(), {"table_id": "empty_t", "header": ["a"], "rows": []}]
-    setting = _write_corpus(path, tables)
-    return [setting], f"stage 'ingest': {path}:{len(tables)}: table 'empty_t' has no rows"
+    table = {"table_id": "empty_t", "header": ["a"], "rows": []}
+    return _bad_last_table(tmp_path, table, "table 'empty_t' has no rows")
+
+
+def _headerless_table(tmp_path: Path) -> tuple[list[str], str]:
+    table = {"table_id": "bare_t", "header": [], "rows": [[]]}
+    return _bad_last_table(tmp_path, table, "table 'bare_t': header must be non-empty")
+
+
+def _row_wider_than_header(tmp_path: Path) -> tuple[list[str], str]:
+    table = {"table_id": "wide_t", "header": ["a"], "rows": [["1", "2"]]}
+    return _bad_last_table(tmp_path, table, "table 'wide_t' row 0: 2 cells under a 1-column header")
+
+
+def _repeated_table_id(tmp_path: Path) -> tuple[list[str], str]:
+    table = _demo_tables()[0]
+    return _bad_last_table(tmp_path, table, f"duplicate table_id {table['table_id']!r}")
+
+
+def _empty_gold(tmp_path: Path) -> tuple[list[str], str]:
+    path = tmp_path / "gold.jsonl"
+    path.write_text("", encoding="utf-8")
+    return [f"eval.gold_path={path}"], f"stage 'eval': no evaluation queries: {path} holds none"
 
 
 def _directory_as_corpus(tmp_path: Path) -> tuple[list[str], str]:
@@ -692,7 +740,8 @@ class TestUnusableInput:
 
     @pytest.mark.parametrize(
         "make_input",
-        [_empty_corpus, _rowless_jsonl_table, _directory_as_corpus, _directory_as_gold],
+        [_empty_corpus, _rowless_jsonl_table, _headerless_table, _row_wider_than_header,
+         _repeated_table_id, _empty_gold, _directory_as_corpus, _directory_as_gold],
     )
     def test_unusable_input_exits_2_naming_its_path(self, demo, capsys, tmp_path, make_input):
         settings, problem = make_input(tmp_path)

@@ -4,8 +4,16 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
-from tabret.config import ConfigError, load_config, variant_config
+from tabret.cluster import ClusteringConfig
+from tabret.config import ConfigError, _settings, load_config, variant_config
+from tabret.embed import ProviderConfig
+from tabret.httpjson import auth_headers
+from tabret.kpt import KptConfig
+from tabret.mining import MiningConfig
+from tabret.querygen import ChatConfig, GenConfig
+from tabret.retrieval import RetrievalConfig
 from tabret.pipeline import STAGES, plan_stages
 
 REPO = Path(__file__).resolve().parents[1]
@@ -30,7 +38,7 @@ class TestDefaults:
         assert cfg.clustering.k_max == 5
         assert cfg.clustering.n_init == 10
         assert cfg.kpt.s == 5
-        assert cfg.kpt_strategy == "kpt_random"
+        assert cfg.kpt.strategy == "kpt_random"
         assert cfg.genq.n_q == 5
         assert cfg.genq.temperature == 0.4
         assert cfg.genq.max_tokens == 1024
@@ -41,8 +49,8 @@ class TestDefaults:
         assert cfg.train.accumulation_steps == 32
         assert cfg.train.learning_rate == 1e-3
         assert cfg.train_enabled is True
-        assert cfg.retrieval_mode == "pt_only"
-        assert cfg.fusion == "max"
+        assert cfg.retrieval.mode == "pt_only"
+        assert cfg.retrieval.fusion == "max"
         assert cfg.eval.holdout_per_pt == 1
         assert cfg.eval.ks == (1, 5, 10)
 
@@ -111,9 +119,9 @@ class TestStrictness:
     def test_enum_fields_checked(self, tmp_path):
         for body, fragment in [
             (MINIMAL + "corpus_format: parquet\n", "unknown key"),
-            (MINIMAL + "kpt:\n  strategy: best_rows\n", "kpt.strategy"),
-            (MINIMAL + "retrieval:\n  mode: rows\n", "retrieval.mode"),
-            (MINIMAL + "retrieval:\n  fusion: sum\n", "retrieval.fusion"),
+            (MINIMAL + "kpt:\n  strategy: best_rows\n", "kpt: strategy must be one of"),
+            (MINIMAL + "retrieval:\n  mode: rows\n", "retrieval: mode must be one of"),
+            (MINIMAL + "retrieval:\n  fusion: sum\n", "retrieval: fusion must be one of"),
         ]:
             with pytest.raises(ConfigError, match=fragment):
                 load_config(write_config(tmp_path, body))
@@ -210,14 +218,31 @@ class TestSecrets:
             "  auth_token_env: CHAT_TOKEN\n"
         )
         cfg = load_config(write_config(tmp_path, body))
-        assert cfg.embedding.auth_token == "sk-embed-secret"
-        assert cfg.genq.provider.auth_token == "sk-chat-secret"
+        assert auth_headers(cfg.embedding.auth_token_env) == {
+            "Authorization": "Bearer sk-embed-secret"
+        }
+        assert auth_headers(cfg.genq.provider.auth_token_env) == {
+            "Authorization": "Bearer sk-chat-secret"
+        }
+        # no config object holds a token
+        for shown in (repr(cfg), repr(cfg.embedding), repr(cfg.genq.provider)):
+            assert "sk-embed-secret" not in shown
+            assert "sk-chat-secret" not in shown
+
+    def test_token_is_read_when_the_request_is_built(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("EMBED_TOKEN", raising=False)
+        body = MINIMAL + "embedding:\n  auth_token_env: EMBED_TOKEN\n"
+        cfg = load_config(write_config(tmp_path, body))
+        monkeypatch.setenv("EMBED_TOKEN", "sk-set-after-load")
+        assert auth_headers(cfg.embedding.auth_token_env) == {
+            "Authorization": "Bearer sk-set-after-load"
+        }
 
     def test_unset_env_var_leaves_token_empty(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MISSING_TOKEN", raising=False)
         body = MINIMAL + "embedding:\n  auth_token_env: MISSING_TOKEN\n"
         cfg = load_config(write_config(tmp_path, body))
-        assert cfg.embedding.auth_token is None
+        assert auth_headers(cfg.embedding.auth_token_env) is None
 
     def test_effective_dict_never_contains_token_values(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMBED_TOKEN", "sk-embed-secret")
@@ -365,11 +390,52 @@ class TestGoldenStageHashes:
         assert hashes(cfg) == ALL_KEYS_HASHES
 
 
+# the dataclass of each effective_dict section that it renders whole;
+# corpus, train and eval also hold keys read outside their dataclass
+SECTION_CLASSES = {
+    "embedding": ProviderConfig,
+    "chat": ChatConfig,
+    "clustering": ClusteringConfig,
+    "kpt": KptConfig,
+    "genq": GenConfig,
+    "mining": MiningConfig,
+    "retrieval": RetrievalConfig,
+}
+
+
+class TestOneDeclarationPerSetting:
+    def test_section_keys_are_their_dataclass_fields(self, tmp_path):
+        effective = load_config(write_config(tmp_path, ALL_KEYS)).effective_dict()
+        sections = {k for k, v in effective.items() if isinstance(v, dict)}
+        assert sections - {"corpus", "train", "eval"} == set(SECTION_CLASSES)
+        for section, cls in SECTION_CLASSES.items():
+            names = {key for key, _, _ in _settings(cls)} - {"seed"}
+            assert set(effective[section]) == names, section
+
+
+def _dotted_keys(mapping: dict) -> set[str]:
+    """Each key of a config mapping, a section's keys as section.key."""
+    keys = set()
+    for key, value in mapping.items():
+        keys |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+    return keys
+
+
 class TestReadme:
-    def test_configuration_block_shows_the_defaults(self, tmp_path):
+    @staticmethod
+    def block() -> str:
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration", 1)[1]
-        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        return re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+
+    def test_configuration_block_names_every_key(self, tmp_path):
+        documented = _dotted_keys(yaml.safe_load(self.block()))
+        effective = load_config(write_config(tmp_path, MINIMAL)).effective_dict()
+        accepted = _dotted_keys(effective) - {"corpus.format"} | {"workspace", "cache_dir"}
+        assert documented == accepted
+
+    def test_configuration_block_shows_the_defaults(self, tmp_path):
+        block = self.block()
         # the cache_dir default is a placeholder; it lives under the workspace
         body = "".join(
             line for line in block.splitlines(keepends=True) if not line.startswith("cache_dir:")
@@ -389,7 +455,7 @@ class TestVariantConfig:
             use_adapter=False,
             workspace=tmp_path / "v",
         )
-        assert v.kpt_strategy == "first_rows"
+        assert v.kpt.strategy == "first_rows"
         assert v.mining.strategy == "random"
         assert v.train_enabled is False
         assert v.workspace == tmp_path / "v"

@@ -715,7 +715,8 @@ class TestHttpProvider:
     def test_auth_header_sent_when_token_present(self, monkeypatch):
         fake = FakeHttp(dim=8)
         monkeypatch.setattr(embed_mod, "post_json", fake)
-        embed_texts(self.http_cfg(auth_token="sk-test"), ["a"], None)
+        monkeypatch.setenv("EMBED_TOKEN", "sk-test")
+        embed_texts(self.http_cfg(auth_token_env="EMBED_TOKEN"), ["a"], None)
         _, _, headers = fake.calls[0]
         assert headers["Authorization"] == "Bearer sk-test"
 

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from tabret.httpjson import ProviderError, fan_out, post_json
+from tabret.httpjson import ProviderError, auth_headers, fan_out, post_json
 
 PAYLOAD = {"input": ["x"]}
 
@@ -236,3 +236,16 @@ def test_fan_out_yields_each_result_or_error_in_input_order():
 def test_fan_out_runs_inline_with_one_item_or_one_worker(items, workers):
     out = list(fan_out(lambda i: (i, threading.current_thread()), items, workers))
     assert out == [(i, threading.current_thread()) for i in items]
+
+
+def test_auth_headers_carry_the_bearer_token_of_the_named_variable(monkeypatch):
+    monkeypatch.setenv("PROVIDER_TOKEN", "sk-test")
+    assert auth_headers("PROVIDER_TOKEN") == {"Authorization": "Bearer sk-test"}
+
+
+def test_auth_headers_are_none_without_a_token(monkeypatch):
+    monkeypatch.delenv("PROVIDER_TOKEN", raising=False)
+    assert auth_headers("PROVIDER_TOKEN") is None
+    monkeypatch.setenv("PROVIDER_TOKEN", "")
+    assert auth_headers("PROVIDER_TOKEN") is None
+    assert auth_headers("") is None

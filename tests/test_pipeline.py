@@ -13,7 +13,7 @@ import pytest
 
 import tabret.fsio as fsio
 import tabret.pipeline as pipeline_mod
-from tabret.config import PipelineConfig, load_config
+from tabret.config import ConfigError, PipelineConfig, load_config
 from tabret.embed import EmbeddingCache
 from tabret.fsio import read_jsonl, sha256_json, write_jsonl
 from tabret.pipeline import (
@@ -224,12 +224,24 @@ class TestRunPipeline:
         assert not (cfg.workspace / "adapter.bin").exists()
         assert (cfg.workspace / "report.json").exists()
 
-    def test_zero_holdout_without_gold_fails_eval(self, pipeline_cfg, tmp_path):
-        cfg = load_config(
-            tmp_path / "config.yaml", overrides=["eval.holdout_per_pt=0"]
-        )
-        with pytest.raises(StageError, match="no evaluation queries") as exc_info:
-            run_pipeline(cfg, "all")
+    @pytest.mark.parametrize("setting", ["eval.holdout_per_pt=0", "genq.n_q=1"])
+    def test_nothing_held_out_without_gold_fails_at_load(self, pipeline_cfg, tmp_path, setting):
+        path = tmp_path / "config.yaml"
+        with pytest.raises(ConfigError, match="genq.n_q >= 2 and eval.holdout_per_pt >= 1"):
+            load_config(path, overrides=[setting])
+        # a gold file gives eval its queries
+        assert load_config(path, overrides=[setting, "eval.gold_path=gold.jsonl"])
+
+    def test_one_question_per_partial_table_fails_eval(self, pipeline_cfg, tmp_path):
+        # the mock chat asks one question per column of a row, so a
+        # one-column table yields one question, which training keeps
+        write_jsonl(tmp_path / "corpus.jsonl", [
+            {"table_id": f"t{t}", "header": ["sku"], "rows": [[f"t{t}-r{i}"] for i in range(4)]}
+            for t in range(3)
+        ])
+        with pytest.raises(StageError, match="no evaluation queries: each partial table has "
+                                             "only one question") as exc_info:
+            run_pipeline(pipeline_cfg, "all")
         assert exc_info.value.exit_code == 2
 
     def test_bad_corpus_path_maps_to_exit_code_2(self, pipeline_cfg, tmp_path):

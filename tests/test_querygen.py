@@ -328,7 +328,8 @@ class TestHttpProvider:
     def test_auth_header_only_with_token(self, monkeypatch):
         fake = FakeChatHttp()
         monkeypatch.setattr(querygen, "post_json", fake)
-        generate_queries(make_pt(), http_cfg(auth_token="sk-test"))
+        monkeypatch.setenv("CHAT_TOKEN", "sk-test")
+        generate_queries(make_pt(), http_cfg(auth_token_env="CHAT_TOKEN"))
         assert fake.calls[0]["headers"] == {"Authorization": "Bearer sk-test"}
 
         fake.calls.clear()

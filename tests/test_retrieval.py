@@ -1,6 +1,7 @@
 """Retrieval index: fusion rules, hand-counted recall, persistence."""
 
 import functools
+import json
 import operator
 from unittest import mock
 
@@ -400,12 +401,12 @@ class TestIndexValidation:
             )
 
     def test_unknown_mode_and_fusion(self):
-        with pytest.raises(ValueError, match="representation mode"):
+        with pytest.raises(ValueError, match="mode must be one of"):
             RetrievalIndex(
                 pt_ids=["a"], table_ids=["t"], vectors=np.zeros((1, 2)),
                 representation_mode="chunks",
             )
-        with pytest.raises(ValueError, match="fusion"):
+        with pytest.raises(ValueError, match="fusion must be one of"):
             RetrievalIndex(
                 pt_ids=["a"], table_ids=["t"], vectors=np.zeros((1, 2)), fusion="sum"
             )
@@ -430,11 +431,44 @@ class TestPersistence:
         assert back.adapter is None
 
     def test_load_attaches_adapter(self, tmp_path):
-        index = self.build()
-        save_index(index, tmp_path / "index")
         adapter = Adapter(np.eye(32))
+        index = self.build()
+        index.adapter = adapter
+        save_index(index, tmp_path / "index")
         back = load_index(tmp_path / "index", adapter=adapter)
         assert back.adapter is adapter
+
+    @pytest.mark.parametrize("built_with, loaded_with", [(True, False), (False, True)])
+    def test_adapter_must_match_meta(self, tmp_path, built_with, loaded_with):
+        index = self.build()
+        index.adapter = Adapter(np.eye(32)) if built_with else None
+        save_index(index, tmp_path / "index")
+        adapter = Adapter(np.eye(32)) if loaded_with else None
+        expected = f"has_adapter is {json.dumps(built_with)}, expected {json.dumps(loaded_with)}"
+        with pytest.raises(ArtifactError, match=expected) as exc_info:
+            load_index(tmp_path / "index", adapter=adapter)
+        assert exc_info.value.path == tmp_path / "index" / "meta.json"
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda meta: meta.pop("has_adapter"), "has_adapter is missing"),
+            (lambda meta: meta.update(has_adapter=0), "has_adapter is 0"),
+            (lambda meta: meta.pop("dim"), "dim is missing"),
+            (lambda meta: meta.update(dim=64), "dim is 64"),
+            (lambda meta: meta.update(dim=32.0), "dim is 32.0"),
+        ],
+        ids=["no-has_adapter", "has_adapter-not-bool", "no-dim", "other-dim", "dim-not-int"],
+    )
+    def test_meta_must_state_adapter_and_dim(self, tmp_path, edit, found):
+        save_index(self.build(), tmp_path / "index")
+        path = tmp_path / "index" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ArtifactError, match=f"meta.json: {found}, expected ") as exc_info:
+            load_index(tmp_path / "index")
+        assert exc_info.value.path == path
 
     def test_vector_corruption_detected(self, tmp_path):
         index = self.build()
