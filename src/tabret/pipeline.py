@@ -189,11 +189,11 @@ class _Run:
 
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
-        return read_records(self.ws / "kpts.jsonl", PT_FIELDS, kpt_from_record)
+        return _read_some(self.ws / "kpts.jsonl", PT_FIELDS, kpt_from_record)
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
-        parsed = read_records(self.ws / "queries.jsonl", QUERY_FIELDS, query_from_record)
+        parsed = _read_some(self.ws / "queries.jsonl", QUERY_FIELDS, query_from_record)
         if self.cfg.eval.gold_path is not None:
             return QuerySplit(parsed, [])
         return QuerySplit(*split_queries(parsed, self.cfg.eval.holdout_per_pt))
@@ -211,6 +211,15 @@ class _Run:
         if not self.cfg.train_enabled:
             return None
         return load_adapter(str(self.ws / "adapter.bin"), expected_dim=self.cfg.embedding.dim)
+
+
+def _read_some(path: Path, fields: dict, parse: Callable[[dict], object]) -> list:
+    """read_records of a file its writer never leaves empty, so that one
+    with no record is damage."""
+    records = read_records(path, fields, parse)
+    if not records:
+        raise ArtifactError(path, "no records")
+    return records
 
 
 def run_pipeline(
@@ -403,11 +412,8 @@ def _stage_genq(run: _Run) -> None:
 
 def _stage_mine(run: _Run) -> None:
     cfg, pts = run.cfg, run.pts
-    training = run.queries.training
-    if not training:
-        raise ArtifactError(run.ws / "queries.jsonl", "no training queries")
     pt_vecs, q_vecs = run.base_vectors
-    triples, skipped = mine_all(training, q_vecs, pts, cfg.mining, pt_vecs)
+    triples, skipped = mine_all(run.queries.training, q_vecs, pts, cfg.mining, pt_vecs)
     if not triples:
         # a negative comes from another source table, so one table gives none
         raise StageError(2, "no query has a partial table of another source table to take "
@@ -446,11 +452,9 @@ def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
     pt_ids = [pt.pt_id for pt in run.pts]
     query_ids = [q.query_id for q in run.queries.training]
-    triples = read_records(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
+    triples = _read_some(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
         _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
         tables={pt.pt_id: pt.table_id for pt in run.pts}))
-    if not triples:
-        raise ArtifactError(ws / "triples.jsonl", "no triples")
     pt_vecs, q_vecs = run.base_vectors
     vectors = dict(zip(pt_ids + query_ids, [*pt_vecs, *q_vecs]))
 
@@ -478,13 +482,11 @@ def _stage_index(run: _Run) -> None:
     queries_by_pt: dict[str, list[SyntheticQuery]] = {}
     for q in run.queries.training:
         queries_by_pt.setdefault(q.pt_id, []).append(q)
-    mode, fusion = cfg.retrieval.mode, cfg.retrieval.fusion
-    index = build_index(
-        pts, queries_by_pt, cfg.embedding, cache=run.cache, adapter=run.adapter,
-        mode=mode, fusion=fusion,
-    )
+    index = build_index(pts, queries_by_pt, cfg.embedding, cache=run.cache, adapter=run.adapter,
+                        config=cfg.retrieval)
     save_index(index, run.ws / "index")
-    run.log(f"[index] {len(index.pt_ids)} entries ({mode}, {fusion} fusion)")
+    run.log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval.mode}, "
+            f"{cfg.retrieval.fusion} fusion)")
 
 
 def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:

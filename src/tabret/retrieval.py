@@ -5,21 +5,32 @@ table. A query scores every row by dot product; a table's score is the
 max over its rows (one strongly matching cluster is enough to retrieve
 the table), with mean fusion available as an option. Ties rank by
 table_id so reports are reproducible. RetrievalConfig holds the two
-settings, the entry text's mode and the fusion, and checks them. A saved
-index keeps its vectors in an fsio matrix container, whose 8-byte
-BLAKE2b trailer a load verifies; a load also requires meta.json's dim to
-be the vectors' width and its has_adapter to match the adapter given, so
-no query is ranked in another space than the one the index was built in.
+settings, the entry text's mode and the fusion, and checks them; an
+index carries the one it was built under. A saved index keeps its
+vectors in an fsio matrix container, whose 8-byte BLAKE2b trailer a load
+verifies; a load also requires meta.json to state both settings, its dim
+to be the vectors' width and its has_adapter to match the adapter given,
+so no query is ranked in another space than the one the index was built
+in. An index has at least one entry.
 
 An index groups its rows by table once, when it is built or loaded, so a
-query is one gemv over the whole matrix plus whole-array fusion. Two
-floating-point facts fix how: a row's score can change in its last bits
-with the row's position in the matrix a BLAS gemv is given (see mining),
-so every query scores the full matrix in stored order; and
-np.add.reduceat does not add a group left to right (it differed from
-Python's sum in 9432 of 20000 random groups), so mean fusion adds the
-grid's rows one by one, the k-th score of every table at step k, which
-is sum(v)'s order. Max fusion takes the grid's column maxima.
+block of queries is one stacked matmul over the whole matrix plus
+whole-array fusion. _scores makes that matmul for search (a block of
+one) and evaluate alike: np.matmul(index.vectors, q_vecs[:, :, None])
+broadcasts the matrix over the block, numpy hands each query's product
+to BLAS gemv, and out= only names where the result goes, so every score
+has the bits of np.dot(index.vectors, q). That held bit for bit on numpy
+2.4.6 with OpenBLAS 0.3.31 in nine shapes of 1 to 2000 rows, 1 to 800
+queries and d = 8, 64 and 128; one gemm of the block against the
+matrix's transpose differed in 528095 of 640000 scores at 800 x 800 x
+64, so it is not used. Two more floating-point facts fix the rest: a
+row's score can change in its last bits with the row's position in the
+matrix a gemv is given (see mining), so every query scores the full
+matrix in stored order; and np.add.reduceat does not add a group left to
+right (it differed from Python's sum in 9432 of 20000 random groups), so
+mean fusion adds the grid's rows one by one, the k-th score of every
+table at step k, which is sum(v)'s order. Max fusion takes the grid's
+column maxima.
 
 build_index maps its rows, and evaluate its queries once before any
 block, through adapter_apply_rows: one stacked np.matmul whose products
@@ -28,19 +39,15 @@ has the bits of adapter_apply's W @ v and out.dot(out) (see train).
 search maps its one query with adapter_apply.
 
 evaluate scores its queries in blocks of about _BLOCK_BYTES of scores,
-so memory stays bounded however many queries there are. Each query's
-gemv is the same np.dot(index.vectors, q) that search makes, written
-through out= into its row of the block: out= only names where BLAS
-stores the result, so every score keeps its bits. A block holds one
-pad column past the last row's score, -inf under max fusion and 0.0
-under mean, which the grid's padding points at, and fusion then runs
-over the whole block at once with the same elementwise operations as
-for one query. A gold table's rank is counted, not sorted: the tables
-scoring above it, plus the tables before it in table_id order that tie
-with it, plus one. argsort(-fused, kind="stable") puts the gold table
-at exactly that position, as every fused score is finite: a stable
-sort places first the entries that compare below it and then the equal
-ones that come earlier, in their original order.
+so memory stays bounded however many queries there are. A block holds
+one pad column past the last row's score, -inf under max fusion and 0.0
+under mean, which the grid's padding points at. A gold table's rank is
+counted, not sorted: the tables scoring above it, plus the tables before
+it in table_id order that tie with it, plus one. argsort(-fused,
+kind="stable") puts the gold table at exactly that position, as every
+fused score is finite: a stable sort places first the entries that
+compare below it and then the equal ones that come earlier, in their
+original order.
 """
 
 from __future__ import annotations
@@ -92,8 +99,7 @@ class RetrievalIndex:
     table_ids: list[str]
     vectors: np.ndarray
     adapter: Adapter | None = None
-    representation_mode: str = "pt_only"
-    fusion: str = "max"
+    config: RetrievalConfig = RetrievalConfig()
     # derived from table_ids: the distinct ids in sorted order, each one's
     # row count, and a grid whose column t lists table t's rows in stored
     # order, padded with len(table_ids) (a row number past the end)
@@ -104,16 +110,17 @@ class RetrievalIndex:
     def __post_init__(self) -> None:
         if len(self.pt_ids) != len(self.table_ids) or len(self.pt_ids) != len(self.vectors):
             raise ValueError("pt_ids, table_ids and vectors must align")
+        if not self.pt_ids:
+            raise ValueError("an index needs at least one entry")
         if len(set(self.pt_ids)) != len(self.pt_ids):
             raise ValueError("pt_id entries must be unique")
-        RetrievalConfig(self.representation_mode, self.fusion)  # raises on an unknown choice
         self.tables = sorted(set(self.table_ids))
         position = {t: i for i, t in enumerate(self.tables)}
         codes = np.array([position[t] for t in self.table_ids], dtype=np.intp)
         rows = np.argsort(codes, kind="stable")
         self._counts = np.bincount(codes, minlength=len(self.tables))
         starts = np.cumsum(self._counts) - self._counts
-        self._grid = np.full((self._counts.max(initial=0), len(self.tables)), len(codes))
+        self._grid = np.full((self._counts.max(), len(self.tables)), len(codes))
         for k, row in enumerate(self._grid):
             has = self._counts > k
             row[has] = rows[starts[has] + k]
@@ -145,15 +152,14 @@ def build_index(
     provider: ProviderConfig,
     cache: EmbeddingCache | None = None,
     adapter: Adapter | None = None,
-    mode: str = "pt_only",
-    fusion: str = "max",
+    config: RetrievalConfig = RetrievalConfig(),
 ) -> RetrievalIndex:
     """Embed one entry per partial table, in pt_id order."""
     if not pts:
         raise ValueError("cannot build an index over zero partial tables")
     ordered = sorted(pts, key=lambda p: p.pt_id)
     texts = [
-        entry_text(pt, (queries_by_pt or {}).get(pt.pt_id, []), mode) for pt in ordered
+        entry_text(pt, (queries_by_pt or {}).get(pt.pt_id, []), config.mode) for pt in ordered
     ]
     vectors = embed_texts(provider, texts, cache)
     if adapter is not None:
@@ -163,30 +169,29 @@ def build_index(
         table_ids=[pt.table_id for pt in ordered],
         vectors=vectors,
         adapter=adapter,
-        representation_mode=mode,
-        fusion=fusion,
+        config=config,
     )
 
 
-def _padded_scores(index: RetrievalIndex, *queries: int) -> np.ndarray:
-    """An uninitialised block of row scores, one query's along the last
-    axis, with one column past the last row holding the pad that fusion
-    gives the grid's padding."""
-    block = np.empty((*queries, len(index.pt_ids) + 1))
-    block[..., -1] = -np.inf if index.fusion == "max" else 0.0
+def _scores(index: RetrievalIndex, q_vecs: np.ndarray) -> np.ndarray:
+    """Every row's score for each query of q_vecs, one query per row, and
+    one column past the last row holding the pad that fusion gives the
+    grid's padding."""
+    block = np.empty((len(q_vecs), len(index.pt_ids) + 1))
+    block[:, -1] = -np.inf if index.config.fusion == "max" else 0.0
+    np.matmul(index.vectors, q_vecs[:, :, None], out=block[:, :-1, None])
     return block
 
 
 def _fuse(index: RetrievalIndex, scores: np.ndarray) -> np.ndarray:
-    """Fused table scores from padded row scores: one query's vector, or a
-    block of them with one query per row."""
-    by_table = scores.take(index._grid, axis=-1)
-    if index.fusion == "max":
-        return by_table.max(axis=-2)
+    """Fused table scores from a block of _scores, one query per row."""
+    by_table = scores.take(index._grid, axis=1)
+    if index.config.fusion == "max":
+        return by_table.max(axis=1)
     # left to right like sum(); a pad adds 0.0, which changes no sum
-    fused = np.zeros(by_table.shape[:-2] + by_table.shape[-1:])
-    for k in range(by_table.shape[-2]):
-        fused += by_table[..., k, :]
+    fused = np.zeros((len(scores), len(index.tables)))
+    for k in range(by_table.shape[1]):
+        fused += by_table[:, k]
     fused /= index._counts
     return fused
 
@@ -197,9 +202,7 @@ def rank_tables(index: RetrievalIndex, q_vec: np.ndarray) -> tuple[np.ndarray, n
     Returns positions into index.tables, best first, and the fused score
     of every position. The stable sort keeps equal scores in table_id order.
     """
-    scores = _padded_scores(index)
-    np.dot(index.vectors, q_vec, out=scores[:-1])
-    fused = _fuse(index, scores)
+    fused = _fuse(index, _scores(index, q_vec[None]))[0]
     return np.argsort(-fused, kind="stable"), fused
 
 
@@ -212,8 +215,6 @@ def search(
 ) -> list[tuple[str, float]]:
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if len(index.pt_ids) == 0:
-        raise ValueError("index is empty")
     q_vec = embed_texts(provider, [query_text], cache)[0]
     if index.adapter is not None:
         q_vec = adapter_apply(index.adapter, q_vec)
@@ -243,15 +244,12 @@ def evaluate(
     if index.adapter is not None:
         q_vecs = adapter_apply_rows(index.adapter, q_vecs)
     golds = np.array([position[gold_id] for _, gold_id in gold])
-    block = _padded_scores(index, max(1, _BLOCK_BYTES // (8 * (len(index.pt_ids) + 1))))
+    per_block = max(1, _BLOCK_BYTES // (8 * (len(index.pt_ids) + 1)))
     earlier = np.arange(len(index.tables))
     ranks: list[int] = []
-    for start in range(0, len(gold), len(block)):
-        scores = block[: len(gold) - start]
-        for out, q_vec in zip(scores, q_vecs[start : start + len(scores)]):
-            np.dot(index.vectors, q_vec, out=out[:-1])
-        fused = _fuse(index, scores)
-        at = golds[start : start + len(scores), None]
+    for start in range(0, len(gold), per_block):
+        fused = _fuse(index, _scores(index, q_vecs[start : start + per_block]))
+        at = golds[start : start + per_block, None]
         g = np.take_along_axis(fused, at, axis=1)
         ahead = (fused > g) | ((fused == g) & (earlier < at))
         ranks.extend((ahead.sum(axis=1) + 1).tolist())
@@ -271,8 +269,8 @@ def save_index(index: RetrievalIndex, directory: str | Path) -> None:
     )
     write_matrix_bin(d / "vectors.bin", index.vectors)
     meta = {
-        "representation_mode": index.representation_mode,
-        "fusion": index.fusion,
+        "representation_mode": index.config.mode,
+        "fusion": index.config.fusion,
         "dim": int(index.vectors.shape[1]),
         "has_adapter": index.adapter is not None,
     }
@@ -286,31 +284,30 @@ def load_index(directory: str | Path, adapter: Adapter | None = None) -> Retriev
     vectors = read_matrix_bin(d / "vectors.bin")
     if len(vectors) != len(entries):
         raise ArtifactError(entries_path, "entries.jsonl and vectors.bin disagree on count")
+    meta_path = d / "meta.json"
     try:
-        meta = json.loads((d / "meta.json").read_bytes())
+        meta = json.loads(meta_path.read_bytes())
     except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ArtifactError(d / "meta.json", f"invalid JSON: {exc}") from exc
+        raise ArtifactError(meta_path, f"invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
-        raise ArtifactError(d / "meta.json", "expected a JSON object")
+        raise ArtifactError(meta_path, "expected a JSON object")
     # the index must be searched as it was built: through the same adapter
-    # or none, at the vectors' width
-    for key, given in (("has_adapter", adapter is not None), ("dim", vectors.shape[1])):
+    # or none, at the vectors' width, under the settings it was built with
+    allowed = {"has_adapter": (adapter is not None,), "dim": (vectors.shape[1],),
+               "representation_mode": REPRESENTATION_MODES, "fusion": FUSIONS}
+    for key, values in allowed.items():
         got = meta.get(key)
-        if type(got) is not type(given) or got != given:
+        if type(got) is not type(values[0]) or got not in values:
             found = json.dumps(got) if key in meta else "missing"
-            raise ArtifactError(d / "meta.json", f"{key} is {found}, expected "
-                                f"{json.dumps(given)} from the vectors and adapter loaded")
-    pt_ids = [pt_id for pt_id, _ in entries]
+            raise ArtifactError(meta_path, f"{key} is {found}, expected "
+                                + " or ".join(map(json.dumps, values)))
     try:
         return RetrievalIndex(
-            pt_ids=pt_ids,
+            pt_ids=[pt_id for pt_id, _ in entries],
             table_ids=[table_id for _, table_id in entries],
             vectors=vectors,
             adapter=adapter,
-            representation_mode=meta.get("representation_mode", "pt_only"),
-            fusion=meta.get("fusion", "max"),
+            config=RetrievalConfig(meta["representation_mode"], meta["fusion"]),
         )
-    except ValueError as exc:
-        # the counts agree, so a repeated pt_id or a setting of meta.json is at fault
-        bad = entries_path if len(set(pt_ids)) != len(pt_ids) else d / "meta.json"
-        raise ArtifactError(bad, str(exc)) from exc
+    except ValueError as exc:  # entries.jsonl is empty or repeats a pt_id
+        raise ArtifactError(entries_path, str(exc)) from exc

@@ -536,10 +536,18 @@ class TestDamagedRecords:
             ("clusters.jsonl",
              lambda path: path.write_text("".join(path.read_text().splitlines(True)[1:])),
              "kpt", "no clustering of 'table_00'", "cluster"),
-            ("triples.jsonl", lambda path: path.write_text(""), "train", "no triples", "mine"),
+            # no writer leaves these empty, so an empty one is damage
+            *[(name, lambda path: path.write_text(""), stage, "no records", producer)
+              for name, producer, stages in (
+                  ("triples.jsonl", "mine", ("train",)),
+                  ("kpts.jsonl", "kpt", ("genq", "mine", "train", "index")),
+                  ("queries.jsonl", "genq", ("mine", "train", "index", "eval")))
+              for stage in stages],
         ],
         ids=["instance-rows-disagree-with-the-corpus", "table-missing-from-clusters",
-             "emptied-triples"],
+             "emptied-triples", "emptied-kpts-genq", "emptied-kpts-mine", "emptied-kpts-train",
+             "emptied-kpts-index", "emptied-queries-mine", "emptied-queries-train",
+             "emptied-queries-index", "emptied-queries-eval"],
     )
     def test_file_that_disagrees_exits_3(self, demo, capsys, name, damage, stage, problem,
                                          producer):
@@ -593,14 +601,29 @@ class TestDamagedRecords:
         capsys.readouterr()
         assert demo("--stage", "eval") == 3
         err = capsys.readouterr().err
-        assert "meta.json: fusion must be one of ('max', 'mean'), got 'bogus'; rerun stage " \
+        assert 'meta.json: fusion is "bogus", expected "max" or "mean"; rerun stage ' \
                "'index'" in err
+
+    def test_index_without_entries_exits_3_naming_index(self, demo, capsys):
+        index = demo.workspace / "index"
+        (index / "entries.jsonl").write_text("")
+        write_matrix_bin(index / "vectors.bin", read_matrix_bin(index / "vectors.bin")[:0])
+        capsys.readouterr()
+        assert demo("--stage", "eval") == 3
+        err = capsys.readouterr().err
+        assert f"{index / 'entries.jsonl'}: an index needs at least one entry; " \
+               "rerun stage 'index'" in err
 
     @pytest.mark.parametrize(
         "old, new, problem",
         [
             ('"has_adapter": true', '"has_adapter": false', "has_adapter is false, expected true"),
             ('"dim": 128', '"dim": 64', "dim is 64, expected 128"),
+            ('"fusion": "max",', '"x": 0,', "fusion is missing"),
+            ('"fusion": "max"', '"fusion": ["max"]', 'fusion is ["max"]'),
+            ('"representation_mode": "pt_only"', '"x": 0', "representation_mode is missing"),
+            ('"representation_mode": "pt_only"', '"representation_mode": null',
+             "representation_mode is null"),
         ],
     )
     def test_index_meta_that_disagrees_with_the_run_exits_3_naming_index(

@@ -17,6 +17,7 @@ from tabret.kpt import PartialTable
 from tabret.querygen import SyntheticQuery
 from tabret.retrieval import (
     EvalReport,
+    RetrievalConfig,
     RetrievalIndex,
     build_index,
     entry_text,
@@ -48,7 +49,7 @@ def hand_index(rows: list[tuple[str, str, list[float]]], fusion: str = "max"):
         pt_ids=[r[0] for r in rows],
         table_ids=[r[1] for r in rows],
         vectors=np.array([r[2] for r in rows], dtype=np.float64),
-        fusion=fusion,
+        config=RetrievalConfig(fusion=fusion),
     )
 
 
@@ -68,7 +69,7 @@ def reference_rank_tables(index: RetrievalIndex, q_vec: np.ndarray) -> list[tupl
     table_scores: dict[str, list[float]] = {}
     for table_id, score in zip(index.table_ids, scores):
         table_scores.setdefault(table_id, []).append(float(score))
-    if index.fusion == "max":
+    if index.config.fusion == "max":
         fused = {t: max(v) for t, v in table_scores.items()}
     else:
         fused = {t: functools.reduce(operator.add, v, 0.0) / len(v) for t, v in table_scores.items()}
@@ -96,7 +97,7 @@ def random_index(draw):
         pt_ids=[f"{t}#kpt_random#{i}" for i, (t, _) in enumerate(rows)],
         table_ids=[t for t, _ in rows],
         vectors=np.array([v for _, v in rows], dtype=np.float64),
-        fusion=draw(st.sampled_from(["max", "mean"])),
+        config=RetrievalConfig(fusion=draw(st.sampled_from(["max", "mean"]))),
     )
     queries = draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), min_size=1, max_size=3))
     return index, np.array(queries, dtype=np.float64)
@@ -186,6 +187,104 @@ class TestBlockEvaluateMatchesPerQueryRanking:
             for per_block in (1, 2, 4, 9, 100):
                 monkeypatch.setattr(retrieval, "_BLOCK_BYTES", per_block * 8 * 5)
                 assert evaluate(index, gold, MOCK).ranks == want, (fusion, per_block)
+
+
+def parent_scores(index: RetrievalIndex, q_vec: np.ndarray) -> np.ndarray:
+    """One query's row scores and pad as rank_tables made them before the
+    stacked matmul, kept as the oracle: one np.dot written through out=."""
+    scores = np.empty(len(index.pt_ids) + 1)
+    scores[-1] = -np.inf if index.config.fusion == "max" else 0.0
+    np.dot(index.vectors, q_vec, out=scores[:-1])
+    return scores
+
+
+def parent_fuse(index: RetrievalIndex, scores: np.ndarray) -> np.ndarray:
+    """_fuse as it was for one query's scores, kept as the oracle."""
+    by_table = scores.take(index._grid)
+    if index.config.fusion == "max":
+        return by_table.max(axis=0)
+    fused = np.zeros(len(index.tables))
+    for row in by_table:
+        fused += row
+    fused /= index._counts
+    return fused
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def planted_vectors(rng: np.random.Generator, n: int, dim: int, zeros: float) -> np.ndarray:
+    """n rows whose entries are 0.0 or -0.0 with probability zeros, with
+    about a fifth of the rows repeating another, so scores tie exactly."""
+    x = rng.normal(size=(n, dim))
+    x[rng.random(x.shape) < zeros] = 0.0
+    x[rng.random(x.shape) < 0.5] *= -1.0
+    repeat = rng.random(n) < 0.2
+    x[repeat] = x[rng.integers(0, n, repeat.sum())]
+    return x
+
+
+@st.composite
+def scored_index(draw):
+    """An index of 1-400 rows over up to 30 tables at d = 8, 64 or 128, and
+    1-60 queries, both with planted zeros of either sign."""
+    dim = draw(st.sampled_from([8, 64, 128]), label="dim")
+    rows = draw(st.integers(1, 400), label="rows")
+    tables = draw(st.integers(1, min(rows, 30)), label="tables")
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]), label="zeros")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    index = RetrievalIndex(
+        pt_ids=[f"p{i}" for i in range(rows)],
+        table_ids=[f"t{i:02d}" for i in rng.integers(0, tables, rows)],
+        vectors=planted_vectors(rng, rows, dim, zeros),
+        config=RetrievalConfig(fusion=draw(st.sampled_from(["max", "mean"]), label="fusion")),
+    )
+    return index, planted_vectors(rng, draw(st.integers(1, 60), label="queries"), dim, zeros), rng
+
+
+class TestStackedScoresKeepThePerQueryBits:
+    """_scores is one stacked matmul for a whole block of queries; every
+    score, fused score and rank must keep the bits of the per-query np.dot
+    that search and evaluate made before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scored_index())
+    def test_scores_equal_a_loop_of_dot_bit_for_bit(self, case):
+        index, q_vecs, _ = case
+        want = np.stack([parent_scores(index, q) for q in q_vecs])
+        assert np.array_equal(bits(retrieval._scores(index, q_vecs)), bits(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scored_index())
+    def test_fusing_a_block_equals_fusing_each_query(self, case):
+        # planted row scores: exact ties and zeros of both signs
+        index, q_vecs, rng = case
+        block = rng.choice([0.0, -0.0, 0.25, -0.25, 1.0], size=(len(q_vecs), len(index.pt_ids) + 1))
+        block[:, -1] = retrieval._scores(index, q_vecs[:1])[0, -1]
+        want = np.stack([parent_fuse(index, row) for row in block])
+        assert np.array_equal(bits(retrieval._fuse(index, block)), bits(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scored_index(), data=st.data())
+    def test_rank_tables_and_evaluate_over_blocks_match_the_per_query_path(self, case, data):
+        index, q_vecs, rng = case
+        texts = [f"query {i}" for i in range(len(q_vecs))]
+        gold = [(text, index.tables[t]) for text, t in
+                zip(texts, rng.integers(0, len(index.tables), len(texts)))]
+        ranks = []
+        for q_vec, (_, gold_id) in zip(q_vecs, gold):
+            want = parent_fuse(index, parent_scores(index, q_vec))
+            order, fused = rank_tables(index, q_vec)
+            assert np.array_equal(bits(fused), bits(want))
+            assert np.array_equal(order, np.argsort(-want, kind="stable"))
+            ranks.append(int(np.flatnonzero(order == index.tables.index(gold_id))[0]) + 1)
+        per_block = data.draw(st.integers(1, max(1, len(q_vecs) // 2)), label="per_block")
+        fake_embed = lambda provider, batch, cache=None: q_vecs[[texts.index(t) for t in batch]]
+        with mock.patch.object(retrieval, "embed_texts", fake_embed), \
+                mock.patch.object(retrieval, "_BLOCK_BYTES", per_block * 8 * (len(index.pt_ids) + 1)):
+            assert evaluate(index, gold, MOCK).ranks == ranks
 
 
 class TestFusion:
@@ -321,9 +420,6 @@ class TestBuildIndexAndSearch:
         index = build_index(pts, None, MOCK)
         with pytest.raises(ValueError, match="top_k"):
             search(index, "q", MOCK, top_k=0)
-        empty = RetrievalIndex(pt_ids=[], table_ids=[], vectors=np.zeros((0, 4)))
-        with pytest.raises(ValueError, match="empty"):
-            search(empty, "q", MOCK)
 
     def test_zero_pts_rejected(self):
         with pytest.raises(ValueError, match="zero partial tables"):
@@ -384,8 +480,8 @@ class TestRepresentationModes:
             ]
         }
         plain = build_index([pt], None, MOCK)
-        enriched = build_index([pt], queries, MOCK, mode="pt_plus_queries")
-        assert enriched.representation_mode == "pt_plus_queries"
+        enriched = build_index([pt], queries, MOCK, config=RetrievalConfig(mode="pt_plus_queries"))
+        assert enriched.config.mode == "pt_plus_queries"
         assert not np.allclose(plain.vectors, enriched.vectors)
 
 
@@ -400,16 +496,15 @@ class TestIndexValidation:
                 pt_ids=["a", "a"], table_ids=["t", "t"], vectors=np.zeros((2, 2))
             )
 
+    def test_no_entries(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            RetrievalIndex(pt_ids=[], table_ids=[], vectors=np.zeros((0, 4)))
+
     def test_unknown_mode_and_fusion(self):
         with pytest.raises(ValueError, match="mode must be one of"):
-            RetrievalIndex(
-                pt_ids=["a"], table_ids=["t"], vectors=np.zeros((1, 2)),
-                representation_mode="chunks",
-            )
+            RetrievalConfig(mode="chunks")
         with pytest.raises(ValueError, match="fusion must be one of"):
-            RetrievalIndex(
-                pt_ids=["a"], table_ids=["t"], vectors=np.zeros((1, 2)), fusion="sum"
-            )
+            RetrievalConfig(fusion="sum")
 
 
 class TestPersistence:
@@ -417,7 +512,7 @@ class TestPersistence:
         pts = [
             make_pt(f"t{i}#kpt_random#0", f"t{i}", f"h\nh: payload {i}") for i in range(5)
         ]
-        return build_index(pts, None, MOCK, fusion="mean")
+        return build_index(pts, None, MOCK, config=RetrievalConfig(fusion="mean"))
 
     def test_round_trip(self, tmp_path):
         index = self.build()
@@ -426,8 +521,7 @@ class TestPersistence:
         assert back.pt_ids == index.pt_ids
         assert back.table_ids == index.table_ids
         assert np.array_equal(back.vectors, index.vectors)
-        assert back.fusion == "mean"
-        assert back.representation_mode == "pt_only"
+        assert back.config == RetrievalConfig(mode="pt_only", fusion="mean")
         assert back.adapter is None
 
     def test_load_attaches_adapter(self, tmp_path):
