@@ -10,10 +10,11 @@ benchmark workload (``perfbench/bench.py``'s ``WORKLOADS`` and
 no-op run, a re-index with ``retrieval.fusion=mean`` and one back to
 ``max``, and after each run records the digest of every file in the
 workspace, embedding cache included. ``manifest.jsonl`` holds wall
-times, so in its place each of its stage entries is recorded, in order,
-as its stage and the digest of the entry without ``wall_time_s``, under
-the run's key plus ``/manifest``; its stamp lines, which hold inode
-numbers and file times, are left out. Each stage's status in the run (ran, fresh
+times, so in its place each of its stage entries (the last entry of each
+stage, in the order the stages first ran) is recorded as its stage and
+the digest of the entry without ``wall_time_s``, under the run's key
+plus ``/manifest``; its stamp line, which holds inode numbers and file
+times, is left out. Each stage's status in the run (ran, fresh
 or skipped) goes under the run's key plus ``/stages``, so the same diff
 shows whether the two checkouts ran the same stages. Everything it
 writes lives under WORKDIR, which must not exist yet; the demo config

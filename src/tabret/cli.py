@@ -1,8 +1,11 @@
 """Command-line entry points: run, compare, gradcheck.
 
 Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
-prerequisite artifact, 4 provider failure. Progress goes to stderr; the comparison
-table is the only stdout payload, so it pipes cleanly.
+prerequisite artifact, 4 provider failure, 130 interrupted (Ctrl-C). Every
+workspace file and the manifest are written by one atomic replace each,
+and the embedding cache trims a torn tail, so an interrupted run resumes
+when run again. Progress goes to stderr; the comparison table is the only
+stdout payload, so it pipes cleanly.
 """
 
 from __future__ import annotations
@@ -111,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted; run the same command again to resume", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

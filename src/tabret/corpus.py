@@ -1,10 +1,10 @@
 """Table data model, corpus ingestion, and deterministic row serialization.
 
-A corpus is a set of tables; a table is a header plus ordered row
-instances, at least one of them. Serialization turns rows into the
-"col: value | col: value" form consumed by the embedding and prompting
-layers. The escaping rule makes serialization injective over distinct
-(header, cells) pairs.
+A corpus is a set of tables; a table is a header plus its ordered rows
+of cells (its instances), at least one of them. Serialization turns
+rows into the "col: value | col: value" form consumed by the embedding
+and prompting layers. The escaping rule makes serialization injective
+over distinct (header, cells) pairs.
 
 A corpus is a JSON Lines file read by fsio.read_records, so a bad line
 or record, a table without rows among them, raises JsonLinesError naming
@@ -30,20 +30,13 @@ class CorpusFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One table row; cells keep their source text verbatim."""
-
-    row_index: int
-    cells: list[str]
-
-
-@dataclass(frozen=True)
 class Table:
-    """Header plus ordered row instances; the unit of retrieval."""
+    """Header plus ordered rows, each its cells' source text verbatim; the
+    unit of retrieval. A row's index is its position in instances."""
 
     table_id: str
     header: list[str]
-    instances: list[Instance]
+    instances: list[list[str]]
     metadata: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
@@ -51,18 +44,12 @@ class Table:
             raise CorpusFormatError(f"table {self.table_id!r}: header must be non-empty")
         if not self.instances:
             raise CorpusFormatError(f"table {self.table_id!r} has no rows")
-        seen: set[int] = set()
-        for inst in self.instances:
-            if len(inst.cells) != len(self.header):
+        for i, cells in enumerate(self.instances):
+            if len(cells) != len(self.header):
                 raise CorpusFormatError(
-                    f"table {self.table_id!r} row {inst.row_index}: "
-                    f"{len(inst.cells)} cells under a {len(self.header)}-column header"
+                    f"table {self.table_id!r} row {i}: "
+                    f"{len(cells)} cells under a {len(self.header)}-column header"
                 )
-            if inst.row_index in seen:
-                raise CorpusFormatError(
-                    f"table {self.table_id!r}: duplicate row_index {inst.row_index}"
-                )
-            seen.add(inst.row_index)
 
 
 @dataclass
@@ -92,17 +79,17 @@ def serialize_instance(table: Table, i: int) -> str:
         raise IndexError(
             f"table {table.table_id!r}: row index {i} out of range [0, {len(table.instances)})"
         )
-    inst = table.instances[i]
     return " | ".join(
-        f"{escape_field(col)}: {escape_field(val)}" for col, val in zip(table.header, inst.cells)
+        f"{escape_field(col)}: {escape_field(val)}"
+        for col, val in zip(table.header, table.instances[i])
     )
 
 
 def serialize_partial_table(table: Table, row_indices: Iterable[int]) -> str:
     """Header line followed by one serialized row per index, ascending.
 
-    Input order does not matter; output rows are sorted by original
-    row_index so the source table's ordering is preserved.
+    Input order does not matter; output rows are sorted by their index
+    in the table, so the source table's ordering is preserved.
     """
     rows = sorted(set(row_indices))
     lines = [serialize_header(table.header)]
@@ -125,8 +112,7 @@ def _load_jsonl(path: Path) -> list[Table]:
             isinstance(metadata, dict) and all(isinstance(v, str) for v in metadata.values())
         ):
             raise ValueError("field 'metadata': must map strings to strings")
-        instances = [Instance(row_index=r, cells=cells) for r, cells in enumerate(rec["rows"])]
-        return Table(table_id, rec["header"], instances, metadata or None)
+        return Table(table_id, rec["header"], rec["rows"], metadata or None)
 
     return read_records(path, _TABLE_FIELDS, parse)
 
@@ -144,7 +130,7 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def table_to_record(t: Table) -> dict:
     """The JSONL corpus object of a table; metadata only when present."""
-    rec: dict = {"table_id": t.table_id, "header": t.header, "rows": [i.cells for i in t.instances]}
+    rec: dict = {"table_id": t.table_id, "header": t.header, "rows": t.instances}
     return {**rec, "metadata": t.metadata} if t.metadata else rec
 
 

@@ -8,17 +8,18 @@ whose recorded hashes all still match is skipped on re-run. A pipeline
 run's manifest memoizes each file's SHA-256 for that run, so a file read
 by several stages is hashed once; outputs are hashed again as written.
 A digest computed to decide freshness is kept with the file's stat stamp
-on a stamp line of the manifest, and a later run reuses it unhashed while
-the stamp still matches (see Manifest). A run that leaves the manifest
-holding several times its live lines rewrites it as those lines.
+on the stamp line of the manifest, and a later run reuses it unhashed
+while the stamp still matches (see Manifest). The manifest is written
+like every artifact: each write replaces it whole, as its live lines.
 
 Every JSON Lines input, workspace artifact or source file, is read by
 read_records: read_jsonl decodes each line, which must hold one JSON
 object, each declared field is type-checked over all records, and each
 record is parsed into its object. Any bad line, record or value raises
-JsonLinesError naming the file and line. The append-only manifest is
-read by read_log, which repairs a torn last line; so is a format-2
-embedding cache index before its migration reads it through read_records.
+JsonLinesError naming the file and line. The manifest is read by
+read_log, which repairs the torn last line an append of older code may
+have left; so is a format-2 embedding cache index before its migration
+reads it through read_records.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -260,7 +261,7 @@ def _line_no(path: str | Path, index: int) -> int:
 
 
 def read_log(p: Path) -> list[dict]:
-    """Records of an append-only JSON Lines log; a missing log has none.
+    """Records of a JSON Lines log written by appends; a missing log has none.
 
     A kill during an append can leave the last line unterminated. That
     line is kept and terminated if it parses, and dropped otherwise; the
@@ -285,20 +286,8 @@ def read_log(p: Path) -> list[dict]:
     return records
 
 
-def append_jsonl(path: str | Path, records: Iterable[dict], sync: bool = False) -> None:
-    """Append records to a log in one write, optionally fsynced."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(_jsonl(records))
-        if sync:
-            fh.flush()
-            os.fsync(fh.fileno())
-
-
 # a stat stamp's fields, in the order of its tuple
 _STAMP_FIELDS = ("ino", "size", "mtime_ns", "ctime_ns")
-# Manifest.compact rewrites a log holding more than this many times its
-# live lines; below it, each run only appends
-_COMPACT_FACTOR = 4
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -330,16 +319,20 @@ def _stamp_line(reference_ns: int, stamps: Mapping[str, tuple[tuple, str]]) -> d
 
 
 class Manifest:
-    """Log of completed stages keyed by content hashes, appended to by each
-    run and compacted now and then (see compact).
+    """Completed stages keyed by content hashes, kept in manifest.jsonl.
 
-    One JSON object per line: {"stage", "artifact_format", "config_hash",
-    "input_hashes", "output_hashes", "wall_time_s"}; hash maps go path ->
-    sha256, with paths stored relative to the workspace when inside it
-    and absolute otherwise (external corpus or gold files). The last
-    entry for a stage wins. A stage is a cache hit when its entry has the
-    current ARTIFACT_FORMAT, its config hash matches, and every recorded
-    input and output file still hashes the same.
+    Each write replaces the whole file atomically with its live lines:
+    each stage's last entry, in the order the stages first appeared, then
+    at most one stamp line. A stage entry is {"stage", "artifact_format",
+    "config_hash", "input_hashes", "output_hashes", "wall_time_s"}; hash
+    maps go path -> sha256, with paths stored relative to the workspace
+    when inside it and absolute otherwise (external corpus or gold
+    files). A stage is a cache hit when its entry has the current
+    ARTIFACT_FORMAT, its config hash matches, and every recorded input and
+    output file still hashes the same. Older code appended to the file, so
+    a manifest it wrote may hold several entries per stage and several
+    stamp lines: the last entry for a stage wins, later stamp lines win,
+    and the next write leaves only the live lines.
 
     One manifest hashes each file at most once, except that record
     hashes again the outputs its stage has just written. That is sound
@@ -350,9 +343,9 @@ class Manifest:
     Stat stamps let later runs skip most of that hashing, as git's index
     does. A digest computed for a freshness verdict is kept with the
     file's stamp (st_ino, st_size, st_mtime_ns, st_ctime_ns), taken just
-    before the file is read, and save_stamps appends a run's stamps as one
-    line, {"reference_ns", "stamps": {path: {"ino", "size", "mtime_ns",
-    "ctime_ns", "sha256"}}}; later lines win. A later run, in any process,
+    before the file is read, and each write holds the stamps in force on
+    one line, {"reference_ns", "stamps": {path: {"ino", "size",
+    "mtime_ns", "ctime_ns", "sha256"}}}. A later run, in any process,
     reuses that digest without reading the file while the file's stamp
     still matches. reference_ns is the filesystem's time before the run's
     first stat (the lock's mtime just after touching it), and a stamp is
@@ -361,13 +354,19 @@ class Manifest:
     same timestamp tick or with the old mtime put back by os.utime, which
     sets the ctime. A file on another filesystem, whose clock may differ,
     gets no stamp; an ill-typed or racy stamp record is ignored, and the
-    file hashed. Cold builds decide no freshness by hashing, so they write
-    no stamp line, and a run that finds every stamp matching writes none.
+    file hashed. The line carries the latest reference_ns of the stamps it
+    merges: each passed the check against its own, so it passes against a
+    later one. Cold builds decide no freshness by hashing, so they write
+    no stamp line, and a run that finds every stamp matching writes nothing.
 
-    Each re-run of a stage appends an entry, so the log grows with every
-    round of changed settings while its live lines (the last entry per
-    stage, and the stamps in force) stay few. compact rewrites it as
-    those lines once it holds more than _COMPACT_FACTOR times as many.
+    Each record writes the stamps taken so far, and save_stamps those
+    taken after the last record, so a run killed or stopped by an error
+    keeps the stamps of its finished stages. That is sound because a
+    stamp vouches only for the file it was taken of: a stage that then
+    rewrites the file replaces it, and the new file has another inode and
+    a ctime no earlier than reference_ns, so the old stamp never matches
+    it. record still drops the stamps taken this run of the outputs it
+    rehashes, so the line does not carry them.
     """
 
     def __init__(self, workspace: str | Path, clock: os.stat_result | None = None) -> None:
@@ -380,13 +379,11 @@ class Manifest:
         self._entries: dict[str, dict] = {}
         # key -> (stamp, digest) from the stamp lines, None when unusable
         self._stamps: dict[str, tuple[tuple, str] | None] = {}
-        # the stamps taken since the last save_stamps
+        # the stamps taken since the last write
         self._taken: dict[str, tuple[tuple, str]] = {}
-        # the latest reference_ns of a stamp line, and the log's line count
+        # the latest reference_ns of a stamp line
         self._reference = 0
-        records = read_log(self.path)
-        self._lines = len(records)
-        for obj in records:
+        for obj in read_log(self.path):
             stage, stamps = obj.get("stage"), obj.get("stamps")
             if isinstance(stage, str):
                 self._entries[stage] = obj
@@ -421,36 +418,25 @@ class Manifest:
             "wall_time_s": round(wall_time_s, 3),
         }
         self._entries[stage] = entry
-        append_jsonl(self.path, [entry], sync=True)
-        self._lines += 1
+        self._write()
 
     def save_stamps(self) -> None:
-        """Append the stamps taken since the last call as one line, if any."""
-        if not self._taken:
-            return
-        reference = self._clock.st_mtime_ns
-        append_jsonl(self.path, [_stamp_line(reference, self._taken)])
-        self._stamps.update(self._taken)
-        self._taken = {}
-        self._reference = max(self._reference, reference)
-        self._lines += 1
+        """Write the manifest if stamps were taken since its last write."""
+        if self._taken:
+            self._write()
 
-    def compact(self) -> None:
-        """Rewrite the log as its live lines once it holds more than
-        _COMPACT_FACTOR times as many: each stage's last entry, in the order
-        the stages first appear, then one line of the stamps in force. A
-        stamp kept passed the check against its own line's reference_ns,
-        so it passes against the merged line's, the latest of them. The
-        rewrite is atomic, and the caller holds the workspace lock.
-        Stamps taken since the last save_stamps are not written."""
+    def _write(self) -> None:
+        """Replace the file with the live lines; the caller holds the
+        workspace lock."""
+        if self._taken:
+            self._stamps.update(self._taken)
+            self._taken = {}
+            self._reference = max(self._reference, self._clock.st_mtime_ns)
         stamps = {key: stamped for key, stamped in self._stamps.items() if stamped is not None}
-        if self._lines <= _COMPACT_FACTOR * max(len(self._entries) + bool(stamps), 1):
-            return
-        live = list(self._entries.values())
+        lines = list(self._entries.values())
         if stamps:
-            live.append(_stamp_line(self._reference, stamps))
-        atomic_write_text(self.path, _jsonl(live))
-        self._lines = len(live)
+            lines.append(_stamp_line(self._reference, stamps))
+        atomic_write_text(self.path, _jsonl(lines))
 
     def _entry(self, stage: str, config_hash: str) -> dict:
         """The stage's last entry if made in this format under config_hash, else {}."""

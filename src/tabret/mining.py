@@ -104,6 +104,8 @@ def mine_all(
             continue
         pool, pool_ids, pool_rank = matrix[eligible], pt_ids[eligible], id_rank[eligible]
         take = min(cfg.h, len(pool_ids))
+        # the random strategy draws from the pool in pt_id order
+        by_id = pool_ids[np.argsort(pool_rank)] if cfg.strategy == "random" else None
         for i in members:
             query = queries[i]
             if cfg.strategy == "hard":
@@ -111,7 +113,6 @@ def mine_all(
                 chosen = pool_ids[np.lexsort((pool_rank, -scores))[:take]]
             else:
                 rng = _query_rng(cfg.seed, query.query_id)
-                by_id = pool_ids[np.argsort(pool_rank)]
                 chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
             mined[i] = TrainingTriple(
                 query_id=query.query_id,

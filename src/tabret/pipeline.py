@@ -12,18 +12,20 @@ also vouches for its inputs: each one another stage writes must come
 from that writer's current settings and current inputs, or the run names
 the writer to run first (see _run_one). One run hashes each workspace
 file at most once (plus once more for each output a stage writes), and
-none whose stat stamp is as an earlier run recorded it; a run that ends
-without an error saves the stamps it took and compacts the manifest once
-it has grown several times past its live lines (see fsio.Manifest). The
-stages of one run share a _Run, which opens the embedding cache and
-reads corpus.jsonl, kpts.jsonl, queries.jsonl and adapter.bin at most
-once each, on the first stage that needs them; a run whose ingest ran
-keeps the corpus ingest parsed and reads no corpus.jsonl, and train
-takes the base vectors of the partial tables and training queries that
-mine looked up. When no external gold file is configured, evaluation
-holds out the last synthetic queries of each partial table: those never
-enter mining, training, or pt_plus_queries representations, and are
-scored with their source table as gold.
+none whose stat stamp is as an earlier run recorded it. Each record
+replaces the manifest whole, with the stamps taken so far, and a run
+that ends without an error saves the stamps it took after its last
+record (see fsio.Manifest), so a kill anywhere leaves the manifest as
+its last os.replace left it. The stages of one run share a _Run,
+which opens the embedding cache and reads corpus.jsonl, kpts.jsonl,
+queries.jsonl and adapter.bin at most once each, on the first stage
+that needs them; a run whose ingest ran keeps the corpus ingest parsed
+and reads no corpus.jsonl, and train takes the base vectors of the
+partial tables and training queries that mine looked up. When no
+external gold file is configured, evaluation holds out the last
+synthetic queries of each partial table: those never enter mining,
+training, or pt_plus_queries representations, and are scored with their
+source table as gold.
 
 Every JSON Lines file a stage reads, the source corpus and the gold file
 included, goes through fsio.read_records, so a bad line or record raises
@@ -244,7 +246,6 @@ def run_pipeline(
                 continue
             results.append(_run_one(run, st, manifest))
         manifest.save_stamps()
-        manifest.compact()
     return results
 
 

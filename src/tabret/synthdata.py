@@ -20,7 +20,7 @@ import argparse
 import random
 import string
 
-from .corpus import Corpus, Instance, Table, write_corpus
+from .corpus import Corpus, Table, write_corpus
 
 FAMILIES = (
     "alloy", "birch", "copper", "denim", "ember",
@@ -115,11 +115,10 @@ def build_corpus(
                 f"bin-{family}-{code[half:]}-{i:02d}",
                 f"lot {code} {family} {filler}",
             ])
-        instances = [Instance(row_index=i, cells=row) for i, row in enumerate(rows)]
         tables.append(Table(
             table_id=f"table_{t:02d}",
             header=list(HEADER),
-            instances=instances,
+            instances=rows,
             metadata={"family": family, "code": code},
         ))
     return Corpus(tables=tables)

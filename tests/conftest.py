@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tabret.corpus import Corpus, Instance, Table
+from tabret.corpus import Corpus, Table
 
 # nodeid -> (criterion number, title)
 _CRITERIA: dict[str, tuple[int, str]] = {}
@@ -36,8 +36,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def make_table(table_id: str, rows: list[list[str]], header: list[str] | None = None) -> Table:
     header = header or [f"c{j}" for j in range(len(rows[0]))]
-    instances = [Instance(row_index=i, cells=list(r)) for i, r in enumerate(rows)]
-    return Table(table_id=table_id, header=header, instances=instances, metadata={})
+    return Table(table_id=table_id, header=header, instances=[list(r) for r in rows], metadata={})
 
 
 @pytest.fixture

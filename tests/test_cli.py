@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import tabret.cli as cli_module
+import tabret.pipeline as pipeline_module
 from tabret.cli import main
 from tabret.config import load_config
 from tabret.fsio import read_matrix_bin, write_matrix_bin
@@ -55,6 +57,28 @@ class TestRunCommand:
         assert code == 0
         report = json.loads((project / "ws2" / "train_report.json").read_text())
         assert len(report["epoch_mean_losses"]) == 2
+
+    def test_ctrl_c_exits_130_without_a_traceback(self, project, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "run_pipeline", interrupted)
+        assert main(["run", "--config", str(project / "config.yaml")]) == 130
+        assert capsys.readouterr().err == "interrupted; run the same command again to resume\n"
+
+    def test_run_interrupted_in_a_stage_resumes_after_it(self, project, capsys, monkeypatch):
+        def interrupted(run):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(pipeline_module._STAGE_FNS, "kpt", interrupted)
+        config = ["run", "--config", str(project / "config.yaml")]
+        assert main(config) == 130
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(config) == 0
+        err = capsys.readouterr().err
+        assert all(f"[{st}] fresh" in err for st in ("ingest", "embed", "cluster"))
+        assert "[kpt] done" in err
 
     def test_missing_config_exits_2(self, project, capsys):
         code = main(["run", "--config", str(project / "nope.yaml")])

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from tabret.corpus import (
     Corpus,
-    Instance,
     Table,
     escape_field,
     load_corpus,
@@ -35,14 +34,9 @@ class TestModel:
             Table(
                 table_id="t",
                 header=["a", "b", "c"],
-                instances=[Instance(row_index=0, cells=["1", "2"])],
+                instances=[["1", "2"]],
                 metadata={},
             )
-
-    def test_duplicate_row_index_rejected(self):
-        rows = [Instance(row_index=0, cells=["x"]), Instance(row_index=0, cells=["y"])]
-        with pytest.raises(ValueError, match="row_index"):
-            Table(table_id="t", header=["a"], instances=rows, metadata={})
 
     def test_duplicate_table_id_rejected(self):
         t = make_table("same", [["1"]])
@@ -118,7 +112,7 @@ class TestRoundTrip:
         t = {t.table_id: t for t in loaded.tables}["inv_a"]
         original = {t.table_id: t for t in tiny_corpus.tables}["inv_a"]
         assert t.header == ["sku", "name", "qty"]
-        assert [i.cells for i in t.instances] == [i.cells for i in original.instances]
+        assert t.instances == original.instances
 
     @given(
         st.lists(
@@ -134,13 +128,13 @@ class TestRoundTrip:
         loaded = load_corpus(path)
         (t,) = loaded.tables
         assert t.table_id == "t0"
-        assert [i.cells for i in t.instances] == rows
+        assert t.instances == rows
 
     def test_metadata_preserved(self, tmp_path):
         t = Table(
             table_id="t",
             header=["a"],
-            instances=[Instance(row_index=0, cells=["1"])],
+            instances=[["1"]],
             metadata={"family": "alloy"},
         )
         path = tmp_path / "c.jsonl"

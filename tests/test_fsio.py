@@ -640,32 +640,54 @@ class TestStatStamps:
         assert hashed == Counter({"in.txt": 1})
 
 
-class TestCompaction:
-    """A manifest holding more than _COMPACT_FACTOR times its live lines is
-    rewritten as them, and gives the same verdicts."""
+class TestAppendedManifest:
+    """A manifest that older code grew by appends, with several entries per
+    stage and a stamp line per run, gives the verdicts of its live lines.
+    The next write leaves only those, and a kill before that write's
+    rename leaves the grown file as it was."""
 
     SETTINGS = [(stage, f"cfg{stage[0]}{r}") for stage in ("ingest", "embed", "cluster") for r in (0, 1)]
+
+    @staticmethod
+    def append(ws, line):
+        with (ws / "manifest.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+    @staticmethod
+    def entry(ws, stage, config_hash, inputs, outputs):
+        """The entry Manifest.record makes of files in ws."""
+        def hashes(names):
+            return {name: fsio.sha256_file(ws / name) for name in names}
+
+        return {"stage": stage, "artifact_format": ARTIFACT_FORMAT, "config_hash": config_hash,
+                "input_hashes": hashes(inputs), "output_hashes": hashes(outputs),
+                "wall_time_s": 0.1}
+
+    @staticmethod
+    def stamp(path):
+        st = path.stat()
+        return {"ino": st.st_ino, "size": st.st_size, "mtime_ns": st.st_mtime_ns,
+                "ctime_ns": st.st_ctime_ns, "sha256": fsio.sha256_file(path)}
 
     @pytest.fixture
     def grown(self, tmp_path):
         # source.txt -> ingest -> a.txt -> embed -> b.txt -> cluster -> c.txt;
         # ingest and embed re-run under alternating settings, and a later
-        # run stamps what its freshness checks hash: 1 + 8 * 3 lines
+        # run appends the stamps its freshness checks took: 1 + 8 * 3 lines
         ws = tmp_path
         for name in ("source", "b", "c"):
             (ws / f"{name}.txt").write_text(name)
-        Manifest(ws).record("cluster", "cfgc0", [ws / "b.txt"], [ws / "c.txt"], 0.1)
+        self.append(ws, self.entry(ws, "cluster", "cfgc0", ["b.txt"], ["c.txt"]))
         for r in range(8):
             (ws / "a.txt").write_text(f"a{r % 2}")
             (ws / "b.txt").write_text(f"b{r % 2}")
-            man = Manifest(ws)
-            man.record("ingest", f"cfgi{r % 2}", [ws / "source.txt"], [ws / "a.txt"], 0.1)
-            man.record("embed", f"cfge{r % 2}", [ws / "a.txt"], [ws / "b.txt"], 0.1)
-            man = Manifest(ws, _settled_clock(ws))
-            assert man.is_fresh("ingest", f"cfgi{r % 2}")  # source.txt is stamped once
-            assert man.is_fresh("embed", f"cfge{r % 2}")
-            assert not man.is_fresh("cluster", "cfgc0")
-            man.save_stamps()
+            self.append(ws, self.entry(ws, "ingest", f"cfgi{r % 2}", ["source.txt"], ["a.txt"]))
+            self.append(ws, self.entry(ws, "embed", f"cfge{r % 2}", ["a.txt"], ["b.txt"]))
+            # source.txt is stamped once; cluster's check stops at b.txt
+            stamped = ["a.txt", "b.txt", *["source.txt"] * (r == 0)]
+            reference = _settled_clock(ws).st_mtime_ns
+            self.append(ws, {"reference_ns": reference,
+                             "stamps": {name: self.stamp(ws / name) for name in stamped}})
         return ws
 
     @classmethod
@@ -673,50 +695,46 @@ class TestCompaction:
         man = Manifest(ws)
         return {s: (man.is_fresh(*s), man.is_outdated(*s)) for s in cls.SETTINGS}
 
-    def test_statuses_are_unchanged_after_compaction(self, grown, monkeypatch):
+    def test_the_next_write_leaves_the_live_lines_and_the_verdicts(self, grown, monkeypatch):
         before = self.verdicts(grown)
+        assert before[("ingest", "cfgi1")] == (True, False)
+        assert before[("cluster", "cfgc0")] == (False, True)
         lines = read_log(grown / "manifest.jsonl")
-        assert len(lines) == 1 + 8 * 3 > fsio._COMPACT_FACTOR * 4
-        Manifest(grown).compact()
-        compacted = read_log(grown / "manifest.jsonl")
-        assert [line.get("stage") for line in compacted] == ["cluster", "ingest", "embed", None]
-        assert compacted[:3] == [lines[0], lines[-3], lines[-2]]
-        assert set(compacted[3]["stamps"]) == {"source.txt", "a.txt", "b.txt"}
-        assert compacted[3]["reference_ns"] == max(line.get("reference_ns", 0) for line in lines)
+        assert len(lines) == 1 + 8 * 3
+        # a run that reruns ingest under its last settings
+        Manifest(grown).record("ingest", "cfgi1", [grown / "source.txt"], [grown / "a.txt"], 0.1)
+        live = read_log(grown / "manifest.jsonl")
+        assert [line.get("stage") for line in live] == ["cluster", "ingest", "embed", None]
+        assert live[:3] == [lines[0], lines[-3], lines[-2]]
+        assert set(live[3]["stamps"]) == {"source.txt", "a.txt", "b.txt"}
+        assert live[3]["reference_ns"] == max(line.get("reference_ns", 0) for line in lines)
         hashed = Counter()
         real = fsio.sha256_file
         monkeypatch.setattr(fsio, "sha256_file", lambda p: hashed.update([p.name]) or real(p))
         assert self.verdicts(grown) == before
-        # every stamp survives, the first line's too, so no file is read
+        # every stamp survives, the first stamp line's too, so no file is read
         assert not hashed
 
-    def test_a_log_below_the_bound_is_left_alone(self, grown):
-        Manifest(grown).compact()
-        compacted = (grown / "manifest.jsonl").read_bytes()
-        man = Manifest(grown)
-        man.record("embed", "cfge0", [grown / "a.txt"], [grown / "b.txt"], 0.1)
-        man.compact()
-        assert (grown / "manifest.jsonl").read_bytes().startswith(compacted)
-
-    def test_kill_between_the_write_and_the_rename_leaves_a_readable_manifest(self, grown):
+    def test_kill_between_the_write_and_the_rename_leaves_the_old_manifest(self, grown):
         before = self.verdicts(grown)
         log = (grown / "manifest.jsonl").read_bytes()
         kill_at_rename = (
             "import os, signal, sys\n"
             "import tabret.fsio as fsio\n"
             "fsio.os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
-            "fsio.Manifest(sys.argv[1]).compact()\n"
+            "ws = fsio.Path(sys.argv[1])\n"
+            "fsio.Manifest(ws).record('ingest', 'cfgi0', [ws / 'source.txt'], [ws / 'a.txt'], 0.1)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(fsio.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", kill_at_rename, str(grown)], env=env)
         assert proc.returncode == -signal.SIGKILL
-        # the compacted log was written in full, but beside the manifest
+        # the live lines were written in full, but beside the manifest
         (tmp,) = grown.glob(".manifest.jsonl.*.tmp")
-        assert len(read_log(tmp)) == 4
+        assert [line.get("stage") for line in read_log(tmp)] == ["cluster", "ingest", "embed", None]
         assert (grown / "manifest.jsonl").read_bytes() == log
         assert self.verdicts(grown) == before
-        Manifest(grown).compact()
-        assert self.verdicts(grown) == before
+        Manifest(grown).record("ingest", "cfgi0", [grown / "source.txt"], [grown / "a.txt"], 0.1)
+        assert (grown / "manifest.jsonl").read_bytes() == tmp.read_bytes()
 
 
 class TestReadLog:

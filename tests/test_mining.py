@@ -186,6 +186,19 @@ class TestRandomMining:
         assert len(set(triple.negative_pt_ids)) == 14
         assert all(not pt_id.startswith("t06#") for pt_id in triple.negative_pt_ids)
 
+    def test_draws_of_a_fixed_pool_are_pinned(self, corpus_pts):
+        # two queries share one source table's pool; each draws from its own stream
+        queries = [make_query(2, 0, 0), make_query(2, 1, 1), make_query(5, 0, 2)]
+        q_vecs = np.stack([mock_embed(q.text, DIM) for q in queries])
+        cfg = MiningConfig(h=3, strategy="random", seed=11)
+        triples, skipped = mine_all(queries, q_vecs, corpus_pts, cfg, vecs(corpus_pts))
+        assert skipped == []
+        assert {t.query_id: t.negative_pt_ids for t in triples} == {
+            "t02#kpt_random#0#q0": ("t05#kpt_random#0", "t00#kpt_random#0", "t03#kpt_random#1"),
+            "t02#kpt_random#1#q1": ("t06#kpt_random#0", "t00#kpt_random#1", "t06#kpt_random#1"),
+            "t05#kpt_random#0#q2": ("t06#kpt_random#1", "t03#kpt_random#1", "t01#kpt_random#1"),
+        }
+
     def test_insensitive_to_candidate_list_order(self, corpus_pts, rng):
         # the draw happens over an id-sorted pool, so shuffling the
         # candidate list cannot change the outcome

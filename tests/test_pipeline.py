@@ -167,22 +167,21 @@ class TestRunPipeline:
         results = run_pipeline(pipeline_cfg, "all")
         assert all(r.status == "fresh" for r in results)
 
-    def test_manifest_is_compacted_as_it_grows_and_statuses_hold(self, pipeline_cfg, tmp_path):
-        # each fusion toggle re-runs index and eval, appending two entries;
-        # the 9 entries and the stamp line are the live lines
+    def test_manifest_holds_its_live_lines_after_every_run(self, pipeline_cfg, tmp_path):
+        # each fusion toggle re-runs index and eval; after every run the
+        # manifest holds the last entry of each stage, in STAGES order, and
+        # at most one stamp line
         run_pipeline(pipeline_cfg, "all")
         manifest = pipeline_cfg.workspace / "manifest.jsonl"
-        logs = []
         for fusion in ["mean", "max"] * 10:
             cfg = load_config(tmp_path / "config.yaml", [f"retrieval.fusion={fusion}"])
-            statuses = [r.status for r in run_pipeline(cfg, "all")]
-            assert statuses == ["fresh"] * 7 + ["ran"] * 2
-            logs.append(fsio.read_log(manifest))
-            assert all(r.status == "fresh" for r in run_pipeline(cfg, "all"))
-        assert max(map(len, logs)) <= fsio._COMPACT_FACTOR * 10
-        compacted = min(logs, key=len)
-        assert len(compacted) < len(logs[0])
-        assert [line.get("stage") for line in compacted] == [*STAGES, None]
+            plans = plan_stages(cfg)
+            for statuses in (["fresh"] * 7 + ["ran"] * 2, ["fresh"] * 9):
+                assert [r.status for r in run_pipeline(cfg, "all")] == statuses
+                lines = read_jsonl(manifest)
+                assert [line.get("stage") for line in lines] in ([*STAGES], [*STAGES, None])
+                assert [line["config_hash"] for line in lines[: len(STAGES)]] == [
+                    plans[st].config_hash for st in STAGES]
 
     def test_deleted_artifact_reruns_only_downstream(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
@@ -324,6 +323,39 @@ class TestDamagedWorkspace:
         assert all(r.status in ("ran", "fresh") for r in results)
         assert target_path.exists()
         assert not list(ws.glob(".*.tmp")) + list((ws / "index").glob(".*.tmp"))
+
+    def test_run_killed_at_the_rename_of_a_record_resumes_at_that_stage(
+        self, pipeline_cfg, tmp_path
+    ):
+        # the manifest's fourth replace is kpt's record
+        kill_at_rename = (
+            "import os, signal, sys\n"
+            "from tabret.config import load_config\n"
+            "from tabret.pipeline import run_pipeline\n"
+            "replace, renames = os.replace, []\n"
+            "def kill_at(src, dst):\n"
+            "    renames.append(str(dst))\n"
+            "    if sum(r.endswith('manifest.jsonl') for r in renames) == 4:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    replace(src, dst)\n"
+            "os.replace = kill_at\n"
+            "run_pipeline(load_config(sys.argv[1]), 'all')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fsio.__file__).parents[1]))
+        config = str(tmp_path / "config.yaml")
+        proc = subprocess.run([sys.executable, "-c", kill_at_rename, config], env=env)
+        assert proc.returncode == -signal.SIGKILL
+        ws = pipeline_cfg.workspace
+        # kpt wrote its output, but the manifest still ends at cluster
+        assert (ws / "kpts.jsonl").exists()
+        assert [line["stage"] for line in read_jsonl(ws / "manifest.jsonl")] == [
+            "ingest", "embed", "cluster"]
+        results = [r.status for r in run_pipeline(pipeline_cfg, "all")]
+        assert results == ["fresh"] * 3 + ["ran"] * 6
+        clean = load_config(tmp_path / "config.yaml", ["workspace=clean"])
+        run_pipeline(clean, "all")
+        assert _tree(ws) == _tree(clean.workspace)
+        assert _entries(ws) == _entries(clean.workspace)
 
     def test_torn_manifest_line_keeps_the_workspace_usable(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
@@ -697,6 +729,18 @@ class TestOneReadPerRun:
         results = run_pipeline(changed, "all")
         assert {"cluster", "kpt"} <= {r.stage for r in results if r.status == "ran"}
         assert corpus_loads == [pipeline_cfg.workspace / "corpus.jsonl"]
+
+
+def _tree(ws: Path) -> dict[str, bytes]:
+    """The bytes of every file in ws but the manifest, which holds wall times."""
+    return {p.relative_to(ws).as_posix(): p.read_bytes()
+            for p in sorted(ws.rglob("*")) if p.is_file() and p.name != "manifest.jsonl"}
+
+
+def _entries(ws: Path) -> list[dict]:
+    """The manifest's stage entries without their wall times."""
+    lines = read_jsonl(ws / "manifest.jsonl")
+    return [{k: v for k, v in line.items() if k != "wall_time_s"} for line in lines if "stage" in line]
 
 
 def _same_size_damage(path: Path) -> bytes:

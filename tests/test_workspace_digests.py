@@ -41,10 +41,8 @@ def test_manifest_entries_skip_wall_times_and_stamp_lines(digests_script, tmp_pa
     assert digests_script.manifest_entries(b)[1] != entries[1]
 
 
-def test_runs_that_do_not_compact_list_what_an_append_only_manifest_lists(digests_script, tmp_path):
-    # the script's four runs on a small project stay below the compaction
-    # bound: each run leaves the manifest as it found it plus one entry per
-    # stage it ran, so manifest_entries reads as it did before compaction
+def test_each_run_lists_the_last_entry_of_each_stage(digests_script, tmp_path):
+    # a run replaces the entries of the stages it ran and keeps the rest
     from tabret import config, pipeline
 
     from test_pipeline import CONFIG_BODY, write_tiny_corpus
@@ -52,13 +50,12 @@ def test_runs_that_do_not_compact_list_what_an_append_only_manifest_lists(digest
     write_tiny_corpus(tmp_path / "corpus.jsonl")
     (tmp_path / "config.yaml").write_text(CONFIG_BODY, encoding="utf-8")
     workspace = tmp_path / "ws"
-    log, entries = b"", []
+    entries: dict[str, str] = {}
     for _, overrides in digests_script.RUNS:
         cfg = config.load_config(tmp_path / "config.yaml", overrides)
-        ran = [r.stage for r in pipeline.run_pipeline(cfg, "all") if r.status == "ran"]
-        after = (workspace / "manifest.jsonl").read_bytes()
-        assert after.startswith(log)
-        listed = digests_script.manifest_entries(workspace)
-        assert listed[: len(entries)] == entries
-        assert [e.split()[0] for e in listed[len(entries) :]] == ran
-        log, entries = after, listed
+        ran = {r.stage for r in pipeline.run_pipeline(cfg, "all") if r.status == "ran"}
+        listed = dict(e.split() for e in digests_script.manifest_entries(workspace))
+        assert list(listed) == list(pipeline.STAGES)
+        kept = {stage: digest for stage, digest in listed.items() if stage not in ran}
+        assert kept == {stage: digest for stage, digest in entries.items() if stage not in ran}
+        entries = listed
