@@ -190,6 +190,10 @@ def _mock_chunk(texts: list[str], dim: int, slots: dict[int, int]) -> np.ndarray
     return acc / norms[:, None]
 
 
+class CacheDimError(ArtifactError):
+    """The cache holds the model's vectors at another dim: no damage."""
+
+
 class EmbeddingCache:
     """Append-only binary store of normalized vectors, one set of files per model.
 
@@ -313,7 +317,6 @@ class EmbeddingCache:
         """Append the format-2 pair's records that this format lacks, then
         remove the pair. The caller holds the flock and has caught up."""
         old_bin, old_idx = self._v2
-        read_log(old_idx)  # repairs a tail torn by a killed append
         size = old_bin.stat().st_size if old_bin.exists() else 0
 
         def parse(rec: dict) -> tuple[bytes, int]:
@@ -324,7 +327,8 @@ class EmbeddingCache:
                 raise ValueError(f"key {key!r:.80} is not a SHA-256 hex digest")
             return bytes.fromhex(key), offset
 
-        located = dict(read_records(old_idx, {"key": str, "offset": int}, parse))
+        # read_log drops a tail torn by a killed append
+        located = dict(read_records(old_idx, {"key": str, "offset": int}, parse, read_log))
         bodies: dict[bytes, bytes] = {}
         if located:
             with open(old_bin, "rb") as fh:
@@ -477,8 +481,10 @@ def embed_texts(
         if hit is None:
             misses.setdefault(text, []).append(i)
         elif hit.shape != (cfg.dim,):
-            raise ArtifactError(
-                cache.bin_path, f"cached vector has dim {hit.shape[0]}, expected {cfg.dim}"
+            raise CacheDimError(
+                cache.bin_path, f"the cache holds {cfg.model_name!r}'s vectors at dim "
+                f"{hit.shape[0]}, not embedding.dim {cfg.dim}; each dim needs its own "
+                f"embedding.model_name, as the demo's mock-128 has"
             )
         else:
             vectors[i] = hit

@@ -7,19 +7,20 @@ hashes of its config slice and of its input and output files; a stage
 whose recorded hashes all still match is skipped on re-run. A pipeline
 run's manifest memoizes each file's SHA-256 for that run, so a file read
 by several stages is hashed once; outputs are hashed again as written.
-A digest computed to decide freshness is kept with the file's stat stamp
-on the stamp line of the manifest, and a later run reuses it unhashed
-while the stamp still matches (see Manifest). The manifest is written
-like every artifact: each write replaces it whole, as its live lines.
+The digest of a file that last changed before the run began is kept
+with its stat stamp on the stamp line of the manifest, and a later run
+reuses it unhashed while the stamp still matches (see Manifest). The
+manifest is written like every artifact: each write replaces it whole,
+as its live lines.
 
 Every JSON Lines input, workspace artifact or source file, is read by
 read_records: read_jsonl decodes each line, which must hold one JSON
 object, each declared field is type-checked over all records, and each
 record is parsed into its object. Any bad line, record or value raises
-JsonLinesError naming the file and line. The manifest is read by
-read_log, which repairs the torn last line an append of older code may
-have left; so is a format-2 embedding cache index before its migration
-reads it through read_records.
+JsonLinesError naming the file and line. The manifest, and the index
+of a format-2 embedding cache as its migration reads it through
+read_records, is read by read_log, which drops the torn last line an
+append of older code may have left and writes nothing.
 
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
@@ -29,6 +30,7 @@ ARTIFACT_FORMAT, so artifacts of an older layout are rebuilt.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import functools
 import hashlib
@@ -214,17 +216,19 @@ def _all_of(kind: Any, values: list) -> bool:
 
 
 def read_records(
-    path: str | Path, fields: Mapping[str, Any], parse: Callable[[dict], T]
+    path: str | Path, fields: Mapping[str, Any], parse: Callable[[dict], T],
+    read: Callable | None = None,
 ) -> list[T]:
-    """parse of each record of the JSON Lines file at path (see read_jsonl).
+    """parse of each record of the JSON Lines file at path, as read(path)
+    gives them (read_jsonl by default).
 
     Each record is first checked to hold each of fields (name -> type, as
     a dataclass's type hints give them), field by field over all records
     at once. A missing or ill-typed field, or a ValueError from parse (a
     record holding an invalid value), raises JsonLinesError naming its line.
     """
-    # walked once per field; perfbench's traced read_jsonl gives an iterator
-    records = list(read_jsonl(path))
+    # walked once per field; read_jsonl, looked up now, may be perfbench's traced iterator
+    records = list((read or read_jsonl)(path))
     for name, kind in fields.items():
         try:
             if _all_of(kind, list(map(operator.itemgetter(name), records))):
@@ -255,18 +259,20 @@ def _lines(text: str) -> list[str]:
 
 def _line_no(path: str | Path, index: int) -> int:
     """The line number of the index-th record of a JSON Lines file that
-    read_jsonl has read: its index-th non-blank line."""
-    lines = _lines(_text(path, Path(path).read_bytes()))
+    read_jsonl or read_log has read: its index-th non-blank line. A torn
+    last line that read_log dropped may cut a UTF-8 sequence."""
+    lines = _lines(Path(path).read_bytes().decode("utf-8", "replace"))
     return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
 
 
 def read_log(p: Path) -> list[dict]:
-    """Records of a JSON Lines log written by appends; a missing log has none.
+    """Records of a JSON Lines log; a missing log has none.
 
-    A kill during an append can leave the last line unterminated. That
-    line is kept and terminated if it parses, and dropped otherwise; the
-    file is repaired either way, so the next append starts a line of its
-    own. A bad line anywhere else still raises JsonLinesError.
+    Older code appended to logs, and a kill during an append can leave
+    the last line unterminated. That line is kept if it parses and
+    dropped otherwise; the file is left as it is, and the next write of a
+    log that is replaced whole leaves the torn tail out. A bad line
+    anywhere else still raises JsonLinesError.
     """
     if not p.exists():
         return []
@@ -274,15 +280,8 @@ def read_log(p: Path) -> list[dict]:
     end = data.rfind(b"\n") + 1
     records = _parse_lines(p, _lines(_text(p, data[:end])))
     if end < len(data):
-        try:
+        with contextlib.suppress(JsonLinesError):
             records.extend(_parse_lines(p, [_text(p, data[end:])]))
-            tail = data[end:] + b"\n"
-        except JsonLinesError:
-            tail = b""
-        with p.open("r+b") as fh:
-            fh.seek(end)
-            fh.write(tail)
-            fh.truncate()
     return records
 
 
@@ -307,17 +306,6 @@ def _stamped_digest(record: Any, reference_ns: Any) -> tuple[tuple, str] | None:
     return (stamp, digest) if max(stamp[2], stamp[3]) < reference_ns else None
 
 
-def _stamp_line(reference_ns: int, stamps: Mapping[str, tuple[tuple, str]]) -> dict:
-    """The manifest line holding stamps (key -> (stamp, digest))."""
-    return {
-        "reference_ns": reference_ns,
-        "stamps": {
-            key: {**dict(zip(_STAMP_FIELDS, stamp)), "sha256": digest}
-            for key, (stamp, digest) in stamps.items()
-        },
-    }
-
-
 class Manifest:
     """Completed stages keyed by content hashes, kept in manifest.jsonl.
 
@@ -338,13 +326,15 @@ class Manifest:
     hashes again the outputs its stage has just written. That is sound
     only while no file changes other than through recorded outputs, so a
     pipeline run builds its own manifest under the workspace lock and
-    drops it when the run ends.
+    drops it when the run ends. Every digest comes from _now; record first
+    drops each output's memo and stamp, and raises FileNotFoundError for a
+    file it cannot find, so no entry holds a null digest.
 
     Stat stamps let later runs skip most of that hashing, as git's index
-    does. A digest computed for a freshness verdict is kept with the
-    file's stamp (st_ino, st_size, st_mtime_ns, st_ctime_ns), taken just
-    before the file is read, and each write holds the stamps in force on
-    one line, {"reference_ns", "stamps": {path: {"ino", "size",
+    does. A digest that _now computes, for a verdict or a record, is kept
+    with the file's stamp (st_ino, st_size, st_mtime_ns, st_ctime_ns),
+    taken just before the file is read, and each write holds the stamps in
+    force on one line, {"reference_ns", "stamps": {path: {"ino", "size",
     "mtime_ns", "ctime_ns", "sha256"}}}. A later run, in any process,
     reuses that digest without reading the file while the file's stamp
     still matches. reference_ns is the filesystem's time before the run's
@@ -354,19 +344,17 @@ class Manifest:
     same timestamp tick or with the old mtime put back by os.utime, which
     sets the ctime. A file on another filesystem, whose clock may differ,
     gets no stamp; an ill-typed or racy stamp record is ignored, and the
-    file hashed. The line carries the latest reference_ns of the stamps it
-    merges: each passed the check against its own, so it passes against a
-    later one. Cold builds decide no freshness by hashing, so they write
-    no stamp line, and a run that finds every stamp matching writes nothing.
+    file hashed. The line carries the latest of the clock and the
+    reference_ns of the stamps it merges: each passed the check against
+    its own, so it passes against a later one. A file a stage has just
+    written gets no stamp, but a source file a cold build hashes does.
 
-    Each record writes the stamps taken so far, and save_stamps those
-    taken after the last record, so a run killed or stopped by an error
-    keeps the stamps of its finished stages. That is sound because a
-    stamp vouches only for the file it was taken of: a stage that then
-    rewrites the file replaces it, and the new file has another inode and
-    a ctime no earlier than reference_ns, so the old stamp never matches
-    it. record still drops the stamps taken this run of the outputs it
-    rehashes, so the line does not carry them.
+    Each record writes the stamps in force, and save_stamps those taken
+    after the last record, so a run killed or stopped by an error keeps
+    the stamps of its finished stages, and a run that finds every stamp
+    matching writes nothing. record drops the stamps of the outputs it
+    rehashes, whichever run took them, so the line names only files as
+    they now are.
     """
 
     def __init__(self, workspace: str | Path, clock: os.stat_result | None = None) -> None:
@@ -377,12 +365,11 @@ class Manifest:
         self._clock = clock
         self._digests: dict[str, str] = {}
         self._entries: dict[str, dict] = {}
-        # key -> (stamp, digest) from the stamp lines, None when unusable
+        # key -> (stamp, digest) as loaded or taken by _now, None when unusable
         self._stamps: dict[str, tuple[tuple, str] | None] = {}
-        # the stamps taken since the last write
-        self._taken: dict[str, tuple[tuple, str]] = {}
-        # the latest reference_ns of a stamp line
-        self._reference = 0
+        # the latest reference_ns of the clock and the stamp lines
+        self._reference = clock.st_mtime_ns if clock is not None else 0
+        self._unsaved = False  # True when a stamp was taken since the last write
         for obj in read_log(self.path):
             stage, stamps = obj.get("stage"), obj.get("stamps")
             if isinstance(stage, str):
@@ -409,33 +396,38 @@ class Manifest:
         output_paths: Iterable[str | Path],
         wall_time_s: float,
     ) -> None:
-        entry = {
+        outputs = list(map(self.key, output_paths))
+        for key in outputs:  # the stage has just replaced the file
+            self._digests.pop(key, None)
+            self._stamps.pop(key, None)
+        inputs = list(map(self.key, input_paths))
+        hashes = {key: self._now(key) for key in [*inputs, *outputs]}
+        if missing := [key for key, digest in hashes.items() if digest is None]:
+            raise FileNotFoundError(f"stage {stage!r} has no file to record at {missing}")
+        self._entries[stage] = {
             "stage": stage,
             "artifact_format": ARTIFACT_FORMAT,
             "config_hash": config_hash,
-            "input_hashes": {k: self._digest(k) for k in map(self.key, input_paths)},
-            "output_hashes": {k: self._digest(k, rehash=True) for k in map(self.key, output_paths)},
+            "input_hashes": {key: hashes[key] for key in inputs},
+            "output_hashes": {key: hashes[key] for key in outputs},
             "wall_time_s": round(wall_time_s, 3),
         }
-        self._entries[stage] = entry
         self._write()
 
     def save_stamps(self) -> None:
         """Write the manifest if stamps were taken since its last write."""
-        if self._taken:
+        if self._unsaved:
             self._write()
 
     def _write(self) -> None:
         """Replace the file with the live lines; the caller holds the
         workspace lock."""
-        if self._taken:
-            self._stamps.update(self._taken)
-            self._taken = {}
-            self._reference = max(self._reference, self._clock.st_mtime_ns)
-        stamps = {key: stamped for key, stamped in self._stamps.items() if stamped is not None}
+        self._unsaved = False
+        stamps = {key: {**dict(zip(_STAMP_FIELDS, stamped[0])), "sha256": stamped[1]}
+                  for key, stamped in self._stamps.items() if stamped is not None}
         lines = list(self._entries.values())
         if stamps:
-            lines.append(_stamp_line(self._reference, stamps))
+            lines.append({"reference_ns": self._reference, "stamps": stamps})
         atomic_write_text(self.path, _jsonl(lines))
 
     def _entry(self, stage: str, config_hash: str) -> dict:
@@ -482,7 +474,8 @@ class Manifest:
             if stamp != now:
                 digest = sha256_file(path)
                 if self._settled(st):
-                    self._taken[key] = (now, digest)
+                    self._stamps[key] = (now, digest)
+                    self._unsaved = True
         except FileNotFoundError:
             return None
         self._digests[key] = digest
@@ -497,15 +490,6 @@ class Manifest:
             and st.st_dev == clock.st_dev
             and max(st.st_mtime_ns, st.st_ctime_ns) < clock.st_mtime_ns
         )
-
-    def _digest(self, key: str, rehash: bool = False) -> str:
-        """SHA-256 of the file under key, from the memo unless rehash."""
-        if not rehash and key in self._digests:
-            return self._digests[key]
-        self._taken.pop(key, None)  # a stamp of the file before it was rewritten
-        digest = sha256_file(self.workspace / key)
-        self._digests[key] = digest
-        return digest
 
 
 def write_matrix_bin(path: str | Path, matrix: np.ndarray) -> None:

@@ -13,11 +13,11 @@ from that writer's current settings and current inputs, or the run names
 the writer to run first (see _run_one). One run hashes each workspace
 file at most once (plus once more for each output a stage writes), and
 none whose stat stamp is as an earlier run recorded it. Each record
-replaces the manifest whole, with the stamps taken so far, and a run
-that ends without an error saves the stamps it took after its last
-record (see fsio.Manifest), so a kill anywhere leaves the manifest as
-its last os.replace left it. The stages of one run share a _Run,
-which opens the embedding cache and reads corpus.jsonl, kpts.jsonl,
+replaces the manifest whole, with the stamps in force, and a run that
+ends without an error saves the stamps it took after its last record
+(see fsio.Manifest); nothing else writes it, so a kill anywhere leaves
+the manifest as its last os.replace left it. The stages of one run share
+a _Run, which opens the embedding cache and reads corpus.jsonl, kpts.jsonl,
 queries.jsonl and adapter.bin at most once each, on the first stage
 that needs them; a run whose ingest ran keeps the corpus ingest parsed
 and reads no corpus.jsonl, and train takes the base vectors of the
@@ -31,7 +31,8 @@ Every JSON Lines file a stage reads, the source corpus and the gold file
 included, goes through fsio.read_records, so a bad line or record raises
 JsonLinesError naming the file and line. _run_one turns it into exit 2
 for the corpus or gold file, which no stage writes, and into exit 3
-naming the stage to rerun for a workspace file.
+naming the stage to rerun for a workspace file. A corpus or gold file
+that a stage writes exits 2 before any stage runs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +51,7 @@ import numpy as np
 from .cluster import ClusterLabels, cluster_tables
 from .config import PipelineConfig, variant_config
 from .corpus import Corpus, load_corpus, serialize_instance, table_to_record
-from .embed import EmbeddingCache, embed_texts
+from .embed import CacheDimError, EmbeddingCache, embed_texts
 from .fsio import (
     ArtifactError,
     Manifest,
@@ -230,6 +232,14 @@ def run_pipeline(
     """Run one stage or the whole ordered pipeline under the workspace lock."""
     if stage != "all" and stage not in STAGES:
         raise StageError(2, f"unknown stage {stage!r}; expected one of {STAGES} or 'all'")
+    run = _Run(cfg, log)
+    # _run_one finds an input's writer by its path as written, so a source
+    # that names a stage's output so would leave that stage outdated by itself
+    for setting, source in ((_SOURCE, cfg.corpus_path), (_GOLD, cfg.eval.gold_path)):
+        inside = source and cfg.workspace / os.path.relpath(source, cfg.workspace)
+        if writer := run.writers.get(inside):
+            raise StageError(2, f"{setting}: {source} is a file that stage '{writer}' "
+                                f"writes; name a file outside the stages' outputs")
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     results = []
     with WorkspaceLock(cfg.workspace) as lock:
@@ -237,7 +247,6 @@ def run_pipeline(
             manifest = Manifest(cfg.workspace, lock.touch())
         except ArtifactError as exc:
             raise StageError(3, f"{exc}; remove {exc.path} and rerun") from exc
-        run = _Run(cfg, log)
         stages = STAGES if stage == "all" else (stage,)
         for st in stages:
             if stage == "all" and _STAGE_TABLE[st].trains and not cfg.train_enabled:
@@ -286,6 +295,8 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except FileNotFoundError as exc:  # a missing source corpus
         raise StageError(2, f"stage '{stage}': {exc}") from exc
+    except CacheDimError as exc:  # the cache is sound, so nothing to remove
+        raise StageError(3, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
         producer = run.writers.get(exc.path)
         if producer is None and exc.path in plan.inputs:  # the corpus or a gold file
@@ -324,6 +335,10 @@ def split_queries(
         for pos, q in enumerate(group):
             (heldout if pos in held_pos else training).append(q)
     return training, heldout
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _stage_ingest(run: _Run) -> None:
@@ -468,9 +483,7 @@ def _stage_train(run: _Run) -> None:
         "steps": report.steps,
         "triples_seen": report.triples_seen,
     }
-    atomic_write_text(
-        ws / "train_report.json", json.dumps(report_json, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(ws / "train_report.json", report_json)
     write_jsonl(ws / "train_log.jsonl", report.log)
     run.log(
         f"[train] mean loss {report.initial_loss:.4f} -> {report.final_loss:.4f} "
@@ -519,9 +532,7 @@ def _stage_eval(run: _Run) -> None:
                  "each partial table has only one question, which training keeps")
         raise StageError(2, f"no evaluation queries: {cause}")
     report = evaluate(index, gold, cfg.embedding, ks=cfg.eval.ks, cache=run.cache)
-    atomic_write_text(
-        run.ws / "report.json", json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(run.ws / "report.json", report.to_json())
     recalls = " ".join(f"R@{k}={v}" for k, v in sorted(report.recall.items()))
     run.log(f"[eval] {report.query_count} queries: {recalls}")
 
@@ -626,7 +637,5 @@ def run_compare(cfg: PipelineConfig, variants: list[Variant], log: Log = _quiet)
     cfg.workspace.mkdir(parents=True, exist_ok=True)
     # under the lock, so a run's temp-file sweep cannot take this write's file
     with WorkspaceLock(cfg.workspace):
-        atomic_write_text(
-            cfg.workspace / "compare_report.json", json.dumps(out, sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(cfg.workspace / "compare_report.json", out)
     return out

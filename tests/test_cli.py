@@ -10,7 +10,7 @@ import tabret.cli as cli_module
 import tabret.pipeline as pipeline_module
 from tabret.cli import main
 from tabret.config import load_config
-from tabret.fsio import read_matrix_bin, write_matrix_bin
+from tabret.fsio import WorkspaceLock, read_matrix_bin, write_matrix_bin
 from tabret.pipeline import split_queries
 from tabret.querygen import query_from_record
 
@@ -79,6 +79,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert all(f"[{st}] fresh" in err for st in ("ingest", "embed", "cluster"))
         assert "[kpt] done" in err
+
+    def test_locked_workspace_exits_1(self, project, capsys):
+        with WorkspaceLock(project / "ws"):
+            assert main(["run", "--config", str(project / "config.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: workspace is locked by another run ({project / 'ws' / '.lock'})\n" == err
+        assert main(["run", "--config", str(project / "config.yaml")]) == 0
 
     def test_missing_config_exits_2(self, project, capsys):
         code = main(["run", "--config", str(project / "nope.yaml")])
@@ -795,6 +802,47 @@ class TestUnusableInput:
         capsys.readouterr()
         assert demo(*(arg for setting in settings for arg in ("--set", setting))) == 2
         assert problem in capsys.readouterr().err
+
+
+class TestSourceThatAStageWrites:
+    """A corpus or gold file that a stage writes would leave that stage
+    outdated by its own output on every run, so the run exits 2 first."""
+
+    @pytest.mark.parametrize(
+        "setting, name, writer",
+        [("corpus.path", "corpus.jsonl", "ingest"),
+         ("eval.gold_path", "workspace/queries.jsonl", "genq")],
+    )
+    def test_exits_2_naming_the_setting_the_file_and_its_writer(
+        self, tmp_path, capsys, setting, name, writer
+    ):
+        # the demo layout; its corpus is the workspace's own with the
+        # project directory as the workspace
+        for file in ("config.yaml", "corpus.jsonl"):
+            shutil.copy(REPO / "data" / "demo" / file, tmp_path)
+        corpus = (tmp_path / "corpus.jsonl").read_bytes()
+        setting_value = "workspace=." if setting == "corpus.path" else f"{setting}={name}"
+        args = ["run", "--config", str(tmp_path / "config.yaml"), "--set", setting_value]
+        for _ in range(2):
+            capsys.readouterr()
+            assert main(args) == 2
+            assert (f"error: {setting}: {tmp_path.resolve() / name} is a file that stage "
+                    f"'{writer}' writes; ") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "corpus.jsonl"]
+        assert (tmp_path / "corpus.jsonl").read_bytes() == corpus
+
+
+class TestEmbeddingDim:
+    def test_other_dim_under_the_same_model_name_exits_3_naming_the_setting(self, demo, capsys):
+        # the mock's vectors depend on dim, and the cache keys them by
+        # (model_name, text): the cache is sound, but holds dim 128
+        capsys.readouterr()
+        assert demo("--set", "embedding.dim=64") == 3
+        err = capsys.readouterr().err
+        assert ("the cache holds 'mock-128''s vectors at dim 128, not embedding.dim 64; "
+                "each dim needs its own embedding.model_name") in err
+        assert "error: stage 'embed': " in err and "remove" not in err
+        assert demo("--set", "embedding.dim=64", "--set", "embedding.model_name=mock-64") == 0
 
 
 class TestCompareCommand:

@@ -297,6 +297,24 @@ class TestTypedRecords:
             read_records(p, self.FIELDS, parse)
 
 
+class TestRecordsOfALog:
+    """read_records checks the records read_log gives as it checks a file's."""
+
+    FIELDS = {"key": str}
+
+    def test_torn_tail_is_dropped(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_bytes(b'{"key": "a"}\n{"key": "b"}\n{"key": "\xe2\x82')
+        assert read_records(p, self.FIELDS, dict, read_log) == [{"key": "a"}, {"key": "b"}]
+
+    @pytest.mark.parametrize("tail", [b"", b'{"key": "\xe2\x82'], ids=["whole", "torn-utf-8"])
+    def test_bad_record_names_its_line(self, tmp_path, tail):
+        p = tmp_path / "log.jsonl"
+        p.write_bytes(b'{"key": "a"}\n\n{"key": 2}\n' + tail)
+        with pytest.raises(JsonLinesError, match=f"^{re.escape(str(p))}:3: field 'key': expected str"):
+            read_records(p, self.FIELDS, dict, read_log)
+
+
 class TestMatrixBin:
     def test_round_trip(self, tmp_path, rng):
         m = rng.normal(size=(7, 5))
@@ -439,10 +457,13 @@ class TestManifest:
         path = self._recorded(tmp_path)
         with path.open("a") as fh:
             fh.write('{"stage": "ev')
+        torn = path.read_bytes()
         man = Manifest(tmp_path)
         assert man.is_fresh("embed", "cfg123")
+        assert path.read_bytes() == torn  # read past, not cut
         out = self._touch(tmp_path / "report.txt", "r")
         man.record("eval", "cfgE", [], [out], 0.1)
+        assert [line["stage"] for line in read_jsonl(path)] == ["embed", "eval"]
         reloaded = Manifest(tmp_path)
         assert reloaded.is_fresh("embed", "cfg123") and reloaded.is_fresh("eval", "cfgE")
 
@@ -561,14 +582,29 @@ class TestStatStamps:
         assert hashed == Counter()
         assert (ws / "manifest.jsonl").read_bytes() == manifest
 
-    def test_record_and_a_manifest_without_a_clock_take_no_stamp(self, ws):
-        man = Manifest(ws, _settled_clock(ws))
-        man.record("ingest", "cfgI", [ws / "in.txt"], [ws / "out.txt"], 0.1)
-        man.save_stamps()
+    def test_record_stamps_a_settled_input_but_not_the_output_just_written(self, ws, hashed):
+        clock = _settled_clock(ws)
+        atomic_write_text(ws / "out.txt", "output")  # as its stage replaces it
+        hashed.clear()
+        Manifest(ws, clock).record("embed", "cfg", [ws / "in.txt"], [ws / "out.txt"], 0.1)
+        (line,) = self.stamp_lines(ws)
+        assert set(line["stamps"]) == {"in.txt"}
+        assert hashed == Counter({"in.txt": 1, "out.txt": 1})
+
+    def test_a_manifest_without_a_clock_takes_no_stamp(self, ws):
         man = Manifest(ws)
         assert man.is_fresh("embed", "cfg")
+        man.record("ingest", "cfgI", [ws / "in.txt"], [ws / "out.txt"], 0.1)
         man.save_stamps()
         assert self.stamp_lines(ws) == []
+
+    @pytest.mark.parametrize("missing", ["in.txt", "out.txt"])
+    def test_record_of_a_missing_file_raises_and_writes_nothing(self, ws, missing):
+        manifest = (ws / "manifest.jsonl").read_bytes()
+        (ws / missing).unlink()
+        with pytest.raises(FileNotFoundError, match=missing):
+            Manifest(ws).record("embed", "cfg2", [ws / "in.txt"], [ws / "out.txt"], 0.1)
+        assert (ws / "manifest.jsonl").read_bytes() == manifest
 
     def test_file_changed_since_the_clock_gets_no_stamp(self, ws):
         clock = _settled_clock(ws)
@@ -596,6 +632,15 @@ class TestStatStamps:
         hashed.clear()
         assert not Manifest(ws).is_fresh("embed", "cfg")
         assert hashed == Counter({"in.txt": 1})
+
+    def test_stamp_an_earlier_run_took_of_a_rewritten_output_is_dropped(self, ws):
+        self.stamp(ws)
+        clock = _settled_clock(ws)
+        atomic_write_text(ws / "out.txt", "output 2")
+        Manifest(ws, clock).record("embed", "cfg", [ws / "in.txt"], [ws / "out.txt"], 0.1)
+        (line,) = self.stamp_lines(ws)
+        assert set(line["stamps"]) == {"in.txt"}
+        assert Manifest(ws).is_fresh("embed", "cfg")
 
     def test_stamp_of_an_output_rewritten_by_record_is_dropped(self, ws):
         man = Manifest(ws, _settled_clock(ws))
@@ -701,19 +746,21 @@ class TestAppendedManifest:
         assert before[("cluster", "cfgc0")] == (False, True)
         lines = read_log(grown / "manifest.jsonl")
         assert len(lines) == 1 + 8 * 3
-        # a run that reruns ingest under its last settings
+        # a run that reruns ingest under its last settings, which replaces a.txt
+        atomic_write_text(grown / "a.txt", "a1")
         Manifest(grown).record("ingest", "cfgi1", [grown / "source.txt"], [grown / "a.txt"], 0.1)
         live = read_log(grown / "manifest.jsonl")
         assert [line.get("stage") for line in live] == ["cluster", "ingest", "embed", None]
         assert live[:3] == [lines[0], lines[-3], lines[-2]]
-        assert set(live[3]["stamps"]) == {"source.txt", "a.txt", "b.txt"}
+        # the stamp of the replaced a.txt is dropped; the others survive,
+        # the first stamp line's too
+        assert set(live[3]["stamps"]) == {"source.txt", "b.txt"}
         assert live[3]["reference_ns"] == max(line.get("reference_ns", 0) for line in lines)
         hashed = Counter()
         real = fsio.sha256_file
         monkeypatch.setattr(fsio, "sha256_file", lambda p: hashed.update([p.name]) or real(p))
         assert self.verdicts(grown) == before
-        # every stamp survives, the first stamp line's too, so no file is read
-        assert not hashed
+        assert hashed == Counter({"a.txt": 1})
 
     def test_kill_between_the_write_and_the_rename_leaves_the_old_manifest(self, grown):
         before = self.verdicts(grown)
@@ -741,19 +788,23 @@ class TestReadLog:
     def test_missing_log_is_empty(self, tmp_path):
         assert read_log(tmp_path / "absent.jsonl") == []
 
-    def test_unterminated_last_line_that_parses_is_kept_and_terminated(self, tmp_path):
+    @staticmethod
+    def assert_read_leaves_the_file_alone(p, records):
+        before = (p.read_bytes(), fsio._stamp(p.stat()))
+        assert read_log(p) == records
+        assert (p.read_bytes(), fsio._stamp(p.stat())) == before
+
+    def test_unterminated_last_line_that_parses_is_kept(self, tmp_path):
         p = tmp_path / "log.jsonl"
         p.write_text('{"a": 1}\n{"a": 2}')
-        assert read_log(p) == [{"a": 1}, {"a": 2}]
-        assert p.read_text() == '{"a": 1}\n{"a": 2}\n'
+        self.assert_read_leaves_the_file_alone(p, [{"a": 1}, {"a": 2}])
 
     # torn JSON, a torn UTF-8 sequence, and a JSON value that is not an object
     @pytest.mark.parametrize("tail", [b'{"a": ', b"[1, 2", b"\xe2\x82", b"7"])
-    def test_torn_last_line_is_dropped_and_cut(self, tmp_path, tail):
+    def test_torn_last_line_is_dropped(self, tmp_path, tail):
         p = tmp_path / "log.jsonl"
         p.write_bytes(b'{"a": 1}\n' + tail)
-        assert read_log(p) == [{"a": 1}]
-        assert p.read_text() == '{"a": 1}\n'
+        self.assert_read_leaves_the_file_alone(p, [{"a": 1}])
 
     def test_terminated_bad_last_line_raises(self, tmp_path):
         p = tmp_path / "log.jsonl"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -170,18 +171,25 @@ class TestRunPipeline:
     def test_manifest_holds_its_live_lines_after_every_run(self, pipeline_cfg, tmp_path):
         # each fusion toggle re-runs index and eval; after every run the
         # manifest holds the last entry of each stage, in STAGES order, and
-        # at most one stamp line
+        # at most one stamp line, whose every stamp names a file as it is
         run_pipeline(pipeline_cfg, "all")
-        manifest = pipeline_cfg.workspace / "manifest.jsonl"
+        ws = pipeline_cfg.workspace
+        manifest = ws / "manifest.jsonl"
         for fusion in ["mean", "max"] * 10:
             cfg = load_config(tmp_path / "config.yaml", [f"retrieval.fusion={fusion}"])
             plans = plan_stages(cfg)
             for statuses in (["fresh"] * 7 + ["ran"] * 2, ["fresh"] * 9):
+                _settle(ws)  # so that the run stamps each file it hashes
                 assert [r.status for r in run_pipeline(cfg, "all")] == statuses
                 lines = read_jsonl(manifest)
                 assert [line.get("stage") for line in lines] in ([*STAGES], [*STAGES, None])
                 assert [line["config_hash"] for line in lines[: len(STAGES)]] == [
                     plans[st].config_hash for st in STAGES]
+                stamps = lines[-1].get("stamps", {})
+                assert stamps
+                for key, stamp in stamps.items():  # an absolute key stays absolute
+                    st = (ws / key).stat()
+                    assert (st.st_ino, st.st_size) == (stamp["ino"], stamp["size"]), key
 
     def test_deleted_artifact_reruns_only_downstream(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
@@ -348,8 +356,8 @@ class TestDamagedWorkspace:
         ws = pipeline_cfg.workspace
         # kpt wrote its output, but the manifest still ends at cluster
         assert (ws / "kpts.jsonl").exists()
-        assert [line["stage"] for line in read_jsonl(ws / "manifest.jsonl")] == [
-            "ingest", "embed", "cluster"]
+        assert [line["stage"] for line in read_jsonl(ws / "manifest.jsonl")
+                if "stage" in line] == ["ingest", "embed", "cluster"]
         results = [r.status for r in run_pipeline(pipeline_cfg, "all")]
         assert results == ["fresh"] * 3 + ["ran"] * 6
         clean = load_config(tmp_path / "config.yaml", ["workspace=clean"])
@@ -367,6 +375,48 @@ class TestDamagedWorkspace:
         assert run_pipeline(pipeline_cfg, "eval")[0].status == "ran"
         assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
 
+    @pytest.mark.parametrize("overrides", [[], ["kpt.s=2"]], ids=["eval", "kpt-s2"])
+    def test_manifest_torn_in_its_last_entry_resumes_at_that_stage(
+        self, pipeline_cfg, tmp_path, overrides
+    ):
+        run_pipeline(pipeline_cfg, "all")
+        ws = pipeline_cfg.workspace
+        manifest = ws / "manifest.jsonl"
+
+        def entries() -> list[bytes]:
+            return [line for line in manifest.read_bytes().splitlines(keepends=True)
+                    if b'"stage": ' in line]
+
+        cfg = load_config(tmp_path / "config.yaml", overrides)
+        kept = entries()
+        if overrides:
+            # older code appended each record: a run under kpt.s=2 was
+            # killed in the append of kpt's entry, after kpt wrote its file
+            run_pipeline(cfg, "kpt")
+            (last,) = [line for line in entries() if line.startswith(b'{"artifact_format": ')
+                       and b'"stage": "kpt"' in line]
+        else:  # killed in the append of eval's entry
+            *kept, last = kept
+        data = b"".join(kept) + last[: len(last) // 2]
+        manifest.write_bytes(data)
+        stamp = fsio._stamp(manifest.stat())
+        fsio.Manifest(ws)
+        assert (manifest.read_bytes(), fsio._stamp(manifest.stat())) == (data, stamp)
+        # the torn stage reruns, and so does each stage after it whose inputs changed
+        rerun = len(STAGES) - (STAGES.index("kpt") if overrides else STAGES.index("eval"))
+        results = [r.status for r in run_pipeline(cfg, "all")]
+        assert results == ["fresh"] * (len(STAGES) - rerun) + ["ran"] * rerun
+        # and the record that follows leaves only the live lines
+        assert [line.get("stage") for line in read_jsonl(manifest)] in (
+            [*STAGES], [*STAGES, None])
+        # the embedding cache also holds the vectors of the earlier build
+        clean = load_config(tmp_path / "config.yaml", [*overrides, "workspace=clean"])
+        run_pipeline(clean, "all")
+        artifacts = [{name: data for name, data in _tree(root).items()
+                      if not name.startswith("embed_cache/")} for root in (ws, clean.workspace)]
+        assert artifacts[0] == artifacts[1]
+        assert _entries(ws) == _entries(clean.workspace)
+
     def test_workspace_of_an_older_format_rebuilds(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
         ws = pipeline_cfg.workspace
@@ -375,7 +425,7 @@ class TestDamagedWorkspace:
         manifest = ws / "manifest.jsonl"
         entries = [json.loads(line) for line in manifest.read_text().splitlines()]
         for entry in entries:
-            del entry["artifact_format"]
+            entry.pop("artifact_format", None)  # a stamp line has none
         manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
         for name in ("instance_embeddings.bin", "adapter.bin", "index/vectors.bin"):
             _flip_byte(ws / name, -1)
@@ -401,7 +451,7 @@ class TestDamagedWorkspace:
         manifest = ws / "manifest.jsonl"
         entries = [json.loads(line) for line in manifest.read_text().splitlines()]
         for entry in entries:
-            if entry["stage"] == "cluster":
+            if entry.get("stage") == "cluster":
                 entry["config_hash"] = old_hash
         manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
         clusters = (ws / "clusters.jsonl").read_bytes()
@@ -448,8 +498,12 @@ class TestStageFiles:
         write_jsonl(tmp_path / "gold.jsonl", [{"query": "part 0 model 1", "gold_table_id": "t00"}])
         cfg = load_config(tmp_path / "config.yaml", overrides=overrides)
         ran = [r.stage for r in run_pipeline(cfg, "all") if r.status == "ran"]
-        manifest_lines = (cfg.workspace / "manifest.jsonl").read_text().splitlines()
-        entries = [json.loads(line) for line in manifest_lines]
+        *entries, last = read_jsonl(cfg.workspace / "manifest.jsonl")
+        if "stage" in last:
+            entries.append(last)
+        else:  # the stamps of the source files that settled before the run
+            sources = {str(cfg.corpus_path), str(cfg.eval.gold_path)}
+            assert set(last["stamps"]) <= sources
         assert [e["stage"] for e in entries] == ran
         manifest = fsio.Manifest(cfg.workspace)
         plans = plan_stages(cfg)
@@ -506,7 +560,7 @@ def _settle(ws: Path) -> None:
     stats = [p.stat() for p in ws.rglob("*")]
     newest = max(max(st.st_mtime_ns, st.st_ctime_ns) for st in stats)
     while True:
-        os.utime(ws / ".lock")
+        (ws / ".lock").touch()
         if (ws / ".lock").stat().st_mtime_ns > newest:
             return
         time.sleep(0.001)
@@ -549,15 +603,21 @@ class TestOneReadPerRun:
         assert pipeline_cfg.corpus_path.resolve() in paths
         assert hashed == Counter({p: 1 for p in paths})
 
-    def test_first_noop_hashes_each_manifest_path_once(self, pipeline_cfg, hashed):
-        # a cold build leaves no stamps, so the first no-op hashes everything
+    def test_first_noop_hashes_each_path_but_the_stamped_corpus_once(
+        self, pipeline_cfg, tmp_path, hashed
+    ):
+        # a cold build stamps only its source corpus, which settled before
+        # it began; every file a stage wrote is hashed by the first no-op
+        _settle(tmp_path)
         run_pipeline(pipeline_cfg, "all")
-        lines = (pipeline_cfg.workspace / "manifest.jsonl").read_text().splitlines()
-        assert all("stage" in json.loads(line) for line in lines)
+        corpus = pipeline_cfg.corpus_path.resolve()
+        (line,) = [line for line in read_jsonl(pipeline_cfg.workspace / "manifest.jsonl")
+                   if "stamps" in line]
+        assert set(line["stamps"]) == {str(corpus)}
         paths = {p.resolve() for p in _latest_manifest_paths(pipeline_cfg.workspace)}
         hashed.clear()
         assert all(r.status == "fresh" for r in run_pipeline(pipeline_cfg, "all"))
-        assert hashed == Counter({p: 1 for p in paths})
+        assert hashed == Counter({p: 1 for p in paths - {corpus}})
 
     def test_second_noop_hashes_nothing_and_writes_nothing(self, pipeline_cfg, hashed):
         run_pipeline(pipeline_cfg, "all")
@@ -820,14 +880,21 @@ class TestStatStamps:
         assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
         assert hashed[(ws / "kpts.jsonl").resolve()] == 1
 
-    def test_torn_stamp_line_is_dropped(self, stamped, hashed):
+    def test_torn_stamp_line_is_read_past_and_left_out_by_the_next_write(self, stamped, hashed):
         manifest = stamped.workspace / "manifest.jsonl"
         good = manifest.read_text()
         with manifest.open("a") as fh:
             fh.write('{"reference_ns": 1, "stamps": {"kpts.jsonl": {"ino')
+        torn = manifest.read_text()
+        # every stamp still matches, so a no-op writes nothing
         assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
-        assert manifest.read_text() == good
+        assert manifest.read_text() == torn
         assert hashed == Counter()
+        (stamped.workspace / "report.json").unlink()
+        assert [r.status for r in run_pipeline(stamped, "all")] == ["fresh"] * 8 + ["ran"]
+        assert manifest.read_text().endswith("\n")
+        assert [line.get("stage") for line in read_jsonl(manifest)] == [*STAGES, None]
+        assert len(read_jsonl(manifest)) == len(good.splitlines())
 
     @pytest.mark.parametrize(
         "edit",
@@ -859,6 +926,32 @@ class TestStatStamps:
         assert all(r.status == "fresh" for r in run_pipeline(stamped, "all"))
         paths = {p.resolve() for p in _latest_manifest_paths(ws)}
         assert hashed == Counter({p: 1 for p in paths})
+
+
+class TestDemoManifestWrites:
+    """What a demo cold build, a no-op and a retrieval.fusion=mean re-index
+    each write, every run starting once its inputs have settled."""
+
+    def test_replaces_and_live_stamps_of_each_run(self, tmp_path, monkeypatch):
+        for name in ("config.yaml", "corpus.jsonl"):
+            shutil.copy(Path(__file__).parents[1] / "data" / "demo" / name, tmp_path)
+        replaced = []
+        real = os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or real(src, dst))
+        ws = tmp_path / "workspace"
+        counts = []
+        for overrides in ([], [], ["retrieval.fusion=mean"]):
+            _settle(tmp_path)
+            replaced.clear()
+            run_pipeline(load_config(tmp_path / "config.yaml", overrides), "all")
+            (line,) = [line for line in read_jsonl(ws / "manifest.jsonl") if "stamps" in line]
+            for key, stamp in line["stamps"].items():  # an absolute key stays absolute
+                st = (ws / key).stat()
+                assert (st.st_ino, st.st_size) == (stamp["ino"], stamp["size"]), key
+            counts.append((len(replaced), len(line["stamps"])))
+        # a cold build stamps its source corpus; a re-index drops the stamps
+        # of the four files that index and eval replace
+        assert counts == [(22, 1), (1, 14), (6, 10)]
 
 
 class TestHoldoutHygiene:
