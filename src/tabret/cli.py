@@ -1,11 +1,11 @@
 """Command-line entry points: run, compare, gradcheck.
 
-Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
-prerequisite artifact, 4 provider failure, 130 interrupted (Ctrl-C). Every
-workspace file and the manifest are written by one atomic replace each,
-and the embedding cache trims a torn tail, so an interrupted run resumes
-when run again. Progress goes to stderr; the comparison table is the only
-stdout payload, so it pipes cleanly.
+Exit codes: 0 success, 1 runtime or OS error, 2 configuration error, 3
+missing or corrupt prerequisite artifact, 4 provider failure, 130
+interrupted (Ctrl-C). Every workspace file and the manifest are written
+by one atomic replace each, and the embedding cache trims a torn tail,
+so an interrupted run resumes when run again. Progress goes to stderr;
+the comparison table is the only stdout payload, so it pipes cleanly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .httpjson import ProviderError
 from .pipeline import STAGES, StageError, parse_variants, run_compare, run_pipeline
 from .train import gradient_check
 
@@ -108,10 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ProviderError as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return 4
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:  # a full disk outside a stage, a locked workspace
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

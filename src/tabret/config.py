@@ -20,7 +20,7 @@ eval.gold_path and eval.ks are read here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -277,16 +277,3 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         retrieval=retrieval, eval=eval_cfg,
     )
 
-
-def variant_config(
-    cfg: PipelineConfig, kpt_strategy: str, mining_strategy: str, use_adapter: bool,
-    workspace: Path,
-) -> PipelineConfig:
-    """Derive a comparison-variant config sharing the embedding cache."""
-    return replace(
-        cfg,
-        kpt=replace(cfg.kpt, strategy=kpt_strategy),
-        mining=replace(cfg.mining, strategy=mining_strategy),
-        train_enabled=use_adapter,
-        workspace=workspace,
-    )

@@ -97,7 +97,11 @@ def serialize_partial_table(table: Table, row_indices: Iterable[int]) -> str:
     return "\n".join(lines)
 
 
-def _load_jsonl(path: Path) -> list[Table]:
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus from a JSON Lines file of one table per line."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"corpus path does not exist: {p}")
     seen: set[str] = set()
 
     def parse(rec: dict) -> Table:
@@ -114,15 +118,7 @@ def _load_jsonl(path: Path) -> list[Table]:
             raise ValueError("field 'metadata': must map strings to strings")
         return Table(table_id, rec["header"], rec["rows"], metadata or None)
 
-    return read_records(path, _TABLE_FIELDS, parse)
-
-
-def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus from a JSON Lines file of one table per line."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus path does not exist: {p}")
-    tables = _load_jsonl(p)
+    tables = read_records(p, _TABLE_FIELDS, parse)
     if not tables:
         raise ArtifactError(p, "holds no table")
     return Corpus(tables=tables)

@@ -99,11 +99,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, p)
-    except BaseException:
-        try:
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = str(p)  # a failed write or fsync names no file
         raise
 
 
@@ -315,7 +315,8 @@ class Manifest:
     "config_hash", "input_hashes", "output_hashes", "wall_time_s"}; hash
     maps go path -> sha256, with paths stored relative to the workspace
     when inside it and absolute otherwise (external corpus or gold
-    files). A stage is a cache hit when its entry has the current
+    files), made lexically: no symlink is followed, so a path is keyed
+    as configured. A stage is a cache hit when its entry has the current
     ARTIFACT_FORMAT, its config hash matches, and every recorded input and
     output file still hashes the same. Older code appended to the file, so
     a manifest it wrote may hold several entries per stage and several
@@ -360,7 +361,7 @@ class Manifest:
     def __init__(self, workspace: str | Path, clock: os.stat_result | None = None) -> None:
         """clock is the workspace lock's status just after touching it
         (WorkspaceLock.touch); without it stamps are trusted but not taken."""
-        self.workspace = Path(workspace)
+        self.workspace = Path(os.path.abspath(workspace))
         self.path = self.workspace / "manifest.jsonl"
         self._clock = clock
         self._digests: dict[str, str] = {}
@@ -382,11 +383,8 @@ class Manifest:
 
     def key(self, p: str | Path) -> str:
         """Workspace-relative path inside the workspace, absolute outside."""
-        p = Path(p)
-        try:
-            return str(p.resolve().relative_to(self.workspace.resolve()))
-        except ValueError:
-            return str(p.resolve())
+        p = Path(os.path.abspath(p))
+        return str(p.relative_to(self.workspace) if p.is_relative_to(self.workspace) else p)
 
     def record(
         self,

@@ -5,7 +5,9 @@ the config is made. kpt_random samples s rows per cluster (the main
 method); cb_centroid keeps the s rows nearest each centroid; s_single
 keeps one nearest row per cluster; first_rows ignores clustering and
 takes the leading rows as a baseline. Every partial table serializes as
-a header line plus its rows in original order.
+a header line plus its rows in original order. kpt_random draws from
+keyed_rng, one stream per (table, cluster), as mining's random negatives
+do per query, so resampling one table never perturbs another's rows.
 """
 
 from __future__ import annotations
@@ -64,10 +66,9 @@ def _pt_id(table_id: str, strategy: str, cluster_index: int | None) -> str:
     return f"{table_id}#{strategy}#{'f' if cluster_index is None else cluster_index}"
 
 
-def _cluster_rng(seed: int, table_id: str, cluster_index: int) -> np.random.Generator:
-    """Independent stream per (table, cluster): resampling one table can
-    never perturb another's row selection."""
-    digest = hashlib.sha256(f"{table_id}\x1f{cluster_index}".encode("utf-8")).digest()
+def keyed_rng(seed: int, key: str) -> np.random.Generator:
+    """key's stream under seed: seed's low 64 bits XOR key's SHA-256 prefix."""
+    digest = hashlib.sha256(key.encode("utf-8")).digest()
     return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
 
 
@@ -103,7 +104,7 @@ def build_kpts(
     for j in range(assignment.k):
         members = assignment.members(j)
         if strategy == "kpt_random":
-            rng = _cluster_rng(cfg.seed, table.table_id, j)
+            rng = keyed_rng(cfg.seed, f"{table.table_id}\x1f{j}")
             take = rng.choice(members, size=min(cfg.s, members.size), replace=False)
             rows = [int(i) for i in take]
         else:
@@ -116,5 +117,4 @@ def build_kpts(
 
 
 def kpt_from_record(rec: dict) -> PartialTable:
-    values = {name: rec[name] for name in PT_FIELDS}
-    return PartialTable(**{**values, "row_indices": [int(i) for i in values["row_indices"]]})
+    return PartialTable(**{name: rec[name] for name in PT_FIELDS})

@@ -22,13 +22,12 @@ gemm and per-query gemvs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import get_type_hints
 
 import numpy as np
 
-from .kpt import PartialTable
+from .kpt import PartialTable, keyed_rng
 from .querygen import SyntheticQuery
 
 
@@ -60,11 +59,6 @@ class TrainingTriple:
 
 # a record's fields and their types, read once
 TRIPLE_FIELDS = get_type_hints(TrainingTriple)
-
-
-def _query_rng(seed: int, query_id: str) -> np.random.Generator:
-    digest = hashlib.sha256(query_id.encode("utf-8")).digest()
-    return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
 
 
 def mine_all(
@@ -112,7 +106,7 @@ def mine_all(
                 scores = np.dot(pool, query_vecs[i])
                 chosen = pool_ids[np.lexsort((pool_rank, -scores))[:take]]
             else:
-                rng = _query_rng(cfg.seed, query.query_id)
+                rng = keyed_rng(cfg.seed, query.query_id)
                 chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
             mined[i] = TrainingTriple(
                 query_id=query.query_id,

@@ -42,14 +42,14 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .cluster import ClusterLabels, cluster_tables
-from .config import PipelineConfig, variant_config
+from .config import PipelineConfig
 from .corpus import Corpus, load_corpus, serialize_instance, table_to_record
 from .embed import CacheDimError, EmbeddingCache, embed_texts
 from .fsio import (
@@ -295,6 +295,8 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except FileNotFoundError as exc:  # a missing source corpus
         raise StageError(2, f"stage '{stage}': {exc}") from exc
+    except OSError as exc:  # a full disk or a denied permission
+        raise StageError(1, f"stage '{stage}': {exc}") from exc
     except CacheDimError as exc:  # the cache is sound, so nothing to remove
         raise StageError(3, f"stage '{stage}': {exc}") from exc
     except ArtifactError as exc:
@@ -476,14 +478,7 @@ def _stage_train(run: _Run) -> None:
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
     save_adapter(adapter, str(ws / "adapter.bin"))
-    report_json = {
-        "initial_loss": report.initial_loss,
-        "final_loss": report.final_loss,
-        "epoch_mean_losses": report.epoch_mean_losses,
-        "steps": report.steps,
-        "triples_seen": report.triples_seen,
-    }
-    _write_json(ws / "train_report.json", report_json)
+    _write_json(ws / "train_report.json", {k: v for k, v in vars(report).items() if k != "log"})
     write_jsonl(ws / "train_log.jsonl", report.log)
     run.log(
         f"[train] mean loss {report.initial_loss:.4f} -> {report.final_loss:.4f} "
@@ -614,11 +609,11 @@ def run_compare(cfg: PipelineConfig, variants: list[Variant], log: Log = _quiet)
     computed: dict[Variant, dict] = {}
     for variant in variants:
         if variant not in computed:
-            vcfg = variant_config(
+            vcfg = replace(
                 cfg,
-                kpt_strategy=variant.kpt_strategy,
-                mining_strategy=variant.mining_strategy,
-                use_adapter=variant.use_adapter,
+                kpt=replace(cfg.kpt, strategy=variant.kpt_strategy),
+                mining=replace(cfg.mining, strategy=variant.mining_strategy),
+                train_enabled=variant.use_adapter,
                 workspace=cfg.workspace / "compare" / variant.slug,
             )
             log(f"[compare] running variant {variant.slug}")

@@ -4,7 +4,8 @@ The prompt template is fixed; substitution is single-pass, so braces
 inside the table text are never re-templated. Responses are parsed
 leniently: the first JSON object containing a "questions" array is
 accepted wherever it sits in the reply (prose and markdown fences
-around it are ignored). A deterministic mock provider supports offline
+around it are ignored). generate_queries returns [] when no attempt
+yields a usable question. A deterministic mock provider supports offline
 runs and tests.
 """
 
@@ -70,10 +71,6 @@ Output Format (JSON only):
 
 Generate {questions_per_chunk} questions now:"""
 )
-
-
-class QueryGenError(RuntimeError):
-    """A partial table yielded no usable queries after retries."""
 
 
 @dataclass(frozen=True)
@@ -231,10 +228,10 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
     """Query the provider, retrying while it under-delivers, then accept.
 
     Retries stop early when a response repeats verbatim (a deterministic
-    provider cannot do better). Raises QueryGenError if every attempt
-    yields zero usable questions, and ProviderError if a question holds a
-    lone surrogate (a JSON escape such as "\\ud800" with no pair), which
-    is no Unicode text and could not be written to queries.jsonl.
+    provider cannot do better). Returns [] if no attempt yields a usable
+    question. Raises ProviderError if a question holds a lone surrogate
+    (a JSON escape such as "\\ud800" with no pair), which is no Unicode
+    text and could not be written to queries.jsonl.
     """
     prompt = render_prompt(pt, cfg)
     best: list[str] = []
@@ -253,8 +250,6 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
         if len(best) >= cfg.n_q or response == previous_response:
             break
         previous_response = response
-    if not best:
-        raise QueryGenError(f"{pt.pt_id}: no parseable questions after {cfg.max_retries} attempts")
     return [
         SyntheticQuery(
             query_id=f"{pt.pt_id}#q{i}",
@@ -270,7 +265,8 @@ def generate_queries(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery]:
 def generate_all(
     pts: list[PartialTable], cfg: GenConfig
 ) -> tuple[list[SyntheticQuery], list[str]]:
-    """Generate for every partial table; returns (queries, skipped pt_ids).
+    """Generate for every partial table; returns (queries, skipped pt_ids),
+    where a partial table is skipped when it yields no usable question.
 
     Output is canonical: partial tables sorted by pt_id, queries in
     ordinal order, regardless of worker completion order. The first
@@ -281,22 +277,14 @@ def generate_all(
     workers = cfg.provider.max_parallel_requests if cfg.provider.kind == "http" else 1
     queries: list[SyntheticQuery] = []
     skipped: list[str] = []
-    with closing(fan_out(lambda pt: _generate_or_none(pt, cfg), ordered, workers)) as results:
+    with closing(fan_out(lambda pt: generate_queries(pt, cfg), ordered, workers)) as results:
         for pt, out in zip(ordered, results):
             if isinstance(out, ProviderError):
                 raise out
-            if out is None:
+            if not out:
                 skipped.append(pt.pt_id)
-            else:
-                queries.extend(out)
+            queries.extend(out)
     return queries, skipped
-
-
-def _generate_or_none(pt: PartialTable, cfg: GenConfig) -> list[SyntheticQuery] | None:
-    try:
-        return generate_queries(pt, cfg)
-    except QueryGenError:
-        return None
 
 
 def query_ordinal(query_id: str) -> int:

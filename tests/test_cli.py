@@ -14,8 +14,8 @@ from tabret.fsio import WorkspaceLock, read_matrix_bin, write_matrix_bin
 from tabret.pipeline import split_queries
 from tabret.querygen import query_from_record
 
-from test_fsio import LINE_FAULTS, inject_fault
-from test_pipeline import CONFIG_BODY, write_tiny_corpus
+from test_fsio import LINE_FAULTS, full_disk_for, inject_fault, needs_dev_full
+from test_pipeline import CONFIG_BODY, _entries, _tree, write_tiny_corpus
 
 
 @pytest.fixture
@@ -86,6 +86,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"error: workspace is locked by another run ({project / 'ws' / '.lock'})\n" == err
         assert main(["run", "--config", str(project / "config.yaml")]) == 0
+
+    @needs_dev_full
+    @pytest.mark.parametrize("name, stage", [("clusters.jsonl", "stage 'cluster': "),
+                                             ("manifest.jsonl", "")])
+    def test_full_disk_exits_1_naming_the_file_and_a_rerun_completes(
+        self, project, capsys, monkeypatch, name, stage
+    ):
+        # a stage's own write names the stage; the manifest, written
+        # after the stage, names only the file
+        config = ["run", "--config", str(project / "config.yaml")]
+        full_disk_for(monkeypatch, name)
+        assert main(config) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("[")]
+        assert errors == [f"error: {stage}[Errno 28] No space left on device: "
+                          f"'{project / 'ws' / name}'"]
+        monkeypatch.undo()
+        assert main(config) == 0
+        assert main([*config, "--set", "workspace=clean"]) == 0
+        assert _tree(project / "ws") == _tree(project / "clean")
+        assert _entries(project / "ws") == _entries(project / "clean")
 
     def test_missing_config_exits_2(self, project, capsys):
         code = main(["run", "--config", str(project / "nope.yaml")])

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from tabret.cluster import ClusteringConfig
-from tabret.config import ConfigError, _settings, load_config, variant_config
+from tabret.config import ConfigError, _settings, load_config
 from tabret.embed import ProviderConfig
 from tabret.httpjson import auth_headers
 from tabret.kpt import KptConfig
@@ -444,22 +444,3 @@ class TestReadme:
         minimal = load_config(write_config(tmp_path, MINIMAL))
         assert documented.effective_dict() == minimal.effective_dict()
 
-
-class TestVariantConfig:
-    def test_variant_overrides_strategies(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, MINIMAL))
-        v = variant_config(
-            cfg,
-            kpt_strategy="first_rows",
-            mining_strategy="random",
-            use_adapter=False,
-            workspace=tmp_path / "v",
-        )
-        assert v.kpt.strategy == "first_rows"
-        assert v.mining.strategy == "random"
-        assert v.train_enabled is False
-        assert v.workspace == tmp_path / "v"
-        # everything else, including the shared cache, is untouched
-        assert v.cache_dir == cfg.cache_dir
-        assert v.seed == cfg.seed
-        assert v.embedding == cfg.embedding

@@ -1,11 +1,13 @@
 """Checksums, atomic writes, JSONL and logs, binary matrices, manifest, lock."""
 
+import errno
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -48,6 +50,25 @@ class TestChecksum:
         assert checksum(bytes(data)) != reference
 
 
+def full_disk_for(monkeypatch, name: str) -> None:
+    """Send each atomic write of a file called name to /dev/full, whose
+    writes fail with ENOSPC as on a full disk."""
+    mkstemp = tempfile.mkstemp
+
+    def diverted(*args, prefix=None, **kwargs):
+        fd, tmp = mkstemp(*args, prefix=prefix, **kwargs)
+        if prefix == f".{name}.":
+            full = os.open("/dev/full", os.O_WRONLY)
+            os.dup2(full, fd)
+            os.close(full)
+        return fd, tmp
+
+    monkeypatch.setattr(tempfile, "mkstemp", diverted)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 class TestAtomicWrites:
     def test_writes_bytes(self, tmp_path):
         p = tmp_path / "f.bin"
@@ -63,6 +84,15 @@ class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         atomic_write_text(tmp_path / "f.txt", "data")
         assert sorted(q.name for q in tmp_path.iterdir()) == ["f.txt"]
+
+    @needs_dev_full
+    def test_full_disk_error_names_the_file_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        full_disk_for(monkeypatch, "f.txt")
+        with pytest.raises(OSError) as exc_info:
+            atomic_write_text(tmp_path / "f.txt", "data")
+        assert (exc_info.value.errno, exc_info.value.filename) == (
+            errno.ENOSPC, str(tmp_path / "f.txt"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_removes_only_temp_files_of_that_directory(self, tmp_path):
         for name in (".f.txt.k2j4x9_a.tmp", "f.txt", ".lock", "sub/.g.bin.abc.tmp"):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,9 @@ class TestRunPipeline:
         report = json.loads((ws / "report.json").read_text())
         assert report["query_count"] == len(report["ranks"]) > 0
         assert set(report["recall"]) == {"R@1", "R@5", "R@10"}
+        train_report = json.loads((ws / "train_report.json").read_text())
+        assert sorted(train_report) == [
+            "epoch_mean_losses", "final_loss", "initial_loss", "steps", "triples_seen"]
 
     def test_second_run_is_all_fresh(self, pipeline_cfg):
         run_pipeline(pipeline_cfg, "all")
@@ -928,6 +932,35 @@ class TestStatStamps:
         assert hashed == Counter({p: 1 for p in paths})
 
 
+class TestManifestKeys:
+    """Manifest keys are made from the paths as configured."""
+
+    def test_workspace_reached_through_a_symlink_keeps_relative_keys(
+        self, pipeline_cfg, tmp_path
+    ):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+        linked = load_config(tmp_path / "config.yaml", ["workspace=link"])
+        run_pipeline(linked, "all")
+        keys = {key for entry in _entries(tmp_path / "real")
+                for section in ("input_hashes", "output_hashes") for key in entry[section]}
+        assert "kpts.jsonl" in keys
+        assert {key for key in keys if os.path.isabs(key)} == {str(linked.corpus_path)}
+        # the real directory holds the same workspace under the same keys
+        real = load_config(tmp_path / "config.yaml", ["workspace=real"])
+        assert all(r.status == "fresh" for r in run_pipeline(real, "all"))
+
+    def test_reindex_resolves_no_path(self, pipeline_cfg, tmp_path, monkeypatch):
+        run_pipeline(pipeline_cfg, "all")
+        changed = load_config(tmp_path / "config.yaml", ["retrieval.fusion=mean"])
+        calls = []
+        resolve = Path.resolve
+        monkeypatch.setattr(Path, "resolve",
+                            lambda self, *args: calls.append(self) or resolve(self, *args))
+        assert [r.status for r in run_pipeline(changed, "all")] == ["fresh"] * 7 + ["ran"] * 2
+        assert calls == []
+
+
 class TestDemoManifestWrites:
     """What a demo cold build, a no-op and a retrieval.fusion=mean re-index
     each write, every run starting once its inputs have settled."""
@@ -1077,6 +1110,28 @@ class TestRunCompare:
             p.name for p in (pipeline_cfg.workspace / "compare").iterdir()
         )
         assert compare_dirs == ["first_rows-hard-no-adapter"]
+
+    def test_each_variant_sets_its_strategies_and_keeps_the_rest(self, pipeline_cfg, monkeypatch):
+        seen = []
+        run = pipeline_mod.run_pipeline
+        monkeypatch.setattr(pipeline_mod, "run_pipeline",
+                            lambda cfg, *args: seen.append(cfg) or run(cfg, *args))
+        variants = parse_variants("first_rows+random+no-adapter,cb_centroid+hard+adapter",
+                                  pipeline_cfg)
+        run_compare(pipeline_cfg, variants)
+        ws = pipeline_cfg.workspace / "compare"
+        assert [(c.kpt.strategy, c.mining.strategy, c.train_enabled, c.workspace)
+                for c in seen] == [
+            ("first_rows", "random", False, ws / "first_rows-random-no-adapter"),
+            ("cb_centroid", "hard", True, ws / "cb_centroid-hard-adapter"),
+        ]
+        for cfg in seen:
+            # everything else, the shared cache, seed and embedding included, is the parent's
+            assert (cfg.cache_dir, cfg.seed, cfg.embedding) == (
+                pipeline_cfg.cache_dir, pipeline_cfg.seed, pipeline_cfg.embedding)
+            assert replace(cfg, kpt=pipeline_cfg.kpt, mining=pipeline_cfg.mining,
+                           train_enabled=pipeline_cfg.train_enabled,
+                           workspace=pipeline_cfg.workspace) == pipeline_cfg
 
     def test_variants_share_embedding_cache(self, pipeline_cfg):
         variants = parse_variants(

@@ -11,7 +11,6 @@ from tabret.querygen import (
     PROMPT_TEMPLATE,
     ChatConfig,
     GenConfig,
-    QueryGenError,
     SyntheticQuery,
     extract_questions,
     generate_all,
@@ -228,10 +227,9 @@ class TestGenerateQueries:
         queries = generate_queries(make_pt(), GenConfig(n_q=5, max_retries=3))
         assert [q.text for q in queries] == ["a", "b", "c"]
 
-    def test_all_unparseable_raises(self, monkeypatch):
+    def test_all_unparseable_gives_no_query(self, monkeypatch):
         monkeypatch.setattr(querygen, "chat_complete", lambda cfg, prompt: "no json here")
-        with pytest.raises(QueryGenError, match="inv_a#first_rows#f"):
-            generate_queries(make_pt(), GenConfig(n_q=5, max_retries=3))
+        assert generate_queries(make_pt(), GenConfig(n_q=5, max_retries=3)) == []
 
     @pytest.mark.parametrize("max_retries", [0, -2])
     def test_max_retries_below_one_rejected(self, max_retries):
@@ -246,8 +244,7 @@ class TestGenerateQueries:
             return "no json here"
 
         monkeypatch.setattr(querygen, "chat_complete", fake)
-        with pytest.raises(QueryGenError, match="after 1 attempts"):
-            generate_queries(make_pt(), GenConfig(n_q=5, max_retries=1))
+        assert generate_queries(make_pt(), GenConfig(n_q=5, max_retries=1)) == []
         assert len(calls) == 1
 
 
