@@ -16,26 +16,33 @@ central finite differences by gradient_check.
 
 train stacks every vector the triples name into one matrix once
 (stack_rows); each triple is an index array over it, and matrix[idx]
-is the (h+2, d) row block [q; pos; negs] that loss_and_grad and
-mean_loss take. loss_and_grad works on whole arrays in the order of
-operations of a loop with one np.outer per term (tests/test_train.py
-keeps that loop, and the train loop around it, as its oracles), so
-gradients and the adapter keep their bits. The per-triple BLAS calls
-are W @ q, W @ pos, negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in
-that loop; only the work around them is shaped for speed. Checked on
-numpy 2.4 with OpenBLAS 0.3.31:
+is the (h+2, d) row block [q; pos; negs] of one triple. loss_and_grad
+and mean_loss take a stack of B such blocks, (B, h+2, d), for triples
+with the same h: train cuts each accumulation window into runs of
+consecutive equal-length triples, mean_loss cuts chunks of _LOSS_CHUNK
+triples the same way, and both add the results in triple order.
+loss_and_grad works on whole arrays in the order of operations of a
+loop with one np.outer per term (tests/test_train.py keeps that loop,
+and the train loop around it, as its oracles), so gradients and the
+adapter keep their bits. Its BLAS calls are, per triple, W @ q, W @ pos,
+negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in that loop: a stacked
+np.matmul with a broadcast or per-slice matrix hands each slice to the
+same gemv, gemm or dot, with the slice's own shape. Only the work
+around them is shaped for speed. Checked on numpy 2.4 with OpenBLAS
+0.3.31 (3000 random stacks of 1 to 39 triples, d from 1 to 64, each
+slice against the loop, byte for byte):
 
-- _forward allocates the unit rows, norms and similarities once and
-  fills them in place; a BLAS product written through out= has the
-  bits of the same product returned in a new array.
 - Norms are numpy's own np.linalg.norm formulas: sqrt(v.dot(v)) for a
-  vector, sqrt(np.add.reduce(v * v, axis=1)) for rows.
+  vector, taken as a stacked (1, d) @ (d, 1) matmul, which numpy hands
+  to the same dot, and sqrt(np.add.reduce(v * v)) along each row.
 - One exp(z - max z) serves both the loss and the softmax; exp is
   elementwise, so its slice [1:] has the bits of exp(z[1:] - max z).
+  Each row's loss takes log1p or log as np.where picks, and the
+  ufuncs give an array element the bits they give it alone.
 - The tangent projections take all h + 2 dot products with one stacked
   np.matmul of (h+2, 1, d) by (h+2, d, 1). Each product has the bits of
   np.dot of the two rows; einsum sums in a different order.
-- For d >= 2 the h + 2 outer products are summed by
+- For d >= 2 each triple's h + 2 outer products are summed by
   np.einsum("ia,ib->ab"), which adds the terms one at a time in row
   order, but starting from +0.0: an entry whose terms are all -0.0
   comes out +0.0 where the loop gives -0.0. Any other entry has the
@@ -44,12 +51,18 @@ numpy 2.4 with OpenBLAS 0.3.31:
   again as np.add.reduce over the (h+2, d, d) outer-product array with
   initial=-0.0, which adds in the same order from the additive
   identity. This fallback is rare on real embeddings: it needs a
-  coordinate that is zero in every vector of the triple.
+  coordinate that is zero in every vector of the triple. The einsum
+  stays one call per triple: a stacked "tia,tib->tab" kept the bits
+  but was slower than the per-triple calls.
 - For d == 1 einsum takes a contiguous dot path that sums in another
   order, but there every term is a signed zero (the tangent of a
   1-vector is 0), so the zero-entry fallback always takes the reduce
   path instead.
 - mean_loss runs the forward pass only.
+
+A stack fails as a whole on a collapsed norm, so train then redoes that
+run one triple at a time, and the first triple in window order that
+fails (collapsed or non-finite) raises, as it would on its own.
 
 adapter_apply_rows maps a whole matrix in one pass with the bits of
 adapter_apply per row: np.matmul(W, V[:, :, None]) broadcasts W over a
@@ -63,12 +76,12 @@ squared norms in another order (it differed from out.dot(out) in 2583
 of 5000 random rows at d = 64, one thread), and V @ W.T is one gemm,
 which OpenBLAS blocks differently (see below); neither is used.
 
-Batching a whole accumulation window stays out of scope: stacking B
-triples turns the per-triple products negs @ W.T and n_hat @ q_hat into
-one larger BLAS product, and OpenBLAS blocks a larger product
-differently, which changes the last bits of its rows (V @ W.T against
-per-row W @ v differed in 41410 of 51200 entries, 800 x 64, one
-thread). The adapter would no longer be byte-identical.
+What stays out of scope is one BLAS product for a whole window: a
+window-wide gemm for negs @ W.T or n_hat @ q_hat, or one einsum over the
+window, hands OpenBLAS a larger product, which it blocks differently,
+and that changes the last bits of its rows (V @ W.T against per-row
+W @ v differed in 41410 of 51200 entries, 800 x 64, one thread). The
+adapter would no longer be byte-identical.
 
 adapter.bin holds the magic, u32 version, u32 dim and row-major f64 W,
 then the 8-byte BLAKE2b trailer of fsio.checksum. Version 2 marks that
@@ -77,8 +90,10 @@ trailer; version 1 files (CRC-64 trailer) are rejected and rebuilt.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +103,8 @@ from .mining import TrainingTriple
 
 ADAPTER_MAGIC = b"CGPTADPT"
 ADAPTER_VERSION = 2
+# triples per stack in mean_loss, which bounds its allocation
+_LOSS_CHUNK = 32
 
 
 class TrainError(RuntimeError):
@@ -177,76 +194,80 @@ def infonce_loss(
         return 0.0, np.array([s_pos])
     s_neg = np.dot(np.asarray(neg_vecs, dtype=np.float64), q_vec)
     sims = np.concatenate(([s_pos], s_neg))
-    return _loss_and_exp(sims, tau)[0], sims
+    return float(_loss_and_exp(sims[None], tau)[0][0]), sims
 
 
-def _loss_and_exp(sims: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """The loss, and exp(z - max z) of the logits z = sims / tau, which
-    the softmax of loss_and_grad reuses."""
+def _loss_and_exp(sims: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's loss over the similarity rows [s+, s-...], and exp(z -
+    max z) of the logits z = sims / tau, which the softmax of
+    loss_and_grad reuses."""
     z = sims / tau
-    m = float(z.max())
-    e = np.exp(z - m)
-    if z[0] == m:
-        # positive is the largest logit: log1p keeps sub-epsilon losses exact
-        return float(np.log1p(e[1:].sum())), e
-    return float(m - z[0] + np.log(e.sum())), e
+    m = z.max(axis=1)
+    e = np.exp(z - m[:, None])
+    # where the positive is the largest logit, log1p keeps sub-epsilon losses exact
+    loss = np.where(
+        z[:, 0] == m, np.log1p(e[:, 1:].sum(axis=1)), m - z[:, 0] + np.log(e.sum(axis=1))
+    )
+    return loss, e
 
 
-def _forward(W: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adapted unit vectors of rows [q, pos, negs...], the norms they
-    were divided by, and the similarities [s+, s-...]."""
-    hats = np.empty(rows.shape)
-    np.matmul(W, rows[0], out=hats[0])
-    np.matmul(W, rows[1], out=hats[1])
-    np.matmul(rows[2:], W.T, out=hats[2:])
-    norms = np.empty(len(rows))
-    norms[0] = math.sqrt(hats[0].dot(hats[0]))
-    norms[1] = math.sqrt(hats[1].dot(hats[1]))
-    np.sqrt(np.add.reduce(hats[2:] * hats[2:], axis=1), out=norms[2:])
+def _forward(W: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adapted unit vectors of each block [q, pos, negs...] of the stack
+    R, the norms they were divided by, and the similarities [s+, s-...]."""
+    hats = np.empty(R.shape)
+    hats[:, :2] = np.matmul(W, R[:, :2, :, None])[..., 0]
+    hats[:, 2:] = np.matmul(R[:, 2:], W.T)
+    qp = hats[:, :2]
+    norms = np.empty(R.shape[:2])
+    norms[:, :2] = np.sqrt(np.matmul(qp[:, :, None, :], qp[:, :, :, None])[..., 0, 0])
+    norms[:, 2:] = np.sqrt(np.add.reduce(hats[:, 2:] * hats[:, 2:], axis=2))
     if not norms.all():
         raise TrainError("adapted vector collapsed to zero")
-    hats /= norms[:, None]
-    sims = np.empty(len(rows) - 1)
-    sims[0] = hats[0].dot(hats[1])
-    np.matmul(hats[2:], hats[0], out=sims[1:])
+    hats /= norms[:, :, None]
+    sims = np.empty((len(R), R.shape[1] - 1))
+    sims[:, 0] = np.matmul(hats[:, None, 0], hats[:, 1, :, None])[:, 0, 0]
+    sims[:, 1:] = np.matmul(hats[:, 2:], hats[:, 0, :, None])[..., 0]
     return hats, norms, sims
 
 
-def _triple_loss(W: np.ndarray, rows: np.ndarray, tau: float) -> float:
-    """The loss of loss_and_grad, without the gradient."""
-    return _loss_and_exp(_forward(W, rows)[2], tau)[0]
+def _losses(W: np.ndarray, R: np.ndarray, tau: float) -> np.ndarray:
+    """The losses of loss_and_grad, without the gradients."""
+    return _loss_and_exp(_forward(W, R)[2], tau)[0]
 
 
-def loss_and_grad(W: np.ndarray, rows: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """InfoNCE loss and its exact gradient in W for one triple.
+def loss_and_grad(W: np.ndarray, R: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """InfoNCE losses and their exact gradients in W for a stack of triples.
 
-    rows stacks the triple's base unit vectors as [q; pos; negs]; both
-    sides go through the same W and renormalization before the
-    similarities.
+    R is (B, n, d): B blocks of the triples' base unit vectors, each
+    [q; pos; negs] with the same n - 2 negatives; both sides go through
+    the same W and renormalization before the similarities. Returns
+    the (B,) losses and the (B, d, d) gradients.
     """
-    hats, norms, sims = _forward(W, rows)
-    if len(rows) == 2:
-        return 0.0, np.zeros_like(W)
+    hats, norms, sims = _forward(W, R)
+    if R.shape[1] == 2:
+        return np.zeros(len(R)), np.zeros((len(R), *W.shape))
     loss, e = _loss_and_exp(sims, tau)
     # dL/ds: positive gets (p0 - 1)/tau, negative i gets pi/tau
-    ds = e / e.sum()
+    ds = e / e.sum(axis=1)[:, None]
     ds /= tau
-    ds[0] -= 1.0 / tau
+    ds[:, 0] -= 1.0 / tau
 
-    q_hat, p_hat, n_hat = hats[0], hats[1], hats[2:]
+    q_hat, p_hat, n_hat = hats[:, :1], hats[:, 1], hats[:, 2:]
     # gradient w.r.t. each unit vector, rows in the order of hats
     g = np.empty_like(hats)
-    np.multiply(ds[:, None], q_hat, out=g[1:])
-    g[0] = ds[0] * p_hat + n_hat.T @ ds[1:]
+    np.multiply(ds[:, :, None], q_hat, out=g[:, 1:])
+    g[:, 0] = ds[:, :1] * p_hat + np.matmul(n_hat.transpose(0, 2, 1), ds[:, 1:, None])[..., 0]
     # pull each row back through v -> v/||v|| (projection onto the tangent)
-    dots = np.matmul(g[:, None, :], hats[:, :, None])[:, 0, 0]
-    g -= dots[:, None] * hats
-    g /= norms[:, None]
-    # one outer product per row, summed first to last (module docstring)
-    grad = np.einsum("ia,ib->ab", g, rows)
-    if grad.all():
-        return loss, grad
-    return loss, np.add.reduce(g[:, :, None] * rows[:, None, :], axis=0, initial=-0.0)
+    dots = np.matmul(g[:, :, None, :], hats[:, :, :, None])[..., 0, 0]
+    g -= dots[:, :, None] * hats
+    g /= norms[:, :, None]
+    # per triple, one outer product per row, summed first to last (module docstring)
+    grads = np.empty((len(R), *W.shape))
+    for j in range(len(R)):
+        grads[j] = np.einsum("ia,ib->ab", g[j], R[j])
+        if not grads[j].all():
+            grads[j] = np.add.reduce(g[j][:, :, None] * R[j][:, None, :], axis=0, initial=-0.0)
+    return loss, grads
 
 
 class _Adam:
@@ -282,6 +303,16 @@ def stack_rows(
     return np.stack([vectors[vid] for vid in row_of]), blocks
 
 
+def _stacks(
+    items: Iterable[int], matrix: np.ndarray, blocks: list[np.ndarray]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """items cut into runs of consecutive triples with equal-length
+    blocks, each run with its (B, h+2, d) stack of rows."""
+    for _, group in itertools.groupby(items, key=lambda i: len(blocks[i])):
+        run = list(group)
+        yield run, matrix[np.stack([blocks[i] for i in run])]
+
+
 def mean_loss(
     matrix: np.ndarray, blocks: list[np.ndarray], W: np.ndarray, tau: float
 ) -> float:
@@ -289,9 +320,32 @@ def mean_loss(
     if not blocks:
         raise ValueError("no triples to evaluate")
     total = 0.0
-    for idx in blocks:
-        total += _triple_loss(W, matrix[idx], tau)
+    for start in range(0, len(blocks), _LOSS_CHUNK):
+        chunk = range(start, min(start + _LOSS_CHUNK, len(blocks)))
+        for _, R in _stacks(chunk, matrix, blocks):
+            for loss in _losses(W, R, tau).tolist():
+                total += loss
     return total / len(blocks)
+
+
+def _checked_loss_and_grad(
+    w: np.ndarray, R: np.ndarray, run: list[int], triples: list[TrainingTriple], tau: float
+) -> tuple[list[float], np.ndarray]:
+    """loss_and_grad of the stack R of the triples run; on failure, the
+    TrainError that the first failing triple of the run raises alone."""
+    try:
+        losses, grads = loss_and_grad(w, R, tau)
+    except TrainError:
+        # a collapsed vector: an earlier triple's non-finite loss raises first
+        if len(run) > 1:
+            for k in range(len(run)):
+                _checked_loss_and_grad(w, R[k : k + 1], run[k : k + 1], triples, tau)
+        raise
+    finite = np.isfinite(losses) & np.isfinite(grads).all(axis=(1, 2))
+    if not finite.all():
+        query_id = triples[run[int(finite.argmin())]].query_id
+        raise TrainError(f"non-finite loss or gradient at triple {query_id}")
+    return losses.tolist(), grads
 
 
 def train(
@@ -304,7 +358,9 @@ def train(
     Each window of accumulation_steps triples contributes one Adam step
     on the mean gradient; a short tail window still flushes. Triples are
     shuffled per epoch with the seeded generator, so the whole run is
-    deterministic.
+    deterministic. Each run of consecutive triples with as many
+    negatives in a window goes through loss_and_grad as one stack, and
+    its losses and gradients are added in triple order.
     """
     if not triples:
         raise ValueError("cannot train on zero triples")
@@ -324,26 +380,24 @@ def train(
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(triples)) if cfg.shuffle else range(len(triples))
         epoch_total = 0.0
-        grad_sum = np.zeros_like(w)
-        window_losses: list[float] = []
-        for pos_in_epoch, idx in enumerate(order):
-            loss, grad = loss_and_grad(w, matrix[blocks[idx]], cfg.tau)
-            if not np.isfinite(loss) or not np.isfinite(grad).all():
-                raise TrainError(f"non-finite loss or gradient at triple {triples[idx].query_id}")
-            epoch_total += loss
-            grad_sum += grad
-            window_losses.append(loss)
-            if len(window_losses) == cfg.accumulation_steps or pos_in_epoch == len(order) - 1:
-                optimizer.step(w, grad_sum / len(window_losses))
-                log.append(
-                    {
-                        "epoch": epoch,
-                        "step": optimizer.t,
-                        "loss": sum(window_losses) / len(window_losses),
-                    }
-                )
-                grad_sum = np.zeros_like(w)
-                window_losses = []
+        for start in range(0, len(order), cfg.accumulation_steps):
+            grad_sum = np.zeros_like(w)
+            window_losses: list[float] = []
+            window = order[start : start + cfg.accumulation_steps]
+            for run, R in _stacks(window, matrix, blocks):
+                losses, grads = _checked_loss_and_grad(w, R, run, triples, cfg.tau)
+                for loss, grad in zip(losses, grads):
+                    epoch_total += loss
+                    grad_sum += grad
+                    window_losses.append(loss)
+            optimizer.step(w, grad_sum / len(window_losses))
+            log.append(
+                {
+                    "epoch": epoch,
+                    "step": optimizer.t,
+                    "loss": sum(window_losses) / len(window_losses),
+                }
+            )
         epoch_means.append(epoch_total / len(triples))
 
     final_loss = mean_loss(matrix, blocks, w, cfg.tau)
@@ -365,18 +419,18 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_triples):
-        # q, pos and three negatives
-        rows = np.stack([_unit(rng.normal(size=dim)) for _ in range(5)])
+        # a stack of one: q, pos and three negatives
+        R = np.stack([_unit(rng.normal(size=dim)) for _ in range(5)])[None]
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-        _, grad = loss_and_grad(w, rows, tau)
+        grad = loss_and_grad(w, R, tau)[1][0]
         for i in range(dim):
             for j in range(dim):
                 w_plus = w.copy()
                 w_plus[i, j] += step
                 w_minus = w.copy()
                 w_minus[i, j] -= step
-                lp = _triple_loss(w_plus, rows, tau)
-                lm = _triple_loss(w_minus, rows, tau)
+                lp = _losses(w_plus, R, tau)[0]
+                lm = _losses(w_minus, R, tau)[0]
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

@@ -163,15 +163,15 @@ def test_adapter_gradient_matches_finite_differences():
         negs = rng.normal(size=(3, dim))
         negs /= np.linalg.norm(negs, axis=1)[:, None]
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-        rows = np.vstack([q, pos, negs])
-        _, grad = loss_and_grad(w, rows, tau)
+        stack = np.vstack([q, pos, negs])[None]
+        grad = loss_and_grad(w, stack, tau)[1][0]
         for i in range(dim):
             for j in range(dim):
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += step
                 wm[i, j] -= step
-                lp, _ = loss_and_grad(wp, rows, tau)
-                lm, _ = loss_and_grad(wm, rows, tau)
+                lp = loss_and_grad(wp, stack, tau)[0][0]
+                lm = loss_and_grad(wm, stack, tau)[0][0]
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

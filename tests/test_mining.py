@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from tabret.embed import mock_embed
 from tabret.kpt import PartialTable
-from tabret.mining import MINING_STRATEGIES, MiningConfig, TrainingTriple, mine_all, triple_from_record
+from tabret.mining import (
+    MINING_STRATEGIES,
+    MiningConfig,
+    TrainingTriple,
+    _hardest,
+    mine_all,
+    triple_from_record,
+)
 from tabret.querygen import SyntheticQuery
 
 DIM = 32
@@ -143,6 +150,71 @@ class TestHardMining:
         assert triple.query_id == "t04#kpt_random#1#q2"
         assert triple.positive_pt_id == "t04#kpt_random#1"
         assert triple.strategy == "hard"
+
+
+def lexsort_mine(queries, query_vecs, pts, h, pt_vecs):
+    """Hard mining as a lexsort of each query's whole pool by (-score,
+    pt_id rank), the pool gathered as mine_all gathers it so that each
+    score has mine_all's bits: the oracle for selecting before sorting."""
+    pt_ids = np.array([pt.pt_id for pt in pts], dtype=object)
+    rank = np.empty(len(pts), dtype=np.intp)
+    rank[np.argsort(pt_ids, kind="stable")] = np.arange(len(pts))
+    picks = {}
+    for query, q_vec in zip(queries, query_vecs):
+        eligible = np.array([pt.table_id != query.table_id for pt in pts], dtype=bool)
+        if eligible.any():
+            scores = np.dot(pt_vecs[eligible], q_vec)
+            order = np.lexsort((rank[eligible], -scores))[: min(h, int(eligible.sum()))]
+            picks[query.query_id] = tuple(pt_ids[eligible][order].tolist())
+    return picks
+
+
+# exact ties and both signed zeros, among values of either sign
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+
+
+class TestSelectionMatchesFullLexsort:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        neg=st.lists(st.one_of(TIE_VALUES, st.floats(-1, 1)), min_size=1, max_size=40),
+        data=st.data(),
+    )
+    def test_hardest_is_the_head_of_the_full_lexsort(self, neg, data):
+        neg = np.array(neg)
+        rank = np.array(data.draw(st.permutations(range(len(neg)))), dtype=np.intp)
+        take = data.draw(st.integers(1, len(neg)))
+        assert _hardest(neg, rank, take).tolist() == np.lexsort((rank, neg))[:take].tolist()
+
+    def test_signed_zeros_tie_and_break_by_rank(self):
+        neg = np.array([0.0, -0.0, -0.0, 0.0, 1.0])
+        rank = np.array([3, 4, 0, 1, 2])
+        assert _hardest(neg, rank, 2).tolist() == [2, 3]
+        assert _hardest(neg, rank, 4).tolist() == [2, 3, 0, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mine_all_picks_as_a_lexsort_of_the_whole_pool(self, data):
+        # a few distinct unit vectors repeated make exact score ties, and
+        # an h up to 12 against pools of 1 to 29 rows is often larger
+        dim = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        palette = [v / np.linalg.norm(v) for v in rng.normal(size=(data.draw(st.integers(1, 5)), dim))]
+        tables = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+        pts = [make_pt(table, chunk) for chunk, table in enumerate(tables)]
+        pt_vecs = np.stack([palette[rng.integers(len(palette))] for _ in pts])
+        if data.draw(st.booleans()):
+            # a query orthogonal to some rows: exact zero scores
+            pt_vecs[: len(pts) // 2] = 0.0
+            pt_vecs[: len(pts) // 2, 0] = 1.0
+        queries = [make_query(t, ordinal=k) for k, t in enumerate(data.draw(
+            st.lists(st.integers(0, 6), min_size=1, max_size=6)))]
+        query_vecs = np.stack([palette[rng.integers(len(palette))] for _ in queries])
+        if dim > 1:
+            query_vecs[:, 0] = 0.0
+        h = data.draw(st.integers(1, 12))
+        triples, _ = mine_all(queries, query_vecs, pts, MiningConfig(h=h), pt_vecs)
+        expected = lexsort_mine(queries, query_vecs, pts, h, pt_vecs)
+        assert {t.query_id: t.negative_pt_ids for t in triples} == expected
 
 
 class TestRandomMining:

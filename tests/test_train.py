@@ -2,6 +2,7 @@
 gradients against finite differences, optimizer behavior, adapter I/O."""
 
 import struct
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -139,15 +140,15 @@ class TestLossAndGrad:
             pos = random_unit(rng, dim)
             negs = np.stack([random_unit(rng, dim) for _ in range(3)])
             w = np.eye(dim) + 0.2 * rng.normal(size=(dim, dim))
-            rows = np.vstack([q, pos, negs])
-            _, grad = loss_and_grad(w, rows, tau=0.5)
+            stack = np.vstack([q, pos, negs])[None]
+            grad = loss_and_grad(w, stack, tau=0.5)[1][0]
             for i in range(dim):
                 for j in range(dim):
                     wp, wm = w.copy(), w.copy()
                     wp[i, j] += step
                     wm[i, j] -= step
-                    lp, _ = loss_and_grad(wp, rows, 0.5)
-                    lm, _ = loss_and_grad(wm, rows, 0.5)
+                    lp = loss_and_grad(wp, stack, 0.5)[0][0]
+                    lm = loss_and_grad(wm, stack, 0.5)[0][0]
                     numeric = (lp - lm) / (2 * step)
                     denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                     assert abs(grad[i, j] - numeric) / denom < 1e-4
@@ -157,7 +158,7 @@ class TestLossAndGrad:
         pos = random_unit(rng, 7)
         negs = np.stack([random_unit(rng, 7) for _ in range(4)])
         plain, _ = infonce_loss(q, pos, negs, 0.1)
-        through_w, _ = loss_and_grad(np.eye(7), np.vstack([q, pos, negs]), 0.1)
+        through_w = loss_and_grad(np.eye(7), np.vstack([q, pos, negs])[None], 0.1)[0][0]
         assert through_w == pytest.approx(plain, rel=1e-12)
 
     def test_loss_invariant_under_matrix_rescale(self, rng):
@@ -167,23 +168,24 @@ class TestLossAndGrad:
         pos = random_unit(rng, 6)
         negs = np.stack([random_unit(rng, 6) for _ in range(3)])
         w = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
-        rows = np.vstack([q, pos, negs])
-        loss1, grad1 = loss_and_grad(w, rows, 0.2)
-        loss3, grad3 = loss_and_grad(3.0 * w, rows, 0.2)
-        assert loss3 == pytest.approx(loss1, rel=1e-12)
+        stack = np.vstack([q, pos, negs])[None]
+        loss1, grad1 = loss_and_grad(w, stack, 0.2)
+        loss3, grad3 = loss_and_grad(3.0 * w, stack, 0.2)
+        assert loss3[0] == pytest.approx(loss1[0], rel=1e-12)
         np.testing.assert_allclose(grad3, grad1 / 3.0, rtol=1e-9, atol=1e-12)
 
     def test_no_negatives_zero_gradient(self):
         q = np.array([1.0, 0.0])
-        loss, grad = loss_and_grad(np.eye(2), np.vstack([q, q]), 0.5)
-        assert loss == 0.0
+        loss, grad = loss_and_grad(np.eye(2), np.stack([[q, q], [q, -q]]), 0.5)
+        assert loss.tolist() == [0.0, 0.0]
+        assert grad.shape == (2, 2, 2)
         assert np.all(grad == 0.0)
 
     def test_collapsed_vector_raises(self):
         q = np.array([1.0, 0.0])
         negs = np.array([[0.0, 1.0]])
         with pytest.raises(TrainError, match="zero"):
-            loss_and_grad(np.zeros((2, 2)), np.vstack([q, q, negs]), 0.5)
+            loss_and_grad(np.zeros((2, 2)), np.vstack([q, q, negs])[None], 0.5)
 
     def test_library_gradient_check_is_tight(self):
         assert gradient_check(dim=6, n_triples=3, seed=11) < 1e-4
@@ -254,37 +256,90 @@ class TestMatchesPerNegativeReference:
     @given(triples_and_adapters())
     def test_loss_and_gradient_bytes(self, problem):
         w, q, pos, negs, tau = problem
-        loss, grad = loss_and_grad(w, np.vstack([q, pos, negs]), tau)
+        loss, grad = loss_and_grad(w, np.vstack([q, pos, negs])[None], tau)
         ref_loss, ref_grad = reference_loss_and_grad(w, q, pos, negs, tau)
-        assert loss == ref_loss
-        assert grad.tobytes() == ref_grad.tobytes()
+        assert loss.tolist() == [ref_loss]
+        assert grad[0].tobytes() == ref_grad.tobytes()
 
-    @pytest.mark.parametrize("dim, negs_per_triple", [(8, 4), (7, 11), (33, 1), (1, 3)])
-    def test_mean_loss_equals_the_reference_mean(self, dim, negs_per_triple):
-        triples, vectors = toy_problem(n=14, dim=dim, negs_per_triple=negs_per_triple)
+    @settings(max_examples=100, deadline=None)
+    @given(triples_and_adapters(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_stacks_of_several_triples_keep_each_triples_bytes(self, problem, b, seed):
+        w, q, pos, negs, tau = problem
+        d, h = len(q), len(negs)
+        rng = np.random.default_rng(seed)
+        stack = np.stack(
+            [np.vstack([q, pos, negs])]
+            + [np.stack([random_unit(rng, d) for _ in range(h + 2)]) for _ in range(b - 1)]
+        )
+        if d > 1:
+            # the planted signed-zero column, if any, in every triple of the stack
+            zero_cols = np.flatnonzero((stack[0] == 0.0).all(axis=0))
+            stack[:, :, zero_cols] = stack[0, 0, zero_cols]
+        losses, grads = loss_and_grad(w, stack, tau)
+        assert losses.shape == (b,) and grads.shape == (b, d, d)
+        for j, rows in enumerate(stack):
+            ref_loss, ref_grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], tau)
+            assert losses[j] == ref_loss
+            assert grads[j].tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize(
+        "dim, negs_per_triple, n", [(8, 4, 14), (7, 11, 14), (33, 1, 14), (1, 3, 14), (8, 5, 70)]
+    )
+    def test_mean_loss_equals_the_reference_mean(self, dim, negs_per_triple, n):
+        triples, vectors = toy_problem(n=n, dim=dim, negs_per_triple=negs_per_triple)
+        # runs of five triples one negative short: stacks of mixed lengths,
+        # cut across the chunks of 32 where n = 70
+        triples = [
+            replace(t, negative_pt_ids=t.negative_pt_ids[: negs_per_triple - i // 5 % 2])
+            for i, t in enumerate(triples)
+        ]
         w = np.eye(dim) + 0.2 * np.random.default_rng(dim).normal(size=(dim, dim))
         total = 0.0
         for t in triples:
-            negs = np.stack([vectors[n] for n in t.negative_pt_ids])
+            negs = np.array([vectors[n] for n in t.negative_pt_ids]).reshape(-1, dim)
             total += reference_loss_and_grad(
                 w, vectors[t.query_id], vectors[t.positive_pt_id], negs, 0.1
             )[0]
         assert mean_loss(*stack_rows(triples, vectors), w, 0.1) == total / len(triples)
 
     def test_one_gradient_per_triple_per_epoch(self, monkeypatch):
+        # each triple goes through loss_and_grad once per epoch, and
         # mean_loss (initial and final) takes the loss-only path
-        calls = []
+        stacked = []
         real = train_mod.loss_and_grad
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(w, stack, tau):
+            stacked.append(len(stack))
+            return real(w, stack, tau)
 
         monkeypatch.setattr(train_mod, "loss_and_grad", counting)
         triples, vectors = toy_problem(n=10)
         cfg = TrainConfig(tau=0.1, epochs=3, accumulation_steps=4, seed=2)
         _, report = train(triples, vectors, cfg)
-        assert len(calls) == cfg.epochs * len(triples) == report.triples_seen
+        assert sum(stacked) == cfg.epochs * len(triples) == report.triples_seen
+        # equal-length triples: one stack per window of 4, 4 and 2
+        assert stacked == [4, 4, 2] * cfg.epochs
+
+
+class TestFirstFailureInWindowOrder:
+    """Two triples of one window fail: train raises the error of the one
+    that comes first in the window, as a pass one triple at a time does,
+    whether the two share a stack or not."""
+
+    @pytest.mark.parametrize("first, second", [("nan", "zero"), ("zero", "nan"), ("nan", "nan")])
+    @pytest.mark.parametrize("same_length", [True, False])
+    def test_first_failing_triple_raises(self, monkeypatch, first, second, same_length):
+        # mean_loss raises on a collapse before any window runs; skip it to reach the loop
+        monkeypatch.setattr(train_mod, "mean_loss", lambda *args: 0.0)
+        triples, vectors = toy_problem(n=10)
+        if not same_length:
+            triples[6] = replace(triples[6], negative_pt_ids=triples[6].negative_pt_ids[:2])
+        for i, kind in ((3, first), (6, second)):
+            vectors[f"q{i}"] = np.full(8, np.nan) if kind == "nan" else np.zeros(8)
+        expected = "non-finite loss or gradient at triple q3$" if first == "nan" else "collapsed"
+        cfg = TrainConfig(tau=0.1, epochs=1, accumulation_steps=10, shuffle=False)
+        with pytest.raises(TrainError, match=expected):
+            train(triples, vectors, cfg)
 
 
 def toy_problem(n: int = 12, dim: int = 8, negs_per_triple: int = 4):
@@ -364,11 +419,12 @@ def reference_train(triples, vectors, cfg):
 @st.composite
 def training_problems(draw):
     """1 to 9 triples of dimension 1 to 17 with 0 to 12 negatives each,
-    drawn from a shared pool, and a training config."""
+    drawn per triple from a shared pool so that a window mixes lengths,
+    and a training config."""
     d = draw(st.integers(1, 17))
-    h = draw(st.integers(0, 12))
     n_triples = draw(st.integers(1, 9))
-    n_pts = h + 1 + draw(st.integers(0, 4))
+    hs = draw(st.lists(st.integers(0, 12), min_size=n_triples, max_size=n_triples))
+    n_pts = max(hs) + 1 + draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = {f"q{i}": random_unit(rng, d) for i in range(n_triples)}
     vectors.update({f"p{j}": random_unit(rng, d) for j in range(n_pts)})
@@ -379,7 +435,7 @@ def training_problems(draw):
         for vec in vectors.values():
             vec[col] = zero
     triples = []
-    for i in range(n_triples):
+    for i, h in enumerate(hs):
         picks = rng.permutation(n_pts)[: h + 1]
         negs = tuple(f"p{j}" for j in picks[1:])
         triples.append(TrainingTriple(f"q{i}", f"p{picks[0]}", negs, "hard"))
