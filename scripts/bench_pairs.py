@@ -14,9 +14,12 @@ the summary gives the parent's median and quartiles, the change's median,
 the relative change, and the pairs the change won, a tie counting for
 neither side. ``rule`` says whether a gain may be claimed: the change won
 at least nine tenths of the pairs run, and its median is better than the
-parent's by more than the parent's interquartile range. Each pair's two
-values follow the table. ``--seconds`` defaults to the benchmark's
-``run_seconds``.
+parent's by more than the parent's interquartile range. A metric that
+the runs also print as a ``# raw wall time`` line, uncorrected for the
+host's speed, shows both sides' medians of those raw values next to it,
+so a claim can be checked against raw time. Each pair's two values, and
+their raw values, follow the table. ``--seconds`` defaults to the
+benchmark's ``run_seconds``.
 
 The script reads ``BENCHMARK.json`` and writes nothing, and runs Python
 with ``PYTHONDONTWRITEBYTECODE=1`` so neither checkout gains bytecode
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# what perfbench/run.py prints for each timing: "# raw wall time NAME VALUE (corrected ...)"
+RAW_LINE = re.compile(r"^# raw wall time (\S+) +(\S+)", re.MULTILINE)
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -64,13 +70,21 @@ def last_json(stdout: str) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
+def parse_run(stdout: str) -> dict | None:
+    """A run's JSON result, with its raw wall times under "raw"."""
+    result = last_json(stdout)
+    if result is not None:
+        result["raw"] = {name: float(value) for name, value in RAW_LINE.findall(stdout)}
+    return result
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     """One unpatched benchmark run of the checkout; its JSON result."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", f"{seconds:g}", "--trace", "0"]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
-    return last_json(proc.stdout) if proc.returncode == 0 else None
+    return parse_run(proc.stdout) if proc.returncode == 0 else None
 
 
 def metric_value(result: dict | None, name: str) -> float | None:
@@ -79,6 +93,14 @@ def metric_value(result: dict | None, name: str) -> float | None:
         return None
     metric = result.get("metrics", {}).get(name)
     return metric.get("value") if isinstance(metric, dict) else None
+
+
+def raw_value(result: dict | None, name: str) -> float | None:
+    """A metric's raw wall time in a run's result, if it printed one;
+    None for a run that was not correct."""
+    if not result or result.get("correct") is not True:
+        return None
+    return result.get("raw", {}).get(name)
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -95,6 +117,7 @@ class Summary:
     unit: str
     better: str  # "lower" or "higher"
     pairs: list[tuple[int, float, float]]  # (seed, parent value, change value)
+    raw: list[tuple[int, float, float]]  # the same for the raw wall times
 
     @property
     def wins(self) -> int:
@@ -122,23 +145,32 @@ class Summary:
         q1, parent, q3, change = self.medians()
         relative = f"{100 * (change - parent) / parent:+7.1f}%" if parent else "    n/a"
         quartiled = f"{parent:.4g} [{q1:.4g}, {q3:.4g}]"
+        rule = "holds" if self.rule_holds else "not met"
+        raw = ""
+        if self.raw:
+            p_raw = statistics.median(p for _, p, _ in self.raw)
+            c_raw = statistics.median(c for _, _, c in self.raw)
+            raw_relative = f" ({100 * (c_raw - p_raw) / p_raw:+.1f}%)" if p_raw else ""
+            raw = f"  raw {p_raw:.4g} -> {c_raw:.4g}{raw_relative}"
         return (f"{self.name:16s} {quartiled:>32s}  {change:10.4g}  {relative}"
-                f"  {self.wins:2d}/{len(self.pairs)}  {'holds' if self.rule_holds else 'not met'}"
+                f"  {self.wins:2d}/{len(self.pairs)}  {rule:7s}{raw}"
                 f"  ({self.unit}, {self.better} is better)")
 
 
 def summarize(declared: list[dict], seeds: list[int],
               results: list[dict[str, dict | None]]) -> list[Summary]:
-    """One Summary per declared metric over the pairs where both runs hold it."""
+    """One Summary per declared metric over the pairs where both runs hold
+    it, and over those where both runs hold its raw wall time."""
     out = []
     for metric in declared:
         name = metric["name"]
-        pairs = []
+        pairs, raw = [], []
         for seed, pair in zip(seeds, results):
-            p, c = (metric_value(pair.get(side), name) for side in SIDES)
-            if p is not None and c is not None:
-                pairs.append((seed, p, c))
-        out.append(Summary(name, metric["unit"], metric["better"], pairs))
+            for value, into in ((metric_value, pairs), (raw_value, raw)):
+                p, c = (value(pair.get(side), name) for side in SIDES)
+                if p is not None and c is not None:
+                    into.append((seed, p, c))
+        out.append(Summary(name, metric["unit"], metric["better"], pairs, raw))
     return out
 
 
@@ -154,11 +186,14 @@ def report(summaries: list[Summary], seeds: list[int],
                 lines.append(f"seed {seed} {side}: correct is {result.get('correct')!r} "
                              f"({result.get('failed')} of {result.get('attempted')} failed)")
     lines.append(f"{'metric':16s} {'parent median [Q1, Q3]':>32s}  {'change':>10s}  "
-                 f"{'rel':>8s}    won  rule")
+                 f"{'rel':>8s}    won  rule     raw medians")
     lines.extend(s.row() for s in summaries)
     for s in summaries:
         shown = "; ".join(f"{seed}: {p:.4g} -> {c:.4g}" for seed, p, c in s.pairs)
         lines.append(f"{s.name}: {shown}")
+        if s.raw:
+            shown = "; ".join(f"{seed}: {p:.4g} -> {c:.4g}" for seed, p, c in s.raw)
+            lines.append(f"{s.name} raw: {shown}")
     return "\n".join(lines)
 
 

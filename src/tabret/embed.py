@@ -12,7 +12,12 @@ offset) entries, appended under an exclusive flock so that processes
 sharing a cache directory never interleave, and a format-2 cache (JSON
 index lines) is migrated when first opened (see EmbeddingCache).
 embed_texts looks up all its texts with one get_many, which reads each
-run of records lying end to end in the .bin with one pread.
+run of records lying end to end in the .bin with one pread. It fills one
+preallocated (n, dim) array, so no list of rows is stacked at the end:
+each hit goes into its row once its dim is checked, each batch of
+misses (the mock's rows, or one HTTP response) goes with one assignment
+into the rows where its texts first occur, as it arrives, and a text
+that occurs again takes a copy of its first row at the end.
 
 embed_texts runs the mock over a whole batch of misses at once: the
 texts' code points (UTF-32) become one int64 key per gram, np.unique
@@ -474,7 +479,7 @@ def embed_texts(
     if not texts:
         raise ValueError("embed_texts requires at least one text")
     clipped = [t[: cfg.max_input_chars] for t in texts]
-    vectors: list[np.ndarray | None] = [None] * len(clipped)
+    out = np.empty((len(clipped), cfg.dim))
     misses: dict[str, list[int]] = {}
     hits = cache.get_many(clipped) if cache is not None else [None] * len(clipped)
     for i, (text, hit) in enumerate(zip(clipped, hits)):
@@ -487,26 +492,32 @@ def embed_texts(
                 f"embedding.model_name, as the demo's mock-128 has"
             )
         else:
-            vectors[i] = hit
+            out[i] = hit
+    if not misses:
+        return out
 
     unique = list(misses)
-    batches = [unique[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size)]
+    # each distinct miss is written to the row of its first occurrence
+    first = [where[0] for where in misses.values()]
+    starts = range(0, len(unique), cfg.batch_size)
+    batches = [unique[i : i + cfg.batch_size] for i in starts]
     if cfg.kind == "mock":
-        rows = _mock_vectors(unique, cfg.dim) if unique else []
-        results = (rows[i : i + cfg.batch_size] for i in range(0, len(unique), cfg.batch_size))
+        rows = _mock_vectors(unique, cfg.dim)
+        results = (rows[i : i + cfg.batch_size] for i in starts)
     else:
         results = fan_out(lambda b: _http_embed_batch(cfg, b), batches, cfg.max_parallel_requests)
     # each batch is cached as it arrives, so a failed request loses only its own
     failure: ProviderError | None = None
-    for batch, result in zip(batches, results):
+    for start, batch, result in zip(starts, batches, results):
         if isinstance(result, ProviderError):
             failure = failure or result
             continue
         if cache is not None:
             cache.put_many(batch, result)
-        for text, vec in zip(batch, result):
-            for i in misses[text]:
-                vectors[i] = vec
+        out[first[start : start + len(batch)]] = result
     if failure is not None:
         raise failure
-    return np.stack(vectors)  # type: ignore[arg-type]
+    for where in misses.values():
+        if len(where) > 1:  # a text repeated in texts
+            out[where[1:]] = out[where[0]]
+    return out

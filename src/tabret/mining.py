@@ -10,16 +10,18 @@ embeddings, never the adapter.
 The candidate matrix is stacked once per mine_all call, and its rows
 outside one source table, matrix[eligible] in candidate-list order, are
 gathered once per table. Each of that table's queries then scores them
-with one gemv and keeps the top h by (-score, pt_id). np.partition
-finds the h-th smallest -score, and np.lexsort orders only the rows at
-or below it, ties included, so the picks are those of a lexsort of the
-whole pool (tests/test_mining.py keeps that lexsort as the oracle)
-without its O(P log P) per query. -0.0 and 0.0 compare equal in both,
-so their tie goes to the pt_id. A Q x P gemm, or one gemv over the
-full matrix with the query's own table masked afterwards, would be
-fewer calls but not the same bits: a row's dot product can change in
-its last bits with the row's position in the matrix a gemv is given,
-which reorders near-ties. On OpenBLAS 0.3.31
+with one gemv and keeps the top h by (-score, pt_id) through
+lexsort_head. np.partition finds the h-th smallest -score, and
+np.lexsort orders only the rows at or below it, ties included, so the
+picks are those of a lexsort of the whole pool (tests/test_mining.py
+keeps that lexsort as the oracle) without its O(P log P) per query. -0.0
+and 0.0 compare equal in both, so their tie goes to the pt_id.
+lexsort_head has a second caller: retrieval.rank_tables takes a search's
+top k tables with it, by (-fused score, table position). A Q x P gemm,
+or one gemv over the full matrix with the query's own table masked
+afterwards, would be fewer calls but not the same bits: a row's dot
+product can change in its last bits with the row's position in the
+matrix a gemv is given, which reorders near-ties. On OpenBLAS 0.3.31
 with 800 x 64 unit rows, 79 of 39900 scores differed between the full
 matrix and the same matrix less two rows, and 32963 of 40000 between a
 gemm and per-query gemvs.
@@ -108,7 +110,7 @@ def mine_all(
         for i in members:
             query = queries[i]
             if cfg.strategy == "hard":
-                chosen = pool_ids[_hardest(-np.dot(pool, query_vecs[i]), pool_rank, take)]
+                chosen = pool_ids[lexsort_head(-np.dot(pool, query_vecs[i]), pool_rank, take)]
             else:
                 rng = keyed_rng(cfg.seed, query.query_id)
                 chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
@@ -124,12 +126,13 @@ def mine_all(
     return triples, skipped
 
 
-def _hardest(neg: np.ndarray, rank: np.ndarray, take: int) -> np.ndarray:
-    """np.lexsort((rank, neg))[:take], sorting only the rows that can be
-    among them: every row whose neg is at most the take-th smallest."""
-    kth = np.partition(neg, take - 1)[take - 1]
-    rows = np.flatnonzero(neg <= kth)
-    return rows[np.lexsort((rank[rows], neg[rows]))[:take]]
+def lexsort_head(key: np.ndarray, rank: np.ndarray, take: int) -> np.ndarray:
+    """np.lexsort((rank, key))[:take], for 1 <= take <= len(key), sorting
+    only the rows that can be among them: every row whose key is at most
+    the take-th smallest."""
+    kth = np.partition(key, take - 1)[take - 1]
+    rows = (key <= kth).nonzero()[0]
+    return rows[np.lexsort((rank[rows], key[rows]))[:take]]
 
 
 def triple_from_record(rec: dict) -> TrainingTriple:

@@ -15,22 +15,25 @@ in. An index has at least one entry.
 
 An index groups its rows by table once, when it is built or loaded, so a
 block of queries is one stacked matmul over the whole matrix plus
-whole-array fusion. _scores makes that matmul for search (a block of
-one) and evaluate alike: np.matmul(index.vectors, q_vecs[:, :, None])
-broadcasts the matrix over the block, numpy hands each query's product
-to BLAS gemv, and out= only names where the result goes, so every score
-has the bits of np.dot(index.vectors, q). That held bit for bit on numpy
-2.4.6 with OpenBLAS 0.3.31 in nine shapes of 1 to 2000 rows, 1 to 800
-queries and d = 8, 64 and 128; one gemm of the block against the
-matrix's transpose differed in 528095 of 640000 scores at 800 x 800 x
-64, so it is not used. Two more floating-point facts fix the rest: a
-row's score can change in its last bits with the row's position in the
-matrix a gemv is given (see mining), so every query scores the full
-matrix in stored order; and np.add.reduceat does not add a group left to
-right (it differed from Python's sum in 9432 of 20000 random groups), so
-mean fusion adds the grid's rows one by one, the k-th score of every
-table at step k, which is sum(v)'s order. Max fusion takes the grid's
-column maxima.
+whole-array fusion. _scores makes that matmul for evaluate:
+np.matmul(index.vectors, q_vecs[:, :, None]) broadcasts the matrix over
+the block, numpy hands each query's product to BLAS gemv, and out= only
+names where the result goes, so every score has the bits of
+np.dot(index.vectors, q). That held bit for bit on numpy 2.4.6 with
+OpenBLAS 0.3.31 in nine shapes of 1 to 2000 rows, 1 to 800 queries and
+d = 8, 64 and 128; one gemm of the block against the matrix's transpose
+differed in 528095 of 640000 scores at 800 x 800 x 64, so it is not
+used. A block of one, which is what search scores, is that np.dot
+itself, written through out= into the block: the same gemv without the
+stacked matmul's broadcasting (about 7.1 against 8.5 us at 800 x 64 on
+a 2-vCPU Xeon, one BLAS thread). Two more floating-point facts fix the
+rest: a row's score can change in its last bits with the row's position
+in the matrix a gemv is given (see mining), so every query scores the
+full matrix in stored order; and np.add.reduceat does not add a group
+left to right (it differed from Python's sum in 9432 of 20000 random
+groups), so mean fusion adds the grid's rows one by one, the k-th score
+of every table at step k, which is sum(v)'s order. Max fusion takes the
+grid's column maxima.
 
 build_index maps its rows, and evaluate its queries once before any
 block, through adapter_apply_rows: one stacked np.matmul whose products
@@ -48,6 +51,13 @@ kind="stable") puts the gold table at exactly that position, as every
 fused score is finite: a stable sort places first the entries that
 compare below it and then the equal ones that come earlier, in their
 original order.
+
+search keeps only the head of that same (-score, table_id) order, and
+takes it by selection: rank_tables hands -fused and the table positions
+to mining.lexsort_head, which partitions for the k-th smallest key and
+lexsorts only the tables at or below it, ties included. Equal scores,
+-0.0 and 0.0 among them, so keep table_id order, as in the stable sort
+of every table that tests/test_retrieval.py keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ from .fsio import (
     write_matrix_bin,
 )
 from .kpt import PartialTable
+from .mining import lexsort_head
 from .querygen import SyntheticQuery
 from .train import Adapter, adapter_apply, adapter_apply_rows
 
@@ -179,7 +190,10 @@ def _scores(index: RetrievalIndex, q_vecs: np.ndarray) -> np.ndarray:
     grid's padding."""
     block = np.empty((len(q_vecs), len(index.pt_ids) + 1))
     block[:, -1] = -np.inf if index.config.fusion == "max" else 0.0
-    np.matmul(index.vectors, q_vecs[:, :, None], out=block[:, :-1, None])
+    if len(q_vecs) == 1:
+        np.dot(index.vectors, q_vecs[0], out=block[0, :-1])
+    else:
+        np.matmul(index.vectors, q_vecs[:, :, None], out=block[:, :-1, None])
     return block
 
 
@@ -196,14 +210,19 @@ def _fuse(index: RetrievalIndex, scores: np.ndarray) -> np.ndarray:
     return fused
 
 
-def rank_tables(index: RetrievalIndex, q_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank the tables for an embedded (and adapter-mapped) query vector.
+def rank_tables(
+    index: RetrievalIndex, q_vec: np.ndarray, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top_k tables for an embedded (and adapter-mapped) query vector.
 
-    Returns positions into index.tables, best first, and the fused score
-    of every position. The stable sort keeps equal scores in table_id order.
+    Returns the positions into index.tables of the best min(top_k, table
+    count) tables, best first, and the fused score of every position:
+    the head of np.argsort(-fused, kind="stable"), so equal scores keep
+    table_id order, found by selection.
     """
     fused = _fuse(index, _scores(index, q_vec[None]))[0]
-    return np.argsort(-fused, kind="stable"), fused
+    positions = np.arange(len(fused))
+    return lexsort_head(-fused, positions, min(top_k, len(fused))), fused
 
 
 def search(
@@ -218,8 +237,8 @@ def search(
     q_vec = embed_texts(provider, [query_text], cache)[0]
     if index.adapter is not None:
         q_vec = adapter_apply(index.adapter, q_vec)
-    order, fused = rank_tables(index, q_vec)
-    return [(index.tables[i], float(fused[i])) for i in order[:top_k].tolist()]
+    top, fused = rank_tables(index, q_vec, top_k)
+    return [(index.tables[i], float(fused[i])) for i in top.tolist()]
 
 
 def evaluate(

@@ -60,9 +60,11 @@ slice against the loop, byte for byte):
   path instead.
 - mean_loss runs the forward pass only.
 
-A stack fails as a whole on a collapsed norm, so train then redoes that
-run one triple at a time, and the first triple in window order that
-fails (collapsed or non-finite) raises, as it would on its own.
+A stack fails as a whole on a collapsed norm, and _forward names the
+first block that collapsed. train then redoes each triple before it one
+at a time, so the first triple in window order that fails (collapsed or
+non-finite) raises, as it would on its own; mean_loss names the first
+collapsing triple of its stack. Both errors name the triple's query_id.
 
 adapter_apply_rows maps a whole matrix in one pass with the bits of
 adapter_apply per row: np.matmul(W, V[:, :, None]) broadcasts W over a
@@ -108,7 +110,16 @@ _LOSS_CHUNK = 32
 
 
 class TrainError(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
+    """Training hit a non-finite loss or gradient, or a collapsed vector."""
+
+
+class _Collapsed(TrainError):
+    """An adapted vector of a stack's block has norm zero; block is the
+    first such block."""
+
+    def __init__(self, block: int) -> None:
+        super().__init__("adapted vector collapsed to zero")
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -222,7 +233,7 @@ def _forward(W: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     norms[:, :2] = np.sqrt(np.matmul(qp[:, :, None, :], qp[:, :, :, None])[..., 0, 0])
     norms[:, 2:] = np.sqrt(np.add.reduce(hats[:, 2:] * hats[:, 2:], axis=2))
     if not norms.all():
-        raise TrainError("adapted vector collapsed to zero")
+        raise _Collapsed(int(norms.all(axis=1).argmin()))
     hats /= norms[:, :, None]
     sims = np.empty((len(R), R.shape[1] - 1))
     sims[:, 0] = np.matmul(hats[:, None, 0], hats[:, 1, :, None])[:, 0, 0]
@@ -313,17 +324,29 @@ def _stacks(
         yield run, matrix[np.stack([blocks[i] for i in run])]
 
 
+def _collapsed_at(triple: TrainingTriple) -> TrainError:
+    return TrainError(f"adapted vector collapsed to zero at triple {triple.query_id}")
+
+
 def mean_loss(
-    matrix: np.ndarray, blocks: list[np.ndarray], W: np.ndarray, tau: float
+    triples: list[TrainingTriple],
+    matrix: np.ndarray,
+    blocks: list[np.ndarray],
+    W: np.ndarray,
+    tau: float,
 ) -> float:
-    """Mean loss over the triples that stack_rows gave as matrix and blocks."""
+    """Mean loss over the triples, which stack_rows gave as matrix and blocks."""
     if not blocks:
         raise ValueError("no triples to evaluate")
     total = 0.0
     for start in range(0, len(blocks), _LOSS_CHUNK):
         chunk = range(start, min(start + _LOSS_CHUNK, len(blocks)))
-        for _, R in _stacks(chunk, matrix, blocks):
-            for loss in _losses(W, R, tau).tolist():
+        for run, R in _stacks(chunk, matrix, blocks):
+            try:
+                losses = _losses(W, R, tau)
+            except _Collapsed as exc:
+                raise _collapsed_at(triples[run[exc.block]]) from None
+            for loss in losses.tolist():
                 total += loss
     return total / len(blocks)
 
@@ -335,12 +358,11 @@ def _checked_loss_and_grad(
     TrainError that the first failing triple of the run raises alone."""
     try:
         losses, grads = loss_and_grad(w, R, tau)
-    except TrainError:
-        # a collapsed vector: an earlier triple's non-finite loss raises first
-        if len(run) > 1:
-            for k in range(len(run)):
-                _checked_loss_and_grad(w, R[k : k + 1], run[k : k + 1], triples, tau)
-        raise
+    except _Collapsed as exc:
+        # a triple before the first collapse raises first if its loss is non-finite
+        for k in range(exc.block):
+            _checked_loss_and_grad(w, R[k : k + 1], run[k : k + 1], triples, tau)
+        raise _collapsed_at(triples[run[exc.block]]) from None
     finite = np.isfinite(losses) & np.isfinite(grads).all(axis=(1, 2))
     if not finite.all():
         query_id = triples[run[int(finite.argmin())]].query_id
@@ -371,7 +393,7 @@ def train(
     matrix, blocks = stack_rows(triples, vectors)
 
     w = np.eye(d, dtype=np.float64)
-    initial_loss = mean_loss(matrix, blocks, w, cfg.tau)
+    initial_loss = mean_loss(triples, matrix, blocks, w, cfg.tau)
     optimizer = _Adam((d, d), cfg)
     rng = np.random.default_rng(cfg.seed)
     epoch_means = []
@@ -400,7 +422,7 @@ def train(
             )
         epoch_means.append(epoch_total / len(triples))
 
-    final_loss = mean_loss(matrix, blocks, w, cfg.tau)
+    final_loss = mean_loss(triples, matrix, blocks, w, cfg.tau)
     report = TrainReport(
         initial_loss=initial_loss,
         final_loss=final_loss,

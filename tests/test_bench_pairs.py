@@ -27,13 +27,16 @@ def pairs_script():
         del sys.modules[spec.name]
 
 
-def stdout(reindex_s: float, recall: float = 50.0, correct: bool = True) -> str:
+def stdout(reindex_s: float, recall: float = 50.0, correct: bool = True,
+           raw_s: float | None = None) -> str:
     """What perfbench/run.py prints: # lines, then one JSON line."""
     result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1, "metrics": {
         "reindex_s": {"value": reindex_s, "unit": "s"},
         "recall_at_1": {"value": recall, "unit": "%"},
     }}
-    return f"# tabret benchmark\n# reindex_s {reindex_s}\n{json.dumps(result)}\n"
+    raw = "" if raw_s is None else (
+        f"# raw wall time reindex_s      {raw_s:.6f} (corrected {reindex_s:.6f})\n")
+    return f"# tabret benchmark\n{raw}# reindex_s {reindex_s}\n{json.dumps(result)}\n"
 
 
 def test_seeds_and_alternating_order(pairs_script):
@@ -103,3 +106,25 @@ def test_incorrect_or_missing_runs_are_reported_and_left_out(pairs_script):
     assert "seed 21 change: correct is False (1 of 10 failed)" in text
     assert "seed 22 parent: no result" in text
     assert "reindex_s        no correct pair" in text
+
+
+def test_raw_wall_times_are_tabulated_next_to_the_corrected_metric(pairs_script):
+    assert pairs_script.parse_run(stdout(0.1, raw_s=0.125))["raw"] == {"reindex_s": 0.125}
+    assert pairs_script.parse_run(stdout(0.1))["raw"] == {}
+    seeds = [21, 22, 23]
+    results = [
+        {"parent": pairs_script.parse_run(stdout(0.110, raw_s=p)),
+         "change": pairs_script.parse_run(stdout(0.100, raw_s=c))}
+        for p, c in ((0.20, 0.15), (0.22, 0.16), (0.18, 0.17))
+    ]
+    # a run that was not correct drops out of the raw pairs as of the others
+    results[2]["change"] = pairs_script.parse_run(stdout(0.1, correct=False, raw_s=0.1))
+    reindex, recall = pairs_script.summarize(DECLARED, seeds, results)
+    assert reindex.raw == [(21, 0.20, 0.15), (22, 0.22, 0.16)]
+    assert recall.raw == []
+    text = pairs_script.report([reindex, recall], seeds, results)
+    assert "raw 0.21 -> 0.155 (-26.2%)" in text
+    assert "reindex_s raw: 21: 0.2 -> 0.15; 22: 0.22 -> 0.16" in text
+    # recall has no raw wall time: its row and its pairs show none
+    assert "recall_at_1 raw" not in text
+    assert "raw" not in next(line for line in text.splitlines() if line.startswith("recall_at_1 "))

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import tabret.embed as embed_mod
 from tabret.embed import (
     CACHE_FORMAT,
+    CacheDimError,
     EmbeddingCache,
     ProviderConfig,
     embed_texts,
@@ -507,6 +508,17 @@ class TestCache:
         )
         second = embed_texts(cfg, ["x", "y"], cache)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("cached_dim", [32, 128])
+    @pytest.mark.parametrize("texts", [["cached"], ["new", "cached", "other", "cached"]],
+                             ids=["one-text", "hits-and-misses"])
+    def test_a_cached_vector_of_another_dim_is_a_cache_dim_error(self, tmp_path, cached_dim, texts):
+        # the same model name at another dim: the hit must not reach the output array
+        cache = EmbeddingCache(tmp_path, "mock")
+        embed_texts(ProviderConfig(model_name="mock", dim=cached_dim), ["cached"], cache)
+        with pytest.raises(CacheDimError, match=f"at dim {cached_dim}, not embedding.dim 64"):
+            embed_texts(ProviderConfig(model_name="mock", dim=64), texts, cache)
+        assert cache.get_many(["new", "other"]) == [None, None]
 
 
 class TestMigration:

@@ -11,7 +11,7 @@ from tabret.mining import (
     MINING_STRATEGIES,
     MiningConfig,
     TrainingTriple,
-    _hardest,
+    lexsort_head,
     mine_all,
     triple_from_record,
 )
@@ -183,13 +183,13 @@ class TestSelectionMatchesFullLexsort:
         neg = np.array(neg)
         rank = np.array(data.draw(st.permutations(range(len(neg)))), dtype=np.intp)
         take = data.draw(st.integers(1, len(neg)))
-        assert _hardest(neg, rank, take).tolist() == np.lexsort((rank, neg))[:take].tolist()
+        assert lexsort_head(neg, rank, take).tolist() == np.lexsort((rank, neg))[:take].tolist()
 
     def test_signed_zeros_tie_and_break_by_rank(self):
         neg = np.array([0.0, -0.0, -0.0, 0.0, 1.0])
         rank = np.array([3, 4, 0, 1, 2])
-        assert _hardest(neg, rank, 2).tolist() == [2, 3]
-        assert _hardest(neg, rank, 4).tolist() == [2, 3, 0, 1]
+        assert lexsort_head(neg, rank, 2).tolist() == [2, 3]
+        assert lexsort_head(neg, rank, 4).tolist() == [2, 3, 0, 1]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

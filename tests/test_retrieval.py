@@ -55,7 +55,7 @@ def hand_index(rows: list[tuple[str, str, list[float]]], fusion: str = "max"):
 
 def ranked(index: RetrievalIndex, q_vec: np.ndarray) -> list[tuple[str, float]]:
     """rank_tables as (table_id, fused score) pairs, best first."""
-    order, fused = rank_tables(index, q_vec)
+    order, fused = rank_tables(index, q_vec, top_k=len(index.tables))
     return [(index.tables[i], float(fused[i])) for i in order]
 
 
@@ -132,7 +132,7 @@ def reference_evaluate(index, gold, provider, ks=(1, 5, 10), cache=None) -> Eval
     for (_, gold_id), q_vec in zip(gold, q_vecs):
         if index.adapter is not None:
             q_vec = adapter_apply(index.adapter, q_vec)
-        order, _ = rank_tables(index, q_vec)
+        order, _ = rank_tables(index, q_vec, top_k=len(index.tables))
         ranks.append(int(np.flatnonzero(order == position[gold_id])[0]) + 1)
     recall = {k: round(100.0 * sum(1 for r in ranks if r <= k) / len(ranks), 2) for k in ks}
     return EvalReport(recall=recall, query_count=len(ranks), ranks=ranks)
@@ -276,7 +276,7 @@ class TestStackedScoresKeepThePerQueryBits:
         ranks = []
         for q_vec, (_, gold_id) in zip(q_vecs, gold):
             want = parent_fuse(index, parent_scores(index, q_vec))
-            order, fused = rank_tables(index, q_vec)
+            order, fused = rank_tables(index, q_vec, top_k=len(index.tables))
             assert np.array_equal(bits(fused), bits(want))
             assert np.array_equal(order, np.argsort(-want, kind="stable"))
             ranks.append(int(np.flatnonzero(order == index.tables.index(gold_id))[0]) + 1)
@@ -285,6 +285,70 @@ class TestStackedScoresKeepThePerQueryBits:
         with mock.patch.object(retrieval, "embed_texts", fake_embed), \
                 mock.patch.object(retrieval, "_BLOCK_BYTES", per_block * 8 * (len(index.pt_ids) + 1)):
             assert evaluate(index, gold, MOCK).ranks == ranks
+
+
+# exact ties and both signed zeros, among values of either sign
+TIE_SCORES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.25])
+
+
+@st.composite
+def planted_block(draw):
+    """An index of 1-12 tables with 1-3 rows each, rows interleaved, and
+    one query's planted row scores: exact ties, and tables whose every
+    score is -0.0 against tables at 0.0."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12), label="counts")
+    table_ids = draw(st.permutations([f"t{t:02d}" for t, n in enumerate(counts) for _ in range(n)]))
+    fusion = draw(st.sampled_from(["max", "mean"]), label="fusion")
+    index = RetrievalIndex(
+        pt_ids=[f"p{i}" for i in range(len(table_ids))],
+        table_ids=table_ids,
+        vectors=np.zeros((len(table_ids), 2)),
+        config=RetrievalConfig(fusion=fusion),
+    )
+    scores = draw(st.lists(st.one_of(TIE_SCORES, st.floats(-1, 1)),
+                           min_size=len(table_ids), max_size=len(table_ids)), label="scores")
+    block = np.array([scores + [-np.inf if fusion == "max" else 0.0]])
+    return index, block
+
+
+class TestSearchTakesTheHeadOfTheStableSort:
+    """rank_tables and search select their top k; the full stable sort of
+    the fused scores stays here as the oracle of its head."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=planted_block(), data=st.data())
+    def test_planted_ties_and_signed_zeros(self, case, data):
+        index, block = case
+        top_k = data.draw(st.integers(1, len(index.tables) + 2), label="top_k")
+        q_vec = np.array([1.0, 0.0])
+        with mock.patch.object(retrieval, "_scores", lambda index, q_vecs: block.copy()), \
+                mock.patch.object(retrieval, "embed_texts", lambda *args: q_vec[None]):
+            top, fused = rank_tables(index, q_vec, top_k)
+            want = np.argsort(-fused, kind="stable")[:top_k]
+            assert top.tolist() == want.tolist()
+            got = search(index, "query", MOCK, top_k=top_k)
+        assert bits(np.array([s for _, s in got])).tolist() == bits(fused[want]).tolist()
+        assert [t for t, _ in got] == [index.tables[i] for i in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scored_index(), data=st.data())
+    def test_scored_rows_with_planted_zeros(self, case, data):
+        index, q_vecs, _ = case
+        top_k = data.draw(st.integers(1, len(index.tables) + 2), label="top_k")
+        for q_vec in q_vecs[:5]:
+            want = parent_fuse(index, parent_scores(index, q_vec))
+            top, fused = rank_tables(index, q_vec, top_k)
+            assert np.array_equal(bits(fused), bits(want))
+            assert top.tolist() == np.argsort(-want, kind="stable")[:top_k].tolist()
+
+    def test_negative_zero_ties_with_zero_in_table_id_order(self):
+        index = hand_index([("p0", "c", [0.0, 1.0]), ("p1", "a", [0.0, 1.0]),
+                            ("p2", "b", [0.0, 1.0]), ("p3", "d", [1.0, 0.0])])
+        block = np.array([[0.0, -0.0, 0.0, -1.0, -np.inf]])
+        with mock.patch.object(retrieval, "_scores", lambda index, q_vecs: block.copy()):
+            top, fused = rank_tables(index, np.array([1.0, 0.0]), 3)
+        assert bits(fused).tolist() == bits(np.array([-0.0, 0.0, 0.0, -1.0])).tolist()
+        assert [index.tables[i] for i in top] == ["a", "b", "c"]
 
 
 class TestFusion:

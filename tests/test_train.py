@@ -300,7 +300,7 @@ class TestMatchesPerNegativeReference:
             total += reference_loss_and_grad(
                 w, vectors[t.query_id], vectors[t.positive_pt_id], negs, 0.1
             )[0]
-        assert mean_loss(*stack_rows(triples, vectors), w, 0.1) == total / len(triples)
+        assert mean_loss(triples, *stack_rows(triples, vectors), w, 0.1) == total / len(triples)
 
     def test_one_gradient_per_triple_per_epoch(self, monkeypatch):
         # each triple goes through loss_and_grad once per epoch, and
@@ -336,9 +336,26 @@ class TestFirstFailureInWindowOrder:
             triples[6] = replace(triples[6], negative_pt_ids=triples[6].negative_pt_ids[:2])
         for i, kind in ((3, first), (6, second)):
             vectors[f"q{i}"] = np.full(8, np.nan) if kind == "nan" else np.zeros(8)
-        expected = "non-finite loss or gradient at triple q3$" if first == "nan" else "collapsed"
+        expected = ("non-finite loss or gradient" if first == "nan"
+                    else "adapted vector collapsed to zero") + " at triple q3$"
         cfg = TrainConfig(tau=0.1, epochs=1, accumulation_steps=10, shuffle=False)
         with pytest.raises(TrainError, match=expected):
+            train(triples, vectors, cfg)
+
+    @pytest.mark.parametrize("zero", ["q3", "p5"])
+    @pytest.mark.parametrize("same_length", [True, False])
+    def test_mean_loss_names_the_first_collapsing_triple(self, zero, same_length):
+        # unstubbed: the initial mean_loss raises before any window runs,
+        # naming the first triple that holds the zero vector (q3 as its
+        # query, p5 as triple 5's positive), mid-stack either way
+        triples, vectors = toy_problem(n=10)
+        if not same_length:
+            triples[2] = replace(triples[2], negative_pt_ids=triples[2].negative_pt_ids[:2])
+        vectors[zero] = np.zeros(8)
+        first = triples[[zero in (t.query_id, t.positive_pt_id, *t.negative_pt_ids)
+                         for t in triples].index(True)].query_id
+        cfg = TrainConfig(tau=0.1, epochs=1, accumulation_steps=10, shuffle=False)
+        with pytest.raises(TrainError, match=f"collapsed to zero at triple {first}$"):
             train(triples, vectors, cfg)
 
 
@@ -506,7 +523,7 @@ class TestTrain:
         cfg = TrainConfig(tau=0.1, epochs=1)
         _, report = train(triples, vectors, cfg)
         assert report.initial_loss == pytest.approx(
-            mean_loss(*stack_rows(triples, vectors), np.eye(8), 0.1), rel=1e-12
+            mean_loss(triples, *stack_rows(triples, vectors), np.eye(8), 0.1), rel=1e-12
         )
 
     def test_shuffle_off_processes_in_order(self):
