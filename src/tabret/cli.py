@@ -11,6 +11,7 @@ the comparison table is the only stdout payload, so it pipes cleanly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import ConfigError, load_config
@@ -53,10 +54,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _step(text: str) -> float:
+    """An argparse type: a finite, nonzero float."""
+    value = float(text)
+    if not math.isfinite(value) or value == 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and nonzero, got {text}")
+    return value
+
+
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     worst = gradient_check(dim=args.dim, n_triples=args.triples, step=args.step, seed=args.seed)
     print(f"max relative error: {worst:.3e} (threshold 1e-4)")
-    return 0 if worst < 1e-4 else 1
+    return 0 if worst < 1e-4 else 1  # a NaN error fails too
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     grad_p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
-    grad_p.add_argument("--dim", type=int, default=8)
-    grad_p.add_argument("--triples", type=int, default=5)
-    grad_p.add_argument("--step", type=float, default=1e-5)
+    grad_p.add_argument("--dim", type=_count, default=8)
+    grad_p.add_argument("--triples", type=_count, default=5)
+    grad_p.add_argument("--step", type=_step, default=1e-5)
     grad_p.add_argument("--seed", type=int, default=7)
     grad_p.set_defaults(func=_cmd_gradcheck)
     return parser

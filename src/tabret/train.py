@@ -437,7 +437,8 @@ def train(
 def gradient_check(
     dim: int = 8, n_triples: int = 5, step: float = 1e-5, tau: float = 0.5, seed: int = 7
 ) -> float:
-    """Max relative error of the analytic gradient vs central differences."""
+    """Max relative error of the analytic gradient vs central differences;
+    NaN when any difference quotient is not finite."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_triples):
@@ -455,7 +456,8 @@ def gradient_check(
                 lm = _losses(w_minus, R, tau)[0]
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
-                worst = max(worst, abs(grad[i, j] - numeric) / denom)
+                # np.maximum keeps a NaN error, where max(worst, nan) is worst
+                worst = float(np.maximum(worst, abs(grad[i, j] - numeric) / denom))
     return worst
 
 

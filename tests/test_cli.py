@@ -911,3 +911,28 @@ class TestGradcheckCommand:
         # gradient, so the command must signal failure
         code = main(["gradcheck", "--dim", "4", "--triples", "1", "--step", "0.5"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step", "0", "argument --step: must be finite and nonzero, got 0"),
+        ("--step", "nan", "argument --step: must be finite and nonzero, got nan"),
+        ("--step", "inf", "argument --step: must be finite and nonzero, got inf"),
+        ("--step", "-inf", "argument --step: must be finite and nonzero, got -inf"),
+        ("--triples", "0", "argument --triples: must be >= 1, got 0"),
+        ("--dim", "0", "argument --dim: must be >= 1, got 0"),
+        ("--dim", "-1", "argument --dim: must be >= 1, got -1"),
+        ("--dim", "two", "argument --dim: invalid _count value: 'two'"),
+    ])
+    def test_an_argument_that_checks_nothing_exits_2_naming_the_flag(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        # before the fix, a NaN step or no triple printed a 0.000e+00 error and exited 0
+        monkeypatch.setattr(cli_module, "gradient_check", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_non_finite_error_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli_module, "gradient_check", lambda **_: float("nan"))
+        assert main(["gradcheck"]) == 1
+        assert "max relative error: nan" in capsys.readouterr().out

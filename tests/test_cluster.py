@@ -506,3 +506,86 @@ class TestClusterTables:
         )
         per_table = stage_peak()
         assert batched <= 1.1 * per_table
+
+
+class TestLloydStepsReuseTheColumnsOfUnmovedCentroids:
+    """A Lloyd step recomputes the squared distances to a restart's
+    centroid only where the centroid's bits moved, and every column of a
+    restart that an empty-cluster repair touched; the bits stay the
+    oracle's."""
+
+    @staticmethod
+    def lloyd_columns(monkeypatch):
+        """Spy on the distance kernel: per Lloyd step, the (restart,
+        centroid) columns it computed and the restarts times k it could
+        have computed. A step starts with its _member_means call. A call
+        for some of the restarts must take no more memory than one for
+        all: its (rows, n, d) slab and (rows, d) centroids within the
+        (R, n, d) slab."""
+        steps = []
+        real_means, real_dist = cluster_mod._member_means, cluster_mod._sq_dist_to
+
+        def means(padded, tab, labels, k):
+            steps.append({"computed": 0, "all": tab.size * k})
+            return real_means(padded, tab, labels, k)
+
+        def dist(xs, tab, points, *rows):
+            out = real_dist(xs, tab, points, *rows)
+            n = xs.shape[1]
+            assert out.shape[0] == tab.size or out.shape[0] * (n + 1) <= tab.size * n
+            if steps:  # seeding and the first assignment come before any step
+                steps[-1]["computed"] += out.shape[0]
+            return out
+
+        monkeypatch.setattr(cluster_mod, "_member_means", means)
+        monkeypatch.setattr(cluster_mod, "_sq_dist_to", dist)
+        return steps
+
+    @pytest.mark.parametrize("data_seed, shape, count, r, k", [
+        (21, (40, 6), 3, 8, 5),  # 12 restarts of 40 rows
+        # 40 restarts of 8 rows: a step finds 36 of them stale in one
+        # column, too many to recompute alone within the full slab
+        (3, (8, 3), 10, 3, 3),
+    ])
+    def test_unmoved_columns_are_not_recomputed_and_the_bits_hold(
+        self, monkeypatch, data_seed, shape, count, r, k
+    ):
+        rng = np.random.default_rng(data_seed)
+        tables = [rng.normal(size=shape) for _ in range(count)]
+        cfg = ClusteringConfig(r=r, seed=3, n_init=4)
+        steps = self.lloyd_columns(monkeypatch)
+        got = cluster_tables(tables, cfg)
+        assert all(s["computed"] <= s["all"] for s in steps)
+        assert sum(s["computed"] for s in steps) < sum(s["all"] for s in steps)
+        for x, a in zip(tables, got):
+            assert a.k == k
+            assert_same_bits(a, reference_kmeans(x, k, cfg))
+
+    def test_a_repaired_restart_recomputes_every_column(self, monkeypatch):
+        # three equal rows and k = 3: the seeds repeat (0, 0), so the third
+        # cluster starts empty and takes row 0; row 0 alone is its cluster,
+        # so its centroid keeps its bits into the first Lloyd step, as do
+        # the other two, and only the repair makes that step recompute
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        cfg = ClusteringConfig(seed=0, n_init=1)
+        events = []
+        real_repair, real_means = cluster_mod._repair_empty, cluster_mod._member_means
+
+        def repair(x, labels, centroids, d2):
+            empty = np.flatnonzero(np.bincount(labels, minlength=centroids.shape[0]) == 0)
+            real_repair(x, labels, centroids, d2)
+            events.append(("repair", {int(j): centroids[j].tobytes() for j in empty}))
+
+        def means(padded, tab, labels, k):
+            out = real_means(padded, tab, labels, k)
+            events.append(("means", out[0].copy()))
+            return out
+
+        monkeypatch.setattr(cluster_mod, "_repair_empty", repair)
+        monkeypatch.setattr(cluster_mod, "_member_means", means)
+        steps = self.lloyd_columns(monkeypatch)
+        got = cluster_one(points, 3, cfg)
+        (_, repaired), (_, first_means) = events[0], events[1]
+        assert repaired and all(first_means[j].tobytes() == b for j, b in repaired.items())
+        assert steps[0] == {"computed": 3, "all": 3}
+        assert_same_bits(got, reference_kmeans(points, 3, cfg))

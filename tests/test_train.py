@@ -1,6 +1,7 @@
 """Contrastive training: loss against a high-precision oracle, exact
 gradients against finite differences, optimizer behavior, adapter I/O."""
 
+import math
 import struct
 from dataclasses import replace
 
@@ -189,6 +190,11 @@ class TestLossAndGrad:
 
     def test_library_gradient_check_is_tight(self):
         assert gradient_check(dim=6, n_triples=3, seed=11) < 1e-4
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf])
+    def test_a_non_finite_difference_quotient_makes_the_error_nan(self, step):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert math.isnan(gradient_check(dim=3, n_triples=1, step=step))
 
 
 def reference_loss_and_grad(W, q, pos, negs, tau):
