@@ -9,7 +9,12 @@ benchmark workload (``perfbench/bench.py``'s ``WORKLOADS`` and
 ``write_inputs``, mock provider) at each seed, it runs a cold build, a
 no-op run, a re-index with ``retrieval.fusion=mean`` and one back to
 ``max``, and after each run records the digest of every file in the
-workspace, embedding cache included. ``manifest.jsonl`` holds wall
+workspace, embedding cache included. On a second, new workspace it then
+makes the same cold build one stage per run (the ``staged`` run), the
+stages the cold build ran in its order, so that each stage parses what
+the stage before it wrote rather than taking it from that stage; its
+files and manifest entries are recorded under ``staged`` as the others
+are, and should equal the cold build's. ``manifest.jsonl`` holds wall
 times, so in its place each of its stage entries (the last entry of each
 stage, in the order the stages first ran) is recorded as its stage and
 the digest of the entry without ``wall_time_s``, under the run's key
@@ -61,6 +66,14 @@ def manifest_entries(workspace: Path) -> list[str]:
     return out
 
 
+def staged_build(config_path: Path, workspace: Path, stages: list[str]) -> list[str]:
+    """A cold build of stages on workspace, one run each; each run's status lines."""
+    from tabret import config, pipeline
+
+    cfg = config.load_config(config_path, [f"workspace={workspace}"])
+    return [f"{r.stage} {r.status}" for st in stages for r in pipeline.run_pipeline(cfg, st)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="tabret checkout to run")
@@ -93,6 +106,11 @@ def main(argv: list[str] | None = None) -> int:
             out[f"{label}/{run}"] = digests(workspace)
             out[f"{label}/{run}/stages"] = [f"{r.stage} {r.status}" for r in results]
             out[f"{label}/{run}/manifest"] = manifest_entries(workspace)
+        staged = workdir / "workspaces" / f"{label}-staged"
+        ran = [line.split()[0] for line in out[f"{label}/cold/stages"] if line.endswith(" ran")]
+        out[f"{label}/staged/stages"] = staged_build(path, staged, ran)
+        out[f"{label}/staged"] = digests(staged)
+        out[f"{label}/staged/manifest"] = manifest_entries(staged)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

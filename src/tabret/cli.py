@@ -62,6 +62,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _dim(text: str) -> int:
+    """An argparse type: an integer >= 2. At dim 1 every adapted vector is
+    +1 or -1, so the loss is flat in W and the check compares zeros."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 2, got {value}: at dim 1 every adapted vector is +1 or -1, "
+            f"so the loss is flat in W and nothing is checked")
+    return value
+
+
 def _step(text: str) -> float:
     """An argparse type: a finite, nonzero float."""
     value = float(text)
@@ -106,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     grad_p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
-    grad_p.add_argument("--dim", type=_count, default=8)
+    grad_p.add_argument("--dim", type=_dim, default=8)
     grad_p.add_argument("--triples", type=_count, default=5)
     grad_p.add_argument("--step", type=_step, default=1e-5)
     grad_p.add_argument("--seed", type=int, default=7)

@@ -17,15 +17,18 @@ replaces the manifest whole, with the stamps in force, and a run that
 ends without an error saves the stamps it took after its last record
 (see fsio.Manifest); nothing else writes it, so a kill anywhere leaves
 the manifest as its last os.replace left it. The stages of one run share
-a _Run, which opens the embedding cache and reads corpus.jsonl, kpts.jsonl,
-queries.jsonl and adapter.bin at most once each, on the first stage
-that needs them; a run whose ingest ran keeps the corpus ingest parsed
-and reads no corpus.jsonl, and train takes the base vectors of the
-partial tables and training queries that mine looked up. When no
-external gold file is configured, evaluation holds out the last
-synthetic queries of each partial table: those never enter mining,
-training, or pt_plus_queries representations, and are scored with their
-source table as gold.
+a _Run, which opens the embedding cache at most once. A run parses each
+artifact at most once, and not at all when the run wrote it: each stage
+hands what it wrote, once its atomic write has returned, to the stages
+after it, and only a file an earlier run wrote is parsed, with every
+damage check, on the first stage that reads it. An object with a single
+reader (embed's matrix, cluster's labels, mine's triples, index's index)
+is dropped once that reader has taken it or has been found fresh. Train
+takes the base vectors of the partial tables and training queries that
+mine looked up. When no external gold file is configured, evaluation
+holds out the last synthetic queries of each partial table: those never
+enter mining, training, or pt_plus_queries representations, and are
+scored with their source table as gold.
 
 Every JSON Lines file a stage reads, the source corpus and the gold file
 included, goes through fsio.read_records, so a bad line or record raises
@@ -42,7 +45,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -151,13 +154,23 @@ class QuerySplit:
 @dataclass
 class _Run:
     """What the stages of one run share: the config, the log, the
-    embedding cache and the artifacts that several stages read, each
-    loaded on first use and kept until the run ends. The stage that
-    writes such an artifact runs before every stage that reads it."""
+    embedding cache and the artifacts that later stages read.
+
+    The stage that writes an artifact runs before every stage that reads
+    it, and once its atomic write has returned it hands the run what the
+    file holds, so a run parses no file that it wrote. An artifact that
+    several stages read (the corpus, the partial tables, the query split
+    and the adapter) is set on the property of its name and kept until
+    the run ends; that property parses the file an earlier run wrote, once,
+    on the first stage that reads it, with every damage check. An
+    artifact with a single reader waits in handed, keyed by that reader,
+    which takes it, or drops it when found fresh, so no stage holds it
+    longer than a parse would."""
 
     cfg: PipelineConfig
     log: Log
     swept: bool = False
+    handed: dict[str, object] = field(default_factory=dict)
 
     @property
     def ws(self) -> Path:
@@ -197,10 +210,8 @@ class _Run:
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
-        parsed = _read_some(self.ws / "queries.jsonl", QUERY_FIELDS, query_from_record)
-        if self.cfg.eval.gold_path is not None:
-            return QuerySplit(parsed, [])
-        return QuerySplit(*split_queries(parsed, self.cfg.eval.holdout_per_pt))
+        return _query_split(self.cfg, _read_some(self.ws / "queries.jsonl", QUERY_FIELDS,
+                                                 query_from_record))
 
     @functools.cached_property
     def base_vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +226,14 @@ class _Run:
         if not self.cfg.train_enabled:
             return None
         return load_adapter(str(self.ws / "adapter.bin"), expected_dim=self.cfg.embedding.dim)
+
+
+def _query_split(cfg: PipelineConfig, queries: list[SyntheticQuery]) -> QuerySplit:
+    """queries as the stages after genq see them: all for training when a
+    gold file is configured, else split by split_queries."""
+    if cfg.eval.gold_path is not None:
+        return QuerySplit(queries, [])
+    return QuerySplit(*split_queries(queries, cfg.eval.holdout_per_pt))
 
 
 def _read_some(path: Path, fields: dict, parse: Callable[[dict], object]) -> list:
@@ -277,6 +296,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
             raise StageError(3, f"stage '{stage}': missing {manifest.key(path)}; "
                                 f"run stage '{producer}' first")
     if manifest.is_fresh(stage, plan.config_hash):
+        run.handed.pop(stage, None)
         run.log(f"[{stage}] fresh (cache hit), nothing to do")
         return StageResult(stage, "fresh", 0.0)
     for path in plan.inputs:
@@ -355,11 +375,14 @@ def _stage_embed(run: _Run) -> None:
     texts = [serialize_instance(t, i) for t in run.corpus.tables for i in range(len(t.instances))]
     vectors = embed_texts(run.cfg.embedding, texts, run.cache)
     write_matrix_bin(run.ws / "instance_embeddings.bin", vectors)
+    run.handed["cluster"] = vectors
     run.log(f"[embed] {len(texts)} instances at dim {run.cfg.embedding.dim}")
 
 
 def _stage_cluster(run: _Run) -> None:
-    matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
+    matrix = run.handed.pop("cluster", None)
+    if matrix is None:
+        matrix = read_matrix_bin(run.ws / "instance_embeddings.bin")
     counts = [len(t.instances) for t in run.corpus.tables]
     if sum(counts) != len(matrix):
         raise ArtifactError(run.ws / "instance_embeddings.bin",
@@ -380,6 +403,8 @@ def _stage_cluster(run: _Run) -> None:
         for t, a in zip(run.corpus.tables, assignments)
     ]
     write_jsonl(run.ws / "clusters.jsonl", records)
+    run.handed["kpt"] = {t.table_id: ClusterLabels(a.k, a.labels, a.point_distances)
+                         for t, a in zip(run.corpus.tables, assignments)}
     run.log(f"[cluster] {len(records)} tables clustered")
 
 
@@ -401,18 +426,20 @@ def _labels_from_record(rec: dict, rows: dict[str, int]) -> tuple[str, ClusterLa
 
 def _stage_kpt(run: _Run) -> None:
     cfg = run.cfg
-    rows = {t.table_id: len(t.instances) for t in run.corpus.tables}
-    parse = functools.partial(_labels_from_record, rows=rows)
-    assignments = dict(read_records(run.ws / "clusters.jsonl", _CLUSTER_FIELDS, parse))
-    records = []
+    assignments = run.handed.pop("kpt", None)
+    if assignments is None:
+        rows = {t.table_id: len(t.instances) for t in run.corpus.tables}
+        parse = functools.partial(_labels_from_record, rows=rows)
+        assignments = dict(read_records(run.ws / "clusters.jsonl", _CLUSTER_FIELDS, parse))
+    pts = []
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)
         if assignment is None and cfg.kpt.strategy != "first_rows":
             raise ArtifactError(run.ws / "clusters.jsonl", f"no clustering of {t.table_id!r}")
-        for pt in build_kpts(t, assignment, cfg.kpt):
-            records.append(vars(pt))
-    write_jsonl(run.ws / "kpts.jsonl", records)
-    run.log(f"[kpt] {len(records)} partial tables ({cfg.kpt.strategy})")
+        pts.extend(build_kpts(t, assignment, cfg.kpt))
+    write_jsonl(run.ws / "kpts.jsonl", [vars(pt) for pt in pts])
+    run.pts = pts
+    run.log(f"[kpt] {len(pts)} partial tables ({cfg.kpt.strategy})")
 
 
 def _stage_genq(run: _Run) -> None:
@@ -425,6 +452,7 @@ def _stage_genq(run: _Run) -> None:
     for pt_id in skipped:
         run.log(f"[genq] warning: no usable queries for {pt_id}, skipped")
     write_jsonl(run.ws / "queries.jsonl", [vars(q) for q in generated])
+    run.queries = _query_split(run.cfg, generated)
     run.log(f"[genq] {len(generated)} queries over {len(pts) - len(skipped)} partial tables")
 
 
@@ -440,6 +468,7 @@ def _stage_mine(run: _Run) -> None:
     for query_id in skipped:
         run.log(f"[mine] warning: no eligible negatives for {query_id}, skipped")
     write_jsonl(run.ws / "triples.jsonl", [vars(t) for t in triples])
+    run.handed["train"] = triples
     run.log(f"[mine] {len(triples)} triples ({cfg.mining.strategy}, h={cfg.mining.h})")
 
 
@@ -470,14 +499,17 @@ def _stage_train(run: _Run) -> None:
     cfg, ws = run.cfg, run.ws
     pt_ids = [pt.pt_id for pt in run.pts]
     query_ids = [q.query_id for q in run.queries.training]
-    triples = _read_some(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
-        _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
-        tables={pt.pt_id: pt.table_id for pt in run.pts}))
+    triples = run.handed.pop("train", None)
+    if triples is None:
+        triples = _read_some(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
+            _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
+            tables={pt.pt_id: pt.table_id for pt in run.pts}))
     pt_vecs, q_vecs = run.base_vectors
     vectors = dict(zip(pt_ids + query_ids, [*pt_vecs, *q_vecs]))
 
     adapter, report = train_adapter(triples, vectors, cfg.train)
     save_adapter(adapter, str(ws / "adapter.bin"))
+    run.adapter = adapter
     _write_json(ws / "train_report.json", {k: v for k, v in vars(report).items() if k != "log"})
     write_jsonl(ws / "train_log.jsonl", report.log)
     run.log(
@@ -494,6 +526,7 @@ def _stage_index(run: _Run) -> None:
     index = build_index(pts, queries_by_pt, cfg.embedding, cache=run.cache, adapter=run.adapter,
                         config=cfg.retrieval)
     save_index(index, run.ws / "index")
+    run.handed["eval"] = index
     run.log(f"[index] {len(index.pt_ids)} entries ({cfg.retrieval.mode}, "
             f"{cfg.retrieval.fusion} fusion)")
 
@@ -520,7 +553,9 @@ def _gold_pairs(run: _Run, tables: list[str]) -> list[tuple[str, str]]:
 
 def _stage_eval(run: _Run) -> None:
     cfg = run.cfg
-    index = load_index(run.ws / "index", adapter=run.adapter)
+    index = run.handed.pop("eval", None)
+    if index is None:
+        index = load_index(run.ws / "index", adapter=run.adapter)
     gold = _gold_pairs(run, index.tables)
     if not gold:
         cause = (f"{cfg.eval.gold_path} holds none" if cfg.eval.gold_path else

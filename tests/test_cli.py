@@ -918,14 +918,16 @@ class TestGradcheckCommand:
         ("--step", "inf", "argument --step: must be finite and nonzero, got inf"),
         ("--step", "-inf", "argument --step: must be finite and nonzero, got -inf"),
         ("--triples", "0", "argument --triples: must be >= 1, got 0"),
-        ("--dim", "0", "argument --dim: must be >= 1, got 0"),
-        ("--dim", "-1", "argument --dim: must be >= 1, got -1"),
-        ("--dim", "two", "argument --dim: invalid _count value: 'two'"),
+        ("--dim", "1", "argument --dim: must be >= 2, got 1: at dim 1 every adapted vector "
+                       "is +1 or -1, so the loss is flat in W and nothing is checked"),
+        ("--dim", "0", "argument --dim: must be >= 2, got 0"),
+        ("--dim", "-1", "argument --dim: must be >= 2, got -1"),
+        ("--dim", "two", "argument --dim: invalid _dim value: 'two'"),
     ])
     def test_an_argument_that_checks_nothing_exits_2_naming_the_flag(
         self, capsys, monkeypatch, flag, value, message
     ):
-        # before the fix, a NaN step or no triple printed a 0.000e+00 error and exited 0
+        # before the fix, a NaN step, no triple or dim 1 printed a 0.000e+00 error and exited 0
         monkeypatch.setattr(cli_module, "gradient_check", pytest.fail)
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", f"{flag}={value}"])

@@ -1,5 +1,7 @@
 """Stage orchestration: sequencing, caching, holdout hygiene, compare."""
 
+import builtins
+import io
 import json
 import os
 import shutil
@@ -29,6 +31,14 @@ from tabret.pipeline import (
     split_queries,
 )
 from tabret.querygen import SyntheticQuery
+
+DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
+
+
+def copy_demo(directory: Path) -> None:
+    """The demo's config and corpus, copied into directory."""
+    for name in ("config.yaml", "corpus.jsonl"):
+        shutil.copy(DEMO / name, directory)
 
 
 def make_query(pt: str, ordinal: int, table: str | None = None) -> SyntheticQuery:
@@ -732,9 +742,10 @@ class TestOneReadPerRun:
 
         monkeypatch.setattr(fsio, "read_jsonl", counting_read)
         monkeypatch.setattr(pipeline_mod, "split_queries", counting_split)
-        # cold build: mine, train, index and eval all read the queries
+        # cold build: genq hands its queries, split once, to mine, train,
+        # index and eval
         run_pipeline(pipeline_cfg, "all")
-        assert reads["queries.jsonl"] == 1 and len(splits) == 1
+        assert reads["queries.jsonl"] == 0 and len(splits) == 1
         # a re-index run reruns index and eval only
         reads.clear()
         splits.clear()
@@ -748,7 +759,7 @@ class TestOneReadPerRun:
         run_pipeline(changed, "all")
         assert reads["queries.jsonl"] == 0 and splits == []
 
-    def test_partial_tables_are_parsed_once_per_run(self, pipeline_cfg, monkeypatch):
+    def test_partial_tables_are_parsed_once_per_run(self, pipeline_cfg, tmp_path, monkeypatch):
         parsed = []
         real = pipeline_mod.kpt_from_record
 
@@ -757,13 +768,84 @@ class TestOneReadPerRun:
             return real(rec)
 
         monkeypatch.setattr(pipeline_mod, "kpt_from_record", counting)
-        # cold build: genq, mine, train and index all read the partial tables
+        # cold build: kpt hands its partial tables to genq, mine, train and index
         run_pipeline(pipeline_cfg, "all")
+        assert parsed == []
+        # kpt is fresh: genq, mine, train and index share one parse
+        fewer = load_config(tmp_path / "config.yaml", overrides=["genq.n_q=2"])
+        results = run_pipeline(fewer, "all")
+        assert [r.stage for r in results if r.status == "ran"] == list(STAGES[4:])
         pt_ids = [rec["pt_id"] for rec in read_jsonl(pipeline_cfg.workspace / "kpts.jsonl")]
         assert parsed == pt_ids
         parsed.clear()
-        run_pipeline(pipeline_cfg, "all")
+        run_pipeline(fewer, "all")
         assert parsed == []
+
+    def test_a_cold_build_opens_none_of_the_files_it_wrote(self, tmp_path, monkeypatch):
+        # each stage hands what it wrote to the stages after it; only the
+        # manifest hashes an output, once its stage has written it
+        copy_demo(tmp_path)
+        cfg = load_config(tmp_path / "config.yaml")
+        opened, hashing = [], []
+        real_open, real_hash = io.open, fsio.sha256_file
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and not hashing and isinstance(file, (str, os.PathLike)):
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        def hashing_file(path):
+            hashing.append(path)
+            try:
+                return real_hash(path)
+            finally:
+                hashing.pop()
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(fsio, "sha256_file", hashing_file)
+        run_pipeline(cfg, "all")
+        monkeypatch.undo()
+        written = {p for plan in plan_stages(cfg).values() for p in plan.outputs}
+        assert {p.relative_to(cfg.workspace).as_posix() for p in written} >= {
+            "corpus.jsonl", "instance_embeddings.bin", "clusters.jsonl", "kpts.jsonl",
+            "queries.jsonl", "triples.jsonl", "adapter.bin", "index/entries.jsonl",
+            "index/vectors.bin", "index/meta.json"}
+        assert cfg.corpus_path in opened  # the recorder sees the reads it should
+        assert written.isdisjoint(opened)
+
+    def test_an_object_with_one_reader_is_dropped_once_it_has_it(self, pipeline_cfg, monkeypatch):
+        held, runs = [], []
+        for stage, fn in list(pipeline_mod._STAGE_FNS.items()):
+            def traced(run, _stage=stage, _fn=fn):
+                _fn(run)
+                held.append((_stage, sorted(run.handed)))
+                runs.append(run)
+
+            monkeypatch.setitem(pipeline_mod._STAGE_FNS, stage, traced)
+        run_pipeline(pipeline_cfg, "all")
+        assert held == [("ingest", []), ("embed", ["cluster"]), ("cluster", ["kpt"]),
+                        ("kpt", []), ("genq", []), ("mine", ["train"]), ("train", []),
+                        ("index", ["eval"]), ("eval", [])]
+        # embed rewrites the same bytes, so cluster is fresh and drops them
+        (pipeline_cfg.workspace / "instance_embeddings.bin").unlink()
+        held.clear()
+        results = run_pipeline(pipeline_cfg, "all")
+        assert [r.status for r in results] == ["fresh", "ran"] + ["fresh"] * 7
+        assert held == [("embed", ["cluster"])] and runs[-1].handed == {}
+
+    def test_a_cold_build_one_stage_a_run_writes_what_one_run_writes(self, tmp_path):
+        # each stage of the first parses what the stage before it wrote;
+        # the second hands it over
+        copy_demo(tmp_path)
+        staged = load_config(tmp_path / "config.yaml", [f"workspace={tmp_path / 'staged'}"])
+        for stage in STAGES:
+            assert [r.status for r in run_pipeline(staged, stage)] == ["ran"], stage
+        whole = load_config(tmp_path / "config.yaml", [f"workspace={tmp_path / 'whole'}"])
+        assert [r.status for r in run_pipeline(whole, "all")] == ["ran"] * len(STAGES)
+        assert _tree(staged.workspace) == _tree(whole.workspace)
+        assert "embed_cache" in {Path(f).parts[0] for f in _tree(whole.workspace)}
+        assert _entries(staged.workspace) == _entries(whole.workspace)
 
     @pytest.fixture
     def corpus_loads(self, monkeypatch) -> list:
@@ -966,8 +1048,7 @@ class TestDemoManifestWrites:
     each write, every run starting once its inputs have settled."""
 
     def test_replaces_and_live_stamps_of_each_run(self, tmp_path, monkeypatch):
-        for name in ("config.yaml", "corpus.jsonl"):
-            shutil.copy(Path(__file__).parents[1] / "data" / "demo" / name, tmp_path)
+        copy_demo(tmp_path)
         replaced = []
         real = os.replace
         monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or real(src, dst))

@@ -1,4 +1,4 @@
-"""scripts/workspace_digests.py: what it records of a manifest."""
+"""scripts/workspace_digests.py: what it records of a manifest, and its staged run."""
 
 import importlib.util
 import json
@@ -59,3 +59,19 @@ def test_each_run_lists_the_last_entry_of_each_stage(digests_script, tmp_path):
         kept = {stage: digest for stage, digest in listed.items() if stage not in ran}
         assert kept == {stage: digest for stage, digest in entries.items() if stage not in ran}
         entries = listed
+
+
+def test_a_staged_build_records_what_the_cold_build_records(digests_script, tmp_path):
+    from tabret import config, pipeline
+
+    from test_pipeline import CONFIG_BODY, write_tiny_corpus
+
+    write_tiny_corpus(tmp_path / "corpus.jsonl")
+    (tmp_path / "config.yaml").write_text(CONFIG_BODY, encoding="utf-8")
+    cold, staged = tmp_path / "cold", tmp_path / "staged"
+    cfg = config.load_config(tmp_path / "config.yaml", [f"workspace={cold}"])
+    assert all(r.status == "ran" for r in pipeline.run_pipeline(cfg, "all"))
+    lines = digests_script.staged_build(tmp_path / "config.yaml", staged, list(pipeline.STAGES))
+    assert lines == [f"{stage} ran" for stage in pipeline.STAGES]
+    assert digests_script.digests(staged) == digests_script.digests(cold)
+    assert digests_script.manifest_entries(staged) == digests_script.manifest_entries(cold)
