@@ -14,10 +14,12 @@ index lines) is migrated when first opened (see EmbeddingCache).
 embed_texts looks up all its texts with one get_many, which reads each
 run of records lying end to end in the .bin with one pread. It fills one
 preallocated (n, dim) array, so no list of rows is stacked at the end:
-each hit goes into its row once its dim is checked, each batch of
-misses (the mock's rows, or one HTTP response) goes with one assignment
-into the rows where its texts first occur, as it arrives, and a text
-that occurs again takes a copy of its first row at the end.
+each hit goes into its row once its dim is checked, the mock writes each
+chunk's rows, and each HTTP response goes with one assignment, into the
+rows where their texts first occur, and a text that occurs again takes
+a copy of its first row at the end. No other (n, dim) array is made:
+each batch of misses is cached from its rows of that array, as it
+arrives.
 
 embed_texts runs the mock over a whole batch of misses at once: the
 texts' code points (UTF-32) become one int64 key per gram, np.unique
@@ -41,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import math
 import operator
 import os
@@ -147,20 +150,19 @@ def _gram(key: int) -> str:
     return (chr(mid) + chr(last))[: first - _SHORT]
 
 
-def _mock_vectors(texts: list[str], dim: int) -> np.ndarray:
-    """mock_embed of each text, as the rows of one array."""
+def _mock_vectors(texts: list[str], dim: int, out: np.ndarray, rows: list[int]) -> None:
+    """Write mock_embed of each text into out, at its row in rows."""
     if len(texts) == 1:
-        return mock_embed(texts[0], dim)[None]
-    out = np.empty((len(texts), dim), dtype=np.float64)
+        out[rows[0]] = mock_embed(texts[0], dim)
+        return
     slots: dict[int, int] = {}  # each distinct gram is hashed once per call
     begin = size = 0
     for i, text in enumerate(texts):
         if size and size + len(text) > _CHUNK_CODE_POINTS:
-            out[begin:i] = _mock_chunk(texts[begin:i], dim, slots)
+            out[rows[begin:i]] = _mock_chunk(texts[begin:i], dim, slots)
             begin, size = i, 0
         size += len(text)
-    out[begin:] = _mock_chunk(texts[begin:], dim, slots)
-    return out
+    out[rows[begin:]] = _mock_chunk(texts[begin:], dim, slots)
 
 
 def _mock_chunk(texts: list[str], dim: int, slots: dict[int, int]) -> np.ndarray:
@@ -501,9 +503,9 @@ def embed_texts(
     first = [where[0] for where in misses.values()]
     starts = range(0, len(unique), cfg.batch_size)
     batches = [unique[i : i + cfg.batch_size] for i in starts]
-    if cfg.kind == "mock":
-        rows = _mock_vectors(unique, cfg.dim)
-        results = (rows[i : i + cfg.batch_size] for i in starts)
+    if cfg.kind == "mock":  # every row is written into out at once
+        _mock_vectors(unique, cfg.dim, out, first)
+        results = itertools.repeat(None)
     else:
         results = fan_out(lambda b: _http_embed_batch(cfg, b), batches, cfg.max_parallel_requests)
     # each batch is cached as it arrives, so a failed request loses only its own
@@ -512,9 +514,11 @@ def embed_texts(
         if isinstance(result, ProviderError):
             failure = failure or result
             continue
+        rows = first[start : start + len(batch)]
+        if result is not None:
+            out[rows] = result
         if cache is not None:
-            cache.put_many(batch, result)
-        out[first[start : start + len(batch)]] = result
+            cache.put_many(batch, out[rows])
     if failure is not None:
         raise failure
     for where in misses.values():

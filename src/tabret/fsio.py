@@ -25,7 +25,13 @@ append of older code may have left and writes nothing.
 Binary containers (matrices here, the adapter, cache records) end in
 checksum(payload): the 8-byte BLAKE2b digest of every byte before it,
 appended and compared as raw bytes. Manifest entries carry
-ARTIFACT_FORMAT, so artifacts of an older layout are rebuilt.
+ARTIFACT_FORMAT, so artifacts of an older layout are rebuilt. A matrix
+or the adapter is written from its own buffers: the header, the array
+and the trailer, hashed over the two in turn, are three parts of one
+atomic write, with no bytes copy of the array. read_checked reads the
+payload straight into the one array it returns and hashes it there; a
+header whose size disagrees with the file's is hashed through a small
+buffer, so it allocates nothing by the size it claims.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import re
@@ -69,9 +76,12 @@ class JsonLinesError(ArtifactError):
         super().__init__(path, f"{path}:{line_no}: {problem}")
 
 
-def checksum(data: bytes | memoryview) -> bytes:
-    """The 8-byte trailer of a binary container holding data."""
-    return hashlib.blake2b(data, digest_size=CHECKSUM_SIZE).digest()
+def checksum(*parts: bytes | memoryview | np.ndarray) -> bytes:
+    """The 8-byte trailer of a binary container holding parts, in order."""
+    h = hashlib.blake2b(digest_size=CHECKSUM_SIZE)
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
 def sha256_file(path: str | Path) -> str:
@@ -88,14 +98,16 @@ def sha256_json(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write data to path via a same-directory temp file and os.replace."""
+def atomic_write_bytes(path: str | Path, *parts: bytes | memoryview | np.ndarray) -> None:
+    """Write parts to path, in order, via a same-directory temp file and
+    os.replace. A part may be any C-contiguous buffer, an array included,
+    and is written from its own memory."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, p)
@@ -495,22 +507,53 @@ def write_matrix_bin(path: str | Path, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(matrix, dtype="<f8")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    blob = struct.pack("<II", m.shape[0], m.shape[1]) + m.tobytes()
-    atomic_write_bytes(path, blob + checksum(blob))
+    header = struct.pack("<II", *m.shape)
+    atomic_write_bytes(path, header, m, checksum(header, m))
 
 
 def read_matrix_bin(path: str | Path) -> np.ndarray:
     """Inverse of write_matrix_bin; a damaged file raises ArtifactError."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 8 + CHECKSUM_SIZE:
-        raise ArtifactError(path, "truncated matrix file")
-    payload = memoryview(blob)[:-CHECKSUM_SIZE]
-    if checksum(payload) != blob[-CHECKSUM_SIZE:]:
-        raise ArtifactError(path, "checksum mismatch (truncated or corrupt)")
-    count, dim = struct.unpack_from("<II", payload)
-    if len(payload) != 8 + 8 * count * dim:
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size < 8 + CHECKSUM_SIZE:
+            raise ArtifactError(path, "truncated matrix file")
+        header = fh.read(8)
+        m = read_checked(fh, path, header, struct.unpack("<II", header))
+    if m is None:
         raise ArtifactError(path, "payload size does not match header")
-    return np.frombuffer(payload, dtype="<f8", offset=8).reshape(count, dim).copy()
+    return m
+
+
+# the buffer through which read_checked hashes a payload that fits no array
+_HASH_CHUNK = 1 << 14
+
+
+def read_checked(
+    fh: IO[bytes], path: str | Path, header: bytes, shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """The little-endian f64 array of shape that follows header, the bytes
+    just read from the binary container open as fh, or None when the
+    file's size leaves room for another payload; a trailer that does not
+    match every byte before it raises ArtifactError either way.
+
+    The payload is read straight into the array it returns. A payload
+    that does not fit shape is hashed through a small buffer, so a
+    damaged header allocates nothing by the size it claims.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    h = hashlib.blake2b(header, digest_size=CHECKSUM_SIZE)
+    out = None
+    if size == len(header) + 8 * math.prod(shape) + CHECKSUM_SIZE:
+        out = np.empty(shape, dtype="<f8")
+        fh.readinto(out)  # a short read leaves no trailer to match
+        h.update(out)
+    else:
+        buf, left = memoryview(bytearray(_HASH_CHUNK)), size - len(header) - CHECKSUM_SIZE
+        while left > 0 and (got := fh.readinto(buf[:left])):
+            h.update(buf[:got])
+            left -= got
+    if h.digest() != fh.read(CHECKSUM_SIZE):
+        raise ArtifactError(path, "checksum mismatch (truncated or corrupt)")
+    return out
 
 
 class WorkspaceLock:

@@ -47,17 +47,22 @@ slice against the loop, byte for byte):
   order, but starting from +0.0: an entry whose terms are all -0.0
   comes out +0.0 where the loop gives -0.0. Any other entry has the
   loop's bits, since -0.0 + t == t and +0.0 + t == t for t != -0.0. So
-  whenever the einsum result holds an exact zero, the sum is taken
-  again as np.add.reduce over the (h+2, d, d) outer-product array with
-  initial=-0.0, which adds in the same order from the additive
-  identity. This fallback is rare on real embeddings: it needs a
-  coordinate that is zero in every vector of the triple. The einsum
-  stays one call per triple: a stacked "tia,tib->tab" kept the bits
-  but was slower than the per-triple calls.
+  each entry the einsum leaves exactly zero is taken again, alone: the
+  last row of np.add.accumulate over its h + 2 terms g[i, a] * R[i, b],
+  which adds them in row order from the first, as the loop does. The
+  entry comes out -0.0 where every term is -0.0 (a product that
+  underflows keeps its sign) and +0.0 otherwise. A sum that is not in
+  row order (np.add.reduce over a short axis is pairwise) can leave a
+  residue where terms that are not zero cancel exactly in row order,
+  as mock embeddings' shared values make them do. Only those entries
+  are recomputed, so no (h+2, d, d) array of products is made; an
+  exact zero needs a coordinate that is zero in every vector of the
+  triple, or such a cancellation. The einsum stays one call per
+  triple: a stacked "tia,tib->tab" kept the bits but was slower than
+  the per-triple calls.
 - For d == 1 einsum takes a contiguous dot path that sums in another
   order, but there every term is a signed zero (the tangent of a
-  1-vector is 0), so the zero-entry fallback always takes the reduce
-  path instead.
+  1-vector is 0), so the entry is always zero and always recomputed.
 - mean_loss runs the forward pass only.
 
 A stack fails as a whole on a collapsed norm, and _forward names the
@@ -94,13 +99,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fsio import CHECKSUM_SIZE, ArtifactError, atomic_write_bytes, checksum
+from .fsio import CHECKSUM_SIZE, ArtifactError, atomic_write_bytes, checksum, read_checked
 from .mining import TrainingTriple
 
 ADAPTER_MAGIC = b"CGPTADPT"
@@ -277,7 +283,9 @@ def loss_and_grad(W: np.ndarray, R: np.ndarray, tau: float) -> tuple[np.ndarray,
     for j in range(len(R)):
         grads[j] = np.einsum("ia,ib->ab", g[j], R[j])
         if not grads[j].all():
-            grads[j] = np.add.reduce(g[j][:, :, None] * R[j][:, None, :], axis=0, initial=-0.0)
+            # each exact zero again, from its own terms in row order
+            a, b = np.nonzero(grads[j] == 0.0)
+            grads[j, a, b] = np.add.accumulate(g[j][:, a] * R[j][:, b])[-1]
     return loss, grads
 
 
@@ -467,29 +475,23 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def save_adapter(adapter: Adapter, path: str) -> None:
     """Binary layout: magic, u32 version, u32 dim, row-major f64 W, checksum trailer."""
-    payload = (
-        ADAPTER_MAGIC
-        + struct.pack("<II", ADAPTER_VERSION, adapter.dim)
-        + np.ascontiguousarray(adapter.W, dtype="<f8").tobytes()
-    )
-    atomic_write_bytes(path, payload + checksum(payload))
+    header = ADAPTER_MAGIC + struct.pack("<II", ADAPTER_VERSION, adapter.dim)
+    w = np.ascontiguousarray(adapter.W, dtype="<f8")
+    atomic_write_bytes(path, header, w, checksum(header, w))
 
 
 def load_adapter(path: str, expected_dim: int | None = None) -> Adapter:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(ADAPTER_MAGIC) + 8 + CHECKSUM_SIZE or not blob.startswith(ADAPTER_MAGIC):
-        raise ArtifactError(path, "not an adapter file")
-    payload = memoryview(blob)[:-CHECKSUM_SIZE]
-    if checksum(payload) != blob[-CHECKSUM_SIZE:]:
-        raise ArtifactError(path, "checksum mismatch (truncated or corrupt)")
-    version, dim = struct.unpack_from("<II", payload, len(ADAPTER_MAGIC))
+        header = fh.read(len(ADAPTER_MAGIC) + 8)
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(ADAPTER_MAGIC) + 8 + CHECKSUM_SIZE or not header.startswith(ADAPTER_MAGIC):
+            raise ArtifactError(path, "not an adapter file")
+        version, dim = struct.unpack_from("<II", header, len(ADAPTER_MAGIC))
+        w = read_checked(fh, path, header, (dim, dim))
     if version != ADAPTER_VERSION:
         raise ArtifactError(path, f"unsupported adapter version {version}")
-    data = payload[len(ADAPTER_MAGIC) + 8 :]
-    if len(data) != 8 * dim * dim:
+    if w is None:
         raise ArtifactError(path, f"payload size does not match dim {dim}")
     if expected_dim is not None and dim != expected_dim:
         raise ArtifactError(path, f"adapter dim {dim} != provider dim {expected_dim}")
-    w = np.frombuffer(data, dtype="<f8").reshape(dim, dim).copy()
     return Adapter(W=w)

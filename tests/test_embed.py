@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tabret.embed as embed_mod
+from tabret import synthdata
+from tabret.corpus import serialize_instance
 from tabret.embed import (
     CACHE_FORMAT,
     CacheDimError,
@@ -24,7 +26,7 @@ from tabret.embed import (
     embed_texts,
     mock_embed,
 )
-from tabret.fsio import ArtifactError, checksum
+from tabret.fsio import ArtifactError, checksum, write_matrix_bin
 from tabret.httpjson import ProviderError
 
 GOLDEN = Path(__file__).parent / "data" / "golden_mock_alice_dim64.json"
@@ -197,6 +199,26 @@ class TestBatchKernel:
         batched = peak(lambda: embed_texts(mock_cfg(), texts, None))
         per_text = peak(lambda: np.stack([mock_embed(t, 64) for t in texts]))
         assert batched <= 1.5 * per_text
+
+    def test_embed_then_write_holds_the_vectors_about_once(self, tmp_path):
+        # a serve-shaped embed stage: 400 tables of 12 rows, 4800 texts
+        # and 4800 x 64 vectors (2.46 MB). The mock writes its rows into
+        # the output and write_matrix_bin writes from it, so the stage
+        # peaks at about 1.9x the vectors (numpy 2.4.6); a separate rows
+        # array for the mock, or a bytes copy of the matrix to write,
+        # puts it above 3x.
+        corpus = synthdata.build_corpus(400, 12, 40, 1)
+        texts = [serialize_instance(t, i) for t in corpus.tables for i in range(len(t.instances))]
+        cache = EmbeddingCache(tmp_path / "cache", "mock-64")
+        tracemalloc.start()
+        try:
+            vectors = embed_texts(mock_cfg(), texts, cache)
+            write_matrix_bin(tmp_path / "instance_embeddings.bin", vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (4800, 64)
+        assert peak <= 2.5 * vectors.nbytes
 
 
 def get(cache, text):

@@ -5,10 +5,12 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,6 +45,11 @@ class TestChecksum:
         # pins the trailer: BLAKE2b at digest_size 8, raw bytes
         assert checksum(b"123456789").hex() == "7e73edbfe1aa9531"
 
+    def test_parts_hash_as_their_concatenation(self):
+        m = np.arange(6.0).reshape(2, 3)
+        assert checksum(b"head", m, b"") == checksum(b"head" + m.tobytes())
+        assert checksum() == checksum(b"")
+
     def test_detects_single_bit_flip(self):
         data = bytearray(b"some stable artifact bytes")
         reference = checksum(bytes(data))
@@ -74,6 +81,12 @@ class TestAtomicWrites:
         p = tmp_path / "f.bin"
         atomic_write_bytes(p, b"abc")
         assert p.read_bytes() == b"abc"
+
+    def test_writes_parts_in_order(self, tmp_path):
+        p = tmp_path / "f.bin"
+        m = np.arange(6.0).reshape(2, 3)
+        atomic_write_bytes(p, b"head", m, memoryview(b"tail"), np.zeros((0, 3)))
+        assert p.read_bytes() == b"head" + m.tobytes() + b"tail"
 
     def test_replaces_existing(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -402,6 +415,61 @@ class TestMatrixBin:
         p.write_bytes(p.read_bytes()[:-cut])
         with pytest.raises(ArtifactError):
             read_matrix_bin(p)
+
+
+def traced_peak(fn):
+    """fn's result, and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatrixBinCopies:
+    """A matrix crosses the disk in one copy. The matrix is a serve build's
+    4800 x 64 instance vectors (2.46 MB); 64 KiB covers the header, the
+    hash and the file objects (numpy 2.4.6, CPython 3.11)."""
+
+    SLACK = 64 * 1024
+
+    @pytest.fixture
+    def matrix(self, rng):
+        return rng.normal(size=(4800, 64))
+
+    def test_write_allocates_no_copy_of_the_matrix(self, tmp_path, matrix):
+        # a tobytes copy and a concatenation with the header hold 2x the matrix
+        _, peak = traced_peak(lambda: write_matrix_bin(tmp_path / "m.bin", matrix))
+        assert peak < self.SLACK
+
+    def test_read_allocates_the_matrix_once(self, tmp_path, matrix):
+        p = tmp_path / "m.bin"
+        write_matrix_bin(p, matrix)
+        out, peak = traced_peak(lambda: read_matrix_bin(p))
+        assert out.tobytes() == matrix.tobytes()
+        assert peak <= matrix.nbytes + self.SLACK
+
+    @pytest.mark.parametrize(
+        "trailer, problem",
+        [("kept", "checksum mismatch"), ("rewritten", "payload size does not match header")],
+    )
+    def test_a_header_claiming_more_rows_allocates_nothing_by_them(
+        self, tmp_path, matrix, trailer, problem
+    ):
+        # a million rows of dim 64 would be 512 MB
+        p = tmp_path / "m.bin"
+        write_matrix_bin(p, matrix)
+        raw = bytearray(p.read_bytes())
+        raw[:4] = struct.pack("<I", 1_000_000)
+        if trailer == "rewritten":
+            raw[-8:] = checksum(bytes(raw[:-8]))
+        p.write_bytes(bytes(raw))
+
+        def read():
+            with pytest.raises(ArtifactError, match=f"^{re.escape(str(p))}: {problem}"):
+                read_matrix_bin(p)
+
+        assert traced_peak(read)[1] < self.SLACK
 
 
 class TestManifest:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import tabret.train as train_mod
+from tabret.embed import mock_embed
 from tabret.fsio import ArtifactError, checksum
 from tabret.mining import TrainingTriple
 from tabret.train import (
@@ -325,6 +326,47 @@ class TestMatchesPerNegativeReference:
         assert sum(stacked) == cfg.epochs * len(triples) == report.triples_seen
         # equal-length triples: one stack per window of 4, 4 and 2
         assert stacked == [4, 4, 2] * cfg.epochs
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "d, column", [(1, None), *((d, c) for d in (2, 64) for c in ("+0.0", "-0.0", "underflow"))]
+    )
+    def test_exact_zero_entries_keep_the_reference_bytes(self, d, column, seed):
+        # gradient entries that come out exactly zero take the zero-entry
+        # path: at d = 1 every term is a signed zero; otherwise one column
+        # holds the same signed zero in every vector of every triple, or
+        # +-0.0 and +-5e-324, whose products with the row gradients
+        # underflow to +-0.0 or stay one subnormal step from it
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(3, 6, d))
+        stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+        if column == "underflow":
+            tiny = rng.choice([-5e-324, -0.0, 0.0, 5e-324], size=stack.shape[:2])
+            stack[:, :, rng.integers(d)] = tiny
+        elif column is not None:
+            stack[:, :, rng.integers(d)] = float(column)
+        w = np.eye(d) + 0.1 * rng.normal(size=(d, d))
+        losses, grads = loss_and_grad(w, stack, 1.0)
+        zero_entries = 0
+        for j, rows in enumerate(stack):
+            ref_loss, ref_grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], 1.0)
+            assert losses[j] == ref_loss
+            assert grads[j].tobytes() == ref_grad.tobytes()
+            zero_entries += int((ref_grad == 0.0).sum())
+        assert zero_entries > 0
+
+    def test_terms_that_cancel_in_row_order_keep_the_reference_bytes(self):
+        # mock embeddings of short texts share values, so an entry's terms
+        # can cancel exactly in row order and leave a residue when summed
+        # in another order, as a pairwise sum over the 8 rows would
+        texts = ["sku b model", "c", "a c zone", "2 1", "zone c", "1 aisle", "x c model",
+                 "aisle part"]
+        rows = np.stack([mock_embed(t, 8) for t in texts])
+        losses, grads = loss_and_grad(np.eye(8), rows[None], 0.07)
+        ref_loss, ref_grad = reference_loss_and_grad(np.eye(8), rows[0], rows[1], rows[2:], 0.07)
+        assert losses.tolist() == [ref_loss]
+        assert grads[0].tobytes() == ref_grad.tobytes()
+        assert (ref_grad == 0.0).any()
 
 
 class TestFirstFailureInWindowOrder:
