@@ -239,7 +239,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
 
     workspace = _directory(base, "workspace", top.take("workspace", Path, Path("workspace")))
     cache_dir = _directory(base, "cache_dir", top.take("cache_dir", Path, workspace / "embed_cache"))
-    seed = top.take("seed", int, 0)
+    seed = top.take("seed", int, 0) % 2**64  # stages draw from its low 64 bits
 
     embedding = top.section("embedding").build(ProviderConfig)
     chat = top.section("chat").build(ChatConfig)

@@ -7,24 +7,10 @@ strategy draws h uniformly, for ablations. Similarity is a dot product
 because all vectors are unit-norm. Mining always uses the frozen base
 embeddings, never the adapter.
 
-The candidate matrix is stacked once per mine_all call, and its rows
-outside one source table, matrix[eligible] in candidate-list order, are
-gathered once per table. Each of that table's queries then scores them
-with one gemv and keeps the top h by (-score, pt_id) through
-lexsort_head. np.partition finds the h-th smallest -score, and
-np.lexsort orders only the rows at or below it, ties included, so the
-picks are those of a lexsort of the whole pool (tests/test_mining.py
-keeps that lexsort as the oracle) without its O(P log P) per query. -0.0
-and 0.0 compare equal in both, so their tie goes to the pt_id.
-lexsort_head has a second caller: retrieval.rank_tables takes a search's
-top k tables with it, by (-fused score, table position). A Q x P gemm,
-or one gemv over the full matrix with the query's own table masked
-afterwards, would be fewer calls but not the same bits: a row's dot
-product can change in its last bits with the row's position in the
-matrix a gemv is given, which reorders near-ties. On OpenBLAS 0.3.31
-with 800 x 64 unit rows, 79 of 39900 scores differed between the full
-matrix and the same matrix less two rows, and 32963 of 40000 between a
-gemm and per-query gemvs.
+mine_all stacks the candidate matrix once and mines one source table's
+queries at a time: scoring.hardest gathers the table's pool once and
+keeps each query's top h by (-score, pt_id). The pool is gathered, not
+masked out of the full matrix, to keep its scores' bits (see scoring).
 """
 
 from __future__ import annotations
@@ -36,6 +22,7 @@ import numpy as np
 
 from .kpt import PartialTable, keyed_rng
 from .querygen import SyntheticQuery
+from .scoring import hardest
 
 
 MINING_STRATEGIES = ("hard", "random")
@@ -101,38 +88,27 @@ def mine_all(
     mined: dict[int, TrainingTriple] = {}
     for table_id, members in by_table.items():
         eligible = row_table != table_code.get(table_id, -1)
-        if not eligible.any():
+        take = min(cfg.h, int(eligible.sum()))
+        if not take:
             continue
-        pool, pool_ids, pool_rank = matrix[eligible], pt_ids[eligible], id_rank[eligible]
-        take = min(cfg.h, len(pool_ids))
-        # the random strategy draws from the pool in pt_id order
-        by_id = pool_ids[np.argsort(pool_rank)] if cfg.strategy == "random" else None
-        for i in members:
-            query = queries[i]
-            if cfg.strategy == "hard":
-                chosen = pool_ids[lexsort_head(-np.dot(pool, query_vecs[i]), pool_rank, take)]
-            else:
-                rng = keyed_rng(cfg.seed, query.query_id)
-                chosen = by_id[rng.choice(len(by_id), size=take, replace=False)]
+        if cfg.strategy == "hard":
+            picks = hardest(matrix, eligible, id_rank, query_vecs[members], take)
+        else:
+            # the random strategy draws from the pool in pt_id order
+            by_id = eligible.nonzero()[0][np.argsort(id_rank[eligible])]
+            picks = [by_id[keyed_rng(cfg.seed, queries[i].query_id).choice(
+                len(by_id), size=take, replace=False)] for i in members]
+        for i, rows in zip(members, picks):
             mined[i] = TrainingTriple(
-                query_id=query.query_id,
-                positive_pt_id=query.pt_id,
-                negative_pt_ids=tuple(chosen.tolist()),
+                query_id=queries[i].query_id,
+                positive_pt_id=queries[i].pt_id,
+                negative_pt_ids=tuple(pt_ids[rows].tolist()),
                 strategy=cfg.strategy,
             )
     order = sorted(range(len(queries)), key=lambda i: queries[i].query_id)
     triples = [mined[i] for i in order if i in mined]
     skipped = [queries[i].query_id for i in order if i not in mined]
     return triples, skipped
-
-
-def lexsort_head(key: np.ndarray, rank: np.ndarray, take: int) -> np.ndarray:
-    """np.lexsort((rank, key))[:take], for 1 <= take <= len(key), sorting
-    only the rows that can be among them: every row whose key is at most
-    the take-th smallest."""
-    kth = np.partition(key, take - 1)[take - 1]
-    rows = (key <= kth).nonzero()[0]
-    return rows[np.lexsort((rank[rows], key[rows]))[:take]]
 
 
 def triple_from_record(rec: dict) -> TrainingTriple:

@@ -14,50 +14,25 @@ so no query is ranked in another space than the one the index was built
 in. An index has at least one entry.
 
 An index groups its rows by table once, when it is built or loaded, so a
-block of queries is one stacked matmul over the whole matrix plus
-whole-array fusion. _scores makes that matmul for evaluate:
-np.matmul(index.vectors, q_vecs[:, :, None]) broadcasts the matrix over
-the block, numpy hands each query's product to BLAS gemv, and out= only
-names where the result goes, so every score has the bits of
-np.dot(index.vectors, q). That held bit for bit on numpy 2.4.6 with
-OpenBLAS 0.3.31 in nine shapes of 1 to 2000 rows, 1 to 800 queries and
-d = 8, 64 and 128; one gemm of the block against the matrix's transpose
-differed in 528095 of 640000 scores at 800 x 800 x 64, so it is not
-used. A block of one, which is what search scores, is that np.dot
-itself, written through out= into the block: the same gemv without the
-stacked matmul's broadcasting (about 7.1 against 8.5 us at 800 x 64 on
-a 2-vCPU Xeon, one BLAS thread). Two more floating-point facts fix the
-rest: a row's score can change in its last bits with the row's position
-in the matrix a gemv is given (see mining), so every query scores the
-full matrix in stored order; and np.add.reduceat does not add a group
-left to right (it differed from Python's sum in 9432 of 20000 random
-groups), so mean fusion adds the grid's rows one by one, the k-th score
-of every table at step k, which is sum(v)'s order. Max fusion takes the
-grid's column maxima.
+block of queries is one scoring.score_block over the whole matrix plus
+whole-array fusion. A block holds one pad column past the last row's
+score, -inf under max fusion and 0.0 under mean, which the grid's
+padding points at. Every score has the bits of np.dot(index.vectors, q)
+(see scoring). np.add.reduceat does not add a group left to right (it
+differed from Python's sum in 9432 of 20000 random groups), so mean
+fusion adds the grid's rows one by one, the k-th score of every table at
+step k, which is sum(v)'s order. Max fusion takes the grid's column
+maxima.
 
-build_index maps its rows, and evaluate its queries once before any
-block, through adapter_apply_rows: one stacked np.matmul whose products
-numpy hands to gemv and dot one row at a time, so every mapped vector
-has the bits of adapter_apply's W @ v and out.dot(out) (see train).
-search maps its one query with adapter_apply.
+build_index and evaluate map their rows through adapter_apply_rows,
+which keeps the bits of the adapter_apply that search maps its query
+with (see train).
 
 evaluate scores its queries in blocks of about _BLOCK_BYTES of scores,
-so memory stays bounded however many queries there are. A block holds
-one pad column past the last row's score, -inf under max fusion and 0.0
-under mean, which the grid's padding points at. A gold table's rank is
-counted, not sorted: the tables scoring above it, plus the tables before
-it in table_id order that tie with it, plus one. argsort(-fused,
-kind="stable") puts the gold table at exactly that position, as every
-fused score is finite: a stable sort places first the entries that
-compare below it and then the equal ones that come earlier, in their
-original order.
-
-search keeps only the head of that same (-score, table_id) order, and
-takes it by selection: rank_tables hands -fused and the table positions
-to mining.lexsort_head, which partitions for the k-th smallest key and
-lexsorts only the tables at or below it, ties included. Equal scores,
--0.0 and 0.0 among them, so keep table_id order, as in the stable sort
-of every table that tests/test_retrieval.py keeps as the oracle.
+so memory stays bounded however many queries there are, and counts each
+gold table's rank with scoring.counted_rank. search keeps only the head
+of the same (-score, table_id) order: rank_tables takes it with
+scoring.lexsort_head over -fused and the table positions.
 """
 
 from __future__ import annotations
@@ -79,12 +54,14 @@ from .fsio import (
     write_matrix_bin,
 )
 from .kpt import PartialTable
-from .mining import lexsort_head
 from .querygen import SyntheticQuery
+from .scoring import counted_rank, lexsort_head, score_block
 from .train import Adapter, adapter_apply, adapter_apply_rows
 
 REPRESENTATION_MODES = ("pt_only", "pt_plus_queries")
 FUSIONS = ("max", "mean")
+# the score a block gives the grid's padding, which changes no fused score
+_PAD = {"max": -np.inf, "mean": 0.0}
 # evaluate scores queries in blocks of about this many bytes of scores
 _BLOCK_BYTES = 1 << 18
 
@@ -184,21 +161,8 @@ def build_index(
     )
 
 
-def _scores(index: RetrievalIndex, q_vecs: np.ndarray) -> np.ndarray:
-    """Every row's score for each query of q_vecs, one query per row, and
-    one column past the last row holding the pad that fusion gives the
-    grid's padding."""
-    block = np.empty((len(q_vecs), len(index.pt_ids) + 1))
-    block[:, -1] = -np.inf if index.config.fusion == "max" else 0.0
-    if len(q_vecs) == 1:
-        np.dot(index.vectors, q_vecs[0], out=block[0, :-1])
-    else:
-        np.matmul(index.vectors, q_vecs[:, :, None], out=block[:, :-1, None])
-    return block
-
-
 def _fuse(index: RetrievalIndex, scores: np.ndarray) -> np.ndarray:
-    """Fused table scores from a block of _scores, one query per row."""
+    """Fused table scores from a block of score_block, one query per row."""
     by_table = scores.take(index._grid, axis=1)
     if index.config.fusion == "max":
         return by_table.max(axis=1)
@@ -220,9 +184,8 @@ def rank_tables(
     the head of np.argsort(-fused, kind="stable"), so equal scores keep
     table_id order, found by selection.
     """
-    fused = _fuse(index, _scores(index, q_vec[None]))[0]
-    positions = np.arange(len(fused))
-    return lexsort_head(-fused, positions, min(top_k, len(fused))), fused
+    fused = _fuse(index, score_block(index.vectors, q_vec[None], _PAD[index.config.fusion]))[0]
+    return lexsort_head(-fused, np.arange(len(fused)), min(top_k, len(fused))), fused
 
 
 def search(
@@ -264,14 +227,11 @@ def evaluate(
         q_vecs = adapter_apply_rows(index.adapter, q_vecs)
     golds = np.array([position[gold_id] for _, gold_id in gold])
     per_block = max(1, _BLOCK_BYTES // (8 * (len(index.pt_ids) + 1)))
-    earlier = np.arange(len(index.tables))
+    pad = _PAD[index.config.fusion]
     ranks: list[int] = []
     for start in range(0, len(gold), per_block):
-        fused = _fuse(index, _scores(index, q_vecs[start : start + per_block]))
-        at = golds[start : start + per_block, None]
-        g = np.take_along_axis(fused, at, axis=1)
-        ahead = (fused > g) | ((fused == g) & (earlier < at))
-        ranks.extend((ahead.sum(axis=1) + 1).tolist())
+        fused = _fuse(index, score_block(index.vectors, q_vecs[start : start + per_block], pad))
+        ranks.extend(counted_rank(fused, golds[start : start + per_block]).tolist())
     recall = {
         k: round(100.0 * sum(1 for r in ranks if r <= k) / len(ranks), 2) for k in ks
     }

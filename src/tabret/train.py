@@ -24,34 +24,30 @@ triples the same way, and both add the results in triple order.
 loss_and_grad works on whole arrays in the order of operations of a
 loop with one np.outer per term (tests/test_train.py keeps that loop,
 and the train loop around it, as its oracles), so the window sums and
-the adapter keep their bits. Its BLAS calls are, per triple, W @ q,
-W @ pos, negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, as in that loop: a stacked
-np.matmul with a broadcast or per-slice matrix hands each slice to the
-same gemv, gemm or dot, with the slice's own shape. Only the work
-around them is shaped for speed. Checked on numpy 2.4 with OpenBLAS
-0.3.31 (3000 random stacks of 1 to 39 triples, d from 1 to 64, each
-slice against the loop, byte for byte):
+the adapter keep their bits. Its BLAS calls are the loop's, per triple:
+W @ q, W @ pos, negs @ W.T, n_hat @ q_hat and n_hat.T @ ds, each made
+as a stacked np.matmul (see scoring). Only the work around them is
+shaped for speed (checked byte for byte against the loop on 3000 random
+stacks of 1 to 39 triples, d from 1 to 64):
 
 - Norms are numpy's own np.linalg.norm formulas: sqrt(v.dot(v)) for a
-  vector, taken as a stacked (1, d) @ (d, 1) matmul, which numpy hands
-  to the same dot, and sqrt(np.add.reduce(v * v)) along each row.
+  vector, taken as a stacked (1, d) @ (d, 1) matmul, and
+  sqrt(np.add.reduce(v * v)) along each row.
 - One exp(z - max z) serves both the loss and the softmax; exp is
   elementwise, so its slice [1:] has the bits of exp(z[1:] - max z).
   Each row's loss takes log1p or log as np.where picks, and the
   ufuncs give an array element the bits they give it alone.
 - The tangent projections take all h + 2 dot products with one stacked
-  np.matmul of (h+2, 1, d) by (h+2, d, 1). Each product has the bits of
-  np.dot of the two rows; einsum sums in a different order.
+  np.matmul of (h+2, 1, d) by (h+2, d, 1); einsum sums in another order.
 - Each triple's h + 2 outer products are summed by one
   np.einsum("ia,ib->ab") call and added into the window's sum, triple
   after triple. The einsum sums from +0.0, so it can give +0.0 where the
-  loop gives -0.0 (at d == 1, where it sums in another order, every term
-  is a signed zero); nothing else differs. No bit of the window sum can
-  see that sign: the sum starts at +0.0, and under round-to-nearest a
-  sum that starts at +0.0 never becomes -0.0 (of 9045 random triples,
-  617 gradients differed from the loop's in a zero's sign, and no window
-  sum differed). A stacked "tia,tib->tab" kept the bits but was slower
-  than the per-triple calls.
+  loop gives -0.0; nothing else differs. The window sum cannot see that
+  sign: it starts at +0.0, and under round-to-nearest a sum that starts
+  at +0.0 never becomes -0.0 (of 9045 random triples, 617 gradients
+  differed from the loop's in a zero's sign, and no window sum did). A
+  stacked "tia,tib->tab" kept the bits but was slower than per-triple
+  calls; one einsum or gemm over a whole window changes bits (scoring).
 - mean_loss runs the forward pass only.
 
 A stack fails as a whole on a collapsed norm, and _forward names the
@@ -62,24 +58,11 @@ raises, as it would on its own; if none fails alone, the sum overflowed,
 and the stack's first triple is named. mean_loss names the first
 collapsing triple of its stack. Both errors name the triple's query_id.
 
-adapter_apply_rows maps a whole matrix in one pass with the bits of
-adapter_apply per row: np.matmul(W, V[:, :, None]) broadcasts W over a
-stack of (d, 1) columns and numpy hands each product to BLAS gemv, as
-W @ v does, and np.matmul(O[:, None, :], O[:, :, None]) hands each
-squared norm to the dot that out.dot(out) takes. Checked on numpy 2.4
-with OpenBLAS 0.3.31 for 1 and 800 rows at d = 8, 64 and 1024
-(tests/test_train.py keeps the per-row loop as the oracle, so a numpy
-that dispatches otherwise fails there). np.einsum("ij,ij->i") sums the
-squared norms in another order (it differed from out.dot(out) in 2583
-of 5000 random rows at d = 64, one thread), and V @ W.T is one gemm,
-which OpenBLAS blocks differently (see below); neither is used.
-
-What stays out of scope is one BLAS product for a whole window: a
-window-wide gemm for negs @ W.T or n_hat @ q_hat, or one einsum over the
-window, hands OpenBLAS a larger product, which it blocks differently,
-and that changes the last bits of its rows (V @ W.T against per-row
-W @ v differed in 41410 of 51200 entries, 800 x 64, one thread). The
-adapter would no longer be byte-identical.
+adapter_apply_rows maps a whole matrix with the bits of adapter_apply per
+row (tests/test_train.py keeps that loop as the oracle): its stacked
+matmuls hand each row to the gemv of W @ v, and each squared norm to the
+dot of out.dot(out). np.einsum("ij,ij->i") would sum the squared norms
+in another order, and V @ W.T is one gemm; neither is used.
 
 adapter.bin holds the magic, u32 version, u32 dim and row-major f64 W,
 then the 8-byte BLAKE2b trailer of fsio.checksum. Version 2 marks that

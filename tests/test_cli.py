@@ -80,6 +80,15 @@ class TestRunCommand:
         assert all(f"[{st}] fresh" in err for st in ("ingest", "embed", "cluster"))
         assert "[kpt] done" in err
 
+    def test_seeds_equal_modulo_2_to_the_64_are_one_build(self, project, capsys):
+        # every stage draws from the seed's low 64 bits, and so does the hash
+        config = ["run", "--config", str(project / "config.yaml")]
+        assert main([*config, "--set", "seed=-1"]) == 0
+        capsys.readouterr()
+        assert main([*config, "--set", f"seed={2**64 - 1}"]) == 0
+        err = capsys.readouterr().err
+        assert [st for st in pipeline_module.STAGES if f"[{st}] fresh" not in err] == []
+
     def test_locked_workspace_exits_1(self, project, capsys):
         with WorkspaceLock(project / "ws"):
             assert main(["run", "--config", str(project / "config.yaml")]) == 1

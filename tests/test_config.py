@@ -78,6 +78,10 @@ class TestDefaults:
         cfg = load_config(write_config(tmp_path, body))
         assert cfg.corpus_path == tmp_path / "other" / "c.jsonl"
 
+    def test_seed_is_taken_modulo_2_to_the_64(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, MINIMAL + "seed: -1\n"))
+        assert cfg.seed == cfg.train.seed == 2**64 - 1
+
     def test_seed_propagates_to_stage_configs(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL + "seed: 42\n"))
         assert cfg.clustering.seed == 42

@@ -9,14 +9,16 @@ path (in the ingest config hash and the corpus's key), and its stamp
 lines hold inode numbers and file times, so it differs between two runs
 of one tree. The files it vouches for are compared instead.
 
-Some bits depend on the numeric stack: the mining, train and retrieval
-docstrings record gemv and dot results that depend on the BLAS. So the
-file also records numpy's version and the BLAS and SIMD entries of
-numpy.show_config(mode="dicts"). The files computed without BLAS are
-compared on every stack, by one test; the rest are compared, by the
-other, only on the stack the file was made on, and on another stack that
-test is skipped with the difference as its reason. Each test's name says
-which set it compares.
+Some bits depend on the numeric stack: the scoring docstring records
+gemv, gemm and dot results that depend on the BLAS. So the file also
+records numpy's version, the BLAS and SIMD entries of
+numpy.show_config(mode="dicts"), and the kernel that OpenBLAS picks at
+run time, since its DYNAMIC_ARCH build gives other bits under another
+kernel (OPENBLAS_CORETYPE=Haswell on a SkylakeX host, say). The files
+computed without BLAS are compared on every stack, by one test; the rest
+are compared, by the other, only on the stack the file was made on, and
+on another stack that test is skipped with the difference as its reason.
+Each test's name says which set it compares.
 
 A change that alters bits on purpose regenerates the file with
 
@@ -27,6 +29,7 @@ and lists each changed file in CHANGES.md.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import json
 import sys
@@ -47,11 +50,35 @@ BLAS_FREE = ("corpus.jsonl", "instance_embeddings.bin", "clusters.jsonl", "kpts.
 RUNS = (("cold", []), ("fusion-mean", ["retrieval.fusion=mean"]))
 
 
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs on, or None where numpy
+    bundles no such library."""
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def numeric_stack() -> dict:
-    """numpy's version and its BLAS and SIMD entries, without install paths."""
+    """numpy's version, its BLAS and SIMD entries without install paths,
+    and the BLAS kernel."""
     info = np.show_config(mode="dicts")
     blas = {k: v for k, v in info["Build Dependencies"]["blas"].items() if "directory" not in k}
-    return {"numpy": np.__version__, "blas": blas, "simd": info["SIMD Extensions"]}
+    return {"numpy": np.__version__, "blas": blas, "simd": info["SIMD Extensions"],
+            "blas_kernel": blas_kernel()}
+
+
+def skip_unless_on_stack(recorded: dict) -> None:
+    """Skip the calling test, naming each entry that differs, unless this
+    is the numeric stack recorded."""
+    here = numeric_stack()
+    differs = [f"{k} is {here[k]!r} here, {recorded.get(k)!r} recorded"
+               for k in sorted(here) if here[k] != recorded.get(k)]
+    if differs:
+        pytest.skip(f"numeric stack differs from the recorded one: {'; '.join(differs)}; "
+                    f"only the BLAS-free files were compared")
 
 
 def measure(workdir: Path) -> dict[str, dict[str, str]]:
@@ -96,11 +123,7 @@ def test_blas_free_files_match_the_golden_digests_on_any_stack(golden, built):
 
 
 def test_every_file_matches_the_golden_digests_on_the_recorded_stack(golden, built):
-    here = numeric_stack()
-    if here != golden["stack"]:
-        differs = sorted(k for k in here if here[k] != golden["stack"].get(k))
-        pytest.skip(f"numeric stack differs from the recorded one in {differs}; "
-                    f"only the BLAS-free files were compared")
+    skip_unless_on_stack(golden["stack"])
     for run, _ in RUNS:
         changed = changed_files(golden["runs"][run], built[run])
         assert not changed, f"{run}: {changed} changed"

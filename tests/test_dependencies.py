@@ -1,6 +1,7 @@
 """The runtime dependencies in pyproject.toml are exactly what the package
-imports, and every module-level function and class, and every method of
-such a class, has a caller outside tests."""
+imports, every module-level function and class, and every method of
+such a class, has a caller outside tests, and ranking is selected and
+sorted only in scoring."""
 
 import ast
 import os
@@ -109,3 +110,25 @@ def test_every_module_level_function_and_class_is_referenced():
         if name not in used | UNREFERENCED
     }
     assert not unreferenced, "reached only from tests: delete them, or test through a caller"
+
+
+def test_ranking_is_selected_and_sorted_only_in_scoring():
+    """retrieval takes nothing from mining, and within the package only
+    scoring.py calls np.lexsort or np.partition, so the (-score, rank)
+    rule of search, evaluate and mining is written once."""
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "retrieval.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "mining" not in imported
+    callers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+        and node.func.attr in ("lexsort", "partition")
+    }
+    assert callers == {"scoring.py"}

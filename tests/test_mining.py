@@ -11,7 +11,6 @@ from tabret.mining import (
     MINING_STRATEGIES,
     MiningConfig,
     TrainingTriple,
-    lexsort_head,
     mine_all,
     triple_from_record,
 )
@@ -169,28 +168,7 @@ def lexsort_mine(queries, query_vecs, pts, h, pt_vecs):
     return picks
 
 
-# exact ties and both signed zeros, among values of either sign
-TIE_VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
-
-
 class TestSelectionMatchesFullLexsort:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        neg=st.lists(st.one_of(TIE_VALUES, st.floats(-1, 1)), min_size=1, max_size=40),
-        data=st.data(),
-    )
-    def test_hardest_is_the_head_of_the_full_lexsort(self, neg, data):
-        neg = np.array(neg)
-        rank = np.array(data.draw(st.permutations(range(len(neg)))), dtype=np.intp)
-        take = data.draw(st.integers(1, len(neg)))
-        assert lexsort_head(neg, rank, take).tolist() == np.lexsort((rank, neg))[:take].tolist()
-
-    def test_signed_zeros_tie_and_break_by_rank(self):
-        neg = np.array([0.0, -0.0, -0.0, 0.0, 1.0])
-        rank = np.array([3, 4, 0, 1, 2])
-        assert lexsort_head(neg, rank, 2).tolist() == [2, 3]
-        assert lexsort_head(neg, rank, 4).tolist() == [2, 3, 0, 1]
-
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mine_all_picks_as_a_lexsort_of_the_whole_pool(self, data):

@@ -245,16 +245,10 @@ def scored_index(draw):
 
 
 class TestStackedScoresKeepThePerQueryBits:
-    """_scores is one stacked matmul for a whole block of queries; every
-    score, fused score and rank must keep the bits of the per-query np.dot
-    that search and evaluate made before."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=scored_index())
-    def test_scores_equal_a_loop_of_dot_bit_for_bit(self, case):
-        index, q_vecs, _ = case
-        want = np.stack([parent_scores(index, q) for q in q_vecs])
-        assert np.array_equal(bits(retrieval._scores(index, q_vecs)), bits(want))
+    """score_block is one stacked matmul for a whole block of queries
+    (tests/test_scoring.py checks its scores); every fused score and rank
+    must keep the bits of the per-query np.dot that search and evaluate
+    made before."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=scored_index())
@@ -262,7 +256,7 @@ class TestStackedScoresKeepThePerQueryBits:
         # planted row scores: exact ties and zeros of both signs
         index, q_vecs, rng = case
         block = rng.choice([0.0, -0.0, 0.25, -0.25, 1.0], size=(len(q_vecs), len(index.pt_ids) + 1))
-        block[:, -1] = retrieval._scores(index, q_vecs[:1])[0, -1]
+        block[:, -1] = retrieval._PAD[index.config.fusion]
         want = np.stack([parent_fuse(index, row) for row in block])
         assert np.array_equal(bits(retrieval._fuse(index, block)), bits(want))
 
@@ -321,7 +315,7 @@ class TestSearchTakesTheHeadOfTheStableSort:
         index, block = case
         top_k = data.draw(st.integers(1, len(index.tables) + 2), label="top_k")
         q_vec = np.array([1.0, 0.0])
-        with mock.patch.object(retrieval, "_scores", lambda index, q_vecs: block.copy()), \
+        with mock.patch.object(retrieval, "score_block", lambda matrix, q_vecs, pad: block.copy()), \
                 mock.patch.object(retrieval, "embed_texts", lambda *args: q_vec[None]):
             top, fused = rank_tables(index, q_vec, top_k)
             want = np.argsort(-fused, kind="stable")[:top_k]
@@ -345,7 +339,7 @@ class TestSearchTakesTheHeadOfTheStableSort:
         index = hand_index([("p0", "c", [0.0, 1.0]), ("p1", "a", [0.0, 1.0]),
                             ("p2", "b", [0.0, 1.0]), ("p3", "d", [1.0, 0.0])])
         block = np.array([[0.0, -0.0, 0.0, -1.0, -np.inf]])
-        with mock.patch.object(retrieval, "_scores", lambda index, q_vecs: block.copy()):
+        with mock.patch.object(retrieval, "score_block", lambda matrix, q_vecs, pad: block.copy()):
             top, fused = rank_tables(index, np.array([1.0, 0.0]), 3)
         assert bits(fused).tolist() == bits(np.array([-0.0, 0.0, 0.0, -1.0])).tolist()
         assert [index.tables[i] for i in top] == ["a", "b", "c"]

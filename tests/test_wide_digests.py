@@ -33,7 +33,8 @@ from tabret import pipeline, synthdata
 from tabret.config import load_config
 from tabret.corpus import write_corpus
 
-from test_demo_digests import BLAS_FREE, RUNS, SCRIPT, changed_files, numeric_stack
+from test_demo_digests import (BLAS_FREE, RUNS, SCRIPT, changed_files, numeric_stack,
+                               skip_unless_on_stack)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "wide_digests.json"
 CORPUS = {"n_tables": 150, "n_rows": 12, "tables_per_family": 15, "seed": 1}
@@ -82,11 +83,7 @@ def test_blas_free_files_match_the_golden_digests_on_any_stack(golden, built):
 
 
 def test_every_file_matches_the_golden_digests_on_the_recorded_stack(golden, built):
-    here = numeric_stack()
-    if here != golden["stack"]:
-        differs = sorted(k for k in here if here[k] != golden["stack"].get(k))
-        pytest.skip(f"numeric stack differs from the recorded one in {differs}; "
-                    f"only the BLAS-free files were compared")
+    skip_unless_on_stack(golden["stack"])
     for run, _ in RUNS:
         changed = changed_files(golden["runs"][run], built[run])
         assert not changed, f"{run}: {changed} changed"
