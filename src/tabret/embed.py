@@ -11,15 +11,16 @@ key's digest and its bytes. The index is a binary array of (digest,
 offset) entries, appended under an exclusive flock so that processes
 sharing a cache directory never interleave, and a format-2 cache (JSON
 index lines) is migrated when first opened (see EmbeddingCache).
-embed_texts looks up all its texts with one get_many, which reads each
-run of records lying end to end in the .bin with one pread. It fills one
-preallocated (n, dim) array, so no list of rows is stacked at the end:
-each hit goes into its row once its dim is checked, the mock writes each
-chunk's rows, and each HTTP response goes with one assignment, into the
-rows where their texts first occur, and a text that occurs again takes
-a copy of its first row at the end. No other (n, dim) array is made:
-each batch of misses is cached from its rows of that array, as it
-arrives.
+embed_texts fills one preallocated (n, dim) array, so no list of rows is
+stacked at the end. One get_many writes each cached text's vector
+straight into its rows of that array, reading every record at the size
+a record of dim has, one pread per run of records lying end to end in
+the .bin, and returns the mask of the rows it wrote; the misses are the
+other rows. The mock writes each chunk's rows, and each HTTP response
+goes with one assignment, into the rows where their texts first occur,
+and a missed text that occurs again takes a copy of its first row at
+the end. No other (n, dim) array is made: each batch of misses is
+cached from its rows of that array, as it arrives.
 
 embed_texts runs the mock over a whole batch of misses at once: the
 texts' code points (UTF-32) become one int64 key per gram, np.unique
@@ -45,7 +46,6 @@ import fcntl
 import hashlib
 import itertools
 import math
-import operator
 import os
 import re
 import struct
@@ -233,9 +233,15 @@ class EmbeddingCache:
     entry under the lock; bytes a killed append left in the .bin are never
     indexed. Threads of one process also share an in-process lock.
 
-    get_many serves a batch with one pread per run of records that are
-    contiguous in the .bin (sorted by offset and sized by the last good
-    record), so one text costs one key, one lookup and one pread.
+    get_many reads at the caller's dim, the width of the array it writes
+    the vectors into: every record at the size a record of that dim has,
+    in offset order, one pread per run of records that lie end to end in
+    the .bin, so one text costs one key, one lookup and one pread. It is
+    also where the dim is checked, by one rule: a record whose dim field
+    is another is read again alone, at its own size if the .bin holds
+    that much. Sound, it raises CacheDimError (the model's vectors at
+    another dim, which is no damage); else ArtifactError (truncated, or a
+    checksum mismatch).
     """
 
     def __init__(self, cache_dir: str | Path, model_name: str) -> None:
@@ -253,7 +259,6 @@ class EmbeddingCache:
         self._v2 = (self.cache_dir / f"{stem}.v2.bin", self.cache_dir / f"{stem}.v2.idx.jsonl")
         self.model_name = model_name
         self._lock = threading.Lock()
-        self._record_size = 4
         self._offsets: dict[bytes, int] = {}
         self._indexed = 0  # bytes of .idx read into _offsets
         self._lock_fd = self._open(self.lock_path)
@@ -355,55 +360,64 @@ class EmbeddingCache:
         old_idx.unlink()
         old_bin.unlink(missing_ok=True)
 
-    def get_many(self, texts: list[str]) -> list[np.ndarray | None]:
-        """The cached vector of each text, or None where it has none.
+    def get_many(self, texts: list[str], out: np.ndarray) -> np.ndarray:
+        """Write the cached vector of each text into its row of out, an
+        (n, dim) array, and return the mask of the rows written.
 
-        Each distinct key is read once, its records in offset order, one
-        pread per run of records that lie end to end in the .bin.
+        Each distinct key's record is read once, at the size of a record
+        of out's dim, in offset order: one pread per run of records that
+        lie end to end in the .bin.
         """
-        if len(texts) == 1:  # a search query: one key, one lookup, one pread
-            key = self.key(texts[0])
-            offset = self._offsets.get(key)
-            if offset is None:
-                return [None]
-            record = os.pread(self._bin_fd, self._record_size, offset)
-            return [self._vector(key, offset, record, 0)]
-        keys = [self.key(text) for text in texts]
-        offsets = self._offsets
-        located = {k: offsets[k] for k in keys if k in offsets}
-        pending = sorted(located.items(), key=operator.itemgetter(1))
-        if not pending:
-            return [None] * len(keys)
-        found: dict[bytes, np.ndarray] = {}
-        at = 0
-        while at < len(pending):
-            size, first = self._record_size, pending[at][1]
-            end = at + 1
-            while end < len(pending) and pending[end][1] == pending[end - 1][1] + size:
-                end += 1
-            run = os.pread(self._bin_fd, pending[end - 1][1] + size - first, first)
-            for key, offset in pending[at:end]:
-                found[key] = self._vector(key, offset, run, offset - first)
-            at = end
-        return [found.get(key) for key in keys]
-
-    def _vector(self, key: bytes, offset: int, run: bytes, at: int) -> np.ndarray:
-        """The vector of key's record at offset, found at run[at:] if the
-        run holds all of it, else read alone."""
-        dim = _DIM.unpack_from(run, at)[0] if len(run) >= at + 4 else 0
+        dim = out.shape[1]
         size = 4 + 8 * dim + CHECKSUM_SIZE
-        if len(run) < at + size:
-            # a corrupt dim must not turn into a huge read
-            if len(run) < at + 4 or offset + size > os.fstat(self._bin_fd).st_size:
-                raise ArtifactError(self.bin_path, f"truncated record at {offset}")
-            run, at = os.pread(self._bin_fd, size, offset), 0
-            if len(run) < size:
-                raise ArtifactError(self.bin_path, f"truncated record at {offset}")
-        record = run[at : at + size]
+        offsets = self._offsets
+        rows: dict[bytes, list[int]] = {}
+        for i, text in enumerate(texts):
+            key = self.key(text)
+            if key in offsets:
+                rows.setdefault(key, []).append(i)
+        hit = np.zeros(len(texts), dtype=bool)
+        located = sorted(rows, key=offsets.__getitem__)
+        at = 0
+        while at < len(located):
+            first, end = offsets[located[at]], at + 1
+            while end < len(located) and offsets[located[end]] == first + (end - at) * size:
+                end += 1
+            run = os.pread(self._bin_fd, (end - at) * size, first)
+            for key in located[at:end]:
+                offset = offsets[key]
+                record = run[offset - first : offset - first + size]
+                self._check(key, offset, record, dim)
+                vector = np.frombuffer(record, dtype="<f8", count=dim, offset=4)
+                for row in rows[key]:
+                    out[row] = vector
+                    hit[row] = True
+            at = end
+        return hit
+
+    def _check(self, key: bytes, offset: int, record: bytes, dim: int) -> None:
+        """Raise unless record, read at offset at the size of a record of
+        dim, is key's whole and sound record of dim.
+
+        A record whose dim field is another is read again alone, at its
+        own size if the .bin holds that much (a corrupt dim must not turn
+        into a huge read), and raises CacheDimError if it is sound.
+        """
+        # a record too short for its dim field is read as dim's, and is truncated
+        own = _DIM.unpack_from(record)[0] if len(record) >= 4 else dim
+        size = 4 + 8 * own + CHECKSUM_SIZE
+        if own != dim and offset + size <= os.fstat(self._bin_fd).st_size:
+            record = os.pread(self._bin_fd, size, offset)
+        if len(record) < size:
+            raise ArtifactError(self.bin_path, f"truncated record at {offset}")
         if checksum(key + record[:-CHECKSUM_SIZE]) != record[-CHECKSUM_SIZE:]:
             raise ArtifactError(self.bin_path, f"checksum mismatch at offset {offset}")
-        self._record_size = size
-        return np.frombuffer(record, dtype="<f8", count=dim, offset=4).copy()
+        if own != dim:
+            raise CacheDimError(
+                self.bin_path, f"the cache holds {self.model_name!r}'s vectors at dim {own}, "
+                f"not embedding.dim {dim}; each dim needs its own embedding.model_name, "
+                f"as the demo's mock-128 has"
+            )
 
     def put_many(self, texts: list[str], vectors: list[np.ndarray]) -> None:
         """Cache the vectors of the texts not cached yet, by this process
@@ -482,19 +496,11 @@ def embed_texts(
         raise ValueError("embed_texts requires at least one text")
     clipped = [t[: cfg.max_input_chars] for t in texts]
     out = np.empty((len(clipped), cfg.dim))
+    hit = cache.get_many(clipped, out) if cache is not None else np.zeros(len(clipped), bool)
     misses: dict[str, list[int]] = {}
-    hits = cache.get_many(clipped) if cache is not None else [None] * len(clipped)
-    for i, (text, hit) in enumerate(zip(clipped, hits)):
-        if hit is None:
-            misses.setdefault(text, []).append(i)
-        elif hit.shape != (cfg.dim,):
-            raise CacheDimError(
-                cache.bin_path, f"the cache holds {cfg.model_name!r}'s vectors at dim "
-                f"{hit.shape[0]}, not embedding.dim {cfg.dim}; each dim needs its own "
-                f"embedding.model_name, as the demo's mock-128 has"
-            )
-        else:
-            out[i] = hit
+    for i, found in enumerate(hit.tolist()):
+        if not found:
+            misses.setdefault(clipped[i], []).append(i)
     if not misses:
         return out
 

@@ -32,10 +32,12 @@ scored with their source table as gold.
 
 Every JSON Lines file a stage reads, the source corpus and the gold file
 included, goes through fsio.read_records, so a bad line or record raises
-JsonLinesError naming the file and line. _run_one turns it into exit 2
-for the corpus or gold file, which no stage writes, and into exit 3
-naming the stage to rerun for a workspace file. A corpus or gold file
-that a stage writes exits 2 before any stage runs.
+JsonLinesError naming the file and line; so does a second record of one
+id in kpts.jsonl, queries.jsonl or triples.jsonl (see _read_some).
+_run_one turns it into exit 2 for the corpus or gold file, which no
+stage writes, and into exit 3 naming the stage to rerun for a workspace
+file. A corpus or gold file that a stage writes exits 2 before any stage
+runs.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .kpt import PT_FIELDS, STRATEGIES, build_kpts, kpt_from_record, PartialTabl
 from .mining import MINING_STRATEGIES, TRIPLE_FIELDS, TrainingTriple, mine_all, triple_from_record
 from .querygen import QUERY_FIELDS, SyntheticQuery, generate_all, query_from_record, query_ordinal
 from .retrieval import build_index, evaluate, load_index, save_index
-from .train import Adapter, load_adapter, save_adapter
+from .train import Adapter, TrainError, load_adapter, save_adapter
 from .train import train as train_adapter
 
 _INDEX_FILES = ("index/entries.jsonl", "index/vectors.bin", "index/meta.json")
@@ -206,12 +208,12 @@ class _Run:
 
     @functools.cached_property
     def pts(self) -> list[PartialTable]:
-        return _read_some(self.ws / "kpts.jsonl", PT_FIELDS, kpt_from_record)
+        return _read_some(self.ws / "kpts.jsonl", PT_FIELDS, kpt_from_record, "pt_id")
 
     @functools.cached_property
     def queries(self) -> QuerySplit:
         return _query_split(self.cfg, _read_some(self.ws / "queries.jsonl", QUERY_FIELDS,
-                                                 query_from_record))
+                                                 query_from_record, "query_id"))
 
     @functools.cached_property
     def base_vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -236,10 +238,19 @@ def _query_split(cfg: PipelineConfig, queries: list[SyntheticQuery]) -> QuerySpl
     return QuerySplit(*split_queries(queries, cfg.eval.holdout_per_pt))
 
 
-def _read_some(path: Path, fields: dict, parse: Callable[[dict], object]) -> list:
-    """read_records of a file its writer never leaves empty, so that one
-    with no record is damage."""
-    records = read_records(path, fields, parse)
+def _read_some(path: Path, fields: dict, parse: Callable[[dict], object], key: str) -> list:
+    """read_records of a file whose writer never leaves it empty and
+    writes one record per value of the field key, so that a file with no
+    record, or a second record of one value, is damage."""
+    seen: set[str] = set()
+
+    def parse_once(rec: dict) -> object:
+        if rec[key] in seen:
+            raise ValueError(f"repeated {key} {rec[key]!r}")
+        seen.add(rec[key])
+        return parse(rec)
+
+    records = read_records(path, fields, parse_once)
     if not records:
         raise ArtifactError(path, "no records")
     return records
@@ -315,7 +326,7 @@ def _run_one(run: _Run, stage: str, manifest: Manifest) -> StageResult:
         raise StageError(4, f"stage '{stage}': provider failure: {exc}") from exc
     except FileNotFoundError as exc:  # a missing source corpus
         raise StageError(2, f"stage '{stage}': {exc}") from exc
-    except OSError as exc:  # a full disk or a denied permission
+    except (OSError, TrainError) as exc:  # a full disk or a denied permission; training diverged
         raise StageError(1, f"stage '{stage}': {exc}") from exc
     except CacheDimError as exc:  # the cache is sound, so nothing to remove
         raise StageError(3, f"stage '{stage}': {exc}") from exc
@@ -503,7 +514,7 @@ def _stage_train(run: _Run) -> None:
     if triples is None:
         triples = _read_some(ws / "triples.jsonl", TRIPLE_FIELDS, functools.partial(
             _triple_from_record, queries=dict(zip(query_ids, run.queries.training)),
-            tables={pt.pt_id: pt.table_id for pt in run.pts}))
+            tables={pt.pt_id: pt.table_id for pt in run.pts}), "query_id")
     pt_vecs, q_vecs = run.base_vectors
     vectors = dict(zip(pt_ids + query_ids, [*pt_vecs, *q_vecs]))
 

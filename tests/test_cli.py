@@ -13,6 +13,7 @@ from tabret.config import load_config
 from tabret.fsio import WorkspaceLock, read_matrix_bin, write_matrix_bin
 from tabret.pipeline import split_queries
 from tabret.querygen import query_from_record
+from tabret.train import TrainError
 
 from test_fsio import LINE_FAULTS, full_disk_for, inject_fault, needs_dev_full
 from test_pipeline import CONFIG_BODY, _entries, _tree, write_tiny_corpus
@@ -88,6 +89,15 @@ class TestRunCommand:
         assert main([*config, "--set", f"seed={2**64 - 1}"]) == 0
         err = capsys.readouterr().err
         assert [st for st in pipeline_module.STAGES if f"[{st}] fresh" not in err] == []
+
+    def test_training_failure_exits_1_naming_the_stage(self, project, capsys, monkeypatch):
+        def diverges(*args):
+            raise TrainError("non-finite loss or gradient at triple q4")
+
+        monkeypatch.setattr(pipeline_module, "train_adapter", diverges)
+        assert main(["run", "--config", str(project / "config.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: stage 'train': non-finite loss or gradient at triple q4\n")
 
     def test_locked_workspace_exits_1(self, project, capsys):
         with WorkspaceLock(project / "ws"):
@@ -586,6 +596,24 @@ class TestDamagedRecords:
         assert demo("--stage", stage) == 3
         err = capsys.readouterr().err
         assert f"{name}:2: " in err and problem in err
+        assert err.rstrip().endswith(f"; rerun stage '{producer}'")
+
+    @pytest.mark.parametrize(
+        "name, key, stage, producer",
+        [("kpts.jsonl", "pt_id", "genq", "kpt"), ("kpts.jsonl", "pt_id", "index", "kpt"),
+         ("queries.jsonl", "query_id", "mine", "genq"),
+         ("triples.jsonl", "query_id", "train", "mine")],
+    )
+    def test_repeated_id_exits_3(self, demo, capsys, name, key, stage, producer):
+        # a copy of the first line appended: one id twice
+        path = demo.workspace / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        capsys.readouterr()
+        assert demo("--stage", stage) == 3
+        err = capsys.readouterr().err
+        repeated = json.loads(lines[0])[key]
+        assert f"{name}:{len(lines) + 1}: repeated {key} {repeated!r}; " in err
         assert err.rstrip().endswith(f"; rerun stage '{producer}'")
 
     @pytest.mark.parametrize(

@@ -221,9 +221,10 @@ class TestBatchKernel:
         assert peak <= 2.5 * vectors.nbytes
 
 
-def get(cache, text):
-    """The one-key read: get_many of a single text."""
-    return cache.get_many([text])[0]
+def get(cache, text, dim):
+    """The one-key read: get_many of a single text at dim, None on a miss."""
+    out = np.empty((1, dim))
+    return out[0] if cache.get_many([text], out)[0] else None
 
 
 def v2_pair(cache, texts, vectors):
@@ -260,27 +261,29 @@ class TestCache:
         cache = EmbeddingCache(tmp_path, "m1")
         v = unit(rng.normal(size=32))
         cache.put_many(["some text"], [v])
-        np.testing.assert_array_equal(get(cache, "some text"), v)
+        np.testing.assert_array_equal(get(cache, "some text", 32), v)
 
     def test_miss_returns_none(self, tmp_path):
-        assert EmbeddingCache(tmp_path, "m1").get_many(["absent", "other"]) == [None, None]
+        out = np.full((2, 8), 7.0)
+        hit = EmbeddingCache(tmp_path, "m1").get_many(["absent", "other"], out)
+        assert hit.tolist() == [False, False] and (out == 7.0).all()
 
     def test_model_names_are_isolated(self, tmp_path, rng):
         v = unit(rng.normal(size=8))
         EmbeddingCache(tmp_path, "m1").put_many(["t"], [v])
-        assert get(EmbeddingCache(tmp_path, "m2"), "t") is None
+        assert get(EmbeddingCache(tmp_path, "m2"), "t", 8) is None
 
     def test_persists_across_instances(self, tmp_path, rng):
         v = unit(rng.normal(size=8))
         EmbeddingCache(tmp_path, "m1").put_many(["t"], [v])
-        np.testing.assert_array_equal(get(EmbeddingCache(tmp_path, "m1"), "t"), v)
+        np.testing.assert_array_equal(get(EmbeddingCache(tmp_path, "m1"), "t", 8), v)
 
     def test_put_idempotent(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
         v = unit(rng.normal(size=8))
         cache.put_many(["t"], [v])
         cache.put_many(["t"], [v])
-        np.testing.assert_array_equal(get(cache, "t"), v)
+        np.testing.assert_array_equal(get(cache, "t", 8), v)
 
     def test_corruption_detected(self, tmp_path, rng):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -290,7 +293,7 @@ class TestCache:
         cache.bin_path.write_bytes(bytes(raw))
         fresh = EmbeddingCache(tmp_path, "m1")
         with pytest.raises(ArtifactError, match="checksum mismatch") as exc_info:
-            get(fresh, "t")
+            get(fresh, "t", 8)
         assert exc_info.value.path == cache.bin_path
 
     def _one_record(self, tmp_path):
@@ -315,7 +318,7 @@ class TestCache:
             flipped[i] ^= 0xFF
             path.write_bytes(bytes(flipped))
             with pytest.raises(ArtifactError, match="truncated|checksum mismatch") as exc_info:
-                get(EmbeddingCache(tmp_path, "m1"), "t")
+                get(EmbeddingCache(tmp_path, "m1"), "t", 2)
             assert exc_info.value.path == path
 
     @pytest.mark.parametrize("cut", range(1, 9))
@@ -323,7 +326,7 @@ class TestCache:
         path = self._one_record(tmp_path).bin_path
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ArtifactError, match="truncated") as exc_info:
-            get(EmbeddingCache(tmp_path, "m1"), "t")
+            get(EmbeddingCache(tmp_path, "m1"), "t", 2)
         assert exc_info.value.path == path
 
     def test_valid_record_under_another_key_detected(self, tmp_path):
@@ -335,9 +338,9 @@ class TestCache:
         idx[32:40] = idx[72:80]  # a's entry now holds b's offset
         cache.idx_path.write_bytes(bytes(idx))
         reopened = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(get(reopened, "b"), [0.8, 0.6])
+        np.testing.assert_array_equal(get(reopened, "b", 2), [0.8, 0.6])
         with pytest.raises(ArtifactError, match="checksum mismatch at offset 28") as exc_info:
-            reopened.get_many(["b", "a"])
+            reopened.get_many(["b", "a"], np.empty((2, 2)))
         assert exc_info.value.path == cache.bin_path
 
     def test_entry_past_the_end_of_the_bin_rejected_on_open(self, tmp_path):
@@ -356,8 +359,8 @@ class TestCache:
         assert cache.bin_path.stat().st_size == 2 * (4 + 8 * 4 + 8)
         assert cache.idx_path.stat().st_size == 2 * 40
         fresh = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(get(fresh, "a"), a)
-        np.testing.assert_array_equal(get(fresh, "b"), b)
+        np.testing.assert_array_equal(get(fresh, "a", 4), a)
+        np.testing.assert_array_equal(get(fresh, "b", 4), b)
 
     def test_put_many_skips_texts_another_instance_cached(self, tmp_path, rng):
         first, second = EmbeddingCache(tmp_path, "m1"), EmbeddingCache(tmp_path, "m1")
@@ -365,7 +368,7 @@ class TestCache:
         first.put_many(["t"], [v])
         second.put_many(["t", "u"], [v, v])
         assert second.idx_path.stat().st_size == 2 * 40
-        np.testing.assert_array_equal(get(second, "t"), v)
+        np.testing.assert_array_equal(get(second, "t", 4), v)
 
     @pytest.mark.parametrize("torn", [1, 17, 39])
     def test_torn_index_tail_trimmed(self, tmp_path, rng, torn):
@@ -377,14 +380,14 @@ class TestCache:
             fh.write((cache.key("u") + struct.pack("<Q", 0))[:torn])
         reopened = EmbeddingCache(tmp_path, "m1")
         assert cache.idx_path.stat().st_size == 40
-        np.testing.assert_array_equal(get(reopened, "t"), v)
-        assert get(reopened, "u") is None
+        np.testing.assert_array_equal(get(reopened, "t", 8), v)
+        assert get(reopened, "u", 8) is None
         reopened.put_many(["u"], [w])
         # the next append starts on an entry boundary
         assert cache.idx_path.read_bytes()[40:] == cache.key("u") + struct.pack("<Q", 76)
         again = EmbeddingCache(tmp_path, "m1")
-        np.testing.assert_array_equal(get(again, "t"), v)
-        np.testing.assert_array_equal(get(again, "u"), w)
+        np.testing.assert_array_equal(get(again, "t", 8), v)
+        np.testing.assert_array_equal(get(again, "u", 8), w)
 
     def test_cache_of_an_older_format_is_ignored(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -394,7 +397,7 @@ class TestCache:
         (tmp_path / f"{stem}.idx.jsonl").write_text(
             json.dumps({"key": cache.key("t").hex(), "offset": 0}) + "\n"
         )
-        assert get(EmbeddingCache(tmp_path, "m1"), "t") is None
+        assert get(EmbeddingCache(tmp_path, "m1"), "t", 2) is None
 
     def test_opening_removes_only_its_own_older_format_pair(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
@@ -416,40 +419,37 @@ class TestCache:
         reopened = EmbeddingCache(tmp_path, "m1")
         assert [p.exists() for p in stale] == [False, False]
         assert all(p.read_bytes() == b"older bytes" for p in kept)
-        np.testing.assert_array_equal(get(reopened, "t"), [0.6, 0.8])
+        np.testing.assert_array_equal(get(reopened, "t", 2), [0.6, 0.8])
 
-    def test_hits_of_mixed_dims_and_records_appended_after_a_hit(self, tmp_path):
-        # the record size a hit reads first comes from the previous hit,
-        # so a longer or shorter record next must still read exactly
+    def test_a_record_of_another_dim_is_a_cache_dim_error(self, tmp_path):
+        # at dim 2, the dim-8 record lies where the next dim-2 record would,
+        # so the batch reads it in the run and then again at its own size
         cache = EmbeddingCache(tmp_path, "m1")
         short, long = np.array([0.6, 0.8]), unit(np.arange(1.0, 9.0))
-        cache.put_many(["short"], [short])
-        np.testing.assert_array_equal(get(cache, "short"), short)
-        cache.put_many(["long"], [long])
-        np.testing.assert_array_equal(get(cache, "long"), long)
-        np.testing.assert_array_equal(get(cache, "short"), short)
-        np.testing.assert_array_equal(get(cache, "long"), long)
-        got = cache.get_many(["long", "short", "long"])
-        for vec, want in zip(got, [long, short, long]):
-            np.testing.assert_array_equal(vec, want)
+        cache.put_many(["short", "long"], [short, long])
+        for texts in (["long"], ["short", "long", "short"]):
+            with pytest.raises(CacheDimError, match="at dim 8, not embedding.dim 2") as exc_info:
+                cache.get_many(texts, np.empty((len(texts), 2)))
+            assert exc_info.value.path == cache.bin_path
+        np.testing.assert_array_equal(get(cache, "short", 2), short)
+        np.testing.assert_array_equal(get(cache, "long", 8), long)
 
     def test_corrupt_dim_after_a_hit_is_not_a_huge_read(self, tmp_path):
         cache = EmbeddingCache(tmp_path, "m1")
         cache.put_many(["a", "b"], [np.array([0.6, 0.8]), np.array([0.8, 0.6])])
-        np.testing.assert_array_equal(get(cache, "a"), [0.6, 0.8])
+        np.testing.assert_array_equal(get(cache, "a", 2), [0.6, 0.8])
         raw = bytearray(cache.bin_path.read_bytes())
         raw[28:32] = b"\xff\xff\xff\x7f"  # record b's dim field
         cache.bin_path.write_bytes(bytes(raw))
         for texts in (["b"], ["a", "b"]):
             with pytest.raises(ArtifactError, match="truncated") as exc_info:
-                cache.get_many(texts)
+                cache.get_many(texts, np.empty((len(texts), 2)))
             assert exc_info.value.path == cache.bin_path
 
     def test_one_pread_per_contiguous_run(self, tmp_path, monkeypatch):
         cache = EmbeddingCache(tmp_path, "m1")
         texts = [f"text {i}" for i in range(10)]
         cache.put_many(texts, [unit(np.arange(1.0, 9.0) + i) for i in range(10)])
-        get(cache, texts[0])  # learns the record size
         reads = []
         real_pread = embed_mod.os.pread
 
@@ -459,39 +459,43 @@ class TestCache:
 
         monkeypatch.setattr(embed_mod.os, "pread", pread)
         record = 4 + 8 * 8 + 8
-        cache.get_many(texts[::-1] + ["missing"] + texts[3:5])
+        batch = texts[::-1] + ["missing"] + texts[3:5]
+        cache.get_many(batch, np.empty((len(batch), 8)))
         assert reads == [(0, 10 * record)]
         reads.clear()
-        cache.get_many([texts[6], texts[1], texts[2], "missing", texts[7], texts[1]])
+        batch = [texts[6], texts[1], texts[2], "missing", texts[7], texts[1]]
+        cache.get_many(batch, np.empty((len(batch), 8)))
         assert reads == [(record, 2 * record), (6 * record, 2 * record)]
         reads.clear()
-        get(cache, texts[9])
+        get(cache, texts[9], 8)
         assert reads == [(9 * record, record)]
 
     @settings(max_examples=40, deadline=None)
     @given(
-        layout=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([2, 3, 8])), max_size=24),
+        layout=st.lists(st.integers(0, 11), max_size=24),
+        dim=st.sampled_from([2, 3, 8]),
         query=st.lists(st.integers(0, 14), max_size=30),
         warm=st.booleans(),
     )
-    def test_get_many_equals_one_key_reads(self, tmp_path_factory, layout, query, warm):
+    def test_get_many_equals_one_key_reads(self, tmp_path_factory, layout, dim, query, warm):
         """Oracle: each key of a shuffled, repeated, partly missing batch over
         records scattered among others gets the bits of its one-key read."""
         path = tmp_path_factory.mktemp("cache")
         cache = EmbeddingCache(path, "m1")
         # each put is a batch of its own, with records of others between
-        for n, (text_no, dim) in enumerate(layout):
+        for n, text_no in enumerate(layout):
             vector = unit(np.sin(np.arange(1.0, dim + 1.0) * (n + 1)))
             cache.put_many([f"filler {n}", f"t{text_no}"], [vector[::-1].copy(), vector])
         texts = [f"t{i}" for i in query]
         if warm and layout:
-            get(cache, f"t{layout[-1][0]}")
-        batch = EmbeddingCache(path, "m1").get_many(texts) if not warm else cache.get_many(texts)
+            get(cache, f"t{layout[-1]}", dim)
+        batch = np.empty((len(texts), dim))
+        hit = (EmbeddingCache(path, "m1") if not warm else cache).get_many(texts, batch)
         single = EmbeddingCache(path, "m1")
-        for text, vector in zip(texts, batch):
-            alone = get(single, text)
-            assert (vector is None) == (alone is None)
-            if vector is not None:
+        for text, found, vector in zip(texts, hit, batch):
+            alone = get(single, text, dim)
+            assert (not found) == (alone is None)
+            if found:
                 assert vector.tobytes() == alone.tobytes()
 
     def test_concurrent_put_many_in_two_processes(self, tmp_path):
@@ -516,8 +520,9 @@ class TestCache:
         texts = [f"{n} {r} {i}" for n in "AB" for r in range(12) for i in range(200)]
         cache = EmbeddingCache(tmp_path, "shared")
         assert cache.idx_path.stat().st_size == 40 * len(texts)
-        got = cache.get_many(texts)
-        wrong = [t for t, v in zip(texts, got) if v is None or (v != shared_vector(t)).any()]
+        got = np.empty((len(texts), 512))
+        hit = cache.get_many(texts, got)
+        wrong = [t for t, h, v in zip(texts, hit, got) if not h or (v != shared_vector(t)).any()]
         assert wrong == []
 
     def test_embed_texts_populates_and_reuses_cache(self, tmp_path, monkeypatch):
@@ -540,7 +545,7 @@ class TestCache:
         embed_texts(ProviderConfig(model_name="mock", dim=cached_dim), ["cached"], cache)
         with pytest.raises(CacheDimError, match=f"at dim {cached_dim}, not embedding.dim 64"):
             embed_texts(ProviderConfig(model_name="mock", dim=64), texts, cache)
-        assert cache.get_many(["new", "other"]) == [None, None]
+        assert not cache.get_many(["new", "other"], np.empty((2, 64))).any()
 
 
 class TestMigration:
@@ -554,8 +559,8 @@ class TestMigration:
     def assert_complete(self, tmp_path, texts, vectors):
         cache = EmbeddingCache(tmp_path, "m1")
         for text, want in dict(zip(texts, vectors)).items():
-            assert get(cache, text).tobytes() == np.asarray(want, dtype="<f8").tobytes()
-        assert cache.get_many(["not cached"]) == [None]
+            assert get(cache, text, len(want)).tobytes() == np.asarray(want, dtype="<f8").tobytes()
+        assert get(cache, "not cached", 4) is None
         return cache
 
     def test_migrated_vectors_are_bit_equal(self, tmp_path, rng):
@@ -564,7 +569,7 @@ class TestMigration:
         cache = self.assert_complete(tmp_path, texts, vectors)
         assert [p.exists() for p in old] == [False, False]
         # the later of the repeated text's lines wins, as in format 2
-        assert get(cache, "text 2").tobytes() == vectors[-1].tobytes()
+        assert get(cache, "text 2", 4).tobytes() == vectors[-1].tobytes()
         assert cache.idx_path.stat().st_size == 40 * 7
         migrated = EmbeddingCache(tmp_path / "fresh", "m1")
         migrated.put_many(list(dict(zip(texts, vectors))), list(dict(zip(texts, vectors)).values()))
@@ -830,7 +835,7 @@ class TestHttpBatchPersistence:
         bad = set(poisoned.failed_inputs[0])
         assert bad == set(texts[2:4])
         for text in texts:
-            assert (get(cache, text) is None) == (text in bad)
+            assert (get(cache, text, 8) is None) == (text in bad)
 
         rerun = FakeHttp(dim=8)
         monkeypatch.setattr(embed_mod, "post_json", rerun)

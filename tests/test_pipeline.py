@@ -687,10 +687,10 @@ class TestOneReadPerRun:
         put_by: dict[str, str] = {}
         real_get_many, real_put_many = EmbeddingCache.get_many, EmbeddingCache.put_many
 
-        def get_many(self, texts):
-            vecs = real_get_many(self, texts)
-            hits.setdefault(stage_of_call[-1], []).extend(vec is not None for vec in vecs)
-            return vecs
+        def get_many(self, texts, out):
+            hit = real_get_many(self, texts, out)
+            hits.setdefault(stage_of_call[-1], []).extend(hit.tolist())
+            return hit
 
         def put_many(self, texts, vectors):
             for text in texts:

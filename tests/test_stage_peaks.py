@@ -1,6 +1,9 @@
-"""scripts/stage_peaks.py: one figure per stage of a cold build, for each measure."""
+"""scripts/stage_peaks.py: one figure per stage of a cold build and of a
+re-index, for each measure."""
 
 import importlib.util
+import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -42,3 +45,25 @@ def test_each_stage_of_a_cold_build_gets_each_figure(peaks_script, tmp_path):
     assert traced["embed"] >= 72 * 32 * 8 / 2**20
     rss = list(figures["rss_high_water_mb"].values())
     assert rss == sorted(rss) and rss[0] > 0.0
+
+
+def test_the_second_child_of_each_measure_re_indexes_the_build(
+    peaks_script, tmp_path, capsys, monkeypatch
+):
+    # the children's side of main: the first builds the measure's
+    # workspace, the second re-indexes it, running index and eval only
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout first
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    write_tiny_corpus(inputs / "corpus.jsonl")
+    (inputs / "config.yaml").write_text(CONFIG_BODY, encoding="utf-8")
+    for measure in peaks_script.MEASURES:
+        argv = [str(SCRIPT.parent.parent), str(tmp_path), "--workload", "serve", "--seed", "1",
+                "--measure", measure]
+        runs = []
+        for _ in ("build", "reindex"):
+            assert peaks_script.main(argv) == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert [list(run["stages"]) for run in runs] == [list(pipeline.STAGES), ["index", "eval"]]
+        assert all(mb >= 0.0 for run in runs for mb in run["stages"].values())
+    assert runs[1]["stages"]["eval"] >= runs[1]["stages"]["index"] >= runs[1]["rss_before_build_mb"]
