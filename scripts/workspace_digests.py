@@ -27,6 +27,8 @@ and corpus are copied there too. The ingest config hash and the corpus's manifes
 corpus's absolute path, so two outputs compare equal only when both
 runs used the same WORKDIR path (remove it between the runs). BLAS runs
 on one thread unless the environment says otherwise.
+tests/test_golden_digests.py builds its golden with ``inputs`` and
+``label_digests``, as ``main`` does.
 """
 
 from __future__ import annotations
@@ -74,6 +76,45 @@ def staged_build(config_path: Path, workspace: Path, stages: list[str]) -> list[
     return [f"{r.stage} {r.status}" for st in stages for r in pipeline.run_pipeline(cfg, st)]
 
 
+def inputs(src: Path, workdir: Path, seeds: list[int]) -> dict[str, Path]:
+    """Each label's config: the demo's, copied under workdir, then each
+    workload's at each seed. perfbench/ must be on sys.path."""
+    import bench
+
+    demo = workdir / "inputs" / "demo"
+    demo.mkdir(parents=True)
+    for name in ("config.yaml", "corpus.jsonl"):
+        shutil.copy(src / "data" / "demo" / name, demo)
+    configs = {"demo": demo / "config.yaml"}
+    for name, w in bench.WORKLOADS.items():
+        for seed in seeds:
+            directory = workdir / "inputs" / f"{name}-{seed}"
+            configs[f"{name}-{seed}"] = bench.write_inputs(w, seed, directory, None)
+    return configs
+
+
+def label_digests(label: str, config_path: Path,
+                  workdir: Path) -> dict[str, dict[str, str] | list[str]]:
+    """One label's runs and staged build under workdir/workspaces, keyed as printed."""
+    from tabret import config, pipeline
+
+    # a relative workspace would resolve against the config's directory
+    workspace = workdir / "workspaces" / label
+    out: dict[str, dict[str, str] | list[str]] = {}
+    for run, overrides in RUNS:
+        cfg = config.load_config(config_path, [f"workspace={workspace}", *overrides])
+        results = pipeline.run_pipeline(cfg, "all")
+        out[f"{label}/{run}"] = digests(workspace)
+        out[f"{label}/{run}/stages"] = [f"{r.stage} {r.status}" for r in results]
+        out[f"{label}/{run}/manifest"] = manifest_entries(workspace)
+    staged = workdir / "workspaces" / f"{label}-staged"
+    ran = [line.split()[0] for line in out[f"{label}/cold/stages"] if line.endswith(" ran")]
+    out[f"{label}/staged/stages"] = staged_build(config_path, staged, ran)
+    out[f"{label}/staged"] = digests(staged)
+    out[f"{label}/staged/manifest"] = manifest_entries(staged)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", type=Path, help="tabret checkout to run")
@@ -82,35 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     src, workdir = args.src.resolve(), args.workdir.resolve()
     sys.path[:0] = [str(src / "src"), str(src / "perfbench")]
-    import bench
-    from tabret import config, pipeline
-
     workdir.mkdir(parents=True)
-    demo = workdir / "inputs" / "demo"
-    demo.mkdir(parents=True)
-    for name in ("config.yaml", "corpus.jsonl"):
-        shutil.copy(src / "data" / "demo" / name, demo)
-    configs = {"demo": demo / "config.yaml"}
-    for name, w in bench.WORKLOADS.items():
-        for seed in args.seeds:
-            inputs = workdir / "inputs" / f"{name}-{seed}"
-            configs[f"{name}-{seed}"] = bench.write_inputs(w, seed, inputs, None)
-
     out: dict[str, dict[str, str] | list[str]] = {}
-    for label, path in configs.items():
-        # a relative workspace would resolve against the config's directory
-        workspace = workdir / "workspaces" / label
-        for run, overrides in RUNS:
-            cfg = config.load_config(path, [f"workspace={workspace}", *overrides])
-            results = pipeline.run_pipeline(cfg, "all")
-            out[f"{label}/{run}"] = digests(workspace)
-            out[f"{label}/{run}/stages"] = [f"{r.stage} {r.status}" for r in results]
-            out[f"{label}/{run}/manifest"] = manifest_entries(workspace)
-        staged = workdir / "workspaces" / f"{label}-staged"
-        ran = [line.split()[0] for line in out[f"{label}/cold/stages"] if line.endswith(" ran")]
-        out[f"{label}/staged/stages"] = staged_build(path, staged, ran)
-        out[f"{label}/staged"] = digests(staged)
-        out[f"{label}/staged/manifest"] = manifest_entries(staged)
+    for label, path in inputs(src, workdir, args.seeds).items():
+        out.update(label_digests(label, path, workdir))
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

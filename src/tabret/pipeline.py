@@ -33,7 +33,8 @@ scored with their source table as gold.
 Every JSON Lines file a stage reads, the source corpus and the gold file
 included, goes through fsio.read_records, so a bad line or record raises
 JsonLinesError naming the file and line; so does a second record of one
-id in kpts.jsonl, queries.jsonl or triples.jsonl (see _read_some).
+id in clusters.jsonl, kpts.jsonl, queries.jsonl or triples.jsonl (see
+_read_some).
 _run_one turns it into exit 2 for the corpus or gold file, which no
 stage writes, and into exit 3 naming the stage to rerun for a workspace
 file. A corpus or gold file that a stage writes exits 2 before any stage
@@ -421,17 +422,22 @@ def _stage_cluster(run: _Run) -> None:
 
 def _labels_from_record(rec: dict, rows: dict[str, int]) -> tuple[str, ClusterLabels]:
     """(table id, clustering) of a clusters.jsonl record, given each corpus
-    table's row count; one that does not label each row with a cluster in
-    range(k) raises ValueError."""
+    table's row count; one of a table the corpus lacks, or that does not
+    label each row with a cluster in range(k) and each such cluster with a
+    row (as cluster's empty-cluster repair ensures), raises ValueError."""
     table_id, k = rec["table_id"], rec["k"]
+    if table_id not in rows:
+        raise ValueError(f"table {table_id!r} is not in corpus.jsonl")
     labels = np.asarray(rec["labels"], dtype=np.intp)
     distances = np.asarray(rec["point_distances"], dtype=np.float64)
-    m = rows.get(table_id, len(labels))
+    m = rows[table_id]
     if not len(labels) == len(distances) == m:
         raise ValueError(f"table {table_id!r} has {m} rows, but {len(labels)} labels "
                          f"and {len(distances)} point distances")
     if k < 1 or np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"table {table_id!r}: labels must lie in range(k) for k = {k}")
+    if len(empty := np.flatnonzero(np.bincount(labels, minlength=k) == 0)):
+        raise ValueError(f"table {table_id!r}: cluster {empty[0]} of k = {k} has no row")
     return table_id, ClusterLabels(k=k, labels=labels, point_distances=distances)
 
 
@@ -441,7 +447,8 @@ def _stage_kpt(run: _Run) -> None:
     if assignments is None:
         rows = {t.table_id: len(t.instances) for t in run.corpus.tables}
         parse = functools.partial(_labels_from_record, rows=rows)
-        assignments = dict(read_records(run.ws / "clusters.jsonl", _CLUSTER_FIELDS, parse))
+        assignments = dict(_read_some(run.ws / "clusters.jsonl", _CLUSTER_FIELDS, parse,
+                                      "table_id"))
     pts = []
     for t in run.corpus.tables:
         assignment = assignments.get(t.table_id)

@@ -109,6 +109,8 @@ class GenConfig:
             raise ValueError("n_q must be >= 1")
         if not 0 <= self.temperature <= 2:
             raise ValueError("temperature must be in [0, 2]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 

@@ -566,6 +566,10 @@ class TestDamagedRecords:
              "labels and ", "cluster"),
             ("clusters.jsonl", lambda rec: {**rec, "labels": [rec["k"]] * len(rec["labels"])},
              "kpt", "labels must lie in range(k)", "cluster"),
+            ("clusters.jsonl", lambda rec: {**rec, "labels": [0] * len(rec["labels"])},
+             "kpt", "cluster 1 of k = 3 has no row", "cluster"),
+            ("clusters.jsonl", lambda rec: {**rec, "table_id": "nope"}, "kpt",
+             "table 'nope' is not in corpus.jsonl", "cluster"),
             ("queries.jsonl", lambda rec: {**rec, "query_id": rec["query_id"].replace("#q", "-q")},
              "mine", "does not end in #q<ordinal>", "genq"),
             ("queries.jsonl", lambda rec: {**rec, "query_id": rec["query_id"][:-1] + "x"},
@@ -584,7 +588,8 @@ class TestDamagedRecords:
                                                      *rec["negative_pt_ids"][1:]]},
              "train", "comes from the query's own table ", "mine"),
         ],
-        ids=["bogus-strategy", "labels-one-short", "label-out-of-range", "query-id-without-ordinal",
+        ids=["bogus-strategy", "labels-one-short", "label-out-of-range", "empty-cluster",
+             "table-the-corpus-lacks", "query-id-without-ordinal",
              "query-ordinal-not-a-number", "triple-of-an-unknown-query",
              "triple-with-an-unknown-positive", "triple-with-an-unknown-negative",
              "triple-whose-positive-is-another-partial-table",
@@ -600,7 +605,8 @@ class TestDamagedRecords:
 
     @pytest.mark.parametrize(
         "name, key, stage, producer",
-        [("kpts.jsonl", "pt_id", "genq", "kpt"), ("kpts.jsonl", "pt_id", "index", "kpt"),
+        [("clusters.jsonl", "table_id", "kpt", "cluster"),
+         ("kpts.jsonl", "pt_id", "genq", "kpt"), ("kpts.jsonl", "pt_id", "index", "kpt"),
          ("queries.jsonl", "query_id", "mine", "genq"),
          ("triples.jsonl", "query_id", "train", "mine")],
     )

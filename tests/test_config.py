@@ -130,6 +130,13 @@ class TestStrictness:
             with pytest.raises(ConfigError, match=fragment):
                 load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_genq_max_tokens_below_1_rejected(self, tmp_path, value):
+        # an http chat provider would be sent the value as it is
+        body = MINIMAL + f"genq:\n  max_tokens: {value}\n"
+        with pytest.raises(ConfigError, match="genq: max_tokens must be >= 1"):
+            load_config(write_config(tmp_path, body))
+
     def test_eval_ks_must_be_ints(self, tmp_path):
         body = MINIMAL + "eval:\n  ks: [1, five]\n"
         with pytest.raises(ConfigError, match="eval.ks"):
